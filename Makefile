@@ -6,8 +6,11 @@
 #   make verify-alloc allocation gates: the batched exchange engine must
 #                     keep an 8-process all-to-all superstep allocation-
 #                     free (see internal/core/alloc_test.go and
-#                     BENCH_exchange.json), and the sample sort's alloc
-#                     count must stay flat in n (internal/psort)
+#                     BENCH_exchange.json), the socket engines (tcp,
+#                     cluster) and xchg must recycle batches at exactly
+#                     0 allocs per superstep (internal/transport), and
+#                     the sample sort's alloc count must stay flat in n
+#                     (internal/psort)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the checkpoint/recovery conformance suite
@@ -97,6 +100,7 @@ verify-race: vet race
 
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run TestExchangeAllocGate -v
+	$(GO) test -count=1 ./internal/transport/ -run TestSocketAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
 
 conformance:

@@ -84,6 +84,10 @@ type Baseline struct {
 	// count wobbles with goroutine scheduling need a wider band than
 	// the steady-state exchange path's near-zero one.
 	AllocSlack float64
+	// AllocExact pins allocs/op at the baseline with no slack at all:
+	// for paths whose steady state is allocation-free by construction,
+	// where any creep is a bug and not noise.
+	AllocExact bool
 }
 
 // benchRecord is the shared shape of the measurement blocks inside
@@ -98,11 +102,6 @@ type benchRecord struct {
 // benchmarks: the count is whole-machine and flat in n, but inbox
 // growth is goroutine-scheduling-dependent, so it wobbles by a few.
 const sortAllocSlack = 8
-
-// clusterAllocSlack is the allocs/op band of the cluster exchange:
-// the count rides on the kernel socket path and bufio refills, whose
-// per-op amortization shifts with scheduling.
-const clusterAllocSlack = 8
 
 // loadBaselines reads the checked-in baseline files and maps each
 // gated benchmark to its reference numbers: the exchange file's
@@ -144,7 +143,7 @@ func loadBaselines(exchangePath, ckptPath, sortPath, clusterPath string) ([]Base
 		{Name: "BenchmarkCheckpointEvery1", NsPerOp: ck.Every1.NsPerOp, AllocsPerOp: ck.Every1.AllocsPerOp},
 		{Name: "BenchmarkSampleSortUniform", NsPerOp: so.Uniform.NsPerOp, AllocsPerOp: so.Uniform.AllocsPerOp, AllocSlack: sortAllocSlack},
 		{Name: "BenchmarkSampleSortZipfian", NsPerOp: so.Zipfian.NsPerOp, AllocsPerOp: so.Zipfian.AllocsPerOp, AllocSlack: sortAllocSlack},
-		{Name: "BenchmarkClusterExchange", NsPerOp: cl.Exchange.NsPerOp, AllocsPerOp: cl.Exchange.AllocsPerOp, AllocSlack: clusterAllocSlack},
+		{Name: "BenchmarkClusterExchange", NsPerOp: cl.Exchange.NsPerOp, AllocsPerOp: cl.Exchange.AllocsPerOp, AllocExact: true},
 	}, nil
 }
 
@@ -163,9 +162,9 @@ func readJSON(path string, v any) error {
 // exceed the reference by at most the tolerance multiplier (latency is
 // host-dependent, so the band is wide), and allocs/op — which is
 // host-independent — by at most allocSlack allocations (or the
-// baseline's own AllocSlack when set). A missing benchmark is a
-// failure: a gate that silently stops measuring is no gate. Returns
-// one line per violation, deterministic order.
+// baseline's own AllocSlack when set, or none under AllocExact). A
+// missing benchmark is a failure: a gate that silently stops measuring
+// is no gate. Returns one line per violation, deterministic order.
 func compare(baselines []Baseline, results map[string]Result, tolerance, allocSlack float64) []string {
 	var problems []string
 	sorted := append([]Baseline(nil), baselines...)
@@ -182,7 +181,10 @@ func compare(baselines []Baseline, results map[string]Result, tolerance, allocSl
 		}
 		if res.AllocsPerOp >= 0 {
 			slack := allocSlack
-			if b.AllocSlack > 0 {
+			switch {
+			case b.AllocExact:
+				slack = 0
+			case b.AllocSlack > 0:
 				slack = b.AllocSlack
 			}
 			if limit := b.AllocsPerOp + slack; res.AllocsPerOp > limit {

@@ -146,7 +146,7 @@ func TestLoadBaselines(t *testing.T) {
 	if b := byName["BenchmarkSampleSortZipfian"]; b.NsPerOp != 5425887 || b.AllocsPerOp != 207 || b.AllocSlack != sortAllocSlack {
 		t.Errorf("zipfian baseline = %+v", b)
 	}
-	if b := byName["BenchmarkClusterExchange"]; b.NsPerOp != 87988 || b.AllocsPerOp != 28 || b.AllocSlack != clusterAllocSlack {
+	if b := byName["BenchmarkClusterExchange"]; b.NsPerOp != 87988 || b.AllocsPerOp != 28 || !b.AllocExact {
 		t.Errorf("cluster baseline = %+v", b)
 	}
 }
@@ -221,6 +221,24 @@ func TestComparePerBaselineAllocSlack(t *testing.T) {
 	}
 	if problems := compare(baselines, beyond, 0.5, 4); len(problems) != 1 || !strings.Contains(problems[0], "allocs/op exceeds baseline") {
 		t.Fatalf("+13 allocs not flagged: %v", problems)
+	}
+}
+
+// TestCompareAllocExact: an exact baseline takes no slack at all, not
+// even the gate-wide one — a single allocation over is a failure.
+func TestCompareAllocExact(t *testing.T) {
+	baselines := []Baseline{{Name: "BenchmarkClusterExchange", NsPerOp: 66000, AllocsPerOp: 0, AllocExact: true}}
+	at := map[string]Result{
+		"BenchmarkClusterExchange": {Name: "BenchmarkClusterExchange", NsPerOp: 66000, AllocsPerOp: 0, Runs: 1},
+	}
+	if problems := compare(baselines, at, 0.5, 4); len(problems) != 0 {
+		t.Fatalf("at-baseline run flagged: %v", problems)
+	}
+	over := map[string]Result{
+		"BenchmarkClusterExchange": {Name: "BenchmarkClusterExchange", NsPerOp: 66000, AllocsPerOp: 1, Runs: 1},
+	}
+	if problems := compare(baselines, over, 0.5, 4); len(problems) != 1 || !strings.Contains(problems[0], "allocs/op exceeds baseline") {
+		t.Fatalf("+1 alloc on an exact baseline not flagged: %v", problems)
 	}
 }
 

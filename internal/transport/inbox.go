@@ -44,26 +44,35 @@ func NewInbox(batches [][]byte) (*Inbox, error) {
 	return in, nil
 }
 
-// reset validates the batches (one FrameCount pass each), arms the
-// iterator and returns the total frame count. Endpoints call it from
-// Sync; a framing error here is a transport-integrity failure.
+// reset validates the batches (one FrameCount pass each) and arms the
+// iterator. Endpoints call it from Sync; a framing error here is a
+// transport-integrity failure.
 func (in *Inbox) reset(batches [][]byte) error {
-	in.batches = batches
-	in.frames = 0
+	frames := 0
 	for _, b := range batches {
 		n, err := wire.FrameCount(b)
 		if err != nil {
 			return err
 		}
-		in.frames += n
+		frames += n
 	}
+	in.arm(batches, frames)
+	return nil
+}
+
+// arm installs batches the caller has already validated, holding frames
+// frames in total, and rewinds the iterator. The socket engine counts
+// each batch as it comes off the wire (so a corrupt one is attributed
+// to its source peer) and arms the inbox without a second pass.
+func (in *Inbox) arm(batches [][]byte, frames int) {
+	in.batches = batches
+	in.frames = frames
 	in.cur = 0
 	in.it.Reset(nil)
 	if len(batches) > 0 {
 		in.it.Reset(batches[0])
 	}
 	in.left = in.frames
-	return nil
 }
 
 // Next returns a zero-copy view of the next undelivered frame, in
@@ -160,9 +169,19 @@ var batchPool = sync.Pool{
 	},
 }
 
+// boxPool recycles the *[]byte boxes batchPool stores its buffers in
+// (a sync.Pool holds pointers; boxing a fresh slice header on every Put
+// would cost one allocation per recycled buffer). A box shuttles
+// between the two pools: full in batchPool, empty here.
+var boxPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // getBatch returns an empty pooled buffer.
 func getBatch() []byte {
-	return (*batchPool.Get().(*[]byte))[:0]
+	box := batchPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // putBatch recycles a buffer obtained from getBatch (or grown from
@@ -171,7 +190,9 @@ func putBatch(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	batchPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b
+	batchPool.Put(box)
 }
 
 // putBatches recycles every buffer of bs and clears the entries.

@@ -125,7 +125,15 @@ func TestClusterLivenessConvictsStalledRank(t *testing.T) {
 	if got := coord.Epoch(); got != 1 {
 		t.Errorf("coordinator epoch after conviction = %d, want 1", got)
 	}
-	// The hung rank, when it wakes up, learns it was the one fenced.
+	// The hung rank, when it wakes up, learns it was the one fenced. Its
+	// peers' superstep-1 batches were posted eagerly and already sit in
+	// its socket buffers, so only the crash frame — read by its control
+	// goroutine, awaited here — stands between it and a clean superstep.
+	select {
+	case <-eps[1].(*tcpEndpoint).m.AbortCh():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the convicted rank never received the crash declaration")
+	}
 	if _, err := eps[1].Sync(); err == nil {
 		t.Error("the convicted rank's Sync must fail")
 	} else {

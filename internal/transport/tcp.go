@@ -27,10 +27,23 @@ import (
 // switch; here every process is a goroutine and the pairs exchange over
 // real kernel TCP sockets on the loopback interface (DESIGN.md §2). For
 // the rank-per-OS-process deployment shape of the paper's PC LAN, see
-// ClusterTransport, which reuses this staged exchange engine unchanged.
-// Within a stage the lower-ranked process of a pair streams its batch
-// first while the higher-ranked process drains it, then the roles swap —
-// so neither side ever depends on kernel socket buffering.
+// ClusterTransport, which reuses this exchange engine unchanged.
+//
+// A superstep's exchange runs in two phases over one wire format. First
+// every batch of at most eagerLimit bytes (empty ones included) is
+// posted up front, header and body in one write — the paper's MPI
+// schedule (Appendix B.2: post every send, then collect every receive,
+// and let the exchange be the barrier). A peer can run at most one
+// superstep ahead, so at most two such batches are ever unread per
+// direction per connection, far below the kernel's socket buffering:
+// the posts do not block and a superstep of small batches costs one
+// blocking wake-up instead of 2(p-1). Then the B.3 staged schedule runs
+// for what remains: within a stage the lower-ranked process of a pair
+// streams its large batch first while the higher-ranked process drains
+// it, then the roles swap — so large batches never depend on socket
+// buffering. A receiver just reads [round][length] and a body of
+// whatever size arrives, so mixed and asymmetric pairs need no
+// negotiation (DESIGN.md §5).
 //
 // The transport is hardened against transient failure: every connect,
 // read and write carries a per-stage deadline, and operations that fail
@@ -62,6 +75,15 @@ func (TCPTransport) Name() string { return "tcp" }
 
 // tcpFrameLimit guards against corrupt length prefixes.
 const tcpFrameLimit = 1 << 30
+
+// batchHdrLen is the [round u32][byte length u32] header in front of
+// every per-pair batch on the wire. Send reserves it at the front of
+// each outgoing buffer, so header and body leave in a single write.
+const batchHdrLen = 8
+
+// eagerLimit is the largest batch body posted eagerly at Sync entry;
+// larger batches wait for their stage of the pairing schedule.
+const eagerLimit = batchCap
 
 // Defaults for the hardening knobs: the stage deadline is generous (it
 // only has to beat "forever"), the retry budget small (transient faults
@@ -277,26 +299,29 @@ type tcpEndpoint struct {
 	id      int
 	conns   []net.Conn
 	rd      []*bufio.Reader
-	wr      []*bufio.Writer
-	out     [][]byte // per-destination contiguous framed batches
+	wr      []*stageConn // unbuffered: one Write per batch
+	out     [][]byte     // per-destination batches: batchHdrLen reserved bytes, then frames
+	posted  []uint32     // per peer: the round whose batch was last written
 	inbox   Inbox
 	batches [][]byte // batch views handed to inbox, reused
+	frames  int      // frames in batches, counted as they arrive
 	recycle [][]byte // pooled buffers to return at the next Sync/Close
 	handed  int      // nonempty batches handed to peers (observability)
 	buf     *trace.Buf
 	pr      *prof.Rank
 	round   uint32
 	closed  bool
-	hdr     [8]byte
+	hdr     [batchHdrLen]byte
 }
 
 func newTCPEndpoint(st *tcpState, m GroupMember, id int) *tcpEndpoint {
 	return &tcpEndpoint{
 		st: st, m: m, id: id,
-		conns: make([]net.Conn, st.p),
-		rd:    make([]*bufio.Reader, st.p),
-		wr:    make([]*bufio.Writer, st.p),
-		out:   make([][]byte, st.p),
+		conns:  make([]net.Conn, st.p),
+		rd:     make([]*bufio.Reader, st.p),
+		wr:     make([]*stageConn, st.p),
+		out:    make([][]byte, st.p),
+		posted: make([]uint32, st.p),
 	}
 }
 
@@ -322,9 +347,9 @@ func (e *tcpEndpoint) SetDump(fn func(reason string)) {
 }
 
 // setConn installs the connection to peer. The raw conn is kept for
-// Close/CloseWrite/teardown; the framing readers and writers run over
-// the retry-and-deadline stageConn (optionally over a fault-injecting
-// wrapper), so every read and write of a stage inherits the policy.
+// Close/CloseWrite/teardown; the buffered reader and the direct batch
+// writes run over the retry-and-deadline stageConn (optionally over a
+// fault-injecting wrapper), so every read and write inherits the policy.
 func (e *tcpEndpoint) setConn(peer int, c net.Conn) {
 	e.conns[peer] = c
 	inner := c
@@ -333,7 +358,7 @@ func (e *tcpEndpoint) setConn(peer int, c net.Conn) {
 	}
 	sc := &stageConn{Conn: inner, timeout: e.st.timeout, retries: e.st.retries}
 	e.rd[peer] = bufio.NewReaderSize(sc, 64<<10)
-	e.wr[peer] = bufio.NewWriterSize(sc, 64<<10)
+	e.wr[peer] = sc
 }
 
 // closeConns closes this endpoint's raw sockets.
@@ -365,13 +390,7 @@ func (e *tcpEndpoint) Close() error {
 	e.closed = true
 	putBatches(e.recycle)
 	e.recycle = e.recycle[:0]
-	for peer, c := range e.conns {
-		if c == nil {
-			continue
-		}
-		if w := e.wr[peer]; w != nil {
-			w.Flush()
-		}
+	for _, c := range e.conns {
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.CloseWrite()
 		}
@@ -383,11 +402,11 @@ func (e *tcpEndpoint) Close() error {
 }
 
 // Send implements Endpoint: msg is combined into the contiguous batch
-// for dst (copy-in; the caller keeps msg).
+// for dst (copy-in; the caller keeps msg), behind the reserved header.
 func (e *tcpEndpoint) Send(dst int, msg []byte) {
 	b := e.out[dst]
 	if b == nil {
-		b = getBatch()
+		b = getBatch()[:batchHdrLen]
 	}
 	e.out[dst] = wire.AppendFrame(b, msg)
 }
@@ -396,8 +415,9 @@ func (e *tcpEndpoint) Send(dst int, msg []byte) {
 // endpoint has handed to other processes.
 func (e *tcpEndpoint) handedBatches() int { return e.handed }
 
-// Sync implements Endpoint: one staged total exchange, shipping one
-// framed buffer per (src,dst) pair per stage.
+// Sync implements Endpoint: one total exchange, shipping one framed
+// buffer per (src,dst) pair — small ones posted eagerly, the rest
+// stage by stage.
 func (e *tcpEndpoint) Sync() (*Inbox, error) {
 	st := e.st
 	e.round++
@@ -405,17 +425,31 @@ func (e *tcpEndpoint) Sync() (*Inbox, error) {
 	putBatches(e.recycle)
 	e.recycle = e.recycle[:0]
 	e.batches = e.batches[:0]
+	e.frames = 0
 	// Self-delivery: our own batch joins the inbox directly.
-	if len(e.out[e.id]) > 0 {
-		e.batches = append(e.batches, e.out[e.id])
-		e.recycle = append(e.recycle, e.out[e.id])
+	if self := e.out[e.id]; self != nil {
+		e.frames, _ = wire.FrameCount(self[batchHdrLen:]) // locally produced, always valid
+		e.batches = append(e.batches, self[batchHdrLen:])
+		e.recycle = append(e.recycle, self)
+		e.out[e.id] = nil
 	}
-	e.out[e.id] = nil
 	var exStart int64
 	if e.buf != nil {
 		exStart = e.buf.Now()
 	}
 	e.pr.Mark(prof.Exchange)
+	// Eager post (Appendix B.2): in schedule order, so the partner of
+	// our first stage is served first.
+	for stage := 0; stage < st.sched.Stages(); stage++ {
+		peer := st.sched.Partner(stage, e.id)
+		if peer < 0 || len(e.out[peer]) > batchHdrLen+eagerLimit {
+			continue
+		}
+		if err := e.writeBatch(peer); err != nil {
+			return nil, e.stageError(peer, err)
+		}
+	}
+	// Staged remainder (Appendix B.3): writeBatch skips posted peers.
 	for stage := 0; stage < st.sched.Stages(); stage++ {
 		peer := st.sched.Partner(stage, e.id)
 		if peer < 0 {
@@ -439,14 +473,12 @@ func (e *tcpEndpoint) Sync() (*Inbox, error) {
 	}
 	e.pr.Mark(prof.Sync)
 	if e.buf != nil {
-		// The staged total exchange is the data-movement slice of this
+		// The total exchange is the data-movement slice of this
 		// superstep's sync span (what remains of the span is barrier
 		// skew absorbed by the stage reads).
 		e.buf.Exchange(int(e.round)-1, exStart, e.buf.Now())
 	}
-	if err := e.inbox.reset(e.batches); err != nil {
-		return nil, fmt.Errorf("tcp: process %d: %w", e.id, err)
-	}
+	e.inbox.arm(e.batches, e.frames)
 	return &e.inbox, nil
 }
 
@@ -484,29 +516,33 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 	return fmt.Errorf("tcp: process %d exchanging with %d in superstep %d: %w", e.id, peer, e.round, err)
 }
 
-// writeBatch ships this superstep's whole per-pair buffer to peer in
-// one framed write: [round][byte length] then the contiguous batch.
-// The batch buffer returns to the pool as soon as the write is flushed.
+// writeBatch ships this superstep's whole per-pair buffer to peer in a
+// single write: [round][byte length] in the reserved header bytes, then
+// the contiguous batch. An empty batch is a bare header from the
+// endpoint's own array. A peer already posted this round is skipped.
+// The batch buffer returns to the pool as soon as the write returns.
 func (e *tcpEndpoint) writeBatch(peer int) error {
-	w := e.wr[peer]
+	if e.posted[peer] == e.round {
+		return nil
+	}
 	batch := e.out[peer]
-	binary.LittleEndian.PutUint32(e.hdr[0:4], e.round)
-	binary.LittleEndian.PutUint32(e.hdr[4:8], uint32(len(batch)))
-	if _, err := w.Write(e.hdr[:8]); err != nil {
+	if batch == nil {
+		batch = e.hdr[:]
+	}
+	body := batch[batchHdrLen:]
+	binary.LittleEndian.PutUint32(batch[0:4], e.round)
+	binary.LittleEndian.PutUint32(batch[4:8], uint32(len(body)))
+	if _, err := e.wr[peer].Write(batch); err != nil {
 		return err
 	}
-	if _, err := w.Write(batch); err != nil {
-		return err
+	e.posted[peer] = e.round
+	if len(body) == 0 {
+		return nil
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if len(batch) > 0 {
-		e.handed++
-		if e.buf != nil {
-			frames, pkts, _ := wire.BatchStats(batch) // locally produced, always valid
-			e.buf.Pair(int(e.round)-1, peer, e.buf.Now(), len(batch), frames, pkts)
-		}
+	e.handed++
+	if e.buf != nil {
+		frames, pkts, _ := wire.BatchStats(body) // locally produced, always valid
+		e.buf.Pair(int(e.round)-1, peer, e.buf.Now(), len(body), frames, pkts)
 	}
 	putBatch(batch)
 	e.out[peer] = nil
@@ -514,10 +550,11 @@ func (e *tcpEndpoint) writeBatch(peer int) error {
 }
 
 // readBatch receives peer's whole per-pair buffer into one pooled
-// contiguous buffer and validates its framing in a single pass.
+// contiguous buffer and validates its framing in the one pass the
+// inbox relies on (Sync arms it with the counts gathered here).
 func (e *tcpEndpoint) readBatch(peer int) error {
 	r := e.rd[peer]
-	if _, err := io.ReadFull(r, e.hdr[:8]); err != nil {
+	if _, err := io.ReadFull(r, e.hdr[:]); err != nil {
 		if err == io.EOF {
 			return fmt.Errorf("peer exited (superstep counts diverged): %w", err)
 		}
@@ -545,10 +582,12 @@ func (e *tcpEndpoint) readBatch(peer int) error {
 		putBatch(batch)
 		return err
 	}
-	if _, err := wire.FrameCount(batch); err != nil {
+	frames, err := wire.FrameCount(batch)
+	if err != nil {
 		putBatch(batch)
 		return fmt.Errorf("corrupt batch from peer: %w", err)
 	}
+	e.frames += frames
 	e.batches = append(e.batches, batch)
 	e.recycle = append(e.recycle, batch)
 	return nil

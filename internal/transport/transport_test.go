@@ -456,6 +456,11 @@ func TestPerPairBatchHandoff(t *testing.T) {
 						t.Errorf("proc %d step %d: %d frames, want %d", id, s, got, (p-1)*burst)
 					}
 				}
+				// A superstep with nothing to send still exchanges (the
+				// socket engine writes bare headers) but hands nothing.
+				if in, err := ep.Sync(); err != nil || in.Frames() != 0 {
+					t.Errorf("proc %d empty step: %d frames, err %v", id, in.Frames(), err)
+				}
 				handed[id] = ep.(interface{ handedBatches() int }).handedBatches()
 			})
 			for id, h := range handed {
@@ -468,12 +473,14 @@ func TestPerPairBatchHandoff(t *testing.T) {
 			// per handed batch, frame counts summing to the traffic sent.
 			pairs := make([]int, p)
 			frames := make([]int, p)
+			bytes := make([]int, p)
 			for _, e := range rec.Events() {
 				if e.Kind != trace.KindPair {
 					continue
 				}
 				pairs[e.Rank]++
 				frames[e.Rank] += int(e.C)
+				bytes[e.Rank] += int(e.B)
 				if e.B <= 0 || e.C <= 0 || e.A == int64(e.Rank) {
 					t.Errorf("malformed pair event: %+v", e)
 				}
@@ -484,6 +491,20 @@ func TestPerPairBatchHandoff(t *testing.T) {
 				}
 				if frames[id] != steps*(p-1)*burst {
 					t.Errorf("proc %d pair events carry %d frames, want %d", id, frames[id], steps*(p-1)*burst)
+				}
+				// Bytes are the framed payload alone: the batch header the
+				// socket engine keeps at the front of its buffers is wire
+				// overhead, not traffic.
+				want := 0
+				for s := 0; s < steps; s++ {
+					for dst := 0; dst < p; dst++ {
+						for k := 0; k < burst && dst != id; k++ {
+							want += 4 + len(msgFor(id, dst, s, k))
+						}
+					}
+				}
+				if bytes[id] != want {
+					t.Errorf("proc %d pair events carry %d bytes, want %d", id, bytes[id], want)
 				}
 			}
 		})

@@ -51,6 +51,12 @@
 #                     must read ok, the final status dump must render a
 #                     row per rank, and tracecheck -status must
 #                     reconcile the dump against the merged trace
+#   make golden       rewrite every -update golden in one go — the
+#                     Chrome trace export, the Prometheus /metrics
+#                     exposition and ocean's (S, H, V-cycles) cost table
+#                     — so a deliberate schema or schedule change is
+#                     refreshed and reviewed as one diff; the tests that
+#                     hold the goldens run in plain `go test ./...`
 #   make fuzz         brief wire encode/decode + snapshot codec fuzz pass
 #   make bench        transport latency/throughput microbenchmarks
 #   make bench-gate   benchmark-regression gate: run the exchange and
@@ -80,7 +86,7 @@ BENCH_N ?= 3
 BENCH_TOL ?= 2.0
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 
-.PHONY: build test vet race verify verify-race verify-alloc conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate prof-smoke
+.PHONY: build test vet race verify verify-race verify-alloc golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate prof-smoke
 
 build:
 	$(GO) build ./...
@@ -102,6 +108,9 @@ verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run TestExchangeAllocGate -v
 	$(GO) test -count=1 ./internal/transport/ -run TestSocketAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
+
+golden:
+	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ -run 'Golden' -update
 
 conformance:
 	$(GO) test -race -timeout 120s ./internal/transport/ -run 'Conformance|PerPairBatchHandoff' -v

@@ -6,11 +6,22 @@
 // followed by a red-black Gauss-Seidel multigrid solve of the stream
 // function to tolerance, on an (n+2)×(n+2) grid with fixed boundary.
 //
-// Parallelization is by horizontal strips at every multigrid level; each
-// relaxation color sweep, restriction and prolongation is preceded by a
-// ghost-row exchange superstep, and the convergence check is a max-norm
-// all-reduce. Ghost values travel as 16-byte (row|field, col, value)
-// records — one Green BSP packet per element.
+// The grid is cell-centred: the unit square is cut into n×n cells, the
+// unknowns sit at the cell centres ((i−½)h, (j−½)h) with h = 1/n, and
+// the ψ = 0 wall runs along the cell faces, half a cell outside the
+// first and last unknown. Rows and columns 0 and n+1 of the stored grid
+// are ghost cells, not wall nodes: they are kept at zero and the wall is
+// enforced by reflection (ghost = −neighbour) inside the stencils. The
+// same holds at every multigrid level, which is what makes the
+// hierarchy consistent (see solver.go).
+//
+// Parallelization is by horizontal strips at every multigrid level wider
+// than 16 cells; each relaxation color sweep, restriction and
+// prolongation is preceded by a ghost-row exchange superstep, and the
+// convergence check is a max-norm all-reduce. Coarser levels are solved
+// whole on rank 0 (solver.go says why the threshold depends on the grid
+// and never on p). Ghost values travel as 16-byte (row|field, col,
+// value) records — one Green BSP packet per element.
 //
 // Because red-black relaxation is order-independent within a color and
 // the convergence reduction is an exact max, the parallel solver computes
@@ -24,7 +35,7 @@ import "fmt"
 // interior rows [lo, hi) plus a two-row halo below and a one-row halo
 // above (bilinear prolongation reads one coarse row beyond the ghost).
 // Global rows are 1-based for the interior; rows 0 and m+1 are the
-// physical boundary.
+// ghost cells beyond the wall, always zero.
 type slab struct {
 	m      int // interior dimension
 	lo, hi int // owned global interior rows, lo <= r < hi
@@ -49,11 +60,15 @@ func (s *slab) row(g int) []float64 {
 	return s.vals[i*(s.m+2) : (i+1)*(s.m+2)]
 }
 
-// owns reports whether g is an owned interior row.
-func (s *slab) owns(g int) bool { return g >= s.lo && g < s.hi }
-
-// holds reports whether g is stored (owned or halo/boundary).
-func (s *slab) holds(g int) bool { return g >= s.lo-slabHalo && g <= s.hi+slabHalo-1 }
+// mirror returns the row next to interior row g in direction d (±1) and
+// the sign its values carry: the stored row, or across the wall the
+// reflected ghost — row g itself, negated.
+func (s *slab) mirror(g, d int) ([]float64, float64) {
+	if n := g + d; n >= 1 && n <= s.m {
+		return s.row(n), 1
+	}
+	return s.row(g), -1
+}
 
 // zero clears all stored values.
 func (s *slab) zero() {

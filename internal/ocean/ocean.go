@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -77,6 +78,9 @@ type oceanSim struct {
 	m         int
 	// Cycles records the V-cycle count of each solve.
 	Cycles []int
+	// err is the first solve failure; it ends the run (on every process
+	// in the same timestep, see solver.Solve).
+	err error
 
 	// Checkpoint/restart state (see recover.go): start is the timestep
 	// the run (re)starts from; atBoundary is true only during the
@@ -109,56 +113,79 @@ func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
 func (s *oceanSim) fidPsi() int  { return 3 * len(s.sol.levels) }
 func (s *oceanSim) fidVort() int { return 3*len(s.sol.levels) + 1 }
 
-// step advances the simulation one timestep:
+// step advances the simulation through timestep i:
 //
 //	vort = ∇²ψ                                  (ghost exchange for ψ)
 //	rhs  = vort + dt·(wind − J(ψ, vort) − μ·vort)  (exchange for vort)
 //	solve ∇²ψ' = rhs by multigrid, warm-started from ψ
-func (s *oceanSim) step() {
+//
+// ψ and vort vanish on the wall, so a neighbor across it is the
+// reflected ghost (see grid.go). The error reports a solve that did not
+// reach tolerance; every process returns it in the same timestep.
+func (s *oceanSim) step(i int) error {
 	m := s.m
-	h := 1 / float64(m+1)
+	h := 1 / float64(m)
 	h2 := h * h
+	lv0 := s.sol.levels[0]
 	s.mc.exchange([]exch{{s.fidPsi(), s.psi, -1}})
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		up, me, dn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
 		vr := s.vort.row(r)
+		wr := lv0.walls(r)
 		for c := 1; c <= m; c++ {
-			vr[c] = (up[c] + dn[c] + me[c-1] + me[c+1] - 4*me[c]) / h2
+			vr[c] = (up[c] + dn[c] + me[c-1] + me[c+1] - float64(4+wr+lv0.walls(c))*me[c]) / h2
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m)
 	s.mc.exchange([]exch{{s.fidVort(), s.vort, -1}})
-	lv0 := s.sol.levels[0]
 	dt, a, mu := s.cfg.dt(), s.cfg.wind(), s.cfg.friction()
 	for r := s.psi.lo; r < s.psi.hi; r++ {
-		pUp, pMe, pDn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
-		vUp, vMe, vDn := s.vort.row(r-1), s.vort.row(r), s.vort.row(r+1)
+		pMe, vMe := s.psi.row(r), s.vort.row(r)
+		pUp, su := s.psi.mirror(r, -1)
+		pDn, sd := s.psi.mirror(r, +1)
+		vUp, _ := s.vort.mirror(r, -1)
+		vDn, _ := s.vort.mirror(r, +1)
 		fr := lv0.f.row(r)
 		ur := lv0.u.row(r)
-		y := float64(r) * h
+		y := (float64(r) - 0.5) * h
 		for c := 1; c <= m; c++ {
+			pl, pr, vl, vr := pMe[c-1], pMe[c+1], vMe[c-1], vMe[c+1]
+			if c == 1 {
+				pl, vl = -pMe[c], -vMe[c]
+			}
+			if c == m {
+				pr, vr = -pMe[c], -vMe[c]
+			}
 			// Arakawa-style central-difference Jacobian J(ψ, ζ).
-			px := (pMe[c+1] - pMe[c-1]) / (2 * h)
-			py := (pDn[c] - pUp[c]) / (2 * h)
-			vx := (vMe[c+1] - vMe[c-1]) / (2 * h)
-			vy := (vDn[c] - vUp[c]) / (2 * h)
+			px := (pr - pl) / (2 * h)
+			py := (sd*pDn[c] - su*pUp[c]) / (2 * h)
+			vx := (vr - vl) / (2 * h)
+			vy := (sd*vDn[c] - su*vUp[c]) / (2 * h)
 			jac := px*vy - py*vx
-			x := float64(c) * h
+			x := (float64(c) - 0.5) * h
 			wind := a * sinPi(x) * sinPi(y)
 			fr[c] = vMe[c] + dt*(wind-jac-mu*vMe[c])
 			ur[c] = pMe[c] // warm start from the current stream function
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m * 2) // Jacobian + forcing pass
-	s.Cycles = append(s.Cycles, s.sol.Solve())
+	cycles, converged := s.sol.Solve()
+	s.Cycles = append(s.Cycles, cycles)
+	if !converged {
+		return fmt.Errorf("ocean: size %d, timestep %d: multigrid solve stopped after %d V-cycles with residual %.3g above its target %.3g",
+			s.cfg.Size, i, cycles, s.sol.res, s.sol.target)
+	}
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		copy(s.psi.row(r), lv0.u.row(r))
 	}
+	return nil
 }
 
+// run advances the simulation to its last timestep, or to the first
+// solve that does not converge.
 func (s *oceanSim) run() {
-	for i := 0; i < s.cfg.steps(); i++ {
-		s.step()
+	for i := 0; i < s.cfg.steps() && s.err == nil; i++ {
+		s.err = s.step(i)
 	}
 }
 
@@ -170,7 +197,8 @@ func Sequential(cfg Config) (*Fields, []int, error) {
 		return nil, nil, err
 	}
 	sim.run()
-	return assemble([]*oceanSim{sim}), sim.Cycles, nil
+	f, err := assemble([]*oceanSim{sim})
+	return f, sim.Cycles, err
 }
 
 // Parallel runs the BSP simulation and returns the assembled stream
@@ -192,23 +220,31 @@ func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return assemble(sims), st, nil
+	f, err := assemble(sims)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, st, nil
 }
 
 // assemble stitches the owned rows of every process into a full grid.
 // On a cluster member only the locally-hosted rank's sim exists (the
 // rest stay nil); its rows are filled and the remote ranks' rows are
-// left zero — each process holds exactly its own partition.
-func assemble(sims []*oceanSim) *Fields {
+// left zero — each process holds exactly its own partition. A run in
+// which a solve did not converge has no result, only that error.
+func assemble(sims []*oceanSim) (*Fields, error) {
 	m := -1
 	for _, s := range sims {
-		if s != nil {
-			m = s.m
-			break
+		if s == nil {
+			continue
 		}
+		if s.err != nil {
+			return nil, s.err
+		}
+		m = s.m
 	}
 	if m < 0 {
-		return &Fields{}
+		return &Fields{}, nil
 	}
 	f := &Fields{M: m, Psi: make([]float64, (m+2)*(m+2))}
 	for _, s := range sims {
@@ -219,7 +255,7 @@ func assemble(sims []*oceanSim) *Fields {
 			copy(f.Psi[r*(m+2):(r+1)*(m+2)], s.psi.row(r))
 		}
 	}
-	return f
+	return f, nil
 }
 
 // sinPi(x) = sin(πx), kept as a helper so the forcing reads clearly at

@@ -17,12 +17,12 @@ import (
 // atBoundary flag), so every snapshot RunRecoverable captures is a
 // clean (i, ψ) cut that restores bit-identically.
 func (s *oceanSim) runRecoverable() {
-	for i := s.start; i < s.cfg.steps(); i++ {
+	for i := s.start; i < s.cfg.steps() && s.err == nil; i++ {
 		s.saveStep = i
 		s.atBoundary = true
 		s.mc.barrier()
 		s.atBoundary = false
-		s.step()
+		s.err = s.step(i)
 	}
 }
 
@@ -112,5 +112,9 @@ func ParallelRecoverable(ccfg core.Config, cfg Config) (*Fields, *core.Stats, er
 	if err != nil {
 		return nil, nil, err
 	}
-	return assemble(sims), st, nil
+	f, err := assemble(sims)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, st, nil
 }

@@ -8,7 +8,32 @@ import (
 	"repro/internal/wire"
 )
 
-// machine abstracts the two BSP operations the solver needs, so the
+// The multigrid hierarchy is cell-centred at every level: level l has
+// m_l = m/2^l cells a side, spacing h_l = 1/m_l, unknowns at the cell
+// centres ((i−½)h_l, (j−½)h_l), and the ψ = 0 wall half a cell outside
+// the first and last unknown. The wall is enforced by a reflected ghost
+// (ghost = −neighbour), which in the 5-point operator is a diagonal of
+// 4 + #wall sides over the stored, always-zero boundary cells. A coarse
+// cell is exactly the union of four fine cells, so full weighting over
+// 2×2 blocks and 9/3/3/1 bilinear interpolation are the exact transfers
+// for this grid and the V-cycle's convergence factor does not depend on m.
+//
+// Levels below the finest with m_l ≤ aggM are agglomerated: a whole
+// level is then at most aggM² cells — one small message — while
+// relaxing it in strips costs nine or more supersteps of a few cells
+// each, so Equation 1 says to pay the W and save the L·S. Rank 0 solves
+// those levels on full slabs with this same solver bound to a machine
+// that never communicates; one gather superstep carries the restricted
+// right-hand side there and the prolongation's coarse-to-fine superstep
+// carries the correction back. The threshold is a property of the grid
+// alone, so the superstep schedule — and with it S and every computed
+// bit — is the same at every process count.
+const (
+	minM = 4  // coarsest level
+	aggM = 16 // levels this small (below the finest) live on rank 0
+)
+
+// machine abstracts the BSP operations the solver needs, so the
 // identical numerical code runs sequentially (no-op communication: the
 // single slab holds every row) and in parallel (ghost-row exchange
 // supersteps and a max all-reduce).
@@ -16,12 +41,16 @@ type machine interface {
 	// exchange performs one superstep in which the ghost rows of every
 	// listed field are refreshed from their owners.
 	exchange(items []exch)
-	// exchangeToFine performs one superstep in which every owned coarse
-	// row R is sent to the owners of fine rows 2R-1 and 2R (fine
-	// interior is 2×coarse). This is the prolongation dependency, which
-	// the neighbor ghost exchange cannot satisfy when some processes
-	// own no rows of the coarse level.
-	exchangeToFine(fid int, coarse *slab)
+	// exchangeToFine performs one superstep in which every row R of
+	// owned is sent to the owners of fine rows 2R-2 .. 2R+1 (fine
+	// interior is 2×coarse), the rows whose prolongation stencils read
+	// R. The neighbor ghost exchange cannot satisfy this dependency
+	// when the coarse level is partitioned differently from the fine
+	// one. owned is nil on a process that owns no rows of the level.
+	exchangeToFine(fid int, owned *slab)
+	// gather performs one superstep in which every owned row of s is
+	// sent to rank 0, whose full slab registered under fid absorbs it.
+	gather(fid int, s *slab)
 	// maxAll returns the global maximum of x (one superstep).
 	maxAll(x float64) float64
 	// barrier performs one empty superstep. The recoverable driver
@@ -45,54 +74,58 @@ type exch struct {
 }
 
 // seqMachine runs the solver on a single process: slabs span all rows,
-// so ghosts coincide with the physical boundary and exchanges are no-ops.
+// so the only ghosts are the cells beyond the wall and exchanges are
+// no-ops.
 type seqMachine struct{}
 
 func (seqMachine) exchange([]exch)           {}
 func (seqMachine) exchangeToFine(int, *slab) {}
+func (seqMachine) gather(int, *slab)         {}
 func (seqMachine) maxAll(x float64) float64  { return x }
 func (seqMachine) barrier()                  {}
 func (seqMachine) work(int)                  {}
+
+// rootMachine is the seqMachine of rank 0's agglomerated levels: no
+// communication, but the cell updates still count as rank 0's work.
+type rootMachine struct {
+	seqMachine
+	c *core.Proc
+}
+
+func (m rootMachine) work(n int) { m.c.AddWork(n) }
 
 // bspMachine binds the solver to a BSP process.
 type bspMachine struct {
 	c       *core.Proc
 	p       int
-	fieldOf map[int]*slab
+	fieldOf []*slab // by fid
 	out     []*wire.Writer
 }
 
 func newBSPMachine(c *core.Proc) *bspMachine {
-	m := &bspMachine{c: c, p: c.P(), fieldOf: make(map[int]*slab), out: make([]*wire.Writer, c.P())}
+	m := &bspMachine{c: c, p: c.P(), out: make([]*wire.Writer, c.P())}
 	for i := range m.out {
 		m.out[i] = wire.NewWriter(0)
 	}
 	return m
 }
 
-func (m *bspMachine) register(fid int, s *slab) { m.fieldOf[fid] = s }
-
-// exchange implements machine: each process sends its first owned row to
-// the owner above and its last owned row to the owner below, as 16-byte
-// (row|fid, col, value) records, then absorbs the records addressed to
-// its ghost rows.
-func (m *bspMachine) exchange(items []exch) {
-	for _, it := range items {
-		s := it.s
-		if s.lo >= s.hi {
-			continue // this process owns no rows at this level
-		}
-		if s.lo > 1 {
-			m.sendRowColor(it.fid, s, s.lo, ownerOfRow(s.m, m.p, s.lo-1), it.color)
-		}
-		if s.hi-1 < s.m {
-			m.sendRowColor(it.fid, s, s.hi-1, ownerOfRow(s.m, m.p, s.hi), it.color)
-		}
+func (m *bspMachine) register(fid int, s *slab) {
+	for len(m.fieldOf) <= fid {
+		m.fieldOf = append(m.fieldOf, nil)
 	}
-	for q := 0; q < m.p; q++ {
-		if m.out[q].Len() > 0 {
-			m.c.Send(q, m.out[q].Bytes())
-			m.out[q].Reset()
+	m.fieldOf[fid] = s
+}
+
+// absorb ends a superstep: it posts the records queued for each
+// destination, synchronizes, and stores every 16-byte (row|fid, col,
+// value) record received into the field and row it names. Senders
+// address only rows the receiver stores.
+func (m *bspMachine) absorb() {
+	for q, w := range m.out {
+		if w.Len() > 0 {
+			m.c.Send(q, w.Bytes())
+			w.Reset()
 		}
 	}
 	m.c.Sync()
@@ -104,27 +137,35 @@ func (m *bspMachine) exchange(items []exch) {
 		r := wire.NewReader(msg)
 		for r.Remaining() >= 16 {
 			tag := r.Uint32()
-			col := int(r.Uint32())
-			v := r.Float64()
-			row := int(tag & 0xFFFFF)
-			fid := int(tag >> 20)
-			s := m.fieldOf[fid]
-			if s != nil && s.holds(row) && !s.owns(row) {
-				s.row(row)[col] = v
-			}
+			col := r.Uint32()
+			m.fieldOf[tag>>20].row(int(tag & 0xFFFFF))[col] = r.Float64()
 		}
 	}
 }
 
-func (m *bspMachine) sendRow(fid int, s *slab, row, dst int) {
-	m.sendRowColor(fid, s, row, dst, -1)
+// exchange implements machine: each process sends its first owned row to
+// the owner above and its last owned row to the owner below.
+func (m *bspMachine) exchange(items []exch) {
+	for _, it := range items {
+		s := it.s
+		if s.lo >= s.hi {
+			continue // this process owns no rows at this level
+		}
+		if s.lo > 1 {
+			m.sendRow(it.fid, s, s.lo, ownerOfRow(s.m, m.p, s.lo-1), it.color)
+		}
+		if s.hi-1 < s.m {
+			m.sendRow(it.fid, s, s.hi-1, ownerOfRow(s.m, m.p, s.hi), it.color)
+		}
+	}
+	m.absorb()
 }
 
-// sendRowColor ships one ghost row; with color >= 0 only the columns a
+// sendRow queues one row for dst; with color >= 0 only the columns a
 // half-sweep of that color reads from row's neighbors travel: the
 // updated cells of the neighbor rows r = row±1 have parity
 // (r+color)%2 in (r+c), i.e. columns c ≡ row+color+1 (mod 2).
-func (m *bspMachine) sendRowColor(fid int, s *slab, row, dst, color int) {
+func (m *bspMachine) sendRow(fid int, s *slab, row, dst, color int) {
 	if dst == m.c.ID() {
 		return
 	}
@@ -133,9 +174,6 @@ func (m *bspMachine) sendRowColor(fid int, s *slab, row, dst, color int) {
 	tag := uint32(row) | uint32(fid)<<20
 	c0, step := 1, 1
 	if color >= 0 {
-		// Receiver updates rows r = row∓1 at columns c with
-		// c ≡ 1+(r+color) (mod 2); with r = row±1 that is
-		// c ≡ row+color (mod 2).
 		step = 2
 		c0 = 1 + (row+color+1)%2
 	}
@@ -146,49 +184,29 @@ func (m *bspMachine) sendRowColor(fid int, s *slab, row, dst, color int) {
 	}
 }
 
-// exchangeToFine implements machine: coarse row R goes to the owners of
-// fine rows 2R-3 .. 2R+2, the processes whose bilinear prolongation
-// stencils read R.
-func (m *bspMachine) exchangeToFine(fid int, coarse *slab) {
-	fineM := 2 * coarse.m
-	for r := coarse.lo; r < coarse.hi; r++ {
-		sent := map[int]bool{m.c.ID(): true}
-		for fr := 2*r - 3; fr <= 2*r+2; fr++ {
-			if fr < 1 || fr > fineM {
-				continue
-			}
-			q := ownerOfRow(fineM, m.p, fr)
-			if !sent[q] {
-				sent[q] = true
-				m.sendRow(fid, coarse, r, q)
+func (m *bspMachine) exchangeToFine(fid int, owned *slab) {
+	if owned != nil {
+		fineM := 2 * owned.m
+		for r := owned.lo; r < owned.hi; r++ {
+			// Owners are non-decreasing in the fine row, so comparing
+			// with the previous one is enough to send each once.
+			last := -1
+			for fr := max(2*r-2, 1); fr <= min(2*r+1, fineM); fr++ {
+				if q := ownerOfRow(fineM, m.p, fr); q != last {
+					last = q
+					m.sendRow(fid, owned, r, q, -1)
+				}
 			}
 		}
 	}
-	for q := 0; q < m.p; q++ {
-		if m.out[q].Len() > 0 {
-			m.c.Send(q, m.out[q].Bytes())
-			m.out[q].Reset()
-		}
+	m.absorb()
+}
+
+func (m *bspMachine) gather(fid int, s *slab) {
+	for r := s.lo; r < s.hi; r++ {
+		m.sendRow(fid, s, r, 0, -1)
 	}
-	m.c.Sync()
-	for {
-		msg, ok := m.c.Recv()
-		if !ok {
-			return
-		}
-		r := wire.NewReader(msg)
-		for r.Remaining() >= 16 {
-			tag := r.Uint32()
-			col := int(r.Uint32())
-			v := r.Float64()
-			row := int(tag & 0xFFFFF)
-			fidGot := int(tag >> 20)
-			s := m.fieldOf[fidGot]
-			if s != nil && s.holds(row) && !s.owns(row) {
-				s.row(row)[col] = v
-			}
-		}
-	}
+	m.absorb()
 }
 
 func (m *bspMachine) maxAll(x float64) float64 {
@@ -206,6 +224,19 @@ type level struct {
 	u, f, r *slab
 }
 
+// walls returns how many of index i's two neighbors along one axis lie
+// across the wall (m ≥ minM, so at most one).
+func (lv *level) walls(i int) int {
+	if i == 1 || i == lv.m {
+		return 1
+	}
+	return 0
+}
+
+// invDiag[k] is the reciprocal of the operator's diagonal at a cell with
+// k wall sides.
+var invDiag = [3]float64{1.0 / 4, 1.0 / 5, 1.0 / 6}
+
 // fids for a level's three fields.
 func fidU(l int) int { return 3 * l }
 func fidF(l int) int { return 3*l + 1 }
@@ -214,35 +245,50 @@ func fidR(l int) int { return 3*l + 2 }
 // solver carries the multigrid hierarchy for one process.
 type solver struct {
 	mc     machine
+	p, q   int
 	levels []*level
+	// agglom reports that the last entry of levels is agglomerated: it
+	// is this process's strip of the restricted right-hand side and of
+	// the correction coming back, and whole, on rank 0 only, is the
+	// solver for that level and everything coarser. There, the last
+	// entry of levels is whole's finest level itself.
+	agglom bool
+	whole  *solver
 	// preSmooth/postSmooth are red-black Gauss-Seidel iteration counts.
 	preSmooth, postSmooth, coarseSweeps int
 	tol                                 float64
 	maxCycles                           int
+	// res and target are the residual max-norm and the tolerance it was
+	// held against at Solve's last convergence check.
+	res, target float64
 }
 
 // newSolver builds the hierarchy for interior size m split across p
 // processes, with this process at rank q. Coarsening always stops at a
-// 4×4 interior regardless of p, so the superstep structure — and hence S
-// and the computed fields — is identical at every process count;
-// processes simply own no rows of levels coarser than p (that idling is
-// exactly the coarse-grid latency cost the paper observes on the
-// high-latency Cenju).
+// minM×minM interior and, on a BSP machine, always agglomerates from
+// the first level below the finest that is no wider than aggM, so the
+// superstep structure — and hence S and the computed fields — is
+// identical at every process count.
 func newSolver(mc machine, m, p, q int) *solver {
-	s := &solver{mc: mc, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: 5e-3, maxCycles: 25}
-	const minM = 4
-	for lm, l := m, 0; lm >= minM; lm, l = lm/2, l+1 {
-		lo, hi := rowRange(lm, p, q)
-		lv := &level{m: lm, h2: 1 / float64((lm+1)*(lm+1)),
-			u: newSlab(lm, lo, hi), f: newSlab(lm, lo, hi), r: newSlab(lm, lo, hi)}
+	s := &solver{mc: mc, p: p, q: q, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: 5e-3, maxCycles: 25}
+	bm, _ := mc.(*bspMachine)
+	for lm := m; lm >= minM && !s.agglom; lm /= 2 {
+		l := len(s.levels)
+		s.agglom = bm != nil && l > 0 && lm <= aggM
+		var lv *level
+		if s.agglom && q == 0 {
+			s.whole = newSolver(rootMachine{c: bm.c}, lm, 1, 0)
+			lv = s.whole.levels[0]
+		} else {
+			lo, hi := rowRange(lm, p, q)
+			lv = &level{m: lm, h2: 1 / float64(lm*lm),
+				u: newSlab(lm, lo, hi), f: newSlab(lm, lo, hi), r: newSlab(lm, lo, hi)}
+		}
 		s.levels = append(s.levels, lv)
-		if bm, ok := mc.(*bspMachine); ok {
+		if bm != nil {
 			bm.register(fidU(l), lv.u)
 			bm.register(fidF(l), lv.f)
 			bm.register(fidR(l), lv.r)
-		}
-		if lm/2 < minM {
-			break
 		}
 	}
 	return s
@@ -256,12 +302,28 @@ func (s *solver) smoothColor(l, color int) {
 	for r := lv.u.lo; r < lv.u.hi; r++ {
 		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
 		fr := lv.f.row(r)
-		c0 := 1 + (r+color)%2
-		for c := c0; c <= lv.m; c += 2 {
-			me[c] = 0.25 * (up[c] + dn[c] + me[c-1] + me[c+1] - lv.h2*fr[c])
+		// The first and last columns have one more wall side than the
+		// rest of the row; peeling them keeps the inner loop branch-free.
+		inv, invWall := invDiag[lv.walls(r)], invDiag[lv.walls(r)+1]
+		c := 1 + (r+color)%2
+		if c == 1 {
+			me[1] = relaxed(up, me, dn, fr, 1, lv.h2, invWall)
+			c = 3
+		}
+		for ; c < lv.m; c += 2 {
+			me[c] = relaxed(up, me, dn, fr, c, lv.h2, inv)
+		}
+		if c == lv.m {
+			me[c] = relaxed(up, me, dn, fr, c, lv.h2, invWall)
 		}
 	}
 	s.mc.work((lv.u.hi - lv.u.lo) * lv.m / 2)
+}
+
+// relaxed returns the Gauss-Seidel value of cell c of row me, given the
+// reciprocal of the operator's diagonal there.
+func relaxed(up, me, dn, fr []float64, c int, h2, inv float64) float64 {
+	return (up[c] + dn[c] + me[c-1] + me[c+1] - h2*fr[c]) * inv
 }
 
 func (s *solver) smooth(l, iters int) {
@@ -280,8 +342,9 @@ func (s *solver) computeResidual(l int) {
 	for r := lv.u.lo; r < lv.u.hi; r++ {
 		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
 		fr, rr := lv.f.row(r), lv.r.row(r)
+		wr := lv.walls(r)
 		for c := 1; c <= lv.m; c++ {
-			rr[c] = fr[c] - (up[c]+dn[c]+me[c-1]+me[c+1]-4*me[c])*inv
+			rr[c] = fr[c] - (up[c]+dn[c]+me[c-1]+me[c+1]-float64(4+wr+lv.walls(c))*me[c])*inv
 		}
 	}
 	s.mc.work((lv.u.hi - lv.u.lo) * lv.m)
@@ -289,46 +352,58 @@ func (s *solver) computeResidual(l int) {
 
 // restrictTo transfers the fine residual on level l to the rhs of level
 // l+1 by full weighting over 2×2 blocks (one exchange superstep for r).
+// Each process fills its strip of the coarse rows; on rank 0 of an
+// agglomerated level that strip is part of the full slab the gather
+// completes.
 func (s *solver) restrictTo(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
 	s.mc.exchange([]exch{{fidR(l), fine.r, -1}})
 	coarse.u.zero()
-	for R := coarse.f.lo; R < coarse.f.hi; R++ {
+	lo, hi := rowRange(coarse.m, s.p, s.q)
+	for R := lo; R < hi; R++ {
 		r0, r1 := fine.r.row(2*R-1), fine.r.row(2*R)
 		fr := coarse.f.row(R)
 		for C := 1; C <= coarse.m; C++ {
 			fr[C] = 0.25 * (r0[2*C-1] + r0[2*C] + r1[2*C-1] + r1[2*C])
 		}
 	}
-	s.mc.work((coarse.f.hi - coarse.f.lo) * coarse.m)
+	s.mc.work((hi - lo) * coarse.m)
+}
+
+// interpolated returns the 9/3/3/1 blend of coarse column C and its
+// neighbor Cn in row cu and its neighbor row cn, whose values carry the
+// signs sc and sr.
+func interpolated(cu, cn []float64, C, Cn int, sr, sc float64) float64 {
+	return 0.5625*cu[C] + 0.1875*(sr*cn[C]+sc*cu[Cn]) + 0.0625*sr*sc*cn[Cn]
 }
 
 // prolongFrom adds the coarse correction on level l+1 into level l's
-// solution by bilinear interpolation on the cell-centered hierarchy
-// (weights 9/16, 3/16, 3/16, 1/16), preceded by one coarse-to-fine
-// exchange superstep. Coarse boundary rows/columns are zero, realizing
-// the homogeneous Dirichlet condition of the correction.
+// solution by bilinear interpolation between cell centres (weights
+// 9/16, 3/16, 3/16, 1/16), preceded by one coarse-to-fine exchange
+// superstep. A neighbor across the wall is the reflected ghost: the
+// cell itself, negated.
 func (s *solver) prolongFrom(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	s.mc.exchangeToFine(fidU(l+1), coarse.u)
+	owned := coarse.u
+	if s.agglom && l+2 == len(s.levels) && s.whole == nil {
+		owned = nil // an agglomerated level lives on rank 0 alone
+	}
+	s.mc.exchangeToFine(fidU(l+1), owned)
 	for r := fine.u.lo; r < fine.u.hi; r++ {
 		R := (r + 1) / 2
 		// The vertical neighbor is the coarse row on the same side of
 		// R's center as the fine row: below for odd r, above for even.
-		Rn := R + 1
-		if r%2 == 1 {
-			Rn = R - 1
-		}
-		cu, cn := coarse.u.row(R), coarse.u.row(Rn)
+		cu := coarse.u.row(R)
+		cn, sr := coarse.u.mirror(R, 1-2*(r%2))
 		fu := fine.u.row(r)
-		for c := 1; c <= fine.m; c++ {
+		// Horizontally likewise: coarse column C and its neighbor on
+		// c's side, which for the first and last fine column is the wall.
+		fu[1] += interpolated(cu, cn, 1, 1, sr, -1)
+		for c := 2; c < fine.m; c++ {
 			C := (c + 1) / 2
-			Cn := C + 1
-			if c%2 == 1 {
-				Cn = C - 1
-			}
-			fu[c] += 0.5625*cu[C] + 0.1875*(cn[C]+cu[Cn]) + 0.0625*cn[Cn]
+			fu[c] += interpolated(cu, cn, C, C+1-2*(c%2), sr, 1)
 		}
+		fu[fine.m] += interpolated(cu, cn, coarse.m, coarse.m, sr, -1)
 	}
 	s.mc.work((fine.u.hi - fine.u.lo) * fine.m)
 }
@@ -336,7 +411,14 @@ func (s *solver) prolongFrom(l int) {
 // vcycle runs one V-cycle from level l.
 func (s *solver) vcycle(l int) {
 	if l == len(s.levels)-1 {
-		s.smooth(l, s.coarseSweeps)
+		if !s.agglom {
+			s.smooth(l, s.coarseSweeps)
+			return
+		}
+		s.mc.gather(fidF(l), s.levels[l].f)
+		if s.whole != nil {
+			s.whole.vcycle(0)
+		}
 		return
 	}
 	s.smooth(l, s.preSmooth)
@@ -363,11 +445,13 @@ func (s *solver) residualNorm() float64 {
 	return s.mc.maxAll(local)
 }
 
-// Solve runs V-cycles until the residual max-norm falls below
-// tol·max(|f|∞, 1) or maxCycles is reached; it returns the cycle count.
-// The rhs must already be loaded into level 0's f and an initial guess
-// into level 0's u.
-func (s *solver) Solve() int {
+// Solve runs V-cycles until the residual max-norm falls to
+// tol·max(|f|∞, 1e-300) or below; it returns the cycle count and
+// whether that happened within maxCycles. The verdict rests on
+// all-reduced norms alone, so every process reaches the same one. The
+// rhs must already be loaded into level 0's f and an initial guess into
+// level 0's u.
+func (s *solver) Solve() (cycles int, converged bool) {
 	lv := s.levels[0]
 	fmax := 0.0
 	for r := lv.f.lo; r < lv.f.hi; r++ {
@@ -377,14 +461,14 @@ func (s *solver) Solve() int {
 		}
 	}
 	fmax = s.mc.maxAll(fmax)
-	target := s.tol * math.Max(fmax, 1e-300)
-	cycles := 0
-	for cycles < s.maxCycles {
-		if s.residualNorm() <= target {
-			break
+	s.target = s.tol * math.Max(fmax, 1e-300)
+	for ; ; cycles++ {
+		if s.res = s.residualNorm(); s.res <= s.target {
+			return cycles, true
+		}
+		if cycles == s.maxCycles {
+			return cycles, false
 		}
 		s.vcycle(0)
-		cycles++
 	}
-	return cycles
 }

@@ -14,6 +14,8 @@
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the checkpoint/recovery conformance suite
+#                     and the launcher's supervision-loop and child-
+#                     contract tests (internal/launch)
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
@@ -24,8 +26,10 @@
 #                     TCP) via bsprun -cluster; a clean run must leave a
 #                     merged per-rank trace with every h-relation pair
 #                     reconciled, and a chaos-crashed checkpointed run
-#                     must recover across a gang relaunch with the crash
-#                     and rollback markers in the merged trace
+#                     must recover through the launcher's supervision
+#                     loop (internal/launch: the crashed rank is
+#                     replaced, the survivors roll back in place) with
+#                     the crash and rollback markers in the merged trace
 #   make soak         chaos soak: cmd/bspsoak cycles seeded fault
 #                     scenarios (in-process chaos crashes, warm
 #                     single-rank cluster recovery, control-plane
@@ -115,6 +119,7 @@ golden:
 conformance:
 	$(GO) test -race -timeout 120s ./internal/transport/ -run 'Conformance|PerPairBatchHandoff' -v
 	$(GO) test -race -timeout 120s ./internal/ckpt/ -run 'Recovery|Crash|Recoverable' -v
+	$(GO) test -race -timeout 120s ./internal/launch/ -v
 	$(GO) test -race -timeout 120s ./internal/trace/ -run 'TestTrace' -v
 
 trace-smoke:
@@ -147,8 +152,10 @@ cluster-smoke:
 
 # The crash forensics must work with tracing OFF — that is the whole
 # point of the always-on flight recorder — so the run deliberately has
-# no -trace and no -checkpoint-dir: the gang cold-relaunches fault-free
-# (exit 0) and the dead epoch-0 generation's bundle is what we audit.
+# no -trace and no -checkpoint-dir: the supervision loop takes its cold
+# branch — the failed generation drains (every survivor finishes its
+# dump), then the gang relaunches fault-free (exit 0) — and the dead
+# epoch-0 generation's bundle is what we audit.
 # The chaos plan crashes rank 1 in its 3rd superstep, which the trace
 # axis records as 0-based superstep 2 — the line bsppost must print.
 postmortem-smoke:

@@ -7,156 +7,22 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/launch"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // The -cluster launcher self-execs one bsprun process per rank and
-// hands each process its slot through these environment variables. A
-// process that finds BSPRUN_CLUSTER_RANK set runs as a cluster child:
-// it joins the coordinator named here with a transport.ClusterMember
-// instead of opening an in-process transport, and it re-parses the
-// launcher's own command line, so every -app/-size/-chaos/-checkpoint
-// flag means the same thing in both roles.
-const (
-	envClusterRank    = "BSPRUN_CLUSTER_RANK"
-	envClusterP       = "BSPRUN_CLUSTER_P"
-	envClusterEpoch   = "BSPRUN_CLUSTER_EPOCH"
-	envClusterJob     = "BSPRUN_CLUSTER_JOB"
-	envClusterCoord   = "BSPRUN_CLUSTER_COORD"
-	envClusterResume  = "BSPRUN_CLUSTER_RESUME"
-	envClusterWarm    = "BSPRUN_CLUSTER_WARM"
-	envClusterShards  = "BSPRUN_CLUSTER_SHARD_DIR"
-	envClusterMetrics = "BSPRUN_CLUSTER_METRICS"
-	envClusterPostDir = "BSPRUN_CLUSTER_POSTDIR"
-	envClusterTelem   = "BSPRUN_CLUSTER_TELEMETRY"
-)
-
-// clusterChild is the slot a cluster child process was launched into.
-type clusterChild struct {
-	rank, p, epoch int
-	job, coord     string
-	resume         bool
-	warm           bool          // survivors retry in place; only crashed processes are replaced
-	shardDir       string        // where to write this rank's trace shard ("" = no trace)
-	metricsAddr    string        // this rank's metrics address ("" = none)
-	postDir        string        // where to dump this rank's postmortem on failure ("" = off)
-	telemetry      time.Duration // telemetry push interval (0 = off)
-}
-
-// clusterChildFromEnv decodes the child spec, if this process is one.
-func clusterChildFromEnv() (clusterChild, bool, error) {
-	if _, ok := os.LookupEnv(envClusterRank); !ok {
-		return clusterChild{}, false, nil
-	}
-	var c clusterChild
-	var err error
-	atoi := func(key string) int {
-		if err != nil {
-			return 0
-		}
-		v, aerr := strconv.Atoi(os.Getenv(key))
-		if aerr != nil {
-			err = fmt.Errorf("cluster child: bad %s=%q: %w", key, os.Getenv(key), aerr)
-		}
-		return v
-	}
-	c.rank = atoi(envClusterRank)
-	c.p = atoi(envClusterP)
-	c.epoch = atoi(envClusterEpoch)
-	if err != nil {
-		return c, true, err
-	}
-	c.job = os.Getenv(envClusterJob)
-	c.coord = os.Getenv(envClusterCoord)
-	if c.job == "" || c.coord == "" {
-		return c, true, fmt.Errorf("cluster child: %s and %s must both be set", envClusterJob, envClusterCoord)
-	}
-	c.resume = os.Getenv(envClusterResume) == "1"
-	c.warm = os.Getenv(envClusterWarm) == "1"
-	c.shardDir = os.Getenv(envClusterShards)
-	c.metricsAddr = os.Getenv(envClusterMetrics)
-	c.postDir = os.Getenv(envClusterPostDir)
-	if v := os.Getenv(envClusterTelem); v != "" {
-		d, derr := time.ParseDuration(v)
-		if derr != nil {
-			return c, true, fmt.Errorf("cluster child: bad %s=%q: %w", envClusterTelem, v, derr)
-		}
-		c.telemetry = d
-	}
-	return c, true, nil
-}
-
-// transport builds the child's single-rank transport. Every generation
-// re-execs the original command line, so the chaos spec arrives
-// unchanged; hard faults (abort, crash) are stripped for epoch > 0 so
-// a relaunched generation replays fault-free from the checkpoint cut,
-// while transient faults (delays, connection errors) keep exercising
-// the retry paths.
-func (c clusterChild) transport(chaosSpec string, hbInterval, suspectAfter time.Duration) (transport.Transport, error) {
-	cfg := transport.ClusterConfig{
-		Coordinator: c.coord, JobID: c.job,
-		Rank: c.rank, Epoch: c.epoch, P: c.p,
-		HeartbeatInterval: hbInterval, SuspectAfter: suspectAfter,
-	}
-	if c.telemetry > 0 {
-		// c.metricsAddr is the resolved (post-":0") address by the time
-		// the transport is built, so /status shows a usable endpoint.
-		cfg.Telemetry = transport.TelemetryConfig{Interval: c.telemetry, MetricsAddr: c.metricsAddr}
-	}
-	if chaosSpec != "" {
-		plan, err := transport.ParseFaultPlan(chaosSpec)
-		if err != nil {
-			return nil, err
-		}
-		if c.epoch > 0 {
-			plan.AbortStep, plan.CrashStep = 0, 0
-		}
-		cfg.Chaos = &plan
-		cfg.ChaosCrash = true
-	}
-	if c.warm {
-		// A warm child retries recoverable failures in-process: the
-		// one-shot member keeps a re-Open from re-firing the hard
-		// chaos faults the first attempt already injected.
-		return transport.NewClusterMember(cfg), nil
-	}
-	return transport.ClusterMember{Config: cfg}, nil
-}
-
-// writeShard persists this rank's slice of the run's trace; the
-// launcher merges the shards once the gang is done. Failures are
-// reported, not fatal: a lost shard costs observability, not the run.
-func (c clusterChild) writeShard(rec *trace.Recorder) {
-	if c.shardDir == "" || rec == nil {
-		return
-	}
-	path := filepath.Join(c.shardDir, fmt.Sprintf("rank%04d-e%03d.json", c.rank, c.epoch))
-	if err := trace.WriteShardFile(path, rec.Shard(c.job, c.rank)); err != nil {
-		fmt.Fprintln(os.Stderr, "bsprun: write trace shard:", err)
-	}
-}
-
-// clusterRun describes one -cluster launcher invocation.
-type clusterRun struct {
-	app          string
-	size, p      int
-	chaosArmed   bool
-	ckptArmed    bool
-	traceFile    string
-	metricsAddr  string
-	postDir      string
-	hbInterval   time.Duration
-	suspectAfter time.Duration
-	statusAddr   string        // coordinator /status + aggregated /metrics HTTP address ("" = off)
-	telemetry    time.Duration // child telemetry push interval (0 = default when statusAddr set)
-	statusDump   string        // write the final /status document here ("" = off)
-}
+// hands each its slot as a launch.Spec. A process that finds one in its
+// environment runs as a cluster child: it builds its machine from
+// spec.Config() instead of opening an in-process transport, and it
+// re-parses the launcher's own command line, so every -app/-size/
+// -sync-timeout/-checkpoint-every flag means the same thing in both
+// roles.
 
 // launchCluster supervises the gang: one OS process per rank, relaunch
 // from checkpoints on recoverable failures, and a merged trace from
@@ -164,7 +30,7 @@ type clusterRun struct {
 // failed gang still shows where it died). Returns the gang wall time,
 // the merged recorder (nil without -trace), the finished job (for the
 // telemetry summary and final status snapshot) and the run error.
-func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.ClusterJob, error) {
+func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job, error) {
 	shardDir := ""
 	if o.traceFile != "" {
 		shardDir = o.traceFile + ".shards"
@@ -201,17 +67,17 @@ func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.Clu
 	// repeat the same failure; with them, a crashed generation resumes
 	// from the latest complete cut.
 	restarts := 0
-	if o.ckptArmed || o.chaosArmed {
+	if o.ckptDir != "" || o.chaosSpec != "" {
 		restarts = 3
 	}
 	// The telemetry plane rides the existing control connections; arming
 	// the status server without an explicit interval picks a default
 	// that keeps each frame under ~100 bytes / 4 pushes per second.
-	telemetry := o.telemetry
+	telemetry := o.telemetryInterval
 	if o.statusAddr != "" && telemetry == 0 {
 		telemetry = 250 * time.Millisecond
 	}
-	job := &transport.ClusterJob{
+	job := &launch.Job{
 		P:                 o.p,
 		JobID:             fmt.Sprintf("bsprun-%s-p%d-%d", o.app, o.p, os.Getpid()),
 		MaxRestarts:       restarts,
@@ -219,33 +85,15 @@ func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.Clu
 		TelemetryInterval: telemetry,
 		// Warm recovery needs a shared checkpoint cut for the survivors
 		// to roll back to; without one, recovery stays gang-relaunch.
-		Warm:              o.ckptArmed,
+		Warm:              o.ckptDir != "",
 		HeartbeatInterval: o.hbInterval,
 		SuspectAfter:      o.suspectAfter,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "bsprun: %s\n", fmt.Sprintf(format, args...))
 		},
-		Command: func(spec transport.ClusterProcSpec) *exec.Cmd {
-			cmd := exec.Command(os.Args[0], os.Args[1:]...)
-			env := append(os.Environ(),
-				envClusterRank+"="+strconv.Itoa(spec.Rank),
-				envClusterP+"="+strconv.Itoa(spec.P),
-				envClusterEpoch+"="+strconv.Itoa(spec.Epoch),
-				envClusterJob+"="+spec.JobID,
-				envClusterCoord+"="+spec.Coordinator,
-			)
-			if spec.Resume {
-				env = append(env, envClusterResume+"=1")
-			}
-			if spec.Warm {
-				env = append(env, envClusterWarm+"=1")
-			}
-			if shardDir != "" {
-				env = append(env, envClusterShards+"="+shardDir)
-			}
-			if o.postDir != "" {
-				env = append(env, envClusterPostDir+"="+o.postDir)
-			}
+		Command: func(spec launch.Spec) *exec.Cmd {
+			spec.Chaos, spec.CheckpointDir = o.chaosSpec, o.ckptDir
+			spec.ShardDir, spec.PostmortemDir = shardDir, o.postDir
 			if metricsOn {
 				// Base port 0 stays 0 for every rank: each child binds
 				// ":0", resolves its own free port, and reports the bound
@@ -254,12 +102,10 @@ func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.Clu
 				if metricsBase > 0 {
 					port = metricsBase + spec.Rank
 				}
-				env = append(env, envClusterMetrics+"="+net.JoinHostPort(metricsHost, strconv.Itoa(port)))
+				spec.MetricsAddr = net.JoinHostPort(metricsHost, strconv.Itoa(port))
 			}
-			if spec.Telemetry > 0 {
-				env = append(env, envClusterTelem+"="+spec.Telemetry.String())
-			}
-			cmd.Env = env
+			cmd := exec.Command(os.Args[0], os.Args[1:]...)
+			cmd.Env = append(os.Environ(), spec.Env())
 			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 			return cmd
 		},
@@ -293,7 +139,7 @@ func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.Clu
 	var rec *trace.Recorder
 	if shardDir != "" {
 		var merr error
-		if rec, merr = mergeShardDir(shardDir); merr != nil {
+		if rec, merr = trace.MergeShardDir(shardDir); merr != nil {
 			if runErr == nil {
 				runErr = merr
 			} else {
@@ -302,27 +148,6 @@ func launchCluster(o clusterRun) (time.Duration, *trace.Recorder, *transport.Clu
 		}
 	}
 	return wall, rec, job, runErr
-}
-
-// mergeShardDir folds every shard the children wrote into one recorder
-// on a common time axis.
-func mergeShardDir(dir string) (*trace.Recorder, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no trace shards in %s (did every rank die before its first superstep?)", dir)
-	}
-	shards := make([]trace.Shard, 0, len(paths))
-	for _, p := range paths {
-		s, err := trace.ReadShardFile(p)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, s)
-	}
-	return trace.MergeShards(shards)
 }
 
 // printCalibration reports the live (g, L) fit and — when a merged
@@ -403,19 +228,7 @@ func runClusterLauncher(f launcherFlags) {
 	if f.costReport && f.traceFile == "" {
 		fail(errors.New("-cluster -cost-report reads the merged trace; add -trace <file>"))
 	}
-	wall, rec, job, err := launchCluster(clusterRun{
-		app: f.app, size: f.size, p: f.p,
-		chaosArmed:   f.chaosSpec != "",
-		ckptArmed:    f.ckptDir != "",
-		traceFile:    f.traceFile,
-		metricsAddr:  f.metricsAddr,
-		postDir:      f.postDir,
-		hbInterval:   f.hbInterval,
-		suspectAfter: f.suspectAfter,
-		statusAddr:   f.statusAddr,
-		telemetry:    f.telemetryInterval,
-		statusDump:   f.statusDump,
-	})
+	wall, rec, job, err := launchCluster(f)
 	if rec != nil && f.traceFile != "" {
 		if werr := rec.WriteChromeFile(f.traceFile); werr != nil {
 			fmt.Fprintln(os.Stderr, "bsprun: write merged trace:", werr)

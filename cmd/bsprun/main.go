@@ -74,16 +74,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/harness"
+	"repro/internal/launch"
 	"repro/internal/prof"
 	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/transport"
-)
-
-const (
-	exitErr     = 1
-	exitTimeout = 2
-	exitAbort   = 3
 )
 
 func main() {
@@ -113,7 +108,7 @@ func main() {
 	profReport := flag.Bool("prof-report", false, "after the run, decompose the -cpuprofile capture into the W-attribution table (rank x phase x superstep bucket)")
 	flag.Parse()
 
-	child, isChild, err := clusterChildFromEnv()
+	child, isChild, err := launch.FromEnv()
 	if err != nil {
 		fail(err)
 	}
@@ -149,35 +144,42 @@ func main() {
 	if !isChild && (*statusAddr != "" || *statusDump != "" || *telemetryInterval != 0) {
 		fail(errors.New("-status-addr/-telemetry-interval/-status-dump aggregate a gang's telemetry; they need -cluster"))
 	}
-	var tr transport.Transport
+	var cfg core.Config
 	var metricsLn net.Listener
+	pmDir := ""
 	if isChild {
-		// A cluster child hosts exactly one rank: its transport is the
-		// gang membership handed down by the launcher, chaos included
-		// (wrapping again here would double-inject every fault). The
+		// A cluster child hosts exactly one rank: its machine — gang
+		// membership, chaos (wrapping again here would double-inject every
+		// fault), retry policy, the launcher's shard and postmortem
+		// directories — comes from the spec the launcher handed down. The
 		// launcher also owns the merged artifacts, so the per-process
 		// report flags are neutralized.
-		if child.p != *p {
-			fail(fmt.Errorf("cluster child: launched for p=%d but -p is %d", child.p, *p))
+		if child.P != *p {
+			fail(fmt.Errorf("cluster child: launched for p=%d but -p is %d", child.P, *p))
 		}
-		if child.metricsAddr != "" {
+		if child.MetricsAddr != "" {
 			// Pre-bind before joining: a ":0" address resolves to a real
 			// port here, and the resolved address rides the telemetry
 			// plane to the coordinator's /status. Binding first also
 			// turns a port collision into a clean join-time failure.
-			if metricsLn, err = net.Listen("tcp", child.metricsAddr); err != nil {
-				fail(fmt.Errorf("cluster child rank %d: bind metrics address: %w", child.rank, err))
+			if metricsLn, err = net.Listen("tcp", child.MetricsAddr); err != nil {
+				fail(fmt.Errorf("cluster child rank %d: bind metrics address: %w", child.Rank, err))
 			}
-			child.metricsAddr = metricsLn.Addr().String()
+			child.MetricsAddr = metricsLn.Addr().String()
 		}
-		if tr, err = child.transport(*chaosSpec, *hbInterval, *suspectAfter); err != nil {
+		if cfg, err = child.Config(); err != nil {
 			fail(err)
 		}
-		*metricsAddr = child.metricsAddr
+		if cfg.Checkpoint != nil {
+			cfg.Checkpoint.Every = *ckptEvery
+			cfg.Checkpoint.Resume = cfg.Checkpoint.Resume || *resume
+		}
+		*metricsAddr = child.MetricsAddr
 		*costReport = false
 		*profReport = false
 	} else {
-		if tr, err = transport.New(*trName); err != nil {
+		tr, err := transport.New(*trName)
+		if err != nil {
 			fail(err)
 		}
 		if *chaosSpec != "" {
@@ -191,63 +193,22 @@ func main() {
 			tr = ct
 			fmt.Printf("fault injection on (%s): %s\n", ct.Name(), plan)
 		}
-	}
-	cfg := core.Config{P: *p, Transport: tr, SyncTimeout: *syncTimeout}
-	if *ckptDir != "" {
-		cfg.Checkpoint = &core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume || child.resume}
-		switch {
-		case isChild && child.warm:
-			// A warm child is its own first line of recovery: a peer's
-			// crash (or a cooperative abort) rolls back in-process from
-			// the latest cut and rejoins at the fenced epoch — no
-			// process restart. Only a failure naming THIS process as
-			// the dead party exits, letting the launcher replace
-			// exactly this rank. The retry budget is per-process and
-			// generous; the launcher's MaxRestarts bounds the real
-			// recovery events.
-			cfg.Checkpoint.Retries = 100
-			cfg.Checkpoint.ShouldRetry = func(err error) bool {
-				var ce *transport.CrashError
-				if errors.As(err, &ce) {
-					// The coordinator named the dead rank: survivors
-					// heal in place, the convicted process exits.
-					return ce.Rank != child.rank
-				}
-				// An anonymous ErrCrashed is this process's own hard
-				// crash (injected or observed): the endpoint is dead,
-				// the process must be replaced.
-				return !errors.Is(err, transport.ErrCrashed)
-			}
-		case isChild:
-			// A cold rank process fails fast on a recoverable error;
-			// the launcher relaunches the whole generation from the
-			// shared checkpoint cut with a bumped epoch.
-			cfg.Checkpoint.Retries = -1
+		cfg = core.Config{P: *p, Transport: tr}
+		if *ckptDir != "" {
+			cfg.Checkpoint = &core.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume}
+		}
+		// Crash forensics: a standalone run dumps only when
+		// -postmortem-dir names a directory. Arming Postmortem while
+		// cfg.Trace is nil auto-arms the zero-allocation flight recorder,
+		// so a production run pays nothing for this.
+		if pmDir = *postDir; pmDir == "none" {
+			pmDir = ""
+		}
+		if pmDir != "" {
+			cfg.Postmortem = &core.PostmortemConfig{Dir: pmDir, Job: fmt.Sprintf("bsprun-%s-p%d", *app, *p)}
 		}
 	}
-	if isChild {
-		cfg.Group = &transport.GroupOptions{JobID: child.job, Epoch: child.epoch}
-	}
-	// Crash forensics: a cluster child dumps into the launcher's bundle
-	// directory (handed down through the environment, so every rank's
-	// shard lands in one bundle under the gang's job id); a standalone
-	// run dumps only when -postmortem-dir names a directory. Arming
-	// Postmortem while cfg.Trace is nil auto-arms the zero-allocation
-	// flight recorder, so a production run pays nothing for this.
-	pmDir := *postDir
-	if isChild {
-		pmDir = child.postDir
-	}
-	if pmDir == "none" {
-		pmDir = ""
-	}
-	if pmDir != "" {
-		job := fmt.Sprintf("bsprun-%s-p%d", *app, *p)
-		if isChild {
-			job = child.job
-		}
-		cfg.Postmortem = &core.PostmortemConfig{Dir: pmDir, Job: job}
-	}
+	cfg.SyncTimeout = *syncTimeout
 	// gatherPostmortem indexes whatever dumps the run left (a recovered
 	// run keeps the failed attempt's) — the launcher does this for a
 	// gang, so children skip it.
@@ -275,18 +236,18 @@ func main() {
 	}
 	// Any observability consumer arms the recorder; otherwise cfg.Trace
 	// stays nil and every instrumentation site is a nil check.
-	var rec *trace.Recorder
-	if *traceFile != "" || *metricsAddr != "" || *costReport || *profReport {
+	rec := cfg.Trace
+	if rec == nil && (*traceFile != "" || *metricsAddr != "" || *costReport || *profReport) {
 		rec = trace.New(*p)
 		cfg.Trace = rec
 	}
-	if isChild && child.resume && child.rank == 0 && rec != nil && *ckptDir != "" {
+	if isChild && child.Resume && child.Rank == 0 && rec != nil && *ckptDir != "" {
 		// A gang-level rollback spans processes, so no single child's
 		// RunRecoverable records it. Mark it once, on the resuming
 		// generation's rank-0 shard, so the merged trace shows the
 		// generation boundary and the superstep it resumed from.
 		if step, _, ok := (&ckpt.Store{Dir: *ckptDir}).LoadComplete(*p); ok {
-			rec.Rollback(child.epoch+1, step)
+			rec.Rollback(child.Epoch+1, step)
 		}
 	}
 	// Any profiling consumer arms the rank labels — including
@@ -300,7 +261,7 @@ func main() {
 		if isChild {
 			// The launcher merges the per-rank shards into the -trace
 			// file once the gang is done.
-			child.writeShard(rec)
+			child.WriteShard(rec)
 			return
 		}
 		if *traceFile == "" {
@@ -365,7 +326,7 @@ func main() {
 		// The per-rank line; the launcher prints the gang summary and
 		// the model block once.
 		fmt.Printf("%s size=%d rank %d/%d of %s (epoch %d): wall %v, %s\n",
-			*app, *size, child.rank, child.p, child.job, child.epoch, wall, st)
+			*app, *size, child.Rank, child.P, child.JobID, child.Epoch, wall, st)
 		if ck := st.Ckpt; ck != nil && (ck.Attempts > 1 || ck.ResumeStep > 0) {
 			fmt.Printf("  recovery: resumed at superstep %d\n", ck.ResumeStep)
 		}
@@ -435,20 +396,5 @@ func printModelBlock(app string, size, p int, st *core.Stats) error {
 // (with the watchdog's per-rank progress report) exit 2, aborts and
 // injected crashes exit 3, everything else 1.
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "bsprun:", err)
-	var te *core.TimeoutError
-	switch {
-	case errors.As(err, &te):
-		fmt.Fprintln(os.Stderr, "per-rank progress at timeout:")
-		fmt.Fprintln(os.Stderr, te.Detail())
-		os.Exit(exitTimeout)
-	case errors.Is(err, core.ErrTimeout):
-		os.Exit(exitTimeout)
-	case errors.Is(err, transport.ErrAborted),
-		errors.Is(err, transport.ErrInjectedAbort),
-		errors.Is(err, transport.ErrCrashed),
-		errors.Is(err, transport.ErrJoin):
-		os.Exit(exitAbort)
-	}
-	os.Exit(exitErr)
+	os.Exit(launch.Report("bsprun", err))
 }

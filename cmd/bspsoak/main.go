@@ -8,8 +8,8 @@
 // process relaunch per injected cluster crash, zero gang fallbacks,
 // no goroutine leaked across the whole soak.
 //
-// The binary re-executes itself as the cluster rank processes (the
-// BSPSOAK_ROLE environment variable short-circuits main), so a single
+// The binary re-executes itself as the cluster rank processes (a
+// launch.Spec in the environment short-circuits main), so a single
 // artifact is both the driver and the gang. Every fault decision is
 // drawn from -seed; a failing round prints the fault plan needed to
 // replay it.
@@ -23,7 +23,6 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -37,38 +36,34 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/launch"
 	"repro/internal/ocean"
 	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-// Environment protocol between the soak driver and its re-executed
-// rank children (same pattern as the ckpt cluster e2e).
-const (
-	envRole   = "BSPSOAK_ROLE"
-	envRank   = "BSPSOAK_RANK"
-	envP      = "BSPSOAK_P"
-	envEpoch  = "BSPSOAK_EPOCH"
-	envJob    = "BSPSOAK_JOB"
-	envCoord  = "BSPSOAK_COORD"
-	envResume = "BSPSOAK_RESUME"
-	envWarm   = "BSPSOAK_WARM"
-	envChaos  = "BSPSOAK_CHAOS"
-	envCkpt   = "BSPSOAK_CKPT_DIR"
-	envOut    = "BSPSOAK_OUT_DIR"
-	envShards = "BSPSOAK_SHARD_DIR"
-	envPost   = "BSPSOAK_POST_DIR"
-	envSize   = "BSPSOAK_SIZE"
-	envSeed   = "BSPSOAK_SEED"
-	envTelem  = "BSPSOAK_TELEMETRY"
-)
-
 func main() {
-	if os.Getenv(envRole) == "rank" {
-		os.Exit(runRank())
+	duration := flag.Duration("duration", 60*time.Second, "wall-clock soak budget; every scenario runs at least once even if it overruns")
+	seed := flag.Int64("seed", 1, "root of every fault decision (crash sites, partition windows)")
+	p := flag.Int("p", 4, "ranks per machine/gang")
+	size := flag.Int("size", 4000, "psort input size")
+	grid := flag.Int("grid", 18, "ocean grid size (interior must be a power of two)")
+	dir := flag.String("dir", "", "work directory (default: a fresh temp dir, removed on success)")
+	traceFile := flag.String("trace", "", "write the merged Chrome trace of the last warm-recovery round here")
+	keep := flag.Bool("keep", false, "keep the work directory even on success")
+	flag.Parse()
+
+	// A rank child is started with the gang's -size and -seed, and with
+	// -dir naming the round's output directory.
+	spec, isChild, err := launch.FromEnv()
+	switch {
+	case err != nil:
+		os.Exit(launch.Report("bspsoak rank", err))
+	case isChild:
+		os.Exit(runRank(spec, *size, *seed, *dir))
 	}
-	os.Exit(run())
+	os.Exit(run(*duration, *seed, *p, *size, *grid, *dir, *traceFile, *keep))
 }
 
 type soak struct {
@@ -95,23 +90,12 @@ type scenario struct {
 	run  func(*rand.Rand) (string, error)
 }
 
-func run() int {
-	duration := flag.Duration("duration", 60*time.Second, "wall-clock soak budget; every scenario runs at least once even if it overruns")
-	seed := flag.Int64("seed", 1, "root of every fault decision (crash sites, partition windows)")
-	p := flag.Int("p", 4, "ranks per machine/gang")
-	size := flag.Int("size", 4000, "psort input size")
-	grid := flag.Int("grid", 18, "ocean grid size (interior must be a power of two)")
-	dir := flag.String("dir", "", "work directory (default: a fresh temp dir, removed on success)")
-	traceFile := flag.String("trace", "", "write the merged Chrome trace of the last warm-recovery round here")
-	keep := flag.Bool("keep", false, "keep the work directory even on success")
-	flag.Parse()
-
+func run(duration time.Duration, seed int64, p, size, grid int, workDir, traceFile string, keep bool) int {
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bspsoak:", err)
 		return 1
 	}
-	workDir := *dir
 	ownDir := workDir == ""
 	if ownDir {
 		if workDir, err = os.MkdirTemp("", "bspsoak-"); err != nil {
@@ -123,7 +107,7 @@ func run() int {
 		return 1
 	}
 
-	s := &soak{p: *p, size: *size, grid: *grid, seed: *seed, dir: workDir, trace: *traceFile, exe: exe}
+	s := &soak{p: p, size: size, grid: grid, seed: seed, dir: workDir, trace: traceFile, exe: exe}
 	scenarios := []scenario{
 		{"shm-psort-crash", s.shmPsortCrash},
 		{"shm-ocean-crash", s.shmOceanCrash},
@@ -132,9 +116,9 @@ func run() int {
 	}
 
 	baseGoroutines := runtime.NumGoroutine()
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(seed))
 	start := time.Now()
-	deadline := start.Add(*duration)
+	deadline := start.Add(duration)
 	counts := make([]int, len(scenarios))
 	// Cycle until the budget runs out, but never skip a scenario: the
 	// smoke run must exercise every fault class at least once.
@@ -144,7 +128,7 @@ func run() int {
 		detail, err := sc.run(rng)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bspsoak: FAIL round %d %s: %v\n", s.round, sc.name, err)
-			fmt.Fprintf(os.Stderr, "bspsoak: work dir kept at %s (rerun with -seed %d to replay)\n", workDir, *seed)
+			fmt.Fprintf(os.Stderr, "bspsoak: work dir kept at %s (rerun with -seed %d to replay)\n", workDir, seed)
 			return 1
 		}
 		counts[s.round%len(scenarios)]++
@@ -157,12 +141,12 @@ func run() int {
 		return 1
 	}
 
-	fmt.Printf("bspsoak: PASS %d rounds in %v (seed %d):", s.round, time.Since(start).Round(time.Millisecond), *seed)
+	fmt.Printf("bspsoak: PASS %d rounds in %v (seed %d):", s.round, time.Since(start).Round(time.Millisecond), seed)
 	for i, sc := range scenarios {
 		fmt.Printf(" %s=%d", sc.name, counts[i])
 	}
 	fmt.Printf("; %d surgical rank relaunches, 0 gang fallbacks, goroutines settled\n", s.rankRelaunches)
-	if ownDir && !*keep {
+	if ownDir && !keep {
 		os.RemoveAll(workDir)
 	}
 	return 0
@@ -266,31 +250,15 @@ func (s *soak) shmOceanCrash(rng *rand.Rand) (string, error) {
 
 // ---- cluster scenarios ---------------------------------------------
 
-// gangCommand builds the ClusterJob Command hook: this binary,
-// re-executed as one rank.
-func (s *soak) gangCommand(outDir, ckptDir, shardDir, postDir, chaos string) func(transport.ClusterProcSpec) *exec.Cmd {
-	return func(spec transport.ClusterProcSpec) *exec.Cmd {
-		cmd := exec.Command(s.exe)
-		cmd.Env = append(os.Environ(),
-			envRole+"=rank",
-			envRank+"="+strconv.Itoa(spec.Rank),
-			envP+"="+strconv.Itoa(spec.P),
-			envEpoch+"="+strconv.Itoa(spec.Epoch),
-			envJob+"="+spec.JobID,
-			envCoord+"="+spec.Coordinator,
-			envResume+"="+boolEnv(spec.Resume),
-			envWarm+"="+boolEnv(spec.Warm),
-			envChaos+"="+chaos,
-			envCkpt+"="+ckptDir,
-			envOut+"="+outDir,
-			envShards+"="+shardDir,
-			envPost+"="+postDir,
-			envSize+"="+strconv.Itoa(s.size),
-			envSeed+"="+strconv.FormatInt(s.seed, 10),
-		)
-		if spec.Telemetry > 0 {
-			cmd.Env = append(cmd.Env, envTelem+"="+spec.Telemetry.String())
-		}
+// gangCommand builds the launch.Job Command hook: this binary,
+// re-executed as one rank, with the round's directories and fault plan
+// added to the spec.
+func (s *soak) gangCommand(outDir, ckptDir, shardDir, postDir, chaos string) func(launch.Spec) *exec.Cmd {
+	return func(spec launch.Spec) *exec.Cmd {
+		spec.Chaos, spec.CheckpointDir = chaos, ckptDir
+		spec.ShardDir, spec.PostmortemDir = shardDir, postDir
+		cmd := exec.Command(s.exe, "-size", strconv.Itoa(s.size), "-seed", strconv.FormatInt(s.seed, 10), "-dir", outDir)
+		cmd.Env = append(os.Environ(), spec.Env())
 		cmd.Stderr = os.Stderr
 		return cmd
 	}
@@ -307,7 +275,7 @@ func (s *soak) ensureGangBaseline() error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	job := &transport.ClusterJob{
+	job := &launch.Job{
 		P:           s.p,
 		JobID:       fmt.Sprintf("soak-baseline-%d", os.Getpid()),
 		JoinTimeout: 15 * time.Second,
@@ -373,7 +341,7 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 	}
 	crashed := rng.Intn(s.p)
 	plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: crashed, CrashStep: 2 + rng.Intn(2)}
-	job := &transport.ClusterJob{
+	job := &launch.Job{
 		P:                 s.p,
 		JobID:             fmt.Sprintf("soak-warm-%d-%d", os.Getpid(), s.round),
 		JoinTimeout:       15 * time.Second,
@@ -423,7 +391,11 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 		return "", err
 	}
 	if shardDir != "" {
-		if err := mergeShards(shardDir, s.trace); err != nil {
+		rec, err := trace.MergeShardDir(shardDir)
+		if err == nil {
+			err = rec.WriteChromeFile(s.trace)
+		}
+		if err != nil {
 			return "", fmt.Errorf("merge trace shards: %w", err)
 		}
 	}
@@ -439,7 +411,7 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 // (the leave-time flush guarantees this even for short generations),
 // and the final per-rank last-superstep view is uniform — recovery
 // left no rank's public progress behind.
-func (s *soak) checkTelemetry(job *transport.ClusterJob, plan transport.FaultPlan) error {
+func (s *soak) checkTelemetry(job *launch.Job, plan transport.FaultPlan) error {
 	sum := job.Telemetry()
 	if !sum.Enabled() {
 		return fmt.Errorf("telemetry armed but no rank ever reported [plan %s]", plan)
@@ -534,7 +506,7 @@ func (s *soak) clusterPartitionJoin(rng *rand.Rand) (string, error) {
 	delay := time.Duration(rng.Intn(3)) * 500 * time.Microsecond
 	var proxy *transport.ChaosProxy
 	var perr error
-	job := &transport.ClusterJob{
+	job := &launch.Job{
 		P:           s.p,
 		JobID:       fmt.Sprintf("soak-part-%d-%d", os.Getpid(), s.round),
 		JoinTimeout: 20 * time.Second,
@@ -572,31 +544,6 @@ func (s *soak) clusterPartitionJoin(rng *rand.Rand) (string, error) {
 	return fmt.Sprintf("join partition %v, control-plane delay %v", window, delay), nil
 }
 
-// mergeShards folds the per-rank trace shards of one gang round into a
-// single Chrome trace at path.
-func mergeShards(dir, path string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "rank*.json"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no trace shards in %s", dir)
-	}
-	shards := make([]trace.Shard, 0, len(paths))
-	for _, p := range paths {
-		sh, err := trace.ReadShardFile(p)
-		if err != nil {
-			return err
-		}
-		shards = append(shards, sh)
-	}
-	rec, err := trace.MergeShards(shards)
-	if err != nil {
-		return err
-	}
-	return rec.WriteChromeFile(path)
-}
-
 func f64bytes(vals []float64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {
@@ -605,138 +552,30 @@ func f64bytes(vals []float64) []byte {
 	return out
 }
 
-func boolEnv(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
-
 // ---- rank child ----------------------------------------------------
 
-// runRank is one OS process hosting one rank of a soak gang. It exits
-// with bsprun's CI codes so ClusterJob's default Recoverable
-// classification applies: 0 ok, 3 recoverable (abort/crash/timeout),
-// 1 anything else.
-func runRank() int {
-	atoi := func(key string) int {
-		v, err := strconv.Atoi(os.Getenv(key))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bspsoak rank: bad %s=%q: %v\n", key, os.Getenv(key), err)
-			os.Exit(1)
-		}
-		return v
-	}
-	rank, p, epoch := atoi(envRank), atoi(envP), atoi(envEpoch)
-	size := atoi(envSize)
-	seed, err := strconv.ParseInt(os.Getenv(envSeed), 10, 64)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bspsoak rank: bad %s: %v\n", envSeed, err)
-		return 1
-	}
-	outDir := os.Getenv(envOut)
-
+// runRank is one OS process hosting one rank of a soak gang: psort
+// over the gang's seeded data under the spec's machine, the rank's
+// partition left in outDir.
+func runRank(spec launch.Spec, size int, seed int64, outDir string) int {
 	// A generation marker per (epoch, rank) process lets the driver
 	// assert which ranks were relaunched and which survived in place.
-	marker := filepath.Join(outDir, fmt.Sprintf("gen-e%d-r%d", epoch, rank))
+	marker := filepath.Join(outDir, fmt.Sprintf("gen-e%d-r%d", spec.Epoch, spec.Rank))
 	if err := os.WriteFile(marker, nil, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bspsoak rank:", err)
-		return 1
+		return launch.Report("bspsoak rank", err)
 	}
-
-	warm := os.Getenv(envWarm) == "1"
-	mcfg := transport.ClusterConfig{
-		Coordinator: os.Getenv(envCoord),
-		JobID:       os.Getenv(envJob),
-		Rank:        rank, Epoch: epoch, P: p,
-	}
-	if warm {
-		mcfg.HeartbeatInterval = 100 * time.Millisecond
-		mcfg.SuspectAfter = 2 * time.Second
-	}
-	if v := os.Getenv(envTelem); v != "" {
-		d, derr := time.ParseDuration(v)
-		if derr != nil {
-			fmt.Fprintf(os.Stderr, "bspsoak rank: bad %s=%q: %v\n", envTelem, v, derr)
-			return 1
-		}
-		mcfg.Telemetry = transport.TelemetryConfig{Interval: d}
-	}
-	if spec := os.Getenv(envChaos); spec != "" && epoch == 0 {
-		// Faults fire in the first generation only; relaunched
-		// generations replay fault-free from the checkpoint cut.
-		plan, err := transport.ParseFaultPlan(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bspsoak rank:", err)
-			return 1
-		}
-		mcfg.Chaos = &plan
-		mcfg.ChaosCrash = true
-	}
-	var tr transport.Transport = transport.ClusterMember{Config: mcfg}
-	if warm {
-		// One-shot hard faults: an in-process retry of a surviving rank
-		// must not re-fire the crash the first attempt injected.
-		tr = transport.NewClusterMember(mcfg)
-	}
-	cfg := core.Config{
-		P:           p,
-		Transport:   tr,
-		SyncTimeout: 30 * time.Second,
-		Group:       &transport.GroupOptions{JobID: mcfg.JobID, Epoch: epoch},
-	}
-	shardDir := os.Getenv(envShards)
-	var rec *trace.Recorder
-	if shardDir != "" {
-		rec = trace.New(p)
-		cfg.Trace = rec
-	}
-	if dir := os.Getenv(envPost); dir != "" {
-		// Crash forensics for the warm rounds: with no -trace the flight
-		// recorder is auto-armed, so the dumps exist either way.
-		cfg.Postmortem = &core.PostmortemConfig{Dir: dir, Job: mcfg.JobID}
-	}
-	if dir := os.Getenv(envCkpt); dir != "" {
-		cfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: 1, Retries: -1, Resume: os.Getenv(envResume) == "1"}
-		if warm {
-			// Warm survivors roll back in place; only the process the
-			// failure names as dead exits and gets replaced.
-			cfg.Checkpoint.Retries = 100
-			cfg.Checkpoint.ShouldRetry = func(err error) bool {
-				var ce *transport.CrashError
-				if errors.As(err, &ce) {
-					return ce.Rank != rank
-				}
-				return !errors.Is(err, transport.ErrCrashed)
-			}
-		}
-	}
-	data := psort.RandomData(size, seed)
-	part, _, err := psort.ParallelRecoverable(cfg, data)
-	if rec != nil {
-		// Written on failure too: the crashed generation's shard carries
-		// the crash marker the merged timeline must show.
-		path := filepath.Join(shardDir, fmt.Sprintf("rank%04d-e%03d.json", rank, epoch))
-		if werr := trace.WriteShardFile(path, rec.Shard(mcfg.JobID, rank)); werr != nil {
-			fmt.Fprintln(os.Stderr, "bspsoak rank: write trace shard:", werr)
-		}
-	}
+	cfg, err := spec.Config()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bspsoak rank %d (epoch %d): %v\n", rank, epoch, err)
-		if core.Recoverable(err) || errors.Is(err, transport.ErrJoin) {
-			return 3
-		}
-		return 1
+		return launch.Report("bspsoak rank", err)
 	}
-	var buf bytes.Buffer
-	for _, v := range part {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		buf.Write(b[:])
+	cfg.SyncTimeout = 30 * time.Second
+	part, _, err := psort.ParallelRecoverable(cfg, psort.RandomData(size, seed))
+	spec.WriteShard(cfg.Trace)
+	if err != nil {
+		return launch.Report(fmt.Sprintf("bspsoak rank %d (epoch %d)", spec.Rank, spec.Epoch), err)
 	}
-	if err := os.WriteFile(filepath.Join(outDir, fmt.Sprintf("part-r%02d", rank)), buf.Bytes(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bspsoak rank:", err)
-		return 1
+	if err := os.WriteFile(filepath.Join(outDir, fmt.Sprintf("part-r%02d", spec.Rank)), f64bytes(part), 0o644); err != nil {
+		return launch.Report("bspsoak rank", err)
 	}
 	return 0
 }

@@ -2,131 +2,59 @@
 // cluster transport is that a p=4 gang of real OS processes, crashed
 // by the chaos fault and relaunched from checkpoints by the gang
 // launcher, sorts bit-identically to a fault-free gang. The rank
-// processes are this test binary re-executed: TestMain intercepts a
-// role environment variable before any test runs and becomes one rank
-// of the gang.
+// processes are this test binary re-executed: TestMain finds a
+// launch.Spec in the environment before any test runs and becomes one
+// rank of the gang.
 package ckpt_test
 
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/launch"
 	"repro/internal/psort"
-	"repro/internal/transport"
 )
 
 const (
-	e2eRole   = "CKPT_CLUSTER_E2E_ROLE"
-	e2eRank   = "CKPT_CLUSTER_E2E_RANK"
-	e2eP      = "CKPT_CLUSTER_E2E_P"
-	e2eEpoch  = "CKPT_CLUSTER_E2E_EPOCH"
-	e2eJob    = "CKPT_CLUSTER_E2E_JOB"
-	e2eCoord  = "CKPT_CLUSTER_E2E_COORD"
-	e2eResume = "CKPT_CLUSTER_E2E_RESUME"
-	e2eChaos  = "CKPT_CLUSTER_E2E_CHAOS"
-	e2eWarm   = "CKPT_CLUSTER_E2E_WARM"
-	e2eCkpt   = "CKPT_CLUSTER_E2E_CKPT_DIR"
-	e2eOut    = "CKPT_CLUSTER_E2E_OUT_DIR"
-
 	e2eSize = 4000
 	e2eSeed = 1996
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv(e2eRole) == "rank" {
-		os.Exit(runE2ERank())
+	spec, isChild, err := launch.FromEnv()
+	switch {
+	case err != nil:
+		os.Exit(launch.Report("e2e rank", err))
+	case isChild:
+		os.Exit(runE2ERank(spec, os.Args[1]))
 	}
 	os.Exit(m.Run())
 }
 
-// runE2ERank is one OS process hosting one rank of the e2e gang. It
-// exits with bsprun's CI codes so the launcher's default Recoverable
-// classification applies: 0 ok, 3 recoverable (abort/crash/timeout),
-// 1 anything else.
-func runE2ERank() int {
-	atoi := func(key string) int {
-		v, err := strconv.Atoi(os.Getenv(key))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "e2e rank: bad %s=%q: %v\n", key, os.Getenv(key), err)
-			os.Exit(1)
-		}
-		return v
-	}
-	rank, p, epoch := atoi(e2eRank), atoi(e2eP), atoi(e2eEpoch)
-	outDir := os.Getenv(e2eOut)
-
+// runE2ERank is one OS process hosting one rank of the e2e gang; its
+// partition of the sorted order lands in outDir.
+func runE2ERank(spec launch.Spec, outDir string) int {
 	// Leave a generation marker so the supervising test can assert the
 	// crashed generation really ran and a second one really launched.
-	marker := filepath.Join(outDir, fmt.Sprintf("gen-e%d-r%d", epoch, rank))
+	marker := filepath.Join(outDir, fmt.Sprintf("gen-e%d-r%d", spec.Epoch, spec.Rank))
 	if err := os.WriteFile(marker, nil, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "e2e rank:", err)
-		return 1
+		return launch.Report("e2e rank", err)
 	}
-
-	warm := os.Getenv(e2eWarm) == "1"
-	mcfg := transport.ClusterConfig{
-		Coordinator: os.Getenv(e2eCoord),
-		JobID:       os.Getenv(e2eJob),
-		Rank:        rank, Epoch: epoch, P: p,
-	}
-	if warm {
-		mcfg.HeartbeatInterval = 100 * time.Millisecond
-		mcfg.SuspectAfter = 2 * time.Second
-	}
-	if os.Getenv(e2eChaos) == "1" && epoch == 0 {
-		// The crash fires in the first generation only; relaunched
-		// generations replay fault-free from the checkpoint cut.
-		plan := crashPlan()
-		mcfg.Chaos = &plan
-		mcfg.ChaosCrash = true
-	}
-	var tr transport.Transport = transport.ClusterMember{Config: mcfg}
-	if warm {
-		// One-shot hard faults: an in-process retry of a surviving rank
-		// must not re-fire the crash the first attempt injected.
-		tr = transport.NewClusterMember(mcfg)
-	}
-	cfg := core.Config{
-		P:           p,
-		Transport:   tr,
-		SyncTimeout: 30 * time.Second,
-		Group:       &transport.GroupOptions{JobID: mcfg.JobID, Epoch: epoch},
-	}
-	if dir := os.Getenv(e2eCkpt); dir != "" {
-		// Retries < 0: fail fast and let the gang launcher relaunch the
-		// whole generation.
-		cfg.Checkpoint = &core.CheckpointConfig{Dir: dir, Every: 1, Retries: -1, Resume: os.Getenv(e2eResume) == "1"}
-		if warm {
-			// Warm survivors roll back in place; only the process the
-			// failure names as dead exits and gets replaced.
-			cfg.Checkpoint.Retries = 100
-			cfg.Checkpoint.ShouldRetry = func(err error) bool {
-				var ce *transport.CrashError
-				if errors.As(err, &ce) {
-					return ce.Rank != rank
-				}
-				return !errors.Is(err, transport.ErrCrashed)
-			}
-		}
-	}
-	data := psort.RandomData(e2eSize, e2eSeed)
-	part, _, err := psort.ParallelRecoverable(cfg, data)
+	cfg, err := spec.Config()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "e2e rank %d (epoch %d): %v\n", rank, epoch, err)
-		if core.Recoverable(err) || errors.Is(err, transport.ErrJoin) {
-			return 3
-		}
-		return 1
+		return launch.Report("e2e rank", err)
+	}
+	cfg.SyncTimeout = 30 * time.Second
+	part, _, err := psort.ParallelRecoverable(cfg, psort.RandomData(e2eSize, e2eSeed))
+	if err != nil {
+		return launch.Report(fmt.Sprintf("e2e rank %d (epoch %d)", spec.Rank, spec.Epoch), err)
 	}
 	// This process hosted one rank, so the concatenated result is
 	// exactly its partition of the global order.
@@ -136,9 +64,8 @@ func runE2ERank() int {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		buf.Write(b[:])
 	}
-	if err := os.WriteFile(filepath.Join(outDir, fmt.Sprintf("part-r%02d", rank)), buf.Bytes(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "e2e rank:", err)
-		return 1
+	if err := os.WriteFile(filepath.Join(outDir, fmt.Sprintf("part-r%02d", spec.Rank)), buf.Bytes(), 0o644); err != nil {
+		return launch.Report("e2e rank", err)
 	}
 	return 0
 }
@@ -146,33 +73,25 @@ func runE2ERank() int {
 // e2eGang builds a gang launcher for rank processes (this test binary,
 // re-executed); the caller runs it and may inspect its restart
 // counters afterwards.
-func e2eGang(t *testing.T, jobID, outDir, ckptDir string, chaos, warm bool, restarts int) *transport.ClusterJob {
+func e2eGang(t *testing.T, jobID, outDir, ckptDir string, chaos, warm bool, restarts int) *launch.Job {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := &transport.ClusterJob{
+	job := &launch.Job{
 		P:           recoveryP,
 		JobID:       jobID,
 		MaxRestarts: restarts,
 		Warm:        warm,
 		Logf:        t.Logf,
-		Command: func(spec transport.ClusterProcSpec) *exec.Cmd {
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(),
-				e2eRole+"=rank",
-				e2eRank+"="+strconv.Itoa(spec.Rank),
-				e2eP+"="+strconv.Itoa(spec.P),
-				e2eEpoch+"="+strconv.Itoa(spec.Epoch),
-				e2eJob+"="+spec.JobID,
-				e2eCoord+"="+spec.Coordinator,
-				e2eResume+"="+boolEnv(spec.Resume),
-				e2eChaos+"="+boolEnv(chaos),
-				e2eWarm+"="+boolEnv(warm),
-				e2eCkpt+"="+ckptDir,
-				e2eOut+"="+outDir,
-			)
+		Command: func(spec launch.Spec) *exec.Cmd {
+			spec.CheckpointDir = ckptDir
+			if chaos {
+				spec.Chaos = crashPlan().String()
+			}
+			cmd := exec.Command(exe, outDir)
+			cmd.Env = append(os.Environ(), spec.Env())
 			cmd.Stderr = os.Stderr
 			return cmd
 		},
@@ -188,13 +107,6 @@ func e2eGang(t *testing.T, jobID, outDir, ckptDir string, chaos, warm bool, rest
 func runE2EGang(t *testing.T, jobID, outDir, ckptDir string, chaos bool, restarts int) error {
 	t.Helper()
 	return e2eGang(t, jobID, outDir, ckptDir, chaos, false, restarts).Run()
-}
-
-func boolEnv(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
 }
 
 // TestClusterCrashRecoveryBitIdentical: a crashed-and-recovered p=4

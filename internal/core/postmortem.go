@@ -54,17 +54,19 @@ func (pm *PostmortemConfig) dump(rec *trace.Recorder, rank, epoch int, reason st
 	if !pm.armed() || rec == nil {
 		return
 	}
+	// The lock is held across the write: the loser of a race returns only
+	// once the winner's dump is on disk, so the rank goroutine cannot exit
+	// the process under a control-reader goroutine that is still writing.
 	key := [2]int{rank, epoch}
 	pm.mu.Lock()
+	defer pm.mu.Unlock()
 	if pm.done == nil {
 		pm.done = make(map[[2]int]bool)
 	}
 	if pm.done[key] {
-		pm.mu.Unlock()
 		return
 	}
 	pm.done[key] = true
-	pm.mu.Unlock()
 	d := rec.Postmortem(pm.jobID(), rank, epoch, reason)
 	if _, err := trace.WriteDump(pm.Dir, d, trace.GoroutineStacks()); err != nil {
 		fmt.Fprintf(os.Stderr, "bsp: postmortem dump for rank %d: %v\n", rank, err)

@@ -144,3 +144,29 @@ func TestPostmortemDumpDuringSync(t *testing.T) {
 		t.Errorf("no survivor dump names the convicted rank 2; reasons: %q", reasons)
 	}
 }
+
+// TestPostmortemDumpLoserWaitsForWinner: the same failure is dumped
+// from two goroutines (the local failure path and the coordinator's
+// dump broadcast). Whichever loses the race must not return before the
+// winner's file is on disk — the rank goroutine exits the process right
+// after.
+func TestPostmortemDumpLoserWaitsForWinner(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		pm := &PostmortemConfig{Dir: t.TempDir()}
+		rec := trace.NewFlight(1)
+		path := filepath.Join(pm.Dir, "rank0", "dump-e0.json")
+		errs := make(chan error, 2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				pm.dump(rec, 0, 0, "race")
+				_, err := os.Stat(path)
+				errs <- err
+			}()
+		}
+		for g := 0; g < 2; g++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("a dump call returned before the dump existed: %v", err)
+			}
+		}
+	}
+}

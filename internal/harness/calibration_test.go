@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"math"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/transport"
 )
@@ -71,6 +71,35 @@ func TestSpeedupCalBehaviour(t *testing.T) {
 	}
 }
 
+// TestFitGLExact checks the normal-equation solve without a clock:
+// observations generated from known (g, L) must be recovered, a
+// negative intercept is clamped to zero, and a sweep that varies H and
+// S in lockstep is reported as degenerate.
+func TestFitGLExact(t *testing.T) {
+	synth := func(g, l float64) []fitObs {
+		var obs []fitObs
+		for _, hs := range [][2]int{{120, 40}, {480, 160}, {960, 40}, {3840, 40}, {7680, 20}, {30720, 80}} {
+			obs = append(obs, fitObs{h: hs[0], s: hs[1], t: g*float64(hs[0]) + l*float64(hs[1])})
+		}
+		return obs
+	}
+	for _, want := range []cost.Params{{G: 0.25, L: 12}, {G: 0, L: 3.5}, {G: 1.5, L: 0}} {
+		got, err := fitGL(synth(want.G, want.L))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.G-want.G) > 1e-9 || math.Abs(got.L-want.L) > 1e-9 {
+			t.Errorf("fitGL recovered (g=%g, L=%g), want (g=%g, L=%g)", got.G, got.L, want.G, want.L)
+		}
+	}
+	if got, err := fitGL(synth(0.5, -4)); err != nil || got.L != 0 {
+		t.Errorf("negative intercept: got L=%g err=%v, want L clamped to 0", got.L, err)
+	}
+	if _, err := fitGL([]fitObs{{h: 10, s: 1, t: 5}, {h: 20, s: 2, t: 10}}); err == nil {
+		t.Error("collinear (H, S) sweep must be reported as degenerate")
+	}
+}
+
 func TestFitParamsAgainstMicrobenchmark(t *testing.T) {
 	// The §4 curve-fitting approach on the simplest subroutine: fitted
 	// (g, L) should land in the same regime as the directly measured
@@ -108,31 +137,7 @@ func TestFitParamsPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch, steps, p = 64, 60, 4
-	var elapsed time.Duration
-	_, err = core.Run(core.Config{P: p, Transport: tr}, func(c *core.Proc) {
-		var pkt core.Pkt
-		c.Sync()
-		t0 := time.Now()
-		for s := 0; s < steps; s++ {
-			for dst := 0; dst < p; dst++ {
-				if dst == c.ID() {
-					continue
-				}
-				for k := 0; k < batch; k++ {
-					c.SendPkt(dst, &pkt)
-				}
-			}
-			c.Sync()
-			for {
-				if _, ok := c.GetPkt(); !ok {
-					break
-				}
-			}
-		}
-		if c.ID() == 0 {
-			elapsed = time.Since(t0)
-		}
-	})
+	elapsed, err := timeExchange(tr, p, batch, steps)
 	if err != nil {
 		t.Fatal(err)
 	}

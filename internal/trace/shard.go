@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 )
@@ -75,6 +76,27 @@ func ReadShardFile(path string) (Shard, error) {
 		return s, fmt.Errorf("trace: shard %s: %w", path, err)
 	}
 	return s, nil
+}
+
+// MergeShardDir merges every shard file (*.json) the rank processes of
+// one job left in dir.
+func MergeShardDir(dir string) (*Recorder, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no trace shards in %s (did every rank die before its first superstep?)", dir)
+	}
+	shards := make([]Shard, 0, len(paths))
+	for _, p := range paths {
+		s, err := ReadShardFile(p)
+		if err != nil {
+			return nil, err
+		}
+		shards = append(shards, s)
+	}
+	return MergeShards(shards)
 }
 
 // MergeShards folds per-process shards of one job into a single

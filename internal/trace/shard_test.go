@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -148,5 +150,29 @@ func TestMergeShardsChromeExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "merged.json")
 	if err := m.WriteChromeFile(path); err != nil {
 		t.Fatalf("merged recorder must export Chrome JSON: %v", err)
+	}
+}
+
+// TestMergeShardDir: the launcher-side merge reads every shard file a
+// gang left in a directory, and an empty directory says why that
+// usually happens.
+func TestMergeShardDir(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := MergeShardDir(dir); err == nil || !strings.Contains(err.Error(), "no trace shards in "+dir+" (did every rank die before its first superstep?)") {
+		t.Errorf("empty shard dir: %v", err)
+	}
+	for rank := 0; rank < 2; rank++ {
+		r := New(2)
+		fillRank(r, rank, 0, 100)
+		if err := WriteShardFile(filepath.Join(dir, fmt.Sprintf("rank%04d-e000.json", rank)), r.Shard("j", rank)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := MergeShardDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.P() != 2 || len(m.Events()) != 6 {
+		t.Errorf("merged %d events over p=%d, want 6 over p=2", len(m.Events()), m.P())
 	}
 }

@@ -2,14 +2,12 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"os/exec"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,8 +41,9 @@ import (
 //     that the whole conformance + chaos + recovery matrix exercises.
 //   - ClusterMember: a Transport adapter for a child process hosting
 //     exactly one rank (bsprun -cluster workers, test children).
-//   - ClusterJob: the rank-per-process gang launcher with
-//     restart-on-recoverable-failure and epoch fencing.
+//
+// The process supervisor that owns a Coordinator and launches one
+// ClusterMember process per rank lives in internal/launch.
 
 // Control frame tags, coordinator <-> member. Every control frame is a
 // [u32 length][payload] wire frame whose first payload byte is the tag.
@@ -273,6 +272,18 @@ func (c *Coordinator) AdvanceEpoch() int {
 	}
 	c.gen = nil
 	return c.epoch
+}
+
+// FenceWait bounds how long a launcher waits for the coordinator to
+// fence a generation one of whose processes has died before falling
+// back to AdvanceEpoch: the slowest detection source (liveness
+// suspicion) plus scheduling slack.
+func (c *Coordinator) FenceWait() time.Duration {
+	suspect := c.opts.SuspectAfter
+	if suspect <= 0 {
+		suspect = clusterDefaultSuspectAfter
+	}
+	return suspect + 2*time.Second
 }
 
 // Close shuts the coordinator down, disconnecting any joined members.
@@ -1158,7 +1169,7 @@ func dataPlane(cfg ClusterConfig, hs wire.Handshake, ln net.Listener, book []str
 // chaos and recovery matrices exercise the cluster code paths without
 // spawning processes. Rank-per-OS-process deployments use the same
 // pieces directly: a Coordinator (owned by the launcher, see
-// ClusterJob) and one JoinCluster (via ClusterMember) per child.
+// internal/launch) and one JoinCluster (via ClusterMember) per child.
 type ClusterTransport struct {
 	// StageTimeout and MaxRetries tune the staged exchange engine, as
 	// on TCPTransport.
@@ -1237,52 +1248,49 @@ func (t ClusterTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error
 // the options' job id and epoch, which is what lets a surviving
 // process rejoin the gang at a bumped epoch on an in-process recovery
 // attempt (warm recovery) instead of exiting for a full relaunch.
+//
+// The config's hard chaos faults (crash, abort) fire at most once per
+// member, however many times it is opened: a warm recovery attempt
+// re-opens the transport in the same process and must not re-fire the
+// fault that caused it.
 type ClusterMember struct {
-	Config ClusterConfig
-
-	// hardFaults, when set (NewClusterMember), makes the config's hard
-	// chaos faults (crash, abort) one-shot across Opens: a warm
-	// recovery attempt re-opens the transport in the same process and
-	// must not re-fire the fault that caused it.
-	hardFaults *atomic.Bool
+	cfg        ClusterConfig
+	hardFaults atomic.Bool
 }
 
-// NewClusterMember builds a member whose hard chaos faults fire at
-// most once per process, however many times the transport is opened.
-// Warm children use this; the zero-value ClusterMember keeps the
-// arm-on-every-Open behavior.
+// NewClusterMember builds the member transport for one rank process.
 func NewClusterMember(cfg ClusterConfig) *ClusterMember {
-	return &ClusterMember{Config: cfg, hardFaults: new(atomic.Bool)}
+	return &ClusterMember{cfg: cfg}
 }
 
 // Name implements Transport.
-func (ClusterMember) Name() string { return "cluster-member" }
+func (*ClusterMember) Name() string { return "cluster-member" }
 
 // Open implements Transport. The returned slice holds one endpoint —
 // this process's rank.
-func (m ClusterMember) Open(p int) ([]Endpoint, error) {
-	return m.open(p, m.Config.JobID, m.Config.Epoch)
+func (m *ClusterMember) Open(p int) ([]Endpoint, error) {
+	return m.open(p, m.cfg.JobID, m.cfg.Epoch)
 }
 
 // OpenGroup implements GroupTransport: when opts carry a job id, they
 // override the configured identity — core's recovery loop bumps the
 // epoch per attempt, and this is where the bumped epoch reaches the
 // rejoin handshake.
-func (m ClusterMember) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
-	job, epoch := m.Config.JobID, m.Config.Epoch
+func (m *ClusterMember) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
+	job, epoch := m.cfg.JobID, m.cfg.Epoch
 	if opts.JobID != "" {
 		job, epoch = opts.JobID, opts.Epoch
 	}
 	return m.open(p, job, epoch)
 }
 
-func (m ClusterMember) open(p int, job string, epoch int) ([]Endpoint, error) {
-	if p != m.Config.P {
-		return nil, fmt.Errorf("cluster: member configured for p=%d opened with p=%d", m.Config.P, p)
+func (m *ClusterMember) open(p int, job string, epoch int) ([]Endpoint, error) {
+	if p != m.cfg.P {
+		return nil, fmt.Errorf("cluster: member configured for p=%d opened with p=%d", m.cfg.P, p)
 	}
-	cfg := m.Config
+	cfg := m.cfg
 	cfg.JobID, cfg.Epoch = job, epoch
-	if m.hardFaults != nil && cfg.Chaos != nil && !m.hardFaults.CompareAndSwap(false, true) {
+	if cfg.Chaos != nil && !m.hardFaults.CompareAndSwap(false, true) {
 		plan := *cfg.Chaos
 		plan.CrashStep, plan.AbortStep = 0, 0
 		cfg.Chaos = &plan
@@ -1293,517 +1301,6 @@ func (m ClusterMember) open(p int, job string, epoch int) ([]Endpoint, error) {
 		return nil, err
 	}
 	return []Endpoint{ep}, nil
-}
-
-// ClusterProcSpec is the launch recipe for one rank of one generation.
-type ClusterProcSpec struct {
-	Rank, P, Epoch int
-	JobID          string
-	Coordinator    string
-	// Resume is set on relaunches: the child should continue from the
-	// latest complete checkpoint cut.
-	Resume bool
-	// Warm is set by a warm launcher: the child should retry
-	// recoverable failures in-process (rolling back from the latest
-	// cut and rejoining at the bumped epoch) and exit only when it is
-	// itself the convicted rank.
-	Warm bool
-	// Telemetry is the live metrics push interval the child should arm
-	// (ClusterConfig.Telemetry.Interval); zero leaves telemetry off.
-	Telemetry time.Duration
-}
-
-// ClusterJob launches one OS process per rank and supervises the gang.
-// In the default (cold) mode, any recoverable failure relaunches every
-// rank at an advanced epoch with Resume set, bounded by MaxRestarts.
-// With Warm set, a single dead rank costs a single process: the
-// coordinator's crash declaration (or the rank's own recoverable exit)
-// relaunches only that rank while the survivors roll back in place and
-// re-admit it through the epoch-fenced rejoin handshake; the full gang
-// relaunch remains the fallback when failures overlap.
-type ClusterJob struct {
-	P int
-	// JobID names the job; a fresh unique id per run keeps processes of
-	// unrelated runs from joining each other.
-	JobID string
-	// Epoch is the starting generation (normally 0).
-	Epoch int
-	// JoinTimeout bounds gang assembly per generation.
-	JoinTimeout time.Duration
-	// HeartbeatInterval and SuspectAfter tune the coordinator's
-	// liveness protocol (see CoordinatorOptions).
-	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	// Command builds the ready-to-start process for one rank. The
-	// returned Cmd must not be started.
-	Command func(spec ClusterProcSpec) *exec.Cmd
-	// Recoverable classifies a rank's exit code: true means the
-	// generation may be relaunched from checkpoints. Nil defaults to
-	// exit codes 2 (timeout) and 3 (abort/crash) — bsprun's CI
-	// classification.
-	Recoverable func(exitCode int) bool
-	// MaxRestarts bounds the relaunch attempts (0 means none). In warm
-	// mode it bounds the total of warm single-rank relaunches and gang
-	// relaunches.
-	MaxRestarts int
-	// Backoff is the pause before the first relaunch, doubling per
-	// attempt. 0 means 100ms.
-	Backoff time.Duration
-	// Warm enables surgical single-rank recovery. It requires children
-	// launched with spec.Warm handling (in-process retry); pairing it
-	// with cold children still converges, via the gang fallback.
-	Warm bool
-	// AdvertiseCoordinator, when set, maps the coordinator's listen
-	// address to the address handed to children — the hook a chaos
-	// proxy uses to interpose on the control plane.
-	AdvertiseCoordinator func(addr string) string
-	// Logf, when set, receives launcher progress lines.
-	Logf func(format string, args ...any)
-	// StatusAddr, when set, serves the coordinator's aggregated
-	// /status + /metrics plane (see CoordinatorOptions.StatusAddr).
-	StatusAddr string
-	// TelemetryInterval arms the member push loops in the children
-	// (passed through ClusterProcSpec.Telemetry). Zero disables.
-	TelemetryInterval time.Duration
-
-	statsMu      sync.Mutex
-	rankRestarts []int64
-	gangRelaunch int64
-
-	telemMu      sync.Mutex
-	telemSummary TelemetrySummary
-	statusFinal  []byte
-	statusURL    string
-}
-
-func (j *ClusterJob) logf(format string, args ...any) {
-	if j.Logf != nil {
-		j.Logf(format, args...)
-	}
-}
-
-func (j *ClusterJob) recoverable(code int) bool {
-	if j.Recoverable != nil {
-		return j.Recoverable(code)
-	}
-	return code == 2 || code == 3
-}
-
-// fenceWait bounds how long a warm recovery waits for the coordinator
-// to fence a failed generation before escalating to the gang fallback:
-// the slowest detection source (liveness suspicion) plus scheduling
-// slack.
-func (j *ClusterJob) fenceWait() time.Duration {
-	suspect := j.SuspectAfter
-	if suspect <= 0 {
-		suspect = clusterDefaultSuspectAfter
-	}
-	return suspect + 2*time.Second
-}
-
-// RankRestarts returns the per-rank warm relaunch counts of the last
-// Run (nil before the first warm Run). The recovery e2e asserts a
-// single crash costs exactly one entry here.
-func (j *ClusterJob) RankRestarts() []int64 {
-	j.statsMu.Lock()
-	defer j.statsMu.Unlock()
-	out := make([]int64, len(j.rankRestarts))
-	copy(out, j.rankRestarts)
-	return out
-}
-
-// GangRelaunches returns how many full gang relaunches Run performed.
-func (j *ClusterJob) GangRelaunches() int64 {
-	j.statsMu.Lock()
-	defer j.statsMu.Unlock()
-	return j.gangRelaunch
-}
-
-func (j *ClusterJob) countRankRestart(rank int) {
-	j.statsMu.Lock()
-	j.rankRestarts[rank]++
-	j.statsMu.Unlock()
-}
-
-func (j *ClusterJob) countGangRelaunch() {
-	j.statsMu.Lock()
-	j.gangRelaunch++
-	j.statsMu.Unlock()
-}
-
-// crashDecl is one coordinator crash declaration delivered to the warm
-// supervision loop.
-type crashDecl struct {
-	rank        int
-	failedEpoch int
-	newEpoch    int
-	reason      string
-}
-
-// procExit is one rank process's exit as seen by the supervision loop.
-type procExit struct {
-	rank int
-	code int
-}
-
-func waitExitCode(cmd *exec.Cmd) int {
-	if err := cmd.Wait(); err != nil {
-		var ee *exec.ExitError
-		if errors.As(err, &ee) && ee.ExitCode() > 0 {
-			return ee.ExitCode()
-		}
-		return 1
-	}
-	return 0
-}
-
-// Run executes the job to completion: it owns the coordinator, spawns
-// the p rank processes of each generation, and returns nil once every
-// rank has exited cleanly. A non-recoverable rank failure, or
-// recoverable ones past MaxRestarts, returns an error naming the rank.
-func (j *ClusterJob) Run() error {
-	if j.P < 1 {
-		return fmt.Errorf("cluster: p must be >= 1, got %d", j.P)
-	}
-	if j.Command == nil {
-		return errors.New("cluster: ClusterJob.Command is required")
-	}
-	j.statsMu.Lock()
-	j.rankRestarts = make([]int64, j.P)
-	j.gangRelaunch = 0
-	j.statsMu.Unlock()
-	opts := CoordinatorOptions{
-		JobID:             j.JobID,
-		Epoch:             j.Epoch,
-		JoinTimeout:       j.JoinTimeout,
-		HeartbeatInterval: j.HeartbeatInterval,
-		SuspectAfter:      j.SuspectAfter,
-		StatusAddr:        j.StatusAddr,
-	}
-	crashCh := make(chan crashDecl, 4*j.P)
-	if j.Warm {
-		opts.OnCrash = func(rank, failedEpoch, newEpoch int, reason string) {
-			select {
-			case crashCh <- crashDecl{rank: rank, failedEpoch: failedEpoch, newEpoch: newEpoch, reason: reason}:
-			default:
-			}
-		}
-	}
-	coord, err := StartCoordinator(j.P, opts)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	if url := coord.StatusURL(); url != "" {
-		j.telemMu.Lock()
-		j.statusURL = url
-		j.telemMu.Unlock()
-		j.logf("cluster: live status on %s/status (metrics on %s/metrics)", url, url)
-	}
-	addr := coord.Addr()
-	if j.AdvertiseCoordinator != nil {
-		addr = j.AdvertiseCoordinator(addr)
-	}
-	backoff := j.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	var runErr error
-	if j.Warm {
-		runErr = j.runWarm(coord, addr, crashCh, backoff)
-	} else {
-		runErr = j.runCold(coord, addr, backoff)
-	}
-	// Capture the final job view before the deferred coord.Close tears
-	// the aggregation's HTTP plane down.
-	j.telemMu.Lock()
-	j.telemSummary = coord.TelemetrySummary()
-	if doc, err := json.MarshalIndent(coord.StatusDoc(), "", "  "); err == nil {
-		j.statusFinal = doc
-	}
-	j.telemMu.Unlock()
-	return runErr
-}
-
-// Telemetry returns the aggregated-telemetry digest of the last Run:
-// the online (g, L) fit, the live Eq-1 residual ratio, and per-rank
-// stream health. Zero before the first Run or with telemetry off.
-func (j *ClusterJob) Telemetry() TelemetrySummary {
-	j.telemMu.Lock()
-	defer j.telemMu.Unlock()
-	return j.telemSummary
-}
-
-// StatusSnapshot returns the final /status JSON document captured when
-// the last Run ended (nil before).
-func (j *ClusterJob) StatusSnapshot() []byte {
-	j.telemMu.Lock()
-	defer j.telemMu.Unlock()
-	return j.statusFinal
-}
-
-// StatusURL returns the base URL of the live status plane once Run has
-// started it ("" without StatusAddr).
-func (j *ClusterJob) StatusURL() string {
-	j.telemMu.Lock()
-	defer j.telemMu.Unlock()
-	return j.statusURL
-}
-
-// runCold is the original gang supervision: launch all p, wait for all
-// p, and on any recoverable failure relaunch the whole gang at the
-// next epoch.
-func (j *ClusterJob) runCold(coord *Coordinator, addr string, backoff time.Duration) error {
-	for attempt := 0; ; attempt++ {
-		epoch := coord.Epoch()
-		resume := attempt > 0
-		j.logf("cluster: launching generation epoch=%d (p=%d, resume=%v)", epoch, j.P, resume)
-		cmds := make([]*exec.Cmd, j.P)
-		for r := 0; r < j.P; r++ {
-			cmds[r] = j.Command(ClusterProcSpec{
-				Rank: r, P: j.P, Epoch: epoch,
-				JobID: j.JobID, Coordinator: addr,
-				Resume: resume, Telemetry: j.TelemetryInterval,
-			})
-			if err := cmds[r].Start(); err != nil {
-				for k := 0; k < r; k++ {
-					cmds[k].Process.Kill()
-					cmds[k].Wait()
-				}
-				return fmt.Errorf("cluster: start rank %d: %w", r, err)
-			}
-		}
-		worst, firstBad := 0, -1
-		for r, cmd := range cmds {
-			code := waitExitCode(cmd)
-			if code != 0 && firstBad < 0 {
-				worst, firstBad = code, r
-			}
-		}
-		if firstBad < 0 {
-			j.logf("cluster: generation epoch=%d completed cleanly", epoch)
-			return nil
-		}
-		if !j.recoverable(worst) {
-			return fmt.Errorf("cluster: rank %d of job %q failed with exit code %d (not recoverable)", firstBad, j.JobID, worst)
-		}
-		if attempt >= j.MaxRestarts {
-			return fmt.Errorf("cluster: rank %d of job %q failed with exit code %d after %d attempt(s)", firstBad, j.JobID, worst, attempt+1)
-		}
-		j.logf("cluster: rank %d exited with code %d; relaunching from checkpoints (attempt %d/%d)", firstBad, worst, attempt+1, j.MaxRestarts)
-		time.Sleep(backoff << attempt)
-		if coord.Epoch() == epoch {
-			// The coordinator advances itself when a ready generation
-			// fails; a generation that died before assembling (or a
-			// child that never joined) still needs the fence.
-			coord.AdvanceEpoch()
-		}
-	}
-}
-
-// runWarm is the surgical supervision loop. Rank processes exit only
-// when convicted (or on non-recoverable errors): survivors of a crash
-// roll back in place and rejoin, so the loop relaunches exactly the
-// processes that died. Overlapping failures (a second exit while one
-// recovery is pending, or a rank that keeps dying) escalate to a full
-// gang relaunch. MaxRestarts bounds the total relaunch events.
-func (j *ClusterJob) runWarm(coord *Coordinator, addr string, crashCh <-chan crashDecl, backoff time.Duration) error {
-	exitCh := make(chan procExit, 2*j.P)
-	cmds := make([]*exec.Cmd, j.P)
-	running := make([]bool, j.P)
-	// killed marks ranks whose exit we provoked (conviction kills and
-	// gang teardowns); their exit events carry no new information.
-	killed := make([]bool, j.P)
-	lastCode := make([]int, j.P)
-	// launchedEpoch dedupes the two reports of one failure: a crash
-	// declaration and the dead process's own exit can both arrive. A
-	// declaration whose newEpoch is not past the epoch we already
-	// launched that rank at refers to a failure already recovered.
-	launchedEpoch := make([]int, j.P)
-	restarts := 0
-
-	launch := func(rank int, resume bool) error {
-		spec := ClusterProcSpec{
-			Rank: rank, P: j.P, Epoch: coord.Epoch(),
-			JobID: j.JobID, Coordinator: addr,
-			Resume: resume, Warm: true, Telemetry: j.TelemetryInterval,
-		}
-		cmd := j.Command(spec)
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("cluster: start rank %d: %w", rank, err)
-		}
-		cmds[rank] = cmd
-		running[rank] = true
-		killed[rank] = false
-		lastCode[rank] = -1
-		launchedEpoch[rank] = spec.Epoch
-		go func() {
-			code := waitExitCode(cmd)
-			exitCh <- procExit{rank: rank, code: code}
-		}()
-		return nil
-	}
-	// reap makes sure rank's process is dead and its exit consumed (a
-	// convicted-but-stalled process may never exit on its own). Exits
-	// of other ranks drained along the way are recorded in lastCode,
-	// where the overlapping-failure check sees them.
-	reap := func(rank int) {
-		if !running[rank] {
-			return
-		}
-		killed[rank] = true
-		cmds[rank].Process.Kill()
-		for running[rank] {
-			ev := <-exitCh
-			running[ev.rank] = false
-			lastCode[ev.rank] = ev.code
-		}
-	}
-	killAll := func() {
-		for r := 0; r < j.P; r++ {
-			reap(r)
-		}
-	}
-
-	j.logf("cluster: launching warm generation epoch=%d (p=%d)", coord.Epoch(), j.P)
-	for r := 0; r < j.P; r++ {
-		if err := launch(r, false); err != nil {
-			killAll()
-			return err
-		}
-	}
-
-	// relaunchGang is the fallback: tear everything down, fence the
-	// epoch (unconditionally — a half-assembled generation of dead
-	// joins must not reject the new gang as duplicate ranks), start
-	// over from the latest complete cut.
-	relaunchGang := func(why string) error {
-		if restarts >= j.MaxRestarts {
-			return fmt.Errorf("cluster: job %q failed (%s) after %d attempt(s)", j.JobID, why, restarts+1)
-		}
-		restarts++
-		killAll()
-		time.Sleep(backoff)
-		coord.AdvanceEpoch()
-		j.countGangRelaunch()
-		j.logf("cluster: gang-relaunching at epoch %d (%s; restart %d/%d)", coord.Epoch(), why, restarts, j.MaxRestarts)
-		for r := 0; r < j.P; r++ {
-			if err := launch(r, true); err != nil {
-				killAll()
-				return err
-			}
-		}
-		return nil
-	}
-	// recoverRank performs one warm recovery of a single failed rank:
-	// make sure its process is dead, then start the replacement at the
-	// coordinator's current epoch with Resume set — the survivors are
-	// already rolling back in place and will re-admit it at the fenced
-	// rejoin. Overlapping failures escalate to the gang fallback.
-	recoverRank := func(rank int, why string) error {
-		reap(rank)
-		for r := 0; r < j.P; r++ {
-			if r != rank && !running[r] && lastCode[r] != 0 {
-				return relaunchGang(fmt.Sprintf("overlapping failures (rank %d and rank %d)", rank, r))
-			}
-		}
-		if restarts >= j.MaxRestarts {
-			return fmt.Errorf("cluster: rank %d of job %q failed (%s) after %d attempt(s)", rank, j.JobID, why, restarts+1)
-		}
-		// The dead process's exit event can outrun the coordinator's
-		// processing of the failure itself (the abort frame, or the
-		// dropped control connection). Launching the replacement before
-		// the coordinator fences the failed generation would hand it
-		// the stale epoch and get it rejected, so wait for the epoch to
-		// move past the one the dead process was launched at. The fence
-		// always arrives — a cooperative abort advances the epoch when
-		// its frame is read, and a silent death is convicted via the
-		// dropped connection or missed heartbeats within the suspicion
-		// timeout; if it still has not by then, fall back to the gang
-		// relaunch, which fences unconditionally.
-		fenceBy := time.Now().Add(j.fenceWait())
-		for coord.Epoch() <= launchedEpoch[rank] {
-			if time.Now().After(fenceBy) {
-				return relaunchGang(fmt.Sprintf("rank %d died but its generation was never fenced", rank))
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		restarts++
-		j.countRankRestart(rank)
-		j.logf("cluster: warm-relaunching rank %d at epoch %d (%s; restart %d/%d)", rank, coord.Epoch(), why, restarts, j.MaxRestarts)
-		return launch(rank, true)
-	}
-
-	for {
-		anyRunning := false
-		for r := 0; r < j.P; r++ {
-			if running[r] {
-				anyRunning = true
-			}
-		}
-		if !anyRunning {
-			clean := true
-			worst, firstBad := 0, -1
-			for r := 0; r < j.P; r++ {
-				if lastCode[r] != 0 {
-					clean = false
-					if firstBad < 0 {
-						worst, firstBad = lastCode[r], r
-					}
-				}
-			}
-			if clean {
-				j.logf("cluster: job %q completed cleanly (%d restart(s))", j.JobID, restarts)
-				return nil
-			}
-			// Every process is gone with at least one failure: the warm
-			// path cannot help, only a gang relaunch can.
-			if !j.recoverable(worst) {
-				return fmt.Errorf("cluster: rank %d of job %q failed with exit code %d (not recoverable)", firstBad, j.JobID, worst)
-			}
-			if err := relaunchGang(fmt.Sprintf("rank %d exited with code %d with no survivors", firstBad, worst)); err != nil {
-				return err
-			}
-			continue
-		}
-
-		select {
-		case decl := <-crashCh:
-			// The coordinator convicted a rank (liveness suspicion or a
-			// dropped control connection). Replace exactly that
-			// process — unless the declaration is a stale duplicate of
-			// a failure already recovered.
-			if decl.newEpoch <= launchedEpoch[decl.rank] {
-				continue
-			}
-			if err := recoverRank(decl.rank, fmt.Sprintf("declared crashed: %s", decl.reason)); err != nil {
-				killAll()
-				return err
-			}
-		case ev := <-exitCh:
-			running[ev.rank] = false
-			lastCode[ev.rank] = ev.code
-			switch {
-			case killed[ev.rank]:
-				// We provoked this exit; the recovery that triggered it
-				// is already in flight.
-			case ev.code == 0:
-				// Clean exit; completion is checked at the top.
-			case !j.recoverable(ev.code):
-				killAll()
-				return fmt.Errorf("cluster: rank %d of job %q failed with exit code %d (not recoverable)", ev.rank, j.JobID, ev.code)
-			default:
-				// A recoverable self-exit: the child decided it could
-				// not retry in-process (it was the convicted rank, or
-				// its rejoin failed). If it is the only failure, warm-
-				// relaunch it; survivors are rejoining already.
-				if err := recoverRank(ev.rank, fmt.Sprintf("exited with code %d", ev.code)); err != nil {
-					killAll()
-					return err
-				}
-			}
-		}
-	}
 }
 
 // chaosWrapConn builds the ChaosTransport connection decorator for a

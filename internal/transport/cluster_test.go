@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -198,10 +197,10 @@ func TestClusterMemberAdapter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := ClusterMember{Config: ClusterConfig{
+			m := NewClusterMember(ClusterConfig{
 				Coordinator: coord.Addr(), JobID: "adapter", Rank: r, P: p,
 				JoinTimeout: 10 * time.Second,
-			}}
+			})
 			eps, err := m.Open(p)
 			if err != nil {
 				errs[r] = err
@@ -235,64 +234,9 @@ func TestClusterMemberAdapter(t *testing.T) {
 			t.Errorf("rank %d: %v", r, err)
 		}
 	}
-	m := ClusterMember{Config: ClusterConfig{P: 2}}
+	m := NewClusterMember(ClusterConfig{P: 2})
 	if _, err := m.Open(4); err == nil {
 		t.Error("width mismatch must be rejected")
-	}
-}
-
-// TestClusterJobLauncher covers the launcher's exit-code supervision
-// without a full worker binary: clean gangs succeed, a non-recoverable
-// exit fails immediately naming the rank, and a persistently
-// recoverable exit fails after MaxRestarts generations with the epoch
-// advanced per relaunch.
-func TestClusterJobLauncher(t *testing.T) {
-	run := func(j *ClusterJob) error { return j.Run() }
-
-	if err := run(&ClusterJob{
-		P: 3, JobID: "clean",
-		Command: func(spec ClusterProcSpec) *exec.Cmd { return exec.Command("true") },
-	}); err != nil {
-		t.Errorf("clean gang: %v", err)
-	}
-
-	err := run(&ClusterJob{
-		P: 2, JobID: "hard",
-		Command: func(spec ClusterProcSpec) *exec.Cmd {
-			if spec.Rank == 1 {
-				return exec.Command("sh", "-c", "exit 1")
-			}
-			return exec.Command("true")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "exit code 1") {
-		t.Errorf("non-recoverable failure must name rank and code, got: %v", err)
-	}
-
-	var specs []ClusterProcSpec
-	var mu sync.Mutex
-	err = run(&ClusterJob{
-		P: 1, JobID: "soft", MaxRestarts: 2, Backoff: time.Millisecond,
-		Command: func(spec ClusterProcSpec) *exec.Cmd {
-			mu.Lock()
-			specs = append(specs, spec)
-			mu.Unlock()
-			return exec.Command("sh", "-c", "exit 3")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "after 3 attempt(s)") {
-		t.Errorf("recoverable failure past MaxRestarts, got: %v", err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("launched %d generations, want 3", len(specs))
-	}
-	for i, spec := range specs {
-		if spec.Epoch != i {
-			t.Errorf("generation %d launched at epoch %d, want %d", i, spec.Epoch, i)
-		}
-		if spec.Resume != (i > 0) {
-			t.Errorf("generation %d Resume = %v", i, spec.Resume)
-		}
 	}
 }
 

@@ -13,9 +13,14 @@
 #                     (internal/psort)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
-#                     plus the checkpoint/recovery conformance suite
-#                     and the launcher's supervision-loop and child-
-#                     contract tests (internal/launch)
+#                     plus the checkpoint/recovery conformance suite,
+#                     the launcher's supervision-loop and child-
+#                     contract tests (internal/launch), and the
+#                     application registry suite (internal/apps, run
+#                     twice): every registered application on shm,
+#                     xchg, tcp and cluster bit-identical to sim with
+#                     equal (H, S), and recovering from one seeded
+#                     crash to the same result
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
@@ -57,7 +62,8 @@
 #                     reconcile the dump against the merged trace
 #   make golden       rewrite every -update golden in one go — the
 #                     Chrome trace export, the Prometheus /metrics
-#                     exposition and ocean's (S, H, V-cycles) cost table
+#                     exposition, ocean's (S, H, V-cycles) cost table
+#                     and the registry's per-application (S, H) table
 #                     — so a deliberate schema or schedule change is
 #                     refreshed and reviewed as one diff; the tests that
 #                     hold the goldens run in plain `go test ./...`
@@ -114,12 +120,13 @@ verify-alloc:
 	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
 
 golden:
-	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ -run 'Golden' -update
+	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ ./internal/apps/ -run 'Golden' -update
 
 conformance:
 	$(GO) test -race -timeout 120s ./internal/transport/ -run 'Conformance|PerPairBatchHandoff' -v
 	$(GO) test -race -timeout 120s ./internal/ckpt/ -run 'Recovery|Crash|Recoverable' -v
 	$(GO) test -race -timeout 120s ./internal/launch/ -v
+	$(GO) test -race -count=2 -timeout 120s ./internal/apps/ -v
 	$(GO) test -race -timeout 120s ./internal/trace/ -run 'TestTrace' -v
 
 trace-smoke:

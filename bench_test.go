@@ -14,21 +14,15 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/barrier"
-	"repro/internal/cg"
+	"repro/internal/apps"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/drma"
-	"repro/internal/fmm"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/lu"
 	"repro/internal/matmult"
 	"repro/internal/nbody"
-	"repro/internal/plasma"
-	"repro/internal/psort"
-	"repro/internal/radiosity"
 	"repro/internal/sp"
 	"repro/internal/transport"
 )
@@ -203,33 +197,6 @@ func BenchmarkAblationWorkFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBarrier compares the barrier implementations
-// (DESIGN.md A2; the paper's shared-memory library uses the central
-// spin barrier of Appendix B.1).
-func BenchmarkAblationBarrier(b *testing.B) {
-	const p = 8
-	for _, name := range barrier.Names() {
-		b.Run(name, func(b *testing.B) {
-			bar := barrier.New(name, p)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for id := 1; id < p; id++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						bar.Wait(id)
-					}
-				}()
-			}
-			for i := 0; i < b.N; i++ {
-				bar.Wait(0)
-			}
-			wg.Wait()
-		})
-	}
-}
-
 // BenchmarkAblationPacketSize compares fixed 16-byte packets against the
 // variable-length message extension for the same payload (DESIGN.md A3 /
 // paper footnote 2).
@@ -348,17 +315,26 @@ func BenchmarkAblationRepartition(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionSampleSort measures the oversampling sample sort
-// (DESIGN.md E1): S = 4 at every size, the fully predictable cost
-// shape of §4 with a deterministic (1+1/ℓ)·n/p imbalance bound.
-func BenchmarkExtensionSampleSort(b *testing.B) {
-	data := psort.RandomData(100000, 1996)
-	for _, p := range []int{1, 2, 4, 8} {
+// benchExtension measures one registered application at the given size
+// on the shared-memory transport — the sequential baseline, then each
+// process count — reporting the deterministic cost shape (S, Hpkts).
+func benchExtension(b *testing.B, name string, size int, procs ...int) {
+	app, err := apps.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst := app.New(size)
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			inst.Sequential()
+		}
+	})
+	for _, p := range procs {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var st *core.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, st, err = psort.Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data)
+				_, st, err = inst.Run(core.Config{P: p, Transport: transport.ShmTransport{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,6 +344,32 @@ func BenchmarkExtensionSampleSort(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExtensionSampleSort measures the oversampling sample sort
+// (DESIGN.md E1): S = 4 at every size, the fully predictable cost
+// shape of §4 with a deterministic (1+1/ℓ)·n/p imbalance bound.
+func BenchmarkExtensionSampleSort(b *testing.B) { benchExtension(b, "psort", 100000, 1, 2, 4, 8) }
+
+// BenchmarkExtensionFMM measures the adaptive FMM (DESIGN.md E3 / §5
+// future work).
+func BenchmarkExtensionFMM(b *testing.B) { benchExtension(b, "fmm", 4000, 1, 4) }
+
+// BenchmarkExtensionPlasma measures the PIC step cost (DESIGN.md E4),
+// five timesteps per run.
+func BenchmarkExtensionPlasma(b *testing.B) { benchExtension(b, "plasma", 20000, 1, 4) }
+
+// BenchmarkExtensionRadiosity measures the hierarchical radiosity solver
+// (DESIGN.md E7 / §5 future work).
+func BenchmarkExtensionRadiosity(b *testing.B) { benchExtension(b, "radiosity", 32, 1, 4) }
+
+// BenchmarkExtensionLU measures the DRMA dense LU (DESIGN.md E8): one
+// DRMA superstep per column, the static-communication profile §1.3
+// attributes to the Oxford interface.
+func BenchmarkExtensionLU(b *testing.B) { benchExtension(b, "lu", 96, 1, 4) }
+
+// BenchmarkExtensionCG measures the sparse Laplacian CG (DESIGN.md E9):
+// three supersteps per iteration with border-bounded h.
+func BenchmarkExtensionCG(b *testing.B) { benchExtension(b, "cg", 3000, 1, 4) }
 
 // BenchmarkExtensionCollectives compares the naive one-superstep
 // broadcast against the two-phase broadcast (DESIGN.md E2 / §4
@@ -424,54 +426,6 @@ func BenchmarkTransportExchange(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkExtensionFMM measures the adaptive FMM (DESIGN.md E3 / §5
-// future work) against the direct oracle cost.
-func BenchmarkExtensionFMM(b *testing.B) {
-	bodies := fmm.RandomBodies(4000, 1996)
-	b.Run("fmm-seq", func(b *testing.B) {
-		var tree *fmm.Tree
-		for i := 0; i < b.N; i++ {
-			_, tree = fmm.Forces(bodies, fmm.Config{})
-		}
-		b.ReportMetric(float64(tree.Interactions), "interactions")
-	})
-	b.Run("fmm-bsp-p4", func(b *testing.B) {
-		var st *core.Stats
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, st, err = fmm.Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, bodies, fmm.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(st.H()), "Hpkts")
-		b.ReportMetric(float64(st.S()), "S")
-	})
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fmm.DirectForces(bodies)
-		}
-	})
-}
-
-// BenchmarkExtensionPlasma measures the PIC step cost (DESIGN.md E4).
-func BenchmarkExtensionPlasma(b *testing.B) {
-	ps := plasma.TwoStream(20000, 0.2, 1e-4, 1996)
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var st *core.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, _, st, err = plasma.Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, ps, plasma.Config{Steps: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.H())/5, "Hpkts/step")
 		})
 	}
 }
@@ -568,92 +522,5 @@ func BenchmarkScalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		base["nbody"] = stats
-	}
-}
-
-// BenchmarkExtensionRadiosity measures the hierarchical radiosity solver
-// (DESIGN.md E7 / §5 future work) and reports the link economy of the
-// hierarchy.
-func BenchmarkExtensionRadiosity(b *testing.B) {
-	patches := radiosity.Room(32, 1, 1, 0.6)
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var st *core.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, st, err = radiosity.Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, patches, radiosity.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.S()), "S")
-			b.ReportMetric(float64(st.H()), "Hpkts")
-		})
-	}
-	b.Run("links", func(b *testing.B) {
-		var h *radiosity.Hierarchy
-		for i := 0; i < b.N; i++ {
-			var err error
-			h, err = radiosity.Build(patches, radiosity.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(h.Links()), "links")
-		b.ReportMetric(float64(h.Nodes()), "nodes")
-	})
-}
-
-// BenchmarkExtensionLU measures the DRMA dense LU (DESIGN.md E8): one
-// DRMA superstep per column, the static-communication profile §1.3
-// attributes to the Oxford interface.
-func BenchmarkExtensionLU(b *testing.B) {
-	const n = 96
-	a := lu.RandomMatrix(n, 1996)
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var st *core.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, st, err = lu.Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, a, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.S()), "S")
-			b.ReportMetric(float64(st.H()), "Hpkts")
-		})
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.Sequential(a, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkExtensionCG measures the sparse Laplacian CG (DESIGN.md E9):
-// three supersteps per iteration with border-bounded h.
-func BenchmarkExtensionCG(b *testing.B) {
-	g := graph.Geometric(3000, 1996)
-	rhs := make([]float64, g.N)
-	for i := range rhs {
-		rhs[i] = float64(i%13) - 6
-	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			var st *core.Stats
-			var iters int
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, iters, st, err = cg.Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, rhs, cg.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(iters), "iters")
-			b.ReportMetric(float64(st.H())/float64(iters), "Hpkts/iter")
-		})
 	}
 }

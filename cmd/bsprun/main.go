@@ -16,10 +16,11 @@
 //	    -chaos "seed=42,delay=0.1,maxdelay=2ms,connerr=0.05" \
 //	    -sync-timeout 10s
 //
-// With -checkpoint-dir the run snapshots its state at superstep
-// boundaries and recovers from crash faults, aborts and timeouts (apps
-// with checkpoint hooks: ocean, psort); -resume continues from the
-// latest complete snapshot of an earlier invocation:
+// With -checkpoint-dir the run recovers from crash faults, aborts and
+// timeouts: apps with checkpoint hooks (ocean, psort) snapshot their
+// state at superstep boundaries and roll back to the latest complete
+// cut, the others re-execute from superstep 0; -resume continues from
+// the latest complete snapshot of an earlier invocation:
 //
 //	bsprun -app psort -size 16000 -p 4 -transport tcp \
 //	    -chaos crash=1:3 -checkpoint-dir /tmp/ckpt -checkpoint-every 2 -resume
@@ -32,10 +33,10 @@
 // (Prometheus text at /metrics, expvar JSON at /debug/vars, live
 // profiles at /debug/pprof/); -cost-report prints the per-superstep
 // predicted-vs-recorded residuals of Equation 1 for the machine named
-// by -cost-machine — and, for the sort apps (psort, psortz), the
-// sample sort's predicted cost shape: per-superstep W and H terms, the
-// (1+1/ℓ)·n/p imbalance bound and the Bilardi et al. H lower bound
-// next to the measured H:
+// by -cost-machine — and, for apps that register a cost report (the
+// sample sort: per-superstep W and H terms, the (1+1/ℓ)·n/p imbalance
+// bound and the Bilardi et al. H lower bound next to the measured H),
+// the app's own predicted cost shape:
 //
 //	bsprun -app ocean -size 34 -p 4 -transport shm \
 //	    -trace trace.json -metrics-addr localhost:8080 -cost-report
@@ -68,28 +69,29 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/harness"
 	"repro/internal/launch"
 	"repro/internal/prof"
-	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 func main() {
-	app := flag.String("app", "nbody", "application: ocean|nbody|mst|sp|msp|mm|psort|psortz (psortz = sample sort on Zipf-skewed keys)")
+	app := flag.String("app", "nbody", "application: "+strings.Join(apps.Names(), "|"))
 	size := flag.Int("size", 1000, "input size (paper conventions per app)")
 	p := flag.Int("p", 4, "number of BSP processes")
 	trName := flag.String("transport", "shm", "transport: shm|xchg|tcp|sim|cluster|chaos:<base>")
 	cluster := flag.Bool("cluster", false, "run each rank as its own OS process over loopback TCP (self-exec fan-out; supersedes -transport); combines with -chaos and -checkpoint-dir for gang-level crash recovery")
 	chaosSpec := flag.String("chaos", "", "fault-injection plan, e.g. \"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,connerr=0.05,abort=1@3,crash=1:3\"; empty disables")
 	syncTimeout := flag.Duration("sync-timeout", 0, "abort the run if no process completes a superstep for this long (0 disables)")
-	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms superstep checkpointing and crash recovery (apps with hooks: ocean, psort, psortz)")
+	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms crash recovery (apps with checkpoint hooks resume from superstep snapshots, the others re-execute from scratch)")
 	hbInterval := flag.Duration("heartbeat-interval", 0, "cluster liveness heartbeat period on the control plane (0 = 500ms default, negative disables)")
 	suspectAfter := flag.Duration("suspect-after", 0, "declare a connected-but-silent cluster rank crashed after this long without a heartbeat (0 = 5s default, negative disables)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "snapshot every Nth eligible superstep boundary")
@@ -108,6 +110,15 @@ func main() {
 	profReport := flag.Bool("prof-report", false, "after the run, decompose the -cpuprofile capture into the W-attribution table (rank x phase x superstep bucket)")
 	flag.Parse()
 
+	// Resolve the program before any listener, coordinator or rank
+	// process exists: a typo fails once, here, not p times in the gang.
+	prog, err := apps.Lookup(*app)
+	if err == nil {
+		err = prog.CheckP(*p)
+	}
+	if err != nil {
+		fail(err)
+	}
 	child, isChild, err := launch.FromEnv()
 	if err != nil {
 		fail(err)
@@ -300,12 +311,7 @@ func main() {
 	}
 	// Live run on the requested transport for wall time and correctness.
 	t0 := time.Now()
-	var st *core.Stats
-	if cfg.Checkpoint != nil {
-		st, err = harness.RunRecoverableOnConfig(*app, *size, cfg)
-	} else {
-		st, err = harness.RunOnConfig(*app, *size, cfg)
-	}
+	_, st, err := prog.New(*size).Run(cfg)
 	if err != nil {
 		// A failed run still leaves its timeline and profiles behind:
 		// they show where the machine died.
@@ -343,8 +349,8 @@ func main() {
 	}
 	if *costReport {
 		trace.WriteResidualReport(os.Stdout, rec, machine.Name, machine.Params(*p), 3)
-		if *app == "psort" || *app == "psortz" {
-			psort.WriteCostReport(os.Stdout, machine.Name, machine.Params(*p), *size, *p, 8, psort.Options{}, st)
+		if prog.CostReport != nil {
+			prog.CostReport(os.Stdout, machine.Name, machine.Params(*p), *size, *p, st)
 		}
 	}
 	if *profReport {

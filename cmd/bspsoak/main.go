@@ -30,14 +30,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/launch"
-	"repro/internal/ocean"
 	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -68,7 +69,6 @@ func main() {
 
 type soak struct {
 	p, size int
-	grid    int
 	seed    int64
 	dir     string
 	trace   string
@@ -78,9 +78,6 @@ type soak struct {
 	// gangBase holds the per-rank partitions of a fault-free cluster
 	// gang, the byte-identity baseline for every faulted gang round.
 	gangBase map[int][]byte
-	// oceanBase is the fault-free parallel stream function for the
-	// fixed ocean configuration.
-	oceanBase *ocean.Fields
 
 	rankRelaunches int64
 }
@@ -107,13 +104,22 @@ func run(duration time.Duration, seed int64, p, size, grid int, workDir, traceFi
 		return 1
 	}
 
-	s := &soak{p: p, size: size, grid: grid, seed: seed, dir: workDir, trace: traceFile, exe: exe}
-	scenarios := []scenario{
-		{"shm-psort-crash", s.shmPsortCrash},
-		{"shm-ocean-crash", s.shmOceanCrash},
-		{"cluster-warm-crash", s.clusterWarmCrash},
-		{"cluster-partition-join", s.clusterPartitionJoin},
+	s := &soak{p: p, size: size, seed: seed, dir: workDir, trace: traceFile, exe: exe}
+	var scenarios []scenario
+	for _, in := range []struct {
+		app  string
+		size int
+	}{{"psort", size}, {"ocean", grid}} {
+		sc, err := s.shmCrash(in.app, in.size)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bspsoak:", err)
+			return 1
+		}
+		scenarios = append(scenarios, sc)
 	}
+	scenarios = append(scenarios,
+		scenario{"cluster-warm-crash", s.clusterWarmCrash},
+		scenario{"cluster-partition-join", s.clusterPartitionJoin})
 
 	baseGoroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(seed))
@@ -173,79 +179,49 @@ func settleGoroutines(base int) error {
 
 // ---- in-process scenarios ------------------------------------------
 
-// shmPsortCrash runs a checkpointed psort on the shared-memory
-// transport with a seeded hard crash and asserts the recovered output
-// is byte-identical to a fault-free run over the same data.
-func (s *soak) shmPsortCrash(rng *rand.Rand) (string, error) {
-	dataSeed := rng.Int63()
-	data := psort.RandomData(s.size, dataSeed)
-	want, _, err := psort.Parallel(core.Config{P: s.p, Transport: transport.ShmTransport{}}, data)
+// shmCrash builds the scenario that runs one registered application on
+// the shared-memory transport with Checkpoint armed and a seeded hard
+// crash, and asserts the recovered result is bit-identical to a
+// fault-free run over the same input.
+func (s *soak) shmCrash(name string, size int) (scenario, error) {
+	app, err := apps.Lookup(name)
 	if err != nil {
-		return "", fmt.Errorf("fault-free run: %w", err)
+		return scenario{}, err
 	}
-	// Supersteps 2 and 3 bracket psort's sample-gather and splitter
-	// broadcast: at least one complete snapshot cut exists by then.
-	plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(s.p), CrashStep: 2 + rng.Intn(2)}
-	ckptDir, err := os.MkdirTemp(s.dir, "shm-psort-")
-	if err != nil {
-		return "", err
-	}
-	defer os.RemoveAll(ckptDir)
-	cfg := core.Config{
-		P:           s.p,
-		Transport:   transport.NewChaosTransport(transport.ShmTransport{}, plan),
-		SyncTimeout: 30 * time.Second,
-		Checkpoint:  &core.CheckpointConfig{Dir: ckptDir, Every: 1, Backoff: time.Millisecond},
-	}
-	got, _, err := psort.ParallelRecoverable(cfg, data)
-	if err != nil {
-		return "", fmt.Errorf("crashed run did not recover [plan %s]: %w", plan, err)
-	}
-	if !bytes.Equal(f64bytes(want), f64bytes(got)) {
-		return "", fmt.Errorf("recovered sort diverges from fault-free [plan %s, data seed %d]", plan, dataSeed)
-	}
-	return fmt.Sprintf("n=%d crash %d:%d", s.size, plan.CrashRank, plan.CrashStep), nil
-}
-
-// shmOceanCrash crashes a checkpointed ocean simulation mid-timestep
-// and asserts the recovered stream function is bit-identical to the
-// fault-free parallel solution.
-func (s *soak) shmOceanCrash(rng *rand.Rand) (string, error) {
-	ocfg := ocean.Config{Size: s.grid, Steps: 2}
-	if s.oceanBase == nil {
-		f, _, err := ocean.Parallel(core.Config{P: s.p, Transport: transport.ShmTransport{}}, ocfg)
+	inst := app.New(size)
+	var want any // the fault-free result, computed by the first round
+	var steps int
+	return scenario{"shm-" + name + "-crash", func(rng *rand.Rand) (string, error) {
+		if want == nil {
+			res, st, err := inst.Run(core.Config{P: s.p, Transport: transport.ShmTransport{}})
+			if err != nil {
+				return "", fmt.Errorf("fault-free run: %w", err)
+			}
+			want, steps = res, st.S()
+		}
+		// From superstep 2 on at least one complete snapshot cut exists
+		// (psort's sample gather, ocean's first timestep boundary); the
+		// window stays inside the program's first supersteps.
+		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(s.p), CrashStep: 2 + rng.Intn(min(7, steps-2))}
+		ckptDir, err := os.MkdirTemp(s.dir, "shm-"+name+"-")
 		if err != nil {
-			return "", fmt.Errorf("fault-free ocean run: %w", err)
+			return "", err
 		}
-		s.oceanBase = f
-	}
-	// Steps 2..8 land inside the timestep loop's ghost exchanges and
-	// multigrid work, after the first boundary snapshot.
-	plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(s.p), CrashStep: 2 + rng.Intn(7)}
-	ckptDir, err := os.MkdirTemp(s.dir, "shm-ocean-")
-	if err != nil {
-		return "", err
-	}
-	defer os.RemoveAll(ckptDir)
-	cfg := core.Config{
-		P:           s.p,
-		Transport:   transport.NewChaosTransport(transport.ShmTransport{}, plan),
-		SyncTimeout: 30 * time.Second,
-		Checkpoint:  &core.CheckpointConfig{Dir: ckptDir, Every: 1, Backoff: time.Millisecond},
-	}
-	got, _, err := ocean.ParallelRecoverable(cfg, ocfg)
-	if err != nil {
-		return "", fmt.Errorf("crashed ocean run did not recover [plan %s]: %w", plan, err)
-	}
-	if len(got.Psi) != len(s.oceanBase.Psi) {
-		return "", fmt.Errorf("recovered grid has %d cells, want %d [plan %s]", len(got.Psi), len(s.oceanBase.Psi), plan)
-	}
-	for i := range got.Psi {
-		if math.Float64bits(got.Psi[i]) != math.Float64bits(s.oceanBase.Psi[i]) {
-			return "", fmt.Errorf("recovered ψ diverges at cell %d: %v != %v [plan %s]", i, got.Psi[i], s.oceanBase.Psi[i], plan)
+		defer os.RemoveAll(ckptDir)
+		got, _, err := inst.Run(core.Config{
+			P:           s.p,
+			Transport:   transport.NewChaosTransport(transport.ShmTransport{}, plan),
+			SyncTimeout: 30 * time.Second,
+			Checkpoint:  &core.CheckpointConfig{Dir: ckptDir, Every: 1, Backoff: time.Millisecond},
+		})
+		if err != nil {
+			return "", fmt.Errorf("crashed run did not recover [plan %s]: %w", plan, err)
 		}
-	}
-	return fmt.Sprintf("grid=%d crash %d:%d", s.grid, plan.CrashRank, plan.CrashStep), nil
+		if !reflect.DeepEqual(got, want) {
+			return "", fmt.Errorf("recovered result diverges from fault-free [plan %s]", plan)
+		}
+		return fmt.Sprintf("size=%d crash %d:%d", size, plan.CrashRank, plan.CrashStep), nil
+	}}, nil
 }
 
 // ---- cluster scenarios ---------------------------------------------

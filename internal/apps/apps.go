@@ -1,0 +1,304 @@
+// Package apps is the application registry: one App value per program
+// written against the three BSP operations, collected in the one
+// ordered slice All. The evaluation harness, bsprun, bsptables, bspsoak,
+// the root benchmarks and the cross-transport conformance suite all
+// iterate it, so none of them knows an application by name — adding an
+// application is one entry in All and nothing else.
+package apps
+
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+
+	"repro/internal/cg"
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/fmm"
+	"repro/internal/graph"
+	"repro/internal/lu"
+	"repro/internal/matmult"
+	"repro/internal/msp"
+	"repro/internal/mst"
+	"repro/internal/nbody"
+	"repro/internal/ocean"
+	"repro/internal/plasma"
+	"repro/internal/psort"
+	"repro/internal/radiosity"
+	"repro/internal/sp"
+)
+
+// App is one application's registration.
+type App struct {
+	// Name is the -app value and the key of the paper's tables.
+	Name string
+	// Sizes are the scaled-down benchmark input sizes, smallest first,
+	// in the application's own size convention (grid side, bodies,
+	// nodes, matrix dimension, keys, ...).
+	Sizes []int
+	// FullMax caps the paper-scale sizes a -full evaluation runs; 0
+	// runs them all.
+	FullMax int
+	// ValidP reports why the application cannot run on p processes;
+	// nil accepts every p >= 1.
+	ValidP func(p int) error
+	// New prepares the deterministic input of the given size once, for
+	// any number of runs.
+	New func(size int) Instance
+	// CostReport, when set, prints the application's own predicted cost
+	// shape for (size, p) on the named machine next to a run's measured
+	// statistics.
+	CostReport func(w io.Writer, machine string, pm cost.Params, size, p int, st *core.Stats)
+}
+
+// Instance is one prepared input. Neither function modifies it, so an
+// instance can be run any number of times, on any machine.
+type Instance struct {
+	// Sequential is the one-processor baseline program.
+	Sequential func()
+	// Run executes the BSP program on the configured machine and returns
+	// its result — the same value, bit for bit, on every transport and
+	// across crash recovery — with the run statistics. With
+	// cfg.Checkpoint armed the run survives recoverable faults.
+	Run func(cfg core.Config) (result any, st *core.Stats, err error)
+}
+
+// CheckP reports whether the application can run on p processes.
+func (a App) CheckP(p int) error {
+	if p < 1 {
+		return fmt.Errorf("app %s: p must be >= 1, got %d", a.Name, p)
+	}
+	if a.ValidP == nil {
+		return nil
+	}
+	return a.ValidP(p)
+}
+
+// inputSeed seeds every generated input, so a (name, size) pair names
+// one workload everywhere.
+const inputSeed = 1996
+
+// All is the registry, in presentation order: the paper's six
+// applications, then the extensions.
+var All = []App{
+	{
+		// One timestep, like the paper's per-run measurement (their S
+		// values match a single multigrid-driven step).
+		Name: "ocean", Sizes: []int{18, 34, 66},
+		New: func(size int) Instance {
+			cfg := ocean.Config{Size: size, Steps: 1}
+			return Instance{
+				Sequential: func() {
+					if _, _, err := ocean.Sequential(cfg); err != nil {
+						panic(err)
+					}
+				},
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					if c.Checkpoint != nil {
+						// Only a checkpointed run pays the per-timestep
+						// boundary superstep its snapshots are cut at.
+						return result(ocean.ParallelRecoverable(c, cfg))
+					}
+					return result(ocean.Parallel(c, cfg))
+				},
+			}
+		},
+	},
+	{
+		// 256k bodies need hours of simulation; see the -full docs.
+		Name: "nbody", Sizes: []int{256, 512, 1000}, FullMax: 64000,
+		ValidP: func(p int) error { _, err := nbody.BuildORB(nil, p, nbody.Box{}); return err },
+		New: func(size int) Instance {
+			bodies := nbody.Plummer(size, inputSeed)
+			return Instance{
+				Sequential: func() { nbody.Sequential(append([]nbody.Body(nil), bodies...), nbody.SimConfig{}, 1) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(nbody.Parallel(c, bodies, nbody.SimConfig{}, 1))
+				},
+			}
+		},
+	},
+	{
+		Name: "mst", Sizes: []int{500, 1000, 2500},
+		New: func(size int) Instance {
+			g := graph.Geometric(size, inputSeed)
+			return Instance{
+				Sequential: func() { mst.Sequential(g) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(mst.Parallel(c, g, mst.Config{}))
+				},
+			}
+		},
+	},
+	{
+		Name: "sp", Sizes: []int{500, 1000, 2500},
+		New: func(size int) Instance {
+			g := graph.Geometric(size, inputSeed)
+			return Instance{
+				Sequential: func() { graph.Dijkstra(g, 0) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(sp.ParallelSingle(c, g, 0, sp.Config{}))
+				},
+			}
+		},
+	},
+	{
+		Name: "msp", Sizes: []int{500, 1000, 2500},
+		New: func(size int) Instance {
+			g := graph.Geometric(size, inputSeed)
+			srcs := msp.Sources(g, msp.DefaultSources, inputSeed)
+			return Instance{
+				Sequential: func() { msp.Sequential(g, srcs) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(msp.Parallel(c, g, srcs, sp.Config{}))
+				},
+			}
+		},
+	},
+	{
+		Name: "mm", Sizes: []int{48, 96, 144},
+		ValidP: func(p int) error { _, err := matmult.GridSide(p); return err },
+		New: func(size int) Instance {
+			a, b := matmult.RandomMatrix(size, inputSeed), matmult.RandomMatrix(size, inputSeed+1)
+			return Instance{
+				Sequential: func() { matmult.Sequential(a, b, size) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(matmult.Parallel(c, a, b, size))
+				},
+			}
+		},
+	},
+	sortApp("psort", psort.RandomData),
+	// Zipf-skewed keys: the duplicate-heavy distribution that the tagged
+	// splitters keep within the (1+1/ℓ)·n/p imbalance bound.
+	sortApp("psortz", psort.ZipfData),
+	{
+		Name: "cg", Sizes: []int{300, 1000, 3000},
+		New: func(size int) Instance {
+			g := graph.Geometric(size, inputSeed)
+			rhs := make([]float64, g.N)
+			for i := range rhs {
+				rhs[i] = float64(i%13) - 6
+			}
+			return Instance{
+				Sequential: func() { cg.Sequential(g, rhs, cg.Config{}) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					x, _, st, err := cg.Parallel(c, g, rhs, cg.Config{})
+					return x, st, err
+				},
+			}
+		},
+	},
+	{
+		Name: "fmm", Sizes: []int{400, 1000, 4000},
+		New: func(size int) Instance {
+			bodies := fmm.RandomBodies(size, inputSeed)
+			return Instance{
+				Sequential: func() { fmm.Forces(bodies, fmm.Config{}) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(fmm.Parallel(c, bodies, fmm.Config{}))
+				},
+			}
+		},
+	},
+	{
+		Name: "lu", Sizes: []int{16, 48, 96},
+		New: func(size int) Instance {
+			a := lu.RandomMatrix(size, inputSeed)
+			return Instance{
+				Sequential: func() {
+					if _, err := lu.Sequential(a, size); err != nil {
+						panic(err)
+					}
+				},
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(lu.Parallel(c, a, size))
+				},
+			}
+		},
+	},
+	{
+		Name: "plasma", Sizes: []int{400, 4000, 20000},
+		New: func(size int) Instance {
+			ps := plasma.TwoStream(size, 0.2, 1e-4, inputSeed)
+			cfg := plasma.Config{Steps: 5}
+			return Instance{
+				Sequential: func() { plasma.Sequential(append([]plasma.Particle(nil), ps...), cfg) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					final, energy, st, err := plasma.Parallel(c, ps, cfg)
+					return plasmaResult{final, energy}, st, err
+				},
+			}
+		},
+	},
+	{
+		Name: "radiosity", Sizes: []int{8, 16, 32},
+		New: func(size int) Instance {
+			patches := radiosity.Room(size, 1, 1, 0.6)
+			return Instance{
+				Sequential: func() {
+					h, err := radiosity.Build(patches, radiosity.Config{})
+					if err != nil {
+						panic(err)
+					}
+					h.Solve()
+				},
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(radiosity.Parallel(c, patches, radiosity.Config{}))
+				},
+			}
+		},
+	},
+}
+
+// plasmaResult is the plasma registration's result: the final particles
+// and the field-energy history.
+type plasmaResult struct {
+	particles []plasma.Particle
+	energy    []float64
+}
+
+// sortApp registers the sample sort over one key distribution.
+func sortApp(name string, keys func(n int, seed int64) []float64) App {
+	return App{
+		Name: name, Sizes: []int{1000, 4000, 16000},
+		New: func(size int) Instance {
+			data := keys(size, inputSeed)
+			return Instance{
+				Sequential: func() { sort.Float64s(append([]float64(nil), data...)) },
+				Run: func(c core.Config) (any, *core.Stats, error) {
+					return result(psort.Parallel(c, data))
+				},
+			}
+		},
+		CostReport: func(w io.Writer, machine string, pm cost.Params, size, p int, st *core.Stats) {
+			psort.WriteCostReport(w, machine, pm, size, p, psort.Float64Codec{}.Size(), psort.Options{}, st)
+		},
+	}
+}
+
+// result adapts an application's typed (result, stats, error) return to
+// Instance.Run's.
+func result[T any](res T, st *core.Stats, err error) (any, *core.Stats, error) {
+	return res, st, err
+}
+
+// Names lists the registered names in order.
+func Names() []string {
+	names := make([]string, len(All))
+	for i, a := range All {
+		names[i] = a.Name
+	}
+	return names
+}
+
+// Lookup finds a registration by name.
+func Lookup(name string) (App, error) {
+	for _, a := range All {
+		if a.Name == name {
+			return a, nil
+		}
+	}
+	return App{}, fmt.Errorf("unknown app %q (registered: %s)", name, strings.Join(Names(), ", "))
+}

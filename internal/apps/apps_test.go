@@ -1,0 +1,167 @@
+package apps
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/transport"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/cost_golden.txt from the sim transport")
+
+// conformanceP is the machine size of the cross-transport suite: every
+// registered application runs on it (a square and a power of two).
+const conformanceP = 4
+
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, a := range All {
+		if seen[a.Name] {
+			t.Errorf("%s registered twice", a.Name)
+		}
+		seen[a.Name] = true
+		if len(a.Sizes) == 0 {
+			t.Errorf("%s: no sizes", a.Name)
+		}
+		for i := 1; i < len(a.Sizes); i++ {
+			if a.Sizes[i] <= a.Sizes[i-1] {
+				t.Errorf("%s: sizes %v not ascending", a.Name, a.Sizes)
+			}
+		}
+		if err := a.CheckP(conformanceP); err != nil {
+			t.Errorf("%s: cannot run the conformance suite at p=%d: %v", a.Name, conformanceP, err)
+		}
+		if err := a.CheckP(0); err == nil {
+			t.Errorf("%s: accepted p=0", a.Name)
+		}
+		if got, err := Lookup(a.Name); err != nil || got.Name != a.Name {
+			t.Errorf("Lookup(%s) = %v, %v", a.Name, got.Name, err)
+		}
+	}
+	if _, err := Lookup("bogus"); err == nil || !strings.Contains(err.Error(), "psortz") {
+		t.Errorf("Lookup(bogus) = %v, want an error listing the registered names", err)
+	}
+	// README's -app list is this registry's, so it cannot drift.
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := "`-app " + strings.Join(Names(), "|") + "`"; !bytes.Contains(readme, []byte(list)) {
+		t.Errorf("README.md does not carry the registered -app list %s", list)
+	}
+}
+
+// simRun prepares a's smallest input and runs it on the deterministic
+// simulator: the reference every conformance row compares against.
+func simRun(t *testing.T, a App) (Instance, any, *core.Stats) {
+	t.Helper()
+	inst := a.New(a.Sizes[0])
+	want, st, err := inst.Run(core.Config{P: conformanceP, Transport: transport.SimTransport{}})
+	if err != nil {
+		t.Fatalf("%s on sim: %v", a.Name, err)
+	}
+	return inst, want, st
+}
+
+// TestConformanceTransports is the paper's portability claim as a
+// table: every registered application, unchanged, on every transport,
+// returns the result the deterministic simulator returns — bit for bit
+// — with the same (H, S).
+func TestConformanceTransports(t *testing.T) {
+	for _, a := range All {
+		t.Run(a.Name, func(t *testing.T) {
+			inst, want, wantSt := simRun(t, a)
+			for _, name := range []string{"shm", "xchg", "tcp", "cluster"} {
+				tr, err := transport.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := inst.Run(core.Config{P: conformanceP, Transport: tr, SyncTimeout: 30 * time.Second})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: result differs from sim's", name)
+				}
+				if st.H() != wantSt.H() || st.S() != wantSt.S() {
+					t.Errorf("%s: (H, S) = (%d, %d), sim measured (%d, %d)", name, st.H(), st.S(), wantSt.H(), wantSt.S())
+				}
+			}
+		})
+	}
+}
+
+// TestConformanceRecovery crashes one seeded rank in one seeded
+// superstep of every application with Checkpoint armed and requires the
+// recovered run to return the fault-free result: from a snapshot where
+// the application has checkpoint hooks, from superstep 0 where not.
+func TestConformanceRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(inputSeed))
+	for _, a := range All {
+		inst, want, wantSt := simRun(t, a)
+		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(conformanceP), CrashStep: 1 + rng.Intn(wantSt.S())}
+		t.Run(a.Name, func(t *testing.T) {
+			got, st, err := inst.Run(core.Config{
+				P:           conformanceP,
+				Transport:   transport.NewChaosTransport(transport.TCPTransport{}, plan),
+				SyncTimeout: 30 * time.Second,
+				Checkpoint:  &core.CheckpointConfig{Dir: t.TempDir(), Backoff: time.Millisecond},
+			})
+			if err != nil {
+				t.Fatalf("did not recover [plan %s]: %v", plan, err)
+			}
+			if st.Ckpt == nil || st.Ckpt.Attempts != 2 {
+				t.Errorf("recovery stats %+v, want exactly 2 attempts [plan %s]", st.Ckpt, plan)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered result differs from the fault-free one [plan %s]", plan)
+			}
+		})
+	}
+}
+
+// TestCostGolden pins every application's communication cost — S and H
+// at the smallest size for p in {1, 2, 4} — so that bloat in any of
+// them fails a test. (H, S) are deterministic properties of the
+// program; a deliberate schedule change is refreshed with `make golden`
+// and reviewed as a diff.
+func TestCostGolden(t *testing.T) {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%-10s %6s %2s %6s %8s\n", "# app", "size", "p", "S", "H")
+	for _, a := range All {
+		inst := a.New(a.Sizes[0])
+		for _, p := range []int{1, 2, 4} {
+			if a.CheckP(p) != nil {
+				continue
+			}
+			_, st, err := inst.Run(core.Config{P: p, Transport: transport.SimTransport{}})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", a.Name, p, err)
+			}
+			fmt.Fprintf(&buf, "%-10s %6d %2d %6d %8d\n", a.Name, a.Sizes[0], p, st.S(), st.H())
+		}
+	}
+	golden := filepath.Join("testdata", "cost_golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("communication cost changed (run `make golden` if deliberate):\n--- got\n%s--- want\n%s", buf.Bytes(), want)
+	}
+}

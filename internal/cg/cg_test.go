@@ -103,22 +103,6 @@ func TestConservativeExchange(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	g := graph.Geometric(300, 11)
-	b := rhs(g.N, 12)
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, _, err := Parallel(core.Config{P: 3, Transport: tr}, g, b, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		if res := Residual(g, got, b); res > 1e-7 {
-			t.Errorf("%s: residual %g", tr.Name(), res)
-		}
-	}
-}
-
 func TestQuickSolves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")

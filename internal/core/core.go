@@ -327,8 +327,13 @@ type syncFailure struct{ err error }
 // Every process must execute the same number of supersteps (call Sync the
 // same number of times); diverging superstep counts are reported as
 // errors by the concurrent transports.
+//
+// Run is RunRecoverable without checkpoint hooks — the one run entry:
+// with cfg.Checkpoint armed a recoverable failure re-executes fn from
+// superstep 0, so fn must build its state from its inputs, not from
+// what an earlier attempt left behind.
 func Run(cfg Config, fn func(*Proc)) (*Stats, error) {
-	return runMachine(cfg, fn, Hooks{}, nil)
+	return RunRecoverable(cfg, fn, Hooks{})
 }
 
 // runMachine is one machine execution: Run with optional checkpoint

@@ -212,17 +212,19 @@ func Recoverable(err error) bool {
 		errors.Is(err, transport.ErrCrashed)
 }
 
-// RunRecoverable executes fn like Run but survives recoverable
+// RunRecoverable executes fn as P BSP processes and survives recoverable
 // failures when cfg.Checkpoint is armed: on ErrAborted, ErrTimeout or
 // an injected crash it rolls every rank back to the latest complete
 // snapshot in cfg.Checkpoint.Dir (or to superstep 0 if none exists)
 // and re-executes, up to Retries attempts with doubling Backoff. A
 // persistent fault therefore still fails, with the original error —
-// never a silent retry loop. With cfg.Checkpoint nil or Dir empty,
-// RunRecoverable is exactly Run: the first failure is final.
+// never a silent retry loop. With cfg.Checkpoint nil or Dir empty the
+// machine executes once and the first failure is final.
 //
-// Snapshot capture requires hooks.Save; without it runs are still
-// retried from scratch on recoverable errors (and Resume is ignored).
+// Snapshot capture requires hooks.Save and resuming from one requires
+// hooks.Restore; without them runs are still retried from scratch on
+// recoverable errors, and whatever snapshots cfg.Checkpoint.Dir holds
+// are ignored.
 // The returned Stats describe the final attempt only, with Stats.Ckpt
 // summarizing capture and recovery across all attempts.
 func RunRecoverable(cfg Config, fn func(*Proc), hooks Hooks) (*Stats, error) {
@@ -232,6 +234,9 @@ func RunRecoverable(cfg Config, fn func(*Proc), hooks Hooks) (*Stats, error) {
 	}
 	store := &ckpt.Store{Dir: ck.Dir}
 	load := func() []*ckpt.Snapshot {
+		if hooks.Restore == nil {
+			return nil // nothing could rebuild the state a snapshot holds
+		}
 		if _, snaps, ok := store.LoadComplete(cfg.P); ok {
 			return snaps
 		}

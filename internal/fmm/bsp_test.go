@@ -63,26 +63,6 @@ func TestParallelEssentialVolume(t *testing.T) {
 	}
 }
 
-func TestParallelAcrossTransports(t *testing.T) {
-	bodies := RandomBodies(400, 13)
-	want := DirectForces(bodies)
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 3, Transport: tr}, bodies, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		var sum float64
-		for i := range got {
-			sum += relErr(got[i], want[i])
-		}
-		if mean := sum / float64(len(got)); mean > 1e-5 {
-			t.Errorf("%s: mean error %.2e", tr.Name(), mean)
-		}
-	}
-}
-
 func TestParallelEmptyStrip(t *testing.T) {
 	// More processes than bodies: some strips are empty; the run must
 	// still complete with correct forces.

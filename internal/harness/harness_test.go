@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,6 +43,22 @@ func TestSizesAndProcs(t *testing.T) {
 		}
 		if len(Procs(app)) < 4 {
 			t.Errorf("%s: too few processor counts", app)
+		}
+	}
+	// The registry-derived views reproduce the paper's configurations.
+	for _, tc := range []struct {
+		what      string
+		got, want any
+	}{
+		{"Apps()", Apps(), []string{"ocean", "nbody", "mst", "sp", "msp", "mm"}},
+		{"Procs(mm)", Procs("mm"), []int{1, 4, 9, 16}},
+		{"Procs(nbody)", Procs("nbody"), []int{1, 2, 4, 8, 16}},
+		{"Procs(ocean)", Procs("ocean"), []int{1, 2, 4, 8, 16}},
+		{"Sizes(nbody, full)", Sizes("nbody", true), []int{1000, 4000, 16000, 64000}},
+		{"Sizes(cg, full)", Sizes("cg", true), Sizes("cg", false)},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.what, tc.got, tc.want)
 		}
 	}
 }
@@ -104,21 +121,6 @@ func TestRowPredictions(t *testing.T) {
 	// slower run than the SGI profile for the same program.
 	if r4.Predict(cost.PC) <= r4.Predict(cost.SGI) {
 		t.Error("PC profile should be slower than SGI on a communication-heavy small run")
-	}
-}
-
-func TestRunOnMatchesCollectStats(t *testing.T) {
-	stShm, err := RunOn("mm", 48, 4, transport.ShmTransport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stSim, err := RunOn("mm", 48, 4, transport.SimTransport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stShm.S() != stSim.S() || stShm.H() != stSim.H() {
-		t.Errorf("transports disagree on algorithmic stats: (%d,%d) vs (%d,%d)",
-			stShm.H(), stShm.S(), stSim.H(), stSim.S())
 	}
 }
 
@@ -185,8 +187,5 @@ func TestMeasureParams(t *testing.T) {
 func TestCollectRejectsUnknownApp(t *testing.T) {
 	if _, err := Collect("bogus", []int{1}, []int{1}); err == nil {
 		t.Fatal("unknown app accepted")
-	}
-	if _, err := RunOn("bogus", 1, 1, transport.SimTransport{}); err == nil {
-		t.Fatal("unknown app accepted by RunOn")
 	}
 }

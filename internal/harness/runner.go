@@ -12,19 +12,11 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/graph"
-	"repro/internal/matmult"
-	"repro/internal/msp"
-	"repro/internal/mst"
-	"repro/internal/nbody"
-	"repro/internal/ocean"
-	"repro/internal/psort"
-	"repro/internal/sp"
 	"repro/internal/transport"
 )
 
@@ -118,178 +110,75 @@ func (r Row) Speedup(m cost.Machine, seq Row) float64 {
 }
 
 // Sizes returns the benchmark input sizes for app: the paper's sizes in
-// full mode, scaled-down counterparts otherwise.
+// full mode (up to the registration's FullMax), the registration's
+// scaled-down counterparts otherwise or where the paper has none.
 func Sizes(app string, full bool) []int {
-	if full {
-		sizes := PaperSizes(app)
-		if app == "nbody" {
-			return sizes[:4] // 256k needs hours of simulation; see -full docs
-		}
-		return sizes
-	}
-	switch app {
-	case "ocean":
-		return []int{18, 34, 66}
-	case "nbody":
-		return []int{256, 512, 1000}
-	case "mst", "sp", "msp":
-		return []int{500, 1000, 2500}
-	case "mm":
-		return []int{48, 96, 144}
-	case "psort", "psortz":
-		return []int{1000, 4000, 16000}
-	default:
+	a, err := apps.Lookup(app)
+	if err != nil {
 		return nil
 	}
-}
-
-// Procs returns the processor counts evaluated for app (the paper's
-// configurations).
-func Procs(app string) []int {
-	if app == "mm" {
-		return []int{1, 4, 9, 16}
-	}
-	return []int{1, 2, 4, 8, 16}
-}
-
-// Apps lists the six paper applications in presentation order.
-func Apps() []string { return []string{"ocean", "nbody", "mst", "sp", "msp", "mm"} }
-
-// workload is a prepared input reused across processor counts.
-type workload struct {
-	g     *graph.Graph // mst/sp/msp
-	srcs  []int32      // msp sources
-	a, b  []float64    // mm matrices
-	bods  []nbody.Body // nbody
-	data  []float64    // psort
-	seqFn func()       // sequential baseline program
-}
-
-func prepare(app string, size int) (*workload, error) {
-	wl := &workload{}
-	switch app {
-	case "ocean":
-		// One timestep, like the paper's per-run measurement (their S
-		// values match a single multigrid-driven step).
-		wl.seqFn = func() {
-			if _, _, err := ocean.Sequential(ocean.Config{Size: size, Steps: 1}); err != nil {
-				panic(err)
+	var sizes []int
+	if full {
+		for _, size := range PaperSizes(app) {
+			if a.FullMax == 0 || size <= a.FullMax {
+				sizes = append(sizes, size)
 			}
 		}
-	case "nbody":
-		wl.bods = nbody.Plummer(size, 1996)
-		wl.seqFn = func() { nbody.Sequential(append([]nbody.Body(nil), wl.bods...), nbody.SimConfig{}, 1) }
-	case "mst":
-		wl.g = graph.Geometric(size, 1996)
-		wl.seqFn = func() { mst.Sequential(wl.g) }
-	case "sp":
-		wl.g = graph.Geometric(size, 1996)
-		wl.seqFn = func() { graph.Dijkstra(wl.g, 0) }
-	case "msp":
-		wl.g = graph.Geometric(size, 1996)
-		wl.srcs = msp.Sources(wl.g, msp.DefaultSources, 1996)
-		wl.seqFn = func() { msp.Sequential(wl.g, wl.srcs) }
-	case "mm":
-		wl.a = matmult.RandomMatrix(size, 1996)
-		wl.b = matmult.RandomMatrix(size, 1997)
-		wl.seqFn = func() { matmult.Sequential(wl.a, wl.b, size) }
-	case "psort":
-		wl.data = psort.RandomData(size, 1996)
-		wl.seqFn = func() { d := append([]float64(nil), wl.data...); sortFloats(d) }
-	case "psortz":
-		// Zipf-skewed keys: the duplicate-heavy distribution that the
-		// tagged splitters keep within the (1+1/ℓ)·n/p imbalance bound.
-		wl.data = psort.ZipfData(size, 1996)
-		wl.seqFn = func() { d := append([]float64(nil), wl.data...); sortFloats(d) }
-	default:
-		return nil, fmt.Errorf("harness: unknown app %q", app)
 	}
-	return wl, nil
-}
-
-// runOnce executes one configuration on the given transport and returns
-// its statistics.
-func runOnce(app string, size int, wl *workload, cfg core.Config) (*core.Stats, error) {
-	switch app {
-	case "ocean":
-		_, st, err := ocean.Parallel(cfg, ocean.Config{Size: size, Steps: 1})
-		return st, err
-	case "nbody":
-		_, st, err := nbody.Parallel(cfg, wl.bods, nbody.SimConfig{}, 1)
-		return st, err
-	case "mst":
-		_, st, err := mst.Parallel(cfg, wl.g, mst.Config{})
-		return st, err
-	case "sp":
-		_, st, err := sp.ParallelSingle(cfg, wl.g, 0, sp.Config{})
-		return st, err
-	case "msp":
-		_, st, err := msp.Parallel(cfg, wl.g, wl.srcs, sp.Config{})
-		return st, err
-	case "mm":
-		_, st, err := matmult.Parallel(cfg, wl.a, wl.b, size)
-		return st, err
-	case "psort", "psortz":
-		_, st, err := psort.Parallel(cfg, wl.data)
-		return st, err
+	if len(sizes) == 0 {
+		sizes = a.Sizes
 	}
-	return nil, fmt.Errorf("harness: unknown app %q", app)
+	return sizes
 }
 
-// RunOn executes one configuration on an arbitrary transport and
-// returns its statistics (used by cmd/bsprun for live runs; Collect
-// uses the sim transport for work measurement).
-func RunOn(app string, size, p int, tr transport.Transport) (*core.Stats, error) {
-	return RunOnConfig(app, size, core.Config{P: p, Transport: tr})
-}
-
-// RunOnConfig is RunOn with full control over the BSP machine config,
-// e.g. to set a SyncTimeout for runs on a fault-injecting transport.
-func RunOnConfig(app string, size int, cfg core.Config) (*core.Stats, error) {
-	wl, err := prepare(app, size)
+// Procs returns the processor counts evaluated for app: the paper's
+// 1, 2, 4, 8, 16 where the application runs on them, with 9 standing in
+// for 8 where it does not (Cannon's square grid).
+func Procs(app string) []int {
+	a, err := apps.Lookup(app)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return runOnce(app, size, wl, cfg)
+	var procs []int
+	for _, p := range []int{1, 2, 4, 8, 9, 16} {
+		if a.CheckP(p) == nil && (p != 9 || a.CheckP(8) != nil) {
+			procs = append(procs, p)
+		}
+	}
+	return procs
 }
 
-// RunRecoverableOnConfig is RunOnConfig through core.RunRecoverable
-// with the application's checkpoint hooks, for the apps that define
-// them (ocean and psort): with cfg.Checkpoint armed the run snapshots
-// at superstep boundaries and survives recoverable faults.
-func RunRecoverableOnConfig(app string, size int, cfg core.Config) (*core.Stats, error) {
-	switch app {
-	case "ocean":
-		_, st, err := ocean.ParallelRecoverable(cfg, ocean.Config{Size: size, Steps: 1})
-		return st, err
-	case "psort", "psortz":
-		wl, err := prepare(app, size)
-		if err != nil {
-			return nil, err
+// Apps lists the registered applications the paper evaluates (the ones
+// with Appendix C rows), in registry order.
+func Apps() []string {
+	var names []string
+	for _, a := range apps.All {
+		if len(PaperSizes(a.Name)) > 0 {
+			names = append(names, a.Name)
 		}
-		_, st, err := psort.ParallelRecoverable(cfg, wl.data)
-		return st, err
 	}
-	return nil, fmt.Errorf("harness: app %q has no checkpoint hooks (ocean, psort and psortz do)", app)
+	return names
 }
 
 // Collect measures one application across sizes × processor counts on
 // the sim transport, including the sequential baseline per size.
+// Processor counts the application cannot run on are skipped.
 func Collect(app string, sizes, procs []int) ([]Row, error) {
+	a, err := apps.Lookup(app)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Row
 	for _, size := range sizes {
-		wl, err := prepare(app, size)
-		if err != nil {
-			return nil, err
-		}
+		inst := a.New(size)
 		t0 := time.Now()
-		wl.seqFn()
+		inst.Sequential()
 		seqTime := time.Since(t0)
 		for _, p := range procs {
-			if app == "nbody" && p&(p-1) != 0 {
-				continue // ORB needs a power of two
+			if a.CheckP(p) != nil {
+				continue
 			}
-			st, err := runOnce(app, size, wl, core.Config{P: p, Transport: transport.SimTransport{}})
+			_, st, err := inst.Run(core.Config{P: p, Transport: transport.SimTransport{}})
 			if err != nil {
 				return nil, fmt.Errorf("%s size=%d p=%d: %w", app, size, p, err)
 			}
@@ -314,5 +203,3 @@ func baselineFor(rows []Row, r Row) Row {
 	}
 	return r
 }
-
-func sortFloats(d []float64) { sort.Float64s(d) }

@@ -174,10 +174,14 @@ func Parallel(ccfg core.Config, a []float64, n int) (*Factorization, *core.Stats
 			}
 		}
 	}
+	factored := make([][]float64, p) // nil for ranks hosted elsewhere
 	perms := make([][]int, p)
 	errs := make([]error, p)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		perm, err := factorProc(c, cols[c.ID()], ownedIdx[c.ID()], n)
+		// Factor a copy: elimination is in place, and a re-execution
+		// after a recovered fault must start from the input columns.
+		factored[c.ID()] = append([]float64(nil), cols[c.ID()]...)
+		perm, err := factorProc(c, factored[c.ID()], ownedIdx[c.ID()], n)
 		perms[c.ID()] = perm
 		errs[c.ID()] = err
 	})
@@ -190,10 +194,13 @@ func Parallel(ccfg core.Config, a []float64, n int) (*Factorization, *core.Stats
 		}
 	}
 	f := &Factorization{N: n, LU: make([]float64, n*n), Perm: perms[0]}
-	for q := 0; q < p; q++ {
+	for q, fq := range factored {
+		if fq == nil {
+			continue
+		}
 		for cj, j := range ownedIdx[q] {
 			for i := 0; i < n; i++ {
-				f.LU[i*n+j] = cols[q][cj*n+i]
+				f.LU[i*n+j] = fq[cj*n+i]
 			}
 		}
 	}

@@ -119,28 +119,6 @@ func TestParallelSingular(t *testing.T) {
 	}
 }
 
-func TestParallelAcrossTransports(t *testing.T) {
-	const n = 16
-	a := RandomMatrix(n, 9)
-	want, err := Sequential(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 3, Transport: tr}, a, n)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		for i := range want.LU {
-			if got.LU[i] != want.LU[i] {
-				t.Fatalf("%s: LU mismatch at %d", tr.Name(), i)
-			}
-		}
-	}
-}
-
 func TestQuickFactorization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")

@@ -113,23 +113,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelAcrossTransports(t *testing.T) {
-	const n, p = 12, 4
-	a := RandomMatrix(n, 20)
-	b := RandomMatrix(n, 21)
-	want := Naive(a, b, n)
-	for _, tr := range []transport.Transport{
-		transport.ShmTransport{}, transport.XchgTransport{},
-		transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: p, Transport: tr}, a, b, n)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		matricesClose(t, got, want, n, tr.Name())
-	}
-}
-
 // TestPaperHAccounting checks that the packet accounting reproduces the
 // paper's H formula: each communicating superstep moves one block of
 // (n/√p)² 16-byte element packets, so H = 2(√p−1)·(n/√p)².

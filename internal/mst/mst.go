@@ -634,7 +634,13 @@ func (s *procState) endgame(comps int) Result {
 				s.chosen = append(s.chosen, readEdge(r))
 			}
 		}
+		// s.chosen accumulated in map-iteration order; sum the weight
+		// over the canonical edge order so its last bits are reproducible.
 		res.Edges = s.chosen
+		sort.Slice(res.Edges, func(i, j int) bool {
+			return edgeLess(res.Edges[i].W, res.Edges[i].U, res.Edges[i].V,
+				res.Edges[j].W, res.Edges[j].U, res.Edges[j].V)
+		})
 		for _, e := range res.Edges {
 			res.Weight += e.W
 		}
@@ -646,7 +652,7 @@ func (s *procState) endgame(comps int) Result {
 
 // Run executes the three-phase MST algorithm on one BSP process. All
 // processes return the tree weight; process 0 additionally returns the
-// tree edges.
+// tree edges, in Sequential's edge order.
 func Run(c *core.Proc, part *graph.Part, owner []int32, cfg Config) Result {
 	s := newProcState(c, part, owner)
 	s.localPhase()
@@ -682,12 +688,7 @@ func Parallel(cfg core.Config, g *graph.Graph, mcfg Config) (Result, *core.Stats
 	if err != nil {
 		return Result{}, nil, err
 	}
-	res := results[0] // process 0 holds the edge list
-	sort.Slice(res.Edges, func(i, j int) bool {
-		return edgeLess(res.Edges[i].W, res.Edges[i].U, res.Edges[i].V,
-			res.Edges[j].W, res.Edges[j].U, res.Edges[j].V)
-	})
-	return res, st, nil
+	return results[0], st, nil // process 0 holds the (sorted) edge list
 }
 
 // Sequential computes the MST with Kruskal's algorithm under the same

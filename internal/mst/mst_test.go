@@ -79,23 +79,6 @@ func TestEndgameThresholdVariants(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	g := graph.Geometric(400, 8)
-	want := Sequential(g)
-	for _, tr := range []transport.Transport{
-		transport.ShmTransport{}, transport.XchgTransport{},
-		transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 4, Transport: tr}, g, Config{EndgameThreshold: 16})
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		if math.Abs(got.Weight-want.Weight) > 1e-9 {
-			t.Fatalf("%s: weight %g, want %g", tr.Name(), got.Weight, want.Weight)
-		}
-	}
-}
-
 func TestConservativeLabelTraffic(t *testing.T) {
 	// No superstep may move more label packets per process than the
 	// border size plus the component-machinery overhead; the dominant

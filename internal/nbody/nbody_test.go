@@ -361,22 +361,6 @@ func TestRebalanceTriggers(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	orig := Plummer(200, 11)
-	cfg := SimConfig{}
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 2, Transport: tr}, orig, cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		if len(got) != len(orig) {
-			t.Fatalf("%s: lost bodies", tr.Name())
-		}
-	}
-}
-
 func TestQuickORBCoversAllPoints(t *testing.T) {
 	f := func(seed int64, pPick uint8) bool {
 		p := 1 << (int(pPick) % 4) // 1, 2, 4, 8

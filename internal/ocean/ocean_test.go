@@ -229,27 +229,6 @@ func TestSuperstepCountIndependentOfP(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	cfg := Config{Size: 18, Steps: 1}
-	want, _, err := Sequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 2, Transport: tr}, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		for i := range want.Psi {
-			if got.Psi[i] != want.Psi[i] {
-				t.Fatalf("%s: field mismatch at %d", tr.Name(), i)
-			}
-		}
-	}
-}
-
 func TestGhostTrafficScalesWithPerimeter(t *testing.T) {
 	// H should grow roughly linearly in the grid side (row exchanges),
 	// not quadratically (full grid).

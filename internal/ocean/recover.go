@@ -73,8 +73,9 @@ func (s *oceanSim) restoreState(b []byte) error {
 // function of a crashed-and-recovered run is bit-identical to a
 // fault-free run's: ψ restores exactly, the ghost exchange opening
 // each timestep refreshes every halo before it is read, and the solver
-// recomputes all derived fields in the same deterministic order. With
-// cfg.Checkpoint unset this is exactly Parallel.
+// recomputes all derived fields in the same deterministic order. Each
+// timestep costs one boundary superstep more than Parallel's, armed or
+// not, so callers pick this driver only when they checkpoint.
 func ParallelRecoverable(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
 	if _, err := checkGrid(cfg.Size); err != nil {
 		return nil, nil, err

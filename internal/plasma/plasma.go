@@ -208,6 +208,9 @@ func cellRange(ng, p, q int) (int, int) { return ng * q / p, ng * (q + 1) / p }
 // reduce, particle migration) plus one setup superstep for the global
 // particle count.
 func Run(c *core.Proc, mine []Particle, cfg Config) ([]Particle, []float64) {
+	// The push updates particles in place; a re-execution after a
+	// recovered fault must start from the caller's untouched input.
+	mine = append([]Particle(nil), mine...)
 	ng := cfg.cells()
 	p := c.P()
 	lo, hi := cellRange(ng, p, c.ID())

@@ -122,26 +122,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelAcrossTransports(t *testing.T) {
-	orig := TwoStream(400, 0.2, 0.001, 6)
-	cfg := Config{Steps: 4}
-	seqPs := append([]Particle(nil), orig...)
-	want := Sequential(seqPs, cfg)
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		_, energy, _, err := Parallel(core.Config{P: 3, Transport: tr}, orig, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		for s := range want {
-			if math.Abs(energy[s]-want[s]) > 1e-9*(want[s]+1) {
-				t.Fatalf("%s: energy diverged at step %d", tr.Name(), s)
-			}
-		}
-	}
-}
-
 func TestMoreProcsThanCells(t *testing.T) {
 	// ng=8 cells across 16 processes: half the strips are empty.
 	orig := TwoStream(200, 0.2, 0.001, 7)

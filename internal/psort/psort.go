@@ -550,27 +550,12 @@ func chunk[T any](data []T, p, q int) []T {
 // SortParallel splits data evenly, sorts it on the configured BSP
 // machine, and returns the per-rank shares of the global order plus
 // run statistics. The options are resolved once against the global
-// size, so every rank uses the same effective ℓ.
+// size, so every rank uses the same effective ℓ. With cfg.Checkpoint
+// armed, each rank's Save hook serializes its (stage, options, data)
+// state, Restore rebuilds it, and the undelivered inbox (sample runs,
+// condensed runs, splitters or routed runs, depending on the boundary)
+// rides in the snapshot itself.
 func SortParallel[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([][]T, *core.Stats, error) {
-	opt = Resolve(opt, len(data), cfg.P, cd.Size())
-	parts := make([][]T, cfg.P)
-	st, err := core.Run(cfg, func(c *core.Proc) {
-		s := &state[T]{opt: opt, data: append([]T(nil), chunk(data, cfg.P, c.ID())...)}
-		parts[c.ID()] = s.run(c, cd)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return parts, st, nil
-}
-
-// SortParallelRecoverable is SortParallel running under
-// core.RunRecoverable with checkpoint hooks: each rank's Save
-// serializes its (stage, options, data) state, Restore rebuilds it,
-// and the undelivered inbox (sample runs, condensed runs, splitters or
-// routed runs, depending on the boundary) rides in the snapshot
-// itself. With cfg.Checkpoint unset this is exactly SortParallel.
-func SortParallelRecoverable[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([][]T, *core.Stats, error) {
 	opt = Resolve(opt, len(data), cfg.P, cd.Size())
 	// states[q] is owned by rank q's goroutine: written by its Restore
 	// hook or at fn entry, read by its Save hook (inside its own Sync).
@@ -617,16 +602,9 @@ func Parallel(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
 	return out, st, nil
 }
 
-// ParallelRecoverable is Parallel under core.RunRecoverable; see
-// SortParallelRecoverable.
+// ParallelRecoverable is Parallel: every run is recoverable once
+// cfg.Checkpoint is armed. The name stays for the callers (bench/, the
+// recovery suites) that spell out that they checkpoint.
 func ParallelRecoverable(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
-	parts, st, err := SortParallelRecoverable(cfg, Float64Codec{}, data, Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float64, 0, len(data))
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out, st, nil
+	return Parallel(cfg, data)
 }

@@ -154,28 +154,6 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelAcrossTransports(t *testing.T) {
-	patches := Room(8, 1, 1, 0.4)
-	h, err := Build(patches, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := h.Solve()
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 3, Transport: tr}, patches, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: wall %d mismatch", tr.Name(), i)
-			}
-		}
-	}
-}
-
 func TestBuildRejectsTinyScenes(t *testing.T) {
 	if _, err := Build(nil, Config{}); err == nil {
 		t.Fatal("empty scene accepted")

@@ -103,21 +103,6 @@ func TestMultiSourceSharesSupersteps(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	g := graph.Geometric(300, 10)
-	want := graph.Dijkstra(g, 5)
-	for _, tr := range []transport.Transport{
-		transport.ShmTransport{}, transport.XchgTransport{},
-		transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := ParallelSingle(core.Config{P: 4, Transport: tr}, g, 5, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		distsEqual(t, got, want, tr.Name())
-	}
-}
-
 func TestSimDeterministicStats(t *testing.T) {
 	// Two sim runs of the same program must produce identical (H, S).
 	g := graph.Geometric(400, 11)

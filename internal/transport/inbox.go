@@ -10,6 +10,15 @@ import (
 // contiguous framed batch per source (shm's chunked mode may contribute
 // several chunks per source; each chunk is itself a contiguous batch).
 //
+// Ordering contract: every transport delivers batches in ascending
+// source rank, and frames of one source in the order it sent them — so
+// a program that folds its inbox in arrival order (a float sum, say)
+// computes the same bits on every transport. (The one exception is
+// shm's packet- and chunk-locked ablation modes, whose shared buffer
+// interleaves sources in lock-acquisition order.) Endpoints that slot
+// batches by rank leave nil entries for silent sources; the iterators
+// skip them.
+//
 // Frame views returned by Next alias the received buffers. They are
 // valid until the next Sync or Close call on the endpoint that returned
 // the Inbox; that call recycles the underlying buffers into the shared
@@ -76,7 +85,7 @@ func (in *Inbox) arm(batches [][]byte, frames int) {
 }
 
 // Next returns a zero-copy view of the next undelivered frame, in
-// arbitrary order across sources, or ok == false when none remain.
+// ascending source rank, or ok == false when none remain.
 func (in *Inbox) Next() ([]byte, bool) {
 	if in == nil {
 		return nil, false

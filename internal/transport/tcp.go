@@ -303,7 +303,7 @@ type tcpEndpoint struct {
 	out     [][]byte     // per-destination batches: batchHdrLen reserved bytes, then frames
 	posted  []uint32     // per peer: the round whose batch was last written
 	inbox   Inbox
-	batches [][]byte // batch views handed to inbox, reused
+	batches [][]byte // batch views handed to inbox, slotted by source rank
 	frames  int      // frames in batches, counted as they arrive
 	recycle [][]byte // pooled buffers to return at the next Sync/Close
 	handed  int      // nonempty batches handed to peers (observability)
@@ -317,11 +317,12 @@ type tcpEndpoint struct {
 func newTCPEndpoint(st *tcpState, m GroupMember, id int) *tcpEndpoint {
 	return &tcpEndpoint{
 		st: st, m: m, id: id,
-		conns:  make([]net.Conn, st.p),
-		rd:     make([]*bufio.Reader, st.p),
-		wr:     make([]*stageConn, st.p),
-		out:    make([][]byte, st.p),
-		posted: make([]uint32, st.p),
+		conns:   make([]net.Conn, st.p),
+		rd:      make([]*bufio.Reader, st.p),
+		wr:      make([]*stageConn, st.p),
+		out:     make([][]byte, st.p),
+		posted:  make([]uint32, st.p),
+		batches: make([][]byte, st.p),
 	}
 }
 
@@ -424,12 +425,12 @@ func (e *tcpEndpoint) Sync() (*Inbox, error) {
 	// Entering Sync invalidates the previous Inbox: recycle its buffers.
 	putBatches(e.recycle)
 	e.recycle = e.recycle[:0]
-	e.batches = e.batches[:0]
+	clear(e.batches)
 	e.frames = 0
 	// Self-delivery: our own batch joins the inbox directly.
 	if self := e.out[e.id]; self != nil {
 		e.frames, _ = wire.FrameCount(self[batchHdrLen:]) // locally produced, always valid
-		e.batches = append(e.batches, self[batchHdrLen:])
+		e.batches[e.id] = self[batchHdrLen:]
 		e.recycle = append(e.recycle, self)
 		e.out[e.id] = nil
 	}
@@ -588,7 +589,7 @@ func (e *tcpEndpoint) readBatch(peer int) error {
 		return fmt.Errorf("corrupt batch from peer: %w", err)
 	}
 	e.frames += frames
-	e.batches = append(e.batches, batch)
+	e.batches[peer] = batch
 	e.recycle = append(e.recycle, batch)
 	return nil
 }

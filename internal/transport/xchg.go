@@ -64,7 +64,7 @@ func (XchgTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		eps[i] = &xchgEndpoint{st: st, m: m, id: i, out: make([][]byte, p)}
+		eps[i] = &xchgEndpoint{st: st, m: m, id: i, out: make([][]byte, p), batches: make([][]byte, p)}
 	}
 	return eps, nil
 }
@@ -80,7 +80,7 @@ type xchgEndpoint struct {
 	id      int
 	out     [][]byte // per-destination contiguous output batches
 	inbox   Inbox
-	batches [][]byte // batch views handed to inbox, reused
+	batches [][]byte // batch views handed to inbox, slotted by source rank
 	recycle [][]byte // pooled buffers to return at the next Sync/Close
 	handed  int      // nonempty batches handed to peers (observability)
 	round   int      // completed supersteps (trace step index)
@@ -135,7 +135,7 @@ func (e *xchgEndpoint) Sync() (*Inbox, error) {
 	// Entering Sync invalidates the previous Inbox: recycle its buffers.
 	putBatches(e.recycle)
 	e.recycle = e.recycle[:0]
-	e.batches = e.batches[:0]
+	clear(e.batches)
 	// The channel sends and receives below are the transport's entire
 	// data movement (the exchange doubles as the barrier), so the whole
 	// Isend/Waitall body is the exchange slice of the sync phase.
@@ -173,7 +173,7 @@ func (e *xchgEndpoint) Sync() (*Inbox, error) {
 	}
 	// Self-delivery: our own batch joins the inbox directly.
 	if len(e.out[e.id]) > 0 {
-		e.batches = append(e.batches, e.out[e.id])
+		e.batches[e.id] = e.out[e.id]
 		e.recycle = append(e.recycle, e.out[e.id])
 	}
 	e.out[e.id] = nil
@@ -184,7 +184,7 @@ func (e *xchgEndpoint) Sync() (*Inbox, error) {
 		}
 		select {
 		case batch := <-st.ch[src][e.id]:
-			e.accept(batch)
+			e.accept(src, batch)
 		case <-e.m.AbortCh():
 			return nil, ErrAborted
 		case <-e.m.LeftCh(src):
@@ -193,7 +193,7 @@ func (e *xchgEndpoint) Sync() (*Inbox, error) {
 			// genuinely diverged.
 			select {
 			case batch := <-st.ch[src][e.id]:
-				e.accept(batch)
+				e.accept(src, batch)
 			default:
 				if e.m.Aborted() {
 					return nil, ErrAborted
@@ -212,11 +212,11 @@ func (e *xchgEndpoint) Sync() (*Inbox, error) {
 
 // accept takes ownership of an inbound batch: nonempty batches feed the
 // inbox and are recycled when the views expire.
-func (e *xchgEndpoint) accept(batch []byte) {
+func (e *xchgEndpoint) accept(src int, batch []byte) {
 	if len(batch) == 0 {
 		putBatch(batch)
 		return
 	}
-	e.batches = append(e.batches, batch)
+	e.batches[src] = batch
 	e.recycle = append(e.recycle, batch)
 }

@@ -13,7 +13,12 @@
 #                     (internal/psort)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
-#                     plus the checkpoint/recovery conformance suite,
+#                     plus the cluster control plane twice over (the
+#                     coordinator's state-machine table and seeded
+#                     fence-property schedules, its socket shell, the
+#                     telemetry plane, and all of internal/wire
+#                     including the control-message codec), the
+#                     checkpoint/recovery conformance suite,
 #                     the launcher's supervision-loop and child-
 #                     contract tests (internal/launch), and the
 #                     application registry suite (internal/apps, run
@@ -52,7 +57,7 @@
 #                     -postmortem, and bsppost's report must name the
 #                     injected crash rank and superstep
 #   make top-smoke    end-to-end live-telemetry smoke: a p=4 cluster
-#                     psort runs with -status-addr; while it runs,
+#                     ocean runs with -status-addr; while it runs,
 #                     bsptop must see every rank advance past its first
 #                     superstep and the aggregated /metrics must carry
 #                     the rank-labeled families; after it finishes, the
@@ -67,7 +72,8 @@
 #                     — so a deliberate schema or schedule change is
 #                     refreshed and reviewed as one diff; the tests that
 #                     hold the goldens run in plain `go test ./...`
-#   make fuzz         brief wire encode/decode + snapshot codec fuzz pass
+#   make fuzz         brief wire encode/decode, control-message and
+#                     snapshot codec fuzz pass
 #   make bench        transport latency/throughput microbenchmarks
 #   make bench-gate   benchmark-regression gate: run the exchange and
 #                     checkpoint benchmarks BENCH_N times, gate the best
@@ -124,6 +130,8 @@ golden:
 
 conformance:
 	$(GO) test -race -timeout 120s ./internal/transport/ -run 'Conformance|PerPairBatchHandoff' -v
+	$(GO) test -race -count=2 -timeout 300s ./internal/transport/ -run 'Cluster|Coordinator|Ctrl|Telemetry'
+	$(GO) test -race -count=2 -timeout 120s ./internal/wire/
 	$(GO) test -race -timeout 120s ./internal/ckpt/ -run 'Recovery|Crash|Recoverable' -v
 	$(GO) test -race -timeout 120s ./internal/launch/ -v
 	$(GO) test -race -count=2 -timeout 120s ./internal/apps/ -v
@@ -177,13 +185,17 @@ postmortem-smoke:
 	$(POST_DIR)/bsppost $(POST_DIR)/bundle | tee $(POST_DIR)/report.txt
 	grep -q "injected crash: rank 1 at superstep 2" $(POST_DIR)/report.txt
 
-# The psort run at this size lasts only a couple of seconds, so the
-# mid-run probes poll in a tight 0.1s loop from t=0 instead of sleeping
-# first: bsptop -min-step 1 succeeds only once every rank has advanced
-# past its first superstep, and the aggregated /metrics scrape is taken
-# in that same live window. The post-run checks then validate the
-# launcher's live-vs-post-hoc (g, L) agreement line, the final status
-# dump (one bsptop row per rank), the golden metric families, and the
+# The live window is long by construction: ocean at 4098 spreads ~230
+# supersteps evenly over the whole run (about two seconds of it at p=4).
+# A psort of similar length would not do: it does all its work in
+# superstep 0 and leaves ~0.1 s between "every rank is past superstep 1"
+# and the status server going away. The probes poll in a tight 0.1s
+# loop from t=0 instead of sleeping first: bsptop
+# -min-step 1 succeeds only once every rank has advanced past its first
+# superstep, and the aggregated /metrics scrape is taken in that same
+# live window. The post-run checks then validate the launcher's
+# live-vs-post-hoc (g, L) agreement line, the final status dump (one
+# bsptop row per rank), the golden metric families, and the
 # status-vs-trace reconciliation.
 top-smoke:
 	rm -rf $(TOP_DIR) && mkdir -p $(TOP_DIR)
@@ -191,7 +203,7 @@ top-smoke:
 	$(GO) build -o $(TOP_DIR)/bsptop ./cmd/bsptop
 	$(GO) build -o $(TOP_DIR)/tracecheck ./cmd/tracecheck
 	set -e; \
-	$(TOP_DIR)/bsprun -app psort -size 2000000 -p 4 -cluster \
+	$(TOP_DIR)/bsprun -app ocean -size 4098 -p 4 -cluster \
 		-status-addr 127.0.0.1:$(TOP_PORT) -telemetry-interval 25ms \
 		-metrics-addr 127.0.0.1:0 -trace $(TOP_DIR)/trace.json \
 		-status-dump $(TOP_DIR)/status.json -postmortem-dir none \
@@ -241,6 +253,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzReaderShortMessage -fuzztime 5s
 	$(GO) test ./internal/wire/ -fuzz FuzzFrameBatch -fuzztime 5s
+	$(GO) test ./internal/wire/ -fuzz FuzzCtrl -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzTelemetryFrame -fuzztime 10s
 	$(GO) test ./internal/ckpt/ -fuzz FuzzSnapshotRecord -fuzztime 10s
 	$(GO) test ./internal/psort/ -fuzz FuzzSampleSort -fuzztime 10s

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -28,8 +29,8 @@ import (
 // from checkpoints on recoverable failures, and a merged trace from
 // whatever shards the children left behind (a partial timeline of a
 // failed gang still shows where it died). Returns the gang wall time,
-// the merged recorder (nil without -trace), the finished job (for the
-// telemetry summary and final status snapshot) and the run error.
+// the merged recorder (nil without -trace), the finished job (for its
+// final status document) and the run error.
 func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job, error) {
 	shardDir := ""
 	if o.traceFile != "" {
@@ -116,14 +117,14 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 	if o.statusDump != "" {
 		// The final /status document, captured at job end — the same
 		// shape bsptop and tracecheck consume from a live coordinator.
-		if b := job.StatusSnapshot(); len(b) > 0 {
-			if werr := os.WriteFile(o.statusDump, b, 0o644); werr != nil {
-				fmt.Fprintln(os.Stderr, "bsprun: write status dump:", werr)
-			} else {
-				fmt.Printf("final status written to %s (render with bsptop -status %s -once)\n", o.statusDump, o.statusDump)
-			}
+		b, werr := json.MarshalIndent(job.Status(), "", "  ")
+		if werr == nil {
+			werr = os.WriteFile(o.statusDump, b, 0o644)
+		}
+		if werr != nil {
+			fmt.Fprintln(os.Stderr, "bsprun: write status dump:", werr)
 		} else {
-			fmt.Fprintln(os.Stderr, "bsprun: -status-dump: no status captured (is -status-addr set?)")
+			fmt.Printf("final status written to %s (render with bsptop -status %s -once)\n", o.statusDump, o.statusDump)
 		}
 	}
 	if o.postDir != "" {
@@ -155,22 +156,23 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 // actual/predicted ratio recomputed from the full per-superstep
 // timeline under the live-fitted parameters. On a clean run the two
 // views see the same machine, so they must agree within 20%.
-func printCalibration(sum transport.TelemetrySummary, rec *trace.Recorder) {
-	if !sum.Enabled() {
+func printCalibration(doc transport.StatusDoc, rec *trace.Recorder) {
+	sum := doc.Calib
+	if sum.Window == 0 { // telemetry off, or no completed superstep observed
 		return
 	}
-	if !sum.FitOK {
+	if !sum.Fit {
 		fmt.Printf("live calibration: degenerate fit over %d interval(s) (constant h cannot identify g); L ~ %.1f µs\n",
-			sum.Window, sum.Fit.L)
+			sum.Window, sum.LUs)
 		return
 	}
 	fmt.Printf("live calibration: g = %.3f µs/pkt, L = %.1f µs over %d interval(s); live Eq-1 ratio %.3f\n",
-		sum.Fit.G, sum.Fit.L, sum.Window, sum.LiveRatio)
+		sum.GUsPerPkt, sum.LUs, sum.Window, sum.LiveRatio)
 	if rec == nil || sum.LiveRatio == 0 {
 		return
 	}
 	var actual, predicted float64
-	for _, r := range trace.Residuals(rec, sum.Fit) {
+	for _, r := range trace.Residuals(rec, cost.Params{G: sum.GUsPerPkt, L: sum.LUs}) {
 		actual += float64(r.Actual)
 		predicted += float64(r.Predicted)
 	}
@@ -242,7 +244,7 @@ func runClusterLauncher(f launcherFlags) {
 	fmt.Printf("%s size=%d p=%d on cluster: wall %v (%d rank process(es) over loopback TCP)\n",
 		f.app, f.size, f.p, wall, f.p)
 	if job != nil {
-		printCalibration(job.Telemetry(), rec)
+		printCalibration(job.Status(), rec)
 	}
 	if f.costReport {
 		machine, err := cost.MachineByName(f.costMachine)

@@ -388,20 +388,17 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 // and the final per-rank last-superstep view is uniform — recovery
 // left no rank's public progress behind.
 func (s *soak) checkTelemetry(job *launch.Job, plan transport.FaultPlan) error {
-	sum := job.Telemetry()
-	if !sum.Enabled() {
-		return fmt.Errorf("telemetry armed but no rank ever reported [plan %s]", plan)
-	}
-	if len(sum.Ranks) != s.p {
-		return fmt.Errorf("telemetry summary covers %d ranks, want %d [plan %s]", len(sum.Ranks), s.p, plan)
+	ranks := job.Status().Ranks
+	if len(ranks) != s.p {
+		return fmt.Errorf("final status covers %d ranks, want %d [plan %s]", len(ranks), s.p, plan)
 	}
 	last := int64(-2)
-	for r, rs := range sum.Ranks {
+	for r, rs := range ranks {
 		if rs.SeqGaps != 0 {
 			return fmt.Errorf("rank %d telemetry stream has %d sequence gap(s) — delta stream torn across recovery [plan %s]", r, rs.SeqGaps, plan)
 		}
-		if rs.Reports < 1 || rs.Baselines < 1 {
-			return fmt.Errorf("rank %d reported %d frame(s), %d baseline(s); want at least one of each [plan %s]", r, rs.Reports, rs.Baselines, plan)
+		if rs.Baselines < 1 {
+			return fmt.Errorf("rank %d never reported a telemetry frame [plan %s]", r, plan)
 		}
 		if last == -2 {
 			last = rs.LastStep

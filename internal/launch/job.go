@@ -1,7 +1,6 @@
 package launch
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os/exec"
@@ -60,9 +59,7 @@ type Job struct {
 	mu           sync.Mutex
 	rankRestarts []int64
 	gangRelaunch int64
-	telemSummary transport.TelemetrySummary
-	statusFinal  []byte
-	statusURL    string
+	status       transport.StatusDoc
 }
 
 func (j *Job) logf(format string, args ...any) {
@@ -87,37 +84,13 @@ func (j *Job) GangRelaunches() int64 {
 	return j.gangRelaunch
 }
 
-// Telemetry returns the aggregated-telemetry digest of the last Run:
-// the online (g, L) fit, the live Eq-1 residual ratio, and per-rank
-// stream health. Zero before the first Run or with telemetry off.
-func (j *Job) Telemetry() transport.TelemetrySummary {
+// Status returns the coordinator's final job-level view of the last
+// Run — the document /status served live (every rank "silent" with
+// telemetry off). Zero before the first Run.
+func (j *Job) Status() transport.StatusDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.telemSummary
-}
-
-// StatusSnapshot returns the final /status JSON document captured when
-// the last Run ended (nil before).
-func (j *Job) StatusSnapshot() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusFinal
-}
-
-// StatusURL returns the base URL of the live status plane once Run has
-// started it ("" without StatusAddr).
-func (j *Job) StatusURL() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusURL
-}
-
-// crashDecl is one coordinator crash declaration delivered to the
-// supervision loop.
-type crashDecl struct {
-	rank     int
-	newEpoch int
-	reason   string
+	return j.status
 }
 
 // procExit is one rank process's exit as seen by the supervision loop.
@@ -159,46 +132,30 @@ func (j *Job) Run() error {
 		SuspectAfter:      j.SuspectAfter,
 		StatusAddr:        j.StatusAddr,
 	}
-	// Sized so a burst of declarations never blocks the coordinator; a
-	// dropped one is recovered through the dead process's exit event.
-	crashCh := make(chan crashDecl, 4*j.P)
-	if j.Warm {
-		opts.OnCrash = func(rank, _, newEpoch int, reason string) {
-			select {
-			case crashCh <- crashDecl{rank: rank, newEpoch: newEpoch, reason: reason}:
-			default:
-			}
-		}
-	}
 	coord, err := transport.StartCoordinator(j.P, opts)
 	if err != nil {
 		return err
 	}
 	defer coord.Close()
 	if url := coord.StatusURL(); url != "" {
-		j.mu.Lock()
-		j.statusURL = url
-		j.mu.Unlock()
 		j.logf("cluster: live status on %s/status (metrics on %s/metrics)", url, url)
 	}
-	runErr := j.supervise(coord, crashCh)
+	runErr := j.supervise(coord)
 	// Capture the final job view before the deferred coord.Close tears
 	// the aggregation's HTTP plane down.
+	doc := coord.StatusDoc()
 	j.mu.Lock()
-	j.telemSummary = coord.TelemetrySummary()
-	if doc, err := json.MarshalIndent(coord.StatusDoc(), "", "  "); err == nil {
-		j.statusFinal = doc
-	}
+	j.status = doc
 	j.mu.Unlock()
 	return runErr
 }
 
 // supervise is the one supervision loop. It reacts to two events — a
-// rank process exiting and (warm only) the coordinator convicting a
-// rank — and has two recoveries: replace one rank, or relaunch the
-// gang.
-func (j *Job) supervise(coord *transport.Coordinator, crashCh <-chan crashDecl) error {
-	addr := coord.Addr()
+// rank process exiting and the coordinator fencing a generation (which
+// under Warm names the rank to replace) — and has two recoveries:
+// replace one rank, or relaunch the gang.
+func (j *Job) supervise(coord *transport.Coordinator) error {
+	addr, fences := coord.Addr(), coord.Fences()
 	if j.AdvertiseCoordinator != nil {
 		addr = j.AdvertiseCoordinator(addr)
 	}
@@ -215,9 +172,9 @@ func (j *Job) supervise(coord *transport.Coordinator, crashCh <-chan crashDecl) 
 	// gang teardowns); their exit events carry no new information.
 	killed := make([]bool, j.P)
 	lastCode := make([]int, j.P)
-	// launchedEpoch dedupes the two reports of one failure: a crash
-	// declaration and the dead process's own exit can both arrive. A
-	// declaration whose newEpoch is not past the epoch we already
+	// launchedEpoch dedupes the two reports of one failure: a fence
+	// convicting the rank and the dead process's own exit can both
+	// arrive. A fence whose NewEpoch is not past the epoch we already
 	// launched that rank at refers to a failure already recovered.
 	launchedEpoch := make([]int, j.P)
 	restarts := 0
@@ -313,14 +270,17 @@ func (j *Job) supervise(coord *transport.Coordinator, crashCh <-chan crashDecl) 
 		// processing of the failure itself (the abort frame, or the
 		// dropped control connection). Launching the replacement before
 		// the coordinator fences the failed generation would hand it
-		// the stale epoch and get it rejected, so wait for the epoch to
-		// move past the one the dead process was launched at. The fence
-		// always arrives — a cooperative abort advances the epoch when
-		// its frame is read, and a silent death is convicted via the
-		// dropped connection or missed heartbeats within the suspicion
-		// timeout; if it still has not by then, fall back to the gang
-		// relaunch, which fences unconditionally.
-		fenceBy := time.Now().Add(coord.FenceWait())
+		// the stale epoch and get it rejected, so wait for the fence. It
+		// arrives — an abort fences when its frame is read, a silent
+		// death via the dropped connection or missed heartbeats within
+		// the suspicion timeout — unless the process died before it ever
+		// joined; past the slowest detector plus slack, fall back to the
+		// gang relaunch, which fences unconditionally.
+		suspect := j.SuspectAfter
+		if suspect <= 0 {
+			suspect = transport.DefaultSuspectAfter
+		}
+		unfenced := time.After(suspect + 2*time.Second)
 		for {
 			for r := 0; r < j.P; r++ {
 				if r != rank && !running[r] && lastCode[r] != 0 {
@@ -336,10 +296,12 @@ func (j *Job) supervise(coord *transport.Coordinator, crashCh <-chan crashDecl) 
 			select {
 			case ev := <-exitCh:
 				note(ev)
-			case <-time.After(2 * time.Millisecond):
-				if time.Now().After(fenceBy) {
-					return relaunchGang(fmt.Sprintf("rank %d died but its generation was never fenced", rank))
+			case f := <-fences:
+				if f.Rank >= 0 && f.Rank != rank && f.NewEpoch > launchedEpoch[f.Rank] {
+					return relaunchGang(fmt.Sprintf("overlapping failures (rank %d and rank %d)", rank, f.Rank))
 				}
+			case <-unfenced:
+				return relaunchGang(fmt.Sprintf("rank %d died but its generation was never fenced", rank))
 			}
 		}
 		restarts++
@@ -381,15 +343,16 @@ func (j *Job) supervise(coord *transport.Coordinator, crashCh <-chan crashDecl) 
 		}
 
 		select {
-		case decl := <-crashCh:
-			// The coordinator convicted a rank (liveness suspicion or a
-			// dropped control connection). Replace exactly that
-			// process — unless the declaration is a stale duplicate of
-			// a failure already recovered.
-			if decl.newEpoch <= launchedEpoch[decl.rank] {
+		case f := <-fences:
+			// The coordinator fenced a generation. Cold, or with nobody
+			// convicted (a cooperative abort), the processes' own exits
+			// drive the recovery. Warm with a conviction, replace exactly
+			// that process — unless the fence is a stale duplicate of a
+			// failure already recovered.
+			if !j.Warm || f.Rank < 0 || f.NewEpoch <= launchedEpoch[f.Rank] {
 				continue
 			}
-			if err := recoverRank(decl.rank, fmt.Sprintf("declared crashed: %s", decl.reason)); err != nil {
+			if err := recoverRank(f.Rank, fmt.Sprintf("declared crashed: %s", f.Reason)); err != nil {
 				killAll()
 				return err
 			}

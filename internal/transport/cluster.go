@@ -1,14 +1,9 @@
 package transport
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +17,11 @@ import (
 // deployment shape of the paper's Appendix B.3 PC LAN machine. The
 // pieces:
 //
-//   - Coordinator: owns membership for one job. Ranks join over a TCP
-//     control connection with a wire.Handshake frame (magic, job id,
-//     rank, epoch, p); when all p ranks of the current epoch have
-//     joined, the coordinator broadcasts the peer address book — the
-//     readiness barrier. Afterwards it relays abort and leave events,
-//     and converts a control connection dropped without a leave into a
-//     gang-wide abort (crash fan-out).
+//   - Coordinator (coordinator.go; every decision is the pure state
+//     machine of coordmachine.go): owns membership for one job — admits
+//     ranks epoch by epoch, broadcasts the address book when all p have
+//     joined (the readiness barrier), relays abort and leave, convicts
+//     crashed and silent ranks. Every message is a wire.Ctrl variant.
 //   - JoinCluster: the member side. It joins the coordinator, waits for
 //     the address book, establishes the pairwise data connections (each
 //     carrying a mutual handshake so a stale or foreign peer is fenced
@@ -45,580 +38,11 @@ import (
 // The process supervisor that owns a Coordinator and launches one
 // ClusterMember process per rank lives in internal/launch.
 
-// Control frame tags, coordinator <-> member. Every control frame is a
-// [u32 length][payload] wire frame whose first payload byte is the tag.
-const (
-	ctrlBook      = 'B' // coordinator -> member: p peer data addresses
-	ctrlReject    = 'R' // coordinator -> member: join rejected, reason follows
-	ctrlAbort     = 'X' // either direction: gang abort, reason follows
-	ctrlLeave     = 'L' // member -> coordinator: clean detach; broadcast back with rank
-	ctrlPing      = 'H' // either direction: liveness heartbeat (wire.Heartbeat payload)
-	ctrlCrash     = 'C' // coordinator -> member: crashed rank + new epoch + reason
-	ctrlDump      = 'D' // coordinator -> member: write a postmortem dump, reason follows
-	ctrlTelemetry = 'T' // member -> coordinator: delta-encoded metrics snapshot (wire.Telemetry payload)
-)
-
-// ctrlFrameLimit bounds control frames (the address book dominates:
-// ~32 bytes per rank).
-const ctrlFrameLimit = 1 << 20
-
-const (
-	clusterDefaultJoinTimeout = 30 * time.Second
-	// ctrlWriteTimeout bounds coordinator broadcast writes so one wedged
-	// member cannot stall the fan-out to the others.
-	ctrlWriteTimeout = 5 * time.Second
-	// settleTimeout is how long a cluster member waits, after a
-	// data-plane error, for the membership event (abort or leave
-	// broadcast) that explains it; on the loopback control plane the
-	// notification beats this by orders of magnitude.
-	settleTimeout = 2 * time.Second
-	// clusterDefaultHeartbeatInterval is the default liveness beat
-	// period on the control plane.
-	clusterDefaultHeartbeatInterval = 500 * time.Millisecond
-	// clusterDefaultSuspectAfter is the default suspicion timeout: a
-	// ready member silent for this long is declared crashed. Generous
-	// relative to the beat interval so scheduler hiccups and paused
-	// test processes are not convicted.
-	clusterDefaultSuspectAfter = 5 * time.Second
-)
-
-func writeCtrlFrame(c net.Conn, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	c.SetWriteDeadline(time.Now().Add(ctrlWriteTimeout))
-	defer c.SetWriteDeadline(time.Time{})
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(payload)
-	return err
-}
-
-func readCtrlFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > ctrlFrameLimit {
-		return nil, fmt.Errorf("cluster: control frame of %d bytes out of range", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// CoordinatorOptions configure a cluster job's membership service.
-type CoordinatorOptions struct {
-	// JobID names the job; handshakes with any other id are rejected.
-	JobID string
-	// Epoch is the starting gang generation (see GroupOptions.Epoch).
-	Epoch int
-	// JoinTimeout bounds how long a gang generation may stay incomplete
-	// after its first rank joins: when it fires, every joined rank is
-	// rejected with an error naming the missing rank(s). It also bounds
-	// the handshake read on each new control connection, so a peer that
-	// connects but never completes the handshake cannot park forever.
-	// 0 means clusterDefaultJoinTimeout.
-	JoinTimeout time.Duration
-
-	// HeartbeatInterval is the liveness beat period once a generation
-	// is ready: the coordinator beats every member and expects beats
-	// back. 0 means clusterDefaultHeartbeatInterval; negative disables
-	// the liveness protocol entirely.
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the suspicion timeout: a ready member whose last
-	// control frame (beat or otherwise) is older than this is declared
-	// crashed and fanned out to the gang, long before any sync
-	// watchdog. 0 means clusterDefaultSuspectAfter; negative disables
-	// suspicion (beats still flow for member-side miss accounting).
-	SuspectAfter time.Duration
-	// OnCrash, when set, is called (on its own goroutine) once per
-	// crash declaration: rank was convicted, failedEpoch died, and the
-	// survivors rejoin at newEpoch. A warm launcher uses it to relaunch
-	// exactly the convicted rank's process.
-	OnCrash func(rank, failedEpoch, newEpoch int, reason string)
-
-	// StatusAddr, when set, serves the aggregated live-telemetry plane
-	// over HTTP: /status (job-level JSON: per-rank last superstep,
-	// live/suspect state, the online (g, L) fit) and /metrics (rank-
-	// labeled Prometheus families — one scrape target for the whole
-	// job). Member telemetry frames feed it; without any, the document
-	// shows every rank silent. ":0" binds an ephemeral port (see
-	// Coordinator.StatusURL).
-	StatusAddr string
-
-	// closeOnIdle shuts the coordinator down once a ready generation's
-	// members have all disconnected (the in-process ClusterTransport
-	// sets it; a launcher that relaunches generations keeps it off).
-	closeOnIdle bool
-}
-
-func (o CoordinatorOptions) joinTimeout() time.Duration {
-	if o.JoinTimeout > 0 {
-		return o.JoinTimeout
-	}
-	return clusterDefaultJoinTimeout
-}
-
-func (o CoordinatorOptions) heartbeatInterval() time.Duration {
-	if o.HeartbeatInterval > 0 {
-		return o.HeartbeatInterval
-	}
-	if o.HeartbeatInterval < 0 {
-		return 0
-	}
-	return clusterDefaultHeartbeatInterval
-}
-
-func (o CoordinatorOptions) suspectAfter() time.Duration {
-	if o.SuspectAfter > 0 {
-		return o.SuspectAfter
-	}
-	if o.SuspectAfter < 0 {
-		return 0
-	}
-	return clusterDefaultSuspectAfter
-}
-
-// Coordinator is the membership owner of one cluster job: it admits
-// ranks epoch by epoch, broadcasts the address book when a generation
-// is complete, relays abort/leave events, and fences handshakes from
-// the wrong job, a stale epoch, an out-of-range or duplicate rank.
-type Coordinator struct {
-	p    int
-	opts CoordinatorOptions
-	ln   net.Listener
-
-	// telem aggregates member telemetry frames into the job-level live
-	// view; always non-nil, and deliberately coordinator-scoped (not
-	// generation-scoped) so the view survives warm restarts.
-	telem     *telemetryAgg
-	statusLn  net.Listener
-	statusSrv *http.Server
-
-	mu     sync.Mutex
-	epoch  int
-	gen    *coordGen
-	closed bool
-}
-
-// coordGen is one gang generation: the ranks joined at the current
-// epoch.
-type coordGen struct {
-	epoch   int
-	members map[int]*coordMember
-	ready   bool
-	aborted bool
-	live    int // member control conns still connected
-	timer   *time.Timer
-}
-
-type coordMember struct {
-	rank int
-	conn net.Conn
-	addr string
-	left bool
-	// lastBeat is the unix-nano time of the member's last control
-	// frame; the liveness loop convicts members whose lastBeat ages
-	// past SuspectAfter. Atomic: monitor goroutines store, the
-	// liveness goroutine loads.
-	lastBeat atomic.Int64
-}
-
-// StartCoordinator listens on a loopback port and serves membership for
-// one job of p ranks.
-func StartCoordinator(p int, opts CoordinatorOptions) (*Coordinator, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("cluster: p must be >= 1, got %d", p)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
-	}
-	c := &Coordinator{p: p, opts: opts, ln: ln, epoch: opts.Epoch, telem: newTelemetryAgg(p)}
-	if opts.StatusAddr != "" {
-		if err := c.startStatusServer(opts.StatusAddr); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
-	go c.acceptLoop()
-	return c, nil
-}
-
-// Addr returns the coordinator's control address for ClusterConfig.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Epoch returns the generation currently being admitted.
-func (c *Coordinator) Epoch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// AdvanceEpoch starts the next gang generation (a recovery relaunch):
-// handshakes carrying the previous epoch are rejected from now on, so a
-// straggler process of the crashed generation cannot rejoin the new
-// gang. It returns the new epoch.
-func (c *Coordinator) AdvanceEpoch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	if c.gen != nil && c.gen.timer != nil {
-		c.gen.timer.Stop()
-	}
-	c.gen = nil
-	return c.epoch
-}
-
-// FenceWait bounds how long a launcher waits for the coordinator to
-// fence a generation one of whose processes has died before falling
-// back to AdvanceEpoch: the slowest detection source (liveness
-// suspicion) plus scheduling slack.
-func (c *Coordinator) FenceWait() time.Duration {
-	suspect := c.opts.SuspectAfter
-	if suspect <= 0 {
-		suspect = clusterDefaultSuspectAfter
-	}
-	return suspect + 2*time.Second
-}
-
-// Close shuts the coordinator down, disconnecting any joined members.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	gen := c.gen
-	c.mu.Unlock()
-	if c.statusSrv != nil {
-		c.statusSrv.Close()
-	}
-	err := c.ln.Close()
-	if gen != nil {
-		for _, m := range gen.members {
-			m.conn.Close()
-		}
-	}
-	return err
-}
-
-func (c *Coordinator) acceptLoop() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go c.handleJoin(conn)
-	}
-}
-
-// handleJoin validates one joining rank's handshake and admits it into
-// the current generation. Invalid handshakes are rejected with a frame
-// naming the cause; a connection that never completes the handshake is
-// dropped when its read deadline fires (and, if a generation is
-// waiting on that rank, the generation's join timer names it).
-func (c *Coordinator) handleJoin(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(c.opts.joinTimeout()))
-	hs, err := wire.ReadHandshake(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	addrB, err := readCtrlFrame(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	reject := func(reason string) {
-		writeCtrlFrame(conn, append([]byte{ctrlReject}, reason...))
-		conn.Close()
-	}
-
-	c.mu.Lock()
-	switch {
-	case c.closed:
-		c.mu.Unlock()
-		reject("coordinator closed")
-		return
-	case hs.JobID != c.opts.JobID:
-		c.mu.Unlock()
-		reject(fmt.Sprintf("wrong job id %q (this coordinator serves job %q)", hs.JobID, c.opts.JobID))
-		return
-	case hs.P != c.p:
-		c.mu.Unlock()
-		reject(fmt.Sprintf("p mismatch: handshake says %d ranks, job %q has %d", hs.P, c.opts.JobID, c.p))
-		return
-	case hs.Rank < 0 || hs.Rank >= c.p:
-		c.mu.Unlock()
-		reject(fmt.Sprintf("rank %d out of range [0,%d)", hs.Rank, c.p))
-		return
-	case hs.Epoch != c.epoch:
-		cur := c.epoch
-		c.mu.Unlock()
-		if hs.Epoch < cur {
-			reject(fmt.Sprintf("stale epoch %d: job %q is at epoch %d (a process from a previous generation must not rejoin; resume with the bumped epoch)", hs.Epoch, c.opts.JobID, cur))
-		} else {
-			reject(fmt.Sprintf("epoch %d not yet current: job %q is at epoch %d", hs.Epoch, c.opts.JobID, cur))
-		}
-		return
-	}
-	if c.gen == nil {
-		gen := &coordGen{epoch: c.epoch, members: make(map[int]*coordMember)}
-		epoch := c.epoch
-		gen.timer = time.AfterFunc(c.opts.joinTimeout(), func() { c.joinTimedOut(epoch) })
-		c.gen = gen
-	}
-	gen := c.gen
-	if _, dup := gen.members[hs.Rank]; dup {
-		c.mu.Unlock()
-		reject(fmt.Sprintf("duplicate rank %d: already joined job %q epoch %d", hs.Rank, c.opts.JobID, c.epoch))
-		return
-	}
-	m := &coordMember{rank: hs.Rank, conn: conn, addr: string(addrB)}
-	gen.members[hs.Rank] = m
-	gen.live++
-	if len(gen.members) == c.p {
-		// Readiness barrier: the generation is complete. Stop the join
-		// timer, broadcast the address book, and start monitoring each
-		// member for abort/leave/crash — plus the liveness loop that
-		// beats the members and convicts the silent ones.
-		gen.timer.Stop()
-		book := c.bookLocked(gen)
-		for _, mm := range gen.members {
-			if err := writeCtrlFrame(mm.conn, book); err != nil {
-				c.abortGenLocked(gen, fmt.Sprintf("rank %d unreachable during readiness broadcast: %v", mm.rank, err))
-				break
-			}
-		}
-		gen.ready = true
-		now := time.Now().UnixNano()
-		for _, mm := range gen.members {
-			mm.lastBeat.Store(now)
-			go c.monitor(gen, mm)
-		}
-		if c.opts.heartbeatInterval() > 0 {
-			go c.liveness(gen)
-		}
-	}
-	c.mu.Unlock()
-}
-
-// bookLocked renders the address book broadcast: tag, p, then one
-// length-prefixed address per rank.
-func (c *Coordinator) bookLocked(gen *coordGen) []byte {
-	b := []byte{ctrlBook}
-	b = binary.LittleEndian.AppendUint32(b, uint32(c.p))
-	for r := 0; r < c.p; r++ {
-		addr := gen.members[r].addr
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(addr)))
-		b = append(b, addr...)
-	}
-	return b
-}
-
-// joinTimedOut fires when a generation stays incomplete past the join
-// timeout: every joined rank is rejected with the missing rank(s)
-// named — the silent peer is identified by its absence.
-func (c *Coordinator) joinTimedOut(epoch int) {
-	c.mu.Lock()
-	gen := c.gen
-	if gen == nil || gen.epoch != epoch || gen.ready {
-		c.mu.Unlock()
-		return
-	}
-	c.gen = nil
-	c.mu.Unlock()
-	var missing []int
-	for r := 0; r < c.p; r++ {
-		if _, ok := gen.members[r]; !ok {
-			missing = append(missing, r)
-		}
-	}
-	sort.Ints(missing)
-	reason := fmt.Sprintf("cluster join timed out after %v: rank(s) %v never completed the handshake (job %q, epoch %d)",
-		c.opts.joinTimeout(), missing, c.opts.JobID, epoch)
-	for _, m := range gen.members {
-		writeCtrlFrame(m.conn, append([]byte{ctrlReject}, reason...))
-		m.conn.Close()
-	}
-}
-
-// monitor serves one ready member's control connection: it relays
-// aborts and leaves to the rest of the gang, feeds the liveness clock,
-// and converts a connection dropped without a leave into a crash
-// declaration naming this rank (the crash fan-out).
-func (c *Coordinator) monitor(gen *coordGen, m *coordMember) {
-	for {
-		b, err := readCtrlFrame(m.conn)
-		if err != nil {
-			c.mu.Lock()
-			if !m.left && !gen.aborted {
-				c.declareCrashLocked(gen, m.rank, fmt.Sprintf("rank %d disconnected without leaving (crashed?)", m.rank))
-			}
-			gen.live--
-			idle := gen.live == 0 && c.opts.closeOnIdle
-			c.mu.Unlock()
-			c.telem.disconnect(m.rank, m.left)
-			m.conn.Close()
-			if idle {
-				c.Close()
-			}
-			return
-		}
-		// Any frame proves the member's process is alive.
-		m.lastBeat.Store(time.Now().UnixNano())
-		switch b[0] {
-		case ctrlTelemetry:
-			c.telem.ingest(m.rank, b[1:])
-		case ctrlPing:
-			// Echo the beat back verbatim: the member recognizes its own
-			// rank in the payload and measures the control-plane round
-			// trip from it. Serialized under c.mu like every coordinator
-			// write; beyond the echo (and the liveness clock update
-			// above) a beat carries nothing the coordinator acts on.
-			c.mu.Lock()
-			if !gen.aborted && !m.left {
-				writeCtrlFrame(m.conn, b)
-			}
-			c.mu.Unlock()
-		case ctrlAbort:
-			c.mu.Lock()
-			c.abortGenLocked(gen, fmt.Sprintf("rank %d aborted: %s", m.rank, b[1:]))
-			c.mu.Unlock()
-		case ctrlLeave:
-			c.mu.Lock()
-			m.left = true
-			note := []byte{ctrlLeave, 0, 0, 0, 0}
-			binary.LittleEndian.PutUint32(note[1:], uint32(m.rank))
-			for _, mm := range gen.members {
-				if mm != m && !mm.left {
-					writeCtrlFrame(mm.conn, note)
-				}
-			}
-			c.mu.Unlock()
-		}
-	}
-}
-
-// liveness is the per-generation suspicion loop: every interval it
-// beats each connected member and checks when each member last spoke.
-// A member silent past SuspectAfter is convicted — declared crashed to
-// the whole gang — which is what turns a hung-but-connected process
-// into a prompt ErrCrashed instead of a sync-watchdog timeout much
-// later. The loop ends when the generation fails, completes (all
-// members leave) or the coordinator closes.
-func (c *Coordinator) liveness(gen *coordGen) {
-	interval := c.opts.heartbeatInterval()
-	suspect := c.opts.suspectAfter()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var seq uint32
-	for range tick.C {
-		seq++
-		beat := append([]byte{ctrlPing}, wire.Heartbeat{Rank: wire.CoordinatorRank, Epoch: gen.epoch, Seq: seq}.EncodePayload()...)
-		c.mu.Lock()
-		if gen.aborted || c.closed {
-			c.mu.Unlock()
-			return
-		}
-		now := time.Now().UnixNano()
-		alive := false
-		var suspected *coordMember
-		for _, m := range gen.members {
-			if m.left {
-				continue
-			}
-			alive = true
-			writeCtrlFrame(m.conn, beat)
-			if suspect > 0 && suspected == nil && now-m.lastBeat.Load() > int64(suspect) {
-				suspected = m
-			}
-		}
-		if suspected != nil {
-			c.declareCrashLocked(gen, suspected.rank, fmt.Sprintf(
-				"rank %d sent no heartbeat for %v (suspect after %v): declared crashed",
-				suspected.rank, time.Duration(now-suspected.lastBeat.Load()).Round(time.Millisecond), suspect))
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		if !alive {
-			return
-		}
-	}
-}
-
-// abortGenLocked fails the generation with a cooperative abort: no
-// rank is convicted, members see a plain gang abort.
-func (c *Coordinator) abortGenLocked(gen *coordGen, reason string) {
-	c.failGenLocked(gen, -1, reason)
-}
-
-// declareCrashLocked fails the generation with a crash declaration
-// convicting rank: members receive a ctrlCrash frame naming the rank
-// and the epoch survivors rejoin at, and the launcher's OnCrash hook
-// (if any) fires so it can relaunch exactly that process.
-func (c *Coordinator) declareCrashLocked(gen *coordGen, rank int, reason string) {
-	c.failGenLocked(gen, rank, reason)
-}
-
-// failGenLocked ends a generation exactly once: it fences the dead
-// epoch (the coordinator advances, so stragglers of this generation
-// are rejected at the handshake while survivors rejoin at the next
-// epoch without launcher involvement) and broadcasts either a crash
-// declaration (crashedRank >= 0) or a cooperative abort.
-func (c *Coordinator) failGenLocked(gen *coordGen, crashedRank int, reason string) {
-	if gen.aborted {
-		return
-	}
-	gen.aborted = true
-	if gen == c.gen {
-		c.epoch++
-		if gen.timer != nil {
-			gen.timer.Stop()
-		}
-		c.gen = nil
-	}
-	// Ask every member to persist its flight ring before the failure
-	// frame lands: survivors dump their view of the dead generation
-	// too, not just the rank whose process noticed first. Members that
-	// already died simply never read the frame.
-	dump := append([]byte{ctrlDump}, reason...)
-	for _, m := range gen.members {
-		if !m.left {
-			writeCtrlFrame(m.conn, dump)
-		}
-	}
-	var frame []byte
-	if crashedRank >= 0 {
-		frame = make([]byte, 9, 9+len(reason))
-		frame[0] = ctrlCrash
-		binary.LittleEndian.PutUint32(frame[1:5], uint32(crashedRank))
-		binary.LittleEndian.PutUint32(frame[5:9], uint32(c.epoch))
-		frame = append(frame, reason...)
-	} else {
-		frame = append([]byte{ctrlAbort}, reason...)
-	}
-	for _, m := range gen.members {
-		if !m.left {
-			writeCtrlFrame(m.conn, frame)
-		}
-	}
-	if crashedRank >= 0 {
-		c.telem.convict(crashedRank, reason)
-	}
-	if cb := c.opts.OnCrash; cb != nil && crashedRank >= 0 {
-		go cb(crashedRank, gen.epoch, c.epoch, reason)
-	}
-}
+// settleTimeout is how long a cluster member waits, after a data-plane
+// error, for the membership event (abort or leave broadcast) that
+// explains it; on the loopback control plane the notification beats
+// this by orders of magnitude.
+const settleTimeout = 2 * time.Second
 
 // ClusterConfig configures one rank's membership in a cluster job.
 type ClusterConfig struct {
@@ -660,21 +84,6 @@ type ClusterConfig struct {
 	wrapConn func(local, peer int, c net.Conn) net.Conn
 }
 
-func (cfg ClusterConfig) joinTimeout() time.Duration {
-	if cfg.JoinTimeout > 0 {
-		return cfg.JoinTimeout
-	}
-	return clusterDefaultJoinTimeout
-}
-
-func (cfg ClusterConfig) heartbeatInterval() time.Duration {
-	return CoordinatorOptions{HeartbeatInterval: cfg.HeartbeatInterval}.heartbeatInterval()
-}
-
-func (cfg ClusterConfig) suspectAfter() time.Duration {
-	return CoordinatorOptions{SuspectAfter: cfg.SuspectAfter}.suspectAfter()
-}
-
 // clusterMember is the out-of-process GroupMember: the shared groupCore
 // driven by coordinator control frames. Abort and Leave notify the
 // coordinator; the control reader applies remote aborts, leaves and
@@ -684,7 +93,7 @@ func (cfg ClusterConfig) suspectAfter() time.Duration {
 type clusterMember struct {
 	core     *groupCore
 	rank     int
-	ctrl     net.Conn
+	ctrl     *ctrlPeer
 	ctrlWMu  sync.Mutex
 	leftSelf atomic.Bool
 
@@ -705,23 +114,23 @@ type clusterMember struct {
 	hbSentAt  atomic.Int64
 	// dumpFn is the postmortem hook core installs via the endpoint's
 	// SetDump: the control reader invokes it when the coordinator
-	// broadcasts a ctrlDump frame. Stored as func(string) (the reason).
+	// broadcasts a wire.Dump. Stored as func(string) (the reason).
 	dumpFn atomic.Value
-	// hbStop ends the heartbeat loop; stopping it while staying
-	// connected is exactly what a stalled process looks like, which
-	// the suspicion tests exploit.
+	// hbStop ends the beat loop; stopping it while staying connected is
+	// exactly what a stalled process looks like, which the suspicion
+	// tests exploit.
 	hbStop     chan struct{}
 	hbStopOnce sync.Once
+	wg         sync.WaitGroup // the control reader and the beat loop; shutdown waits for both
 
 	// Telemetry push state (telemetry.go): tmMu serializes the
 	// interval pushes with the final flush in Leave; the snapshot,
 	// encoder and frame buffers are reused across pushes.
-	tmArmed atomic.Bool
-	tmAddr  string
-	tmMu    sync.Mutex
-	tmSnap  wire.Telemetry
-	tmEnc   wire.TelemetryEncoder
-	tmFrame []byte
+	telemetry TelemetryConfig
+	tmMu      sync.Mutex
+	tmSnap    wire.Telemetry
+	tmEnc     wire.TelemetryEncoder
+	tmFrame   []byte
 }
 
 func (m *clusterMember) Rank() int                       { return m.rank }
@@ -739,7 +148,7 @@ func (m *clusterMember) Abort() {
 	first := !m.core.aborted.Load()
 	m.core.abort()
 	if first {
-		m.sendCtrl(append([]byte{ctrlAbort}, "local abort"...))
+		m.sendCtrl(wire.Abort{Reason: "local abort"})
 	}
 }
 
@@ -750,12 +159,12 @@ func (m *clusterMember) Leave() (last bool) {
 	// Flush the final telemetry state first (the ordered control
 	// connection delivers it before the leave), so the coordinator's
 	// job view is complete even for runs shorter than one interval.
-	if m.tmArmed.Load() {
+	if m.telemetry.Interval > 0 {
 		m.pushTelemetry()
 	}
 	m.leftSelf.Store(true)
 	m.stopHeartbeats()
-	m.sendCtrl([]byte{ctrlLeave})
+	m.sendCtrl(wire.Leave{Rank: m.rank})
 	m.core.markLeft(m.rank)
 	return true
 }
@@ -778,14 +187,43 @@ func (m *clusterMember) stopHeartbeats() {
 	m.hbStopOnce.Do(func() { close(m.hbStop) })
 }
 
-// heartbeatLoop proves this process's liveness to the coordinator and
-// accounts for the coordinator's beats in return. A coordinator silent
-// past the suspicion timeout means the membership service (and the
-// launcher that owns it) is gone: the gang cannot maintain membership,
-// so the member aborts rather than hang in a later exchange.
-func (m *clusterMember) heartbeatLoop(interval, suspect time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+// shutdown ends the member's control connection and loops, after Leave
+// and never on one of those loops. It half-closes and lets the reader
+// drain until the coordinator, having read the Leave and the EOF,
+// closes its side: closing with a relayed frame unread would answer the
+// coordinator's next write with a reset, which can destroy this rank's
+// Leave in its receive queue and get a clean exit convicted as a crash.
+func (m *clusterMember) shutdown() {
+	m.stopHeartbeats()
+	if tc, ok := m.ctrl.nc.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	m.ctrl.nc.SetReadDeadline(time.Now().Add(settleTimeout)) // a wedged coordinator must not wedge Close
+	m.wg.Wait()
+	m.ctrl.nc.Close()
+}
+
+// beatLoop is the member's one ticker loop. Every hb it proves this
+// process's liveness to the coordinator and accounts for the
+// coordinator's beats in return: a coordinator silent past suspect
+// means the membership service (and the launcher that owns it) is gone,
+// so the member aborts rather than hang in a later exchange. Every
+// telemetry interval it pushes a metrics snapshot — on the same loop so
+// that a process whose beats are stalled (hbStop) looks fully silent and
+// suspicion can convict it. A zero period disables that half.
+func (m *clusterMember) beatLoop(hb, suspect time.Duration) {
+	defer m.wg.Done()
+	var beat, push <-chan time.Time
+	if hb > 0 {
+		t := time.NewTicker(hb)
+		defer t.Stop()
+		beat = t.C
+	}
+	if m.telemetry.Interval > 0 {
+		t := time.NewTicker(m.telemetry.Interval)
+		defer t.Stop()
+		push = t.C
+	}
 	var seq uint32
 	for {
 		select {
@@ -793,17 +231,19 @@ func (m *clusterMember) heartbeatLoop(interval, suspect time.Duration) {
 			return
 		case <-m.core.abortCh:
 			return
-		case <-tick.C:
+		case <-push:
+			m.pushTelemetry()
+			continue
+		case <-beat:
 		}
 		seq++
-		hb := wire.Heartbeat{Rank: m.rank, Epoch: m.core.opts.Epoch, Seq: seq}
 		m.hbSentSeq.Store(int64(seq))
 		m.hbSentAt.Store(time.Now().UnixNano())
-		m.sendCtrl(append([]byte{ctrlPing}, hb.EncodePayload()...))
+		m.sendCtrl(wire.Ping{Heartbeat: wire.Heartbeat{Rank: m.rank, Epoch: m.core.opts.Epoch, Seq: seq}})
 		m.buf.Load().Heartbeat(int(seq), m.core.opts.Epoch)
 		if last := m.coordBeat.Load(); last > 0 {
 			gap := time.Now().UnixNano() - last
-			if gap > 2*int64(interval) {
+			if gap > 2*int64(hb) {
 				m.buf.Load().HeartbeatMiss()
 			}
 			if suspect > 0 && gap > int64(suspect) {
@@ -814,10 +254,10 @@ func (m *clusterMember) heartbeatLoop(interval, suspect time.Duration) {
 	}
 }
 
-func (m *clusterMember) sendCtrl(frame []byte) {
+func (m *clusterMember) sendCtrl(msg wire.Ctrl) {
 	m.ctrlWMu.Lock()
 	defer m.ctrlWMu.Unlock()
-	writeCtrlFrame(m.ctrl, frame)
+	m.ctrl.send(msg) // a dead control connection surfaces in readControl
 }
 
 // settleFailure implements failureSettler: wait briefly for the
@@ -845,8 +285,9 @@ func (m *clusterMember) settleFailure(peer int) {
 // means the coordinator (or the launcher that owns it) is gone: the
 // gang cannot recover its membership, so the run aborts.
 func (m *clusterMember) readControl() {
+	defer m.wg.Done()
 	for {
-		b, err := readCtrlFrame(m.ctrl)
+		msg, err := m.ctrl.Read()
 		if err != nil {
 			if !m.leftSelf.Load() {
 				m.core.abort()
@@ -854,51 +295,42 @@ func (m *clusterMember) readControl() {
 			return
 		}
 		m.coordBeat.Store(time.Now().UnixNano())
-		switch b[0] {
-		case ctrlPing:
-			// Two flavors arrive under this tag: the coordinator's own
-			// periodic beat (Rank == CoordinatorRank; the liveness clock
-			// update above is its whole effect) and the echo of this
-			// member's newest beat, which closes the round trip the
-			// heartbeat loop opened.
-			if hb, err := wire.DecodeHeartbeatPayload(b[1:]); err == nil && hb.Rank == m.rank {
-				if int64(hb.Seq) == m.hbSentSeq.Load() {
-					if at := m.hbSentAt.Load(); at > 0 {
-						m.buf.Load().HeartbeatRTT(int(hb.Seq), time.Now().UnixNano()-at)
-					}
+		switch msg := msg.(type) {
+		case wire.Ping:
+			// Two flavors arrive: the coordinator's own periodic beat
+			// (Rank == CoordinatorRank; the liveness clock update above is
+			// its whole effect) and the echo of this member's newest beat,
+			// which closes the round trip the heartbeat loop opened.
+			if msg.Rank == m.rank && int64(msg.Seq) == m.hbSentSeq.Load() {
+				if at := m.hbSentAt.Load(); at > 0 {
+					m.buf.Load().HeartbeatRTT(int(msg.Seq), time.Now().UnixNano()-at)
 				}
 			}
-		case ctrlDump:
+		case wire.Dump:
 			// The coordinator failed the generation and wants every
 			// member's forensics. Synchronous on purpose: the dump
 			// completes before the crash/abort frame behind it is read,
 			// so the ring still shows the moment of death.
 			if fn, ok := m.dumpFn.Load().(func(string)); ok && fn != nil {
-				fn(string(b[1:]))
+				fn(msg.Reason)
 			}
-		case ctrlAbort:
+		case wire.Abort:
 			m.core.abort()
-		case ctrlCrash:
-			if len(b) >= 9 {
-				crashed := int(binary.LittleEndian.Uint32(b[1:5]))
-				newEpoch := int(binary.LittleEndian.Uint32(b[5:9]))
-				m.crashCause.CompareAndSwap(nil, &CrashError{
-					JobID:    m.core.opts.JobID,
-					Rank:     crashed,
-					Epoch:    m.core.opts.Epoch,
-					NewEpoch: newEpoch,
-					Reason:   string(b[9:]),
-				})
-				if crashed != m.rank {
-					m.buf.Load().WarmRestart()
-				}
+		case wire.Crash:
+			m.crashCause.CompareAndSwap(nil, &CrashError{
+				JobID:    m.core.opts.JobID,
+				Rank:     msg.Rank,
+				Epoch:    m.core.opts.Epoch,
+				NewEpoch: msg.NewEpoch,
+				Reason:   msg.Reason,
+			})
+			if msg.Rank != m.rank {
+				m.buf.Load().WarmRestart()
 			}
 			m.core.abort()
-		case ctrlLeave:
-			if len(b) == 5 {
-				if r := int(binary.LittleEndian.Uint32(b[1:])); r >= 0 && r < m.core.p {
-					m.core.markLeft(r)
-				}
+		case wire.Leave:
+			if msg.Rank < m.core.p {
+				m.core.markLeft(msg.Rank)
 			}
 		}
 	}
@@ -956,7 +388,7 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 	if cfg.Rank < 0 || cfg.Rank >= cfg.P {
 		return nil, fmt.Errorf("cluster: rank %d out of range [0,%d)", cfg.Rank, cfg.P)
 	}
-	deadline := time.Now().Add(cfg.joinTimeout())
+	deadline := time.Now().Add(orDefault(cfg.JoinTimeout, clusterDefaultJoinTimeout))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rank %d data listen: %w", cfg.Rank, err)
@@ -972,40 +404,34 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 		return nil, err
 	}
 	hs := wire.Handshake{JobID: cfg.JobID, Rank: cfg.Rank, Epoch: cfg.Epoch, P: cfg.P}
+	peer := newCtrlPeer(ctrl)
 	ctrl.SetDeadline(deadline)
-	if err := wire.WriteHandshake(ctrl, hs); err != nil {
+	if err := peer.Write(wire.Join{Handshake: hs, DataAddr: ln.Addr().String()}); err != nil {
 		return fail(fmt.Errorf("cluster: rank %d handshake: %w", cfg.Rank, err))
 	}
-	if err := writeCtrlFrame(ctrl, []byte(ln.Addr().String())); err != nil {
-		return fail(fmt.Errorf("cluster: rank %d handshake: %w", cfg.Rank, err))
-	}
-	reply, err := readCtrlFrame(ctrl)
+	reply, err := peer.Read()
 	if err != nil {
 		return fail(fmt.Errorf("cluster: rank %d waiting for the gang to assemble: %w", cfg.Rank, err))
 	}
-	switch reply[0] {
-	case ctrlReject:
-		return fail(fmt.Errorf("cluster: rank %d join rejected: %s", cfg.Rank, reply[1:]))
-	case ctrlBook:
-	default:
-		return fail(fmt.Errorf("cluster: rank %d: unexpected control frame %q before readiness", cfg.Rank, reply[0]))
-	}
 	ctrl.SetDeadline(time.Time{})
-	book, err := parseBook(reply, cfg.P)
-	if err != nil {
-		return fail(fmt.Errorf("cluster: rank %d: %w", cfg.Rank, err))
+	var book []string
+	switch reply := reply.(type) {
+	case wire.Reject:
+		return fail(fmt.Errorf("cluster: rank %d join rejected: %s", cfg.Rank, reply.Reason))
+	case wire.Book:
+		if book = reply.Addrs; len(book) != cfg.P {
+			return fail(fmt.Errorf("cluster: rank %d: address book for %d ranks, want %d", cfg.Rank, len(book), cfg.P))
+		}
+	default:
+		return fail(fmt.Errorf("cluster: rank %d: unexpected control message %T before readiness", cfg.Rank, reply))
 	}
 
 	core := newGroupCore(cfg.P, GroupOptions{JobID: cfg.JobID, Epoch: cfg.Epoch})
-	m := &clusterMember{core: core, rank: cfg.Rank, ctrl: ctrl, hbStop: make(chan struct{})}
+	m := &clusterMember{core: core, rank: cfg.Rank, ctrl: peer, hbStop: make(chan struct{}), telemetry: cfg.Telemetry}
 	m.coordBeat.Store(time.Now().UnixNano())
+	m.wg.Add(2)
 	go m.readControl()
-	if interval := cfg.heartbeatInterval(); interval > 0 {
-		go m.heartbeatLoop(interval, cfg.suspectAfter())
-	}
-	if cfg.Telemetry.Interval > 0 {
-		m.startTelemetry(cfg.Telemetry)
-	}
+	go m.beatLoop(orDefault(cfg.HeartbeatInterval, clusterDefaultHeartbeatInterval), orDefault(cfg.SuspectAfter, DefaultSuspectAfter))
 
 	wrap := cfg.wrapConn
 	if wrap == nil && cfg.Chaos != nil && cfg.Chaos.ConnErrRate > 0 {
@@ -1022,7 +448,7 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 		// Leave rather than lingering: the coordinator should not turn
 		// our failed join into a gang-wide crash abort twice.
 		m.Leave()
-		ctrl.Close()
+		m.shutdown()
 		return nil, err
 	}
 
@@ -1042,7 +468,7 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 	}
 	st.setTeardown(func() {
 		e.closeConns()
-		ctrl.Close()
+		m.shutdown()
 	})
 	// A gang abort must unblock this process's exchange immediately;
 	// the control connection stays up so the coordinator can still see
@@ -1053,32 +479,6 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 		ep = NewChaosEndpoint(e, *cfg.Chaos, cfg.ChaosCrash)
 	}
 	return ep, nil
-}
-
-// parseBook decodes the coordinator's address-book broadcast.
-func parseBook(b []byte, p int) ([]string, error) {
-	b = b[1:]
-	if len(b) < 4 {
-		return nil, errors.New("short address book")
-	}
-	if n := int(binary.LittleEndian.Uint32(b)); n != p {
-		return nil, fmt.Errorf("address book for %d ranks, want %d", n, p)
-	}
-	b = b[4:]
-	addrs := make([]string, p)
-	for r := 0; r < p; r++ {
-		if len(b) < 4 {
-			return nil, errors.New("truncated address book")
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < n {
-			return nil, errors.New("truncated address book")
-		}
-		addrs[r] = string(b[:n])
-		b = b[n:]
-	}
-	return addrs, nil
 }
 
 // dataPlane establishes this rank's p-1 pairwise data connections:

@@ -12,22 +12,107 @@ import (
 )
 
 // rawControlJoin performs only the control-plane half of a join — the
-// handshake and data-address frames — and returns the open control
-// connection. It lets tests impersonate a partially-alive rank.
+// Join message — and returns the open control connection. It lets
+// tests impersonate a partially-alive rank.
 func rawControlJoin(coord, job string, rank, epoch, p int, dataAddr string) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", coord, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteHandshake(c, wire.Handshake{JobID: job, Rank: rank, Epoch: epoch, P: p}); err != nil {
-		c.Close()
-		return nil, err
-	}
-	if err := writeCtrlFrame(c, []byte(dataAddr)); err != nil {
+	join := wire.Join{Handshake: wire.Handshake{JobID: job, Rank: rank, Epoch: epoch, P: p}, DataAddr: dataAddr}
+	if err := wire.NewCtrlConn(c).Write(join); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// coordWatch records a coordinator's event stream — every event the
+// machine has processed, with the actions the shell has performed for
+// it — so a real-socket test orders itself on what the coordinator has
+// done instead of sleeping and hoping.
+type coordWatch struct {
+	mu   sync.Mutex
+	seen []coordStep
+	next int           // await's cursor into seen
+	wake chan struct{} // closed, and replaced, on every step
+}
+
+type coordStep struct {
+	ev   event
+	acts []action
+}
+
+// watchCoordinator starts a coordinator whose steps are recorded.
+func watchCoordinator(t *testing.T, p int, opts CoordinatorOptions) (*Coordinator, *coordWatch) {
+	t.Helper()
+	w := &coordWatch{wake: make(chan struct{})}
+	coord, err := StartCoordinator(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Installed on the loop goroutine, which owns the field, before
+	// anyone has the address: no step goes unrecorded.
+	coord.call(func() {
+		coord.observe = func(ev event, acts []action) {
+			w.mu.Lock()
+			w.seen = append(w.seen, coordStep{ev, acts})
+			close(w.wake)
+			w.wake = make(chan struct{})
+			w.mu.Unlock()
+		}
+	})
+	return coord, w
+}
+
+// await blocks until the coordinator has performed a step matching
+// match (looking only at steps no earlier await consumed) and returns
+// it.
+func (w *coordWatch) await(t *testing.T, what string, match func(coordStep) bool) coordStep {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		w.mu.Lock()
+		for w.next < len(w.seen) {
+			step := w.seen[w.next]
+			w.next++
+			if match(step) {
+				w.mu.Unlock()
+				return step
+			}
+		}
+		wake := w.wake
+		w.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timeout:
+			t.Fatalf("the coordinator never got to: %s", what)
+		}
+	}
+}
+
+// fencing matches the step that fenced a generation convicting rank.
+func fencing(rank int) func(coordStep) bool {
+	return func(s coordStep) bool {
+		for _, a := range s.acts {
+			if f, ok := a.(Fence); ok && f.Rank == rank {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func isConnLost(s coordStep) bool { _, ok := s.ev.(evConnLost); return ok }
+
+// isIngest matches a step that handed a telemetry frame to the aggregate.
+func isIngest(s coordStep) bool {
+	for _, a := range s.acts {
+		if _, ok := a.(actIngest); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // joinErr runs one JoinCluster expecting failure and returns the error.
@@ -60,12 +145,15 @@ func TestClusterRejectsWrongJobID(t *testing.T) {
 }
 
 // TestClusterRejectsDuplicateRank: the second process presenting an
-// already-joined rank is rejected by name.
+// already-joined rank is rejected by name, and the first is untouched.
+// The machine-table rows pin the protocol; this is the same over real
+// sockets, with the duplicate presented only once the coordinator has
+// admitted the legitimate rank 0 (two concurrent joins are otherwise
+// ordered by nothing: whichever handshake the coordinator reads first
+// wins, and the loser is the "duplicate").
 func TestClusterRejectsDuplicateRank(t *testing.T) {
-	coord, err := StartCoordinator(2, CoordinatorOptions{JobID: "dup", JoinTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer checkGoroutines(t)()
+	coord, watch := watchCoordinator(t, 2, CoordinatorOptions{JobID: "dup", JoinTimeout: 5 * time.Second})
 	defer coord.Close()
 	firstErr := make(chan error, 1)
 	go func() {
@@ -77,20 +165,16 @@ func TestClusterRejectsDuplicateRank(t *testing.T) {
 		})
 		firstErr <- err
 	}()
-	// Wait until rank 0 is admitted, then present the duplicate.
-	var dupErr error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		dupErr = joinErr(t, ClusterConfig{
-			Coordinator: coord.Addr(), JobID: "dup", Rank: 0, P: 2,
-			JoinTimeout: 5 * time.Second,
-		})
-		if strings.Contains(dupErr.Error(), "duplicate rank 0") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw the duplicate-rank rejection, last: %v", dupErr)
-		}
-		time.Sleep(10 * time.Millisecond)
+	watch.await(t, "rank 0 admitted", func(s coordStep) bool {
+		j, ok := s.ev.(evJoin)
+		return ok && j.join.Rank == 0 && len(s.acts) == 0
+	})
+	dupErr := joinErr(t, ClusterConfig{
+		Coordinator: coord.Addr(), JobID: "dup", Rank: 0, P: 2,
+		JoinTimeout: 5 * time.Second,
+	})
+	if !strings.Contains(dupErr.Error(), "duplicate rank 0") {
+		t.Errorf("the duplicate must be rejected by name, got: %v", dupErr)
 	}
 	coord.Close()
 	if err := <-firstErr; err == nil {
@@ -276,7 +360,7 @@ func TestClusterCrashFansOutAsAbort(t *testing.T) {
 	// exactly like a killed process.
 	crashed := eps[1].(*tcpEndpoint)
 	crashed.closeConns()
-	crashed.m.(*clusterMember).ctrl.Close()
+	crashed.m.(*clusterMember).ctrl.nc.Close()
 	// Rank 0, mid-exchange, must unwind with an error, not hang.
 	done := make(chan error, 1)
 	go func() {

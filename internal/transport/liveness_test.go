@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,29 +14,46 @@ import (
 	"repro/internal/wire"
 )
 
-// checkGoroutines snapshots the goroutine count and returns a teardown
-// function failing the test if the count has not settled back — the
-// leak guard for abort, reject and timeout paths, which historically
-// are where reader/monitor goroutines get orphaned. Register it first
-// (defer checkGoroutines(t)()) so it runs after every other cleanup.
+// checkGoroutines is the leak guard for abort, reject and timeout paths,
+// which historically are where reader/monitor goroutines get orphaned.
+// It snapshots the goroutines running or started by this package's code
+// and returns a teardown failing the test if a new one outlives it.
+// Nothing here waits for time to pass: every goroutine the package
+// starts is joined by its owner's Close (Coordinator.Close, the
+// endpoint's teardown, ChaosProxy.Close), so by the time the teardown
+// runs a survivor is a leak — except that a goroutine released by
+// wg.Done may still be executing its return, hence the bounded yield.
+// Register it first (defer checkGoroutines(t)()) so it runs after every
+// other cleanup.
 func checkGoroutines(t *testing.T) func() {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	ours := func() map[string]string {
+		buf := make([]byte, 1<<20)
+		stacks := map[string]string{}
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if header, _, _ := strings.Cut(g, " ["); strings.Contains(g, "repro/internal/transport.") {
+				stacks[header] = g // header is "goroutine N"
+			}
+		}
+		return stacks
+	}
+	before := ours()
 	return func() {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			n := runtime.NumGoroutine()
-			if n <= before {
+		var leaked []string
+		for yields := 0; yields < 10_000; yields++ {
+			leaked = leaked[:0]
+			for id, stack := range ours() {
+				if _, ok := before[id]; !ok {
+					leaked = append(leaked, stack)
+				}
+			}
+			if len(leaked) == 0 {
 				return
 			}
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
+			runtime.Gosched()
 		}
+		t.Errorf("goroutine leak: %d goroutine(s) of this package outlived the test\n%s", len(leaked), strings.Join(leaked, "\n\n"))
 	}
 }
 
@@ -264,10 +282,8 @@ func TestClusterCoordinatorSurvivesHalfOpenJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stall.Close()
-	payload := wire.Handshake{JobID: "mute", Rank: 0, P: 1}.EncodePayload()
-	frame := make([]byte, 4+len(payload))
-	frame[0] = byte(len(payload))
-	copy(frame[4:], payload)
+	payload := wire.AppendCtrl(nil, wire.Join{Handshake: wire.Handshake{JobID: "mute", Rank: 0, P: 1}})
+	frame := append([]byte{byte(len(payload)), 0, 0, 0}, payload...)
 	if _, err := stall.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -383,18 +399,20 @@ func TestClusterPartitionedJoinFailsCleanly(t *testing.T) {
 // histogram and a flight-ring heartbeat event carrying the RTT.
 func TestClusterHeartbeatRTTEcho(t *testing.T) {
 	defer checkGoroutines(t)()
-	coord, err := StartCoordinator(1, CoordinatorOptions{
+	coord, watch := watchCoordinator(t, 1, CoordinatorOptions{
 		JobID: "rtt", JoinTimeout: 10 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer coord.Close()
+	// Telemetry is armed only so the test can block on the coordinator's
+	// event stream: the member's RTT accumulator rides every push, so the
+	// first ingested frame that carries an observation proves the member
+	// has recorded it.
 	ep, err := JoinCluster(ClusterConfig{
 		Coordinator: coord.Addr(), JobID: "rtt", Rank: 0, P: 1,
 		JoinTimeout:       10 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond,
+		Telemetry:         TelemetryConfig{Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,15 +420,8 @@ func TestClusterHeartbeatRTTEcho(t *testing.T) {
 	rec := trace.New(1)
 	ep.(TraceSetter).SetTrace(rec.Rank(0))
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if rec.Metrics().Snapshot().HeartbeatRTT.Count > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no heartbeat RTT observed within 5s of 20ms beats")
-		}
-		time.Sleep(10 * time.Millisecond)
+	for coord.StatusDoc().Ranks[0].RTTAvgNs == 0 {
+		watch.await(t, "a telemetry frame carrying a heartbeat RTT", isIngest)
 	}
 	snap := rec.Metrics().Snapshot()
 	if snap.Heartbeats < 1 || snap.LastHeartbeatSeq < 1 {

@@ -1,13 +1,9 @@
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -17,10 +13,10 @@ import (
 
 // TelemetryConfig arms a cluster member's live telemetry push loop:
 // every Interval the member reads its rank's metrics atomics and sends
-// a delta-encoded wire.Telemetry frame (ctrl tag 'T') to the
-// coordinator, entirely off the superstep hot path — the loop runs on
-// its own goroutine and touches only atomic counters the recorder
-// already maintains. Interval <= 0 disables the loop.
+// a delta-encoded wire.Telemetry frame (a wire.TelemetryPush) to the
+// coordinator, entirely off the superstep hot path — the push runs on
+// the member's beat goroutine and touches only atomic counters the
+// recorder already maintains. Interval <= 0 disables it.
 type TelemetryConfig struct {
 	Interval time.Duration
 	// MetricsAddr is this rank's own bound /metrics address, reported
@@ -29,34 +25,7 @@ type TelemetryConfig struct {
 	MetricsAddr string
 }
 
-// --- member side: the push loop ---
-
-// startTelemetry arms the push loop on a joined member. Called once
-// from joinCluster before the endpoint is handed out.
-func (m *clusterMember) startTelemetry(cfg TelemetryConfig) {
-	m.tmArmed.Store(true)
-	m.tmAddr = cfg.MetricsAddr
-	go m.telemetryLoop(cfg.Interval)
-}
-
-// telemetryLoop pushes a snapshot every interval. It stops with the
-// heartbeats (hbStop): a process whose liveness beats are stalled must
-// look fully silent to the coordinator, telemetry included, or the
-// suspicion tests would never convict it.
-func (m *clusterMember) telemetryLoop(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.hbStop:
-			return
-		case <-m.core.abortCh:
-			return
-		case <-tick.C:
-			m.pushTelemetry()
-		}
-	}
-}
+// --- member side: the push (beatLoop in cluster.go paces it) ---
 
 // pushTelemetry reads the rank's counters and ships one frame. All
 // buffers (the snapshot's bucket slices, the encoder's state, the
@@ -75,7 +44,7 @@ func (m *clusterMember) pushTelemetry() {
 	t := &m.tmSnap
 	t.Rank = m.rank
 	t.Epoch = m.core.opts.Epoch
-	t.MetricsAddr = m.tmAddr
+	t.MetricsAddr = m.telemetry.MetricsAddr
 	met := m.buf.Load().Metrics()
 	r := met.Rank(m.rank)
 	t.LastStep = r.LastStep
@@ -85,27 +54,16 @@ func (m *clusterMember) pushTelemetry() {
 	t.SentPkts = r.SentPkts
 	t.RecvPkts = r.RecvPkts
 	t.PairBytes = met.RankSentBytes(m.rank)
-	for i := range t.StepDur {
-		t.StepDur[i] = 0
-	}
-	for i := range t.SyncWait {
-		t.SyncWait[i] = 0
-	}
-	if met != nil {
+	if met != nil { // until core installs the recorder, everything else stays zero
 		t.HBRTTCount, t.HBRTTNs = met.HeartbeatRTT.Total()
 		t.CkptSaves = met.CkptSaves.Load()
 		t.Restores = met.Restores.Load()
 		t.Rollbacks = met.Rollbacks.Load()
 		met.StepDur.CopyCounts(t.StepDur)
 		met.SyncWait.CopyCounts(t.SyncWait)
-	} else {
-		t.HBRTTCount, t.HBRTTNs = 0, 0
-		t.CkptSaves, t.Restores, t.Rollbacks = 0, 0, 0
 	}
-	frame := append(m.tmFrame[:0], ctrlTelemetry)
-	frame = m.tmEnc.AppendEncode(frame, t)
-	m.tmFrame = frame
-	m.sendCtrl(frame)
+	m.tmFrame = m.tmEnc.AppendEncode(m.tmFrame[:0], t)
+	m.sendCtrl(wire.TelemetryPush{Payload: m.tmFrame})
 }
 
 // --- coordinator side: the aggregator ---
@@ -115,10 +73,9 @@ func (m *clusterMember) pushTelemetry() {
 // (g, L) estimator fed with per-interval (h, wait) observations. It
 // outlives generations — a warm-restarted rank re-synchronises with a
 // baseline frame, and the dead incarnation's totals are folded into a
-// per-rank base so counters stay monotone for Prometheus.
+// per-rank base so counters stay monotone for Prometheus. The
+// coordinator's loop goroutine owns it, as it owns the machine.
 type telemetryAgg struct {
-	mu    sync.Mutex
-	p     int
 	ranks []aggRank
 	est   *cost.OnlineEstimator
 
@@ -135,30 +92,22 @@ type aggRank struct {
 	seen bool
 
 	lastAt      int64 // unix nano of the newest accepted frame
-	reports     int64
 	seqGaps     int64
 	baselines   int64
 	convictions int64
 	reason      string // newest conviction reason
-	left        bool   // clean leave observed
-	down        bool   // control conn lost or rank convicted
 	convicted   bool   // convicted and not seen since
 }
 
 func newTelemetryAgg(p int) *telemetryAgg {
-	return &telemetryAgg{p: p, ranks: make([]aggRank, p), est: cost.NewOnlineEstimator()}
+	return &telemetryAgg{ranks: make([]aggRank, p), est: cost.NewOnlineEstimator()}
 }
 
 // ingest decodes one member frame and feeds the estimator with the
 // interval it spans. A baseline frame is an interval from incarnation
 // start, so even a job short enough to produce a single final flush
 // still contributes observations.
-func (a *telemetryAgg) ingest(rank int, payload []byte) {
-	if a == nil || rank < 0 || rank >= a.p {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *telemetryAgg) ingest(rank int, payload []byte, now time.Time) {
 	r := &a.ranks[rank]
 	t, err := r.dec.Decode(payload)
 	if err != nil {
@@ -182,9 +131,8 @@ func (a *telemetryAgg) ingest(rank int, payload []byte) {
 	}
 	r.cur = t
 	r.seen = true
-	r.reports++
-	r.lastAt = time.Now().UnixNano()
-	r.left, r.down, r.convicted = false, false, false
+	r.lastAt = now.UnixNano()
+	r.convicted = false
 }
 
 // observeInterval feeds the estimator with one (h/step, wait/step)
@@ -244,30 +192,10 @@ func addBuckets(dst, src []int64) []int64 {
 // convict marks a rank as convicted by the failure detector (crash
 // declaration). Cleared when a new incarnation of the rank reports.
 func (a *telemetryAgg) convict(rank int, reason string) {
-	if a == nil || rank < 0 || rank >= a.p {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	r := &a.ranks[rank]
 	r.convictions++
 	r.reason = reason
 	r.convicted = true
-	r.down = true
-}
-
-// disconnect records a member's control connection closing.
-func (a *telemetryAgg) disconnect(rank int, left bool) {
-	if a == nil || rank < 0 || rank >= a.p {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if left {
-		a.ranks[rank].left = true
-	} else {
-		a.ranks[rank].down = true
-	}
 }
 
 // --- the job-level view ---
@@ -315,315 +243,156 @@ type StatusCalib struct {
 	PredictedUs float64 `json:"predicted_us"`
 }
 
-// StatusDoc is the coordinator's job-level live view served at
-// /status.
+// StatusDoc is the one job-level view: the coordinator serves it at
+// /status, renders /metrics from it, and the launcher keeps the final
+// one (bsprun -status-dump, bsptop, tracecheck -status, bspsoak).
 type StatusDoc struct {
 	Job   string       `json:"job"`
 	P     int          `json:"p"`
 	Epoch int          `json:"epoch"`
 	Ranks []StatusRank `json:"ranks"`
 	Calib StatusCalib  `json:"calib"`
+
+	stepDur, syncWait []int64 // job-wide histogram bucket counts, for /metrics
 }
 
-// calibLocked computes the fit and residual ratio; a.mu must be held.
-func (a *telemetryAgg) calibLocked() StatusCalib {
-	pm, ok := a.est.Fit()
-	c := StatusCalib{
-		GUsPerPkt: pm.G,
-		LUs:       pm.L,
-		Window:    a.est.N(),
-		Fit:       ok,
-		ActualUs:  a.sumWorkUs + a.sumWaitUs,
+// row renders one rank: the only place the dead incarnations' base and
+// the current incarnation are summed. left and down are the membership
+// machine's view of the rank's newest connection.
+func (a *telemetryAgg) row(i int, now int64, suspectAfter time.Duration, left, down bool) StatusRank {
+	r := &a.ranks[i]
+	row := StatusRank{
+		Rank:          i,
+		Epoch:         r.cur.Epoch,
+		Seq:           r.cur.Seq,
+		LastStep:      -1,
+		Steps:         r.base.Steps + r.cur.Steps,
+		WorkNs:        r.base.WorkNs + r.cur.WorkNs,
+		WaitNs:        r.base.WaitNs + r.cur.WaitNs,
+		SentPkts:      r.base.SentPkts + r.cur.SentPkts,
+		RecvPkts:      r.base.RecvPkts + r.cur.RecvPkts,
+		PairBytes:     r.base.PairBytes + r.cur.PairBytes,
+		CkptSaves:     r.base.CkptSaves + r.cur.CkptSaves,
+		Restores:      r.base.Restores + r.cur.Restores,
+		Rollbacks:     r.base.Rollbacks + r.cur.Rollbacks,
+		SeqGaps:       r.seqGaps,
+		Baselines:     r.baselines,
+		Convictions:   r.convictions,
+		ConvictReason: r.reason,
+		MetricsAddr:   r.cur.MetricsAddr,
 	}
+	if n := r.base.HBRTTCount + r.cur.HBRTTCount; n > 0 {
+		row.RTTAvgNs = (r.base.HBRTTNs + r.cur.HBRTTNs) / n
+	}
+	if r.seen {
+		row.LastStep = r.cur.LastStep
+		row.AgeMs = (now - r.lastAt) / 1e6
+	}
+	switch {
+	// Conviction is authoritative even for a rank that never got a
+	// telemetry frame out — the liveness plane saw it die.
+	case r.convicted || down:
+		row.State = "down"
+	case !r.seen:
+		row.State = "silent"
+	case left:
+		row.State = "left"
+	case suspectAfter > 0 && now-r.lastAt > int64(suspectAfter):
+		row.State = "suspect"
+	default:
+		row.State = "live"
+	}
+	return row
+}
+
+// status renders the job-level document from the aggregate and the
+// membership machine (epoch; whether each rank's newest connection has
+// ended, with or without a Leave).
+func (a *telemetryAgg) status(m *coordMachine, now time.Time) StatusDoc {
+	doc := StatusDoc{Job: m.opts.JobID, P: m.p, Epoch: m.epoch, Ranks: make([]StatusRank, m.p)}
+	for i, mem := range m.newest {
+		gone := mem != nil && mem.gone
+		doc.Ranks[i] = a.row(i, now.UnixNano(), m.opts.SuspectAfter, gone && mem.left, gone && !mem.left)
+		for _, t := range []*wire.Telemetry{&a.ranks[i].base, &a.ranks[i].cur} {
+			doc.stepDur = addBuckets(doc.stepDur, t.StepDur)
+			doc.syncWait = addBuckets(doc.syncWait, t.SyncWait)
+		}
+	}
+	pm, ok := a.est.Fit()
+	c := &doc.Calib
+	*c = StatusCalib{GUsPerPkt: pm.G, LUs: pm.L, Window: a.est.N(), Fit: ok, ActualUs: a.sumWorkUs + a.sumWaitUs}
 	c.PredictedUs = a.sumWorkUs + pm.G*a.sumH + pm.L*a.sumSteps
 	if c.PredictedUs > 0 {
 		c.LiveRatio = c.ActualUs / c.PredictedUs
 	}
-	return c
-}
-
-// status renders the job-level document.
-func (a *telemetryAgg) status(job string, epoch int, suspectAfter time.Duration) StatusDoc {
-	doc := StatusDoc{Job: job, P: a.p, Epoch: epoch}
-	if a == nil {
-		return doc
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := time.Now().UnixNano()
-	doc.Calib = a.calibLocked()
-	doc.Ranks = make([]StatusRank, a.p)
-	for i := range a.ranks {
-		r := &a.ranks[i]
-		row := StatusRank{
-			Rank:          i,
-			Epoch:         r.cur.Epoch,
-			Seq:           r.cur.Seq,
-			LastStep:      r.cur.LastStep,
-			Steps:         r.base.Steps + r.cur.Steps,
-			WorkNs:        r.base.WorkNs + r.cur.WorkNs,
-			WaitNs:        r.base.WaitNs + r.cur.WaitNs,
-			SentPkts:      r.base.SentPkts + r.cur.SentPkts,
-			RecvPkts:      r.base.RecvPkts + r.cur.RecvPkts,
-			PairBytes:     r.base.PairBytes + r.cur.PairBytes,
-			CkptSaves:     r.base.CkptSaves + r.cur.CkptSaves,
-			Restores:      r.base.Restores + r.cur.Restores,
-			Rollbacks:     r.base.Rollbacks + r.cur.Rollbacks,
-			SeqGaps:       r.seqGaps,
-			Baselines:     r.baselines,
-			Convictions:   r.convictions,
-			ConvictReason: r.reason,
-			MetricsAddr:   r.cur.MetricsAddr,
-		}
-		if !r.seen {
-			row.LastStep = -1
-		}
-		if n := r.base.HBRTTCount + r.cur.HBRTTCount; n > 0 {
-			row.RTTAvgNs = (r.base.HBRTTNs + r.cur.HBRTTNs) / n
-		}
-		if r.seen {
-			row.AgeMs = (now - r.lastAt) / 1e6
-		}
-		switch {
-		// Conviction is authoritative even for a rank that never got a
-		// telemetry frame out — the liveness plane saw it die.
-		case r.convicted || r.down:
-			row.State = "down"
-		case !r.seen:
-			row.State = "silent"
-		case r.left:
-			row.State = "left"
-		case suspectAfter > 0 && now-r.lastAt > int64(suspectAfter):
-			row.State = "suspect"
-		default:
-			row.State = "live"
-		}
-		doc.Ranks[i] = row
-	}
 	return doc
 }
 
-// TelemetrySummary is the launcher-facing digest of the aggregation:
-// the fitted (g, L), the live Eq-1 residual ratio, and per-rank stream
-// health (used by the soak harness to assert the stream stayed
-// gap-free across a warm recovery).
-type TelemetrySummary struct {
-	Fit       cost.Params
-	FitOK     bool
-	Window    int
-	LiveRatio float64
-	Ranks     []TelemetryRankSummary
-}
-
-// TelemetryRankSummary is one rank's stream health.
-type TelemetryRankSummary struct {
-	Reports     int64
-	SeqGaps     int64
-	Baselines   int64
-	Convictions int64
-	LastStep    int64
-	Seq         uint32
-}
-
-// Enabled reports whether any rank ever pushed telemetry.
-func (s TelemetrySummary) Enabled() bool {
-	for _, r := range s.Ranks {
-		if r.Reports > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *telemetryAgg) summary() TelemetrySummary {
-	if a == nil {
-		return TelemetrySummary{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	c := a.calibLocked()
-	s := TelemetrySummary{
-		Fit:       cost.Params{G: c.GUsPerPkt, L: c.LUs},
-		FitOK:     c.Fit,
-		Window:    c.Window,
-		LiveRatio: c.LiveRatio,
-		Ranks:     make([]TelemetryRankSummary, a.p),
-	}
-	for i := range a.ranks {
-		r := &a.ranks[i]
-		s.Ranks[i] = TelemetryRankSummary{
-			Reports:     r.reports,
-			SeqGaps:     r.seqGaps,
-			Baselines:   r.baselines,
-			Convictions: r.convictions,
-			LastStep:    r.cur.LastStep,
-			Seq:         r.cur.Seq,
-		}
-		if !r.seen {
-			s.Ranks[i].LastStep = -1
-		}
-	}
-	return s
-}
-
-// writeMetrics renders the aggregated Prometheus exposition: rank-
-// labeled counter families (one scrape target for the whole job
-// instead of p member endpoints), job-wide histograms summed across
+// writeMetrics renders the document as the aggregated Prometheus
+// exposition: rank-labeled families (one scrape target for the whole
+// job instead of p member endpoints), job-wide histograms summed across
 // ranks, and the calibration gauges.
-func (a *telemetryAgg) writeMetrics(w io.Writer, epoch int) {
-	if a == nil {
-		return
+func (doc StatusDoc) writeMetrics(w io.Writer) {
+	b2i := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
-	type rankVal struct {
+	secs := func(ns int64) float64 { return float64(ns) / 1e9 }
+	for _, f := range []struct {
 		name, help, typ string
-		val             func(r *aggRank) string
-	}
-	families := []rankVal{
-		{"bsp_rank_supersteps_total", "Supersteps completed, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.base.Steps+r.cur.Steps) }},
-		{"bsp_rank_last_superstep", "Newest completed global superstep, per rank (-1 before the first).", "gauge",
-			func(r *aggRank) string {
-				if !r.seen {
-					return "-1"
-				}
-				return fmt.Sprintf("%d", r.cur.LastStep)
-			}},
-		{"bsp_rank_work_seconds_total", "Local computation, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%g", float64(r.base.WorkNs+r.cur.WorkNs)/1e9) }},
-		{"bsp_rank_wait_seconds_total", "Barrier and exchange wait, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%g", float64(r.base.WaitNs+r.cur.WaitNs)/1e9) }},
-		{"bsp_rank_sent_packets_total", "Packet units sent, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.base.SentPkts+r.cur.SentPkts) }},
-		{"bsp_rank_recv_packets_total", "Packet units received, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.base.RecvPkts+r.cur.RecvPkts) }},
-		{"bsp_rank_pair_bytes_total", "Batch bytes shipped, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.base.PairBytes+r.cur.PairBytes) }},
-		{"bsp_rank_rollbacks_total", "Recovery re-executions observed, per rank (job total).", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.base.Rollbacks+r.cur.Rollbacks) }},
-		{"bsp_rank_rtt_seconds", "Mean control-plane heartbeat round trip, per rank.", "gauge",
-			func(r *aggRank) string {
-				if n := r.base.HBRTTCount + r.cur.HBRTTCount; n > 0 {
-					return fmt.Sprintf("%g", float64(r.base.HBRTTNs+r.cur.HBRTTNs)/float64(n)/1e9)
-				}
-				return "0"
-			}},
-		{"bsp_rank_telemetry_seq", "Newest telemetry frame sequence, per rank.", "gauge",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.cur.Seq) }},
-		{"bsp_rank_telemetry_gaps_total", "Telemetry frames lost to sequence gaps, per rank.", "counter",
-			func(r *aggRank) string { return fmt.Sprintf("%d", r.seqGaps) }},
-		{"bsp_rank_up", "1 while the rank's telemetry stream is current.", "gauge",
-			func(r *aggRank) string {
-				if r.seen && !r.down && !r.left {
-					return "1"
-				}
-				return "0"
-			}},
-	}
-	for _, f := range families {
+		val             func(r *StatusRank) any
+	}{
+		{"bsp_rank_supersteps_total", "Supersteps completed, per rank (job total).", "counter", func(r *StatusRank) any { return r.Steps }},
+		{"bsp_rank_last_superstep", "Newest completed global superstep, per rank (-1 before the first).", "gauge", func(r *StatusRank) any { return r.LastStep }},
+		{"bsp_rank_work_seconds_total", "Local computation, per rank (job total).", "counter", func(r *StatusRank) any { return secs(r.WorkNs) }},
+		{"bsp_rank_wait_seconds_total", "Barrier and exchange wait, per rank (job total).", "counter", func(r *StatusRank) any { return secs(r.WaitNs) }},
+		{"bsp_rank_sent_packets_total", "Packet units sent, per rank (job total).", "counter", func(r *StatusRank) any { return r.SentPkts }},
+		{"bsp_rank_recv_packets_total", "Packet units received, per rank (job total).", "counter", func(r *StatusRank) any { return r.RecvPkts }},
+		{"bsp_rank_pair_bytes_total", "Batch bytes shipped, per rank (job total).", "counter", func(r *StatusRank) any { return r.PairBytes }},
+		{"bsp_rank_rollbacks_total", "Recovery re-executions observed, per rank (job total).", "counter", func(r *StatusRank) any { return r.Rollbacks }},
+		{"bsp_rank_rtt_seconds", "Mean control-plane heartbeat round trip, per rank.", "gauge", func(r *StatusRank) any { return secs(r.RTTAvgNs) }},
+		{"bsp_rank_telemetry_seq", "Newest telemetry frame sequence, per rank.", "gauge", func(r *StatusRank) any { return r.Seq }},
+		{"bsp_rank_telemetry_gaps_total", "Telemetry frames lost to sequence gaps, per rank.", "counter", func(r *StatusRank) any { return r.SeqGaps }},
+		{"bsp_rank_up", "1 while the rank's telemetry stream is current.", "gauge", func(r *StatusRank) any { return b2i(r.State == "live" || r.State == "suspect") }},
+	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for i := range a.ranks {
-			fmt.Fprintf(w, "%s{rank=\"%d\"} %s\n", f.name, i, f.val(&a.ranks[i]))
+		for i := range doc.Ranks {
+			fmt.Fprintf(w, "%s{rank=\"%d\"} %v\n", f.name, i, f.val(&doc.Ranks[i]))
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP bsp_job_epoch Gang generation currently admitted.\n# TYPE bsp_job_epoch gauge\nbsp_job_epoch %d\n", epoch)
+	fmt.Fprintf(w, "# HELP bsp_job_epoch Gang generation currently admitted.\n# TYPE bsp_job_epoch gauge\nbsp_job_epoch %d\n", doc.Epoch)
 
-	a.writeHistLocked(w, "bsp_superstep_duration_seconds", "Superstep duration (compute plus barrier), all ranks.",
-		func(r *aggRank) ([]int64, []int64) { return r.base.StepDur, r.cur.StepDur },
-		func(r *aggRank) int64 { return r.base.WorkNs + r.cur.WorkNs + r.base.WaitNs + r.cur.WaitNs })
-	a.writeHistLocked(w, "bsp_sync_wait_seconds", "Barrier and exchange wait per superstep, all ranks.",
-		func(r *aggRank) ([]int64, []int64) { return r.base.SyncWait, r.cur.SyncWait },
-		func(r *aggRank) int64 { return r.base.WaitNs + r.cur.WaitNs })
-
-	c := a.calibLocked()
-	fit := 0
-	if c.Fit {
-		fit = 1
+	var workNs, waitNs int64
+	for _, r := range doc.Ranks {
+		workNs, waitNs = workNs+r.WorkNs, waitNs+r.WaitNs
 	}
+	writeHist(w, "bsp_superstep_duration_seconds", "Superstep duration (compute plus barrier), all ranks.", workNs+waitNs, doc.stepDur)
+	writeHist(w, "bsp_sync_wait_seconds", "Barrier and exchange wait per superstep, all ranks.", waitNs, doc.syncWait)
+
+	c := doc.Calib
 	fmt.Fprintf(w, "# HELP bsp_calib_g_us_per_packet Online least-squares estimate of g (Eq 1), microseconds per 16-byte packet.\n# TYPE bsp_calib_g_us_per_packet gauge\nbsp_calib_g_us_per_packet %g\n", c.GUsPerPkt)
 	fmt.Fprintf(w, "# HELP bsp_calib_l_us Online least-squares estimate of L (Eq 1), microseconds per superstep.\n# TYPE bsp_calib_l_us gauge\nbsp_calib_l_us %g\n", c.LUs)
 	fmt.Fprintf(w, "# HELP bsp_calib_window Observations in the estimator window.\n# TYPE bsp_calib_window gauge\nbsp_calib_window %d\n", c.Window)
-	fmt.Fprintf(w, "# HELP bsp_calib_fit 1 when the window identifies both g and L.\n# TYPE bsp_calib_fit gauge\nbsp_calib_fit %d\n", fit)
+	fmt.Fprintf(w, "# HELP bsp_calib_fit 1 when the window identifies both g and L.\n# TYPE bsp_calib_fit gauge\nbsp_calib_fit %d\n", b2i(c.Fit))
 	fmt.Fprintf(w, "# HELP bsp_calib_residual_ratio Live Eq-1 residual: actual over predicted superstep time under the current fit.\n# TYPE bsp_calib_residual_ratio gauge\nbsp_calib_residual_ratio %g\n", c.LiveRatio)
 }
 
-// writeHistLocked sums one histogram family across ranks and renders
-// cumulative le buckets on the recorder's fixed duration ladder.
-func (a *telemetryAgg) writeHistLocked(w io.Writer, name, help string,
-	buckets func(*aggRank) (base, cur []int64), sumNs func(*aggRank) int64) {
+// writeHist renders one histogram family as cumulative le buckets on the
+// recorder's fixed duration ladder.
+func writeHist(w io.Writer, name, help string, sumNs int64, counts []int64) {
 	bounds := trace.DurationBounds()
-	total := make([]int64, len(bounds)+1)
-	var ns int64
-	for i := range a.ranks {
-		base, cur := buckets(&a.ranks[i])
-		for j, v := range base {
-			if j < len(total) {
-				total[j] += v
-			}
-		}
-		for j, v := range cur {
-			if j < len(total) {
-				total[j] += v
-			}
-		}
-		ns += sumNs(&a.ranks[i])
-	}
+	counts = addBuckets(make([]int64, len(bounds)+1), counts)
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	cum := int64(0)
 	for i, b := range bounds {
-		cum += total[i]
+		cum += counts[i]
 		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b)/1e9, cum)
 	}
-	cum += total[len(bounds)]
+	cum += counts[len(bounds)]
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(ns)/1e9)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(sumNs)/1e9)
 	fmt.Fprintf(w, "%s_count %d\n", name, cum)
-}
-
-// --- coordinator HTTP plane ---
-
-// StatusDoc renders the coordinator's live job-level view.
-func (c *Coordinator) StatusDoc() StatusDoc {
-	return c.telem.status(c.opts.JobID, c.Epoch(), c.opts.suspectAfter())
-}
-
-// TelemetrySummary returns the launcher-facing aggregation digest.
-func (c *Coordinator) TelemetrySummary() TelemetrySummary {
-	return c.telem.summary()
-}
-
-// StatusURL returns the base URL of the coordinator's status server
-// ("" when none is armed).
-func (c *Coordinator) StatusURL() string {
-	if c.statusLn == nil {
-		return ""
-	}
-	return "http://" + c.statusLn.Addr().String()
-}
-
-// startStatusServer binds opts.StatusAddr and serves /status (JSON)
-// and /metrics (aggregated Prometheus exposition).
-func (c *Coordinator) startStatusServer(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: status listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(c.StatusDoc())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.telem.writeMetrics(w, c.Epoch())
-	})
-	c.statusLn = ln
-	c.statusSrv = &http.Server{Handler: mux}
-	go c.statusSrv.Serve(ln)
-	return nil
 }

@@ -24,14 +24,11 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 	const p = 2
 	const steps = 10
 	const gNsPerPkt, lNs = 2_000, 500_000 // g = 2µs/pkt, L = 500µs
-	coord, err := StartCoordinator(p, CoordinatorOptions{
+	coord, watch := watchCoordinator(t, p, CoordinatorOptions{
 		JobID: "telem", JoinTimeout: 10 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond, SuspectAfter: 5 * time.Second,
 		StatusAddr: "127.0.0.1:0",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer coord.Close()
 	statusURL := coord.StatusURL()
 	if statusURL == "" {
@@ -71,8 +68,9 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 
 	// Synthetic supersteps straight onto the recorder: wait is exactly
 	// g·h + L, with h varying step to step so the least-squares fit
-	// can identify both parameters. Spread over real time so the push
-	// loops ship multiple intervals.
+	// can identify both parameters. Each superstep waits until the
+	// coordinator has ingested it from every rank, so the push loops
+	// ship one interval per superstep whatever the scheduler does.
 	now := int64(0)
 	for s := 0; s < steps; s++ {
 		h := 100 * (s + 1)
@@ -84,13 +82,19 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 			b.Pair(s, (r+1)%p, now, h*16, 1, h)
 		}
 		now += 1_000_000 + wait
-		time.Sleep(10 * time.Millisecond)
+		for caught := false; !caught; {
+			watch.await(t, fmt.Sprintf("superstep %d ingested from every rank", s), isIngest)
+			caught = true
+			for _, row := range coord.StatusDoc().Ranks {
+				caught = caught && row.Steps == int64(s+1)
+			}
+		}
 	}
-	time.Sleep(30 * time.Millisecond) // let the final interval ship
 
 	var doc StatusDoc
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	get := func(path string) []byte {
-		resp, err := http.Get(statusURL + path)
+		resp, err := client.Get(statusURL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -155,30 +159,16 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 	for r := 0; r < p; r++ {
 		eps[r].Close()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		final := coord.StatusDoc()
-		allLeft := true
-		for _, row := range final.Ranks {
-			if row.State != "left" {
-				allLeft = false
-			}
-		}
-		if allLeft {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ranks never reached left state: %+v", final.Ranks)
-		}
-		time.Sleep(10 * time.Millisecond)
+	for r := 0; r < p; r++ {
+		watch.await(t, "every member's connection closed", isConnLost)
 	}
-	sum := coord.TelemetrySummary()
-	if !sum.Enabled() || !sum.FitOK {
-		t.Fatalf("summary: %+v", sum)
+	final := coord.StatusDoc()
+	if !final.Calib.Fit {
+		t.Fatalf("final fit: %+v", final.Calib)
 	}
-	for r, rs := range sum.Ranks {
-		if rs.SeqGaps != 0 || rs.Baselines != 1 || rs.LastStep != steps-1 {
-			t.Errorf("summary rank %d: %+v", r, rs)
+	for r, row := range final.Ranks {
+		if row.State != "left" || row.SeqGaps != 0 || row.Baselines != 1 || row.LastStep != steps-1 {
+			t.Errorf("final rank %d: %+v", r, row)
 		}
 	}
 }
@@ -190,13 +180,10 @@ func TestClusterTelemetryConviction(t *testing.T) {
 	defer checkGoroutines(t)()
 	const p = 2
 	const suspectAfter = 300 * time.Millisecond
-	coord, err := StartCoordinator(p, CoordinatorOptions{
+	coord, watch := watchCoordinator(t, p, CoordinatorOptions{
 		JobID: "telem-convict", JoinTimeout: 10 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond, SuspectAfter: suspectAfter,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer coord.Close()
 
 	eps := make([]Endpoint, p)
@@ -226,22 +213,9 @@ func TestClusterTelemetryConviction(t *testing.T) {
 	// Rank 1 goes silent (heartbeats AND telemetry stop — a stalled
 	// process sends nothing); the liveness loop must convict it.
 	eps[1].(*tcpEndpoint).m.(*clusterMember).stopHeartbeats()
-	deadline := time.Now().Add(10 * suspectAfter)
-	for {
-		doc := coord.StatusDoc()
-		if doc.Ranks[1].Convictions > 0 {
-			if doc.Ranks[1].State != "down" {
-				t.Errorf("convicted rank state %q, want down", doc.Ranks[1].State)
-			}
-			if doc.Ranks[1].ConvictReason == "" {
-				t.Error("conviction recorded without a reason")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rank 1 never convicted in /status")
-		}
-		time.Sleep(20 * time.Millisecond)
+	watch.await(t, "rank 1 convicted", fencing(1))
+	if row := coord.StatusDoc().Ranks[1]; row.Convictions != 1 || row.State != "down" || row.ConvictReason == "" {
+		t.Errorf("convicted rank's row: %+v, want one conviction with a reason, state down", row)
 	}
 	for r := 0; r < p; r++ {
 		eps[r].Close()

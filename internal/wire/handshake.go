@@ -10,10 +10,10 @@ import (
 // traffic flows: it names the job, the peer's rank, the gang epoch and
 // the expected machine width, so a connection from the wrong job, a
 // stale (pre-recovery) gang generation, or a mis-sized machine is
-// rejected before it can corrupt an exchange. The same frame travels on
-// both planes — once to the coordinator when a rank joins, and once in
-// each direction on every pairwise data connection — layered on the
-// standard [u32 length][payload] wire framing used for batches.
+// rejected before it can corrupt an exchange. The same payload travels
+// on both planes — inside the Join message a rank opens its control
+// connection with, and as a [u32 length][payload] frame of its own in
+// each direction on every pairwise data connection.
 type Handshake struct {
 	// JobID names the job instance; both sides must agree.
 	JobID string
@@ -32,8 +32,11 @@ type Handshake struct {
 // loudly instead of being misread as rank/epoch fields.
 const HandshakeMagic = 0x42535047 // "GPSB" little-endian on the wire
 
-// HandshakeVersion is the protocol revision this build speaks.
-const HandshakeVersion = 1
+// HandshakeVersion is the protocol revision this build speaks, bumped
+// with any frame layout (2: the typed control protocol of ctrl.go). A
+// gang is one self-exec'd binary, so a stale child is owed a rejection
+// by version, not compatibility.
+const HandshakeVersion = 2
 
 // handshakeFixed is the fixed-width prefix of the payload: magic,
 // version, rank, epoch, p — five little-endian uint32s. The job id
@@ -78,31 +81,43 @@ func DecodeHandshakePayload(b []byte) (Handshake, error) {
 
 // WriteHandshake sends the handshake as one length-prefixed frame.
 func WriteHandshake(w io.Writer, h Handshake) error {
-	payload := h.EncodePayload()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return writeFrame(w, append(make([]byte, 4), h.EncodePayload()...))
 }
 
 // ReadHandshake reads one length-prefixed handshake frame. The length
 // is bounded by handshakeMaxLen so a peer speaking a different protocol
 // cannot make the reader allocate or block on an absurd frame.
 func ReadHandshake(r io.Reader) (Handshake, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Handshake{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > handshakeMaxLen {
-		return Handshake{}, fmt.Errorf("wire: handshake frame of %d bytes exceeds limit %d", n, handshakeMaxLen)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readFrame(r, new([]byte), handshakeMaxLen)
+	if err != nil {
 		return Handshake{}, err
 	}
 	return DecodeHandshakePayload(payload)
+}
+
+// writeFrame sends frame — four bytes reserved for the length, then the
+// payload — as [u32 length][payload] in one write.
+func writeFrame(w io.Writer, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
+	return err
+}
+
+// readFrame reads one [u32 length][payload] frame of at most limit
+// bytes into *buf, growing it as needed.
+func readFrame(r io.Reader, buf *[]byte, limit uint32) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d bytes exceeds limit %d", ErrCtrl, n, limit)
+	}
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	_, err := io.ReadFull(r, b)
+	return b, err
 }

@@ -25,7 +25,9 @@
 #                     twice): every registered application on shm,
 #                     xchg, tcp and cluster bit-identical to sim with
 #                     equal (H, S), and recovering from one seeded
-#                     crash to the same result
+#                     crash to the same result, and all of
+#                     internal/trace (metrics = fold(events), the row
+#                     field table) and internal/prof
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
@@ -135,7 +137,7 @@ conformance:
 	$(GO) test -race -timeout 120s ./internal/ckpt/ -run 'Recovery|Crash|Recoverable' -v
 	$(GO) test -race -timeout 120s ./internal/launch/ -v
 	$(GO) test -race -count=2 -timeout 120s ./internal/apps/ -v
-	$(GO) test -race -timeout 120s ./internal/trace/ -run 'TestTrace' -v
+	$(GO) test -race -timeout 120s ./internal/trace/ ./internal/prof/
 
 trace-smoke:
 	rm -rf $(TRACE_DIR) && mkdir -p $(TRACE_DIR)
@@ -225,9 +227,10 @@ top-smoke:
 	grep -q "agreement ok" $(TOP_DIR)/run.log
 	$(TOP_DIR)/bsptop -status $(TOP_DIR)/status.json -once | tee $(TOP_DIR)/top_final.txt
 	test "$$(grep -c '^r[0-3] ' $(TOP_DIR)/top_final.txt)" = 4
-	grep -q 'bsp_rank_supersteps_total{rank="3"}' $(TOP_DIR)/metrics.txt
-	grep -q 'bsp_rank_last_superstep{rank="0"}' $(TOP_DIR)/metrics.txt
-	grep -q 'bsp_rank_pair_bytes_total' $(TOP_DIR)/metrics.txt
+	grep -q 'bsp_supersteps_total{rank="3"}' $(TOP_DIR)/metrics.txt
+	grep -q 'bsp_last_superstep{rank="0"}' $(TOP_DIR)/metrics.txt
+	grep -q 'bsp_sent_bytes_total{rank="1"}' $(TOP_DIR)/metrics.txt
+	grep -q 'bsp_telemetry_rejects_total{rank="2"} 0' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_sync_wait_seconds_bucket' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_calib_g_us_per_packet' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_calib_l_us' $(TOP_DIR)/metrics.txt

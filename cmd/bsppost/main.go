@@ -211,7 +211,7 @@ func report(w *os.File, man *trace.BundleManifest, dumps []trace.Dump, machine c
 	// died of slowness shows its divergence here.
 	shards := make([]trace.Shard, len(dumps))
 	for i, d := range dumps {
-		shards[i] = d.Shard()
+		shards[i] = d.Shard
 	}
 	rec, err := trace.MergeShards(shards)
 	if err != nil {

@@ -157,25 +157,32 @@ func TestExchangeAllocGate(t *testing.T) {
 	}
 	// The telemetry push path must be equally invisible: while the
 	// machine runs, a pusher goroutine snapshots every rank's counters
-	// and delta-encodes a wire frame every millisecond using only the
-	// alloc-free accessors (Metrics.Rank, RankSentBytes, Hist.Total,
-	// Hist.CopyCounts, TelemetryEncoder.AppendEncode into reused
-	// buffers). AllocsPerRun counts the whole process, so any allocation
-	// in the pusher shows up here too — the gate holds the same
-	// tracing-off bound with live telemetry armed.
+	// and delta-encodes a wire frame every millisecond, exactly as a
+	// cluster member's pushTelemetry does (Metrics.Rank by value,
+	// Row.AppendValues, Hist.AppendCounts and TelemetryEncoder.AppendEncode
+	// into reused buffers). AllocsPerRun counts the whole process, so any
+	// allocation in the pusher shows up here too — the gate holds the
+	// same tracing-off bound with live telemetry armed.
 	rec := trace.NewFlight(allocP)
+	met := rec.Metrics()
+	var snap wire.Telemetry
+	var enc wire.TelemetryEncoder
+	var frame []byte
+	push := func(r int) {
+		snap.Counters = met.Rank(r).AppendValues(snap.Counters[:0])
+		snap.StepDur = met.StepDur.AppendCounts(snap.StepDur[:0])
+		snap.SyncWait = met.SyncWait.AppendCounts(snap.SyncWait[:0])
+		frame = enc.AppendEncode(frame[:0], &snap)
+	}
+	push(0) // the first frame sizes the buffers
+	if n := testing.AllocsPerRun(100, func() { push(1) }); n != 0 {
+		t.Errorf("alloc gate: a steady-state telemetry push allocates %.1f times, want 0", n)
+	}
 	stop := make(chan struct{})
 	var pushWG sync.WaitGroup
 	pushWG.Add(1)
 	go func() {
 		defer pushWG.Done()
-		met := rec.Metrics()
-		nb := len(trace.DurationBounds()) + 1
-		var snap wire.Telemetry
-		snap.StepDur = make([]int64, nb)
-		snap.SyncWait = make([]int64, nb)
-		var enc wire.TelemetryEncoder
-		frame := make([]byte, 0, 512)
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
@@ -184,19 +191,7 @@ func TestExchangeAllocGate(t *testing.T) {
 				return
 			case <-tick.C:
 				for r := 0; r < allocP; r++ {
-					rs := met.Rank(r)
-					snap.Rank = r
-					snap.LastStep = rs.LastStep
-					snap.Steps = rs.Steps
-					snap.WorkNs = rs.WorkNs
-					snap.WaitNs = rs.WaitNs
-					snap.SentPkts = rs.SentPkts
-					snap.RecvPkts = rs.RecvPkts
-					snap.PairBytes = met.RankSentBytes(r)
-					snap.HBRTTCount, snap.HBRTTNs = met.HeartbeatRTT.Total()
-					met.StepDur.CopyCounts(snap.StepDur)
-					met.SyncWait.CopyCounts(snap.SyncWait)
-					frame = enc.AppendEncode(frame[:0], &snap)
+					push(r)
 				}
 			}
 		}

@@ -67,11 +67,10 @@ func liveStatsFrom(m *trace.Metrics, p int) *LiveStats {
 	}
 	lv := &LiveStats{LastStep: -1}
 	for i := 0; i < p; i++ {
-		if ls := m.Rank(i).LastStep; ls > lv.LastStep {
-			lv.LastStep = ls
-		}
+		row := m.Rank(i)
+		lv.LastStep = max(lv.LastStep, row.LastStep)
+		lv.RTTCount += row.RTTCount
 	}
-	lv.RTTCount, _ = m.HeartbeatRTT.Total()
 	if lv.RTTCount > 0 {
 		lv.RTTp50 = time.Duration(m.HeartbeatRTT.Quantile(0.50))
 		lv.RTTp99 = time.Duration(m.HeartbeatRTT.Quantile(0.99))

@@ -9,6 +9,7 @@ package prof_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"strings"
@@ -30,9 +31,8 @@ const (
 	intSpinIters = 60_000_000
 )
 
-// spinWork burns CPU without allocating.
-var spinSink uint64
-
+// spinWork burns CPU without allocating. Every rank goroutine calls
+// it, so the result is kept alive per call, not in a shared sink.
 func spinWork(units int) {
 	acc := uint64(0x2545f4914f6cdd1d)
 	for i := 0; i < units*intSpinIters; i++ {
@@ -40,7 +40,7 @@ func spinWork(units int) {
 		acc ^= acc >> 7
 		acc ^= acc << 17
 	}
-	spinSink = acc
+	runtime.KeepAlive(acc)
 }
 
 // skewedRun executes the profiled workload: rank r computes (r+1)

@@ -45,12 +45,12 @@ func goldenRecorder() *Recorder {
 	b0.Heartbeat(3, 0)
 	b0.HeartbeatRTT(2, 1_500_000) // the coordinator echoed beat 2 in 1.5ms
 	b0.HeartbeatMiss()
-	b0.Suspect(1, 3400, 1)
-	b0.WarmRestart()
+	b0.Fault(1, FaultSuspect, 3400, 1)
+	b0.WarmRestart(1, 1)
 
 	// Rollback to the boundary-1 snapshot; attempt 2 restores and
 	// re-executes superstep 1.
-	r.machine = append(r.machine, Event{Kind: KindRollback, Rank: MachineRank, Step: 1, Start: 3500, End: 3500, A: 2, B: 1})
+	r.emitMachine(Event{Kind: KindRollback, Rank: MachineRank, Step: 1, Start: 3500, End: 3500, A: 2, B: 1})
 	b0.CkptRestore(1, 4000, 4050)
 	b1.CkptRestore(1, 4000, 4060)
 	b0.Pair(1, 1, 4900, 32, 2, 2)

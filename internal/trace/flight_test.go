@@ -135,11 +135,11 @@ func TestTraceFlightRecorderMode(t *testing.T) {
 		t.Fatalf("heartbeat event mangled: %+v", ring[2])
 	}
 	m := fr.Metrics().Snapshot()
-	if m.Ranks[0].Steps != 1 || m.Heartbeats != 1 {
+	if m.Ranks[0].Steps != 1 || m.Ranks[0].Heartbeats != 1 {
 		t.Fatalf("metrics not fed in flight mode: %+v", m)
 	}
-	if m.LastHeartbeatSeq != 7 || m.LastHeartbeatEpoch != 3 {
-		t.Fatalf("heartbeat gauges = (%d, %d), want (7, 3)", m.LastHeartbeatSeq, m.LastHeartbeatEpoch)
+	if r0 := m.Ranks[0]; r0.LastHeartbeatSeq != 7 || r0.LastHeartbeatEpoch != 3 {
+		t.Fatalf("heartbeat gauges = (%d, %d), want (7, 3)", r0.LastHeartbeatSeq, r0.LastHeartbeatEpoch)
 	}
 
 	full := New(2)

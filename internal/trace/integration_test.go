@@ -146,7 +146,11 @@ func TestTraceRecoveredRun(t *testing.T) {
 			// Live metrics agree with the event stream on the scalar
 			// counters.
 			snap := rec.Metrics().Snapshot()
-			if snap.Rollbacks != 1 || snap.Restores != int64(traceP) || snap.CkptSaves != int64(saves) || snap.Faults < 1 {
+			var sum trace.Row
+			for rank := range snap.Ranks {
+				trace.AddCounters(&sum, &snap.Ranks[rank])
+			}
+			if sum.Rollbacks != int64(traceP) || sum.Restores != int64(traceP) || sum.CkptSaves != int64(saves) || sum.Faults < 1 {
 				t.Fatalf("metrics disagree with events: %+v", snap)
 			}
 			for rank := 0; rank < traceP; rank++ {

@@ -7,47 +7,251 @@ import (
 	"sync/atomic"
 )
 
-// Metrics are the live counters of a running machine: per-rank
-// superstep/work/wait/packet totals, per-(src,dst) exchange volume,
-// and checkpoint/recovery/fault counters. All fields are atomics
-// updated at superstep granularity by the Buf methods, so a scraper
-// (the bsprun -metrics-addr endpoint) can read a consistent-enough
-// view while rank goroutines are still appending events.
+// Metrics are the live counters of a running machine, and they are
+// exactly a fold of its event stream: observe is the only code that
+// writes a counter or a histogram, and every recorded event passes
+// through it once. Per rank there is one Row of atomic cells; beside
+// the rows sit the (src,dst) exchange matrix and four machine-wide
+// distributions. Updates happen at superstep granularity, so a scraper
+// (the bsprun -metrics-addr endpoint, the telemetry push loop) reads a
+// consistent-enough view while rank goroutines keep recording.
 type Metrics struct {
-	p        int
-	steps    []atomic.Int64 // supersteps completed, per rank
-	workNs   []atomic.Int64 // local computation, per rank
-	waitNs   []atomic.Int64 // barrier+exchange time, per rank
-	sentPkts []atomic.Int64 // packets sent, per rank
-	recvPkts []atomic.Int64 // packets received, per rank
-	lastStep []atomic.Int64 // newest completed global superstep + 1, per rank (0 = none)
+	rows []RowOf[atomic.Int64]
+	// computeNs stages each rank's newest compute span until the sync
+	// event that ends the superstep, so StepDur gets one sample per
+	// superstep (compute + barrier). Only the rank's own goroutine
+	// records compute and sync events, so the cells are plain.
+	computeNs []int64
 
-	pairBytes  []atomic.Int64 // bytes shipped, [src*p+dst]
-	pairFrames []atomic.Int64 // frames shipped, [src*p+dst]
-	pairPkts   []atomic.Int64 // payload packet units shipped, [src*p+dst]
-
-	CkptSaves atomic.Int64 // per-rank snapshot records written
-	CkptBytes atomic.Int64 // snapshot bytes written
-	Restores  atomic.Int64 // ranks restored from a snapshot
-	Rollbacks atomic.Int64 // machine rollbacks (recovery re-executions)
-	Faults    atomic.Int64 // injected chaos faults observed
-
-	Heartbeats      atomic.Int64 // liveness heartbeats sent on the control plane
-	HeartbeatMisses atomic.Int64 // heartbeat intervals that passed without a peer beat
-	Suspects        atomic.Int64 // ranks declared crashed by liveness suspicion or conn loss
-	WarmRestarts    atomic.Int64 // surgical single-rank process relaunches observed
+	pairs []pairCells // [src*p+dst]
 
 	// Latency/size distributions, machine-wide (no rank labels: the
 	// point is the shape — straggler tails, bimodal batch sizes — and
-	// per-rank totals already exist above). Fixed log-scale buckets so
+	// per-rank totals are in the rows). Fixed log-scale buckets so
 	// goldens and cross-run comparisons are stable.
 	StepDur      *Hist // superstep duration (compute + barrier), ns
 	SyncWait     *Hist // barrier + exchange wait, ns
 	PairBatch    *Hist // per-(src,dst) batch handoff, bytes
 	HeartbeatRTT *Hist // control-plane heartbeat round trip, ns
+}
 
-	LastHeartbeatSeq   atomic.Int64 // sequence of the newest heartbeat sent
-	LastHeartbeatEpoch atomic.Int64 // gang epoch that heartbeat was sent in
+type pairCells struct{ bytes, frames, pkts atomic.Int64 }
+
+func newMetrics(p int) *Metrics {
+	m := &Metrics{
+		rows:      make([]RowOf[atomic.Int64], p),
+		computeNs: make([]int64, p),
+		pairs:     make([]pairCells, p*p),
+
+		StepDur:      newHist(durationBounds, 1e9),
+		SyncWait:     newHist(durationBounds, 1e9),
+		PairBatch:    newHist(byteBounds, 1),
+		HeartbeatRTT: newHist(durationBounds, 1e9),
+	}
+	for i := range m.rows {
+		m.rows[i].LastStep.Store(-1)
+	}
+	return m
+}
+
+// observe folds one event into the counters. Rank events arrive on
+// the rank's own goroutine and control-plane kinds (KindHeartbeat and
+// after) from transport goroutines, so everything shared is atomic.
+func (m *Metrics) observe(e Event) {
+	if m == nil {
+		return
+	}
+	if e.Kind == KindRollback { // a machine event: every rank goes through it
+		for i := range m.rows {
+			m.rows[i].Rollbacks.Add(1)
+		}
+		return
+	}
+	if e.Rank < 0 || int(e.Rank) >= len(m.rows) {
+		return
+	}
+	r := &m.rows[e.Rank]
+	switch e.Kind {
+	case KindCompute:
+		r.WorkNs.Add(e.Dur())
+		m.computeNs[e.Rank] = e.Dur()
+	case KindSync:
+		r.Steps.Add(1)
+		r.WaitNs.Add(e.Dur())
+		r.SentPkts.Add(e.A)
+		r.RecvPkts.Add(e.B)
+		// Core passes the machine superstep, so the gauge survives
+		// rollbacks as "newest step reached".
+		if int64(e.Step) > r.LastStep.Load() {
+			r.LastStep.Store(int64(e.Step))
+		}
+		m.SyncWait.Observe(e.Dur())
+		m.StepDur.Observe(m.computeNs[e.Rank] + e.Dur())
+		m.computeNs[e.Rank] = 0
+	case KindPair:
+		if dst := e.A; dst >= 0 && dst < int64(len(m.rows)) {
+			c := &m.pairs[int(e.Rank)*len(m.rows)+int(dst)]
+			c.bytes.Add(e.B)
+			c.frames.Add(e.C)
+			c.pkts.Add(e.D)
+			r.PairBytes.Add(e.B)
+		}
+		m.PairBatch.Observe(e.B)
+	case KindCkptSave:
+		r.CkptSaves.Add(1)
+		r.CkptBytes.Add(e.B)
+	case KindCkptRestore:
+		r.Restores.Add(1)
+	case KindFault:
+		if FaultCode(e.A) == FaultSuspect {
+			r.Suspects.Add(1)
+		} else {
+			r.Faults.Add(1)
+		}
+	case KindHeartbeat:
+		if e.C > 0 { // the coordinator's echo: a measured round trip
+			r.RTTNs.Add(e.C)
+			r.RTTCount.Add(1)
+			m.HeartbeatRTT.Observe(e.C)
+		} else {
+			r.Heartbeats.Add(1)
+			r.LastHeartbeatSeq.Store(e.A)
+			r.LastHeartbeatEpoch.Store(e.B)
+		}
+	case KindHeartbeatMiss:
+		r.HeartbeatMisses.Add(1)
+	case KindWarmRestart:
+		r.WarmRestarts.Add(1)
+	}
+}
+
+// Rank returns one rank's counters by value, without allocating (the
+// telemetry push loop reads its own row every interval). Nil-safe; a
+// rank out of range reads as a row that never ran.
+func (m *Metrics) Rank(i int) Row {
+	row := Row{LastStep: -1}
+	if m == nil || i < 0 || i >= len(m.rows) {
+		return row
+	}
+	dst, src := fieldsOf(&row), fieldsOf(&m.rows[i])
+	for k := range dst {
+		*dst[k] = src[k].Load()
+	}
+	return row
+}
+
+// Pair is one nonzero cell of the (src,dst) exchange matrix.
+type Pair struct {
+	Src    int   `json:"src"`
+	Dst    int   `json:"dst"`
+	Bytes  int64 `json:"bytes"`
+	Frames int64 `json:"frames"`
+	Pkts   int64 `json:"pkts"`
+}
+
+// Snapshot is a plain-data copy of every counter: what expvar
+// publishes, what a postmortem dump embeds, and the one input of the
+// Prometheus exposition — the per-process /metrics renders a
+// recorder's snapshot, the coordinator's aggregated /metrics renders
+// one assembled from telemetry rows.
+type Snapshot struct {
+	Ranks []Row  `json:"ranks"`           // by rank
+	Pairs []Pair `json:"pairs,omitempty"` // nonzero cells, by (src, dst)
+
+	StepDur      HistSnapshot `json:"step_dur"`
+	SyncWait     HistSnapshot `json:"sync_wait"`
+	PairBatch    HistSnapshot `json:"pair_batch"`
+	HeartbeatRTT HistSnapshot `json:"heartbeat_rtt"`
+}
+
+// Snapshot copies the counters. Safe concurrently with a running
+// machine; each counter is read atomically (the set is not a single
+// consistent cut, which is fine for monitoring).
+func (m *Metrics) Snapshot() Snapshot {
+	if m == nil {
+		return Snapshot{}
+	}
+	p := len(m.rows)
+	s := Snapshot{
+		Ranks:        make([]Row, p),
+		StepDur:      m.StepDur.Snapshot(),
+		SyncWait:     m.SyncWait.Snapshot(),
+		PairBatch:    m.PairBatch.Snapshot(),
+		HeartbeatRTT: m.HeartbeatRTT.Snapshot(),
+	}
+	for i := range s.Ranks {
+		s.Ranks[i] = m.Rank(i)
+	}
+	for i := range m.pairs {
+		if c := &m.pairs[i]; c.bytes.Load() > 0 {
+			s.Pairs = append(s.Pairs, Pair{i / p, i % p, c.bytes.Load(), c.frames.Load(), c.pkts.Load()})
+		}
+	}
+	return s
+}
+
+// WritePrometheus renders the snapshot in the Prometheus text
+// exposition format (hand-rolled; the repo takes no dependencies): one
+// rank-labelled family per Fields entry, the pair matrix, and whichever
+// histograms the snapshot carries.
+func (s Snapshot) WritePrometheus(w io.Writer) {
+	family := func(name, typ, help string) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
+	for k, f := range Fields {
+		family(f.Prom, f.Type, f.Help)
+		for i := range s.Ranks {
+			if v := *fieldsOf(&s.Ranks[i])[k]; f.Unit == "ns" {
+				fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", f.Prom, i, float64(v)/1e9)
+			} else {
+				fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", f.Prom, i, v)
+			}
+		}
+	}
+	if len(s.Pairs) > 0 {
+		for _, f := range []struct {
+			name, help string
+			val        func(Pair) int64
+		}{
+			{"bsp_pair_bytes_total", "Batch bytes shipped per (src,dst) pair.", func(c Pair) int64 { return c.Bytes }},
+			{"bsp_pair_frames_total", "Frames shipped per (src,dst) pair.", func(c Pair) int64 { return c.Frames }},
+			{"bsp_pair_packets_total", "Payload packet units shipped per (src,dst) pair.", func(c Pair) int64 { return c.Pkts }},
+		} {
+			family(f.name, "counter", f.help)
+			for _, c := range s.Pairs {
+				fmt.Fprintf(w, "%s{src=\"%d\",dst=\"%d\"} %d\n", f.name, c.Src, c.Dst, f.val(c))
+			}
+		}
+	}
+	for _, f := range []struct {
+		name, help string
+		h          HistSnapshot
+	}{
+		{"bsp_superstep_duration_seconds", "Superstep duration (compute plus barrier), all ranks.", s.StepDur},
+		{"bsp_sync_wait_seconds", "Barrier and exchange wait per superstep, all ranks.", s.SyncWait},
+		{"bsp_pair_batch_bytes", "Bytes per (src,dst) batch handoff.", s.PairBatch},
+		{"bsp_heartbeat_rtt_seconds", "Control-plane heartbeat round trip, send to coordinator echo.", s.HeartbeatRTT},
+	} {
+		if len(f.h.Counts) == 0 {
+			continue
+		}
+		family(f.name, "histogram", f.help)
+		cum := int64(0)
+		for i, b := range f.h.Bounds {
+			cum += f.h.Counts[i]
+			fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", f.name, b, cum)
+		}
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", f.name, f.h.Count, f.name, f.h.Sum, f.name, f.h.Count)
+	}
+}
+
+// Handler returns an http.Handler serving the Prometheus text format
+// (mount at /metrics).
+func (m *Metrics) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		m.Snapshot().WritePrometheus(w)
+	})
 }
 
 // Hist is a fixed-bucket histogram with atomic counters: Observe is
@@ -59,7 +263,6 @@ type Hist struct {
 	bounds []int64 // upper bounds (inclusive), native unit
 	scale  float64 // native units per exported unit (1e9: ns → s)
 	counts []atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -79,19 +282,15 @@ func logBounds(lo int64, base, n int) []int64 {
 	return b
 }
 
-// durationBounds spans 1µs to ~17s in powers of four: wide enough for
-// a microbenchmark superstep and a stalled barrier in the same ladder.
-func durationBounds() []int64 { return logBounds(1_000, 4, 13) }
-
-// DurationBounds returns a copy of the fixed duration-histogram bucket
-// bounds in nanoseconds, so aggregators that receive raw bucket counts
-// (the cluster telemetry plane) can render them without guessing the
-// ladder.
-func DurationBounds() []int64 { return durationBounds() }
-
-// byteBounds spans 64B to ~16MiB in powers of four, bracketing the
-// per-pair batch sizes the transports actually ship.
-func byteBounds() []int64 { return logBounds(64, 4, 10) }
+var (
+	// durationBounds spans 1µs to ~17s in powers of four: wide enough
+	// for a microbenchmark superstep and a stalled barrier in the same
+	// ladder.
+	durationBounds = logBounds(1_000, 4, 13)
+	// byteBounds spans 64B to ~16MiB in powers of four, bracketing the
+	// per-pair batch sizes the transports actually ship.
+	byteBounds = logBounds(64, 4, 10)
+)
 
 // Observe adds one sample in the native unit. Nil-safe, never
 // allocates.
@@ -99,7 +298,6 @@ func (h *Hist) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
@@ -108,41 +306,17 @@ func (h *Hist) Observe(v int64) {
 	h.counts[i].Add(1)
 }
 
-// Total returns the raw sample count and the sum in the histogram's
-// native unit (ns or bytes), without the exported-unit scaling that
-// Snapshot applies. Nil-safe and allocation-free.
-func (h *Hist) Total() (count, sum int64) {
+// AppendCounts appends the raw bucket counts (one per bound plus the
+// overflow bucket) to dst. Nil-safe, and allocation-free given
+// capacity — this is the telemetry push loop's reader.
+func (h *Hist) AppendCounts(dst []int64) []int64 {
 	if h == nil {
-		return 0, 0
+		return dst
 	}
-	return h.count.Load(), h.sum.Load()
-}
-
-// NumBuckets returns the number of counters including the overflow
-// bucket. Nil-safe.
-func (h *Hist) NumBuckets() int {
-	if h == nil {
-		return 0
+	for i := range h.counts {
+		dst = append(dst, h.counts[i].Load())
 	}
-	return len(h.counts)
-}
-
-// CopyCounts fills dst with the raw bucket counts (one per bound plus
-// the overflow bucket) and returns the number written. dst shorter
-// than NumBuckets is truncated. Nil-safe and allocation-free — this is
-// the telemetry push loop's reader.
-func (h *Hist) CopyCounts(dst []int64) int {
-	if h == nil {
-		return 0
-	}
-	n := len(h.counts)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = h.counts[i].Load()
-	}
-	return n
+	return dst
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in the native unit by
@@ -153,7 +327,10 @@ func (h *Hist) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	var total int64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
 	if total == 0 {
 		return 0
 	}
@@ -187,267 +364,35 @@ type HistSnapshot struct {
 	Counts []int64   `json:"counts"`
 }
 
+// histSnapshot assembles a snapshot from raw bucket counts on the given
+// ladder; counts shorter than the ladder are zero-extended.
+func histSnapshot(bounds []int64, scale float64, counts []int64, sum int64) HistSnapshot {
+	s := HistSnapshot{
+		Sum:    float64(sum) / scale,
+		Bounds: make([]float64, len(bounds)),
+		Counts: make([]int64, len(bounds)+1),
+	}
+	for i, b := range bounds {
+		s.Bounds[i] = float64(b) / scale
+	}
+	copy(s.Counts, counts)
+	for _, c := range s.Counts {
+		s.Count += c
+	}
+	return s
+}
+
 // Snapshot copies the histogram. Safe concurrently with observers.
 func (h *Hist) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	scale := h.scale
-	if scale == 0 {
-		scale = 1
-	}
-	s := HistSnapshot{
-		Count:  h.count.Load(),
-		Sum:    float64(h.sum.Load()) / scale,
-		Bounds: make([]float64, len(h.bounds)),
-		Counts: make([]int64, len(h.counts)),
-	}
-	for i, b := range h.bounds {
-		s.Bounds[i] = float64(b) / scale
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
+	return histSnapshot(h.bounds, h.scale, h.AppendCounts(nil), h.sum.Load())
 }
 
-// writePrometheus renders the histogram in the Prometheus text format
-// (cumulative le buckets, _sum, _count).
-func (h *Hist) writePrometheus(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	scale := h.scale
-	if scale == 0 {
-		scale = 1
-	}
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b)/scale, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count.Load())
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sum.Load())/scale)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
-}
-
-func newMetrics(p int) *Metrics {
-	return &Metrics{
-		p:          p,
-		steps:      make([]atomic.Int64, p),
-		workNs:     make([]atomic.Int64, p),
-		waitNs:     make([]atomic.Int64, p),
-		sentPkts:   make([]atomic.Int64, p),
-		recvPkts:   make([]atomic.Int64, p),
-		lastStep:   make([]atomic.Int64, p),
-		pairBytes:  make([]atomic.Int64, p*p),
-		pairFrames: make([]atomic.Int64, p*p),
-		pairPkts:   make([]atomic.Int64, p*p),
-
-		StepDur:      newHist(durationBounds(), 1e9),
-		SyncWait:     newHist(durationBounds(), 1e9),
-		PairBatch:    newHist(byteBounds(), 1),
-		HeartbeatRTT: newHist(durationBounds(), 1e9),
-	}
-}
-
-// pairIndex returns the flat index of (src,dst), or -1 out of range.
-func (m *Metrics) pairIndex(src, dst int) int {
-	if src < 0 || src >= m.p || dst < 0 || dst >= m.p {
-		return -1
-	}
-	return src*m.p + dst
-}
-
-// RankSnapshot is one rank's counter values at a point in time.
-// LastStep is the newest completed global superstep, or -1 before the
-// first barrier.
-type RankSnapshot struct {
-	Steps    int64
-	WorkNs   int64
-	WaitNs   int64
-	SentPkts int64
-	RecvPkts int64
-	LastStep int64
-}
-
-// Rank returns one rank's counters without allocating (Snapshot builds
-// maps; the telemetry push loop runs every interval and reads just its
-// own row). Nil-safe; out-of-range ranks return a zero snapshot.
-func (m *Metrics) Rank(i int) RankSnapshot {
-	if m == nil || i < 0 || i >= m.p {
-		return RankSnapshot{LastStep: -1}
-	}
-	return RankSnapshot{
-		Steps:    m.steps[i].Load(),
-		WorkNs:   m.workNs[i].Load(),
-		WaitNs:   m.waitNs[i].Load(),
-		SentPkts: m.sentPkts[i].Load(),
-		RecvPkts: m.recvPkts[i].Load(),
-		LastStep: m.lastStep[i].Load() - 1,
-	}
-}
-
-// RankSentBytes returns the total batch bytes rank src has shipped
-// across all destinations (the row-sum of the pair matrix). Nil-safe
-// and allocation-free.
-func (m *Metrics) RankSentBytes(src int) int64 {
-	if m == nil || src < 0 || src >= m.p {
-		return 0
-	}
-	var sum int64
-	for dst := 0; dst < m.p; dst++ {
-		sum += m.pairBytes[src*m.p+dst].Load()
-	}
-	return sum
-}
-
-// Snapshot is a plain-data copy of every counter, fit for JSON
-// encoding (the expvar endpoint publishes it).
-type Snapshot struct {
-	P          int
-	Ranks      []RankSnapshot
-	PairBytes  map[string]int64 // "src->dst", nonzero pairs only
-	PairFrames map[string]int64
-	PairPkts   map[string]int64
-	CkptSaves  int64
-	CkptBytes  int64
-	Restores   int64
-	Rollbacks  int64
-	Faults     int64
-
-	Heartbeats      int64
-	HeartbeatMisses int64
-	Suspects        int64
-	WarmRestarts    int64
-
-	LastHeartbeatSeq   int64
-	LastHeartbeatEpoch int64
-
-	StepDur      HistSnapshot
-	SyncWait     HistSnapshot
-	PairBatch    HistSnapshot
-	HeartbeatRTT HistSnapshot
-}
-
-// Snapshot copies the counters. Safe concurrently with a running
-// machine; each counter is read atomically (the set is not a single
-// consistent cut, which is fine for monitoring).
-func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return Snapshot{}
-	}
-	s := Snapshot{
-		P:          m.p,
-		Ranks:      make([]RankSnapshot, m.p),
-		PairBytes:  map[string]int64{},
-		PairFrames: map[string]int64{},
-		PairPkts:   map[string]int64{},
-		CkptSaves:  m.CkptSaves.Load(),
-		CkptBytes:  m.CkptBytes.Load(),
-		Restores:   m.Restores.Load(),
-		Rollbacks:  m.Rollbacks.Load(),
-		Faults:     m.Faults.Load(),
-
-		Heartbeats:      m.Heartbeats.Load(),
-		HeartbeatMisses: m.HeartbeatMisses.Load(),
-		Suspects:        m.Suspects.Load(),
-		WarmRestarts:    m.WarmRestarts.Load(),
-
-		LastHeartbeatSeq:   m.LastHeartbeatSeq.Load(),
-		LastHeartbeatEpoch: m.LastHeartbeatEpoch.Load(),
-
-		StepDur:      m.StepDur.Snapshot(),
-		SyncWait:     m.SyncWait.Snapshot(),
-		PairBatch:    m.PairBatch.Snapshot(),
-		HeartbeatRTT: m.HeartbeatRTT.Snapshot(),
-	}
-	for i := 0; i < m.p; i++ {
-		s.Ranks[i] = m.Rank(i)
-	}
-	for src := 0; src < m.p; src++ {
-		for dst := 0; dst < m.p; dst++ {
-			if b := m.pairBytes[src*m.p+dst].Load(); b > 0 {
-				key := fmt.Sprintf("%d->%d", src, dst)
-				s.PairBytes[key] = b
-				s.PairFrames[key] = m.pairFrames[src*m.p+dst].Load()
-				s.PairPkts[key] = m.pairPkts[src*m.p+dst].Load()
-			}
-		}
-	}
-	return s
-}
-
-// WritePrometheus renders the counters in the Prometheus text
-// exposition format (hand-rolled; the repo takes no dependencies).
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	if m == nil {
-		return
-	}
-	fmt.Fprintf(w, "# HELP bsp_supersteps_total Supersteps completed per rank.\n# TYPE bsp_supersteps_total counter\n")
-	for i := 0; i < m.p; i++ {
-		fmt.Fprintf(w, "bsp_supersteps_total{rank=\"%d\"} %d\n", i, m.steps[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP bsp_work_seconds_total Local computation per rank.\n# TYPE bsp_work_seconds_total counter\n")
-	for i := 0; i < m.p; i++ {
-		fmt.Fprintf(w, "bsp_work_seconds_total{rank=\"%d\"} %g\n", i, float64(m.workNs[i].Load())/1e9)
-	}
-	fmt.Fprintf(w, "# HELP bsp_wait_seconds_total Barrier and exchange time per rank.\n# TYPE bsp_wait_seconds_total counter\n")
-	for i := 0; i < m.p; i++ {
-		fmt.Fprintf(w, "bsp_wait_seconds_total{rank=\"%d\"} %g\n", i, float64(m.waitNs[i].Load())/1e9)
-	}
-	fmt.Fprintf(w, "# HELP bsp_sent_packets_total Packet units sent per rank.\n# TYPE bsp_sent_packets_total counter\n")
-	for i := 0; i < m.p; i++ {
-		fmt.Fprintf(w, "bsp_sent_packets_total{rank=\"%d\"} %d\n", i, m.sentPkts[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP bsp_recv_packets_total Packet units received per rank.\n# TYPE bsp_recv_packets_total counter\n")
-	for i := 0; i < m.p; i++ {
-		fmt.Fprintf(w, "bsp_recv_packets_total{rank=\"%d\"} %d\n", i, m.recvPkts[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP bsp_pair_bytes_total Batch bytes shipped per (src,dst) pair.\n# TYPE bsp_pair_bytes_total counter\n")
-	for src := 0; src < m.p; src++ {
-		for dst := 0; dst < m.p; dst++ {
-			if b := m.pairBytes[src*m.p+dst].Load(); b > 0 {
-				fmt.Fprintf(w, "bsp_pair_bytes_total{src=\"%d\",dst=\"%d\"} %d\n", src, dst, b)
-			}
-		}
-	}
-	fmt.Fprintf(w, "# HELP bsp_pair_frames_total Frames shipped per (src,dst) pair.\n# TYPE bsp_pair_frames_total counter\n")
-	for src := 0; src < m.p; src++ {
-		for dst := 0; dst < m.p; dst++ {
-			if f := m.pairFrames[src*m.p+dst].Load(); f > 0 {
-				fmt.Fprintf(w, "bsp_pair_frames_total{src=\"%d\",dst=\"%d\"} %d\n", src, dst, f)
-			}
-		}
-	}
-	fmt.Fprintf(w, "# HELP bsp_pair_packets_total Payload packet units shipped per (src,dst) pair.\n# TYPE bsp_pair_packets_total counter\n")
-	for src := 0; src < m.p; src++ {
-		for dst := 0; dst < m.p; dst++ {
-			if n := m.pairPkts[src*m.p+dst].Load(); n > 0 {
-				fmt.Fprintf(w, "bsp_pair_packets_total{src=\"%d\",dst=\"%d\"} %d\n", src, dst, n)
-			}
-		}
-	}
-	fmt.Fprintf(w, "# HELP bsp_checkpoint_snapshots_total Per-rank snapshot records written.\n# TYPE bsp_checkpoint_snapshots_total counter\nbsp_checkpoint_snapshots_total %d\n", m.CkptSaves.Load())
-	fmt.Fprintf(w, "# HELP bsp_checkpoint_bytes_total Snapshot bytes written.\n# TYPE bsp_checkpoint_bytes_total counter\nbsp_checkpoint_bytes_total %d\n", m.CkptBytes.Load())
-	fmt.Fprintf(w, "# HELP bsp_restores_total Ranks restored from a snapshot.\n# TYPE bsp_restores_total counter\nbsp_restores_total %d\n", m.Restores.Load())
-	fmt.Fprintf(w, "# HELP bsp_rollbacks_total Machine rollbacks (recovery re-executions).\n# TYPE bsp_rollbacks_total counter\nbsp_rollbacks_total %d\n", m.Rollbacks.Load())
-	fmt.Fprintf(w, "# HELP bsp_faults_total Injected chaos faults observed.\n# TYPE bsp_faults_total counter\nbsp_faults_total %d\n", m.Faults.Load())
-	fmt.Fprintf(w, "# HELP bsp_heartbeats_total Liveness heartbeats sent on the control plane.\n# TYPE bsp_heartbeats_total counter\nbsp_heartbeats_total %d\n", m.Heartbeats.Load())
-	fmt.Fprintf(w, "# HELP bsp_heartbeat_misses_total Heartbeat intervals that passed without a peer beat.\n# TYPE bsp_heartbeat_misses_total counter\nbsp_heartbeat_misses_total %d\n", m.HeartbeatMisses.Load())
-	fmt.Fprintf(w, "# HELP bsp_suspects_total Ranks declared crashed by liveness suspicion or connection loss.\n# TYPE bsp_suspects_total counter\nbsp_suspects_total %d\n", m.Suspects.Load())
-	fmt.Fprintf(w, "# HELP bsp_warm_restarts_total Surgical single-rank process relaunches observed.\n# TYPE bsp_warm_restarts_total counter\nbsp_warm_restarts_total %d\n", m.WarmRestarts.Load())
-	fmt.Fprintf(w, "# HELP bsp_heartbeat_last_seq Sequence number of the newest heartbeat sent.\n# TYPE bsp_heartbeat_last_seq gauge\nbsp_heartbeat_last_seq %d\n", m.LastHeartbeatSeq.Load())
-	fmt.Fprintf(w, "# HELP bsp_heartbeat_last_epoch Gang epoch the newest heartbeat was sent in.\n# TYPE bsp_heartbeat_last_epoch gauge\nbsp_heartbeat_last_epoch %d\n", m.LastHeartbeatEpoch.Load())
-	m.StepDur.writePrometheus(w, "bsp_superstep_duration_seconds", "Superstep duration (compute plus barrier), all ranks.")
-	m.SyncWait.writePrometheus(w, "bsp_sync_wait_seconds", "Barrier and exchange wait per superstep, all ranks.")
-	m.PairBatch.writePrometheus(w, "bsp_pair_batch_bytes", "Bytes per (src,dst) batch handoff.")
-	m.HeartbeatRTT.writePrometheus(w, "bsp_heartbeat_rtt_seconds", "Control-plane heartbeat round trip, send to coordinator echo.")
-}
-
-// Handler returns an http.Handler serving the Prometheus text format
-// (mount at /metrics).
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
+// DurationHist renders raw bucket counts from the duration ladder
+// (what telemetry frames carry for StepDur and SyncWait) and their sum
+// in ns as a snapshot, so an aggregator never guesses the ladder.
+func DurationHist(counts []int64, sumNs int64) HistSnapshot {
+	return histSnapshot(durationBounds, 1e9, counts, sumNs)
 }

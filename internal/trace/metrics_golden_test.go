@@ -17,7 +17,7 @@ import (
 // schema change (shares the flag with the Chrome-export golden).
 func TestWritePrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	goldenRecorder().Metrics().WritePrometheus(&buf)
+	goldenRecorder().Metrics().Snapshot().WritePrometheus(&buf)
 	golden := filepath.Join("testdata", "metrics_golden.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

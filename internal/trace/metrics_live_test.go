@@ -5,7 +5,7 @@ import "testing"
 // TestHistQuantileAndTotal: the quantile estimator must land inside
 // the containing bucket and Total must report native units.
 func TestHistQuantileAndTotal(t *testing.T) {
-	h := newHist(durationBounds(), 1e9)
+	h := newHist(durationBounds, 1e9)
 	// 90 samples at ~2µs (bucket le=4096ns), 10 at ~1ms.
 	for i := 0; i < 90; i++ {
 		h.Observe(2_000)
@@ -13,8 +13,8 @@ func TestHistQuantileAndTotal(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1_000_000)
 	}
-	if c, s := h.Total(); c != 100 || s != 90*2_000+10*1_000_000 {
-		t.Fatalf("Total() = (%d, %d)", c, s)
+	if s := h.Snapshot(); s.Count != 100 || s.Sum != (90*2_000+10*1_000_000)/1e9 {
+		t.Fatalf("Snapshot count/sum = (%d, %g)", s.Count, s.Sum)
 	}
 	if q := h.Quantile(0.5); q < 1_000 || q > 4_096 {
 		t.Errorf("p50 = %dns, want within the ~2µs bucket", q)
@@ -23,20 +23,19 @@ func TestHistQuantileAndTotal(t *testing.T) {
 		t.Errorf("p99 = %dns, want within the ~1ms bucket", q)
 	}
 	var nilH *Hist
-	if nilH.Quantile(0.5) != 0 || nilH.NumBuckets() != 0 {
+	if nilH.Quantile(0.5) != 0 || len(nilH.AppendCounts(nil)) != 0 {
 		t.Error("nil Hist accessors must return zeros")
 	}
-	if n := h.NumBuckets(); n != len(durationBounds())+1 {
-		t.Errorf("NumBuckets = %d", n)
+	counts := h.AppendCounts(nil)
+	if len(counts) != len(durationBounds)+1 {
+		t.Errorf("AppendCounts wrote %d buckets", len(counts))
 	}
-	dst := make([]int64, h.NumBuckets())
-	h.CopyCounts(dst)
 	var sum int64
-	for _, v := range dst {
+	for _, v := range counts {
 		sum += v
 	}
 	if sum != 100 {
-		t.Errorf("CopyCounts buckets sum to %d", sum)
+		t.Errorf("AppendCounts buckets sum to %d", sum)
 	}
 }
 
@@ -57,11 +56,11 @@ func TestMetricsLastStep(t *testing.T) {
 	if got := r.Metrics().Rank(1).LastStep; got != -1 {
 		t.Fatalf("rank 1 LastStep = %d, want -1", got)
 	}
-	if got := r.Metrics().RankSentBytes(0); got != 0 {
-		t.Fatalf("RankSentBytes with no Pair events = %d", got)
+	if got := r.Metrics().Rank(0).PairBytes; got != 0 {
+		t.Fatalf("PairBytes with no Pair events = %d", got)
 	}
 	b.Pair(0, 1, 5, 2048, 1, 128)
-	if got := r.Metrics().RankSentBytes(0); got != 2048 {
-		t.Fatalf("RankSentBytes = %d, want 2048", got)
+	if got := r.Metrics().Rank(0).PairBytes; got != 2048 {
+		t.Fatalf("PairBytes = %d, want 2048", got)
 	}
 }

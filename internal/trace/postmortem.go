@@ -11,27 +11,24 @@ import (
 
 // Postmortem bundles: the crash-forensics output of the flight
 // recorder. When a run dies — ErrCrashed, ErrTimeout, a liveness
-// conviction — every rank dumps its flight ring, a metrics snapshot,
-// its goroutine stacks and the last heartbeat it sent into
-// <dir>/rank<r>/, and the launcher gathers the per-rank dumps into
-// one bundle with a MANIFEST.json. cmd/bsppost merges a bundle onto a
-// single timeline (each dump converts to a Shard, so MergeShards does
-// the heavy lifting) and prints the root-cause report; cmd/tracecheck
-// validates a bundle's internal consistency.
+// conviction — every rank dumps its flight ring, a metrics snapshot
+// and its goroutine stacks into <dir>/rank<r>/, and the launcher
+// gathers the per-rank dumps into one bundle with a MANIFEST.json.
+// cmd/bsppost merges a bundle onto a single timeline (each dump embeds
+// a Shard, so MergeShards does the heavy lifting) and prints the
+// root-cause report; cmd/tracecheck validates a bundle's internal
+// consistency.
 
 // Dump is one rank's postmortem: the retained flight-ring events plus
-// the forensic context that explains them. The embedded shard fields
-// (job, rank, p, epoch_unix_nano, events) make a dump a valid shard,
-// so bundles merge with the exact machinery -trace shards use.
+// the forensic context that explains them. It embeds the Shard it is
+// (job, rank, p, epoch_unix_nano, events — the ring contents, sorted by
+// start time), so bundles merge with the exact machinery -trace shards
+// use.
 type Dump struct {
-	Job  string `json:"job"`
-	Rank int    `json:"rank"`
-	P    int    `json:"p"`
+	Shard
 	// Epoch is the gang generation the rank was running when it
 	// dumped (0 for a first attempt; bumped by recovery).
 	Epoch int `json:"epoch"`
-	// EpochUnixNano is the recorder's time zero (see Shard).
-	EpochUnixNano int64 `json:"epoch_unix_nano"`
 	// Reason is the error or conviction notice that triggered the dump.
 	Reason string `json:"reason"`
 	// RingTotal counts every event the rank ever recorded; RingDropped
@@ -40,19 +37,10 @@ type Dump struct {
 	// the truncation marker: the dump is a suffix of the history.
 	RingTotal   uint64 `json:"ring_total"`
 	RingDropped uint64 `json:"ring_dropped"`
-	// LastHeartbeatSeq/Epoch are the newest beat the process sent on
-	// the control plane before dying — the liveness protocol's view.
-	LastHeartbeatSeq   int64 `json:"last_heartbeat_seq"`
-	LastHeartbeatEpoch int64 `json:"last_heartbeat_epoch"`
-	// Metrics is the full counter snapshot at dump time.
+	// Metrics is the full counter snapshot at dump time; the rank's row
+	// carries the newest heartbeat it sent before dying — the liveness
+	// protocol's view.
 	Metrics Snapshot `json:"metrics"`
-	// Events is the ring contents, sorted by start time.
-	Events []Event `json:"events"`
-}
-
-// Shard converts the dump for MergeShards.
-func (d Dump) Shard() Shard {
-	return Shard{Job: d.Job, Rank: d.Rank, P: d.P, EpochUnixNano: d.EpochUnixNano, Events: d.Events}
 }
 
 // LastCompletedStep returns the highest superstep whose barrier the
@@ -72,13 +60,7 @@ func (d Dump) LastCompletedStep() int {
 // only the ring (seqlock-validated) and the atomic counters, never the
 // event slices.
 func (r *Recorder) Postmortem(job string, rank, epoch int, reason string) Dump {
-	d := Dump{
-		Job:    job,
-		Rank:   rank,
-		P:      r.P(),
-		Epoch:  epoch,
-		Reason: reason,
-	}
+	d := Dump{Shard: Shard{Job: job, Rank: rank, P: r.P()}, Epoch: epoch, Reason: reason}
 	if r == nil {
 		return d
 	}
@@ -89,8 +71,6 @@ func (r *Recorder) Postmortem(job string, rank, epoch int, reason string) Dump {
 	d.RingTotal = total
 	d.RingDropped = total - uint64(len(events))
 	d.Metrics = r.m.Snapshot()
-	d.LastHeartbeatSeq = d.Metrics.LastHeartbeatSeq
-	d.LastHeartbeatEpoch = d.Metrics.LastHeartbeatEpoch
 	return d
 }
 

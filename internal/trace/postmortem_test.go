@@ -46,8 +46,8 @@ func TestTracePostmortemDumpRoundTrip(t *testing.T) {
 	if got := d.LastCompletedStep(); got != 1 {
 		t.Fatalf("LastCompletedStep = %d, want 1 (rank 1 died in superstep 2)", got)
 	}
-	if d.Metrics.Heartbeats != 1 || d.LastHeartbeatSeq != 4 {
-		t.Fatalf("heartbeat context missing: beats=%d seq=%d", d.Metrics.Heartbeats, d.LastHeartbeatSeq)
+	if r0 := d.Metrics.Ranks[0]; r0.Heartbeats != 1 || r0.LastHeartbeatSeq != 4 {
+		t.Fatalf("heartbeat context missing from the beating rank's row: %+v", r0)
 	}
 
 	dir := t.TempDir()
@@ -106,7 +106,7 @@ func TestTracePostmortemBundle(t *testing.T) {
 	}
 	shards := make([]Shard, len(dumps))
 	for i, d := range dumps {
-		shards[i] = d.Shard()
+		shards[i] = d.Shard
 	}
 	merged, err := MergeShards(shards)
 	if err != nil {

@@ -27,10 +27,11 @@
 //     call sites guard with a single pointer test. With tracing off the
 //     exchange hot path allocates exactly what it did before the
 //     recorder existed (enforced by core's TestExchangeAllocGate).
-//   - Live metrics (Metrics) are atomic counters updated at superstep
-//     granularity — O(p) updates per superstep, never per message — so
-//     an HTTP scraper can read them while the machine runs without
-//     racing the event buffers.
+//   - Live metrics (Metrics) are a fold of the event stream into atomic
+//     counters: every event is emitted once (ring, event slice, fold),
+//     at superstep granularity — O(p) updates per superstep, never per
+//     message — so an HTTP scraper can read them while the machine runs
+//     without racing the event buffers.
 //
 // Consumers: WriteChrome renders the merged timeline as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing, one
@@ -83,11 +84,20 @@ const (
 	KindRollback
 	// KindHeartbeat is a control-plane liveness observation (instant,
 	// flight-ring only — heartbeats run on transport goroutines, not
-	// rank goroutines, so they never enter the per-rank event slices).
-	// A holds the heartbeat sequence number, B the gang epoch, and C
-	// the measured round-trip time in ns when the event records the
-	// coordinator's echo (0 for the send itself).
+	// rank goroutines, so this kind and the ones after it never enter
+	// the per-rank event slices). A holds the heartbeat sequence number,
+	// B the gang epoch, and C the measured round-trip time in ns when
+	// the event records the coordinator's echo (0 for the send itself:
+	// C > 0 is what tells the two apart).
 	KindHeartbeat
+	// KindHeartbeatMiss is a heartbeat interval that passed without a
+	// beat from the coordinator (instant, flight-ring only).
+	KindHeartbeatMiss
+	// KindWarmRestart is a crash declaration naming a peer the launcher
+	// will replace while the recording rank rolls back in place
+	// (instant, flight-ring only). A holds the crashed rank, B the gang
+	// epoch that replaces the failed one.
+	KindWarmRestart
 )
 
 // String names the kind as it appears in exported traces.
@@ -111,6 +121,10 @@ func (k Kind) String() string {
 		return "rollback"
 	case KindHeartbeat:
 		return "heartbeat"
+	case KindHeartbeatMiss:
+		return "heartbeat miss"
+	case KindWarmRestart:
+		return "warm restart"
 	}
 	return "unknown"
 }
@@ -191,21 +205,19 @@ type Buf struct {
 	// flight-only mode, where the unbounded events slice stays empty.
 	ring   *Ring
 	flight bool // flight-only: record to the ring, skip the events slice
-	// lastComputeNs is the rank's most recent compute-span length,
-	// staged so SyncSpan can observe the full superstep duration
-	// (compute + barrier) in one histogram sample. Rank-confined like
-	// the events slice: Compute and SyncSpan run back to back on the
-	// owning rank's goroutine.
-	lastComputeNs int64
 }
 
-// record publishes ev to the flight ring and, outside flight-only
-// mode, appends it to the rank's event slice.
-func (b *Buf) record(ev Event) {
+// emit is the one path of a recorded event: the flight ring, the
+// rank's event slice (full tracing only), and the metrics fold.
+// Control-plane kinds — KindHeartbeat and after — arrive from transport
+// goroutines, not the rank's own, so they skip the single-writer slice;
+// the ring and the fold are atomics.
+func (b *Buf) emit(ev Event) {
 	b.ring.Record(ev)
-	if !b.flight {
+	if !b.flight && ev.Kind < KindHeartbeat {
 		b.events = append(b.events, ev)
 	}
+	b.m.observe(ev)
 }
 
 // RingSnapshot copies the rank's retained flight-ring events (in
@@ -258,36 +270,19 @@ func (b *Buf) Compute(step int, start, end int64, units int) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindCompute, Rank: b.rank, Step: int32(step), Start: start, End: end, A: int64(units)})
-	b.lastComputeNs = end - start
-	if b.m != nil {
-		b.m.workNs[b.rank].Add(end - start)
-	}
+	b.emit(Event{Kind: KindCompute, Rank: b.rank, Step: int32(step), Start: start, End: end, A: int64(units)})
 }
 
 // SyncSpan records one superstep's barrier span (arrive..release) with
 // the packets sent and received in the superstep it ends. selfPkts is
 // the portion of both counters the rank delivered to itself, recorded
-// so Pair-event totals (inter-rank only) stay reconcilable.
+// so Pair-event totals (inter-rank only) stay reconcilable. step is the
+// machine's global superstep.
 func (b *Buf) SyncSpan(step int, start, end int64, sentPkts, recvPkts, selfPkts int) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindSync, Rank: b.rank, Step: int32(step), Start: start, End: end, A: int64(sentPkts), B: int64(recvPkts), C: int64(selfPkts)})
-	if b.m != nil {
-		b.m.waitNs[b.rank].Add(end - start)
-		b.m.steps[b.rank].Add(1)
-		b.m.sentPkts[b.rank].Add(int64(sentPkts))
-		b.m.recvPkts[b.rank].Add(int64(recvPkts))
-		b.m.SyncWait.Observe(end - start)
-		b.m.StepDur.Observe(b.lastComputeNs + (end - start))
-		// step is global here (core passes the machine superstep), so
-		// the stored value survives rollbacks as "newest step reached".
-		if v := int64(step) + 1; v > b.m.lastStep[b.rank].Load() {
-			b.m.lastStep[b.rank].Store(v)
-		}
-	}
-	b.lastComputeNs = 0
+	b.emit(Event{Kind: KindSync, Rank: b.rank, Step: int32(step), Start: start, End: end, A: int64(sentPkts), B: int64(recvPkts), C: int64(selfPkts)})
 }
 
 // Exchange records a transport data-movement span nested in the
@@ -296,7 +291,7 @@ func (b *Buf) Exchange(step int, start, end int64) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindExchange, Rank: b.rank, Step: b.base + int32(step), Start: start, End: end})
+	b.emit(Event{Kind: KindExchange, Rank: b.rank, Step: b.base + int32(step), Start: start, End: end})
 }
 
 // Pair records the handoff of one (src,dst) batch: bytes, frames and
@@ -306,15 +301,7 @@ func (b *Buf) Pair(step, dst int, at int64, bytes, frames, pkts int) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindPair, Rank: b.rank, Step: b.base + int32(step), Start: at, End: at, A: int64(dst), B: int64(bytes), C: int64(frames), D: int64(pkts)})
-	if b.m != nil {
-		if i := b.m.pairIndex(int(b.rank), dst); i >= 0 {
-			b.m.pairBytes[i].Add(int64(bytes))
-			b.m.pairFrames[i].Add(int64(frames))
-			b.m.pairPkts[i].Add(int64(pkts))
-		}
-		b.m.PairBatch.Observe(int64(bytes))
-	}
+	b.emit(Event{Kind: KindPair, Rank: b.rank, Step: b.base + int32(step), Start: at, End: at, A: int64(dst), B: int64(bytes), C: int64(frames), D: int64(pkts)})
 }
 
 // CkptSave records a checkpoint capture span at a superstep boundary.
@@ -322,11 +309,7 @@ func (b *Buf) CkptSave(step int, start, end int64, bytes int) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindCkptSave, Rank: b.rank, Step: int32(step), Start: start, End: end, B: int64(bytes)})
-	if b.m != nil {
-		b.m.CkptSaves.Add(1)
-		b.m.CkptBytes.Add(int64(bytes))
-	}
+	b.emit(Event{Kind: KindCkptSave, Rank: b.rank, Step: int32(step), Start: start, End: end, B: int64(bytes)})
 }
 
 // CkptRestore records a restore span on a rank resuming from the
@@ -335,10 +318,7 @@ func (b *Buf) CkptRestore(step int, start, end int64) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindCkptRestore, Rank: b.rank, Step: int32(step), Start: start, End: end})
-	if b.m != nil {
-		b.m.Restores.Add(1)
-	}
+	b.emit(Event{Kind: KindCkptRestore, Rank: b.rank, Step: int32(step), Start: start, End: end})
 }
 
 // Fault records an injected chaos fault as an instant event. step is
@@ -347,77 +327,45 @@ func (b *Buf) Fault(step int, code FaultCode, at int64, aux int64) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindFault, Rank: b.rank, Step: b.base + int32(step), Start: at, End: at, A: int64(code), B: aux})
-	if b.m != nil {
-		b.m.Faults.Add(1)
-	}
+	b.emit(Event{Kind: KindFault, Rank: b.rank, Step: b.base + int32(step), Start: at, End: at, A: int64(code), B: aux})
 }
 
-// Suspect records a liveness crash declaration the recording rank
-// learned of: suspected names the rank declared crashed. Like every
-// event append it must run on the owning rank's goroutine.
-func (b *Buf) Suspect(step int, at int64, suspected int) {
+// control records ev, an instant control-plane observation, as this
+// rank's and stamped now. Safe from any goroutine (see emit).
+func (b *Buf) control(ev Event) {
 	if b == nil {
 		return
 	}
-	b.record(Event{Kind: KindFault, Rank: b.rank, Step: b.base + int32(step), Start: at, End: at, A: int64(FaultSuspect), B: int64(suspected)})
-	if b.m != nil {
-		b.m.Suspects.Add(1)
-	}
+	ev.Rank, ev.Start = b.rank, b.Now()
+	ev.End = ev.Start
+	b.emit(ev)
 }
 
 // Heartbeat records one liveness heartbeat sent on the control plane:
 // seq is the beat's sequence number, epoch the gang epoch it was sent
-// in. Unlike the event appenders it is safe from any goroutine (the
-// transport's heartbeat loop is not a rank goroutine): it touches only
-// the atomic Metrics counters and the flight ring, never the event
-// slice.
+// in. Safe from any goroutine, like the three recorders after it (the
+// transport's heartbeat and control-read loops are not rank
+// goroutines).
 func (b *Buf) Heartbeat(seq, epoch int) {
-	if b == nil {
-		return
-	}
-	now := b.Now()
-	b.ring.Record(Event{Kind: KindHeartbeat, Rank: b.rank, Start: now, End: now, A: int64(seq), B: int64(epoch)})
-	if b.m != nil {
-		b.m.Heartbeats.Add(1)
-		b.m.LastHeartbeatSeq.Store(int64(seq))
-		b.m.LastHeartbeatEpoch.Store(int64(epoch))
-	}
+	b.control(Event{Kind: KindHeartbeat, A: int64(seq), B: int64(epoch)})
 }
 
 // HeartbeatRTT records the control-plane round trip of heartbeat seq:
 // the coordinator echoed the beat back and the member measured rttNs
-// from send to echo. Safe from any goroutine (atomics and the flight
-// ring only).
+// from send to echo.
 func (b *Buf) HeartbeatRTT(seq int, rttNs int64) {
-	if b == nil {
-		return
-	}
-	now := b.Now()
-	b.ring.Record(Event{Kind: KindHeartbeat, Rank: b.rank, Start: now, End: now, A: int64(seq), C: rttNs})
-	if b.m != nil {
-		b.m.HeartbeatRTT.Observe(rttNs)
-	}
+	b.control(Event{Kind: KindHeartbeat, A: int64(seq), C: rttNs})
 }
 
-// HeartbeatMiss counts a heartbeat interval that passed without a
-// beat from the peer. Safe from any goroutine (atomics only).
-func (b *Buf) HeartbeatMiss() {
-	if b == nil || b.m == nil {
-		return
-	}
-	b.m.HeartbeatMisses.Add(1)
-}
+// HeartbeatMiss records a heartbeat interval that passed without a
+// beat from the coordinator.
+func (b *Buf) HeartbeatMiss() { b.control(Event{Kind: KindHeartbeatMiss}) }
 
-// WarmRestart counts a surgical single-rank relaunch this process
-// observed (a crash declaration naming a peer that the launcher will
-// replace while this rank rolls back in place). Safe from any
-// goroutine (atomics only).
-func (b *Buf) WarmRestart() {
-	if b == nil || b.m == nil {
-		return
-	}
-	b.m.WarmRestarts.Add(1)
+// WarmRestart records a surgical single-rank relaunch this process
+// observed: a crash declaration naming peer, whom the launcher replaces
+// at newEpoch while this rank rolls back in place.
+func (b *Buf) WarmRestart(peer, newEpoch int) {
+	b.control(Event{Kind: KindWarmRestart, A: int64(peer), B: int64(newEpoch)})
 }
 
 // Recorder owns the per-rank buffers and the machine-level event list
@@ -504,12 +452,16 @@ func (r *Recorder) Rollback(attempt, resumeStep int) {
 		return
 	}
 	now := r.Now()
+	r.emitMachine(Event{Kind: KindRollback, Rank: MachineRank, Step: int32(resumeStep), Start: now, End: now, A: int64(attempt), B: int64(resumeStep)})
+}
+
+// emitMachine is emit for machine-level events: the machine list and
+// the metrics fold (no rank owns them, so no ring).
+func (r *Recorder) emitMachine(ev Event) {
 	r.mu.Lock()
-	r.machine = append(r.machine, Event{Kind: KindRollback, Rank: MachineRank, Step: int32(resumeStep), Start: now, End: now, A: int64(attempt), B: int64(resumeStep)})
+	r.machine = append(r.machine, ev)
 	r.mu.Unlock()
-	if r.m != nil {
-		r.m.Rollbacks.Add(1)
-	}
+	r.m.observe(ev)
 }
 
 // Events returns a copy of every recorded event — all ranks plus the

@@ -91,25 +91,23 @@ func TestMetrics(t *testing.T) {
 	r.Rollback(2, 1)
 
 	s := r.Metrics().Snapshot()
-	if s.P != 2 {
-		t.Fatalf("snapshot P = %d", s.P)
+	if len(s.Ranks) != 2 {
+		t.Fatalf("snapshot has %d rank rows", len(s.Ranks))
 	}
 	if s.Ranks[0].Steps != 1 || s.Ranks[0].WorkNs != 1000 || s.Ranks[0].WaitNs != 1000 ||
 		s.Ranks[0].SentPkts != 3 || s.Ranks[0].RecvPkts != 2 {
 		t.Fatalf("rank 0 snapshot wrong: %+v", s.Ranks[0])
 	}
-	if s.PairBytes["0->1"] != 64 || s.PairFrames["0->1"] != 4 {
-		t.Fatalf("pair counters wrong: %+v %+v", s.PairBytes, s.PairFrames)
+	if len(s.Pairs) != 1 || s.Pairs[0] != (Pair{Src: 0, Dst: 1, Bytes: 64, Frames: 4, Pkts: 4}) {
+		t.Fatalf("pair matrix wrong (zero pairs must be omitted): %+v", s.Pairs)
 	}
-	if len(s.PairBytes) != 1 {
-		t.Fatalf("zero pairs must be omitted: %+v", s.PairBytes)
-	}
-	if s.CkptSaves != 1 || s.CkptBytes != 128 || s.Restores != 1 || s.Rollbacks != 1 || s.Faults != 1 {
-		t.Fatalf("scalar counters wrong: %+v", s)
+	if r0, r1 := s.Ranks[0], s.Ranks[1]; r0.PairBytes != 64 || r0.CkptSaves != 1 || r0.CkptBytes != 128 || r0.Restores != 1 ||
+		r1.Faults != 1 || r0.Faults != 0 || r0.Rollbacks != 1 || r1.Rollbacks != 1 {
+		t.Fatalf("resilience counters wrong: %+v", s.Ranks)
 	}
 
 	var sb strings.Builder
-	r.Metrics().WritePrometheus(&sb)
+	r.Metrics().Snapshot().WritePrometheus(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		`bsp_supersteps_total{rank="0"} 1`,
@@ -118,11 +116,12 @@ func TestMetrics(t *testing.T) {
 		`bsp_recv_packets_total{rank="1"} 4`,
 		`bsp_pair_bytes_total{src="0",dst="1"} 64`,
 		`bsp_pair_frames_total{src="0",dst="1"} 4`,
-		`bsp_checkpoint_snapshots_total 1`,
-		`bsp_checkpoint_bytes_total 128`,
-		`bsp_restores_total 1`,
-		`bsp_rollbacks_total 1`,
-		`bsp_faults_total 1`,
+		`bsp_sent_bytes_total{rank="0"} 64`,
+		`bsp_checkpoint_snapshots_total{rank="0"} 1`,
+		`bsp_checkpoint_bytes_total{rank="0"} 128`,
+		`bsp_restores_total{rank="0"} 1`,
+		`bsp_rollbacks_total{rank="1"} 1`,
+		`bsp_faults_total{rank="1"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -142,6 +141,9 @@ func TestKindAndFaultNames(t *testing.T) {
 		{KindCkptRestore.String(), "restore"},
 		{KindFault.String(), "fault"},
 		{KindRollback.String(), "rollback"},
+		{KindHeartbeat.String(), "heartbeat"},
+		{KindHeartbeatMiss.String(), "heartbeat miss"},
+		{KindWarmRestart.String(), "warm restart"},
 		{Kind(0).String(), "unknown"},
 		{FaultDelay.String(), "chaos delay"},
 		{FaultStall.String(), "chaos stall"},

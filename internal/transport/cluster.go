@@ -325,7 +325,7 @@ func (m *clusterMember) readControl() {
 				Reason:   msg.Reason,
 			})
 			if msg.Rank != m.rank {
-				m.buf.Load().WarmRestart()
+				m.buf.Load().WarmRestart(msg.Rank, msg.NewEpoch)
 			}
 			m.core.abort()
 		case wire.Leave:

@@ -320,7 +320,7 @@ func (c *Coordinator) apply(ev event) {
 				delete(c.peers, act.conn)
 			}
 		case actIngest:
-			c.telem.ingest(act.rank, act.payload, now)
+			c.telem.ingest(act.rank, act.epoch, act.payload, now)
 		case Fence:
 			if act.Rank >= 0 {
 				c.telem.convict(act.Rank, act.Reason)

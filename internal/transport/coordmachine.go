@@ -53,8 +53,8 @@ type (
 	}
 	actCloseConn struct{ conn connID }
 	actIngest    struct {
-		rank    int
-		payload []byte
+		rank, epoch int // the sending connection's identity
+		payload     []byte
 	}
 )
 
@@ -232,7 +232,7 @@ func (m *coordMachine) frame(now time.Time, ev evFrame) {
 	}
 	switch msg := ev.msg.(type) {
 	case wire.TelemetryPush:
-		m.out = append(m.out, actIngest{mem.rank, msg.Payload})
+		m.out = append(m.out, actIngest{mem.rank, g.epoch, msg.Payload})
 	case wire.Ping:
 		if msg.Rank != mem.rank || msg.Epoch != g.epoch {
 			return // proves nothing about this member: not liveness

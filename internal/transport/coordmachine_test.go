@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -230,7 +231,7 @@ type simConn struct {
 	closed                 bool
 	lastBeat               time.Time
 	enc                    wire.TelemetryEncoder
-	steps                  int64 // this incarnation's cumulative superstep count
+	vals                   []int64 // this incarnation's cumulative counter row, in trace.Fields order
 }
 
 // fenceSim drives a coordMachine with random events and a fake clock,
@@ -255,8 +256,8 @@ type fenceSim struct {
 	gens     map[int][]*simConn // ready generations by epoch
 	failed   map[int]bool       // epochs whose generation got its Fence
 	newest   []*simConn         // per rank: its newest booked connection (the one that pushes telemetry)
-	steps    []int64            // per rank: supersteps the aggregate must total
-	steps0   []int64            // per rank: the aggregate's total at the last check
+	want     [][]int64          // per rank: the row the aggregate must show (counters totalled, gauges newest)
+	was      [][]int64          // per rank: the aggregate's row at the last check
 	fenced   bool               // the last step emitted a Fence
 }
 
@@ -315,7 +316,7 @@ func (s *fenceSim) do(ev event) map[connID][]wire.Ctrl {
 				}
 			}
 		case actIngest:
-			s.agg.ingest(a.rank, a.payload, s.now)
+			s.agg.ingest(a.rank, a.epoch, a.payload, s.now)
 		case Fence:
 			fences = append(fences, a)
 		}
@@ -391,14 +392,17 @@ func (s *fenceSim) do(ev event) map[connID][]wire.Ctrl {
 		s.asm = map[int]*simConn{}
 	}
 
-	// The telemetry aggregate: no gaps, totals monotone and exactly what
-	// the members reported, across incarnations.
+	// The telemetry aggregate: no frame refused, and every field of the
+	// table monotone (counters) and exactly what the members reported,
+	// across incarnations.
 	for r := 0; r < s.p; r++ {
-		row := s.agg.row(r, s.now.UnixNano(), 0, false, false)
-		if row.SeqGaps != 0 || row.Steps < s.steps0[r] || row.Steps != s.steps[r] {
-			s.failf("rank %d aggregate: gaps %d, steps %d (was %d), members reported %d", r, row.SeqGaps, row.Steps, s.steps0[r], s.steps[r])
+		got := s.agg.row(r, s.now.UnixNano(), 0, false, false).Row.AppendValues(nil)
+		for i, f := range trace.Fields {
+			if got[i] != s.want[r][i] || (f.Type == "counter" && got[i] < s.was[r][i]) {
+				s.failf("rank %d aggregate: %s = %d (was %d), members reported %d", r, f.Name, got[i], s.was[r][i], s.want[r][i])
+			}
 		}
-		s.steps0[r] = row.Steps
+		s.was[r] = got
 	}
 	return sent
 }
@@ -583,10 +587,29 @@ func (s *fenceSim) run(events int) {
 			if s.newest[c.rank] != c {
 				continue
 			}
-			n := int64(s.rng.Intn(3))
-			c.steps += n
-			s.steps[c.rank] += n
-			snap := wire.Telemetry{Rank: c.rank, Epoch: c.epoch, Steps: c.steps, LastStep: c.steps - 1}
+			// Every field a member owns moves: counters by a little,
+			// gauges to anything. The coordinator's own stay zero in the
+			// frame; of them only the baseline count moves, once per
+			// incarnation.
+			want, first := s.want[c.rank], c.vals == nil
+			if first {
+				c.vals = make([]int64, trace.NumFields)
+			}
+			for i, f := range trace.Fields {
+				switch {
+				case f.Name == "baselines" && first:
+					want[i]++
+				case strings.HasPrefix(f.Feed, "coordinator"):
+				case f.Type == "gauge":
+					c.vals[i] = int64(s.rng.Intn(1000)) - 1
+					want[i] = c.vals[i]
+				default:
+					n := int64(s.rng.Intn(3))
+					c.vals[i] += n
+					want[i] += n
+				}
+			}
+			snap := wire.Telemetry{Counters: c.vals}
 			s.do(evFrame{c.id, wire.TelemetryPush{Payload: c.enc.AppendEncode(nil, &snap)}})
 			c.lastBeat = s.now
 		case k < 84: // leave
@@ -662,7 +685,11 @@ func TestCoordinatorMachineFenceProperties(t *testing.T) {
 			s := &fenceSim{t: t, rng: rand.New(rand.NewSource(int64(seed)*8 + int64(p))), p: p, opts: opts,
 				m: newCoordMachine(p, opts), agg: newTelemetryAgg(p), now: machineT0, epoch: opts.Epoch,
 				conns: map[connID]*simConn{}, asm: map[int]*simConn{}, gens: map[int][]*simConn{}, failed: map[int]bool{},
-				newest: make([]*simConn, p), steps: make([]int64, p), steps0: make([]int64, p)}
+				newest: make([]*simConn, p), want: make([][]int64, p), was: make([][]int64, p)}
+			for r := range s.want {
+				s.want[r] = trace.Row{LastStep: -1}.AppendValues(nil) // a silent rank's row
+				s.was[r] = make([]int64, trace.NumFields)
+			}
 			s.run(events)
 			total += len(s.log)
 			for _, line := range s.log {

@@ -424,8 +424,8 @@ func TestClusterHeartbeatRTTEcho(t *testing.T) {
 		watch.await(t, "a telemetry frame carrying a heartbeat RTT", isIngest)
 	}
 	snap := rec.Metrics().Snapshot()
-	if snap.Heartbeats < 1 || snap.LastHeartbeatSeq < 1 {
-		t.Errorf("beats=%d lastSeq=%d, want both >= 1", snap.Heartbeats, snap.LastHeartbeatSeq)
+	if r0 := snap.Ranks[0]; r0.Heartbeats < 1 || r0.LastHeartbeatSeq < 1 || r0.RTTCount < 1 {
+		t.Errorf("beats=%d lastSeq=%d echoes=%d, want all >= 1", r0.Heartbeats, r0.LastHeartbeatSeq, r0.RTTCount)
 	}
 	if snap.HeartbeatRTT.Sum <= 0 {
 		t.Errorf("RTT histogram sum = %g, want > 0 (a loopback round trip takes time)", snap.HeartbeatRTT.Sum)

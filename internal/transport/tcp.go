@@ -503,7 +503,7 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 		if ac, ok := e.m.(abortCauser); ok {
 			if cause := ac.abortCause(); cause != nil {
 				if e.buf != nil {
-					e.buf.Suspect(int(e.round), time.Now().UnixNano(), cause.Rank)
+					e.buf.Fault(int(e.round), trace.FaultSuspect, time.Now().UnixNano(), int64(cause.Rank))
 				}
 				return cause
 			}

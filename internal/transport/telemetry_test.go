@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestClusterTelemetryAggregation is the end-to-end pass over the live
@@ -118,8 +119,8 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 		if row.LastStep != steps-1 || row.Steps != steps {
 			t.Errorf("rank %d: last_step=%d steps=%d, want %d/%d", r, row.LastStep, row.Steps, steps-1, steps)
 		}
-		if row.Seq < 2 || row.SeqGaps != 0 || row.Baselines != 1 {
-			t.Errorf("rank %d stream health: seq=%d gaps=%d baselines=%d", r, row.Seq, row.SeqGaps, row.Baselines)
+		if row.Seq < 2 || row.Rejects != 0 || row.Baselines != 1 || row.Epoch != 0 {
+			t.Errorf("rank %d stream health: seq=%d rejects=%d baselines=%d epoch=%d", r, row.Seq, row.Rejects, row.Baselines, row.Epoch)
 		}
 		if want := fmt.Sprintf("127.0.0.1:1940%d", r); row.MetricsAddr != want {
 			t.Errorf("rank %d metrics_addr %q, want %q", r, row.MetricsAddr, want)
@@ -140,9 +141,11 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 
 	metrics := string(get("/metrics"))
 	for _, want := range []string{
-		fmt.Sprintf("bsp_rank_supersteps_total{rank=\"1\"} %d", steps),
-		fmt.Sprintf("bsp_rank_last_superstep{rank=\"0\"} %d", steps-1),
-		"bsp_rank_pair_bytes_total{rank=\"0\"}",
+		fmt.Sprintf("bsp_supersteps_total{rank=\"1\"} %d", steps),
+		fmt.Sprintf("bsp_last_superstep{rank=\"0\"} %d", steps-1),
+		fmt.Sprintf("bsp_sent_bytes_total{rank=\"0\"} %d", 16*100*steps*(steps+1)/2),
+		"bsp_telemetry_baselines_total{rank=\"1\"} 1",
+		"bsp_rank_up{rank=\"0\"} 1",
 		"bsp_sync_wait_seconds_bucket{le=",
 		"bsp_superstep_duration_seconds_count",
 		"bsp_calib_g_us_per_packet",
@@ -219,5 +222,50 @@ func TestClusterTelemetryConviction(t *testing.T) {
 	}
 	for r := 0; r < p; r++ {
 		eps[r].Close()
+	}
+}
+
+// TestTelemetryIngestRejects: a frame the aggregator cannot use is
+// counted in the rank's row and changes nothing else — one row per way
+// a payload can be wrong. Identity is not among them: a payload has no
+// rank or epoch to lie about, so the row's epoch is the connection's.
+func TestTelemetryIngestRejects(t *testing.T) {
+	frames := func(n int, counters ...[]int64) [][]byte {
+		var enc wire.TelemetryEncoder
+		out := make([][]byte, n)
+		for i := range out {
+			snap := wire.Telemetry{Counters: trace.Row{Steps: int64(i + 1)}.AppendValues(nil)}
+			if i < len(counters) && counters[i] != nil {
+				snap.Counters = counters[i]
+			}
+			out[i] = enc.AppendEncode(nil, &snap)
+		}
+		return out
+	}
+	good := frames(3)
+	for _, tc := range []struct {
+		name           string
+		stream         [][]byte
+		rejects, gaps  int64
+		steps, lastSeq int64
+	}{
+		{"clean stream", good, 0, 0, 3, 3},
+		{"wrong length", frames(2, nil, make([]int64, trace.NumFields-1)), 1, 0, 1, 1},
+		{"truncated varint", [][]byte{good[0], good[1][:len(good[1])-1], good[1]}, 1, 0, 2, 2},
+		{"gap", [][]byte{good[0], good[2], good[1]}, 1, 1, 2, 2},
+		{"delta before baseline", [][]byte{good[1], good[0]}, 1, 0, 1, 1},
+	} {
+		a := newTelemetryAgg(2)
+		for _, payload := range tc.stream {
+			a.ingest(1, 7, payload, machineT0)
+		}
+		row := a.row(1, machineT0.UnixNano(), 0, false, false)
+		if row.Rejects != tc.rejects || row.SeqGaps != tc.gaps || row.Steps != tc.steps || int64(row.Seq) != tc.lastSeq || row.Epoch != 7 || row.Baselines != 1 {
+			t.Errorf("%s: rejects=%d gaps=%d steps=%d seq=%d epoch=%d baselines=%d, want %d/%d/%d/%d/7/1",
+				tc.name, row.Rejects, row.SeqGaps, row.Steps, row.Seq, row.Epoch, row.Baselines, tc.rejects, tc.gaps, tc.steps, tc.lastSeq)
+		}
+		if other := a.row(0, machineT0.UnixNano(), 0, false, false); other.State != "silent" || other.Rejects != 0 {
+			t.Errorf("%s: rank 0 sent nothing, its row reads %+v", tc.name, other)
+		}
 	}
 }

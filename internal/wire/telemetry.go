@@ -4,279 +4,168 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
-// Telemetry is the periodic per-rank metrics snapshot a cluster member
-// pushes to the coordinator on the control plane (ctrl frame 'T').
-// Every numeric field is cumulative since the start of the member's
-// current incarnation, which lets the coordinator difference any two
-// frames to get an interval and makes a lost frame harmless for
-// totals. Frames are delta-encoded against the previous frame from the
-// same incarnation: the control plane is ordered, reliable TCP, so the
+// Telemetry is the periodic metrics snapshot a cluster member pushes
+// to the coordinator inside a TelemetryPush. The codec is
+// name-agnostic: a frame is a sequence number, three int64 vectors and
+// an address, and only the two ends (which share one build, fenced by
+// HandshakeVersion) know that Counters is the sender's counter row and
+// the other two are histogram buckets. Who sent the frame and in which
+// epoch is the connection's identity, not the payload's.
+//
+// Every value is cumulative since the start of the member's current
+// incarnation, which lets the coordinator difference any two frames to
+// get an interval and makes a lost frame harmless for totals. Frames
+// are delta-encoded against the previous frame from the same
+// incarnation: the control plane is ordered, reliable TCP, so the
 // decoder can carry state, and a steady-state frame is a handful of
-// near-zero zigzag varints instead of ~30 fixed-width counters.
+// near-zero zigzag varints instead of ~50 fixed-width counters.
 //
 // Seq starts at 1 for every incarnation. A Seq==1 frame is a baseline:
 // it is encoded against an all-zero previous frame and resets the
 // decoder, which is how a warm-restarted rank (fresh process, fresh
 // counters) re-synchronises the stream without any out-of-band signal.
 type Telemetry struct {
-	Rank  int
-	Epoch int
-	Seq   uint32
-
-	// LastStep is the newest global superstep this rank has completed
-	// a barrier for, or -1 before the first barrier.
-	LastStep int64
-
-	// Superstep counters and Eq-1 terms, cumulative.
-	Steps    int64
-	WorkNs   int64
-	WaitNs   int64
-	SentPkts int64
-	RecvPkts int64
-
-	// PairBytes is the total payload bytes this rank has sent across
-	// all destinations (the row-sum of the pair-batch matrix).
-	PairBytes int64
-
-	// Heartbeat round-trip accumulator (native ns sum + sample count),
-	// so the aggregator can show a mean RTT per rank.
-	HBRTTNs    int64
-	HBRTTCount int64
-
-	// Resilience counters.
-	CkptSaves int64
-	Restores  int64
-	Rollbacks int64
-
-	// Histogram bucket counts (cumulative, one entry per bucket
-	// including the overflow bucket) for superstep duration and sync
-	// wait, in the recorder's native bucket layout.
-	StepDur  []int64
-	SyncWait []int64
-
+	Seq      uint32
+	Counters []int64 // the sender's counter row, in its table order
+	StepDur  []int64 // superstep-duration bucket counts, overflow bucket last
+	SyncWait []int64 // sync-wait bucket counts, same ladder
 	// MetricsAddr is the bound address of this rank's own /metrics
 	// endpoint ("" when none is served). Reported so the coordinator
 	// can advertise real bound addresses instead of a port convention.
 	MetricsAddr string
 }
 
-// TelemetryMagic identifies a telemetry frame payload ("TPSB" in
-// little-endian byte order, next to "GPSB"/"HPSB" for handshakes and
-// heartbeats).
-const TelemetryMagic = 0x42535054
-
 const (
-	telemetryFixed      = 20  // magic, version, rank, epoch, seq
-	telemetryMaxBuckets = 64  // sanity cap on histogram width
-	telemetryMaxAddr    = 256 // sanity cap on the metrics address
+	telemetryMaxVector = 64  // sanity cap on any vector's width
+	telemetryMaxAddr   = 256 // sanity cap on the metrics address
 )
 
-// Telemetry stream errors. ErrTelemetryGap is the one the aggregator
-// cares about: a delta frame whose Seq does not directly follow the
-// previous frame, which on an ordered transport means frames were lost
-// or reordered upstream of the codec.
+// Telemetry stream errors. A delta frame whose Seq does not directly
+// follow the previous frame means, on an ordered transport, that
+// frames were lost or reordered upstream of the codec.
 var (
 	ErrTelemetryGap      = errors.New("wire: telemetry sequence gap")
 	ErrTelemetryBaseline = errors.New("wire: telemetry delta frame before baseline")
 )
+
+// vectors lists the frame's vectors in wire order.
+func (t *Telemetry) vectors() [3]*[]int64 {
+	return [3]*[]int64{&t.Counters, &t.StepDur, &t.SyncWait}
+}
+
+// copyFrom deep-copies t into the receiver, reusing existing slice
+// capacity so repeated encodes stay allocation-free.
+func (p *Telemetry) copyFrom(t *Telemetry) {
+	dst, src := p.vectors(), t.vectors()
+	for i := range dst {
+		*dst[i] = append((*dst[i])[:0], *src[i]...)
+	}
+	p.Seq, p.MetricsAddr = t.Seq, t.MetricsAddr
+}
 
 // TelemetryEncoder delta-encodes successive snapshots from one member
 // incarnation. The zero value is ready to use; the first AppendEncode
 // emits a baseline (Seq 1). The encoder owns its previous-frame state
 // and reuses its backing storage, so steady-state encoding performs no
 // allocations beyond growing dst.
-type TelemetryEncoder struct {
-	prev Telemetry
-	seq  uint32
-}
-
-// Seq reports the sequence number of the last encoded frame (0 before
-// the first).
-func (e *TelemetryEncoder) Seq() uint32 { return e.seq }
+type TelemetryEncoder struct{ prev Telemetry }
 
 // AppendEncode appends the encoded frame for t to dst and returns the
-// extended slice. It assigns t.Seq from the encoder's counter.
+// extended slice. It assigns t.Seq: one more than the previous frame's.
 func (e *TelemetryEncoder) AppendEncode(dst []byte, t *Telemetry) []byte {
-	e.seq++
-	t.Seq = e.seq
-
-	var hdr [telemetryFixed]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], TelemetryMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], HandshakeVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(t.Rank)))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(int32(t.Epoch)))
-	binary.LittleEndian.PutUint32(hdr[16:20], e.seq)
-	dst = append(dst, hdr[:]...)
-
-	p := &e.prev
-	dst = binary.AppendVarint(dst, t.LastStep-p.LastStep)
-	dst = binary.AppendVarint(dst, t.Steps-p.Steps)
-	dst = binary.AppendVarint(dst, t.WorkNs-p.WorkNs)
-	dst = binary.AppendVarint(dst, t.WaitNs-p.WaitNs)
-	dst = binary.AppendVarint(dst, t.SentPkts-p.SentPkts)
-	dst = binary.AppendVarint(dst, t.RecvPkts-p.RecvPkts)
-	dst = binary.AppendVarint(dst, t.PairBytes-p.PairBytes)
-	dst = binary.AppendVarint(dst, t.HBRTTNs-p.HBRTTNs)
-	dst = binary.AppendVarint(dst, t.HBRTTCount-p.HBRTTCount)
-	dst = binary.AppendVarint(dst, t.CkptSaves-p.CkptSaves)
-	dst = binary.AppendVarint(dst, t.Restores-p.Restores)
-	dst = binary.AppendVarint(dst, t.Rollbacks-p.Rollbacks)
-	dst = appendBucketDeltas(dst, t.StepDur, p.StepDur)
-	dst = appendBucketDeltas(dst, t.SyncWait, p.SyncWait)
+	t.Seq = e.prev.Seq + 1
+	dst = binary.AppendUvarint(dst, uint64(t.Seq))
+	cur, prev := t.vectors(), e.prev.vectors()
+	for i := range cur {
+		dst = binary.AppendUvarint(dst, uint64(len(*cur[i])))
+		for k, v := range *cur[i] {
+			dst = binary.AppendVarint(dst, v-at(*prev[i], k))
+		}
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(t.MetricsAddr)))
 	dst = append(dst, t.MetricsAddr...)
-
 	e.prev.copyFrom(t)
 	return dst
 }
 
-func appendBucketDeltas(dst []byte, cur, prev []int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(cur)))
-	for i, v := range cur {
-		var pv int64
-		if i < len(prev) {
-			pv = prev[i]
-		}
-		dst = binary.AppendVarint(dst, v-pv)
+// at reads v[k], zero past the end: vectors may change width between
+// frames, and a baseline is a delta against nothing.
+func at(v []int64, k int) int64 {
+	if k < len(v) {
+		return v[k]
 	}
-	return dst
-}
-
-// copyFrom deep-copies t into the receiver, reusing existing slice
-// capacity so repeated encodes stay allocation-free.
-func (p *Telemetry) copyFrom(t *Telemetry) {
-	stepDur, syncWait := p.StepDur, p.SyncWait
-	*p = *t
-	p.StepDur = append(stepDur[:0], t.StepDur...)
-	p.SyncWait = append(syncWait[:0], t.SyncWait...)
+	return 0
 }
 
 // TelemetryDecoder reconstructs cumulative snapshots from a delta
 // stream. The zero value is ready; a baseline frame (Seq 1) resets it,
 // so one decoder instance survives warm restarts of the sending rank.
-type TelemetryDecoder struct {
-	prev Telemetry
-	have bool
-}
+type TelemetryDecoder struct{ prev Telemetry }
 
-// Decode parses one telemetry payload (without the ctrl tag byte) and
-// returns the reconstructed cumulative snapshot. The returned value
-// does not alias decoder state. A delta frame that does not directly
-// follow the previous one fails with ErrTelemetryGap; decoder state is
-// left unchanged on any error, so the stream recovers at the next
-// baseline.
+// Decode parses one telemetry payload and returns the reconstructed
+// cumulative snapshot. The returned value does not alias decoder
+// state. A delta frame that does not directly follow the previous one
+// fails with ErrTelemetryGap; decoder state is left unchanged on any
+// error, so the stream recovers at the next baseline. Only the
+// canonical encoding is accepted (minimal varints, nothing trailing):
+// whatever Decode accepts, an encoder in the same state reproduces
+// byte for byte.
 func (d *TelemetryDecoder) Decode(payload []byte) (Telemetry, error) {
-	if len(payload) < telemetryFixed {
-		return Telemetry{}, fmt.Errorf("wire: telemetry frame too short (%d bytes)", len(payload))
+	seq, b, err := takeUvarint(payload)
+	if err != nil {
+		return Telemetry{}, err
 	}
-	if m := binary.LittleEndian.Uint32(payload[0:4]); m != TelemetryMagic {
-		return Telemetry{}, fmt.Errorf("wire: bad telemetry magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(payload[4:8]); v != HandshakeVersion {
-		return Telemetry{}, fmt.Errorf("wire: telemetry version %d, want %d", v, HandshakeVersion)
-	}
-	t := Telemetry{
-		Rank:  int(int32(binary.LittleEndian.Uint32(payload[8:12]))),
-		Epoch: int(int32(binary.LittleEndian.Uint32(payload[12:16]))),
-		Seq:   binary.LittleEndian.Uint32(payload[16:20]),
-	}
-	var base *Telemetry
+	var base Telemetry
 	switch {
-	case t.Seq == 1:
-		base = &Telemetry{}
-	case !d.have:
+	case seq > math.MaxUint32:
+		return Telemetry{}, fmt.Errorf("wire: telemetry seq %d overflows", seq)
+	case seq == 1:
+	case d.prev.Seq == 0:
 		return Telemetry{}, ErrTelemetryBaseline
-	case t.Seq != d.prev.Seq+1:
-		return Telemetry{}, fmt.Errorf("%w: got seq %d after %d", ErrTelemetryGap, t.Seq, d.prev.Seq)
-	case t.Rank != d.prev.Rank:
-		return Telemetry{}, fmt.Errorf("wire: telemetry rank changed %d -> %d without baseline", d.prev.Rank, t.Rank)
+	case seq != uint64(d.prev.Seq)+1:
+		return Telemetry{}, fmt.Errorf("%w: got seq %d after %d", ErrTelemetryGap, seq, d.prev.Seq)
 	default:
-		base = &d.prev
+		base = d.prev
 	}
-
-	b := payload[telemetryFixed:]
-	fields := [...]*int64{
-		&t.LastStep, &t.Steps, &t.WorkNs, &t.WaitNs, &t.SentPkts, &t.RecvPkts,
-		&t.PairBytes, &t.HBRTTNs, &t.HBRTTCount, &t.CkptSaves, &t.Restores, &t.Rollbacks,
-	}
-	bases := [...]int64{
-		base.LastStep, base.Steps, base.WorkNs, base.WaitNs, base.SentPkts, base.RecvPkts,
-		base.PairBytes, base.HBRTTNs, base.HBRTTCount, base.CkptSaves, base.Restores, base.Rollbacks,
-	}
-	var err error
-	for i, f := range fields {
-		var dv int64
-		if dv, b, err = takeVarint(b); err != nil {
+	t := Telemetry{Seq: uint32(seq)}
+	cur, prev := t.vectors(), base.vectors()
+	for i := range cur {
+		var n uint64
+		if n, b, err = takeUvarint(b); err != nil {
 			return Telemetry{}, err
 		}
-		*f = bases[i] + dv
-	}
-	if t.StepDur, b, err = takeBucketDeltas(b, base.StepDur); err != nil {
-		return Telemetry{}, err
-	}
-	if t.SyncWait, b, err = takeBucketDeltas(b, base.SyncWait); err != nil {
-		return Telemetry{}, err
+		if n > telemetryMaxVector {
+			return Telemetry{}, fmt.Errorf("wire: telemetry vector of %d values exceeds %d", n, telemetryMaxVector)
+		}
+		*cur[i] = make([]int64, n)
+		for k := range *cur[i] {
+			var zz uint64 // a zigzag delta, as binary.AppendVarint wrote it
+			if zz, b, err = takeUvarint(b); err != nil {
+				return Telemetry{}, err
+			}
+			(*cur[i])[k] = at(*prev[i], k) + (int64(zz>>1) ^ -int64(zz&1))
+		}
 	}
 	n, b, err := takeUvarint(b)
 	if err != nil {
 		return Telemetry{}, err
 	}
-	if n > telemetryMaxAddr {
-		return Telemetry{}, fmt.Errorf("wire: telemetry metrics addr %d bytes exceeds %d", n, telemetryMaxAddr)
+	if n > telemetryMaxAddr || n != uint64(len(b)) {
+		return Telemetry{}, fmt.Errorf("wire: telemetry metrics addr of %d bytes in a %d-byte tail", n, len(b))
 	}
-	if uint64(len(b)) < n {
-		return Telemetry{}, fmt.Errorf("wire: telemetry frame truncated in metrics addr")
-	}
-	t.MetricsAddr = string(b[:n])
-	b = b[n:]
-	if len(b) != 0 {
-		return Telemetry{}, fmt.Errorf("wire: %d trailing bytes after telemetry frame", len(b))
-	}
-
+	t.MetricsAddr = string(b)
 	d.prev.copyFrom(&t)
-	d.have = true
 	return t, nil
 }
 
-func takeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: telemetry frame truncated in varint")
-	}
-	return v, b[n:], nil
-}
-
+// takeUvarint reads one minimally encoded varint off the front of b.
 func takeUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: telemetry frame truncated in uvarint")
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, nil, errors.New("wire: telemetry frame truncated or padded in varint")
 	}
 	return v, b[n:], nil
-}
-
-func takeBucketDeltas(b []byte, base []int64) ([]int64, []byte, error) {
-	n, b, err := takeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > telemetryMaxBuckets {
-		return nil, nil, fmt.Errorf("wire: telemetry histogram %d buckets exceeds %d", n, telemetryMaxBuckets)
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		var dv int64
-		if dv, b, err = takeVarint(b); err != nil {
-			return nil, nil, err
-		}
-		if i < len(base) {
-			dv += base[i]
-		}
-		out[i] = dv
-	}
-	return out, b, nil
 }

@@ -8,7 +8,10 @@
 #                     free (see internal/core/alloc_test.go and
 #                     BENCH_exchange.json), the socket engines (tcp,
 #                     cluster) and xchg must recycle batches at exactly
-#                     0 allocs per superstep (internal/transport), and
+#                     0 allocs per superstep (internal/transport), a
+#                     checkpoint capture must allocate the same bytes
+#                     for a 1 MiB inbox as for a 64 KiB one (the inbox
+#                     is streamed into the record, internal/core), and
 #                     the sample sort's alloc count must stay flat in n
 #                     (internal/psort)
 #   make conformance  cross-transport contract suite under -race
@@ -123,7 +126,7 @@ verify: build vet test conformance
 verify-race: vet race
 
 verify-alloc:
-	$(GO) test -count=1 ./internal/core/ -run TestExchangeAllocGate -v
+	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
 	$(GO) test -count=1 ./internal/transport/ -run TestSocketAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
 

@@ -6,10 +6,12 @@
 //
 // A snapshot record holds one rank's state at one superstep boundary:
 // the superstep counter, the application state produced by the rank's
-// Save hook, and the rank's undelivered inbox frames re-encoded in the
-// internal/wire batch format (so a restored rank's first Recv/GetPkt
-// sees exactly the delivery the barrier promised). Records are
-// crc32-validated and written atomically (write tmp → fsync → rename);
+// Save hook, and the rank's undelivered inbox as internal/wire frame
+// batches (so a restored rank's first Recv/GetPkt sees exactly the
+// delivery the barrier promised). The inbox's own batches are streamed
+// into the record back to back — never re-framed or gathered into an
+// intermediate buffer. Records are crc32-validated and written
+// atomically (write tmp → fsync → rename);
 // a manifest names the latest superstep whose snapshot is complete on
 // all ranks. Loading tolerates arbitrary corruption — truncated files,
 // bad checksums, a manifest naming missing files — by falling back to
@@ -20,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,12 +43,40 @@ type Snapshot struct {
 	P    int
 	// User is the opaque application state returned by the Save hook.
 	User []byte
-	// Batch is the rank's undelivered inbox, re-encoded as one
-	// internal/wire frame batch (possibly empty).
-	Batch []byte
+	// Batches is the rank's undelivered inbox: internal/wire frame
+	// batches, laid back to back in the record's batch section (nil
+	// entries — silent sources — contribute nothing). Every frame
+	// carries its own fixed 4-byte length prefix, so the concatenation
+	// is byte-identical to re-framing the frames into one batch. A
+	// decoded snapshot holds the section as at most one batch.
+	Batches [][]byte
 }
 
-// Record layout (all integers little-endian):
+// BatchLen is the length of the record's batch section: the inbox
+// bytes s carries.
+func (s *Snapshot) BatchLen() int {
+	n := 0
+	for _, b := range s.Batches {
+		n += len(b)
+	}
+	return n
+}
+
+const (
+	snapMagic   = 0x43505342 // "BSPC" little-endian
+	snapVersion = 1
+	// headerLen is the fixed fields before the user bytes (magic through
+	// userLen); recordOverhead adds batchLen and the trailing crc32 — a
+	// record's size beyond its user and batch sections.
+	headerLen      = 28
+	recordOverhead = headerLen + 8
+	// maxSectionLen bounds the user/batch sections so a corrupt length
+	// field cannot drive a huge allocation during decode.
+	maxSectionLen = 1 << 30
+)
+
+// writeRecord streams s's record through w. It is the one definition
+// of the record layout (all integers little-endian):
 //
 //	magic   u32  "BSPC"
 //	version u32
@@ -53,29 +84,86 @@ type Snapshot struct {
 //	rank    u32
 //	p       u32
 //	userLen u32, user bytes
-//	batchLen u32, batch bytes
+//	batchLen u32, batch bytes (s.Batches back to back)
 //	crc32   u32  (IEEE, over everything preceding it)
-const (
-	snapMagic   = 0x43505342 // "BSPC" little-endian
-	snapVersion = 1
-	// maxSectionLen bounds the user/batch sections so a corrupt length
-	// field cannot drive a huge allocation during decode.
-	maxSectionLen = 1 << 30
-)
+func writeRecord(w *recordWriter, s *Snapshot) error {
+	le := binary.LittleEndian
+	w.buf = le.AppendUint32(w.buf, snapMagic)
+	w.buf = le.AppendUint32(w.buf, snapVersion)
+	w.buf = le.AppendUint64(w.buf, uint64(s.Step))
+	w.buf = le.AppendUint32(w.buf, uint32(s.Rank))
+	w.buf = le.AppendUint32(w.buf, uint32(s.P))
+	w.buf = le.AppendUint32(w.buf, uint32(len(s.User)))
+	w.section(s.User)
+	w.buf = le.AppendUint32(w.buf, uint32(s.BatchLen()))
+	for _, b := range s.Batches {
+		w.section(b)
+	}
+	w.buf = le.AppendUint32(w.buf, w.sum())
+	w.flush()
+	return w.err
+}
 
-// EncodeSnapshot serializes s into a self-validating record.
+// recordWriter carries a record's bytes, in order, to out — or, when
+// out is nil, into buf. The fixed-width fields are appended to buf; when
+// streaming, buf only stages them until the next section, which goes to
+// out straight from the caller's memory, and crc accumulates over
+// everything written.
+type recordWriter struct {
+	out io.Writer
+	buf []byte
+	crc uint32
+	err error
+}
+
+// section emits p, a user or inbox section, after any staged fields.
+func (w *recordWriter) section(p []byte) {
+	if w.out == nil {
+		w.buf = append(w.buf, p...)
+		return
+	}
+	w.flush()
+	w.put(p)
+}
+
+// flush writes the staged fields to out (a no-op in memory).
+func (w *recordWriter) flush() {
+	if w.out == nil {
+		return
+	}
+	w.put(w.buf)
+	w.buf = w.buf[:0]
+}
+
+func (w *recordWriter) put(p []byte) {
+	if w.err != nil || len(p) == 0 {
+		return
+	}
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	_, w.err = w.out.Write(p)
+}
+
+// sum returns the crc32 of every byte emitted so far.
+func (w *recordWriter) sum() uint32 {
+	if w.out == nil {
+		return crc32.ChecksumIEEE(w.buf)
+	}
+	w.flush()
+	return w.crc
+}
+
+// streamRecord writes s's record to out section by section; the
+// fixed-width fields are staged in one small buffer.
+func streamRecord(out io.Writer, s *Snapshot) error {
+	return writeRecord(&recordWriter{out: out, buf: make([]byte, 0, headerLen)}, s)
+}
+
+// EncodeSnapshot serializes s into a self-validating record: the bytes
+// WriteRank puts in a rank file, built in one exactly-sized buffer.
 func EncodeSnapshot(s *Snapshot) []byte {
-	b := make([]byte, 0, 32+len(s.User)+len(s.Batch))
-	b = binary.LittleEndian.AppendUint32(b, snapMagic)
-	b = binary.LittleEndian.AppendUint32(b, snapVersion)
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.Step))
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.Rank))
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.P))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.User)))
-	b = append(b, s.User...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Batch)))
-	b = append(b, s.Batch...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	w := recordWriter{buf: make([]byte, 0, recordOverhead+len(s.User)+s.BatchLen())}
+	writeRecord(&w, s)
+	return w.buf
 }
 
 // DecodeSnapshot parses and validates a record produced by
@@ -103,11 +191,12 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		P:    int(binary.LittleEndian.Uint32(b[20:])),
 	}
 	off := 24
+	var batch []byte
 	var err error
 	if s.User, off, err = section(body, off, "user"); err != nil {
 		return nil, err
 	}
-	if s.Batch, off, err = section(body, off, "batch"); err != nil {
+	if batch, off, err = section(body, off, "batch"); err != nil {
 		return nil, err
 	}
 	if off != len(body) {
@@ -116,8 +205,11 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if s.Step < 0 || s.Rank < 0 || s.P < 1 || s.Rank >= s.P {
 		return nil, fmt.Errorf("ckpt: inconsistent header: step %d rank %d p %d", s.Step, s.Rank, s.P)
 	}
-	if _, err := wire.FrameCount(s.Batch); err != nil {
+	if _, err := wire.FrameCount(batch); err != nil {
 		return nil, fmt.Errorf("ckpt: inbox batch framing: %w", err)
+	}
+	if len(batch) > 0 {
+		s.Batches = [][]byte{batch}
 	}
 	return s, nil
 }
@@ -150,12 +242,16 @@ func (st *Store) rankFile(step, rank int) string {
 	return filepath.Join(st.Dir, fmt.Sprintf("snap-%012d-r%04d.ckpt", step, rank))
 }
 
-// WriteRank durably persists one rank's snapshot record.
+// WriteRank durably persists one rank's snapshot record, streaming it
+// into the file from s's own sections: the record is never assembled
+// in memory.
 func (st *Store) WriteRank(s *Snapshot) error {
 	if err := os.MkdirAll(st.Dir, 0o777); err != nil {
 		return err
 	}
-	return atomicWrite(st.rankFile(s.Step, s.Rank), EncodeSnapshot(s))
+	return atomicWrite(st.rankFile(s.Step, s.Rank), func(f *os.File) error {
+		return streamRecord(f, s)
+	})
 }
 
 // Commit publishes step as the latest complete global snapshot: every
@@ -164,21 +260,23 @@ func (st *Store) WriteRank(s *Snapshot) error {
 // directory scan — so a torn or stale manifest can only cost time,
 // never correctness.
 func (st *Store) Commit(step, p int) error {
-	return atomicWrite(filepath.Join(st.Dir, manifestName),
-		[]byte(fmt.Sprintf("step %d p %d\n", step, p)))
+	return atomicWrite(filepath.Join(st.Dir, manifestName), func(f *os.File) error {
+		_, err := fmt.Fprintf(f, "step %d p %d\n", step, p)
+		return err
+	})
 }
 
-// atomicWrite writes data to path via a temporary file in the same
-// directory, fsyncs it, renames it into place, and best-effort fsyncs
-// the directory so the rename itself is durable.
-func atomicWrite(path string, data []byte) error {
+// atomicWrite fills a temporary file in path's directory with write,
+// fsyncs it, renames it into place, and best-effort fsyncs the
+// directory so the rename itself is durable.
+func atomicWrite(path string, write func(f *os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -22,12 +22,16 @@ func sampleBatch(payloads ...string) []byte {
 	return b
 }
 
+// inboxOf is the batch section s encodes: its batches back to back.
+func inboxOf(s *Snapshot) []byte { return bytes.Join(s.Batches, nil) }
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	cases := []Snapshot{
 		{Step: 0, Rank: 0, P: 1},
-		{Step: 3, Rank: 1, P: 4, User: []byte("state"), Batch: sampleBatch("msg-a", "msg-b")},
-		{Step: 1 << 40, Rank: 7, P: 8, User: make([]byte, 4096), Batch: sampleBatch("")},
-		{Step: 5, Rank: 2, P: 3, User: nil, Batch: nil},
+		{Step: 3, Rank: 1, P: 4, User: []byte("state"), Batches: [][]byte{sampleBatch("msg-a", "msg-b")}},
+		{Step: 1 << 40, Rank: 7, P: 8, User: make([]byte, 4096), Batches: [][]byte{sampleBatch("")}},
+		{Step: 5, Rank: 2, P: 3, User: nil, Batches: nil},
+		{Step: 6, Rank: 0, P: 3, Batches: [][]byte{sampleBatch("a"), nil, sampleBatch("", "bc")}},
 	}
 	for _, want := range cases {
 		rec := EncodeSnapshot(&want)
@@ -36,7 +40,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("decode(%+v): %v", want, err)
 		}
 		if got.Step != want.Step || got.Rank != want.Rank || got.P != want.P ||
-			!bytes.Equal(got.User, want.User) || !bytes.Equal(got.Batch, want.Batch) {
+			!bytes.Equal(got.User, want.User) || !bytes.Equal(inboxOf(got), inboxOf(&want)) {
 			t.Fatalf("round trip mismatch: got %+v want %+v", got, want)
 		}
 	}
@@ -46,7 +50,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // corrupted record must come back as an error, never as a partial
 // snapshot, and never as a panic.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	valid := EncodeSnapshot(&Snapshot{Step: 9, Rank: 2, P: 4, User: []byte("u"), Batch: sampleBatch("m")})
+	valid := EncodeSnapshot(&Snapshot{Step: 9, Rank: 2, P: 4, User: []byte("u"), Batches: [][]byte{sampleBatch("m")}})
 
 	t.Run("truncated", func(t *testing.T) {
 		for n := 0; n < len(valid); n++ {
@@ -73,15 +77,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		// Internally consistent records (crc recomputed) with nonsense
 		// headers: rank out of range, p zero, broken batch framing.
 		reencode := func(mut func(*Snapshot)) []byte {
-			s := Snapshot{Step: 1, Rank: 0, P: 2, Batch: sampleBatch("x")}
+			s := Snapshot{Step: 1, Rank: 0, P: 2, Batches: [][]byte{sampleBatch("x")}}
 			mut(&s)
 			return EncodeSnapshot(&s)
 		}
 		bad := [][]byte{
-			reencode(func(s *Snapshot) { s.Rank = 2 }),               // rank >= p
-			reencode(func(s *Snapshot) { s.P = 0; s.Rank = 0 }),      // p < 1
-			reencode(func(s *Snapshot) { s.Batch = []byte{9, 9} }),   // torn framing
-			reencode(func(s *Snapshot) { s.Batch = []byte{8, 0, 0} }), // truncated length prefix
+			reencode(func(s *Snapshot) { s.Rank = 2 }),                      // rank >= p
+			reencode(func(s *Snapshot) { s.P = 0; s.Rank = 0 }),             // p < 1
+			reencode(func(s *Snapshot) { s.Batches = [][]byte{{9, 9}} }),    // torn framing
+			reencode(func(s *Snapshot) { s.Batches = [][]byte{{8, 0, 0}} }), // truncated length prefix
 		}
 		for i, rec := range bad {
 			if _, err := DecodeSnapshot(rec); err == nil {
@@ -269,5 +273,62 @@ func TestAtomicWriteLeftovers(t *testing.T) {
 	step, _, ok := st.LoadComplete(1)
 	if !ok || step != 1 {
 		t.Fatalf("LoadComplete = (%d, ok=%v) with stray tmp file, want (1, true)", step, ok)
+	}
+}
+
+// goldenSnapshot is the snapshot testdata/record_v1.golden holds: a
+// four-source inbox with an empty frame, a silent source (nil batch)
+// and a batch holding only an empty frame. The golden was written by
+// the encoder that re-framed every inbox frame into one batch, so it
+// pins that streaming the inbox's own batches did not change the
+// format.
+func goldenSnapshot() *Snapshot {
+	return &Snapshot{Step: 3, Rank: 1, P: 4, User: []byte("user-state\x00\x01"), Batches: [][]byte{
+		sampleBatch("from-0", "", "tail"),
+		nil,
+		sampleBatch("from-2:0123456789abcdef"),
+		sampleBatch(""),
+	}}
+}
+
+// TestRecordGolden: version-1 records are byte-identical whether
+// streamed to a file by WriteRank or built by EncodeSnapshot, and a
+// record written before streaming existed still decodes.
+func TestRecordGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "record_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenSnapshot()
+	st := &Store{Dir: t.TempDir()}
+	if err := st.WriteRank(want); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(st.rankFile(want.Step, want.Rank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, golden) {
+		t.Errorf("WriteRank wrote\n%x\ngolden is\n%x", file, golden)
+	}
+	if rec := EncodeSnapshot(want); !bytes.Equal(rec, golden) {
+		t.Errorf("EncodeSnapshot made\n%x\ngolden is\n%x", rec, golden)
+	}
+	got, err := DecodeSnapshot(golden)
+	if err != nil {
+		t.Fatalf("golden record rejected: %v", err)
+	}
+	if got.Step != want.Step || got.Rank != want.Rank || got.P != want.P ||
+		!bytes.Equal(got.User, want.User) || !bytes.Equal(inboxOf(got), inboxOf(want)) {
+		t.Fatalf("golden decoded to %+v, want %+v", got, want)
+	}
+}
+
+// TestEncodeSnapshotAllocs: EncodeSnapshot sizes its buffer to the
+// whole record, crc included, so encoding is exactly one allocation.
+func TestEncodeSnapshotAllocs(t *testing.T) {
+	s := &Snapshot{Step: 4, Rank: 0, P: 2, User: make([]byte, 1<<20), Batches: goldenSnapshot().Batches}
+	if n := testing.AllocsPerRun(10, func() { EncodeSnapshot(s) }); n != 1 {
+		t.Fatalf("EncodeSnapshot of a 1 MiB user section allocates %.1f times, want 1", n)
 	}
 }

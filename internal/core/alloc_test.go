@@ -14,6 +14,8 @@ package core
 //	batched (pooled buffers):    see BENCH_exchange.json "after"
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +31,12 @@ const (
 	allocGateMax  = 200
 	allocSeedRef  = 2073 // measured seed-path allocs/superstep (see BENCH_exchange.json)
 	allocGateRuns = 10
+	// The capture gate: captureP processes exchanging captureMsg-byte
+	// messages; per-capture allocation may differ by less than
+	// captureSlack bytes between a 64 KiB and a 1 MiB inbox.
+	captureP     = 2
+	captureMsg   = 4 << 10
+	captureSlack = 32 << 10
 	// allocTraceOffMax bounds the tracing-disabled path: the batched
 	// engine measured ~1 alloc/superstep before the recorder existed,
 	// and the nil-check disabled path must keep it there (small slack
@@ -69,53 +77,63 @@ func BenchmarkExchangeAllocs(b *testing.B) {
 	}
 }
 
-// measureExchangeAllocs runs the lock-step all-to-all machine on cfg
-// and returns the steady-state allocations per superstep across the
-// whole machine. The machine runs in background goroutines;
-// testing.AllocsPerRun triggers one lock-step superstep per run and
-// counts the whole machine's allocations.
-func measureExchangeAllocs(t *testing.T, cfg Config) float64 {
+// lockstep runs a p-process machine through run in background
+// goroutines, parking every process between supersteps, and hands
+// drive a function that advances the whole machine by exactly one
+// superstep: each process's step, built once per process by setup.
+// drive must advance it exactly steps times. Measurements taken inside
+// drive count the whole machine and nothing else running.
+func lockstep(t *testing.T, p, steps int, run func(fn func(*Proc)) error, setup func(c *Proc) (step func()), drive func(oneSuperstep func())) {
 	t.Helper()
-	const warmup = 4 // pre-grow buffers and stats before measuring
-	// AllocsPerRun invokes the function once to warm up, then
-	// allocGateRuns more times.
-	totalSteps := warmup + 1 + allocGateRuns
-
 	start := make(chan struct{})
-	stepDone := make(chan struct{}, allocP)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	stepDone := make(chan struct{}, p)
 	errCh := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, err := Run(cfg, func(c *Proc) {
-			var pkt Pkt
-			pkt[0] = byte(c.ID())
-			for s := 0; s < totalSteps; s++ {
+		errCh <- run(func(c *Proc) {
+			step := setup(c)
+			for s := 0; s < steps; s++ {
 				<-start
-				exchangeSuperstep(c, &pkt)
+				step()
 				stepDone <- struct{}{}
 			}
 		})
-		errCh <- err
 	}()
-
-	oneSuperstep := func() {
-		for i := 0; i < allocP; i++ {
+	drive(func() {
+		for i := 0; i < p; i++ {
 			start <- struct{}{}
 		}
-		for i := 0; i < allocP; i++ {
+		for i := 0; i < p; i++ {
 			<-stepDone
 		}
-	}
-	for s := 0; s < warmup; s++ {
-		oneSuperstep()
-	}
-	avg := testing.AllocsPerRun(allocGateRuns, oneSuperstep)
-	wg.Wait()
+	})
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// measureExchangeAllocs runs the lock-step all-to-all machine on cfg
+// and returns the steady-state allocations per superstep across the
+// whole machine: testing.AllocsPerRun triggers one lock-step superstep
+// per run and counts the whole machine's allocations.
+func measureExchangeAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	const warmup = 4 // pre-grow buffers and stats before measuring
+	var avg float64
+	// AllocsPerRun invokes the function once to warm up, then
+	// allocGateRuns more times.
+	lockstep(t, allocP, warmup+1+allocGateRuns,
+		func(fn func(*Proc)) error { _, err := Run(cfg, fn); return err },
+		func(c *Proc) func() {
+			pkt := new(Pkt)
+			pkt[0] = byte(c.ID())
+			return func() { exchangeSuperstep(c, pkt) }
+		},
+		func(oneSuperstep func()) {
+			for s := 0; s < warmup; s++ {
+				oneSuperstep()
+			}
+			avg = testing.AllocsPerRun(allocGateRuns, oneSuperstep)
+		})
 	return avg
 }
 
@@ -203,5 +221,79 @@ func TestExchangeAllocGate(t *testing.T) {
 	if telem > allocTraceOffMax {
 		t.Errorf("alloc gate: %.1f allocs/superstep with live telemetry armed, want <= %d — the push path (snapshot + delta encode) must not allocate",
 			telem, allocTraceOffMax)
+	}
+}
+
+// captureBytes runs a captureP-process shm machine under RunRecoverable
+// with a snapshot at every boundary, each process receiving inbox bytes
+// of 4 KiB messages per superstep (an equal share from every source),
+// and returns the steady-state bytes the whole program allocates per
+// capture (one rank's record at one boundary). The collector is off
+// while it measures, so the exchange's pooled buffers survive and only
+// fresh allocations count.
+func captureBytes(t *testing.T, inbox int) float64 {
+	t.Helper()
+	const warmup, settle, runs = 3, 2, 5
+	cfg := Config{P: captureP, Transport: transport.ShmTransport{},
+		Checkpoint: &CheckpointConfig{Dir: t.TempDir(), Every: 1}}
+	hooks := Hooks{Save: func(c *Proc, buf []byte) ([]byte, bool) {
+		return append(buf, byte(c.ID())), true
+	}}
+	var perStep float64
+	lockstep(t, captureP, warmup+settle+runs,
+		func(fn func(*Proc)) error { _, err := RunRecoverable(cfg, fn, hooks); return err },
+		func(c *Proc) func() {
+			msg := make([]byte, captureMsg)
+			return func() {
+				for dst := 0; dst < captureP; dst++ {
+					for n := 0; n < inbox/captureP/captureMsg; n++ {
+						c.Send(dst, msg)
+					}
+				}
+				c.Sync()
+				for {
+					if _, ok := c.Recv(); !ok {
+						break
+					}
+				}
+			}
+		},
+		func(oneSuperstep func()) {
+			for s := 0; s < warmup; s++ {
+				oneSuperstep()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			for s := 0; s < settle; s++ {
+				oneSuperstep()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for s := 0; s < runs; s++ {
+				oneSuperstep()
+			}
+			runtime.ReadMemStats(&after)
+			perStep = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		})
+	return perStep / captureP
+}
+
+// TestCheckpointCaptureAllocGate: capturing a cut copies the app's
+// state and nothing else. The inbox's batches are streamed from the
+// transport's own buffers into the record file, so the bytes one
+// capture allocates do not depend on how much the inbox holds: a
+// 1 MiB inbox costs what a 64 KiB one does, to within a small
+// constant (file names, the os.File, the staged header). Re-framing
+// the inbox or assembling the record in memory grows with it, at
+// several times its size.
+func TestCheckpointCaptureAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short mode")
+	}
+	small := captureBytes(t, 64<<10)
+	large := captureBytes(t, 1<<20)
+	t.Logf("bytes allocated per capture (p=%d, shm): %.0f with a 64 KiB inbox, %.0f with a 1 MiB inbox", captureP, small, large)
+	if d := large - small; d >= captureSlack || d <= -captureSlack {
+		t.Errorf("capture alloc gate: a 1 MiB inbox allocates %.0f bytes per capture, a 64 KiB one %.0f — want equal to within %d: the inbox must be streamed, not copied",
+			large, small, captureSlack)
 	}
 }

@@ -4,8 +4,9 @@ package core
 // superstep as BenchmarkExchangeAllocs, run through RunRecoverable with
 // capture at every boundary versus capture disabled. The delta is the
 // full cost of a durable global snapshot per superstep — Save hook,
-// inbox re-encoding, crc, atomic file write, manifest commit — and is
-// recorded in BENCH_ckpt.json. The disabled configuration must stay at
+// streaming the inbox's batches and crc into the file, atomic file
+// write, manifest commit — and is recorded in BENCH_ckpt.json. The
+// disabled configuration must stay at
 // the batched engine's baseline (see TestExchangeAllocGate): with no
 // capturer armed, Sync only adds a superstep-counter increment and one
 // nil check.
@@ -20,10 +21,10 @@ func benchCheckpoint(b *testing.B, ck *CheckpointConfig) {
 	b.ReportAllocs()
 	cfg := Config{P: allocP, Transport: transport.ShmTransport{}, Checkpoint: ck}
 	hooks := Hooks{
-		Save: func(c *Proc) ([]byte, bool) {
+		Save: func(c *Proc, buf []byte) ([]byte, bool) {
 			// A token user state: apps serialize real state, but the
 			// benchmark isolates the machinery's own cost.
-			return []byte{byte(c.ID())}, true
+			return append(buf, byte(c.ID())), true
 		},
 	}
 	_, err := RunRecoverable(cfg, func(c *Proc) {

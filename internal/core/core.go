@@ -460,11 +460,7 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 					// supersteps from zero; realign their Pair/Exchange/
 					// Fault events with the machine's superstep axis.
 					c.tr.SetStepBase(snap.Step)
-					var batches [][]byte
-					if len(snap.Batch) > 0 {
-						batches = [][]byte{snap.Batch}
-					}
-					inbox, err := transport.NewInbox(batches)
+					inbox, err := transport.NewInbox(snap.Batches)
 					if err != nil {
 						panic(syncFailure{fmt.Errorf("restored inbox: %w", err)})
 					}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // CheckpointConfig arms superstep checkpointing (Config.Checkpoint).
@@ -71,15 +70,21 @@ func (ck *CheckpointConfig) backoff() time.Duration {
 // Hooks are the application's checkpoint callbacks. Both run on the
 // process's own goroutine.
 type Hooks struct {
-	// Save returns the rank's serialized state at the superstep
-	// boundary being captured, called inside Sync right after the
-	// barrier. Returning ok == false declines the boundary — the state
-	// is mid-phase and not restartable — and skips the snapshot on
-	// every rank (all ranks of an SPMD program must agree, which they
-	// do when the decision is a function of the superstep). Save must
+	// Save appends the rank's serialized state at the superstep
+	// boundary being captured to buf and returns the extended slice;
+	// it is called inside Sync right after the barrier. buf is empty
+	// and is the slice this rank's Save returned at its last accepted
+	// capture, so an appending hook serializes into one buffer for the
+	// whole run (a fresh slice may be returned instead; it is the one
+	// handed back next time). Save must not retain or alias buf or its
+	// result: the next capture overwrites them. Returning ok == false
+	// declines the boundary — the state is mid-phase and not
+	// restartable — skips the snapshot on every rank (all ranks of an
+	// SPMD program must agree, which they do when the decision is a
+	// function of the superstep) and keeps buf for next time. Save must
 	// not consume the inbox (no Recv/GetPkt): the undelivered inbox is
 	// captured alongside the user state.
-	Save func(c *Proc) (state []byte, ok bool)
+	Save func(c *Proc, buf []byte) (state []byte, ok bool)
 	// Restore is called once per process before fn, when a run resumes
 	// from a snapshot: step is the superstep boundary the snapshot was
 	// captured at and state is what Save returned there. The restored
@@ -131,7 +136,11 @@ type capturer struct {
 	store *ckpt.Store
 	every int
 	p     int
-	save  func(c *Proc) ([]byte, bool)
+	save  func(c *Proc, buf []byte) ([]byte, bool)
+	// bufs[r] is the slice rank r's Save returned at its last accepted
+	// capture, handed back (truncated) at the next one. Only rank r's
+	// goroutine touches it.
+	bufs [][]byte
 
 	mu      sync.Mutex
 	pending map[int]int // step -> ranks persisted so far
@@ -139,12 +148,13 @@ type capturer struct {
 	stats   CkptStats
 }
 
-func newCapturer(ck *CheckpointConfig, p int, save func(c *Proc) ([]byte, bool)) *capturer {
+func newCapturer(ck *CheckpointConfig, p int, save func(c *Proc, buf []byte) ([]byte, bool)) *capturer {
 	return &capturer{
 		store:   &ckpt.Store{Dir: ck.Dir},
 		every:   ck.every(),
 		p:       p,
 		save:    save,
+		bufs:    make([][]byte, p),
 		pending: make(map[int]int),
 	}
 }
@@ -156,25 +166,25 @@ func (k *capturer) capture(c *Proc) {
 	if c.step-c.lastCap < k.every {
 		return
 	}
-	user, ok := k.save(c)
+	user, ok := k.save(c, k.bufs[c.id][:0])
 	if !ok {
 		return
 	}
+	k.bufs[c.id] = user
 	c.lastCap = c.step
 	start := time.Now()
 	var trStart int64
 	if c.tr != nil {
 		trStart = c.tr.Now()
 	}
-	// The undelivered inbox travels with the snapshot: re-encode the
-	// freshly delivered frames (none is consumed yet — capture runs
-	// inside Sync) as one contiguous wire batch.
-	var batch []byte
-	c.inbox.EachFrame(func(view []byte) { batch = wire.AppendFrame(batch, view) })
-	snap := &ckpt.Snapshot{Step: c.step, Rank: c.id, P: c.p, User: user, Batch: batch}
-	err := k.store.WriteRank(snap)
+	// The undelivered inbox travels with the snapshot: none of it is
+	// consumed yet (capture runs inside Sync), and its framed batches
+	// are streamed into the record file as they are.
+	snap := ckpt.Snapshot{Step: c.step, Rank: c.id, P: c.p, User: user, Batches: c.inbox.Batches()}
+	err := k.store.WriteRank(&snap)
+	size := len(user) + snap.BatchLen()
 	if c.tr != nil {
-		c.tr.CkptSave(c.step, trStart, c.tr.Now(), len(user)+len(batch))
+		c.tr.CkptSave(c.step, trStart, c.tr.Now(), size)
 	}
 
 	k.mu.Lock()
@@ -187,7 +197,7 @@ func (k *capturer) capture(c *Proc) {
 		return
 	}
 	k.stats.Snapshots++
-	k.stats.Bytes += int64(len(user) + len(batch))
+	k.stats.Bytes += int64(size)
 	k.pending[c.step]++
 	if k.pending[c.step] == k.p {
 		delete(k.pending, c.step)

@@ -1,7 +1,10 @@
 package ocean
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -26,21 +29,21 @@ func (s *oceanSim) runRecoverable() {
 	}
 }
 
-// encodeState serializes the boundary state: the upcoming timestep
-// index and this rank's owned interior ψ rows.
-func (s *oceanSim) encodeState() []byte {
+// encodeState appends the boundary state to b: the upcoming timestep
+// index and this rank's owned interior ψ rows, in the wire.Writer
+// layout restoreState reads.
+func (s *oceanSim) encodeState(b []byte) []byte {
 	lo, hi := s.psi.lo, s.psi.hi
-	w := wire.NewWriter(32 + 8*(hi-lo)*(s.m+2))
-	w.Int(s.saveStep)
-	w.Int(lo)
-	w.Int(hi)
-	w.Int(s.m)
+	b = slices.Grow(b, 32+8*(hi-lo)*(s.m+2))
+	for _, v := range [...]int{s.saveStep, lo, hi, s.m} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
 	for r := lo; r < hi; r++ {
 		for _, v := range s.psi.row(r) {
-			w.Float64(v)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return w.Bytes()
+	return b
 }
 
 // restoreState loads a snapshot produced by encodeState into a freshly
@@ -85,12 +88,12 @@ func ParallelRecoverable(ccfg core.Config, cfg Config) (*Fields, *core.Stats, er
 	// Restore hook before fn runs, consumed at fn entry.
 	restored := make([][]byte, ccfg.P)
 	hooks := core.Hooks{
-		Save: func(c *core.Proc) ([]byte, bool) {
+		Save: func(c *core.Proc, buf []byte) ([]byte, bool) {
 			s := sims[c.ID()]
 			if s == nil || !s.atBoundary {
 				return nil, false
 			}
-			return s.encodeState(), true
+			return s.encodeState(buf), true
 		},
 		Restore: func(c *core.Proc, step int, state []byte) error {
 			restored[c.ID()] = state

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/collect"
@@ -478,9 +479,10 @@ func mergeRuns[T any](c *core.Proc, cd Codec[T]) []T {
 	return out
 }
 
-// encode serializes the state for the checkpoint Save hook.
-func (s *state[T]) encode(cd Codec[T]) []byte {
-	b := make([]byte, 0, 40+cd.Size()*len(s.data))
+// encode appends the serialized state to b for the checkpoint Save
+// hook, growing b at most once.
+func (s *state[T]) encode(cd Codec[T], b []byte) []byte {
+	b = slices.Grow(b, 40+cd.Size()*len(s.data))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.stage))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Mode))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Oversample))
@@ -562,8 +564,8 @@ func SortParallel[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([
 	states := make([]*state[T], cfg.P)
 	parts := make([][]T, cfg.P)
 	hooks := core.Hooks{
-		Save: func(c *core.Proc) ([]byte, bool) {
-			return states[c.ID()].encode(cd), true
+		Save: func(c *core.Proc, buf []byte) ([]byte, bool) {
+			return states[c.ID()].encode(cd, buf), true
 		},
 		Restore: func(c *core.Proc, step int, snap []byte) error {
 			s, err := decodeState(cd, snap)

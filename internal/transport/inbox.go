@@ -121,25 +121,16 @@ func (in *Inbox) Frames() int {
 	return in.frames
 }
 
-// EachFrame calls fn with a view of every frame, delivered or not,
-// without consuming the iterator. Checkpoint capture uses it to copy a
-// freshly delivered inbox into a snapshot; the views obey the same
-// validity window as Next's.
-func (in *Inbox) EachFrame(fn func(view []byte)) {
+// Batches returns the framed batches the inbox iterates, delivered or
+// not, in delivery order; nil entries are silent sources. Checkpoint
+// capture streams them into a snapshot as they are. The slice and its
+// buffers are read-only and obey the same validity window as Next's
+// views.
+func (in *Inbox) Batches() [][]byte {
 	if in == nil {
-		return
+		return nil
 	}
-	var it wire.FrameIter
-	for _, b := range in.batches {
-		it.Reset(b)
-		for {
-			view, ok := it.Next()
-			if !ok {
-				break
-			}
-			fn(view)
-		}
-	}
+	return in.batches
 }
 
 // EachFrameLen calls fn with every frame's payload length without

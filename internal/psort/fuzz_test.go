@@ -9,9 +9,11 @@ package psort
 //   - the output is globally sorted in the codec order,
 //   - the output is a bitwise permutation of the input,
 //   - every rank's share obeys ImbalanceBound,
+//   - the local sort equals the stable comparison sort bit for bit,
 //   - splitter selection is monotone in the tagged order, and
 //   - the routing cut is total: monotone cuts covering [0, n] exactly,
-//     whatever (possibly duplicate-heavy) splitter set the root picked.
+//     whatever (possibly duplicate-heavy) splitter set the root picked,
+//     and equal to the linear walk's.
 //
 // Run `make fuzz` for the brief CI pass or `go test -fuzz=FuzzSampleSort
 // ./internal/psort/` to explore further.
@@ -19,6 +21,7 @@ package psort
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -53,6 +56,12 @@ func FuzzSampleSort(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(3), int64(0), le(math.NaN(), 0, math.NaN(), math.Inf(1), math.Inf(-1), 0))
 	f.Add(uint8(6), uint8(0), uint8(0), int64(-1), le(0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2))
 	f.Add(uint8(3), uint8(1), uint8(2), int64(99), le(math.SmallestNonzeroFloat64, -0.0, 0.0, math.MaxFloat64))
+	// Shapes only a bitwise comparison against the oracle can see: signed
+	// zeros (note -0.0 above is a constant +0) and NaN payloads.
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(1), uint8(0), uint8(1), int64(5), le(negZero, 0, negZero, 1, negZero, 0))
+	f.Add(uint8(2), uint8(1), uint8(2), int64(6), le(math.Float64frombits(0x7FF8000000000001), 2,
+		math.Float64frombits(0xFFF8000000000002), negZero, math.Float64frombits(0x7FF8000000000001), 0))
 
 	cd := Float64Codec{}
 	f.Fuzz(func(t *testing.T, pb, modeb, overb uint8, seed int64, raw []byte) {
@@ -90,33 +99,45 @@ func FuzzSampleSort(f *testing.F) {
 			}
 		}
 		checkPermutation(t, data, parts)
+		// The permutation check cannot see a −0/+0 swap or two NaN
+		// payloads trading places; the local sort must equal the
+		// comparison sort it replaced bit for bit.
+		checkSortLocal(t, data)
 
 		// Routing totality against an adversarial splitter set: build
 		// p−1 splitters straight from fuzz-chosen positions (duplicates
 		// and all), sort them into the tagged order the root guarantees,
-		// and require the cut walk to be monotone and to cover [0, n]
-		// with no element unrouted — whatever the splitters were.
+		// and require the cuts to be monotone, to cover [0, n] with no
+		// element unrouted — whatever the splitters were — and to equal
+		// the linear walk's. Splitter ranks 0–2 against run ranks 0–2
+		// make splitters that tie an element's value and differ only in
+		// the (rank, idx) tag fall on both sides of it.
 		if n > 0 {
 			sorted := append([]float64(nil), data...)
 			sortLocal(cd, sorted)
 			spl := make([]tagged[float64], 0, p-1)
 			for j := 1; j < p; j++ {
 				pos := (int(pb)*j + int(overb) + len(raw)*j) % n
-				spl = append(spl, tagged[float64]{v: sorted[pos], rank: int32(j % 2), idx: int32(pos)})
+				spl = append(spl, tagged[float64]{v: sorted[pos], rank: int32(j % 3), idx: int32(pos + j%2)})
 			}
 			sortTagged(cd, spl)
 			for j := 1; j < len(spl); j++ {
-				if lessTag(cd, spl[j], spl[j-1]) {
+				if lessTagOracle(cd, spl[j], spl[j-1]) {
 					t.Fatalf("splitters not monotone in the tagged order at %d", j)
 				}
 			}
-			cuts := cutRun(cd, sorted, 0, spl, p)
-			if cuts[0] != 0 || cuts[p] != n {
-				t.Fatalf("cuts do not cover [0, %d]: %v", n, cuts)
-			}
-			for q := 1; q <= p; q++ {
-				if cuts[q] < cuts[q-1] {
-					t.Fatalf("cuts not monotone: %v", cuts)
+			for rank := int32(0); rank < 3; rank++ {
+				cuts := cutRun(cd, sorted, rank, spl, p)
+				if cuts[0] != 0 || cuts[p] != n {
+					t.Fatalf("cuts do not cover [0, %d]: %v", n, cuts)
+				}
+				for q := 1; q <= p; q++ {
+					if cuts[q] < cuts[q-1] {
+						t.Fatalf("cuts not monotone: %v", cuts)
+					}
+				}
+				if want := cutRunWalk(cd, sorted, rank, spl, p); !slices.Equal(cuts, want) {
+					t.Fatalf("rank %d: binary-search cuts %v, linear walk %v", rank, cuts, want)
 				}
 			}
 		}

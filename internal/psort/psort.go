@@ -28,6 +28,7 @@
 package psort
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -93,18 +94,15 @@ type tagged[T any] struct {
 	idx  int32
 }
 
-// lessTag compares in the tagged total order.
-func lessTag[T any](cd Codec[T], a, b tagged[T]) bool {
-	if cd.Less(a.v, b.v) {
-		return true
+// cmpTag compares in the tagged total order.
+func cmpTag[T any](cd Codec[T], a, b tagged[T]) int {
+	if c := cmpLess(cd, a.v, b.v); c != 0 {
+		return c
 	}
-	if cd.Less(b.v, a.v) {
-		return false
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
 	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.idx < b.idx
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // state is the whole per-rank state of the sample sort between any two
@@ -228,12 +226,12 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 		c.Sync()
 		fallthrough
 	case 3:
-		// Superstep 4: cut the sorted local run at the splitters (a
-		// single merge-walk — both sequences are sorted in the tagged
-		// order) and route each contiguous piece. The run is encoded
-		// once; each piece is appended behind a 4-byte origin header
-		// into one reused scratch buffer, which Send copies straight
-		// into the transport's pooled per-pair batch.
+		// Superstep 4: cut the sorted local run at the splitters (one
+		// binary search per splitter — both sequences are sorted in the
+		// tagged order) and route each contiguous piece. Each piece is
+		// encoded behind a 4-byte origin header into one reused scratch
+		// buffer, which Send copies straight into the transport's
+		// pooled per-pair batch.
 		if p > 1 {
 			msg, ok := c.Recv()
 			if !ok {
@@ -241,10 +239,6 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 			}
 			spl := decodeSplitters(cd, msg)
 			cuts := cutRun(cd, s.data, me, spl, p)
-			body := make([]byte, 0, len(s.data)*esz)
-			for _, v := range s.data {
-				body = cd.Append(body, v)
-			}
 			maxPiece := 0
 			for q := 0; q < p; q++ {
 				if n := cuts[q+1] - cuts[q]; n > maxPiece {
@@ -253,13 +247,15 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 			}
 			scratch := make([]byte, 0, sampleHdrLen+maxPiece*esz)
 			for q := 0; q < p; q++ {
-				lo, hi := cuts[q]*esz, cuts[q+1]*esz
-				if lo == hi {
+				piece := s.data[cuts[q]:cuts[q+1]]
+				if len(piece) == 0 {
 					continue
 				}
 				scratch = scratch[:0]
 				scratch = binary.LittleEndian.AppendUint32(scratch, uint32(me))
-				scratch = append(scratch, body[lo:hi]...)
+				for _, v := range piece {
+					scratch = cd.Append(scratch, v)
+				}
 				c.Send(q, scratch)
 			}
 			c.AddWork(len(s.data))
@@ -282,16 +278,38 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 	}
 }
 
+// radixSorter is implemented by codecs with a stable radix sort whose
+// output is bit-identical to a stable sort by their Less.
+type radixSorter[T any] interface {
+	sortStable(data, tmp []T)
+}
+
 // sortLocal sorts data in the codec's order. Ties keep input order
 // (stable), which matches the tagged order because local indices are
-// assigned after the sort.
+// assigned after the sort. A codec that can radix sort does so; any
+// other falls back to a stable comparison sort on Less.
 func sortLocal[T any](cd Codec[T], data []T) {
-	sort.SliceStable(data, func(i, j int) bool { return cd.Less(data[i], data[j]) })
+	if rs, ok := cd.(radixSorter[T]); ok {
+		rs.sortStable(data, make([]T, len(data)))
+		return
+	}
+	slices.SortStableFunc(data, func(a, b T) int { return cmpLess(cd, a, b) })
+}
+
+// cmpLess is the three-way comparison induced by the codec's Less.
+func cmpLess[T any](cd Codec[T], a, b T) int {
+	if cd.Less(a, b) {
+		return -1
+	}
+	if cd.Less(b, a) {
+		return 1
+	}
+	return 0
 }
 
 // sortTagged sorts tagged samples in the tagged total order.
 func sortTagged[T any](cd Codec[T], ts []tagged[T]) {
-	sort.Slice(ts, func(i, j int) bool { return lessTag(cd, ts[i], ts[j]) })
+	slices.SortFunc(ts, func(a, b tagged[T]) int { return cmpTag(cd, a, b) })
 }
 
 // samplePositions returns the sorted local indices to sample: evenly
@@ -377,18 +395,21 @@ func decodeSplitters[T any](cd Codec[T], msg []byte) []tagged[T] {
 
 // cutRun returns the p+1 cut positions of the sorted local run against
 // the tagged splitters: bucket q is data[cuts[q]:cuts[q+1]], the
-// elements e with spl[q−1] ≤ e < spl[q] in the tagged order. Both
-// sequences are sorted, so one monotone walk suffices; duplicate
-// splitters simply yield empty middle buckets, and every element lands
-// in exactly one bucket (routing totality).
+// elements e with spl[q−1] ≤ e < spl[q] in the tagged order. The run
+// is sorted in the tagged order, so "element j sorts before the
+// splitter" is monotone in j and each cut is a binary search, started
+// from the previous cut so the cuts stay monotone; duplicate splitters
+// simply yield empty middle buckets, and every element lands in exactly
+// one bucket (routing totality).
 func cutRun[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int) []int {
 	cuts := make([]int, p+1)
 	i := 0
 	for q := 1; q < p; q++ {
 		if q-1 < len(spl) {
-			for i < len(data) && lessTag(cd, tagged[T]{v: data[i], rank: rank, idx: int32(i)}, spl[q-1]) {
-				i++
-			}
+			lo := i
+			i = lo + sort.Search(len(data)-lo, func(j int) bool {
+				return cmpTag(cd, tagged[T]{v: data[lo+j], rank: rank, idx: int32(lo + j)}, spl[q-1]) >= 0
+			})
 		}
 		cuts[q] = i
 	}

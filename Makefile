@@ -13,6 +13,7 @@
 #                     for a 1 MiB inbox as for a 64 KiB one (the inbox
 #                     is streamed into the record, internal/core), and
 #                     the sample sort's alloc count must stay flat in n
+#                     and its bytes stay at <= 40 per element
 #                     (internal/psort)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
@@ -128,7 +129,7 @@ verify-race: vet race
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
 	$(GO) test -count=1 ./internal/transport/ -run TestSocketAllocGate -v
-	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
+	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement' -v
 
 golden:
 	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ ./internal/apps/ -run 'Golden' -update

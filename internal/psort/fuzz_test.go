@@ -9,7 +9,9 @@ package psort
 //   - the output is globally sorted in the codec order,
 //   - the output is a bitwise permutation of the input,
 //   - every rank's share obeys ImbalanceBound,
+//   - the shares equal the stable sort of the input bit for bit,
 //   - the local sort equals the stable comparison sort bit for bit,
+//   - the final merge equals the heap of run structs bit for bit,
 //   - splitter selection is monotone in the tagged order, and
 //   - the routing cut is total: monotone cuts covering [0, n] exactly,
 //     whatever (possibly duplicate-heavy) splitter set the root picked,
@@ -21,6 +23,7 @@ package psort
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -100,9 +103,22 @@ func FuzzSampleSort(f *testing.F) {
 		}
 		checkPermutation(t, data, parts)
 		// The permutation check cannot see a −0/+0 swap or two NaN
-		// payloads trading places; the local sort must equal the
-		// comparison sort it replaced bit for bit.
+		// payloads trading places; bitwise comparisons can. Ties leave
+		// the merge in (rank, index) tag order, so the shares are the
+		// stable sort of the whole input; the local sort and the final
+		// merge must equal the code they replaced (the merge on p source
+		// runs handed over in a seed-shuffled order).
+		stable := append([]float64(nil), data...)
+		sortOracle(cd, stable)
+		if !slices.EqualFunc(slices.Concat(parts...), stable, func(a, b float64) bool { return floatBits(a) == floatBits(b) }) {
+			t.Fatal("the shares differ from the stable sort of the input")
+		}
 		checkSortLocal(t, data)
+		perSrc := make([][]float64, p)
+		for q := range perSrc {
+			perSrc[q] = chunk(data, p, q)
+		}
+		checkMerge(t, cd, routedRuns(cd, perSrc, rand.New(rand.NewSource(seed))), floatBits)
 
 		// Routing totality against an adversarial splitter set: build
 		// p−1 splitters straight from fuzz-chosen positions (duplicates

@@ -23,8 +23,12 @@
 // distinct in the tagged order.
 //
 // The receive path never re-sorts: each routed run arrives sorted, and
-// a k-way merge over the inbox's zero-copy frame views produces the
-// final share directly.
+// a k-way merge over the inbox's zero-copy frame views writes the final
+// share into the rank's own run buffer, which is allocated with room for
+// ImbalanceBound elements (never more than n) and is dead once superstep
+// 4's Send has copied its pieces out. Ties between runs are broken by
+// the source rank in each run's header, so the share does not depend on
+// the order in which the transport delivered the runs.
 package psort
 
 import (
@@ -150,6 +154,7 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 	esz := cd.Size()
 	fanout := collect.GroupFanout(p)
 	m := sampleCount(s.opt.Oversample, p)
+	var share []T // the merge's destination, set when superstep 4 routes
 	switch s.stage {
 	case 0:
 		// Superstep 1: local sort; ship the tagged sample run to this
@@ -261,7 +266,9 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 			c.AddWork(len(s.data))
 			// The routed elements now live in the exchange; they come
 			// back through the inbox, so the local copy is no longer
-			// part of the restartable state.
+			// part of the restartable state. Its array, sized for the
+			// final share, is where the merge writes.
+			share = s.data[:0]
 			s.data = nil
 		}
 		s.stage = 4
@@ -274,7 +281,7 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 		if p == 1 {
 			return s.data
 		}
-		return mergeRuns(c, cd)
+		return mergeRuns(c, cd, share)
 	}
 }
 
@@ -417,87 +424,107 @@ func cutRun[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int) []
 	return cuts
 }
 
-// mergeRun is one source's routed run during the final k-way merge.
-type mergeRun[T any] struct {
-	buf  []byte
-	off  int
-	head T
-	src  int32
-}
-
-// mergeRuns drains the inbox's routed runs and k-way merges them with
-// a binary heap ordered by (element, source rank) — a strict total
-// order, because each source contributes at most one run, so the
-// output is identical whatever order the transport delivered the
-// batches in. The frame views are consumed in place (zero-copy); only
-// the final share is allocated, sized by a header-only pre-pass.
-func mergeRuns[T any](c *core.Proc, cd Codec[T]) []T {
-	esz := cd.Size()
-	var runs []mergeRun[T]
-	total := 0
+// mergeRuns drains the inbox's routed runs and k-way merges them into
+// share's array, the rank's own run buffer, which Send has already
+// copied out of. It allocates only when the runs do not fit, as after a
+// restore, which decodes the run without room to spare. The frame views
+// are read in place.
+func mergeRuns[T any](c *core.Proc, cd Codec[T], share []T) []T {
+	runs := make([][]byte, 0, c.Pending())
 	for {
 		msg, ok := c.Recv()
 		if !ok {
 			break
 		}
-		body := msg[sampleHdrLen:]
-		if len(body) < esz {
+		runs = append(runs, msg)
+	}
+	out := mergeInto(cd, share, runs)
+	c.AddWork(nLogN(len(out)))
+	return out
+}
+
+// runHead is one routed run's position in mergeInto: its current head
+// element, the byte offset of the next one, and the source rank from the
+// run's header.
+type runHead[T any] struct {
+	head T
+	off  int
+	src  uint32
+}
+
+// mergeInto merges routed runs — each a source-rank header and a sorted
+// body — into dst's array, or a new one when they do not fit, and
+// returns the merged share. The heap holds run indices ordered by (Less,
+// source rank): a strict total order because each source contributes at
+// most one run, so the output is the same whatever order the transport
+// delivered the runs in.
+func mergeInto[T any](cd Codec[T], dst []T, runs [][]byte) []T {
+	esz := cd.Size()
+	total := 0
+	for _, r := range runs {
+		total += max(len(r)-sampleHdrLen, 0) / esz
+	}
+	if cap(dst) < total {
+		dst = make([]T, total)
+	}
+	dst = dst[:total]
+	hd := make([]runHead[T], len(runs))
+	h := make([]int32, 0, len(runs))
+	for i, r := range runs {
+		if len(r) < sampleHdrLen+esz {
 			continue
 		}
-		runs = append(runs, mergeRun[T]{
-			buf:  body,
-			off:  esz,
-			head: cd.Decode(body),
-			src:  int32(binary.LittleEndian.Uint32(msg)),
-		})
-		total += len(body) / esz
+		hd[i] = runHead[T]{head: cd.Decode(r[sampleHdrLen:]), off: sampleHdrLen + esz,
+			src: binary.LittleEndian.Uint32(r)}
+		h = append(h, int32(i))
 	}
-	out := make([]T, 0, total)
-	less := func(a, b *mergeRun[T]) bool {
-		if cd.Less(a.head, b.head) {
+	less := func(a, b int32) bool {
+		x, y := &hd[a], &hd[b]
+		if cd.Less(x.head, y.head) {
 			return true
 		}
-		if cd.Less(b.head, a.head) {
+		if cd.Less(y.head, x.head) {
 			return false
 		}
-		return a.src < b.src
+		return x.src < y.src
 	}
-	var down func(h []mergeRun[T], i int)
-	down = func(h []mergeRun[T], i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < len(h) && less(&h[l], &h[s]) {
-				s = l
-			}
-			if r < len(h) && less(&h[r], &h[s]) {
-				s = r
-			}
-			if s == i {
-				return
-			}
-			h[i], h[s] = h[s], h[i]
-			i = s
-		}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, less)
 	}
-	for i := len(runs)/2 - 1; i >= 0; i-- {
-		down(runs, i)
-	}
-	for len(runs) > 0 {
-		r := &runs[0]
-		out = append(out, r.head)
-		if r.off+esz <= len(r.buf) {
-			r.head = cd.Decode(r.buf[r.off:])
-			r.off += esz
-			down(runs, 0)
+	for i := range dst {
+		r := h[0]
+		x := &hd[r]
+		dst[i] = x.head
+		if body := runs[r]; x.off+esz <= len(body) {
+			x.head = cd.Decode(body[x.off:])
+			x.off += esz
 		} else {
-			runs[0] = runs[len(runs)-1]
-			runs = runs[:len(runs)-1]
-			down(runs, 0)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0, less)
 	}
-	c.AddWork(nLogN(total))
-	return out
+	return dst
+}
+
+// siftDown restores the min-heap property of h under less below
+// position i.
+func siftDown(h []int32, i int, less func(a, b int32) bool) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < len(h) && less(h[l], h[s]) {
+			s = l
+		}
+		if r < len(h) && less(h[r], h[s]) {
+			s = r
+		}
+		if s == i {
+			return
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
 }
 
 // encode appends the serialized state to b for the checkpoint Save
@@ -554,9 +581,19 @@ func nLogN(n int) int {
 // precedes process i+1's). It costs exactly 4 supersteps on every
 // rank.
 func Sort[T any](c *core.Proc, cd Codec[T], local []T, opt Options) []T {
-	opt = Resolve(opt, len(local)*c.P(), c.P(), cd.Size())
-	s := &state[T]{opt: opt, data: append([]T(nil), local...)}
+	n := len(local) * c.P()
+	opt = Resolve(opt, n, c.P(), cd.Size())
+	s := &state[T]{opt: opt, data: runBuffer(local, n, c.P(), opt.Oversample)}
 	return s.run(c, cd)
+}
+
+// runBuffer copies a rank's input into an array with room for its final
+// share of n elements — ImbalanceBound(n, p, l), and never more than n —
+// so the merge can write the share into it.
+func runBuffer[T any](local []T, n, p, l int) []T {
+	buf := make([]T, len(local), max(len(local), min(n, ImbalanceBound(n, p, l))))
+	copy(buf, local)
+	return buf
 }
 
 // Run sorts this process's float64 share with default options.
@@ -601,7 +638,7 @@ func SortParallel[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([
 		if c.Step() == 0 {
 			// Scratch start (first attempt, or a retry with no usable
 			// snapshot): fresh state from the input chunk.
-			states[c.ID()] = &state[T]{opt: opt, data: append([]T(nil), chunk(data, cfg.P, c.ID())...)}
+			states[c.ID()] = &state[T]{opt: opt, data: runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)}
 		}
 		parts[c.ID()] = states[c.ID()].run(c, cd)
 	}, hooks)

@@ -51,6 +51,26 @@ func TestEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRunBufferCapacity: a rank's run buffer has room for the largest
+// share ImbalanceBound allows, but never for more than the n elements
+// that exist — at small n or a large ℓ the bound exceeds n.
+func TestRunBufferCapacity(t *testing.T) {
+	for _, tc := range []struct{ n, p, l int }{
+		{10, 4, 1}, {10, 4, 128}, {3, 4, 2}, {0, 4, 1}, {1 << 16, 4, 128}, {1000, 3, 8},
+	} {
+		data := RandomData(tc.n, 1)
+		bound := ImbalanceBound(tc.n, tc.p, tc.l)
+		for q := 0; q < tc.p; q++ {
+			local := chunk(data, tc.p, q)
+			buf := runBuffer(local, tc.n, tc.p, tc.l)
+			if len(buf) != len(local) || cap(buf) > tc.n || cap(buf) < min(tc.n, bound) {
+				t.Errorf("n=%d p=%d l=%d rank %d: len %d cap %d, want len %d and cap in [min(n, %d), n]",
+					tc.n, tc.p, tc.l, q, len(buf), cap(buf), len(local), bound)
+			}
+		}
+	}
+}
+
 func TestQuickSortsCorrectly(t *testing.T) {
 	f := func(data []float64, pPick uint8) bool {
 		p := int(pPick)%4 + 1

@@ -542,7 +542,7 @@ func runRank(spec launch.Spec, size int, seed int64, outDir string) int {
 		return launch.Report("bspsoak rank", err)
 	}
 	cfg.SyncTimeout = 30 * time.Second
-	part, _, err := psort.ParallelRecoverable(cfg, psort.RandomData(size, seed))
+	part, _, err := psort.Parallel(cfg, psort.RandomData(size, seed))
 	spec.WriteShard(cfg.Trace)
 	if err != nil {
 		return launch.Report(fmt.Sprintf("bspsoak rank %d (epoch %d)", spec.Rank, spec.Epoch), err)

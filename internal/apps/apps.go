@@ -273,7 +273,7 @@ func sortApp(name string, keys func(n int, seed int64) []float64) App {
 			}
 		},
 		CostReport: func(w io.Writer, machine string, pm cost.Params, size, p int, st *core.Stats) {
-			psort.WriteCostReport(w, machine, pm, size, p, psort.Float64Codec{}.Size(), psort.Options{}, st)
+			psort.WriteCostReport(w, machine, pm, size, p, psort.Options{}, st)
 		},
 	}
 }

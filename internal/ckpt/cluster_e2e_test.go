@@ -52,7 +52,7 @@ func runE2ERank(spec launch.Spec, outDir string) int {
 		return launch.Report("e2e rank", err)
 	}
 	cfg.SyncTimeout = 30 * time.Second
-	part, _, err := psort.ParallelRecoverable(cfg, psort.RandomData(e2eSize, e2eSeed))
+	part, _, err := psort.Parallel(cfg, psort.RandomData(e2eSize, e2eSeed))
 	if err != nil {
 		return launch.Report(fmt.Sprintf("e2e rank %d (epoch %d)", spec.Rank, spec.Epoch), err)
 	}

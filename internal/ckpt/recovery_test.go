@@ -64,7 +64,7 @@ func TestRecoveryConformance(t *testing.T) {
 	for name, base := range baseTransports() {
 		t.Run(name, func(t *testing.T) {
 			cfg := ckptConfig(t, transport.NewChaosTransport(base, crashPlan()))
-			got, st, err := psort.ParallelRecoverable(cfg, data)
+			got, st, err := psort.Parallel(cfg, data)
 			if err != nil {
 				t.Fatalf("recoverable run failed: %v", err)
 			}
@@ -109,7 +109,7 @@ func TestRecoveryStatsSteps(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := ckptConfig(t, transport.NewChaosTransport(base, crashPlan()))
-			_, st, err := psort.ParallelRecoverable(cfg, data)
+			_, st, err := psort.Parallel(cfg, data)
 			if err != nil {
 				t.Fatalf("recoverable run failed: %v", err)
 			}
@@ -148,7 +148,7 @@ func TestRecoveryInjectedAbort(t *testing.T) {
 	}
 	plan := transport.FaultPlan{Seed: 1, AbortRank: 1, AbortStep: 2}
 	cfg := ckptConfig(t, transport.NewChaosTransport(transport.ShmTransport{}, plan))
-	got, st, err := psort.ParallelRecoverable(cfg, data)
+	got, st, err := psort.Parallel(cfg, data)
 	if err != nil {
 		t.Fatalf("abort recovery failed: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestRecoveryPersistentFault(t *testing.T) {
 	cfg := ckptConfig(t, tr)
 	cfg.Checkpoint.Retries = 2
 	start := time.Now()
-	_, _, err := psort.ParallelRecoverable(cfg, data)
+	_, _, err := psort.Parallel(cfg, data)
 	if err == nil {
 		t.Fatal("persistent crash fault recovered — it must not")
 	}
@@ -196,7 +196,7 @@ func TestRecoveryPersistentFault(t *testing.T) {
 func TestCrashWithoutCheckpointing(t *testing.T) {
 	data := psort.RandomData(1000, 1996)
 	cfg := core.Config{P: recoveryP, Transport: transport.NewChaosTransport(transport.ShmTransport{}, crashPlan())}
-	_, st, err := psort.ParallelRecoverable(cfg, data)
+	_, st, err := psort.Parallel(cfg, data)
 	if err == nil {
 		t.Fatal("crash with checkpointing disabled succeeded")
 	}
@@ -258,7 +258,7 @@ func TestRecoveryResume(t *testing.T) {
 	// supersteps 1..4 and a manifest naming step 4.
 	cfg := core.Config{P: recoveryP, Transport: transport.ShmTransport{},
 		Checkpoint: &core.CheckpointConfig{Dir: dir, Every: 1}}
-	if _, _, err := psort.ParallelRecoverable(cfg, data); err != nil {
+	if _, _, err := psort.Parallel(cfg, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,7 +278,7 @@ func TestRecoveryResume(t *testing.T) {
 	// Second invocation: fault-free transport, Resume on, same dir.
 	cfg2 := core.Config{P: recoveryP, Transport: transport.ShmTransport{},
 		Checkpoint: &core.CheckpointConfig{Dir: dir, Every: 1, Resume: true}}
-	got, st, err := psort.ParallelRecoverable(cfg2, data)
+	got, st, err := psort.Parallel(cfg2, data)
 	if err != nil {
 		t.Fatalf("resumed invocation failed: %v", err)
 	}
@@ -311,7 +311,7 @@ func TestRecoveryEveryStageBoundary(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/crash=1:%d", name, step), func(t *testing.T) {
 				plan := transport.FaultPlan{Seed: 1, CrashRank: 1, CrashStep: step}
 				cfg := ckptConfig(t, transport.NewChaosTransport(base, plan))
-				got, st, err := psort.ParallelRecoverable(cfg, data)
+				got, st, err := psort.Parallel(cfg, data)
 				if err != nil {
 					t.Fatalf("recoverable run failed: %v", err)
 				}
@@ -351,7 +351,7 @@ func TestRecoveryEveryTwo(t *testing.T) {
 	}
 	cfg := ckptConfig(t, transport.NewChaosTransport(transport.XchgTransport{}, crashPlan()))
 	cfg.Checkpoint.Every = 2
-	got, st, err := psort.ParallelRecoverable(cfg, data)
+	got, st, err := psort.Parallel(cfg, data)
 	if err != nil {
 		t.Fatalf("recoverable run failed: %v", err)
 	}
@@ -365,8 +365,8 @@ func TestRecoveryEveryTwo(t *testing.T) {
 	}
 }
 
-// TestRecoverableClean: with no faults, ParallelRecoverable matches
-// Parallel and reports a single attempt.
+// TestRecoverableClean: with no faults, a checkpointed Parallel matches
+// an unarmed one and reports a single attempt.
 func TestRecoverableClean(t *testing.T) {
 	data := psort.RandomData(4000, 1996)
 	want, _, err := psort.Parallel(core.Config{P: recoveryP, Transport: transport.ShmTransport{}}, data)
@@ -374,7 +374,7 @@ func TestRecoverableClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ckptConfig(t, transport.ShmTransport{})
-	got, st, err := psort.ParallelRecoverable(cfg, data)
+	got, st, err := psort.Parallel(cfg, data)
 	if err != nil {
 		t.Fatal(err)
 	}

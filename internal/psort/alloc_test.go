@@ -34,10 +34,10 @@ const (
 func measureSortAllocs(t *testing.T, n int) float64 {
 	t.Helper()
 	data := RandomData(n, 7)
-	opt := Resolve(Options{}, n, sortAllocP, 8)
+	opt := Resolve(Options{}, n, sortAllocP)
 	cfg := core.Config{P: sortAllocP, Transport: transport.ShmTransport{}}
 	run := func() {
-		if _, _, err := SortParallel(cfg, Float64Codec{}, data, opt); err != nil {
+		if _, _, err := sortParallel(cfg, data, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

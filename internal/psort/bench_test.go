@@ -9,8 +9,16 @@ package psort
 // a property gate: every measured run must respect the deterministic
 // (1+1/ℓ)·n/p imbalance bound, so a splitter-quality regression fails
 // the benchmark itself, not just a separate test.
+//
+// BenchmarkSortLocal, BenchmarkMergeRuns and BenchmarkStateEncode time
+// one hot path each, one rank's worth, so a change to one of them comes
+// with a number of its own: the local radix sort of 2^18 normals, the
+// k-way merge of 4 routed runs of 2^18, and the checkpoint encode of a
+// 2^18-element run.
 
 import (
+	"encoding/binary"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -24,14 +32,14 @@ const (
 
 func benchSort(b *testing.B, data []float64, gateBound bool) {
 	b.Helper()
-	opt := Resolve(Options{}, len(data), benchSortP, 8)
+	opt := Resolve(Options{}, len(data), benchSortP)
 	cfg := core.Config{P: benchSortP, Transport: transport.ShmTransport{}}
 	bound := ImbalanceBound(len(data), benchSortP, opt.Oversample)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, _, err := SortParallel(cfg, Float64Codec{}, data, opt)
+		parts, _, err := sortParallel(cfg, data, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,4 +60,52 @@ func BenchmarkSampleSortUniform(b *testing.B) {
 
 func BenchmarkSampleSortZipfian(b *testing.B) {
 	benchSort(b, ZipfData(benchSortN, 1996), true)
+}
+
+// benchPieceN is the per-run size of the hot-path benchmarks.
+const benchPieceN = 1 << 18
+
+// Sinks for the hot-path benchmarks' results, so the calls stay.
+var (
+	benchFloats []float64
+	benchBytes  []byte
+)
+
+func BenchmarkSortLocal(b *testing.B) {
+	data := RandomData(benchPieceN, 1996)
+	work := make([]float64, len(data))
+	b.SetBytes(8 * benchPieceN)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, data)
+		sortLocal(work)
+	}
+	benchFloats = work
+}
+
+func BenchmarkMergeRuns(b *testing.B) {
+	const k = 4
+	runs := make([][]byte, k)
+	for s := range runs {
+		vs := RandomData(benchPieceN, int64(s))
+		sort.Float64s(vs)
+		runs[s] = appendFloats(binary.LittleEndian.AppendUint32(nil, uint32(s)), vs)
+	}
+	dst := make([]float64, 0, k*benchPieceN)
+	b.SetBytes(8 * k * benchPieceN)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFloats = mergeInto(dst, runs)
+	}
+}
+
+func BenchmarkStateEncode(b *testing.B) {
+	s := &state{data: RandomData(benchPieceN, 1996)}
+	var buf []byte
+	b.SetBytes(8 * benchPieceN)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = s.encode(buf[:0])
+	}
+	benchBytes = buf
 }

@@ -6,7 +6,7 @@ package psort
 // patterns (including NaNs, infinities, denormals and duplicate runs)
 // and arbitrary (p, mode, ℓ, seed) combinations:
 //
-//   - the output is globally sorted in the codec order,
+//   - the output is globally sorted in the float order,
 //   - the output is a bitwise permutation of the input,
 //   - every rank's share obeys ImbalanceBound,
 //   - the shares equal the stable sort of the input bit for bit,
@@ -61,12 +61,10 @@ func FuzzSampleSort(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(2), int64(99), le(math.SmallestNonzeroFloat64, -0.0, 0.0, math.MaxFloat64))
 	// Shapes only a bitwise comparison against the oracle can see: signed
 	// zeros (note -0.0 above is a constant +0) and NaN payloads.
-	negZero := math.Copysign(0, -1)
 	f.Add(uint8(1), uint8(0), uint8(1), int64(5), le(negZero, 0, negZero, 1, negZero, 0))
 	f.Add(uint8(2), uint8(1), uint8(2), int64(6), le(math.Float64frombits(0x7FF8000000000001), 2,
 		math.Float64frombits(0xFFF8000000000002), negZero, math.Float64frombits(0x7FF8000000000001), 0))
 
-	cd := Float64Codec{}
 	f.Fuzz(func(t *testing.T, pb, modeb, overb uint8, seed int64, raw []byte) {
 		p := 2 + int(pb%5)
 		data := fuzzData(raw)
@@ -75,9 +73,9 @@ func FuzzSampleSort(f *testing.F) {
 			Mode:       Mode(modeb % 2),
 			Oversample: int(overb % 5), // 0 exercises DefaultRatio
 			Seed:       seed,
-		}, n, p, 8)
+		}, n, p)
 
-		parts, st, err := SortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, cd, data, opt)
+		parts, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +83,7 @@ func FuzzSampleSort(f *testing.F) {
 			t.Fatalf("S = %d, want 4", st.S())
 		}
 
-		// Sortedness in the codec order and the imbalance bound.
+		// Sortedness in the float order and the imbalance bound.
 		bound := ImbalanceBound(n, p, opt.Oversample)
 		var prev float64
 		first := true
@@ -95,7 +93,7 @@ func FuzzSampleSort(f *testing.F) {
 					q, len(part), n, p, opt.Oversample, bound)
 			}
 			for i, v := range part {
-				if !first && cd.Less(v, prev) {
+				if !first && lessOracle(v, prev) {
 					t.Fatalf("rank %d element %d: %v sorts before predecessor %v", q, i, v, prev)
 				}
 				prev, first = v, false
@@ -109,8 +107,8 @@ func FuzzSampleSort(f *testing.F) {
 		// merge must equal the code they replaced (the merge on p source
 		// runs handed over in a seed-shuffled order).
 		stable := append([]float64(nil), data...)
-		sortOracle(cd, stable)
-		if !slices.EqualFunc(slices.Concat(parts...), stable, func(a, b float64) bool { return floatBits(a) == floatBits(b) }) {
+		sortOracle(stable)
+		if !slices.EqualFunc(slices.Concat(parts...), stable, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatal("the shares differ from the stable sort of the input")
 		}
 		checkSortLocal(t, data)
@@ -118,7 +116,7 @@ func FuzzSampleSort(f *testing.F) {
 		for q := range perSrc {
 			perSrc[q] = chunk(data, p, q)
 		}
-		checkMerge(t, cd, routedRuns(cd, perSrc, rand.New(rand.NewSource(seed))), floatBits)
+		checkMerge(t, routedRuns(perSrc, rand.New(rand.NewSource(seed))))
 
 		// Routing totality against an adversarial splitter set: build
 		// p−1 splitters straight from fuzz-chosen positions (duplicates
@@ -130,20 +128,20 @@ func FuzzSampleSort(f *testing.F) {
 		// the (rank, idx) tag fall on both sides of it.
 		if n > 0 {
 			sorted := append([]float64(nil), data...)
-			sortLocal(cd, sorted)
-			spl := make([]tagged[float64], 0, p-1)
+			sortLocal(sorted)
+			spl := make([]tagged, 0, p-1)
 			for j := 1; j < p; j++ {
 				pos := (int(pb)*j + int(overb) + len(raw)*j) % n
-				spl = append(spl, tagged[float64]{v: sorted[pos], rank: int32(j % 3), idx: int32(pos + j%2)})
+				spl = append(spl, tagged{v: sorted[pos], rank: int32(j % 3), idx: int32(pos + j%2)})
 			}
-			sortTagged(cd, spl)
+			slices.SortFunc(spl, cmpTag)
 			for j := 1; j < len(spl); j++ {
-				if lessTagOracle(cd, spl[j], spl[j-1]) {
+				if lessTagOracle(spl[j], spl[j-1]) {
 					t.Fatalf("splitters not monotone in the tagged order at %d", j)
 				}
 			}
 			for rank := int32(0); rank < 3; rank++ {
-				cuts := cutRun(cd, sorted, rank, spl, p)
+				cuts := cutRun(sorted, rank, spl, p)
 				if cuts[0] != 0 || cuts[p] != n {
 					t.Fatalf("cuts do not cover [0, %d]: %v", n, cuts)
 				}
@@ -152,7 +150,7 @@ func FuzzSampleSort(f *testing.F) {
 						t.Fatalf("cuts not monotone: %v", cuts)
 					}
 				}
-				if want := cutRunWalk(cd, sorted, rank, spl, p); !slices.Equal(cuts, want) {
+				if want := cutRunWalk(sorted, rank, spl, p); !slices.Equal(cuts, want) {
 					t.Fatalf("rank %d: binary-search cuts %v, linear walk %v", rank, cuts, want)
 				}
 			}

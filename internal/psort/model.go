@@ -30,20 +30,9 @@ func DefaultRatio(pm cost.Params, n, p, elemBytes int) int {
 	}
 	l := int(math.Round(math.Sqrt(float64(n*elemBytes)/16.0) / float64(p)))
 	if pm.G > 0 {
-		if cover := int(pm.L / (pm.G * float64(2*p))); cover > l {
-			l = cover
-		}
+		l = max(l, int(pm.L/(pm.G*float64(2*p))))
 	}
-	if hi := n / (2 * p * p); l > hi {
-		l = hi
-	}
-	if l > maxRatio {
-		l = maxRatio
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
+	return max(1, min(l, n/(2*p*p), maxRatio))
 }
 
 // ImbalanceBound is the deterministic per-rank output bound of the
@@ -98,9 +87,9 @@ func (s Shape) H() int { return s.SampleH + s.ForwardH + s.SplitterH + s.RouteH 
 // pkts converts bytes to 16-byte packet units, rounding up.
 func pkts(bytes int) int { return (bytes + 15) / 16 }
 
-// PredictShape evaluates the sort's cost shape for n elements of
-// elemBytes each over p ranks at oversampling ratio l.
-func PredictShape(n, p, l, elemBytes int) Shape {
+// PredictShape evaluates the sort's cost shape for n elements over p
+// ranks at oversampling ratio l.
+func PredictShape(n, p, l int) Shape {
 	if p <= 1 {
 		return Shape{S: 4, W: nLogN(n), Bound: n}
 	}
@@ -138,10 +127,10 @@ func PredictShape(n, p, l, elemBytes int) Shape {
 // run's measured Stats: predicted W/H/S, the per-rank imbalance bound
 // (1+1/ℓ)·n/p, and the Bilardi et al. H lower bound with the measured
 // H's distance from it. st may be nil (prediction only).
-func WriteCostReport(w io.Writer, name string, pm cost.Params, n, p, elemBytes int, opt Options, st *core.Stats) {
-	opt = Resolve(opt, n, p, elemBytes)
+func WriteCostReport(w io.Writer, name string, pm cost.Params, n, p int, opt Options, st *core.Stats) {
+	opt = Resolve(opt, n, p)
 	l := opt.Oversample
-	sh := PredictShape(n, p, l, elemBytes)
+	sh := PredictShape(n, p, l)
 	mode := "regular"
 	if opt.Mode == ModeRandom {
 		mode = "random"
@@ -157,9 +146,7 @@ func WriteCostReport(w io.Writer, name string, pm cost.Params, n, p, elemBytes i
 	if sh.HLower > 0 {
 		fmt.Fprintf(w, "  Bilardi H lower bound: %d pkts", sh.HLower)
 		if st != nil {
-			h := st.H()
-			ratio := float64(h) / float64(sh.HLower)
-			fmt.Fprintf(w, "; measured H=%d pkts (%.2fx of bound)", h, ratio)
+			fmt.Fprintf(w, "; measured H=%d pkts (%.2fx of bound)", st.H(), float64(st.H())/float64(sh.HLower))
 		}
 		fmt.Fprintln(w)
 	}

@@ -56,7 +56,7 @@ func TestImbalanceBound(t *testing.T) {
 }
 
 func TestPredictShape(t *testing.T) {
-	sh := PredictShape(16000, 4, 8, 8)
+	sh := PredictShape(16000, 4, 8)
 	if sh.S != 4 {
 		t.Errorf("S = %d, want 4", sh.S)
 	}
@@ -78,12 +78,12 @@ func TestPredictShape(t *testing.T) {
 func TestMeasuredHWithinPredictedShape(t *testing.T) {
 	const n, p = 16000, 4
 	data := RandomData(n, 1996)
-	opt := Resolve(Options{}, n, p, 8)
-	_, st, err := SortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, Float64Codec{}, data, opt)
+	opt := Resolve(Options{}, n, p)
+	_, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := PredictShape(n, p, opt.Oversample, 8)
+	sh := PredictShape(n, p, opt.Oversample)
 	pred := []int{sh.SampleH, sh.ForwardH, sh.SplitterH, sh.RouteH}
 	for i, want := range pred {
 		if got := st.Steps[i].MaxH; got > want {
@@ -98,12 +98,12 @@ func TestMeasuredHWithinPredictedShape(t *testing.T) {
 func TestWriteCostReport(t *testing.T) {
 	const n, p = 8000, 4
 	data := ZipfData(n, 7)
-	_, st, err := SortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, Float64Codec{}, data, Options{})
+	_, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	WriteCostReport(&b, "SGI", cost.SGI.Params(p), n, p, 8, Options{}, st)
+	WriteCostReport(&b, "SGI", cost.SGI.Params(p), n, p, Options{}, st)
 	out := b.String()
 	for _, want := range []string{
 		"sample sort cost shape",

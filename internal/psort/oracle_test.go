@@ -2,11 +2,12 @@ package psort
 
 // Oracles for the fast paths: the stable comparison sort, the linear
 // routing walk and the heap of run structs that sortLocal's radix sort,
-// cutRun's binary search and mergeInto's index heap replaced. Every
-// fast path must reproduce its oracle exactly — the sort and the merge
-// bit for bit (a −0/+0 swap or two NaN payloads trading places would
-// move tags, samples, splitters and H, or change a rank's share), the
-// cuts index for index.
+// cutRun's binary search and mergeInto's keyed heap replaced. The oracles
+// compare float64 values, never floatKey's keys, so a key that folds or
+// splits the wrong values shows. Every fast path must reproduce its
+// oracle exactly — the sort and the merge bit for bit (a −0/+0 swap or
+// two NaN payloads trading places would move tags, samples, splitters and
+// H, or change a rank's share), the cuts index for index.
 
 import (
 	"encoding/binary"
@@ -17,17 +18,24 @@ import (
 	"testing"
 )
 
+// lessOracle is the order floatKey encodes, on the values themselves:
+// NaNs order before every number (the sort.Float64s convention) and −0
+// equals +0.
+func lessOracle(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
 // sortOracle is the comparison sort sortLocal replaced.
-func sortOracle[T any](cd Codec[T], data []T) {
-	sort.SliceStable(data, func(i, j int) bool { return cd.Less(data[i], data[j]) })
+func sortOracle(data []float64) {
+	sort.SliceStable(data, func(i, j int) bool { return lessOracle(data[i], data[j]) })
 }
 
 // lessTagOracle is the tagged order as the walk compared it.
-func lessTagOracle[T any](cd Codec[T], a, b tagged[T]) bool {
-	if cd.Less(a.v, b.v) {
+func lessTagOracle(a, b tagged) bool {
+	if lessOracle(a.v, b.v) {
 		return true
 	}
-	if cd.Less(b.v, a.v) {
+	if lessOracle(b.v, a.v) {
 		return false
 	}
 	if a.rank != b.rank {
@@ -37,12 +45,12 @@ func lessTagOracle[T any](cd Codec[T], a, b tagged[T]) bool {
 }
 
 // cutRunWalk is the linear merge-walk cutRun replaced.
-func cutRunWalk[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int) []int {
+func cutRunWalk(data []float64, rank int32, spl []tagged, p int) []int {
 	cuts := make([]int, p+1)
 	i := 0
 	for q := 1; q < p; q++ {
 		if q-1 < len(spl) {
-			for i < len(data) && lessTagOracle(cd, tagged[T]{v: data[i], rank: rank, idx: int32(i)}, spl[q-1]) {
+			for i < len(data) && lessTagOracle(tagged{v: data[i], rank: rank, idx: int32(i)}, spl[q-1]) {
 				i++
 			}
 		}
@@ -53,45 +61,43 @@ func cutRunWalk[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int
 }
 
 // mergeRun is one source's routed run in mergeOracle.
-type mergeRun[T any] struct {
+type mergeRun struct {
 	buf  []byte
 	off  int
-	head T
+	head float64
 	src  int32
 }
 
-// mergeOracle is the merge mergeInto replaced: a binary heap of
-// mergeRun structs, each carrying its run's slice, ordered by (Less,
-// source rank).
-func mergeOracle[T any](cd Codec[T], msgs [][]byte) []T {
-	esz := cd.Size()
-	var runs []mergeRun[T]
+// mergeOracle is the merge mergeInto replaced: a binary heap of mergeRun
+// structs, each carrying its run's slice, ordered by (lessOracle, source
+// rank).
+func mergeOracle(msgs [][]byte) []float64 {
+	var runs []mergeRun
 	total := 0
 	for _, msg := range msgs {
 		body := msg[sampleHdrLen:]
-		if len(body) < esz {
+		if len(body) < elemBytes {
 			continue
 		}
-		runs = append(runs, mergeRun[T]{
+		runs = append(runs, mergeRun{
 			buf:  body,
-			off:  esz,
-			head: cd.Decode(body),
+			off:  elemBytes,
+			head: loadFloat(body),
 			src:  int32(binary.LittleEndian.Uint32(msg)),
 		})
-		total += len(body) / esz
+		total += len(body) / elemBytes
 	}
-	out := make([]T, 0, total)
-	less := func(a, b *mergeRun[T]) bool {
-		if cd.Less(a.head, b.head) {
+	out := make([]float64, 0, total)
+	less := func(a, b *mergeRun) bool {
+		if lessOracle(a.head, b.head) {
 			return true
 		}
-		if cd.Less(b.head, a.head) {
+		if lessOracle(b.head, a.head) {
 			return false
 		}
 		return a.src < b.src
 	}
-	var down func(h []mergeRun[T], i int)
-	down = func(h []mergeRun[T], i int) {
+	down := func(h []mergeRun, i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			s := i
@@ -114,71 +120,67 @@ func mergeOracle[T any](cd Codec[T], msgs [][]byte) []T {
 	for len(runs) > 0 {
 		r := &runs[0]
 		out = append(out, r.head)
-		if r.off+esz <= len(r.buf) {
-			r.head = cd.Decode(r.buf[r.off:])
-			r.off += esz
-			down(runs, 0)
+		if r.off+elemBytes <= len(r.buf) {
+			r.head = loadFloat(r.buf[r.off:])
+			r.off += elemBytes
 		} else {
 			runs[0] = runs[len(runs)-1]
 			runs = runs[:len(runs)-1]
-			down(runs, 0)
 		}
+		down(runs, 0)
 	}
 	return out
 }
 
 // routedRuns encodes perSrc[s] as source s's routed run — the source
-// rank header, then the values in stable Less order — and hands the runs
-// over in a shuffled source order, so only the header can break ties.
-func routedRuns[T any](cd Codec[T], perSrc [][]T, rng *rand.Rand) [][]byte {
+// rank header, then the values in stable oracle order — and hands the
+// runs over in a shuffled source order, so only the header can break
+// ties.
+func routedRuns(perSrc [][]float64, rng *rand.Rand) [][]byte {
 	runs := make([][]byte, len(perSrc))
 	for src, vs := range perSrc {
-		vs = append([]T(nil), vs...)
-		sortOracle(cd, vs)
-		runs[src] = binary.LittleEndian.AppendUint32(nil, uint32(src))
-		for _, v := range vs {
-			runs[src] = cd.Append(runs[src], v)
-		}
+		vs = append([]float64(nil), vs...)
+		sortOracle(vs)
+		runs[src] = appendFloats(binary.LittleEndian.AppendUint32(nil, uint32(src)), vs)
 	}
 	rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 	return runs
 }
 
-// checkMerge asserts mergeInto equals mergeOracle on runs element for
-// element, comparing ident(element), both into a destination with room
-// — whose array it must reuse — and into none.
-func checkMerge[T any](t *testing.T, cd Codec[T], runs [][]byte, ident func(T) any) {
+// checkMerge asserts mergeInto equals mergeOracle on runs bit for bit,
+// both into a destination with room — whose array it must reuse — and
+// into none.
+func checkMerge(t *testing.T, runs [][]byte) {
 	t.Helper()
-	want := mergeOracle(cd, runs)
-	dst := make([]T, 0, len(want)+1)
-	for _, d := range [][]T{dst, nil} {
-		got := mergeInto(cd, d, runs)
+	want := mergeOracle(runs)
+	dst := make([]float64, 0, len(want)+1)
+	for _, d := range [][]float64{dst, nil} {
+		got := mergeInto(d, runs)
 		if len(got) != len(want) {
 			t.Fatalf("merged %d elements, oracle has %d", len(got), len(want))
 		}
 		for i := range want {
-			if g, w := ident(got[i]), ident(want[i]); g != w {
-				t.Fatalf("%d runs: element %d is %#x, oracle has %#x", len(runs), i, g, w)
+			if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+				t.Fatalf("%d runs: element %d is %#016x, oracle has %#016x", len(runs), i, g, w)
 			}
 		}
 	}
-	if got := mergeInto(cd, dst, runs); len(got) > 0 && &got[0] != &dst[:1][0] {
+	if got := mergeInto(dst, runs); len(got) > 0 && &got[0] != &dst[:1][0] {
 		t.Fatal("merge allocated although the destination had room")
 	}
 }
 
-// floatBits identifies a float64 by its bits, telling −0 from +0 and
-// one NaN payload from another.
-func floatBits(v float64) any { return math.Float64bits(v) }
+// nan returns the NaN with the given bits.
+func nan(bits uint64) float64 { return math.Float64frombits(bits) }
 
-// TestMergeRunsMatchesHeapOracle: the index-heap merge equals the heap
-// of run structs bit for bit, for Float64Codec and RecordCodec, on the
-// values whose ties only the source rank can break: ±0, NaNs with
-// distinct payloads, equal keys with distinct record payloads.
+// negZero is −0; the constant -0.0 is +0.
+var negZero = math.Copysign(0, -1)
+
+// TestMergeRunsMatchesHeapOracle: the keyed merge equals the heap of run
+// structs bit for bit on the values whose ties only the source rank can
+// break: ±0, NaNs with distinct payloads, ±Inf and subnormals.
 func TestMergeRunsMatchesHeapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	negZero := math.Copysign(0, -1)
-	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
 	repeat := func(n int, v float64) []float64 {
 		out := make([]float64, n)
 		for i := range out {
@@ -187,22 +189,22 @@ func TestMergeRunsMatchesHeapOracle(t *testing.T) {
 		return out
 	}
 	pool := []float64{negZero, 0, nan(0x7FF8000000000001), nan(0xFFF8000000000002), nan(0x7FF0000000000003),
-		nan(0xFFF0000000000004), -2, -1, 1, 2, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
-	type floatCase struct {
+		nan(0xFFF0000000000004), -2, -1, 1, 2, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0x1p-1060}
+	cases := []struct {
 		name   string
 		perSrc [][]float64
-	}
-	cases := []floatCase{
-		{"signed-zero-nan", [][]float64{
+	}{
+		{"float/signed-zero-nan", [][]float64{
 			{negZero, 0, nan(0x7FF8000000000001), 1},
 			{0, nan(0xFFF8000000000002), negZero, -1},
 			{nan(0x7FF0000000000003), negZero, 0, nan(0x7FF8000000000004)},
 			{nan(0xFFF0000000000005), 0, negZero},
 		}},
-		{"all-equal", [][]float64{repeat(50, 5), repeat(50, 5), repeat(50, 5)}},
-		{"empty-runs", [][]float64{{}, {3, negZero, 2}, {}, {0, 2}, {}}},
-		{"all-empty", [][]float64{{}, {}, {}}},
-		{"single-run", [][]float64{{3, negZero, nan(0x7FF8000000000001), 0, 1}}},
+		{"float/all-equal", [][]float64{repeat(50, 5), repeat(50, 5), repeat(50, 5)}},
+		{"float/empty-runs", [][]float64{{}, {3, negZero, 2}, {}, {0, 2}, {}}},
+		{"float/all-empty", [][]float64{{}, {}, {}}},
+		{"float/single-run", [][]float64{{3, negZero, nan(0x7FF8000000000001), 0, 1}}},
 	}
 	for k := 1; k <= 16; k++ {
 		perSrc := make([][]float64, k)
@@ -211,37 +213,40 @@ func TestMergeRunsMatchesHeapOracle(t *testing.T) {
 				perSrc[s] = append(perSrc[s], pool[rng.Intn(len(pool))])
 			}
 		}
-		cases = append(cases, floatCase{fmt.Sprintf("k=%d", k), perSrc})
+		cases = append(cases, struct {
+			name   string
+			perSrc [][]float64
+		}{fmt.Sprintf("float/k=%d", k), perSrc})
 	}
-	for _, tc := range cases {
-		t.Run("float/"+tc.name, func(t *testing.T) {
-			checkMerge(t, Float64Codec{}, routedRuns(Float64Codec{}, tc.perSrc, rng), floatBits)
-		})
+	// Records: a float64 read as a (key, payload) record, the key being
+	// floatKey and the payload the bit pattern. The zero key has two
+	// payloads and the NaN key four, so drawing from one to three keys
+	// (one = all equal) makes every tie between runs visible in the
+	// output. Every 4th run is empty.
+	keys := [][]float64{
+		{negZero, 0},
+		{nan(0x7FF8000000000001), nan(0xFFF8000000000002), nan(0x7FF0000000000003), nan(0xFFF0000000000004)},
+		{math.Inf(-1)},
 	}
-
-	// Records: one to three keys (one = all equal), random payloads, so
-	// every tie between runs is visible in the output.
-	keys := RandomRecords(3, 7)
 	for k := 1; k <= 16; k++ {
 		nkeys := 1 + k%3
-		record := func() Record {
-			r := RandomRecords(1, rng.Int63())[0]
-			r.Key = keys[rng.Intn(nkeys)].Key
-			return r
-		}
-		perSrc := make([][]Record, k)
+		perSrc := make([][]float64, k)
 		for s := range perSrc {
 			if s%4 == 3 {
-				continue // an empty run
+				continue
 			}
 			for n := 1 + rng.Intn(40); n > 0; n-- {
-				perSrc[s] = append(perSrc[s], record())
+				payloads := keys[rng.Intn(nkeys)]
+				perSrc[s] = append(perSrc[s], payloads[rng.Intn(len(payloads))])
 			}
 		}
-		t.Run(fmt.Sprintf("record/k=%d", k), func(t *testing.T) {
-			checkMerge(t, RecordCodec{}, routedRuns(RecordCodec{}, perSrc, rng),
-				func(r Record) any { return r })
-		})
+		cases = append(cases, struct {
+			name   string
+			perSrc [][]float64
+		}{fmt.Sprintf("record/k=%d", k), perSrc})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkMerge(t, routedRuns(tc.perSrc, rng)) })
 	}
 }
 
@@ -251,8 +256,8 @@ func checkSortLocal(t *testing.T, data []float64) {
 	t.Helper()
 	got := append([]float64(nil), data...)
 	want := append([]float64(nil), data...)
-	sortLocal(Float64Codec{}, got)
-	sortOracle(Float64Codec{}, want)
+	sortLocal(got)
+	sortOracle(want)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("n=%d: element %d is %#016x (%v), oracle has %#016x (%v)",
@@ -262,8 +267,6 @@ func checkSortLocal(t *testing.T, data []float64) {
 }
 
 func TestSortLocalMatchesComparisonSort(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
 	tile := func(n int, vs ...float64) []float64 {
 		out := make([]float64, n)
 		for i := range out {
@@ -279,7 +282,7 @@ func TestSortLocalMatchesComparisonSort(t *testing.T) {
 		return out
 	}
 	// A large normal run with every special value sprinkled in, so the
-	// equivalence classes are exercised through all eight passes.
+	// equivalence classes are exercised through every pass.
 	big := RandomData(250_000, 24)
 	specials := []float64{
 		negZero, 0, nan(0x7FF8000000000001), nan(0xFFF8000000000002), nan(0x7FF0000000000003),
@@ -289,6 +292,24 @@ func TestSortLocalMatchesComparisonSort(t *testing.T) {
 	for i := 0; i < len(big); i += 97 {
 		big[i] = specials[i%len(specials)]
 	}
+	// Digit boundaries: values of both signs whose keys differ only in
+	// the top bit of one 11-bit digit and the bottom bit of the next
+	// (bits 10/11, 21/22, 32/33, 43/44, 54/55) or in the key's bit 0, in
+	// every combination and shuffled, each twice so stability shows.
+	var boundary []float64
+	edges := []int{0, 10, 11, 21, 22, 32, 33, 43, 44, 54, 55}
+	for _, base := range []uint64{math.Float64bits(1.5), math.Float64bits(-1.5)} {
+		for mask := 0; mask < 1<<len(edges); mask++ {
+			bits := base
+			for j, e := range edges {
+				bits ^= uint64(mask>>j&1) << e
+			}
+			boundary = append(boundary, math.Float64frombits(bits), math.Float64frombits(bits))
+		}
+	}
+	rand.New(rand.NewSource(11)).Shuffle(len(boundary), func(i, j int) {
+		boundary[i], boundary[j] = boundary[j], boundary[i]
+	})
 	cases := map[string][]float64{
 		"len0":        {},
 		"len1":        {negZero},
@@ -297,38 +318,18 @@ func TestSortLocalMatchesComparisonSort(t *testing.T) {
 		"signed-zero": tile(1000, negZero, 0, negZero, negZero, 0),
 		"nan-payloads": tile(600, nan(0x7FF8000000000001), 1, nan(0xFFF8000000000002), -1,
 			nan(0x7FF0000000000003), nan(0xFFF0000000000004)),
-		"inf":        tile(300, math.Inf(1), 2, math.Inf(-1), -2, math.Inf(1)),
-		"subnormal":  tile(500, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, -0x1p-1050, negZero, 0),
-		"all-equal":  tile(4096, 5),
-		"presorted":  ramp(4096, 1),
-		"reverse":    ramp(4096, -1),
-		"zipf":       ZipfData(50_000, 3),
-		"uniform":    RandomData(250_000, 7),
-		"specials":   big,
-		"mixed-tiny": {3, negZero, nan(0x7FF8000000000005), -1, 0, math.Inf(-1), nan(0xFFF8000000000006), 3},
+		"inf":            tile(300, math.Inf(1), 2, math.Inf(-1), -2, math.Inf(1)),
+		"subnormal":      tile(500, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, -0x1p-1050, negZero, 0),
+		"all-equal":      tile(4096, 5),
+		"presorted":      ramp(4096, 1),
+		"reverse":        ramp(4096, -1),
+		"zipf":           ZipfData(50_000, 3),
+		"uniform":        RandomData(250_000, 7),
+		"specials":       big,
+		"mixed-tiny":     {3, negZero, nan(0x7FF8000000000005), -1, 0, math.Inf(-1), nan(0xFFF8000000000006), 3},
+		"digit-boundary": boundary,
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) { checkSortLocal(t, data) })
-	}
-}
-
-// TestSortLocalRecordFallback: a codec without a radix sort takes the
-// stable comparison fallback, which equals the oracle on a record run
-// where most keys collide (so only stability decides the order).
-func TestSortLocalRecordFallback(t *testing.T) {
-	recs := RandomRecords(2000, 5)
-	for i := range recs {
-		if i%3 != 0 {
-			recs[i].Key = recs[i%7].Key
-		}
-	}
-	got := append([]Record(nil), recs...)
-	want := append([]Record(nil), recs...)
-	sortLocal(RecordCodec{}, got)
-	sortOracle(RecordCodec{}, want)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs from the oracle", i)
-		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package psort implements BSP parallel sorting by oversampling-based
-// sample sort — the kind of "fairly simple subroutine (i.e., broadcast
-// or sorting)" for which §4 of the paper says the BSP cost model's
-// curve-fitting works best. It is an extension experiment (DESIGN.md
-// E1) with a fully predictable cost shape, following the oversampling
-// design of Gerbessiotis & Siniolakis (PAPERS.md):
+// Package psort implements BSP parallel sorting of float64 values by
+// oversampling-based sample sort — the kind of "fairly simple subroutine
+// (i.e., broadcast or sorting)" for which §4 of the paper says the BSP
+// cost model's curve-fitting works best. It is an extension experiment
+// (DESIGN.md E1) with a fully predictable cost shape, following the
+// oversampling design of Gerbessiotis & Siniolakis (PAPERS.md):
 //
 //	superstep 1: local sort, m = 2ℓp tagged samples to group leader
 //	             (h ≤ ⌈√p⌉·m sample tuples at any leader)
@@ -22,19 +22,23 @@
 // splitters carry (rank, index) origin tags that make every key
 // distinct in the tagged order.
 //
-// The receive path never re-sorts: each routed run arrives sorted, and
-// a k-way merge over the inbox's zero-copy frame views writes the final
-// share into the rank's own run buffer, which is allocated with room for
-// ImbalanceBound elements (never more than n) and is dead once superstep
-// 4's Send has copied its pieces out. Ties between runs are broken by
-// the source rank in each run's header, so the share does not depend on
-// the order in which the transport delivered the runs.
+// The order is floatKey's: an unsigned key per value (NaNs first, −0
+// equal to +0), so the local sort is an LSD radix sort on keys and the
+// merge compares keys, never floats. The receive path never re-sorts:
+// each routed run arrives sorted, and a k-way merge over the inbox's
+// zero-copy frame views writes the final share into the rank's own run
+// buffer, which is allocated with room for ImbalanceBound elements (never
+// more than n) and is dead once superstep 4's Send has copied its pieces
+// out. Ties between runs are broken by the source rank in each run's
+// header, so the share does not depend on the order in which the
+// transport delivered the runs.
 package psort
 
 import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -72,41 +76,50 @@ type Options struct {
 }
 
 // Resolve fills in the derived fields of opt for a sort of n elements
-// of elemBytes each over p ranks: the effective oversampling ratio ℓ.
-// SortParallel applies it once globally so every rank samples at the
-// same density; callers that need the effective ℓ (to evaluate
-// ImbalanceBound) apply it themselves.
-func Resolve(opt Options, n, p, elemBytes int) Options {
+// over p ranks: the effective oversampling ratio ℓ. Parallel applies it
+// once globally so every rank samples at the same density; callers that
+// need the effective ℓ (to evaluate ImbalanceBound) apply it themselves.
+func Resolve(opt Options, n, p int) Options {
 	if opt.Oversample <= 0 {
-		pm := opt.Params
-		if pm == nil {
-			v := cost.SGI.Params(p)
-			pm = &v
+		pm := cost.SGI.Params(p)
+		if opt.Params != nil {
+			pm = *opt.Params
 		}
-		opt.Oversample = DefaultRatio(*pm, n, p, elemBytes)
+		opt.Oversample = DefaultRatio(pm, n, p, elemBytes)
 	}
 	return opt
 }
 
 // tagged is an element with its origin coordinates. The lexicographic
-// order (element, rank, index) is a strict total order even when
-// element keys collide, which is what keeps splitter selection and
-// routing well-defined on duplicate-heavy inputs.
-type tagged[T any] struct {
-	v    T
+// order (key, rank, index) is a strict total order even when keys
+// collide, which is what keeps splitter selection and routing
+// well-defined on duplicate-heavy inputs.
+type tagged struct {
+	v    float64
 	rank int32
 	idx  int32
 }
 
 // cmpTag compares in the tagged total order.
-func cmpTag[T any](cd Codec[T], a, b tagged[T]) int {
-	if c := cmpLess(cd, a.v, b.v); c != 0 {
-		return c
+func cmpTag(a, b tagged) int {
+	return cmp.Or(cmp.Compare(floatKey(a.v), floatKey(b.v)), cmp.Compare(a.rank, b.rank), cmp.Compare(a.idx, b.idx))
+}
+
+// appendTo appends t's (element, rank, idx) encoding to b.
+func (t tagged) appendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.v))
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.rank))
+	return binary.LittleEndian.AppendUint32(b, uint32(t.idx))
+}
+
+// appendTags decodes msg, a sequence of (element, rank, idx) encodings,
+// onto out.
+func appendTags(out []tagged, msg []byte) []tagged {
+	for ; len(msg) >= elemBytes+tagLen; msg = msg[elemBytes+tagLen:] {
+		out = append(out, tagged{v: loadFloat(msg), rank: int32(binary.LittleEndian.Uint32(msg[elemBytes:])),
+			idx: int32(binary.LittleEndian.Uint32(msg[elemBytes+4:]))})
 	}
-	if c := cmp.Compare(a.rank, b.rank); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
+	return out
 }
 
 // state is the whole per-rank state of the sample sort between any two
@@ -116,7 +129,7 @@ func cmpTag[T any](cd Codec[T], a, b tagged[T]) int {
 // the superstep that starts the stage, so a (stage, options, data)
 // triple plus the undelivered inbox — exactly what a checkpoint
 // captures — restarts the sort from any boundary.
-type state[T any] struct {
+type state struct {
 	// stage is the number of superstep boundaries crossed: 0 = nothing
 	// sent yet; 1 = sample runs sent (group leaders' inboxes hold
 	// them); 2 = merged runs forwarded (rank 0's inbox holds them); 3 =
@@ -124,15 +137,16 @@ type state[T any] struct {
 	// (every inbox holds this rank's final run set).
 	stage int
 	opt   Options
-	data  []T
+	data  []float64
 }
 
-// sampleHdrLen prefixes each sample run and each routed run with the
-// origin rank (uint32 LE).
-const sampleHdrLen = 4
-
-// tagLen is the encoded size of a (rank, idx) tag.
-const tagLen = 8
+const (
+	// sampleHdrLen prefixes each sample run and each routed run with the
+	// origin rank (uint32 LE).
+	sampleHdrLen = 4
+	// tagLen is the encoded size of a (rank, idx) tag.
+	tagLen = 8
+)
 
 // sampleCount is m, the per-rank sample count for ratio l on p ranks.
 // The factor 2 over the nominal ℓ·p pays for the boundary slack of the
@@ -148,27 +162,25 @@ func sampleCount(l, p int) int {
 // counter is advanced *before* each Sync so that the Save hook — which
 // fires inside Sync, after the barrier — captures the post-boundary
 // position.
-func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
+func (s *state) run(c *core.Proc) []float64 {
 	p := c.P()
 	me := int32(c.ID())
-	esz := cd.Size()
 	fanout := collect.GroupFanout(p)
 	m := sampleCount(s.opt.Oversample, p)
-	var share []T // the merge's destination, set when superstep 4 routes
+	var share []float64 // the merge's destination, set when superstep 4 routes
 	switch s.stage {
 	case 0:
 		// Superstep 1: local sort; ship the tagged sample run to this
 		// rank's group leader (leaders ship to themselves — samples
 		// must ride the transport, not rank-local memory, so that the
 		// (stage, data, inbox) snapshot stays the complete state).
-		sortLocal(cd, s.data)
+		sortLocal(s.data)
 		c.AddWork(nLogN(len(s.data)))
 		if p > 1 {
 			pos := samplePositions(len(s.data), m, s.opt, c.ID())
-			buf := make([]byte, 0, sampleHdrLen+len(pos)*(esz+4))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(me))
+			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, sampleHdrLen+len(pos)*(elemBytes+4)), uint32(me))
 			for _, i := range pos {
-				buf = cd.Append(buf, s.data[i])
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.data[i]))
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
 			}
 			c.Send(collect.GroupLeader(c.ID(), fanout), buf)
@@ -178,24 +190,16 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 		fallthrough
 	case 1:
 		// Superstep 2: group leaders merge their members' sample runs
-		// (no information is dropped — condensing at the leaders would
-		// compress different groups at different ratios, skewing the
-		// per-rank sample densities the selection bound depends on)
-		// and forward one pre-merged tagged run to rank 0. Rank 0 thus
-		// absorbs ⌈p/⌈√p⌉⌉ messages instead of p — every rank's
-		// per-superstep message fan-in is bounded by ⌈√p⌉, which is
-		// what removes the old rank-0 funnel; the sample *volume* at
-		// the root is the price of the deterministic imbalance bound
-		// and cannot be condensed away.
+		// and forward one tagged run to rank 0, which thus absorbs
+		// ⌈p/⌈√p⌉⌉ messages instead of p. Nothing is dropped: condensing
+		// at the leaders would skew the per-rank sample densities the
+		// selection bound depends on, so the sample *volume* at the
+		// root is the price of the deterministic imbalance bound.
 		if p > 1 && c.ID() == collect.GroupLeader(c.ID(), fanout) {
-			all := s.recvTagged(c, cd, true)
-			sortTagged(cd, all)
-			c.AddWork(nLogN(len(all)))
-			buf := make([]byte, 0, len(all)*(esz+tagLen))
+			all := recvTagged(c, true)
+			buf := make([]byte, 0, len(all)*(elemBytes+tagLen))
 			for _, t := range all {
-				buf = cd.Append(buf, t.v)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(t.rank))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(t.idx))
+				buf = t.appendTo(buf)
 			}
 			c.Send(0, buf)
 		}
@@ -208,20 +212,15 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 		// The broadcast is p·(p−1) tiny tuples — the small term of the
 		// cost shape; the sample volume never concentrates on one rank.
 		if p > 1 && c.ID() == 0 {
-			u := s.recvTagged(c, cd, false)
-			sortTagged(cd, u)
-			c.AddWork(nLogN(len(u)))
-			buf := make([]byte, 0, 4+(p-1)*(esz+tagLen))
+			u := recvTagged(c, false)
+			buf := make([]byte, 0, 4+(p-1)*(elemBytes+tagLen))
 			nspl := 0
 			if len(u) > 0 {
 				nspl = p - 1
 			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(nspl))
 			for j := 1; j <= nspl; j++ {
-				t := u[j*len(u)/p]
-				buf = cd.Append(buf, t.v)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(t.rank))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(t.idx))
+				buf = u[j*len(u)/p].appendTo(buf)
 			}
 			for q := 0; q < p; q++ {
 				c.Send(q, buf)
@@ -242,25 +241,20 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 			if !ok {
 				panic("psort: missing splitter broadcast")
 			}
-			spl := decodeSplitters(cd, msg)
-			cuts := cutRun(cd, s.data, me, spl, p)
+			// msg is [u32 count] then count tags in tagged order.
+			spl := appendTags(make([]tagged, 0, binary.LittleEndian.Uint32(msg)), msg[4:])
+			cuts := cutRun(s.data, me, spl, p)
 			maxPiece := 0
 			for q := 0; q < p; q++ {
-				if n := cuts[q+1] - cuts[q]; n > maxPiece {
-					maxPiece = n
-				}
+				maxPiece = max(maxPiece, cuts[q+1]-cuts[q])
 			}
-			scratch := make([]byte, 0, sampleHdrLen+maxPiece*esz)
+			scratch := make([]byte, 0, sampleHdrLen+maxPiece*elemBytes)
 			for q := 0; q < p; q++ {
 				piece := s.data[cuts[q]:cuts[q+1]]
 				if len(piece) == 0 {
 					continue
 				}
-				scratch = scratch[:0]
-				scratch = binary.LittleEndian.AppendUint32(scratch, uint32(me))
-				for _, v := range piece {
-					scratch = cd.Append(scratch, v)
-				}
+				scratch = appendFloats(binary.LittleEndian.AppendUint32(scratch[:0], uint32(me)), piece)
 				c.Send(q, scratch)
 			}
 			c.AddWork(len(s.data))
@@ -275,48 +269,21 @@ func (s *state[T]) run(c *core.Proc, cd Codec[T]) []T {
 		c.Sync()
 		fallthrough
 	default:
-		// Final (non-communicating) stage: k-way merge of the routed
-		// runs. Each run is already sorted and the inbox frames are
-		// zero-copy views, so this is the only pass over the data.
+		// Final (non-communicating) stage: one k-way merge pass over
+		// the routed runs, read in place from the inbox's frame views,
+		// into share's array; it allocates only after a restore, whose
+		// decoded run has no room to spare.
 		if p == 1 {
 			return s.data
 		}
-		return mergeRuns(c, cd, share)
+		runs := make([][]byte, 0, c.Pending())
+		for msg, ok := c.Recv(); ok; msg, ok = c.Recv() {
+			runs = append(runs, msg)
+		}
+		out := mergeInto(share, runs)
+		c.AddWork(nLogN(len(out)))
+		return out
 	}
-}
-
-// radixSorter is implemented by codecs with a stable radix sort whose
-// output is bit-identical to a stable sort by their Less.
-type radixSorter[T any] interface {
-	sortStable(data, tmp []T)
-}
-
-// sortLocal sorts data in the codec's order. Ties keep input order
-// (stable), which matches the tagged order because local indices are
-// assigned after the sort. A codec that can radix sort does so; any
-// other falls back to a stable comparison sort on Less.
-func sortLocal[T any](cd Codec[T], data []T) {
-	if rs, ok := cd.(radixSorter[T]); ok {
-		rs.sortStable(data, make([]T, len(data)))
-		return
-	}
-	slices.SortStableFunc(data, func(a, b T) int { return cmpLess(cd, a, b) })
-}
-
-// cmpLess is the three-way comparison induced by the codec's Less.
-func cmpLess[T any](cd Codec[T], a, b T) int {
-	if cd.Less(a, b) {
-		return -1
-	}
-	if cd.Less(b, a) {
-		return 1
-	}
-	return 0
-}
-
-// sortTagged sorts tagged samples in the tagged total order.
-func sortTagged[T any](cd Codec[T], ts []tagged[T]) {
-	slices.SortFunc(ts, func(a, b tagged[T]) int { return cmpTag(cd, a, b) })
 }
 
 // samplePositions returns the sorted local indices to sample: evenly
@@ -330,9 +297,6 @@ func sortTagged[T any](cd Codec[T], ts []tagged[T]) {
 // would only give it in expectation, and duplicate positions would
 // collapse tagged splitters).
 func samplePositions(n, m int, opt Options, rank int) []int {
-	if n == 0 {
-		return nil
-	}
 	if opt.Mode == ModeRandom {
 		k := min(2*m, n)
 		pos := make([]int, k)
@@ -351,52 +315,25 @@ func samplePositions(n, m int, opt Options, rank int) []int {
 	return pos
 }
 
-// recvTagged drains the inbox into tagged samples. Sample runs
-// (withHdr) carry one origin-rank header and per-sample indices;
-// leader-forwarded runs carry full (rank, idx) tags per sample.
-func (s *state[T]) recvTagged(c *core.Proc, cd Codec[T], withHdr bool) []tagged[T] {
-	esz := cd.Size()
-	var out []tagged[T]
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			return out
-		}
-		if withHdr {
-			src := int32(binary.LittleEndian.Uint32(msg))
-			body := msg[sampleHdrLen:]
-			for len(body) >= esz+4 {
-				v := cd.Decode(body)
-				idx := int32(binary.LittleEndian.Uint32(body[esz:]))
-				out = append(out, tagged[T]{v: v, rank: src, idx: idx})
-				body = body[esz+4:]
-			}
+// recvTagged drains the inbox into tagged samples and sorts them in the
+// tagged order. Sample runs (withHdr) carry one origin-rank header and
+// per-sample indices; leader-forwarded runs carry full (rank, idx) tags
+// per sample.
+func recvTagged(c *core.Proc, withHdr bool) []tagged {
+	var out []tagged
+	for msg, ok := c.Recv(); ok; msg, ok = c.Recv() {
+		if !withHdr {
+			out = appendTags(out, msg)
 			continue
 		}
-		for len(msg) >= esz+tagLen {
-			v := cd.Decode(msg)
-			rank := int32(binary.LittleEndian.Uint32(msg[esz:]))
-			idx := int32(binary.LittleEndian.Uint32(msg[esz+4:]))
-			out = append(out, tagged[T]{v: v, rank: rank, idx: idx})
-			msg = msg[esz+tagLen:]
+		src := int32(binary.LittleEndian.Uint32(msg))
+		for body := msg[sampleHdrLen:]; len(body) >= elemBytes+4; body = body[elemBytes+4:] {
+			idx := int32(binary.LittleEndian.Uint32(body[elemBytes:]))
+			out = append(out, tagged{v: loadFloat(body), rank: src, idx: idx})
 		}
 	}
-}
-
-// decodeSplitters parses a splitter broadcast: [u32 count] then count
-// (element, rank, idx) triples in tagged order.
-func decodeSplitters[T any](cd Codec[T], msg []byte) []tagged[T] {
-	esz := cd.Size()
-	n := int(binary.LittleEndian.Uint32(msg))
-	msg = msg[4:]
-	out := make([]tagged[T], 0, n)
-	for i := 0; i < n; i++ {
-		v := cd.Decode(msg)
-		rank := int32(binary.LittleEndian.Uint32(msg[esz:]))
-		idx := int32(binary.LittleEndian.Uint32(msg[esz+4:]))
-		out = append(out, tagged[T]{v: v, rank: rank, idx: idx})
-		msg = msg[esz+tagLen:]
-	}
+	slices.SortFunc(out, cmpTag)
+	c.AddWork(nLogN(len(out)))
 	return out
 }
 
@@ -408,14 +345,14 @@ func decodeSplitters[T any](cd Codec[T], msg []byte) []tagged[T] {
 // from the previous cut so the cuts stay monotone; duplicate splitters
 // simply yield empty middle buckets, and every element lands in exactly
 // one bucket (routing totality).
-func cutRun[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int) []int {
+func cutRun(data []float64, rank int32, spl []tagged, p int) []int {
 	cuts := make([]int, p+1)
 	i := 0
 	for q := 1; q < p; q++ {
 		if q-1 < len(spl) {
 			lo := i
 			i = lo + sort.Search(len(data)-lo, func(j int) bool {
-				return cmpTag(cd, tagged[T]{v: data[lo+j], rank: rank, idx: int32(lo + j)}, spl[q-1]) >= 0
+				return cmpTag(tagged{v: data[lo+j], rank: rank, idx: int32(lo + j)}, spl[q-1]) >= 0
 			})
 		}
 		cuts[q] = i
@@ -424,130 +361,24 @@ func cutRun[T any](cd Codec[T], data []T, rank int32, spl []tagged[T], p int) []
 	return cuts
 }
 
-// mergeRuns drains the inbox's routed runs and k-way merges them into
-// share's array, the rank's own run buffer, which Send has already
-// copied out of. It allocates only when the runs do not fit, as after a
-// restore, which decodes the run without room to spare. The frame views
-// are read in place.
-func mergeRuns[T any](c *core.Proc, cd Codec[T], share []T) []T {
-	runs := make([][]byte, 0, c.Pending())
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			break
-		}
-		runs = append(runs, msg)
-	}
-	out := mergeInto(cd, share, runs)
-	c.AddWork(nLogN(len(out)))
-	return out
-}
-
-// runHead is one routed run's position in mergeInto: its current head
-// element, the byte offset of the next one, and the source rank from the
-// run's header.
-type runHead[T any] struct {
-	head T
-	off  int
-	src  uint32
-}
-
-// mergeInto merges routed runs — each a source-rank header and a sorted
-// body — into dst's array, or a new one when they do not fit, and
-// returns the merged share. The heap holds run indices ordered by (Less,
-// source rank): a strict total order because each source contributes at
-// most one run, so the output is the same whatever order the transport
-// delivered the runs in.
-func mergeInto[T any](cd Codec[T], dst []T, runs [][]byte) []T {
-	esz := cd.Size()
-	total := 0
-	for _, r := range runs {
-		total += max(len(r)-sampleHdrLen, 0) / esz
-	}
-	if cap(dst) < total {
-		dst = make([]T, total)
-	}
-	dst = dst[:total]
-	hd := make([]runHead[T], len(runs))
-	h := make([]int32, 0, len(runs))
-	for i, r := range runs {
-		if len(r) < sampleHdrLen+esz {
-			continue
-		}
-		hd[i] = runHead[T]{head: cd.Decode(r[sampleHdrLen:]), off: sampleHdrLen + esz,
-			src: binary.LittleEndian.Uint32(r)}
-		h = append(h, int32(i))
-	}
-	less := func(a, b int32) bool {
-		x, y := &hd[a], &hd[b]
-		if cd.Less(x.head, y.head) {
-			return true
-		}
-		if cd.Less(y.head, x.head) {
-			return false
-		}
-		return x.src < y.src
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, less)
-	}
-	for i := range dst {
-		r := h[0]
-		x := &hd[r]
-		dst[i] = x.head
-		if body := runs[r]; x.off+esz <= len(body) {
-			x.head = cd.Decode(body[x.off:])
-			x.off += esz
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0, less)
-	}
-	return dst
-}
-
-// siftDown restores the min-heap property of h under less below
-// position i.
-func siftDown(h []int32, i int, less func(a, b int32) bool) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && less(h[l], h[s]) {
-			s = l
-		}
-		if r < len(h) && less(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-}
-
 // encode appends the serialized state to b for the checkpoint Save
 // hook, growing b at most once.
-func (s *state[T]) encode(cd Codec[T], b []byte) []byte {
-	b = slices.Grow(b, 40+cd.Size()*len(s.data))
+func (s *state) encode(b []byte) []byte {
+	b = slices.Grow(b, 40+elemBytes*len(s.data))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.stage))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Mode))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Oversample))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Seed))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(s.data)))
-	for _, v := range s.data {
-		b = cd.Append(b, v)
-	}
-	return b
+	return appendFloats(b, s.data)
 }
 
 // decodeState is the Restore-side inverse of encode.
-func decodeState[T any](cd Codec[T], b []byte) (*state[T], error) {
+func decodeState(b []byte) (*state, error) {
 	if len(b) < 40 {
 		return nil, fmt.Errorf("psort: snapshot state truncated: %d bytes", len(b))
 	}
-	s := &state[T]{
+	s := &state{
 		stage: int(binary.LittleEndian.Uint64(b)),
 		opt: Options{
 			Mode:       Mode(binary.LittleEndian.Uint64(b[8:])),
@@ -557,12 +388,12 @@ func decodeState[T any](cd Codec[T], b []byte) (*state[T], error) {
 	}
 	n := int(binary.LittleEndian.Uint64(b[32:]))
 	b = b[40:]
-	if n < 0 || len(b) != n*cd.Size() {
+	if n < 0 || len(b) != n*elemBytes {
 		return nil, fmt.Errorf("psort: snapshot state inconsistent: %d values, %d bytes left", n, len(b))
 	}
-	s.data = make([]T, n)
+	s.data = make([]float64, n)
 	for i := range s.data {
-		s.data[i] = cd.Decode(b[i*cd.Size():])
+		s.data[i] = loadFloat(b[i*elemBytes:])
 	}
 	return s, nil
 }
@@ -576,71 +407,60 @@ func nLogN(n int) int {
 	return n * max(lg, 1)
 }
 
-// Sort sorts this process's share inside an already-running BSP
-// machine and returns its slice of the global order (process i's slice
-// precedes process i+1's). It costs exactly 4 supersteps on every
-// rank.
-func Sort[T any](c *core.Proc, cd Codec[T], local []T, opt Options) []T {
-	n := len(local) * c.P()
-	opt = Resolve(opt, n, c.P(), cd.Size())
-	s := &state[T]{opt: opt, data: runBuffer(local, n, c.P(), opt.Oversample)}
-	return s.run(c, cd)
-}
-
 // runBuffer copies a rank's input into an array with room for its final
 // share of n elements — ImbalanceBound(n, p, l), and never more than n —
 // so the merge can write the share into it.
-func runBuffer[T any](local []T, n, p, l int) []T {
-	buf := make([]T, len(local), max(len(local), min(n, ImbalanceBound(n, p, l))))
+func runBuffer(local []float64, n, p, l int) []float64 {
+	buf := make([]float64, len(local), max(len(local), min(n, ImbalanceBound(n, p, l))))
 	copy(buf, local)
 	return buf
 }
 
-// Run sorts this process's float64 share with default options.
+// Run sorts this process's share inside an already-running BSP machine
+// with default options and returns its slice of the global order
+// (process i's slice precedes process i+1's). It costs exactly 4
+// supersteps on every rank.
 func Run(c *core.Proc, local []float64) []float64 {
-	return Sort(c, Float64Codec{}, local, Options{})
+	n := len(local) * c.P()
+	opt := Resolve(Options{}, n, c.P())
+	return (&state{opt: opt, data: runBuffer(local, n, c.P(), opt.Oversample)}).run(c)
 }
 
 // chunk returns rank q's even share of data (a view, not a copy).
-func chunk[T any](data []T, p, q int) []T {
-	n := len(data)
-	return data[q*n/p : (q+1)*n/p]
+func chunk(data []float64, p, q int) []float64 {
+	return data[q*len(data)/p : (q+1)*len(data)/p]
 }
 
-// SortParallel splits data evenly, sorts it on the configured BSP
-// machine, and returns the per-rank shares of the global order plus
-// run statistics. The options are resolved once against the global
-// size, so every rank uses the same effective ℓ. With cfg.Checkpoint
-// armed, each rank's Save hook serializes its (stage, options, data)
-// state, Restore rebuilds it, and the undelivered inbox (sample runs,
-// condensed runs, splitters or routed runs, depending on the boundary)
-// rides in the snapshot itself.
-func SortParallel[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([][]T, *core.Stats, error) {
-	opt = Resolve(opt, len(data), cfg.P, cd.Size())
+// sortParallel splits data evenly, sorts it on the configured BSP
+// machine, and returns the per-rank shares of the global order plus run
+// statistics. The options are resolved once against the global size, so
+// every rank uses the same effective ℓ. With cfg.Checkpoint armed, each
+// rank's Save hook serializes its (stage, options, data) state, Restore
+// rebuilds it, and the undelivered inbox (sample runs, condensed runs,
+// splitters or routed runs, depending on the boundary) rides in the
+// snapshot itself.
+func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, *core.Stats, error) {
+	opt = Resolve(opt, len(data), cfg.P)
 	// states[q] is owned by rank q's goroutine: written by its Restore
 	// hook or at fn entry, read by its Save hook (inside its own Sync).
-	states := make([]*state[T], cfg.P)
-	parts := make([][]T, cfg.P)
+	states := make([]*state, cfg.P)
+	parts := make([][]float64, cfg.P)
 	hooks := core.Hooks{
 		Save: func(c *core.Proc, buf []byte) ([]byte, bool) {
-			return states[c.ID()].encode(cd, buf), true
+			return states[c.ID()].encode(buf), true
 		},
-		Restore: func(c *core.Proc, step int, snap []byte) error {
-			s, err := decodeState(cd, snap)
-			if err != nil {
-				return err
-			}
-			states[c.ID()] = s
-			return nil
+		Restore: func(c *core.Proc, step int, snap []byte) (err error) {
+			states[c.ID()], err = decodeState(snap)
+			return err
 		},
 	}
 	st, err := core.RunRecoverable(cfg, func(c *core.Proc) {
 		if c.Step() == 0 {
 			// Scratch start (first attempt, or a retry with no usable
 			// snapshot): fresh state from the input chunk.
-			states[c.ID()] = &state[T]{opt: opt, data: runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)}
+			states[c.ID()] = &state{opt: opt, data: runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)}
 		}
-		parts[c.ID()] = states[c.ID()].run(c, cd)
+		parts[c.ID()] = states[c.ID()].run(c)
 	}, hooks)
 	if err != nil {
 		return nil, nil, err
@@ -649,9 +469,10 @@ func SortParallel[T any](cfg core.Config, cd Codec[T], data []T, opt Options) ([
 }
 
 // Parallel splits data evenly, sorts it on the configured BSP machine,
-// and returns the concatenated global order plus run statistics.
+// and returns the concatenated global order plus run statistics. Every
+// run is recoverable once cfg.Checkpoint is armed.
 func Parallel(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
-	parts, st, err := SortParallel(cfg, Float64Codec{}, data, Options{})
+	parts, st, err := sortParallel(cfg, data, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -662,9 +483,8 @@ func Parallel(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
 	return out, st, nil
 }
 
-// ParallelRecoverable is Parallel: every run is recoverable once
-// cfg.Checkpoint is armed. The name stays for the callers (bench/, the
-// recovery suites) that spell out that they checkpoint.
+// ParallelRecoverable is Parallel. Only the benchmark harness in bench/
+// still calls it; it goes once bench/ calls Parallel (ROADMAP item 1(d)).
 func ParallelRecoverable(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
 	return Parallel(cfg, data)
 }

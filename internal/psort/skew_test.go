@@ -127,8 +127,8 @@ func TestSkewSuite(t *testing.T) {
 					}
 					t.Run(tname+"/"+dname+"/p="+string(rune('0'+p))+"/"+mname, func(t *testing.T) {
 						data := gen(n)
-						opt := Resolve(Options{Mode: mode, Seed: 42}, n, p, 8)
-						parts, st, err := SortParallel(core.Config{P: p, Transport: tr}, Float64Codec{}, data, opt)
+						opt := Resolve(Options{Mode: mode, Seed: 42}, n, p)
+						parts, st, err := sortParallel(core.Config{P: p, Transport: tr}, data, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -153,7 +153,7 @@ func TestSkewSuitePrime7(t *testing.T) {
 		t.Run(dname, func(t *testing.T) {
 			data := gen(n)
 			opt := Options{Oversample: 2}
-			parts, _, err := SortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, Float64Codec{}, data, opt)
+			parts, _, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestSkewEdgePartitions(t *testing.T) {
 				{5, 4, 3, 2, 1}, // n barely above p, reversed
 			} {
 				for _, p := range []int{4, 5} {
-					parts, _, err := SortParallel(core.Config{P: p, Transport: tr}, Float64Codec{}, data, Options{})
+					parts, _, err := sortParallel(core.Config{P: p, Transport: tr}, data, Options{})
 					if err != nil {
 						t.Fatalf("p=%d %v: %v", p, data, err)
 					}
@@ -188,45 +188,5 @@ func TestSkewEdgePartitions(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSkewRecords: the byte-comparable record codec rides the same
-// machine — skewed keys (every record shares a 2-byte prefix, many
-// share all 10) still respect the bound and the ordering.
-func TestSkewRecords(t *testing.T) {
-	const n, p = 900, 5
-	recs := RandomRecords(n, 3)
-	for i := range recs {
-		recs[i].Key[0] = 0xAB
-		recs[i].Key[1] = 0xCD
-		if i%4 != 0 {
-			// Three quarters of the records collide completely.
-			recs[i].Key = recs[0].Key
-		}
-	}
-	opt := Resolve(Options{}, n, p, 16)
-	parts, _, err := SortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, RecordCodec{}, recs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd := RecordCodec{}
-	var prev *Record
-	count := 0
-	bound := ImbalanceBound(n, p, opt.Oversample)
-	for q, part := range parts {
-		if len(part) > bound {
-			t.Fatalf("rank %d holds %d records, bound %d", q, len(part), bound)
-		}
-		for i := range part {
-			if prev != nil && cd.Less(part[i], *prev) {
-				t.Fatalf("rank %d record %d out of order", q, i)
-			}
-			prev = &part[i]
-			count++
-		}
-	}
-	if count != n {
-		t.Fatalf("output has %d records, want %d", count, n)
 	}
 }

@@ -41,7 +41,7 @@ func tracedCrashRun(t *testing.T, base transport.Transport) (*trace.Recorder, *c
 		},
 		Trace: rec,
 	}
-	_, st, err := psort.ParallelRecoverable(cfg, data)
+	_, st, err := psort.Parallel(cfg, data)
 	if err != nil {
 		t.Fatalf("recoverable run failed: %v", err)
 	}

@@ -6,9 +6,10 @@
 #   make verify-alloc allocation gates: the batched exchange engine must
 #                     keep an 8-process all-to-all superstep allocation-
 #                     free (see internal/core/alloc_test.go and
-#                     BENCH_exchange.json), the socket engines (tcp,
-#                     cluster) and xchg must recycle batches at exactly
-#                     0 allocs per superstep (internal/transport), a
+#                     BENCH_exchange.json), every transport's exchange
+#                     engine (shm, xchg, tcp, sim, cluster) must recycle
+#                     batches at exactly 0 allocs per superstep
+#                     (internal/transport), a
 #                     checkpoint capture must allocate the same bytes
 #                     for a 1 MiB inbox as for a 64 KiB one (the inbox
 #                     is streamed into the record, internal/core), and
@@ -128,7 +129,7 @@ verify-race: vet race
 
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
-	$(GO) test -count=1 ./internal/transport/ -run TestSocketAllocGate -v
+	$(GO) test -count=1 ./internal/transport/ -run TestEngineAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement' -v
 
 golden:

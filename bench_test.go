@@ -241,30 +241,6 @@ func BenchmarkAblationPacketSize(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationShmLocking compares the shared-memory transport's
-// writer-coordination strategies (paper Appendix B.1's 1000-packet chunk
-// amortization vs per-packet locking vs dedicated blocks).
-func BenchmarkAblationShmLocking(b *testing.B) {
-	const p, msgs = 4, 2000
-	for _, mode := range []string{"none", "chunk", "packet"} {
-		b.Run(mode, func(b *testing.B) {
-			tr := transport.ShmTransport{Locking: mode}
-			for i := 0; i < b.N; i++ {
-				_, err := core.Run(core.Config{P: p, Transport: tr}, func(c *core.Proc) {
-					var pkt core.Pkt
-					for k := 0; k < msgs; k++ {
-						c.SendPkt((c.ID()+1+k)%p, &pkt)
-					}
-					c.Sync()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRepartition compares N-body ORB repartitioning
 // thresholds (DESIGN.md A4 / §3.2: repartition only past a threshold).
 // The run starts from a deliberately skewed assignment (every body on

@@ -61,8 +61,8 @@ const (
 	// inter-rank-only Pair events.
 	KindSync
 	// KindExchange is a transport-level data-movement span nested
-	// inside a KindSync span (the TCP transport's staged total
-	// exchange).
+	// inside a KindSync span: the exchange engine's call into the
+	// transport's link, once per superstep on every transport.
 	KindExchange
 	// KindPair is one (src,dst) batch handoff: Rank is the sender, A
 	// the destination rank, B the batch bytes, C the frame count, D

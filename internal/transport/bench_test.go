@@ -93,7 +93,7 @@ func BenchmarkClusterExchange(b *testing.B) {
 func BenchmarkEmptySuperstep(b *testing.B) {
 	for _, tr := range allTransports() {
 		for _, p := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/p=%d", label(tr), p), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/p=%d", tr.Name(), p), func(b *testing.B) {
 				benchSupersteps(b, tr, p)
 			})
 		}
@@ -107,7 +107,7 @@ func BenchmarkSendThroughput(b *testing.B) {
 	const p, batch = 4, 256
 	msg := make([]byte, 16)
 	for _, tr := range allTransports() {
-		b.Run(label(tr), func(b *testing.B) {
+		b.Run(tr.Name(), func(b *testing.B) {
 			eps, err := tr.Open(p)
 			if err != nil {
 				b.Fatal(err)

@@ -10,9 +10,10 @@ package transport
 // whose injected delays, stalls and transient TCP faults must never
 // change any observable outcome.
 //
-// The contract allows arbitrary delivery order, so every check below
-// compares multisets, never sequences; sim's deterministic order is a
-// valid refinement asserted separately in transport_test.go.
+// Delivery order is part of the contract: ascending source rank, then
+// send order within a source, with self-sends in the sender's own slot
+// (TestConformanceDeliveryOrder). The other checks compare multisets so
+// that each one fails for its own reason only.
 //
 // Fault plans are kept short (sub-millisecond delays/stalls) so the
 // whole suite stays fast under -race; see Makefile `conformance`.
@@ -123,6 +124,44 @@ func TestConformanceDeliveryAfterBarrier(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// TestConformanceDeliveryOrder pins the ordering contract: every rank
+// sends three tagged messages to every rank, itself included, and each
+// inbox must hold them by ascending source rank, then in send order —
+// the self-sends in the receiver's own slot, not first or last.
+func TestConformanceDeliveryOrder(t *testing.T) {
+	for _, tc := range conformanceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			const p, burst = 4, 3
+			runProcs(t, tc.tr, p, func(ep Endpoint) {
+				id := ep.ID()
+				for s := 0; s < 2; s++ {
+					for k := 0; k < burst; k++ {
+						for dst := 0; dst < p; dst++ {
+							ep.Send(dst, []byte{byte(id), byte(s), byte(k)})
+						}
+					}
+					in, err := ep.Sync()
+					if err != nil {
+						t.Errorf("rank %d step %d: %v", id, s, err)
+						return
+					}
+					inbox := drain(in)
+					if len(inbox) != p*burst {
+						t.Errorf("rank %d step %d: %d messages, want %d", id, s, len(inbox), p*burst)
+						return
+					}
+					for i, m := range inbox {
+						if want := []byte{byte(i / burst), byte(s), byte(i % burst)}; !bytes.Equal(m, want) {
+							t.Errorf("rank %d step %d: inbox[%d] = (src %d, step %d, k %d), want (%d, %d, %d)",
+								id, s, i, m[0], m[1], m[2], want[0], want[1], want[2])
+						}
+					}
+				}
+			})
 		})
 	}
 }

@@ -330,12 +330,12 @@ func TestTCPCorruptBatchNamesPeerAndSuperstep(t *testing.T) {
 	}
 }
 
-// TestSocketAllocGate pins the socket engines' steady state at zero
+// TestEngineAllocGate pins the exchange engine's steady state at zero
 // allocations per all-to-all superstep (p=4, 32 packets per ordered
-// pair, self included): batch buffers and the boxes that carry them
-// through the pool are both recycled. xchg rides along — it shares the
-// pool and used to pay the same boxing allocation per batch.
-func TestSocketAllocGate(t *testing.T) {
+// pair, self included) on every registered transport: batch buffers and
+// the boxes that carry them through the pool are both recycled, and
+// shm's per-writer blocks are reused in place.
+func TestEngineAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
 	}
@@ -343,14 +343,19 @@ func TestSocketAllocGate(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	const p, perPair, warmup, runs = 4, 32, 8, 50
-	for _, tr := range []Transport{TCPTransport{}, ClusterTransport{}, XchgTransport{}} {
+	for _, name := range Names() {
+		tr, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(tr.Name(), func(t *testing.T) {
 			eps, err := tr.Open(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// AllocsPerRun calls the function once to warm up, then runs times.
-			const steps = warmup + 1 + runs
+			// AllocsPerRun calls the function once to warm up, then runs
+			// times; one more superstep keeps Close out of the window.
+			const steps = warmup + 1 + runs + 1
 			start := make(chan struct{})
 			done := make(chan error, p)
 			var wg sync.WaitGroup
@@ -361,32 +366,42 @@ func TestSocketAllocGate(t *testing.T) {
 					defer wg.Done()
 					var pkt [wire.PktBytes]byte
 					ep.Begin()
+					// A rank reports each superstep as it starts, and the
+					// previous one's error with it: under sim a Sync returns
+					// only once the token has gone round, which takes the
+					// lower ranks' next superstep.
 					var err error
 					for s := 0; s < steps; s++ {
 						<-start
+						done <- err
 						if err == nil {
 							err = allToAll(ep, pkt[:], p, perPair)
 						}
-						done <- err
 					}
+					done <- err
 					ep.Close()
 				}()
 			}
 			var failed error
-			superstep := func() {
-				for i := 0; i < p; i++ {
-					start <- struct{}{}
-				}
+			collect := func() {
 				for i := 0; i < p; i++ {
 					if err := <-done; err != nil {
 						failed = err
 					}
 				}
 			}
+			superstep := func() {
+				for i := 0; i < p; i++ {
+					start <- struct{}{}
+				}
+				collect()
+			}
 			for s := 0; s < warmup; s++ {
 				superstep()
 			}
 			avg := testing.AllocsPerRun(runs, superstep)
+			superstep()
+			collect()
 			if failed != nil {
 				t.Fatal(failed)
 			}

@@ -7,22 +7,18 @@ import (
 )
 
 // Inbox holds one superstep's delivery to one process: at most one
-// contiguous framed batch per source (shm's chunked mode may contribute
-// several chunks per source; each chunk is itself a contiguous batch).
+// contiguous framed batch per source, slotted by source rank.
 //
 // Ordering contract: every transport delivers batches in ascending
 // source rank, and frames of one source in the order it sent them — so
 // a program that folds its inbox in arrival order (a float sum, say)
-// computes the same bits on every transport. (The one exception is
-// shm's packet- and chunk-locked ablation modes, whose shared buffer
-// interleaves sources in lock-acquisition order.) Endpoints that slot
-// batches by rank leave nil entries for silent sources; the iterators
-// skip them.
+// computes the same bits on every transport. Silent sources leave nil
+// slots; the iterators skip them.
 //
 // Frame views returned by Next alias the received buffers. They are
 // valid until the next Sync or Close call on the endpoint that returned
 // the Inbox; that call recycles the underlying buffers into the shared
-// pool (or, on shm, re-opens the parity buffer to writers). A view may
+// pool (or, on shm, lets the writers reuse their blocks). A view may
 // be mutated freely within its window — frames never overlap, so
 // scribbling on one view cannot corrupt another frame or the framing
 // itself — but must not be retained past it; callers that need durable
@@ -46,33 +42,23 @@ type Inbox struct {
 // valid-until-next-Sync window applies only to the views, not to the
 // backing storage.
 func NewInbox(batches [][]byte) (*Inbox, error) {
-	in := &Inbox{}
-	if err := in.reset(batches); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-// reset validates the batches (one FrameCount pass each) and arms the
-// iterator. Endpoints call it from Sync; a framing error here is a
-// transport-integrity failure.
-func (in *Inbox) reset(batches [][]byte) error {
 	frames := 0
 	for _, b := range batches {
 		n, err := wire.FrameCount(b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		frames += n
 	}
+	in := &Inbox{}
 	in.arm(batches, frames)
-	return nil
+	return in, nil
 }
 
 // arm installs batches the caller has already validated, holding frames
-// frames in total, and rewinds the iterator. The socket engine counts
-// each batch as it comes off the wire (so a corrupt one is attributed
-// to its source peer) and arms the inbox without a second pass.
+// frames in total, and rewinds the iterator. The exchange engine counts
+// each batch as it arrives (so a corrupt one is attributed to its
+// source peer) and arms the inbox without a second pass.
 func (in *Inbox) arm(batches [][]byte, frames int) {
 	in.batches = batches
 	in.frames = frames

@@ -3,61 +3,31 @@ package transport
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // ShmTransport is the shared-memory implementation of the library
-// (paper, Appendix B.1): every process owns two large input buffers used
-// in alternating supersteps, writers deposit messages into the reader's
+// (paper, Appendix B.1): every process owns two input buffers used in
+// alternating supersteps, writers deposit messages into the reader's
 // buffer for the current parity, and supersteps are separated by an
 // explicit spin barrier ("processor 0 spins on variables 1 through p-1,
 // while processors 1 through p-1 spin on variable 0").
 //
-// Messages are combined, never stored one slice at a time: a writer
-// appends length-prefixed frames into contiguous byte blocks, and the
-// reader's Inbox returns zero-copy views into those blocks. Locking
-// selects how writers coordinate on a shared input buffer:
-//
-//   - "none" (default): each (writer, reader, parity) triple has a
-//     dedicated persistent block, so writers never contend and steady
-//     state allocates nothing. This is the limit of the paper's
-//     optimization of "pre-allocating p memory blocks (one for each
-//     writer) at the start of each input buffer".
-//   - "chunk": writers fill private pooled chunks of ChunkBytes and
-//     splice each sealed chunk into the reader's buffer under one lock
-//     acquisition — the paper's 1000-packet amortization.
-//   - "packet": one lock acquisition per message appended to a single
-//     shared block, the naive baseline the paper's chunking is designed
-//     to beat (ablation A1).
+// Its link is the limit of the paper's optimization of "pre-allocating
+// p memory blocks (one for each writer) at the start of each input
+// buffer": each (writer, reader, parity) triple has a dedicated block,
+// so writers never contend and no lock exists. At Sync a writer parks
+// each peer's batch in that peer's block for the superstep's parity and
+// takes back the block it parked there two supersteps earlier — which
+// the reader has finished with, since it has entered the Sync after the
+// one that delivered it — to combine the next superstep's messages
+// into. The reader's Inbox returns zero-copy views into the blocks, and
+// steady state allocates nothing.
 //
 // Membership and lifecycle (abort fan-out, who has detached) live in
 // the LocalGroup; the barrier polls the member for both, so failures
 // surface as errors instead of hangs.
-type ShmTransport struct {
-	// Locking is "none", "chunk" or "packet". Empty means "none".
-	Locking string
-}
-
-// ChunkPkts is the number of fixed-size packets a writer's private chunk
-// holds in "chunk" mode, following the paper's 1000-packet chunks.
-const ChunkPkts = 1000
-
-// ChunkBytes is the chunk capacity in bytes: ChunkPkts 16-byte packets
-// plus their 4-byte frame prefixes. A chunk is spliced into the
-// reader's buffer (one lock acquisition) when full, and flushed at
-// Sync.
-const ChunkBytes = ChunkPkts * 20
-
-// Locking modes, resolved once at Open so Send dispatches on an int.
-const (
-	shmModeNone = iota
-	shmModeChunk
-	shmModePacket
-)
+type ShmTransport struct{}
 
 // Name implements Transport.
 func (ShmTransport) Name() string { return "shm" }
@@ -73,27 +43,13 @@ func (t ShmTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("shm: p must be >= 1, got %d", p)
 	}
-	mode := shmModeNone
-	switch t.Locking {
-	case "", "none":
-	case "chunk":
-		mode = shmModeChunk
-	case "packet":
-		mode = shmModePacket
-	default:
-		return nil, fmt.Errorf("shm: unknown locking mode %q", t.Locking)
-	}
 	g, err := NewLocalGroup(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	st := &shmState{p: p, mode: mode}
-	st.arrive = make([]atomic.Uint64, p*pad)
-	for q := 0; q < 2; q++ {
-		st.bufs[q] = make([]shmBuffer, p)
-		for i := range st.bufs[q] {
-			st.bufs[q][i].blocks = make([][]byte, p)
-		}
+	st := &shmState{arrive: make([]atomic.Uint64, p*pad)}
+	for q := range st.blocks {
+		st.blocks[q] = make([][]byte, p*p)
 	}
 	eps := make([]Endpoint, p)
 	for i := 0; i < p; i++ {
@@ -101,7 +57,16 @@ func (t ShmTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		eps[i] = &shmEndpoint{st: st, m: m, id: i}
+		e := &shmEndpoint{st: st}
+		e.init(e, "shm", m, i, p)
+		// Blocks grow from empty, not from the pool: they never return
+		// to it. The self batch is the engine's, and pooled.
+		for k := 0; k < p; k++ {
+			if k != i {
+				e.out[k], st.blocks[0][k*p+i], st.blocks[1][k*p+i] = []byte{}, []byte{}, []byte{}
+			}
+		}
+		eps[i] = e
 	}
 	return eps, nil
 }
@@ -109,26 +74,10 @@ func (t ShmTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 // pad spaces per-process atomics across cache lines.
 const pad = 8
 
-// shmBuffer is one process's input buffer for one superstep parity.
-type shmBuffer struct {
-	mu sync.Mutex
-	// blocks[w] is writer w's dedicated framed block ("none" mode):
-	// persistent, truncated by the reader at drain and refilled by the
-	// writer two barriers later.
-	blocks [][]byte
-	// shared is the single framed block appended under mu in "packet"
-	// mode.
-	shared []byte
-	// chunks are the sealed pooled chunks spliced under mu in "chunk"
-	// mode; the reader recycles them after the views expire.
-	chunks [][]byte
-}
-
 type shmState struct {
-	p    int
-	mode int
-
-	bufs [2][]shmBuffer
+	// blocks[q][dst*p+src] is the block src filled for dst in the last
+	// superstep of parity q.
+	blocks [2][][]byte
 
 	// Barrier state (paper-style central barrier; the abort and
 	// peer-exit flags it polls live in the group member).
@@ -137,181 +86,55 @@ type shmState struct {
 }
 
 type shmEndpoint struct {
-	st    *shmState
-	m     GroupMember
-	id    int
-	round uint64 // completed supersteps
-
-	// chunk mode: the open private chunk per destination, pooled.
-	chunk [][]byte
-
-	inbox   Inbox
-	scratch [][]byte // batch views handed to inbox, reused
-	recycle [][]byte // pooled chunks to return at the next Sync/Close
-	handed  int      // contiguous buffers handed to peers (observability)
-	buf     *trace.Buf
-
-	closed bool
+	exchange
+	st *shmState
 }
 
-// SetTrace implements TraceSetter.
-func (e *shmEndpoint) SetTrace(b *trace.Buf) { e.buf = b }
-
-func (e *shmEndpoint) ID() int { return e.id }
-func (e *shmEndpoint) P() int  { return e.st.p }
-func (e *shmEndpoint) Begin()  {}
-func (e *shmEndpoint) Abort()  { e.m.Abort() }
-
-// handedBatches reports how many contiguous buffers this endpoint has
-// handed to other processes (per-pair batching observability).
-func (e *shmEndpoint) handedBatches() int { return e.handed }
-
-// Close implements Endpoint: the rank detaches from the group; peers
-// spinning at the barrier observe the departure through the member.
-func (e *shmEndpoint) Close() error {
-	if e.closed {
-		return fmt.Errorf("shm: endpoint %d closed twice", e.id)
+// transfer implements link: park each peer's batch in its block, cross
+// the barrier, then deliver the blocks addressed to this rank. The
+// blocks stay the link's: a reader's views are valid until its next
+// Sync, and no writer touches the block before then.
+func (e *shmEndpoint) transfer() error {
+	blocks := e.st.blocks[e.round%2]
+	for dst := 0; dst < e.p; dst++ {
+		if dst == e.id {
+			continue
+		}
+		slot := &blocks[dst*e.p+e.id]
+		prev := *slot
+		*slot = e.out[dst]
+		e.handoff(dst)
+		e.out[dst] = prev[:0]
 	}
-	e.closed = true
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
-	for i, c := range e.chunk {
-		if c != nil {
-			putBatch(c)
-			e.chunk[i] = nil
+	if err := e.barrier(); err != nil {
+		return err
+	}
+	for src := 0; src < e.p; src++ {
+		if b := blocks[e.id*e.p+src]; src != e.id && len(b) > 0 {
+			if err := e.deliver(src, b); err != nil {
+				return fmt.Errorf("shm: process %d: %w", e.id, err)
+			}
 		}
 	}
-	e.m.Leave()
 	return nil
 }
 
-// Send implements Endpoint: the message is combined into a contiguous
-// block for dst (copy-in; the caller keeps msg).
-func (e *shmEndpoint) Send(dst int, msg []byte) {
-	st := e.st
-	buf := &st.bufs[e.round%2][dst]
-	switch st.mode {
-	case shmModeNone:
-		buf.blocks[e.id] = wire.AppendFrame(buf.blocks[e.id], msg)
-	case shmModePacket:
-		buf.mu.Lock()
-		buf.shared = wire.AppendFrame(buf.shared, msg)
-		buf.mu.Unlock()
-		if dst != e.id {
-			e.handed++ // one lock-held append per message: the baseline
-		}
-	case shmModeChunk:
-		if e.chunk == nil {
-			e.chunk = make([][]byte, st.p)
-		}
-		c := e.chunk[dst]
-		if c == nil {
-			c = getBatch()
-		}
-		c = wire.AppendFrame(c, msg)
-		if len(c) >= ChunkBytes {
-			e.seal(buf, dst, c)
-			c = nil
-		}
-		e.chunk[dst] = c
-	}
-}
-
-// seal splices a full (or flushed) chunk into dst's input buffer under
-// one lock acquisition — the amortization of the paper's 1000-packet
-// chunks.
-func (e *shmEndpoint) seal(buf *shmBuffer, dst int, c []byte) {
-	buf.mu.Lock()
-	buf.chunks = append(buf.chunks, c)
-	buf.mu.Unlock()
-	if dst != e.id {
-		e.handed++
-		if e.buf != nil {
-			frames, pkts, _ := wire.BatchStats(c) // locally produced, always valid
-			e.buf.Pair(int(e.round), dst, e.buf.Now(), len(c), frames, pkts)
-		}
-	}
-}
-
-// Sync implements Endpoint.
-func (e *shmEndpoint) Sync() (*Inbox, error) {
-	st := e.st
-	parity := e.round % 2
-	// Entering Sync invalidates the previous superstep's Inbox:
-	// recycle the pooled chunks it aliased.
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
-	// Flush partial chunks so the superstep's remaining traffic reaches
-	// the readers before the barrier.
-	if st.mode == shmModeChunk && e.chunk != nil {
-		for dst, c := range e.chunk {
-			if c != nil {
-				e.seal(&st.bufs[parity][dst], dst, c)
-				e.chunk[dst] = nil
-			}
-		}
-	}
-	if st.mode == shmModeNone {
-		// Count the per-pair blocks this writer actually filled.
-		for dst := 0; dst < st.p; dst++ {
-			if b := st.bufs[parity][dst].blocks[e.id]; dst != e.id && len(b) > 0 {
-				e.handed++
-				if e.buf != nil {
-					frames, pkts, _ := wire.BatchStats(b) // locally produced, always valid
-					e.buf.Pair(int(e.round), dst, e.buf.Now(), len(b), frames, pkts)
-				}
-			}
-		}
-	}
-	e.round++
-	if err := e.barrier(); err != nil {
-		return nil, err
-	}
-	// All writers for the superstep that just ended have passed the
-	// barrier; drain our input buffer for its parity. The buffer will
-	// not be written again until after the *next* barrier, so
-	// truncating it here is race-free, and the data stays intact for
-	// the views' validity window (until our next Sync).
-	buf := &st.bufs[parity][e.id]
-	e.scratch = e.scratch[:0]
-	switch st.mode {
-	case shmModeNone:
-		for w := range buf.blocks {
-			if len(buf.blocks[w]) > 0 {
-				e.scratch = append(e.scratch, buf.blocks[w])
-				buf.blocks[w] = buf.blocks[w][:0]
-			}
-		}
-	case shmModePacket:
-		if len(buf.shared) > 0 {
-			e.scratch = append(e.scratch, buf.shared)
-			buf.shared = buf.shared[:0]
-		}
-	case shmModeChunk:
-		for _, c := range buf.chunks {
-			e.scratch = append(e.scratch, c)
-			e.recycle = append(e.recycle, c)
-		}
-		buf.chunks = buf.chunks[:0]
-	}
-	if err := e.inbox.reset(e.scratch); err != nil {
-		return nil, fmt.Errorf("shm: process %d: %w", e.id, err)
-	}
-	return &e.inbox, nil
-}
+// leave implements link: peers spinning at the barrier observe the
+// departure through the member.
+func (e *shmEndpoint) leave() { e.m.Leave() }
 
 // barrier is the paper's central spin barrier, polling the group member
 // for aborts and departed peers so failures surface as errors instead
 // of hangs.
 func (e *shmEndpoint) barrier() error {
 	st := e.st
-	if st.p == 1 {
+	if e.p == 1 {
 		return nil
 	}
-	round := e.round // already incremented; first barrier has round 1
+	round := uint64(e.round) + 1 // the first barrier has round 1
 	st.arrive[e.id*pad].Store(round)
 	if e.id == 0 {
-		for i := 1; i < st.p; i++ {
+		for i := 1; i < e.p; i++ {
 			for st.arrive[i*pad].Load() < round {
 				if e.m.Aborted() {
 					return ErrAborted

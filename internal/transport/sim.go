@@ -1,11 +1,6 @@
 package transport
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-	"repro/internal/wire"
-)
+import "fmt"
 
 // SimTransport is the deterministic single-processor simulation of a BSP
 // machine. The paper measured work depth and total work by "simulating
@@ -13,17 +8,15 @@ import (
 // shared-memory implementation of our library" (§3); SimTransport plays
 // that role here.
 //
-// Exactly one process runs at a time. A token circulates through the
-// processes in rank order; a process acquires the token in Begin, runs
-// one superstep's local computation, and releases the token in Sync.
-// When every live process has reached the superstep boundary the queued
-// per-(src,dst) batches are delivered and a new round starts at the
-// lowest live rank. Message delivery order is therefore fully
-// deterministic: by sender rank, then by send order (each pair's batch
-// is one contiguous framed buffer, sliced into views at delivery).
-// Because the token holder runs exclusively, wall-clock time spent
-// between Sync calls is an accurate measurement of that process's local
-// computation, even on a single-CPU host.
+// Exactly one process runs at a time. Its link is a token that
+// circulates through the processes in rank order; a process acquires the
+// token in Begin, runs one superstep's local computation, and releases
+// the token in Sync. When every live process has reached the superstep
+// boundary the queued per-(src,dst) batches are delivered and a new
+// round starts at the lowest live rank. Because the token holder runs
+// exclusively, wall-clock time spent between Sync calls is an accurate
+// measurement of that process's local computation, even on a single-CPU
+// host.
 //
 // Unlike the concurrent transports, Sim tolerates processes that finish
 // early: the remaining processes keep synchronizing among themselves.
@@ -68,7 +61,9 @@ func (SimTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		eps[i] = &simEndpoint{st: st, m: m, id: i, out: make([][]byte, p)}
+		e := &simEndpoint{st: st}
+		e.init(e, "sim", m, i, p)
+		eps[i] = e
 	}
 	return eps, nil
 }
@@ -91,117 +86,56 @@ type simState struct {
 }
 
 type simEndpoint struct {
-	st      *simState
-	m       GroupMember
-	id      int
-	out     [][]byte // per-destination contiguous framed batches
-	inbox   Inbox
-	batches [][]byte // batch views handed to inbox, reused
-	recycle [][]byte // pooled buffers to return at the next Sync/Close
-	handed  int      // nonempty batches handed to peers (observability)
-	round   int      // completed supersteps (trace step index)
-	buf     *trace.Buf
-	closed  bool
+	exchange
+	st *simState
 }
-
-// SetTrace implements TraceSetter.
-func (e *simEndpoint) SetTrace(b *trace.Buf) { e.buf = b }
-
-func (e *simEndpoint) ID() int { return e.id }
-func (e *simEndpoint) P() int  { return e.st.p }
 
 // Begin blocks until this process is granted the token for the first
 // time.
 func (e *simEndpoint) Begin() { <-e.st.turn[e.id] }
 
-// Abort implements Endpoint. Usually invoked from the failing process's
-// goroutine (which holds the token); the group's atomic latch also
-// admits calls from core's watchdog goroutine, and a stalled token
-// holder observes the flag at its next Sync.
-func (e *simEndpoint) Abort() { e.m.Abort() }
-
-// handedBatches reports how many nonempty contiguous buffers this
-// endpoint has handed to other processes.
-func (e *simEndpoint) handedBatches() int { return e.handed }
-
-// Send implements Endpoint: msg is combined into the contiguous batch
-// for dst (copy-in; the caller keeps msg).
-func (e *simEndpoint) Send(dst int, msg []byte) {
-	b := e.out[dst]
-	if b == nil {
-		b = getBatch()
-	}
-	e.out[dst] = wire.AppendFrame(b, msg)
-}
-
-// Sync implements Endpoint.
-func (e *simEndpoint) Sync() (*Inbox, error) {
+// transfer implements link: queue this superstep's batches, pass the
+// token, and take the batches delivered when it comes back. An abort —
+// possibly latched from core's watchdog goroutine while the token
+// holder stalls — is observed on both sides of the handoff.
+func (e *simEndpoint) transfer() error {
 	st := e.st
 	if e.m.Aborted() {
-		return nil, ErrAborted
+		return ErrAborted
 	}
-	// Entering Sync invalidates the previous Inbox: recycle its buffers.
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
-	// Queue this superstep's per-pair batches for delivery.
 	for dst, b := range e.out {
-		if len(b) > 0 {
+		if b != nil { // self-delivery already took out[e.id]
 			st.pending[dst][e.id] = b
-			if dst != e.id {
-				e.handed++
-				if e.buf != nil {
-					frames, pkts, _ := wire.BatchStats(b) // locally produced, always valid
-					e.buf.Pair(e.round, dst, e.buf.Now(), len(b), frames, pkts)
-				}
-			}
-		} else if b != nil {
-			putBatch(b)
+			e.handoff(dst)
 		}
-		e.out[dst] = nil
 	}
 	st.arrived[e.id] = true
 	st.numArrived++
 	st.advance(e.id)
 	<-st.turn[e.id]
 	if e.m.Aborted() {
-		return nil, ErrAborted
+		return ErrAborted
 	}
-	// Slice the delivered batches into the inbox, in sender-rank order.
-	e.batches = e.batches[:0]
-	for src := 0; src < st.p; src++ {
-		if b := st.ready[e.id][src]; b != nil {
-			e.batches = append(e.batches, b)
-			e.recycle = append(e.recycle, b)
+	for src, b := range st.ready[e.id] {
+		if b != nil {
 			st.ready[e.id][src] = nil
+			if err := e.accept(src, b); err != nil {
+				return fmt.Errorf("sim: process %d: %w", e.id, err)
+			}
 		}
 	}
-	if err := e.inbox.reset(e.batches); err != nil {
-		return nil, fmt.Errorf("sim: process %d: %w", e.id, err)
-	}
-	e.round++
-	return &e.inbox, nil
+	return nil
 }
 
-// Close implements Endpoint: the process leaves the machine; remaining
+// leave implements link: the process leaves the machine; remaining
 // processes continue.
-func (e *simEndpoint) Close() error {
-	if e.closed {
-		return fmt.Errorf("sim: endpoint %d closed twice", e.id)
-	}
-	e.closed = true
+func (e *simEndpoint) leave() {
 	st := e.st
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
 	// Undelivered batches addressed to this process are discarded.
 	for src := 0; src < st.p; src++ {
-		if b := st.ready[e.id][src]; b != nil {
-			putBatch(b)
-			st.ready[e.id][src] = nil
-		}
-		if b := st.pending[e.id][src]; b != nil {
-			putBatch(b)
-			st.pending[e.id][src] = nil
-		}
+		putBatch(st.ready[e.id][src])
+		putBatch(st.pending[e.id][src])
+		st.ready[e.id][src], st.pending[e.id][src] = nil, nil
 	}
 	e.m.Leave()
 	st.active[e.id] = false
@@ -209,7 +143,6 @@ func (e *simEndpoint) Close() error {
 	if st.numActive > 0 {
 		st.advance(e.id)
 	}
-	return nil
 }
 
 // advance hands the token to the next runnable process, completing the

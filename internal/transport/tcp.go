@@ -10,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/prof"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // TCPTransport is the TCP implementation of the library (paper, Appendix
@@ -27,7 +25,7 @@ import (
 // switch; here every process is a goroutine and the pairs exchange over
 // real kernel TCP sockets on the loopback interface (DESIGN.md §2). For
 // the rank-per-OS-process deployment shape of the paper's PC LAN, see
-// ClusterTransport, which reuses this exchange engine unchanged.
+// ClusterTransport, whose members are endpoints of this transport.
 //
 // A superstep's exchange runs in two phases over one wire format. First
 // every batch of at most eagerLimit bytes (empty ones included) is
@@ -294,49 +292,36 @@ type failureSettler interface {
 }
 
 type tcpEndpoint struct {
-	st      *tcpState
-	m       GroupMember
-	id      int
-	conns   []net.Conn
-	rd      []*bufio.Reader
-	wr      []*stageConn // unbuffered: one Write per batch
-	out     [][]byte     // per-destination batches: batchHdrLen reserved bytes, then frames
-	posted  []uint32     // per peer: the round whose batch was last written
-	inbox   Inbox
-	batches [][]byte // batch views handed to inbox, slotted by source rank
-	frames  int      // frames in batches, counted as they arrive
-	recycle [][]byte // pooled buffers to return at the next Sync/Close
-	handed  int      // nonempty batches handed to peers (observability)
-	buf     *trace.Buf
-	pr      *prof.Rank
-	round   uint32
-	closed  bool
-	hdr     [batchHdrLen]byte
+	exchange
+	st     *tcpState
+	conns  []net.Conn
+	rd     []*bufio.Reader
+	wr     []*stageConn // unbuffered: one Write per batch
+	posted []uint32     // per peer: the round whose batch was last written
+	hdr    [batchHdrLen]byte
 }
 
 func newTCPEndpoint(st *tcpState, m GroupMember, id int) *tcpEndpoint {
-	return &tcpEndpoint{
-		st: st, m: m, id: id,
-		conns:   make([]net.Conn, st.p),
-		rd:      make([]*bufio.Reader, st.p),
-		wr:      make([]*stageConn, st.p),
-		out:     make([][]byte, st.p),
-		posted:  make([]uint32, st.p),
-		batches: make([][]byte, st.p),
+	e := &tcpEndpoint{
+		st:     st,
+		conns:  make([]net.Conn, st.p),
+		rd:     make([]*bufio.Reader, st.p),
+		wr:     make([]*stageConn, st.p),
+		posted: make([]uint32, st.p),
 	}
+	e.init(e, "tcp", m, id, st.p)
+	e.reserve = batchHdrLen
+	return e
 }
 
 // SetTrace implements TraceSetter. A cluster member also keeps the
 // buf, so its heartbeat loop can bump the liveness counters.
 func (e *tcpEndpoint) SetTrace(b *trace.Buf) {
-	e.buf = b
+	e.exchange.SetTrace(b)
 	if ts, ok := e.m.(interface{ setTraceBuf(*trace.Buf) }); ok {
 		ts.setTraceBuf(b)
 	}
 }
-
-// SetProf implements ProfSetter.
-func (e *tcpEndpoint) SetProf(r *prof.Rank) { e.pr = r }
 
 // SetDump implements DumpSetter: the hook rides to the group member,
 // whose control reader is where the coordinator's dump requests land.
@@ -371,26 +356,11 @@ func (e *tcpEndpoint) closeConns() {
 	}
 }
 
-func (e *tcpEndpoint) ID() int { return e.id }
-func (e *tcpEndpoint) P() int  { return e.st.p }
-func (e *tcpEndpoint) Begin()  {}
-
-// Abort implements Endpoint: the group latches the failure and its
-// abort hook closes every local socket, unblocking peers stuck in
-// blocking reads or writes.
-func (e *tcpEndpoint) Abort() { e.m.Abort() }
-
-// Close implements Endpoint. Our write directions are shut down so that
-// a peer still expecting traffic observes EOF (a superstep-count
+// leave implements link. Our write directions are shut down so that a
+// peer still expecting traffic observes EOF (a superstep-count
 // mismatch) instead of hanging; the last local member to leave tears
 // down this process's sockets.
-func (e *tcpEndpoint) Close() error {
-	if e.closed {
-		return fmt.Errorf("tcp: endpoint %d closed twice", e.id)
-	}
-	e.closed = true
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
+func (e *tcpEndpoint) leave() {
 	for _, c := range e.conns {
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.CloseWrite()
@@ -399,60 +369,27 @@ func (e *tcpEndpoint) Close() error {
 	if e.m.Leave() {
 		e.st.runTeardown()
 	}
-	return nil
 }
 
-// Send implements Endpoint: msg is combined into the contiguous batch
-// for dst (copy-in; the caller keeps msg), behind the reserved header.
-func (e *tcpEndpoint) Send(dst int, msg []byte) {
-	b := e.out[dst]
-	if b == nil {
-		b = getBatch()[:batchHdrLen]
-	}
-	e.out[dst] = wire.AppendFrame(b, msg)
-}
-
-// handedBatches reports how many nonempty contiguous buffers this
-// endpoint has handed to other processes.
-func (e *tcpEndpoint) handedBatches() int { return e.handed }
-
-// Sync implements Endpoint: one total exchange, shipping one framed
+// transfer implements link: one total exchange, shipping one framed
 // buffer per (src,dst) pair — small ones posted eagerly, the rest
 // stage by stage.
-func (e *tcpEndpoint) Sync() (*Inbox, error) {
-	st := e.st
-	e.round++
-	// Entering Sync invalidates the previous Inbox: recycle its buffers.
-	putBatches(e.recycle)
-	e.recycle = e.recycle[:0]
-	clear(e.batches)
-	e.frames = 0
-	// Self-delivery: our own batch joins the inbox directly.
-	if self := e.out[e.id]; self != nil {
-		e.frames, _ = wire.FrameCount(self[batchHdrLen:]) // locally produced, always valid
-		e.batches[e.id] = self[batchHdrLen:]
-		e.recycle = append(e.recycle, self)
-		e.out[e.id] = nil
-	}
-	var exStart int64
-	if e.buf != nil {
-		exStart = e.buf.Now()
-	}
-	e.pr.Mark(prof.Exchange)
+func (e *tcpEndpoint) transfer() error {
+	sched := e.st.sched
 	// Eager post (Appendix B.2): in schedule order, so the partner of
 	// our first stage is served first.
-	for stage := 0; stage < st.sched.Stages(); stage++ {
-		peer := st.sched.Partner(stage, e.id)
+	for stage := 0; stage < sched.Stages(); stage++ {
+		peer := sched.Partner(stage, e.id)
 		if peer < 0 || len(e.out[peer]) > batchHdrLen+eagerLimit {
 			continue
 		}
 		if err := e.writeBatch(peer); err != nil {
-			return nil, e.stageError(peer, err)
+			return e.stageError(peer, err)
 		}
 	}
 	// Staged remainder (Appendix B.3): writeBatch skips posted peers.
-	for stage := 0; stage < st.sched.Stages(); stage++ {
-		peer := st.sched.Partner(stage, e.id)
+	for stage := 0; stage < sched.Stages(); stage++ {
+		peer := sched.Partner(stage, e.id)
 		if peer < 0 {
 			continue
 		}
@@ -469,18 +406,10 @@ func (e *tcpEndpoint) Sync() (*Inbox, error) {
 			}
 		}
 		if err != nil {
-			return nil, e.stageError(peer, err)
+			return e.stageError(peer, err)
 		}
 	}
-	e.pr.Mark(prof.Sync)
-	if e.buf != nil {
-		// The total exchange is the data-movement slice of this
-		// superstep's sync span (what remains of the span is barrier
-		// skew absorbed by the stage reads).
-		e.buf.Exchange(int(e.round)-1, exStart, e.buf.Now())
-	}
-	e.inbox.arm(e.batches, e.frames)
-	return &e.inbox, nil
+	return nil
 }
 
 // stageError classifies a failed exchange stage through the group
@@ -493,6 +422,7 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 	if fs, ok := e.m.(failureSettler); ok {
 		fs.settleFailure(peer)
 	}
+	round := e.round + 1 // 1-based, as on the wire
 	if e.m.Aborted() {
 		// A coordinator crash declaration outranks the anonymous abort:
 		// surfacing the named *CrashError lets the recovery layer know
@@ -503,7 +433,7 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 		if ac, ok := e.m.(abortCauser); ok {
 			if cause := ac.abortCause(); cause != nil {
 				if e.buf != nil {
-					e.buf.Fault(int(e.round), trace.FaultSuspect, time.Now().UnixNano(), int64(cause.Rank))
+					e.buf.Fault(round, trace.FaultSuspect, time.Now().UnixNano(), int64(cause.Rank))
 				}
 				return cause
 			}
@@ -512,9 +442,9 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 	}
 	if e.m.Left(peer) {
 		return fmt.Errorf("tcp: process %d exited while process %d is exchanging superstep %d (superstep counts diverged): %w",
-			peer, e.id, e.round, err)
+			peer, e.id, round, err)
 	}
-	return fmt.Errorf("tcp: process %d exchanging with %d in superstep %d: %w", e.id, peer, e.round, err)
+	return fmt.Errorf("tcp: process %d exchanging with %d in superstep %d: %w", e.id, peer, round, err)
 }
 
 // writeBatch ships this superstep's whole per-pair buffer to peer in a
@@ -523,36 +453,30 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 // endpoint's own array. A peer already posted this round is skipped.
 // The batch buffer returns to the pool as soon as the write returns.
 func (e *tcpEndpoint) writeBatch(peer int) error {
-	if e.posted[peer] == e.round {
+	round := uint32(e.round) + 1 // the batch header's 1-based superstep
+	if e.posted[peer] == round {
 		return nil
 	}
 	batch := e.out[peer]
 	if batch == nil {
 		batch = e.hdr[:]
 	}
-	body := batch[batchHdrLen:]
-	binary.LittleEndian.PutUint32(batch[0:4], e.round)
-	binary.LittleEndian.PutUint32(batch[4:8], uint32(len(body)))
+	binary.LittleEndian.PutUint32(batch[0:4], round)
+	binary.LittleEndian.PutUint32(batch[4:8], uint32(len(batch)-batchHdrLen))
 	if _, err := e.wr[peer].Write(batch); err != nil {
 		return err
 	}
-	e.posted[peer] = e.round
-	if len(body) == 0 {
-		return nil
+	e.posted[peer] = round
+	e.handoff(peer)
+	if len(batch) > batchHdrLen {
+		putBatch(batch)
 	}
-	e.handed++
-	if e.buf != nil {
-		frames, pkts, _ := wire.BatchStats(body) // locally produced, always valid
-		e.buf.Pair(int(e.round)-1, peer, e.buf.Now(), len(body), frames, pkts)
-	}
-	putBatch(batch)
-	e.out[peer] = nil
 	return nil
 }
 
 // readBatch receives peer's whole per-pair buffer into one pooled
-// contiguous buffer and validates its framing in the one pass the
-// inbox relies on (Sync arms it with the counts gathered here).
+// contiguous buffer; the engine validates its framing in the one pass
+// the inbox relies on.
 func (e *tcpEndpoint) readBatch(peer int) error {
 	r := e.rd[peer]
 	if _, err := io.ReadFull(r, e.hdr[:]); err != nil {
@@ -561,9 +485,8 @@ func (e *tcpEndpoint) readBatch(peer int) error {
 		}
 		return err
 	}
-	round := binary.LittleEndian.Uint32(e.hdr[0:4])
-	if round != e.round {
-		return fmt.Errorf("superstep mismatch: peer at %d, local at %d", round, e.round)
+	if round := binary.LittleEndian.Uint32(e.hdr[0:4]); round != uint32(e.round)+1 {
+		return fmt.Errorf("superstep mismatch: peer at %d, local at %d", round, e.round+1)
 	}
 	n := binary.LittleEndian.Uint32(e.hdr[4:8])
 	if n > tcpFrameLimit {
@@ -583,13 +506,5 @@ func (e *tcpEndpoint) readBatch(peer int) error {
 		putBatch(batch)
 		return err
 	}
-	frames, err := wire.FrameCount(batch)
-	if err != nil {
-		putBatch(batch)
-		return fmt.Errorf("corrupt batch from peer: %w", err)
-	}
-	e.frames += frames
-	e.batches[peer] = batch
-	e.recycle = append(e.recycle, batch)
-	return nil
+	return e.accept(peer, batch)
 }

@@ -21,12 +21,13 @@
 // shipped whole (B.2, B.3) or deposited into coarse per-writer blocks
 // (B.1), never one packet at a time.
 //
-// Rank membership and lifecycle — who joined, abort fan-out, who has
-// detached — live in a ProcessGroup (group.go); every Endpoint holds a
-// GroupMember and keeps only the exchange contract. In-process
-// transports compose their exchange engines with a LocalGroup; the
-// cluster transport implements the same membership contract over a
-// coordinator and TCP handshake frames (cluster.go).
+// Every endpoint embeds one exchange engine (exchange.go) and adds only
+// its link: how a batch crosses from writer to reader. Rank membership
+// and lifecycle — who joined, abort fan-out, who has detached — live in
+// a ProcessGroup (group.go); every Endpoint holds a GroupMember.
+// In-process transports compose with a LocalGroup; the cluster
+// transport implements the same membership contract over a coordinator
+// and TCP handshake frames (cluster.go).
 //
 // Buffer ownership: Send copies msg into the batch, so the caller may
 // reuse msg immediately. Inbox frame views are valid until the caller's
@@ -97,14 +98,15 @@ type TraceSetter interface {
 }
 
 // ProfSetter is implemented by endpoints that carve their data-movement
-// slice out of the sync phase with profiling labels: inside Sync they
-// Mark(prof.Exchange) around the actual exchange and Mark(prof.Sync)
-// back afterwards, so a CPU profile separates wire time from barrier
-// wait. core installs the rank handle after Open when profiling is
-// armed; like SetTrace it must be called from the rank's own goroutine
-// before the first Sync, and a nil handle (or never calling SetProf)
-// keeps the endpoint on its unlabeled path — prof.Rank methods are
-// nil-receiver-safe, so the disabled cost is a nil check.
+// slice out of the sync phase with profiling labels, as every
+// transport's exchange engine does: inside Sync it marks prof.Exchange
+// around the link's transfer and prof.Sync back afterwards, so a CPU
+// profile separates wire time from barrier wait. core installs the rank
+// handle after Open when profiling is armed; like SetTrace it must be
+// called from the rank's own goroutine before the first Sync, and a nil
+// handle (or never calling SetProf) keeps the endpoint on its unlabeled
+// path — prof.Rank methods are nil-receiver-safe, so the disabled cost
+// is a nil check.
 type ProfSetter interface {
 	SetProf(*prof.Rank)
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -14,14 +15,11 @@ import (
 	"repro/internal/trace"
 )
 
-// allTransports returns one instance of every registered transport
-// (built through the registry, so a newly registered transport joins
-// every matrix test automatically) plus the shm locking variants.
+// allTransports returns one instance of every registered transport,
+// built through the registry, so a newly registered transport joins
+// every matrix test automatically.
 func allTransports() []Transport {
-	trs := []Transport{
-		ShmTransport{Locking: "chunk"},
-		ShmTransport{Locking: "packet"},
-	}
+	var trs []Transport
 	for _, name := range Names() {
 		tr, err := New(name)
 		if err != nil {
@@ -32,19 +30,12 @@ func allTransports() []Transport {
 	return trs
 }
 
-func label(tr Transport) string {
-	if shm, ok := tr.(ShmTransport); ok && shm.Locking != "" {
-		return "shm-" + shm.Locking
-	}
-	return tr.Name()
-}
-
 // runProcs drives one goroutine per endpoint and waits for completion.
 func runProcs(t *testing.T, tr Transport, p int, fn func(ep Endpoint)) {
 	t.Helper()
 	eps, err := tr.Open(p)
 	if err != nil {
-		t.Fatalf("%s: Open(%d): %v", label(tr), p, err)
+		t.Fatalf("%s: Open(%d): %v", tr.Name(), p, err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
@@ -55,7 +46,7 @@ func runProcs(t *testing.T, tr Transport, p int, fn func(ep Endpoint)) {
 			ep.Begin()
 			fn(ep)
 			if err := ep.Close(); err != nil {
-				t.Errorf("%s: Close(%d): %v", label(tr), i, err)
+				t.Errorf("%s: Close(%d): %v", tr.Name(), i, err)
 			}
 		}()
 	}
@@ -86,7 +77,7 @@ func drain(in *Inbox) [][]byte {
 // the messages addressed to it in the superstep that just ended.
 func TestTotalExchange(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			for _, p := range []int{1, 2, 3, 4, 5, 8} {
 				const steps = 4
 				runProcs(t, tr, p, func(ep Endpoint) {
@@ -131,7 +122,7 @@ func TestTotalExchange(t *testing.T) {
 // visible before the Sync ending superstep s, and not duplicated after.
 func TestNoEarlyDelivery(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			const p = 4
 			runProcs(t, tr, p, func(ep Endpoint) {
 				id := ep.ID()
@@ -168,7 +159,7 @@ func TestNoEarlyDelivery(t *testing.T) {
 // broadcasts many messages while the others send single replies.
 func TestSkewedVolumes(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			const p, n = 4, 300
 			runProcs(t, tr, p, func(ep Endpoint) {
 				id := ep.ID()
@@ -202,7 +193,7 @@ func TestSkewedVolumes(t *testing.T) {
 // framing path in particular).
 func TestLargeMessages(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			const p = 3
 			sizes := []int{0, 1, 15, 16, 17, 4096, 1 << 17}
 			runProcs(t, tr, p, func(ep Endpoint) {
@@ -250,7 +241,7 @@ func TestLargeMessages(t *testing.T) {
 // delivery.
 func TestSendBufferOwnership(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			runProcs(t, tr, 2, func(ep Endpoint) {
 				id := ep.ID()
 				msg := []byte{byte(id), 42}
@@ -273,37 +264,6 @@ func TestSendBufferOwnership(t *testing.T) {
 	}
 }
 
-// TestSimDeterministicOrder verifies the documented delivery order of the
-// sim transport: by sender rank, then send order.
-func TestSimDeterministicOrder(t *testing.T) {
-	const p = 4
-	runProcs(t, SimTransport{}, p, func(ep Endpoint) {
-		id := ep.ID()
-		for k := 0; k < 3; k++ {
-			ep.Send(0, []byte{byte(id), byte(k)})
-		}
-		in, err := ep.Sync()
-		if err != nil {
-			t.Errorf("proc %d: %v", id, err)
-			return
-		}
-		if id != 0 {
-			return
-		}
-		inbox := drain(in)
-		if len(inbox) != 3*p {
-			t.Errorf("proc 0: got %d messages, want %d", len(inbox), 3*p)
-			return
-		}
-		for i, m := range inbox {
-			wantSrc, wantK := byte(i/3), byte(i%3)
-			if m[0] != wantSrc || m[1] != wantK {
-				t.Errorf("proc 0: inbox[%d] = (src %d, k %d), want (%d, %d)", i, m[0], m[1], wantSrc, wantK)
-			}
-		}
-	})
-}
-
 // TestSimEarlyExit: sim tolerates processes leaving early; the rest keep
 // synchronizing.
 func TestSimEarlyExit(t *testing.T) {
@@ -324,7 +284,7 @@ func TestSimEarlyExit(t *testing.T) {
 // superstep counts as errors rather than deadlocking.
 func TestPeerExitDetected(t *testing.T) {
 	for _, tr := range []Transport{ShmTransport{}, XchgTransport{}, TCPTransport{}} {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			var mu sync.Mutex
 			var errs []error
 			runProcs(t, tr, 2, func(ep Endpoint) {
@@ -351,7 +311,7 @@ func TestPeerExitDetected(t *testing.T) {
 // TestAbortUnblocksPeers: Abort must release processes stuck in Sync.
 func TestAbortUnblocksPeers(t *testing.T) {
 	for _, tr := range allTransports() {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			var mu sync.Mutex
 			sawErr := 0
 			runProcs(t, tr, 3, func(ep Endpoint) {
@@ -377,11 +337,8 @@ func TestAbortUnblocksPeers(t *testing.T) {
 func TestOpenRejectsBadP(t *testing.T) {
 	for _, tr := range allTransports() {
 		if _, err := tr.Open(0); err == nil {
-			t.Errorf("%s: Open(0) should fail", label(tr))
+			t.Errorf("%s: Open(0) should fail", tr.Name())
 		}
-	}
-	if _, err := (ShmTransport{Locking: "bogus"}).Open(2); err == nil {
-		t.Error("shm: bogus locking mode should fail")
 	}
 }
 
@@ -408,16 +365,15 @@ func TestNewByName(t *testing.T) {
 // change how traffic is batched) therefore hands exactly steps*(p-1)
 // nonempty buffers when every rank sends every other rank a burst of
 // messages each superstep — and, with tracing installed, records
-// exactly one Pair event per handoff carrying the batch's frame count.
-// shm's "packet" mode is deliberately excluded: it is the per-message
-// baseline the batching exists to beat.
+// exactly one Pair event per handoff carrying the batch's frame count,
+// and exactly one exchange span per superstep nested in core's sync
+// span, which the test stands in for around each Sync.
 func TestPerPairBatchHandoff(t *testing.T) {
 	const p, steps, burst = 4, 3, 20
 	tcpPlan := conformanceFaultPlan()
 	tcpPlan.ConnErrRate = 0.05
 	transports := []Transport{
 		ShmTransport{},
-		ShmTransport{Locking: "chunk"},
 		XchgTransport{},
 		TCPTransport{},
 		SimTransport{},
@@ -428,15 +384,22 @@ func TestPerPairBatchHandoff(t *testing.T) {
 		ChaosTransport{Base: ClusterTransport{}, Plan: tcpPlan},
 	}
 	for _, tr := range transports {
-		t.Run(label(tr), func(t *testing.T) {
+		t.Run(tr.Name(), func(t *testing.T) {
 			rec := trace.New(p)
 			handed := make([]int, p)
 			runProcs(t, tr, p, func(ep Endpoint) {
 				id := ep.ID()
+				buf := rec.Rank(id)
 				if ts, ok := ep.(TraceSetter); ok {
-					ts.SetTrace(rec.Rank(id))
+					ts.SetTrace(buf)
 				} else {
-					t.Errorf("%s endpoint does not implement TraceSetter", label(tr))
+					t.Errorf("%s endpoint does not implement TraceSetter", tr.Name())
+				}
+				sync := func(s int) (*Inbox, error) {
+					start := buf.Now()
+					in, err := ep.Sync()
+					buf.SyncSpan(s, start, buf.Now(), 0, 0, 0)
+					return in, err
 				}
 				for s := 0; s < steps; s++ {
 					for dst := 0; dst < p; dst++ {
@@ -447,7 +410,7 @@ func TestPerPairBatchHandoff(t *testing.T) {
 							ep.Send(dst, msgFor(id, dst, s, k))
 						}
 					}
-					in, err := ep.Sync()
+					in, err := sync(s)
 					if err != nil {
 						t.Errorf("proc %d step %d: %v", id, s, err)
 						return
@@ -458,7 +421,7 @@ func TestPerPairBatchHandoff(t *testing.T) {
 				}
 				// A superstep with nothing to send still exchanges (the
 				// socket engine writes bare headers) but hands nothing.
-				if in, err := ep.Sync(); err != nil || in.Frames() != 0 {
+				if in, err := sync(steps); err != nil || in.Frames() != 0 {
 					t.Errorf("proc %d empty step: %d frames, err %v", id, in.Frames(), err)
 				}
 				handed[id] = ep.(interface{ handedBatches() int }).handedBatches()
@@ -507,7 +470,66 @@ func TestPerPairBatchHandoff(t *testing.T) {
 					t.Errorf("proc %d pair events carry %d bytes, want %d", id, bytes[id], want)
 				}
 			}
+			// One exchange span per rank per superstep, inside that
+			// superstep's sync span.
+			type key struct{ rank, step int32 }
+			syncs := make(map[key]trace.Event)
+			exchanges := make(map[key]int)
+			for _, e := range rec.Events() {
+				if e.Kind == trace.KindSync {
+					syncs[key{e.Rank, e.Step}] = e
+				}
+			}
+			for _, e := range rec.Events() {
+				if e.Kind != trace.KindExchange {
+					continue
+				}
+				k := key{e.Rank, e.Step}
+				exchanges[k]++
+				if sy, ok := syncs[k]; !ok || e.Start < sy.Start || e.End > sy.End {
+					t.Errorf("proc %d step %d: exchange span [%d,%d] not inside a sync span %+v", e.Rank, e.Step, e.Start, e.End, sy)
+				}
+			}
+			for id := 0; id < p; id++ {
+				for s := 0; s <= steps; s++ {
+					if n := exchanges[key{int32(id), int32(s)}]; n != 1 {
+						t.Errorf("proc %d step %d: %d exchange spans, want 1", id, s, n)
+					}
+				}
+			}
 		})
+	}
+}
+
+// TestPairRecordedOnlyWhenHanded: the Pair event and the handed count
+// move together, after the link has taken the batch. Rank 0's channel to
+// rank 1 is full and the group aborted, so its Sync fails without
+// handing its batch over — and must leave no Pair in the trace for it.
+func TestPairRecordedOnlyWhenHanded(t *testing.T) {
+	eps, err := XchgTransport{}.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := eps[0].(*xchgEndpoint)
+	e.ch[0][1] <- nil // the channel is full
+	rec := trace.New(2)
+	e.SetTrace(rec.Rank(0))
+	e.Abort()
+	e.Send(1, []byte("never handed"))
+	if _, err := e.Sync(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Sync with a full channel after abort = %v, want ErrAborted", err)
+	}
+	pairs := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindPair {
+			pairs++
+		}
+	}
+	if h := e.handedBatches(); pairs != h || h != 0 {
+		t.Errorf("rank 0 recorded %d Pair events and handed %d batches, want 0 and 0", pairs, h)
+	}
+	for _, ep := range eps {
+		ep.Close()
 	}
 }
 
@@ -595,7 +617,7 @@ func TestQuickRandomTraffic(t *testing.T) {
 			cfg.MaxCount = 4 // socket setup dominates; keep it quick
 		}
 		if err := quick.Check(f, cfg); err != nil {
-			t.Errorf("%s: %v", label(tr), err)
+			t.Errorf("%s: %v", tr.Name(), err)
 		}
 	}
 }

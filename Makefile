@@ -16,6 +16,10 @@
 #                     the sample sort's alloc count must stay flat in n
 #                     and its bytes stay at <= 40 per element
 #                     (internal/psort)
+#   make flake-check  the tests of two fixed flakes, repeated: the
+#                     host (g, L) sweep-and-fit tests (internal/harness)
+#                     and the flight ring's lapped-writer property
+#                     test under -race (internal/trace)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the cluster control plane twice over (the
@@ -109,7 +113,7 @@ BENCH_N ?= 3
 BENCH_TOL ?= 2.0
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 
-.PHONY: build test vet race verify verify-race verify-alloc golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate prof-smoke
+.PHONY: build test vet race verify verify-race verify-alloc flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate prof-smoke
 
 build:
 	$(GO) build ./...
@@ -131,6 +135,10 @@ verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
 	$(GO) test -count=1 ./internal/transport/ -run TestEngineAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement' -v
+
+flake-check:
+	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/
+	$(GO) test -race -count=20 -run TestTraceFlightRing ./internal/trace/
 
 golden:
 	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ ./internal/apps/ -run 'Golden' -update

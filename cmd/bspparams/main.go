@@ -1,6 +1,9 @@
 // Command bspparams measures this host's BSP machine parameters (g, L)
-// for each transport and processor count — the Figure 2.1 analogue. On a
-// single-CPU host all BSP processes share one core, so L reflects
+// for each transport and processor count — the Figure 2.1 analogue.
+// Each row is harness.MeasureParams: one sweep of one-packet and
+// total-exchange supersteps, each timed on its own and fitted by
+// cost.Fit, the robust line fit the live telemetry window uses too.
+// On a single-CPU host all BSP processes share one core, so L reflects
 // scheduling latency rather than network latency; the paper's (g, L)
 // profiles embedded in internal/cost drive the reproduced predictions.
 package main

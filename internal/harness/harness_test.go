@@ -177,6 +177,9 @@ func TestMeasureParams(t *testing.T) {
 	if len(measured["shm"]) != 2 {
 		t.Fatalf("MeasureAll rows: %v", measured)
 	}
+	if one := measured["shm"][0].Params; one.G != 0 || one.L <= 0 {
+		t.Errorf("p = 1 moves no packet, want g = 0 and L > 0: %+v", one)
+	}
 	var buf bytes.Buffer
 	PrintFig21(&buf, measured)
 	if !strings.Contains(buf.String(), "paper") {

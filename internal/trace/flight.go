@@ -19,42 +19,58 @@ import "sync/atomic"
 // atomics only. That is deliberate: heartbeat and RTT events arrive
 // from the transport's control-plane goroutines, and a postmortem
 // snapshot is taken while other ranks of the same process may still
-// be running. The cost is a per-slot seqlock instead of a plain
-// store, which is still allocation-free — the exchange hot path stays
-// inside core's TestExchangeAllocGate budget with the ring armed.
+// be running. The cost is a compare-and-swap per slot word instead of
+// a plain store, which is still allocation-free — the exchange hot
+// path stays inside core's TestExchangeAllocGate budget with the ring
+// armed.
 
 // DefaultRingSize is the per-rank flight-recorder capacity in events.
 // A superstep contributes one compute, one sync and up to p pair
 // events per rank, so 256 slots retain the last ~25 supersteps of an
-// 8-rank run — far more than a root-cause analysis needs — in ~20 KiB
+// 8-rank run — far more than a root-cause analysis needs — in 32 KiB
 // per rank.
 const DefaultRingSize = 256
 
 // Ring is a fixed-size, lock-free overwrite ring of Events. Writers
-// claim a monotonically increasing ticket and publish into slot
-// (ticket-1) & mask under a per-slot sequence word; readers validate
-// the sequence around the field loads and skip slots that were torn
-// by a concurrent overwrite. Any goroutine may record or snapshot.
+// claim a monotonically increasing ticket and write slot
+// (ticket-1) & mask; tickets t and t+Cap() share a slot, and when
+// their writes overlap the newer one wins. Readers return a slot only
+// when every word of it belongs to one ticket. Any goroutine may
+// record or snapshot.
 type Ring struct {
 	mask  uint64
 	slots []ringSlot
 	next  atomic.Uint64 // tickets issued == events ever recorded
 }
 
-// ringSlot publishes one Event through atomics. seq holds the ticket
-// of the event the slot currently carries; 0 means a write is in
-// flight (or the slot was never written), so readers discard it.
+// ringSlot publishes one Event as ringWords words, each holding the
+// low 32 bits of its writer's ticket above 32 bits of the event. A
+// writer changes a word only by compare-and-swap from an older
+// ticket's word and stops at the first word a newer ticket holds, so
+// a lapped writer never overwrites a newer one: whatever the
+// interleaving, the newest ticket ends up in every word. seq is the
+// newest ticket that wrote all its words (0 = none yet).
 type ringSlot struct {
 	seq   atomic.Uint64
-	kind  atomic.Int64
-	rank  atomic.Int64
-	step  atomic.Int64
-	start atomic.Int64
-	end   atomic.Int64
-	a     atomic.Int64
-	b     atomic.Int64
-	c     atomic.Int64
-	d     atomic.Int64
+	words [ringWords]atomic.Uint64
+}
+
+// ringWords is Kind, Rank and Step, then the low and high halves of
+// Start, End, A, B, C and D.
+const ringWords = 15
+
+func packEvent(e Event) (h [ringWords]uint32) {
+	h[0], h[1], h[2] = uint32(e.Kind), uint32(e.Rank), uint32(e.Step)
+	for i, v := range [...]int64{e.Start, e.End, e.A, e.B, e.C, e.D} {
+		h[3+2*i], h[4+2*i] = uint32(v), uint32(uint64(v)>>32)
+	}
+	return h
+}
+
+func unpackEvent(h *[ringWords]uint32) Event {
+	v := func(i int) int64 { return int64(uint64(h[3+2*i]) | uint64(h[4+2*i])<<32) }
+	return Event{Kind: Kind(h[0]), Rank: int32(h[1]), Step: int32(h[2]),
+		Start: v(0), End: v(1), A: v(2), B: v(3), C: v(4), D: v(5)}
 }
 
 // NewRing returns a ring with at least size slots (rounded up to a
@@ -88,30 +104,38 @@ func (r *Ring) Total() uint64 {
 }
 
 // Record publishes e, overwriting the oldest slot when full. Safe from
-// any goroutine; never allocates.
+// any goroutine; never allocates and never waits for another writer.
 func (r *Ring) Record(e Event) {
 	if r == nil {
 		return
 	}
 	t := r.next.Add(1) // 1-based ticket
 	s := &r.slots[(t-1)&r.mask]
-	s.seq.Store(0) // invalidate for readers while the fields change
-	s.kind.Store(int64(e.Kind))
-	s.rank.Store(int64(e.Rank))
-	s.step.Store(int64(e.Step))
-	s.start.Store(e.Start)
-	s.end.Store(e.End)
-	s.a.Store(e.A)
-	s.b.Store(e.B)
-	s.c.Store(e.C)
-	s.d.Store(e.D)
-	s.seq.Store(t)
+	tag := uint64(uint32(t)) << 32
+	for i, v := range packEvent(e) {
+		w := &s.words[i]
+		for {
+			old := w.Load()
+			if int32(uint32(old>>32)-uint32(t)) > 0 {
+				return // a newer lap owns the slot: its event wins
+			}
+			if w.CompareAndSwap(old, tag|uint64(v)) {
+				break
+			}
+		}
+	}
+	for {
+		old := s.seq.Load()
+		if old >= t || s.seq.CompareAndSwap(old, t) {
+			return
+		}
+	}
 }
 
 // Snapshot copies the retained suffix of the event stream in record
 // order. Safe concurrently with writers: a slot that is mid-write or
-// was overwritten while being read fails its sequence check and is
-// dropped rather than returned torn, so the result is always a
+// is being overwritten by a newer lap has words of another ticket and
+// is dropped rather than returned torn, so the result is always a
 // (possibly shorter) suffix of fully published events.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
@@ -124,26 +148,21 @@ func (r *Ring) Snapshot() []Event {
 		lo = total - n + 1
 	}
 	out := make([]Event, 0, total-lo+1)
+slots:
 	for t := lo; t <= total; t++ {
 		s := &r.slots[(t-1)&r.mask]
 		if s.seq.Load() != t {
 			continue // in flight, or already lapped by a newer ticket
 		}
-		e := Event{
-			Kind:  Kind(s.kind.Load()),
-			Rank:  int32(s.rank.Load()),
-			Step:  int32(s.step.Load()),
-			Start: s.start.Load(),
-			End:   s.end.Load(),
-			A:     s.a.Load(),
-			B:     s.b.Load(),
-			C:     s.c.Load(),
-			D:     s.d.Load(),
+		var h [ringWords]uint32
+		for i := range s.words {
+			w := s.words[i].Load()
+			if uint32(w>>32) != uint32(t) {
+				continue slots // a newer ticket is overwriting the slot
+			}
+			h[i] = uint32(w)
 		}
-		if s.seq.Load() != t {
-			continue // overwritten while we copied: discard the torn read
-		}
-		out = append(out, e)
+		out = append(out, unpackEvent(&h))
 	}
 	return out
 }

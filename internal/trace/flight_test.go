@@ -58,9 +58,12 @@ func TestTraceFlightRingSmall(t *testing.T) {
 // under contention: several writers hammer one ring while a reader
 // snapshots continuously. Every snapshot — mid-flight and final — must
 // contain each writer's events as a strictly increasing subsequence
-// (the ring never reorders or duplicates), and the quiescent snapshot
-// must account for every slot. Run under -race (the conformance tier
-// does) this also proves the seqlock publishes without data races.
+// (the ring never reorders or duplicates), every event's checksum
+// C = A<<32 | B must hold (no slot mixes the fields of two events),
+// and the quiescent snapshot must account for every slot: when a
+// lapped writer and the newer ticket on its slot overlap, the newer
+// event survives. Run under -race (the conformance tier does) this
+// also proves the slot words publish without data races.
 func TestTraceFlightRingConcurrentWriters(t *testing.T) {
 	const (
 		writers   = 8
@@ -72,6 +75,10 @@ func TestTraceFlightRingConcurrentWriters(t *testing.T) {
 	check := func(evs []Event) {
 		last := make(map[int64]int64, writers)
 		for _, e := range evs {
+			if e.C != e.A<<32|e.B {
+				t.Errorf("torn slot: %+v carries fields of two events", e)
+				return
+			}
 			if prev, ok := last[e.A]; ok && e.B <= prev {
 				t.Errorf("writer %d: event %d arrived after %d (order lost)", e.A, e.B, prev)
 				return
@@ -98,7 +105,7 @@ func TestTraceFlightRingConcurrentWriters(t *testing.T) {
 		go func() {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Record(Event{Kind: KindPair, A: int64(w), B: int64(i)})
+				r.Record(Event{Kind: KindPair, A: int64(w), B: int64(i), C: int64(w)<<32 | int64(i)})
 			}
 		}()
 	}

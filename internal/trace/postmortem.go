@@ -57,7 +57,7 @@ func (d Dump) LastCompletedStep() int {
 
 // Postmortem snapshots rank's flight ring and the metrics into a Dump.
 // Safe while other ranks of the process are still running: it reads
-// only the ring (seqlock-validated) and the atomic counters, never the
+// only the ring (every slot validated against its ticket) and the atomic counters, never the
 // event slices.
 func (r *Recorder) Postmortem(job string, rank, epoch int, reason string) Dump {
 	d := Dump{Shard: Shard{Job: job, Rank: rank, P: r.P()}, Epoch: epoch, Reason: reason}

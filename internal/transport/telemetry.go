@@ -301,8 +301,8 @@ func (doc StatusDoc) writeMetrics(w io.Writer) {
 		v          float64
 	}{
 		{"bsp_job_epoch", "Gang generation currently admitted.", float64(doc.Epoch)},
-		{"bsp_calib_g_us_per_packet", "Online least-squares estimate of g (Eq 1), microseconds per 16-byte packet.", c.GUsPerPkt},
-		{"bsp_calib_l_us", "Online least-squares estimate of L (Eq 1), microseconds per superstep.", c.LUs},
+		{"bsp_calib_g_us_per_packet", "Online Theil-Sen estimate of g (Eq 1), microseconds per 16-byte packet.", c.GUsPerPkt},
+		{"bsp_calib_l_us", "Online Theil-Sen estimate of L (Eq 1), microseconds per superstep.", c.LUs},
 		{"bsp_calib_window", "Observations in the estimator window.", float64(c.Window)},
 		{"bsp_calib_fit", "1 when the window identifies both g and L.", b2f[c.Fit]},
 		{"bsp_calib_residual_ratio", "Live Eq-1 residual: actual over predicted superstep time under the current fit.", c.LiveRatio},

@@ -68,7 +68,7 @@ func TestClusterTelemetryAggregation(t *testing.T) {
 	}
 
 	// Synthetic supersteps straight onto the recorder: wait is exactly
-	// g·h + L, with h varying step to step so the least-squares fit
+	// g·h + L, with h varying step to step so the line fit
 	// can identify both parameters. Each superstep waits until the
 	// coordinator has ingested it from every rank, so the push loops
 	// ship one interval per superstep whatever the scheduler does.

@@ -19,7 +19,11 @@
 #   make flake-check  the tests of two fixed flakes, repeated: the
 #                     host (g, L) sweep-and-fit tests (internal/harness)
 #                     and the flight ring's lapped-writer property
-#                     test under -race (internal/trace)
+#                     test under -race (internal/trace); plus the
+#                     checkpoint capture, flusher and recovery tests
+#                     under -race (internal/ckpt, internal/core; the
+#                     capture alloc gate is left to verify-alloc, as
+#                     sync.Pool drops items under -race)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the cluster control plane twice over (the
@@ -139,6 +143,7 @@ verify-alloc:
 flake-check:
 	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/
 	$(GO) test -race -count=20 -run TestTraceFlightRing ./internal/trace/
+	$(GO) test -race -count=20 -run 'Recovery|Crash|Recoverable|LoadComplete|^TestCapture|SaveBuffer' ./internal/ckpt/ ./internal/core/
 
 golden:
 	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ ./internal/apps/ -run 'Golden' -update

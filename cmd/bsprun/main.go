@@ -340,8 +340,12 @@ func main() {
 	}
 	fmt.Printf("%s size=%d p=%d on %s: wall %v, %s\n", *app, *size, *p, *trName, wall, st)
 	if ck := st.Ckpt; ck != nil {
-		fmt.Printf("  checkpoints: %d snapshot(s), %d complete cut(s), %d bytes in %v\n",
-			ck.Snapshots, ck.Cuts, ck.Bytes, ck.Time)
+		fmt.Printf("  checkpoints: %d snapshot(s), %d complete cut(s), %d bytes in %v (+%v flush)",
+			ck.Snapshots, ck.Cuts, ck.Bytes, ck.Time, ck.Flush)
+		if ck.Err != nil {
+			fmt.Printf(", first error: %v", ck.Err)
+		}
+		fmt.Println()
 		if ck.Attempts > 1 || ck.ResumeStep > 0 {
 			fmt.Printf("  recovery: %d attempt(s), final attempt resumed at superstep %d\n",
 				ck.Attempts, ck.ResumeStep)

@@ -10,15 +10,21 @@
 // batches (so a restored rank's first Recv/GetPkt sees exactly the
 // delivery the barrier promised). The inbox's own batches are streamed
 // into the record back to back — never re-framed or gathered into an
-// intermediate buffer. Records are crc32-validated and written
-// atomically (write tmp → fsync → rename);
-// a manifest names the latest superstep whose snapshot is complete on
-// all ranks. Loading tolerates arbitrary corruption — truncated files,
-// bad checksums, a manifest naming missing files — by falling back to
-// the newest older snapshot that validates completely.
+// intermediate buffer. A record whose application state equals that of
+// the rank's last full record is written as a reference to it instead
+// (version 2: the base step and no user bytes). Records are
+// crc32-validated and reach their final names atomically: streamed into
+// a temporary file, then fsync → rename → directory fsync, which a
+// caller may run later and on another goroutine (Stage, Publish).
+// There is no manifest: a cut is complete when every rank's record,
+// and the base a reference names, validates. Loading tolerates
+// arbitrary corruption — truncated files, bad checksums, records that
+// never left their temporary file, a missing or corrupt base — by
+// falling back to the newest older cut that validates completely.
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -43,6 +49,11 @@ type Snapshot struct {
 	P    int
 	// User is the opaque application state returned by the Save hook.
 	User []byte
+	// Base, when positive, makes this a reference record: User is not
+	// stored, and is the user section of the same rank's full record at
+	// superstep Base. A reference has no user bytes of its own; the
+	// snapshots LoadComplete returns are always resolved to full ones.
+	Base int
 	// Batches is the rank's undelivered inbox: internal/wire frame
 	// batches, laid back to back in the record's batch section (nil
 	// entries — silent sources — contribute nothing). Every frame
@@ -64,10 +75,13 @@ func (s *Snapshot) BatchLen() int {
 
 const (
 	snapMagic   = 0x43505342 // "BSPC" little-endian
-	snapVersion = 1
-	// headerLen is the fixed fields before the user bytes (magic through
-	// userLen); recordOverhead adds batchLen and the trailing crc32 — a
-	// record's size beyond its user and batch sections.
+	snapVersion = 1          // a full record
+	refVersion  = 2          // a reference record: base step, empty user section
+	// headerLen is a full record's fixed fields before the user bytes
+	// (magic through userLen), so the user section starts at offset
+	// headerLen; recordOverhead adds batchLen and the trailing crc32 — a
+	// full record's size beyond its user and batch sections. A reference
+	// adds the 8-byte base step after p.
 	headerLen      = 28
 	recordOverhead = headerLen + 8
 	// maxSectionLen bounds the user/batch sections so a corrupt length
@@ -79,20 +93,28 @@ const (
 // of the record layout (all integers little-endian):
 //
 //	magic   u32  "BSPC"
-//	version u32
+//	version u32  1 = full, 2 = reference
 //	step    u64
 //	rank    u32
 //	p       u32
-//	userLen u32, user bytes
+//	base    u64  (version 2 only: the step of the full record holding User)
+//	userLen u32, user bytes (always empty in version 2)
 //	batchLen u32, batch bytes (s.Batches back to back)
 //	crc32   u32  (IEEE, over everything preceding it)
 func writeRecord(w *recordWriter, s *Snapshot) error {
 	le := binary.LittleEndian
+	version := uint32(snapVersion)
+	if s.Base > 0 {
+		version = refVersion
+	}
 	w.buf = le.AppendUint32(w.buf, snapMagic)
-	w.buf = le.AppendUint32(w.buf, snapVersion)
+	w.buf = le.AppendUint32(w.buf, version)
 	w.buf = le.AppendUint64(w.buf, uint64(s.Step))
 	w.buf = le.AppendUint32(w.buf, uint32(s.Rank))
 	w.buf = le.AppendUint32(w.buf, uint32(s.P))
+	if s.Base > 0 {
+		w.buf = le.AppendUint64(w.buf, uint64(s.Base))
+	}
 	w.buf = le.AppendUint32(w.buf, uint32(len(s.User)))
 	w.section(s.User)
 	w.buf = le.AppendUint32(w.buf, uint32(s.BatchLen()))
@@ -155,13 +177,17 @@ func (w *recordWriter) sum() uint32 {
 // streamRecord writes s's record to out section by section; the
 // fixed-width fields are staged in one small buffer.
 func streamRecord(out io.Writer, s *Snapshot) error {
-	return writeRecord(&recordWriter{out: out, buf: make([]byte, 0, headerLen)}, s)
+	return writeRecord(&recordWriter{out: out, buf: make([]byte, 0, headerLen+8)}, s)
 }
 
 // EncodeSnapshot serializes s into a self-validating record: the bytes
 // WriteRank puts in a rank file, built in one exactly-sized buffer.
 func EncodeSnapshot(s *Snapshot) []byte {
-	w := recordWriter{buf: make([]byte, 0, recordOverhead+len(s.User)+s.BatchLen())}
+	n := recordOverhead + len(s.User) + s.BatchLen()
+	if s.Base > 0 {
+		n += 8
+	}
+	w := recordWriter{buf: make([]byte, 0, n)}
 	writeRecord(&w, s)
 	return w.buf
 }
@@ -178,7 +204,8 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if got := binary.LittleEndian.Uint32(b); got != snapMagic {
 		return nil, fmt.Errorf("ckpt: bad magic %#x", got)
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != snapVersion {
+	v := binary.LittleEndian.Uint32(b[4:])
+	if v != snapVersion && v != refVersion {
 		return nil, fmt.Errorf("ckpt: unsupported record version %d", v)
 	}
 	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
@@ -191,6 +218,17 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		P:    int(binary.LittleEndian.Uint32(b[20:])),
 	}
 	off := 24
+	if v == refVersion {
+		if off+8 > len(body) {
+			return nil, fmt.Errorf("ckpt: record truncated before base step")
+		}
+		base := binary.LittleEndian.Uint64(body[off:])
+		if base < 1 || base >= uint64(s.Step) {
+			return nil, fmt.Errorf("ckpt: reference at step %d names base %d", s.Step, base)
+		}
+		s.Base = int(base)
+		off += 8
+	}
 	var batch []byte
 	var err error
 	if s.User, off, err = section(body, off, "user"); err != nil {
@@ -201,6 +239,9 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes after batch section", len(body)-off)
+	}
+	if s.Base > 0 && len(s.User) > 0 {
+		return nil, fmt.Errorf("ckpt: reference record carries %d user bytes", len(s.User))
 	}
 	if s.Step < 0 || s.Rank < 0 || s.P < 1 || s.Rank >= s.P {
 		return nil, fmt.Errorf("ckpt: inconsistent header: step %d rank %d p %d", s.Step, s.Rank, s.P)
@@ -227,118 +268,173 @@ func section(body []byte, off int, name string) ([]byte, int, error) {
 	return body[off : off+n], off + n, nil
 }
 
-// Store persists snapshots in one directory: one file per (step, rank)
-// plus a MANIFEST naming the latest complete superstep. All writes are
-// atomic (tmp → fsync → rename), so a crash mid-write leaves at worst
-// an ignorable *.tmp file and never a half-valid record under a final
-// name.
+// Store persists snapshots in one directory, one file per (step, rank).
+// A record reaches its final name only by a rename after fsync, so a
+// crash mid-write leaves at worst an ignorable *.tmp file and never a
+// half-valid record under a final name.
 type Store struct {
 	Dir string
 }
-
-const manifestName = "MANIFEST"
 
 func (st *Store) rankFile(step, rank int) string {
 	return filepath.Join(st.Dir, fmt.Sprintf("snap-%012d-r%04d.ckpt", step, rank))
 }
 
-// WriteRank durably persists one rank's snapshot record, streaming it
-// into the file from s's own sections: the record is never assembled
-// in memory.
-func (st *Store) WriteRank(s *Snapshot) error {
+// Staged is one record streamed into a temporary file beside its final
+// name and not yet durable. Exactly one of Publish or Discard must be
+// called on it; that may happen on another goroutine than Stage's.
+type Staged struct {
+	// Base is the staged snapshot's Base: positive for a reference.
+	Base int
+	f    *os.File
+	path string
+}
+
+// Stage streams s's record into a temporary file in the store's
+// directory, straight from s's own sections: the record is never
+// assembled in memory.
+func (st *Store) Stage(s *Snapshot) (*Staged, error) {
 	if err := os.MkdirAll(st.Dir, 0o777); err != nil {
-		return err
+		return nil, err
 	}
-	return atomicWrite(st.rankFile(s.Step, s.Rank), func(f *os.File) error {
-		return streamRecord(f, s)
-	})
-}
-
-// Commit publishes step as the latest complete global snapshot: every
-// rank's record for step must already be durable. The manifest is
-// advisory — LoadComplete verifies what it names and falls back to a
-// directory scan — so a torn or stale manifest can only cost time,
-// never correctness.
-func (st *Store) Commit(step, p int) error {
-	return atomicWrite(filepath.Join(st.Dir, manifestName), func(f *os.File) error {
-		_, err := fmt.Fprintf(f, "step %d p %d\n", step, p)
-		return err
-	})
-}
-
-// atomicWrite fills a temporary file in path's directory with write,
-// fsyncs it, renames it into place, and best-effort fsyncs the
-// directory so the rename itself is durable.
-func atomicWrite(path string, write func(f *os.File) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	path := st.rankFile(s.Step, s.Rank)
+	f, err := os.CreateTemp(st.Dir, filepath.Base(path)+".tmp*")
 	if err != nil {
+		return nil, err
+	}
+	w := &Staged{Base: s.Base, f: f, path: path}
+	if err := streamRecord(f, s); err != nil {
+		w.Discard()
+		return nil, err
+	}
+	return w, nil
+}
+
+// Publish makes the staged record durable under its final name: fsync,
+// rename, then a best-effort fsync of the directory so the rename
+// itself is durable. On failure the temporary file is removed.
+func (w *Staged) Publish() error {
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(w.f.Name(), w.path)
+	}
+	if err != nil {
+		os.Remove(w.f.Name())
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(w.path)); err == nil {
 		d.Sync()
 		d.Close()
 	}
 	return nil
 }
 
-// LoadComplete returns the newest superstep whose snapshot is complete
-// and valid on all p ranks, with the p decoded records in rank order.
-// It tries the manifest's step first, then scans the directory for
-// older complete sets; any record that fails validation (truncated,
-// bad crc, wrong rank/P) disqualifies its step and the search moves to
-// the previous one. ok is false when no complete snapshot exists —
-// including when the directory itself is missing.
-func (st *Store) LoadComplete(p int) (step int, snaps []*Snapshot, ok bool) {
-	tried := make(map[int]bool)
-	if s, found := st.manifestStep(); found && !tried[s] {
-		tried[s] = true
-		if snaps := st.loadStep(s, p); snaps != nil {
-			return s, snaps, true
-		}
+// Discard drops the staged record without publishing it.
+func (w *Staged) Discard() {
+	w.f.Close()
+	os.Remove(w.f.Name())
+}
+
+// WriteRank durably persists one rank's snapshot record: Stage, then
+// Publish.
+func (st *Store) WriteRank(s *Snapshot) error {
+	w, err := st.Stage(s)
+	if err != nil {
+		return err
 	}
-	for _, s := range st.scanSteps() {
-		if tried[s] {
-			continue
+	return w.Publish()
+}
+
+// Writer stages one rank's records in cut order and writes a record
+// whose user section equals that of the last full record it staged as
+// a reference to that record. It keeps no copy of the section: the
+// length and then the crc32 reject a changed state cheaply, and
+// equality is decided byte for byte against the base record itself,
+// read back through a handle that stays valid across its rename. A
+// Writer belongs to one goroutine. Its records must be published in the
+// order they were staged, so that no reference reaches its final name
+// before its base.
+type Writer struct {
+	st       *Store
+	base     *os.File // read handle on the last full record; nil before one
+	baseStep int
+	baseLen  int
+	baseCRC  uint32
+	chunk    []byte // read-back scratch, at most readChunk bytes
+}
+
+// readChunk bounds the scratch buffer a Writer reads its base back in.
+const readChunk = 32 << 10
+
+// NewWriter returns a Writer staging records into st.
+func (st *Store) NewWriter() *Writer { return &Writer{st: st} }
+
+// Stage stages s as Store.Stage does, or a reference in its place when
+// s.User equals the user section of the last full record w staged. s
+// itself is not modified.
+func (w *Writer) Stage(s *Snapshot) (*Staged, error) {
+	sum := crc32.ChecksumIEEE(s.User)
+	if w.base != nil && len(s.User) == w.baseLen && sum == w.baseCRC && w.sameAsBase(s.User) {
+		ref := *s
+		ref.User, ref.Base = nil, w.baseStep
+		return w.st.Stage(&ref)
+	}
+	staged, err := w.st.Stage(s)
+	if err != nil {
+		return nil, err
+	}
+	w.Close()
+	if f, err := os.Open(staged.f.Name()); err == nil {
+		w.base, w.baseStep, w.baseLen, w.baseCRC = f, s.Step, len(s.User), sum
+	}
+	return staged, nil
+}
+
+// sameAsBase compares user with the base record's user section on
+// disk. A read error counts as a difference.
+func (w *Writer) sameAsBase(user []byte) bool {
+	if n := min(len(user), readChunk); len(w.chunk) < n {
+		w.chunk = make([]byte, n)
+	}
+	for off := 0; off < len(user); {
+		got := w.chunk[:min(len(user)-off, len(w.chunk))]
+		if _, err := w.base.ReadAt(got, int64(headerLen+off)); err != nil || !bytes.Equal(got, user[off:off+len(got)]) {
+			return false
 		}
-		tried[s] = true
+		off += len(got)
+	}
+	return true
+}
+
+// Close releases w's handle on its base record. The next record w
+// stages is a full one.
+func (w *Writer) Close() {
+	if w.base != nil {
+		w.base.Close()
+		w.base = nil
+	}
+}
+
+// LoadComplete returns the newest superstep whose snapshot is complete
+// and valid on all p ranks, with the p decoded records in rank order and
+// every reference resolved to its base's user section. It scans the
+// directory newest first. A record that fails validation (truncated,
+// bad crc, wrong rank/P) disqualifies its step, and so does a reference
+// whose base is missing, invalid, of another rank or P, or itself a
+// reference; the search then moves to the previous step. Files that are
+// not records — a *.tmp a flush never renamed, a stray old MANIFEST —
+// are ignored. ok is false when no complete snapshot exists, including
+// when the directory itself is missing.
+func (st *Store) LoadComplete(p int) (step int, snaps []*Snapshot, ok bool) {
+	for _, s := range st.scanSteps() {
 		if snaps := st.loadStep(s, p); snaps != nil {
 			return s, snaps, true
 		}
 	}
 	return 0, nil, false
-}
-
-// manifestStep reads the step the manifest names, if any.
-func (st *Store) manifestStep() (int, bool) {
-	b, err := os.ReadFile(filepath.Join(st.Dir, manifestName))
-	if err != nil {
-		return 0, false
-	}
-	fields := strings.Fields(string(b))
-	if len(fields) < 2 || fields[0] != "step" {
-		return 0, false
-	}
-	s, err := strconv.Atoi(fields[1])
-	if err != nil || s < 0 {
-		return 0, false
-	}
-	return s, true
 }
 
 // scanSteps lists every superstep that has at least one snapshot file,
@@ -371,20 +467,36 @@ func (st *Store) scanSteps() []int {
 	return steps
 }
 
-// loadStep loads and validates all p rank records of one step, or nil
-// if any is missing or invalid.
+// loadStep loads and validates all p rank records of one step, each
+// resolved to a full snapshot, or nil if any is missing or invalid.
 func (st *Store) loadStep(step, p int) []*Snapshot {
 	snaps := make([]*Snapshot, p)
 	for r := 0; r < p; r++ {
-		b, err := os.ReadFile(st.rankFile(step, r))
-		if err != nil {
-			return nil
+		s := st.loadRecord(step, r, p)
+		if s != nil && s.Base > 0 {
+			if b := st.loadRecord(s.Base, r, p); b != nil && b.Base == 0 {
+				s.User, s.Base = b.User, 0
+			} else {
+				s = nil
+			}
 		}
-		s, err := DecodeSnapshot(b)
-		if err != nil || s.Step != step || s.Rank != r || s.P != p {
+		if s == nil {
 			return nil
 		}
 		snaps[r] = s
 	}
 	return snaps
+}
+
+// loadRecord reads and validates rank r's record of step, or returns nil.
+func (st *Store) loadRecord(step, r, p int) *Snapshot {
+	b, err := os.ReadFile(st.rankFile(step, r))
+	if err != nil {
+		return nil
+	}
+	s, err := DecodeSnapshot(b)
+	if err != nil || s.Step != step || s.Rank != r || s.P != p {
+		return nil
+	}
+	return s
 }

@@ -12,7 +12,7 @@ import (
 // decodes re-encodes to a record that decodes to the same snapshot, and
 // the declared section lengths can never make the decoder read outside
 // the input. Seed corpus: valid encodings plus near-miss mutations of
-// each validation rule.
+// each validation rule, a reference record among them.
 //
 // The same input also pins streaming: with rec as the user section and
 // a framed batch split into parts at the positions split picks, the
@@ -44,6 +44,13 @@ func FuzzSnapshotRecord(f *testing.F) {
 	add([]byte{})
 	add([]byte("BSPC"))
 	add(bytes.Repeat([]byte{0xFF}, 64)) // huge section lengths
+	// A reference record, and one whose base is not before its step.
+	ref := EncodeSnapshot(&Snapshot{Step: 9, Rank: 1, P: 2, Base: 4, Batches: [][]byte{sampleBatch("inbox")}})
+	add(ref)
+	add(ref[:30]) // truncated inside the base field
+	badBase := append([]byte(nil), ref...)
+	badBase[24] = 9
+	add(badBase)
 
 	f.Fuzz(func(t *testing.T, rec []byte, split uint64) {
 		checkStreamedSplit(t, rec, split)
@@ -57,13 +64,16 @@ func FuzzSnapshotRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded accepted record rejected: %v", err)
 		}
-		if again.Step != s.Step || again.Rank != s.Rank || again.P != s.P ||
+		if again.Step != s.Step || again.Rank != s.Rank || again.P != s.P || again.Base != s.Base ||
 			!bytes.Equal(again.User, s.User) || !bytes.Equal(inboxOf(again), inboxOf(s)) {
 			t.Fatalf("unstable round trip: %+v vs %+v", s, again)
 		}
 		// Validated invariants must actually hold on the output.
 		if s.Step < 0 || s.Rank < 0 || s.Rank >= s.P {
 			t.Fatalf("decoder accepted inconsistent header: %+v", s)
+		}
+		if s.Base < 0 || s.Base >= max(s.Step, 1) || (s.Base > 0 && len(s.User) > 0) {
+			t.Fatalf("decoder accepted an inconsistent reference: %+v", s)
 		}
 	})
 }

@@ -230,10 +230,14 @@ func TestExchangeAllocGate(t *testing.T) {
 // and returns the steady-state bytes the whole program allocates per
 // capture (one rank's record at one boundary). The collector is off
 // while it measures, so the exchange's pooled buffers survive and only
-// fresh allocations count.
+// fresh allocations count. It is off for a settle phase first, long
+// enough for the pool to reach its high-water mark: the flushers'
+// fsyncs move rank goroutines between Ps, and a sync.Pool cannot hand
+// out a buffer parked in another P's private slot, so the pool needs
+// some spares before a superstep never misses.
 func captureBytes(t *testing.T, inbox int) float64 {
 	t.Helper()
-	const warmup, settle, runs = 3, 2, 5
+	const warmup, settle, runs = 3, 10, 5
 	cfg := Config{P: captureP, Transport: transport.ShmTransport{},
 		Checkpoint: &CheckpointConfig{Dir: t.TempDir(), Every: 1}}
 	hooks := Hooks{Save: func(c *Proc, buf []byte) ([]byte, bool) {

@@ -4,9 +4,14 @@ package core
 // superstep as BenchmarkExchangeAllocs, run through RunRecoverable with
 // capture at every boundary versus capture disabled. The delta is the
 // full cost of a durable global snapshot per superstep — Save hook,
-// streaming the inbox's batches and crc into the file, atomic file
-// write, manifest commit — and is recorded in BENCH_ckpt.json. The
-// disabled configuration must stay at
+// the reference check, streaming the inbox's batches and crc into a
+// temporary file, and the flusher's fsync → rename → directory fsync,
+// which overlaps the next supersteps until its queue is full — and is
+// recorded in BENCH_ckpt.json. The token state of
+// BenchmarkCheckpointEvery1 never changes, so every cut after the first
+// is a reference record; BenchmarkCheckpointEvery1Changing changes it
+// at every boundary, so every cut pays the reject path and a full
+// record. The disabled configuration must stay at
 // the batched engine's baseline (see TestExchangeAllocGate): with no
 // capturer armed, Sync only adds a superstep-counter increment and one
 // nil check.
@@ -17,13 +22,16 @@ import (
 	"repro/internal/transport"
 )
 
-func benchCheckpoint(b *testing.B, ck *CheckpointConfig) {
+func benchCheckpoint(b *testing.B, ck *CheckpointConfig, changing bool) {
 	b.ReportAllocs()
 	cfg := Config{P: allocP, Transport: transport.ShmTransport{}, Checkpoint: ck}
 	hooks := Hooks{
 		Save: func(c *Proc, buf []byte) ([]byte, bool) {
 			// A token user state: apps serialize real state, but the
 			// benchmark isolates the machinery's own cost.
+			if changing {
+				return append(buf, byte(c.ID()), byte(c.Step())), true
+			}
 			return append(buf, byte(c.ID())), true
 		},
 	}
@@ -43,12 +51,18 @@ func benchCheckpoint(b *testing.B, ck *CheckpointConfig) {
 // superstep boundary (allocs/op and ns/op are per whole-machine
 // superstep, like BenchmarkExchangeAllocs).
 func BenchmarkCheckpointEvery1(b *testing.B) {
-	benchCheckpoint(b, &CheckpointConfig{Dir: b.TempDir(), Every: 1})
+	benchCheckpoint(b, &CheckpointConfig{Dir: b.TempDir(), Every: 1}, false)
+}
+
+// BenchmarkCheckpointEvery1Changing is BenchmarkCheckpointEvery1 with a
+// token state that differs at every boundary: no cut is a reference.
+func BenchmarkCheckpointEvery1Changing(b *testing.B) {
+	benchCheckpoint(b, &CheckpointConfig{Dir: b.TempDir(), Every: 1}, true)
 }
 
 // BenchmarkCheckpointDisabled is the control: RunRecoverable with no
 // checkpoint directory, i.e. plain Run plus the disabled-capture nil
 // check in Sync.
 func BenchmarkCheckpointDisabled(b *testing.B) {
-	benchCheckpoint(b, nil)
+	benchCheckpoint(b, nil, false)
 }

@@ -376,6 +376,9 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 		}
 		ranks[s] = ep.ID()
 	}
+	if rs != nil && rs.cap != nil {
+		rs.cap.hosted = len(eps)
+	}
 	procs := make([]*Proc, cfg.P)
 	errs := make([]error, len(eps))
 	phases := make([]atomic.Int64, len(eps))
@@ -493,6 +496,11 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 		}()
 	}
 	wg.Wait()
+	if rs != nil && rs.cap != nil {
+		// No snapshot is loaded and no stats are reported while a
+		// record is still on its way to durability.
+		rs.cap.drain()
+	}
 	if watchDone != nil {
 		close(watchStop)
 		<-watchDone

@@ -13,7 +13,10 @@ import (
 // Snapshots are captured inside Sync, after the barrier — the one point
 // in a BSP program where the machine state is a globally consistent
 // cut: every message of the finished superstep is delivered, none of
-// the next superstep's exist yet.
+// the next superstep's exist yet. Sync returns once the rank's record
+// is streamed into a temporary file; a per-rank flusher makes it
+// durable (fsync → rename → directory fsync) while the next superstep
+// runs, and the run does not return before every flush has finished.
 type CheckpointConfig struct {
 	// Dir is the snapshot directory (a ckpt.Store). Empty disables
 	// checkpointing entirely.
@@ -95,14 +98,24 @@ type Hooks struct {
 
 // CkptStats reports checkpoint and recovery activity of a run.
 type CkptStats struct {
-	// Snapshots counts per-rank snapshot records written; Cuts counts
-	// complete global snapshots committed to the manifest.
+	// Snapshots counts per-rank records made durable; Cuts counts the
+	// supersteps at which every rank this process hosts has one.
 	Snapshots int
 	Cuts      int
-	// Bytes and Time total the written snapshot bytes and the wall
-	// time spent capturing (summed across ranks).
+	// Bytes totals the user and inbox bytes those records hold (a
+	// reference record holds no user bytes). Time is the on-path cost
+	// of capture inside Sync — the Save hook, the reference check,
+	// streaming the record into its temporary file and any wait for a
+	// full flush queue — and Flush the
+	// flushers' fsync → rename → directory fsync time; both are summed
+	// across ranks.
 	Bytes int64
 	Time  time.Duration
+	Flush time.Duration
+	// Err is the first capture or flush failure. A checkpoint that
+	// cannot be persisted costs recovery depth, not correctness, so the
+	// run goes on; Err tells such a run from one with full coverage.
+	Err error
 	// Attempts is the number of machine executions (1 = no recovery);
 	// ResumeStep is the superstep the final attempt resumed from, 0
 	// when it started from scratch.
@@ -126,89 +139,154 @@ func (rs *runState) resumeStep() int {
 	return rs.resume[0].Step
 }
 
-// capturer persists snapshots for all ranks of one machine execution.
-// Each rank calls capture on its own goroutine from inside Sync; the
-// mutex only guards the completion accounting and stats. The last rank
-// to persist a given step's record commits the manifest — safe because
-// a rank cannot proceed past the capture point before its record is
-// durable, so a committed step is complete by construction.
+// flushDepth is how many staged records a rank may have waiting for its
+// flusher; capture blocks only when that many are outstanding. Four
+// holds a whole psort run (S = 4), and bounds how far durability can
+// fall behind the cut a longer run has reached.
+const flushDepth = 4
+
+// capturer persists snapshots for the ranks of one machine execution
+// that this process hosts. Each rank captures on its own goroutine from
+// inside Sync and hands the staged record to its own FIFO flusher, so
+// a rank's records become durable in cut order — a reference never
+// before its base. The mutex guards the stats and the durability
+// accounting the flushers share.
 type capturer struct {
 	store *ckpt.Store
 	every int
-	p     int
 	save  func(c *Proc, buf []byte) ([]byte, bool)
-	// bufs[r] is the slice rank r's Save returned at its last accepted
-	// capture, handed back (truncated) at the next one. Only rank r's
-	// goroutine touches it.
-	bufs [][]byte
+	ranks []rankCapture // ranks[r] is touched only by rank r's goroutine
+	// hosted is the number of ranks this process runs; runMachine sets
+	// it before any rank starts.
+	hosted  int
+	flushes sync.WaitGroup
 
 	mu      sync.Mutex
-	pending map[int]int // step -> ranks persisted so far
-	err     error       // first write failure (reported, not fatal)
+	durable map[int]int // step -> hosted ranks with a durable record
 	stats   CkptStats
+}
+
+// rankCapture is one rank's capture state.
+type rankCapture struct {
+	// buf is the slice this rank's Save returned at its last accepted
+	// capture, handed back (truncated) at the next one.
+	buf []byte
+	w   *ckpt.Writer
+	// queue feeds the rank's flusher; nil until its first capture.
+	queue chan flushJob
+}
+
+// flushJob is one staged record on its way to durability.
+type flushJob struct {
+	rec   *ckpt.Staged
+	step  int
+	bytes int
 }
 
 func newCapturer(ck *CheckpointConfig, p int, save func(c *Proc, buf []byte) ([]byte, bool)) *capturer {
 	return &capturer{
 		store:   &ckpt.Store{Dir: ck.Dir},
 		every:   ck.every(),
-		p:       p,
 		save:    save,
-		bufs:    make([][]byte, p),
-		pending: make(map[int]int),
+		ranks:   make([]rankCapture, p),
+		durable: make(map[int]int),
 	}
 }
 
-// capture snapshots one rank at the boundary Sync just completed.
-// Write failures are recorded once and disable nothing: a checkpoint
-// that cannot be persisted costs recovery depth, not correctness.
+// capture snapshots one rank at the boundary Sync just completed and
+// queues the record for the rank's flusher. Failures are recorded, not
+// fatal.
 func (k *capturer) capture(c *Proc) {
 	if c.step-c.lastCap < k.every {
 		return
 	}
-	user, ok := k.save(c, k.bufs[c.id][:0])
-	if !ok {
-		return
-	}
-	k.bufs[c.id] = user
-	c.lastCap = c.step
 	start := time.Now()
 	var trStart int64
 	if c.tr != nil {
 		trStart = c.tr.Now()
 	}
+	rc := &k.ranks[c.id]
+	user, ok := k.save(c, rc.buf[:0])
+	if !ok {
+		return
+	}
+	rc.buf = user
+	c.lastCap = c.step
+	if rc.w == nil {
+		rc.w = k.store.NewWriter()
+		rc.queue = make(chan flushJob, flushDepth)
+		k.flushes.Add(1)
+		go k.flush(rc.queue)
+	}
 	// The undelivered inbox travels with the snapshot: none of it is
 	// consumed yet (capture runs inside Sync), and its framed batches
 	// are streamed into the record file as they are.
 	snap := ckpt.Snapshot{Step: c.step, Rank: c.id, P: c.p, User: user, Batches: c.inbox.Batches()}
-	err := k.store.WriteRank(&snap)
-	size := len(user) + snap.BatchLen()
+	rec, err := rc.w.Stage(&snap)
+	size := snap.BatchLen()
+	if err == nil {
+		if rec.Base == 0 {
+			size += len(user)
+		}
+		rc.queue <- flushJob{rec: rec, step: c.step, bytes: size}
+	}
 	if c.tr != nil {
 		c.tr.CkptSave(c.step, trStart, c.tr.Now(), size)
 	}
-
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.stats.Time += time.Since(start)
-	if err != nil {
-		if k.err == nil {
-			k.err = err
+	k.fail(err)
+	k.mu.Unlock()
+}
+
+// flush makes one rank's staged records durable in the order they were
+// staged. A reference whose base failed to publish is dropped: it could
+// never be loaded.
+func (k *capturer) flush(queue <-chan flushJob) {
+	defer k.flushes.Done()
+	baseOK := false
+	for job := range queue {
+		if job.rec.Base > 0 && !baseOK {
+			job.rec.Discard()
+			continue
 		}
-		return
-	}
-	k.stats.Snapshots++
-	k.stats.Bytes += int64(size)
-	k.pending[c.step]++
-	if k.pending[c.step] == k.p {
-		delete(k.pending, c.step)
-		if err := k.store.Commit(c.step, k.p); err != nil {
-			if k.err == nil {
-				k.err = err
+		start := time.Now()
+		err := job.rec.Publish()
+		if job.rec.Base == 0 {
+			baseOK = err == nil
+		}
+		k.mu.Lock()
+		k.stats.Flush += time.Since(start)
+		k.fail(err)
+		if err == nil {
+			k.stats.Snapshots++
+			k.stats.Bytes += int64(job.bytes)
+			if k.durable[job.step]++; k.durable[job.step] == k.hosted {
+				delete(k.durable, job.step)
+				k.stats.Cuts++
 			}
-			return
 		}
-		k.stats.Cuts++
+		k.mu.Unlock()
 	}
+}
+
+// fail records err if it is the first failure. k.mu must be held.
+func (k *capturer) fail(err error) {
+	if err != nil && k.stats.Err == nil {
+		k.stats.Err = err
+	}
+}
+
+// drain waits until every queued record is flushed and releases the
+// writers. It runs once the ranks' goroutines have exited.
+func (k *capturer) drain() {
+	for i := range k.ranks {
+		if rc := &k.ranks[i]; rc.w != nil {
+			close(rc.queue)
+			rc.w.Close()
+		}
+	}
+	k.flushes.Wait()
 }
 
 // Recoverable reports whether err is a failure RunRecoverable rolls
@@ -275,11 +353,16 @@ func RunRecoverable(cfg Config, fn func(*Proc), hooks Hooks) (*Stats, error) {
 		}
 		st, err := runMachine(cfg, fn, hooks, rs)
 		if rs.cap != nil {
-			// All process goroutines have exited; the capturer is quiescent.
-			acc.Snapshots += rs.cap.stats.Snapshots
-			acc.Cuts += rs.cap.stats.Cuts
-			acc.Bytes += rs.cap.stats.Bytes
-			acc.Time += rs.cap.stats.Time
+			// runMachine drained the flushers; the capturer is quiescent.
+			cs := rs.cap.stats
+			acc.Snapshots += cs.Snapshots
+			acc.Cuts += cs.Cuts
+			acc.Bytes += cs.Bytes
+			acc.Time += cs.Time
+			acc.Flush += cs.Flush
+			if acc.Err == nil {
+				acc.Err = cs.Err
+			}
 		}
 		if err == nil {
 			acc.Attempts = attempts

@@ -127,8 +127,9 @@ func appendTags(out []tagged, msg []byte) []tagged {
 // options, and its data. Everything else a stage needs (sample runs,
 // condensed runs, splitters, routed elements) arrives in the inbox of
 // the superstep that starts the stage, so a (stage, options, data)
-// triple plus the undelivered inbox — exactly what a checkpoint
-// captures — restarts the sort from any boundary.
+// triple plus the undelivered inbox restarts the sort from any
+// boundary. A checkpoint captures (options, data) and the inbox; the
+// stage is the boundary's superstep number.
 type state struct {
 	// stage is the number of superstep boundaries crossed: 0 = nothing
 	// sent yet; 1 = sample runs sent (group leaders' inboxes hold
@@ -362,10 +363,11 @@ func cutRun(data []float64, rank int32, spl []tagged, p int) []int {
 }
 
 // encode appends the serialized state to b for the checkpoint Save
-// hook, growing b at most once.
+// hook, growing b at most once. The stage is not part of it: it is the
+// superstep the snapshot was captured at, which Restore is handed, so
+// the cuts between which only the stage moves encode identically.
 func (s *state) encode(b []byte) []byte {
-	b = slices.Grow(b, 40+elemBytes*len(s.data))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.stage))
+	b = slices.Grow(b, 32+elemBytes*len(s.data))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Mode))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Oversample))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Seed))
@@ -373,21 +375,22 @@ func (s *state) encode(b []byte) []byte {
 	return appendFloats(b, s.data)
 }
 
-// decodeState is the Restore-side inverse of encode.
-func decodeState(b []byte) (*state, error) {
-	if len(b) < 40 {
+// decodeState is the Restore-side inverse of encode: the state captured
+// once stage boundaries were crossed.
+func decodeState(stage int, b []byte) (*state, error) {
+	if len(b) < 32 {
 		return nil, fmt.Errorf("psort: snapshot state truncated: %d bytes", len(b))
 	}
 	s := &state{
-		stage: int(binary.LittleEndian.Uint64(b)),
+		stage: stage,
 		opt: Options{
-			Mode:       Mode(binary.LittleEndian.Uint64(b[8:])),
-			Oversample: int(binary.LittleEndian.Uint64(b[16:])),
-			Seed:       int64(binary.LittleEndian.Uint64(b[24:])),
+			Mode:       Mode(binary.LittleEndian.Uint64(b)),
+			Oversample: int(binary.LittleEndian.Uint64(b[8:])),
+			Seed:       int64(binary.LittleEndian.Uint64(b[16:])),
 		},
 	}
-	n := int(binary.LittleEndian.Uint64(b[32:]))
-	b = b[40:]
+	n := int(binary.LittleEndian.Uint64(b[24:]))
+	b = b[32:]
 	if n < 0 || len(b) != n*elemBytes {
 		return nil, fmt.Errorf("psort: snapshot state inconsistent: %d values, %d bytes left", n, len(b))
 	}
@@ -435,10 +438,10 @@ func chunk(data []float64, p, q int) []float64 {
 // machine, and returns the per-rank shares of the global order plus run
 // statistics. The options are resolved once against the global size, so
 // every rank uses the same effective ℓ. With cfg.Checkpoint armed, each
-// rank's Save hook serializes its (stage, options, data) state, Restore
-// rebuilds it, and the undelivered inbox (sample runs, condensed runs,
-// splitters or routed runs, depending on the boundary) rides in the
-// snapshot itself.
+// rank's Save hook serializes its (options, data) state, Restore
+// rebuilds it at the stage the resumed superstep names, and the
+// undelivered inbox (sample runs, condensed runs, splitters or routed
+// runs, depending on the boundary) rides in the snapshot itself.
 func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, *core.Stats, error) {
 	opt = Resolve(opt, len(data), cfg.P)
 	// states[q] is owned by rank q's goroutine: written by its Restore
@@ -450,7 +453,9 @@ func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, *c
 			return states[c.ID()].encode(buf), true
 		},
 		Restore: func(c *core.Proc, step int, snap []byte) (err error) {
-			states[c.ID()], err = decodeState(snap)
+			// The machine runs only the sort, so the boundary it resumes
+			// at is the stage.
+			states[c.ID()], err = decodeState(step, snap)
 			return err
 		},
 	}

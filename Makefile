@@ -2,7 +2,10 @@
 #
 #   make verify       tier-1: build + go vet + full test suite + the
 #                     cross-transport conformance suite under -race
-#   make verify-race  tier-2: go vet + full test suite under -race
+#   make verify-race  tier-2: go vet + full test suite under -race (the
+#                     allocation gates skip themselves there, as
+#                     sync.Pool drops items at random under -race;
+#                     verify-alloc runs them)
 #   make verify-alloc allocation gates: the batched exchange engine must
 #                     keep an 8-process all-to-all superstep allocation-
 #                     free (see internal/core/alloc_test.go and
@@ -40,7 +43,7 @@
 #                     equal (H, S), and recovering from one seeded
 #                     crash to the same result, and all of
 #                     internal/trace (metrics = fold(events), the row
-#                     field table) and internal/prof
+#                     field table)
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
@@ -95,13 +98,9 @@
 #                     run against the checked-in BENCH_exchange.json /
 #                     BENCH_ckpt.json baselines (+BENCH_TOL ns/op band,
 #                     tight allocs/op band), append to BENCH_run.json
-#   make prof-smoke   end-to-end profiling smoke: a labeled bsprun CPU
-#                     capture must attribute >=90% of samples to the
-#                     bsp_rank/bsp_phase axes (validated by cmd/bspprof)
 
 GO ?= go
 TRACE_DIR ?= /tmp/bsp-trace-smoke
-PROF_DIR ?= /tmp/bsp-prof-smoke
 CLUSTER_DIR ?= /tmp/bsp-cluster-smoke
 POST_DIR ?= /tmp/bsp-postmortem-smoke
 TOP_DIR ?= /tmp/bsp-top-smoke
@@ -117,7 +116,7 @@ BENCH_N ?= 3
 BENCH_TOL ?= 2.0
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 
-.PHONY: build test vet race verify verify-race verify-alloc flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate prof-smoke
+.PHONY: build test vet race verify verify-race verify-alloc flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate
 
 build:
 	$(GO) build ./...
@@ -155,7 +154,7 @@ conformance:
 	$(GO) test -race -timeout 120s ./internal/ckpt/ -run 'Recovery|Crash|Recoverable' -v
 	$(GO) test -race -timeout 120s ./internal/launch/ -v
 	$(GO) test -race -count=2 -timeout 120s ./internal/apps/ -v
-	$(GO) test -race -timeout 120s ./internal/trace/ ./internal/prof/
+	$(GO) test -race -timeout 120s ./internal/trace/
 
 trace-smoke:
 	rm -rf $(TRACE_DIR) && mkdir -p $(TRACE_DIR)
@@ -289,11 +288,3 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -count $(BENCH_N) -tolerance $(BENCH_TOL) \
 		-commit "$(COMMIT)" -date "$(shell date -u +%Y-%m-%dT%H:%M:%SZ)" \
 		-out BENCH_run.json
-
-prof-smoke:
-	rm -rf $(PROF_DIR) && mkdir -p $(PROF_DIR)
-	$(GO) build -o $(PROF_DIR)/bsprun ./cmd/bsprun
-	$(GO) build -o $(PROF_DIR)/bspprof ./cmd/bspprof
-	$(PROF_DIR)/bsprun -app nbody -size 2000 -p 4 \
-		-cpuprofile $(PROF_DIR)/cpu.pprof -prof-report
-	$(PROF_DIR)/bspprof -min-coverage 0.9 $(PROF_DIR)/cpu.pprof

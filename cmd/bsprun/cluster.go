@@ -189,8 +189,8 @@ func printCalibration(doc transport.StatusDoc, rec *trace.Recorder) {
 
 // rejectClusterProfileFlags guards the launcher against per-process
 // capture flags that cannot describe a multi-process gang.
-func rejectClusterProfileFlags(cpuProfile, memProfile, rtraceFile string, profReport bool) error {
-	if cpuProfile != "" || memProfile != "" || rtraceFile != "" || profReport {
+func rejectClusterProfileFlags(cpuProfile, memProfile, rtraceFile string) error {
+	if cpuProfile != "" || memProfile != "" || rtraceFile != "" {
 		return errors.New("-cluster cannot capture gang-wide profiles into one file; use -metrics-addr for per-rank /debug/pprof endpoints, or profile without -cluster")
 	}
 	return nil
@@ -205,7 +205,6 @@ type launcherFlags struct {
 	costReport                         bool
 	costMachine                        string
 	cpuProfile, memProfile, rtraceFile string
-	profReport                         bool
 	hbInterval, suspectAfter           time.Duration
 	statusAddr, statusDump             string
 	telemetryInterval                  time.Duration
@@ -216,7 +215,7 @@ type launcherFlags struct {
 // their trace shards, and prints the same summary and model block the
 // in-process path does.
 func runClusterLauncher(f launcherFlags) {
-	if err := rejectClusterProfileFlags(f.cpuProfile, f.memProfile, f.rtraceFile, f.profReport); err != nil {
+	if err := rejectClusterProfileFlags(f.cpuProfile, f.memProfile, f.rtraceFile); err != nil {
 		fail(err)
 	}
 	if f.chaosSpec != "" {

@@ -44,18 +44,15 @@
 // The trace file is written even when the run fails, so a crashed or
 // wedged machine leaves its timeline behind for diagnosis.
 //
-// Profiling: whenever any profiling output or -metrics-addr is armed,
-// every rank goroutine carries pprof labels on the BSP axes (bsp_rank,
-// bsp_superstep bucket, bsp_phase compute|sync|exchange|ckpt, bsp_app)
-// and mirrors its supersteps into runtime/trace regions. -cpuprofile
-// and -memprofile write the standard pprof files, -runtime-trace the
-// `go tool trace` capture, and -prof-report parses the captured CPU
-// profile and prints the W-attribution table — CPU per
-// rank × phase × superstep bucket with an explicit "untracked" row —
-// reconciled against the trace recorder's compute spans:
+// Profiling: every rank goroutine carries one pprof label, bsp_rank.
+// -cpuprofile and -memprofile write the standard pprof files and
+// -runtime-trace a `go tool trace` capture. Slice a CPU profile by rank
+// with a tag filter and by phase with the call stack (the superstep
+// axis comes from -trace, which is exact rather than sampled):
 //
-//	bsprun -app psort -size 200000 -p 4 -transport shm \
-//	    -cpuprofile cpu.pprof -prof-report
+//	bsprun -app psort -size 400000 -p 4 -cpuprofile cpu.pprof
+//	go tool pprof -tagfocus 'bsp_rank=^2$' cpu.pprof
+//	go tool pprof -focus 'transport\.\(\*exchange\)\.Sync' cpu.pprof
 //
 // Exit codes classify failures for CI: 1 = run or usage error, 2 =
 // superstep timeout (the per-rank progress detail is printed), 3 =
@@ -78,7 +75,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/harness"
 	"repro/internal/launch"
-	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -104,10 +100,9 @@ func main() {
 	statusDump := flag.String("status-dump", "", "with -cluster -status-addr: write the final /status JSON document to this file when the job ends")
 	costReport := flag.Bool("cost-report", false, "print per-superstep predicted-vs-recorded cost-model residuals")
 	costMachine := flag.String("cost-machine", "SGI", "machine profile for -cost-report: SGI|Cenju|PC")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (ranks labeled on the BSP axes)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (samples carry a bsp_rank label)")
 	memProfile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-	rtraceFile := flag.String("runtime-trace", "", "write a runtime/trace capture to this file (superstep tasks, phase regions; open with `go tool trace`)")
-	profReport := flag.Bool("prof-report", false, "after the run, decompose the -cpuprofile capture into the W-attribution table (rank x phase x superstep bucket)")
+	rtraceFile := flag.String("runtime-trace", "", "write a runtime/trace capture to this file (open with `go tool trace`)")
 	flag.Parse()
 
 	// Resolve the program before any listener, coordinator or rank
@@ -141,7 +136,7 @@ func main() {
 			traceFile: *traceFile, metricsAddr: *metricsAddr,
 			costReport: *costReport, costMachine: *costMachine,
 			cpuProfile: *cpuProfile, memProfile: *memProfile,
-			rtraceFile: *rtraceFile, profReport: *profReport,
+			rtraceFile: *rtraceFile,
 			hbInterval: *hbInterval, suspectAfter: *suspectAfter,
 			postDir:    dir,
 			statusAddr: *statusAddr, statusDump: *statusDump,
@@ -187,7 +182,6 @@ func main() {
 		}
 		*metricsAddr = child.MetricsAddr
 		*costReport = false
-		*profReport = false
 	} else {
 		tr, err := transport.New(*trName)
 		if err != nil {
@@ -242,13 +236,10 @@ func main() {
 			fail(err)
 		}
 	}
-	if *profReport && *cpuProfile == "" {
-		fail(errors.New("-prof-report needs -cpuprofile (the report decomposes the captured CPU profile)"))
-	}
 	// Any observability consumer arms the recorder; otherwise cfg.Trace
 	// stays nil and every instrumentation site is a nil check.
 	rec := cfg.Trace
-	if rec == nil && (*traceFile != "" || *metricsAddr != "" || *costReport || *profReport) {
+	if rec == nil && (*traceFile != "" || *metricsAddr != "" || *costReport) {
 		rec = trace.New(*p)
 		cfg.Trace = rec
 	}
@@ -260,13 +251,6 @@ func main() {
 		if step, _, ok := (&ckpt.Store{Dir: *ckptDir}).LoadComplete(*p); ok {
 			rec.Rollback(child.Epoch+1, step)
 		}
-	}
-	// Any profiling consumer arms the rank labels — including
-	// -metrics-addr, whose /debug/pprof/profile endpoint profiles the
-	// live machine.
-	profiling := *cpuProfile != "" || *memProfile != "" || *rtraceFile != "" || *profReport || *metricsAddr != ""
-	if profiling {
-		cfg.Profile = prof.New(*app, *p)
 	}
 	writeTrace := func() {
 		if isChild {
@@ -355,11 +339,6 @@ func main() {
 		trace.WriteResidualReport(os.Stdout, rec, machine.Name, machine.Params(*p), 3)
 		if prog.CostReport != nil {
 			prog.CostReport(os.Stdout, machine.Name, machine.Params(*p), *size, *p, st)
-		}
-	}
-	if *profReport {
-		if rerr := writeProfReport(*cpuProfile, rec); rerr != nil {
-			fail(rerr)
 		}
 	}
 	if err := printModelBlock(*app, *size, *p, st); err != nil {

@@ -1,9 +1,7 @@
 package main
 
 // Profiling capture for one bsprun invocation: CPU profile, heap
-// profile and runtime/trace files, plus the -prof-report decomposition
-// that parses the captured CPU profile and prints the W-attribution
-// table reconciled against the trace recorder.
+// profile and runtime/trace files.
 
 import (
 	"fmt"
@@ -11,9 +9,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-
-	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // profCapture owns the profiling outputs of one run.
@@ -63,7 +58,7 @@ func (pc *profCapture) stop() {
 		if err := pc.cpuFile.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "bsprun: cpuprofile:", err)
 		} else {
-			fmt.Printf("CPU profile written to %s (inspect with `go tool pprof -tagfocus bsp_phase=compute %s`)\n", pc.cpuPath, pc.cpuPath)
+			fmt.Printf("CPU profile written to %s (per rank: `go tool pprof -tagfocus 'bsp_rank=^0$' %s`)\n", pc.cpuPath, pc.cpuPath)
 		}
 		pc.cpuFile = nil
 	}
@@ -96,21 +91,4 @@ func (pc *profCapture) writeMem() {
 		return
 	}
 	fmt.Printf("heap profile written to %s\n", pc.memPath)
-}
-
-// writeProfReport parses the captured CPU profile and prints the
-// W-attribution table (samples per rank × phase × superstep bucket,
-// with the unlabeled remainder as the "untracked" row), reconciled
-// against the trace recorder's compute spans.
-func writeProfReport(cpuPath string, rec *trace.Recorder) error {
-	if cpuPath == "" {
-		return fmt.Errorf("-prof-report needs -cpuprofile to have captured a profile")
-	}
-	p, err := prof.ParsePprofFile(cpuPath)
-	if err != nil {
-		return err
-	}
-	a := prof.Attribute(p)
-	fmt.Println()
-	return prof.WriteWReport(os.Stdout, a, prof.TraceComputeNs(rec))
 }

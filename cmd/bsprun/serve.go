@@ -57,8 +57,8 @@ func startMetricsServerOn(ln net.Listener, rec *trace.Recorder) (*metricsServer,
 	mux.Handle("/metrics", rec.Metrics().Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	// The default pprof mux entries, re-registered here because bsprun
-	// serves a private mux: profiles of the live machine carry the
-	// bsp_rank/bsp_phase goroutine labels when profiling is armed.
+	// serves a private mux: profiles of the live machine carry each
+	// rank goroutine's bsp_rank label.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

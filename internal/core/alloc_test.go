@@ -144,8 +144,8 @@ func measureExchangeAllocs(t *testing.T, cfg Config) float64 {
 // instrumentation site a nil check) must not add a single allocation
 // above the batched engine's measured baseline.
 func TestExchangeAllocGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc gate skipped in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc gate skipped in -short mode and under -race, where sync.Pool drops items at random")
 	}
 	avg := measureExchangeAllocs(t, Config{P: allocP, Transport: transport.ShmTransport{}})
 	t.Logf("allocs per all-to-all superstep (p=%d, %d msgs/pair): %.1f", allocP, allocPerPair, avg)
@@ -290,8 +290,8 @@ func captureBytes(t *testing.T, inbox int) float64 {
 // the inbox or assembling the record in memory grows with it, at
 // several times its size.
 func TestCheckpointCaptureAllocGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc gate skipped in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc gate skipped in -short mode and under -race, where sync.Pool drops items at random")
 	}
 	small := captureBytes(t, 64<<10)
 	large := captureBytes(t, 1<<20)

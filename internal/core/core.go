@@ -27,15 +27,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -102,14 +104,6 @@ type Config struct {
 	// without -trace. Share one pointer across a job's config copies:
 	// it deduplicates dumps per (rank, epoch).
 	Postmortem *PostmortemConfig
-	// Profile, when non-nil, tags each rank goroutine with pprof labels
-	// on the BSP axes (bsp_rank, bsp_superstep bucket, bsp_phase,
-	// bsp_app) and mirrors the superstep structure into runtime/trace
-	// tasks and regions, so CPU profiles decompose along the cost
-	// model's terms (see internal/prof). Profiling is independent of
-	// Trace: either may be armed without the other. Nil disables
-	// labeling; the disabled path is a nil check only.
-	Profile *prof.Labeler
 }
 
 // Proc is one BSP process's handle to the library. A Proc is confined to
@@ -141,11 +135,6 @@ type Proc struct {
 	// (every use is guarded by a nil check — the whole cost of the
 	// disabled path).
 	tr *trace.Buf
-
-	// pr is this rank's profiling handle; nil when profiling is
-	// disabled (prof.Rank methods are nil-receiver-safe, so the
-	// disabled path costs a nil check inside each call).
-	pr *prof.Rank
 
 	// phase counts barrier phases for the watchdog: +1 entering the
 	// transport Sync (waiting), +1 on its successful return
@@ -265,10 +254,6 @@ func (c *Proc) Sync() {
 	if c.tr != nil {
 		arrive = c.tr.Now()
 	}
-	// The compute slice of this superstep ends here: CPU from now to
-	// the barrier release belongs to the sync phase (the transport
-	// narrows its data-movement slice to "exchange" via ProfSetter).
-	c.pr.SetPhase(prof.Sync, c.step)
 	if c.phase != nil {
 		c.phase.Add(1)
 	}
@@ -299,10 +284,8 @@ func (c *Proc) Sync() {
 		// The barrier just completed: every rank's superstep-t messages
 		// are delivered and nothing of superstep t+1 exists — a globally
 		// consistent cut, the only point where a snapshot is restartable.
-		c.pr.SetPhase(prof.Ckpt, c.step)
 		c.ck.capture(c)
 	}
-	c.pr.SetPhase(prof.Compute, c.step)
 	c.segStart = time.Now()
 }
 
@@ -406,6 +389,11 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 			defer finished[s].Store(true)
 			ep := eps[s]
 			i := ranks[s]
+			// One fixed pprof label per rank, set before any restore so
+			// its CPU is attributed too; goroutines the rank starts
+			// inherit it. The phase is on the stack, the superstep in
+			// the trace.
+			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("bsp_rank", strconv.Itoa(i))))
 			defer ep.Close()
 			defer func() {
 				if r := recover(); r != nil {
@@ -477,18 +465,6 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 						c.tr.CkptRestore(snap.Step, restoreStart, c.tr.Now())
 					}
 				}
-			}
-			if cfg.Profile != nil {
-				// Arm profiling after the resume block so the first
-				// labels carry the resume superstep, not 0. End runs
-				// deferred so the labels and runtime/trace regions are
-				// settled even when fn panics.
-				c.pr = cfg.Profile.Rank(i)
-				if ps, ok := ep.(transport.ProfSetter); ok {
-					ps.SetProf(c.pr)
-				}
-				c.pr.Begin(c.step)
-				defer c.pr.End()
 			}
 			procs[i] = c
 			fn(c)

@@ -1,0 +1,6 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports whether the tests were built with -race.
+const raceEnabled = false

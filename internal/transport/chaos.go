@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -387,15 +386,6 @@ func (e *chaosEndpoint) SetTrace(b *trace.Buf) {
 func (e *chaosEndpoint) SetDump(fn func(reason string)) {
 	if ds, ok := e.Endpoint.(DumpSetter); ok {
 		ds.SetDump(fn)
-	}
-}
-
-// SetProf implements ProfSetter by forwarding to the wrapped endpoint:
-// the decorator adds no data movement of its own, so the base
-// transport's exchange marks are the whole story.
-func (e *chaosEndpoint) SetProf(r *prof.Rank) {
-	if ps, ok := e.Endpoint.(ProfSetter); ok {
-		ps.SetProf(r)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // touches no socket, lock, goroutine or clock (time enters only as
 // now), so it is tested by feeding it event sequences; coordinator.go
 // turns sockets and timers into events and actions into writes.
-// DESIGN §12 tabulates state × event → actions.
+// DESIGN §11 tabulates state × event → actions.
 
 // connID names one accepted control connection; the shell assigns them.
 type connID int

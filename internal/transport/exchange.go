@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -38,7 +37,6 @@ type exchange struct {
 	// pairs holds, while tracing, each outgoing batch's payload bytes,
 	// frames and packet units, read before a reader can recycle it.
 	pairs  [][3]int
-	pr     *prof.Rank
 	closed bool
 }
 
@@ -75,9 +73,6 @@ func (x *exchange) Abort() { x.m.Abort() }
 
 // SetTrace implements TraceSetter.
 func (x *exchange) SetTrace(b *trace.Buf) { x.buf = b }
-
-// SetProf implements ProfSetter.
-func (x *exchange) SetProf(r *prof.Rank) { x.pr = r }
 
 // handedBatches reports how many nonempty contiguous buffers this
 // endpoint has handed to other processes.
@@ -116,9 +111,7 @@ func (x *exchange) Sync() (*Inbox, error) {
 	// The link's transfer is the superstep's whole data movement; what
 	// the enclosing sync span adds is barrier skew and core's own work.
 	start := x.buf.Now()
-	x.pr.Mark(prof.Exchange)
 	err := x.link.transfer()
-	x.pr.Mark(prof.Sync)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -95,20 +94,6 @@ type Endpoint interface {
 // which costs a nil check only.
 type TraceSetter interface {
 	SetTrace(*trace.Buf)
-}
-
-// ProfSetter is implemented by endpoints that carve their data-movement
-// slice out of the sync phase with profiling labels, as every
-// transport's exchange engine does: inside Sync it marks prof.Exchange
-// around the link's transfer and prof.Sync back afterwards, so a CPU
-// profile separates wire time from barrier wait. core installs the rank
-// handle after Open when profiling is armed; like SetTrace it must be
-// called from the rank's own goroutine before the first Sync, and a nil
-// handle (or never calling SetProf) keeps the endpoint on its unlabeled
-// path — prof.Rank methods are nil-receiver-safe, so the disabled cost
-// is a nil check.
-type ProfSetter interface {
-	SetProf(*prof.Rank)
 }
 
 // DumpSetter is implemented by endpoints whose membership plane can

@@ -48,7 +48,8 @@
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
 #                     crash and rollback markers (validated by
-#                     cmd/tracecheck)
+#                     cmd/tracecheck), and an untraced run's
+#                     -cost-report must print the residual table
 #   make cluster-smoke  end-to-end multi-process smoke: psort and ocean
 #                     run as real OS processes (one per rank, loopback
 #                     TCP) via bsprun -cluster; a clean run must leave a
@@ -167,6 +168,8 @@ trace-smoke:
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport shm \
 		-trace $(TRACE_DIR)/clean.json
 	$(TRACE_DIR)/tracecheck -ranks 4 -check-pairs $(TRACE_DIR)/clean.json
+	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport shm \
+		-cost-report | grep -q "cost-model residuals"
 
 cluster-smoke:
 	rm -rf $(CLUSTER_DIR) && mkdir -p $(CLUSTER_DIR)

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/trace"
 )
@@ -219,5 +220,5 @@ func report(w *os.File, man *trace.BundleManifest, dumps []trace.Dump, machine c
 		return
 	}
 	fmt.Fprintln(w)
-	trace.WriteResidualReport(w, rec, machine.Name, machine.Params(man.P), 3)
+	core.WriteResidualReport(w, core.StatsFromTrace(rec), machine.Name, machine.Params(man.P), 3)
 }

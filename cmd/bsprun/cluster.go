@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/launch"
 	"repro/internal/trace"
@@ -172,7 +173,7 @@ func printCalibration(doc transport.StatusDoc, rec *trace.Recorder) {
 		return
 	}
 	var actual, predicted float64
-	for _, r := range trace.Residuals(rec, cost.Params{G: sum.GUsPerPkt, L: sum.LUs}) {
+	for _, r := range core.StatsFromTrace(rec).Residuals(cost.Params{G: sum.GUsPerPkt, L: sum.LUs}) {
 		actual += float64(r.Actual)
 		predicted += float64(r.Predicted)
 	}
@@ -250,7 +251,7 @@ func runClusterLauncher(f launcherFlags) {
 		if err != nil {
 			fail(err)
 		}
-		trace.WriteResidualReport(os.Stdout, rec, machine.Name, machine.Params(f.p), 3)
+		core.WriteResidualReport(os.Stdout, core.StatsFromTrace(rec), machine.Name, machine.Params(f.p), 3)
 	}
 	if err := printModelBlock(f.app, f.size, f.p, nil); err != nil {
 		fail(err)

@@ -239,7 +239,7 @@ func main() {
 	// Any observability consumer arms the recorder; otherwise cfg.Trace
 	// stays nil and every instrumentation site is a nil check.
 	rec := cfg.Trace
-	if rec == nil && (*traceFile != "" || *metricsAddr != "" || *costReport) {
+	if rec == nil && (*traceFile != "" || *metricsAddr != "") {
 		rec = trace.New(*p)
 		cfg.Trace = rec
 	}
@@ -336,7 +336,7 @@ func main() {
 		}
 	}
 	if *costReport {
-		trace.WriteResidualReport(os.Stdout, rec, machine.Name, machine.Params(*p), 3)
+		core.WriteResidualReport(os.Stdout, st, machine.Name, machine.Params(*p), 3)
 		if prog.CostReport != nil {
 			prog.CostReport(os.Stdout, machine.Name, machine.Params(*p), *size, *p, st)
 		}

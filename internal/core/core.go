@@ -120,7 +120,11 @@ type Proc struct {
 	sentPkts int
 	selfPkts int // portion of sentPkts addressed to this rank itself
 	units    int
-	segStart time.Time
+	// epoch is the machine clock's zero: the trace recorder's epoch
+	// when tracing, runMachine's start otherwise. start is when the
+	// current superstep's computation began, in ns after epoch.
+	epoch time.Time
+	start int64
 
 	// step counts completed supersteps (Sync returns) over the whole
 	// logical run: a process restored from a checkpoint starts at the
@@ -144,11 +148,15 @@ type Proc struct {
 }
 
 // stepRecord captures one process's contribution to one superstep.
+// Times are ns after the machine epoch: computation ran from start to
+// barrier arrive, and the barrier released the rank at release. The
+// trailing segment after the last Sync has release == arrive. A zero
+// record is a step the rank did not record (see StatsFromTrace).
 type stepRecord struct {
-	work  time.Duration
-	units int // abstract work units reported via AddWork
-	sent  int // packet units sent during the superstep
-	recv  int // packet units delivered at the superstep's end
+	start, arrive, release int64
+	units                  int // abstract work units reported via AddWork
+	sent                   int // packet units sent during the superstep
+	recv                   int // packet units delivered at the superstep's end
 }
 
 // ID returns this process's rank in [0, P).
@@ -249,11 +257,7 @@ func (c *Proc) AddWork(n int) { c.units += n }
 // received from the previous superstep are discarded, as in the paper's
 // alternating-buffer implementations.
 func (c *Proc) Sync() {
-	work := time.Since(c.segStart)
-	var arrive int64
-	if c.tr != nil {
-		arrive = c.tr.Now()
-	}
+	arrive := c.now()
 	if c.phase != nil {
 		c.phase.Add(1)
 	}
@@ -261,20 +265,20 @@ func (c *Proc) Sync() {
 	if err != nil {
 		panic(syncFailure{err})
 	}
+	release := c.now()
 	if c.phase != nil {
 		c.phase.Add(1)
 	}
 	recv := 0
 	inbox.EachFrameLen(func(n int) { recv += pktUnits(n) })
 	if c.tr != nil {
-		// The compute span ends at barrier arrival; the sync span covers
-		// exchange plus barrier wait until release. Straggler attribution
-		// falls out of comparing arrive times across ranks.
-		release := c.tr.Now()
-		c.tr.Compute(c.step, arrive-int64(work), arrive, c.units)
+		// The trace's spans are the step record's own times: the compute
+		// span ends at barrier arrival, the sync span covers exchange
+		// plus barrier wait until release.
+		c.tr.Compute(c.step, c.start, arrive, c.units)
 		c.tr.SyncSpan(c.step, arrive, release, c.sentPkts, recv, c.selfPkts)
 	}
-	c.steps = append(c.steps, stepRecord{work: work, units: c.units, sent: c.sentPkts, recv: recv})
+	c.steps = append(c.steps, stepRecord{start: c.start, arrive: arrive, release: release, units: c.units, sent: c.sentPkts, recv: recv})
 	c.sentPkts = 0
 	c.selfPkts = 0
 	c.units = 0
@@ -286,18 +290,18 @@ func (c *Proc) Sync() {
 		// consistent cut, the only point where a snapshot is restartable.
 		c.ck.capture(c)
 	}
-	c.segStart = time.Now()
+	c.start = c.now()
 }
 
 // finish records the trailing computation segment after the last Sync.
 func (c *Proc) finish() {
-	work := time.Since(c.segStart)
-	if c.tr != nil {
-		now := c.tr.Now()
-		c.tr.Compute(c.step, now-int64(work), now, c.units)
-	}
-	c.steps = append(c.steps, stepRecord{work: work, units: c.units, sent: c.sentPkts})
+	end := c.now()
+	c.tr.Compute(c.step, c.start, end, c.units)
+	c.steps = append(c.steps, stepRecord{start: c.start, arrive: end, release: end, units: c.units, sent: c.sentPkts})
 }
+
+// now reads the machine clock: ns after the epoch.
+func (c *Proc) now() int64 { return int64(time.Since(c.epoch)) }
 
 // syncFailure wraps a transport error raised inside Sync so Run can tell
 // infrastructure failures from program panics.
@@ -336,6 +340,11 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 		// dump, while the unbounded event slices stay empty. cfg is a
 		// local copy, so each recovery attempt gets a fresh ring.
 		cfg.Trace = trace.NewFlight(cfg.P)
+	}
+	// One clock for step records and trace spans, so the two agree.
+	epoch := time.Now()
+	if cfg.Trace != nil {
+		epoch = cfg.Trace.EpochWall()
 	}
 	var gopts transport.GroupOptions
 	if cfg.Group != nil {
@@ -426,7 +435,7 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 				}
 			}
 			ep.Begin()
-			c := &Proc{id: i, p: cfg.P, ep: ep, segStart: time.Now()}
+			c := &Proc{id: i, p: cfg.P, ep: ep, epoch: epoch}
 			if cfg.Trace != nil {
 				c.tr = cfg.Trace.Rank(i)
 				// A fresh attempt's endpoints count supersteps from zero
@@ -442,10 +451,7 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 				c.ck = rs.cap
 				if rs.resume != nil {
 					snap := rs.resume[i]
-					var restoreStart int64
-					if c.tr != nil {
-						restoreStart = c.tr.Now()
-					}
+					restoreStart := c.now()
 					c.step, c.lastCap = snap.Step, snap.Step
 					// The resumed attempt's fresh endpoints count
 					// supersteps from zero; realign their Pair/Exchange/
@@ -461,11 +467,12 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 							panic(syncFailure{fmt.Errorf("restore hook: %w", err)})
 						}
 					}
-					if c.tr != nil {
-						c.tr.CkptRestore(snap.Step, restoreStart, c.tr.Now())
-					}
+					c.tr.CkptRestore(snap.Step, restoreStart, c.now())
 				}
 			}
+			// Superstep work starts after any restore: Restore's time
+			// is the CkptRestore span, not the first step's w_i.
+			c.start = c.now()
 			procs[i] = c
 			fn(c)
 			c.finish()

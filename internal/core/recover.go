@@ -200,11 +200,7 @@ func (k *capturer) capture(c *Proc) {
 	if c.step-c.lastCap < k.every {
 		return
 	}
-	start := time.Now()
-	var trStart int64
-	if c.tr != nil {
-		trStart = c.tr.Now()
-	}
+	start := c.now()
 	rc := &k.ranks[c.id]
 	user, ok := k.save(c, rc.buf[:0])
 	if !ok {
@@ -230,11 +226,10 @@ func (k *capturer) capture(c *Proc) {
 		}
 		rc.queue <- flushJob{rec: rec, step: c.step, bytes: size}
 	}
-	if c.tr != nil {
-		c.tr.CkptSave(c.step, trStart, c.tr.Now(), size)
-	}
+	end := c.now()
+	c.tr.CkptSave(c.step, start, end, size)
 	k.mu.Lock()
-	k.stats.Time += time.Since(start)
+	k.stats.Time += time.Duration(end - start)
 	k.fail(err)
 	k.mu.Unlock()
 }

@@ -23,6 +23,13 @@ type Step struct {
 	MaxH int
 	// SumSent is the total number of packets sent during the superstep.
 	SumSent int
+	// Actual is the superstep's wall time: from the earliest compute
+	// start to the latest barrier release of any process.
+	Actual time.Duration
+	// Straggler is the process that arrived at the barrier last — the
+	// one the others waited for — or -1 when no process recorded the
+	// superstep.
+	Straggler int
 }
 
 // Stats are the merged per-superstep measurements of a BSP run. They
@@ -167,10 +174,12 @@ func (s *Stats) String() string {
 // ranks' contribution to the machine (P stays the machine width).
 func mergeStats(p int, procs []*Proc) (*Stats, error) {
 	steps, first := -1, -1
+	recs := make([][]stepRecord, len(procs))
 	for i, pr := range procs {
 		if pr == nil {
 			continue
 		}
+		recs[i] = pr.steps
 		if steps == -1 {
 			steps, first = len(pr.steps), i
 		} else if len(pr.steps) != steps {
@@ -180,22 +189,42 @@ func mergeStats(p int, procs []*Proc) (*Stats, error) {
 	if steps == -1 {
 		return nil, fmt.Errorf("bsp: no process produced statistics")
 	}
-	st := &Stats{P: p, Syncs: steps - 1, Steps: make([]Step, steps)}
-	for _, pr := range procs {
-		if pr == nil {
-			continue
-		}
-		for i, rec := range pr.steps {
-			s := &st.Steps[i]
-			s.MaxWork = max(s.MaxWork, rec.work)
-			s.SumWork += rec.work
+	return foldSteps(p, steps-1, recs), nil
+}
+
+// foldSteps is the one fold of step records into Stats, for a run's
+// own records and for those StatsFromTrace replays. recs[r] holds rank
+// r's records by superstep (nil for a rank not hosted here); a zero
+// record is a superstep the rank did not record.
+func foldSteps(p, syncs int, recs [][]stepRecord) *Stats {
+	st := &Stats{P: p, Syncs: syncs, Steps: make([]Step, syncs+1)}
+	for i := range st.Steps {
+		s := &st.Steps[i]
+		s.Straggler = -1
+		var first, last, lastArrive int64
+		for r, rs := range recs {
+			if i >= len(rs) || rs[i].release == 0 {
+				continue
+			}
+			rec := rs[i]
+			work := time.Duration(rec.arrive - rec.start)
+			s.MaxWork = max(s.MaxWork, work)
+			s.SumWork += work
 			s.MaxUnits = max(s.MaxUnits, rec.units)
 			s.SumUnits += rec.units
 			s.MaxH = max(s.MaxH, max(rec.sent, rec.recv))
 			s.SumSent += rec.sent
+			if s.Straggler < 0 || rec.start < first {
+				first = rec.start
+			}
+			if s.Straggler < 0 || rec.arrive > lastArrive {
+				lastArrive, s.Straggler = rec.arrive, r
+			}
+			last = max(last, rec.release)
 		}
+		s.Actual = time.Duration(last - first)
 	}
-	return st, nil
+	return st
 }
 
 // LoadImbalance returns the ratio of the work depth to the ideal

@@ -49,7 +49,7 @@ func (p Params) CommTime(h, s int) time.Duration {
 // relative local-computation speed used when transferring work
 // measurements across platforms.
 type Machine struct {
-	// Name identifies the platform ("SGI", "Cenju", "PC", "Host").
+	// Name identifies the platform ("SGI", "Cenju", "PC").
 	Name string
 	// ByProcs maps a processor count to measured parameters.
 	ByProcs map[int]Params

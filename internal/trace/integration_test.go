@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/psort"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -203,33 +202,5 @@ func TestTraceRecoveredRun(t *testing.T) {
 				t.Fatalf("chrome export missing markers: crash=%v rollback=%v", sawCrash, sawRollback)
 			}
 		})
-	}
-}
-
-// TestTraceCleanRunResiduals: a fault-free traced run yields one
-// residual row per superstep with the recorded h_i matching the
-// application's Stats.
-func TestTraceCleanRunResiduals(t *testing.T) {
-	data := psort.RandomData(4000, 1996)
-	rec := trace.New(traceP)
-	cfg := core.Config{P: traceP, Transport: transport.ShmTransport{}, Trace: rec}
-	_, st, err := psort.Parallel(cfg, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := trace.Residuals(rec, cost.SGI.Params(traceP))
-	if len(rows) != st.Syncs {
-		t.Fatalf("%d residual rows, want %d (one per superstep)", len(rows), st.Syncs)
-	}
-	for i, row := range rows {
-		if row.Step != i {
-			t.Fatalf("row %d has step %d", i, row.Step)
-		}
-		if row.H != st.Steps[i].MaxH {
-			t.Fatalf("superstep %d: residual h_i = %d, Stats MaxH = %d", i, row.H, st.Steps[i].MaxH)
-		}
-		if row.Actual <= 0 || row.Predicted <= 0 {
-			t.Fatalf("superstep %d: non-positive times: %+v", i, row)
-		}
 	}
 }

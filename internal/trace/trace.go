@@ -35,8 +35,9 @@
 //
 // Consumers: WriteChrome renders the merged timeline as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing, one
-// track per rank); Residuals joins the recorded (w_i, h_i) with
-// cost.Params to report predicted-vs-actual time per superstep.
+// track per rank). The compute and barrier spans carry core's own step
+// times, so core.StatsFromTrace replays them into the same per-
+// superstep account a run's Stats hold.
 package trace
 
 import (

@@ -14,8 +14,9 @@
 #                     batches at exactly 0 allocs per superstep
 #                     (internal/transport), a
 #                     checkpoint capture must allocate the same bytes
-#                     for a 1 MiB inbox as for a 64 KiB one (the inbox
-#                     is streamed into the record, internal/core), and
+#                     for a 1 MiB inbox or kept slice as for a 64 KiB
+#                     one (both are streamed into the record,
+#                     internal/core), and
 #                     the sample sort's alloc count must stay flat in n
 #                     and its bytes stay at <= 40 per element
 #                     (internal/psort)
@@ -143,7 +144,7 @@ verify-alloc:
 flake-check:
 	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/
 	$(GO) test -race -count=20 -run TestTraceFlightRing ./internal/trace/
-	$(GO) test -race -count=20 -run 'Recovery|Crash|Recoverable|LoadComplete|^TestCapture|SaveBuffer' ./internal/ckpt/ ./internal/core/
+	$(GO) test -race -count=20 -run 'Recovery|Crash|Recoverable|LoadComplete|^TestCapture|^TestKeep' ./internal/ckpt/ ./internal/core/
 
 golden:
 	$(GO) test -count=1 ./internal/trace/ ./internal/ocean/ ./internal/apps/ -run 'Golden' -update

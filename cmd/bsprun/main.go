@@ -17,10 +17,10 @@
 //	    -sync-timeout 10s
 //
 // With -checkpoint-dir the run recovers from crash faults, aborts and
-// timeouts: apps with checkpoint hooks (ocean, psort) snapshot their
-// state at superstep boundaries and roll back to the latest complete
-// cut, the others re-execute from superstep 0; -resume continues from
-// the latest complete snapshot of an earlier invocation:
+// timeouts: apps that keep state (ocean, psort; core.Proc.Keep)
+// snapshot it at superstep boundaries and roll back to the latest
+// complete cut, the others re-execute from superstep 0; -resume
+// continues from the latest complete snapshot of an earlier invocation:
 //
 //	bsprun -app psort -size 16000 -p 4 -transport tcp \
 //	    -chaos crash=1:3 -checkpoint-dir /tmp/ckpt -checkpoint-every 2 -resume
@@ -87,7 +87,7 @@ func main() {
 	cluster := flag.Bool("cluster", false, "run each rank as its own OS process over loopback TCP (self-exec fan-out; supersedes -transport); combines with -chaos and -checkpoint-dir for gang-level crash recovery")
 	chaosSpec := flag.String("chaos", "", "fault-injection plan, e.g. \"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,connerr=0.05,abort=1@3,crash=1:3\"; empty disables")
 	syncTimeout := flag.Duration("sync-timeout", 0, "abort the run if no process completes a superstep for this long (0 disables)")
-	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms crash recovery (apps with checkpoint hooks resume from superstep snapshots, the others re-execute from scratch)")
+	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms crash recovery (apps that keep state resume from superstep snapshots, the others re-execute from scratch)")
 	hbInterval := flag.Duration("heartbeat-interval", 0, "cluster liveness heartbeat period on the control plane (0 = 500ms default, negative disables)")
 	suspectAfter := flag.Duration("suspect-after", 0, "declare a connected-but-silent cluster rank crashed after this long without a heartbeat (0 = 5s default, negative disables)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "snapshot every Nth eligible superstep boundary")
@@ -245,7 +245,7 @@ func main() {
 	}
 	if isChild && child.Resume && child.Rank == 0 && rec != nil && *ckptDir != "" {
 		// A gang-level rollback spans processes, so no single child's
-		// RunRecoverable records it. Mark it once, on the resuming
+		// core.Run records it. Mark it once, on the resuming
 		// generation's rank-0 shard, so the merged trace shows the
 		// generation boundary and the superstep it resumed from.
 		if step, _, ok := (&ckpt.Store{Dir: *ckptDir}).LoadComplete(*p); ok {

@@ -5,14 +5,15 @@
 // state (the fault-tolerance extension the paper leaves open).
 //
 // A snapshot record holds one rank's state at one superstep boundary:
-// the superstep counter, the application state produced by the rank's
-// Save hook, and the rank's undelivered inbox as internal/wire frame
-// batches (so a restored rank's first Recv/GetPkt sees exactly the
-// delivery the barrier promised). The inbox's own batches are streamed
-// into the record back to back — never re-framed or gathered into an
-// intermediate buffer. A record whose application state equals that of
-// the rank's last full record is written as a reference to it instead
-// (version 2: the base step and no user bytes). Records are
+// the superstep counter, the application state the rank keeps, and the
+// rank's undelivered inbox as internal/wire frame batches (so a restored
+// rank's first Recv/GetPkt sees exactly the delivery the barrier
+// promised). Both are streamed into the record from where they live —
+// the application's own memory and the inbox's own batches — never
+// re-framed or gathered into an intermediate buffer. A record whose
+// application state equals that of the rank's last full record is
+// written as a reference to it instead (version 2: the base step and no
+// user bytes). Records are
 // crc32-validated and reach their final names atomically: streamed into
 // a temporary file, then fsync → rename → directory fsync, which a
 // caller may run later and on another goroutine (Stage, Publish).
@@ -47,8 +48,13 @@ type Snapshot struct {
 	// only restorable into a machine of the same P.
 	Rank int
 	P    int
-	// User is the opaque application state returned by the Save hook.
+	// User is the opaque application state: the record's user section,
+	// or its head when Views is set.
 	User []byte
+	// Views continue the user section after User, back to back: views
+	// of application memory streamed into the record as they are. A
+	// decoded snapshot holds the whole section in User.
+	Views [][]byte
 	// Base, when positive, makes this a reference record: User is not
 	// stored, and is the user section of the same rank's full record at
 	// superstep Base. A reference has no user bytes of its own; the
@@ -61,6 +67,15 @@ type Snapshot struct {
 	// is byte-identical to re-framing the frames into one batch. A
 	// decoded snapshot holds the section as at most one batch.
 	Batches [][]byte
+}
+
+// UserLen is the length of the record's user section: User and Views.
+func (s *Snapshot) UserLen() int {
+	n := len(s.User)
+	for _, v := range s.Views {
+		n += len(v)
+	}
+	return n
 }
 
 // BatchLen is the length of the record's batch section: the inbox
@@ -98,7 +113,7 @@ const (
 //	rank    u32
 //	p       u32
 //	base    u64  (version 2 only: the step of the full record holding User)
-//	userLen u32, user bytes (always empty in version 2)
+//	userLen u32, user bytes (User then Views; always empty in version 2)
 //	batchLen u32, batch bytes (s.Batches back to back)
 //	crc32   u32  (IEEE, over everything preceding it)
 func writeRecord(w *recordWriter, s *Snapshot) error {
@@ -115,8 +130,11 @@ func writeRecord(w *recordWriter, s *Snapshot) error {
 	if s.Base > 0 {
 		w.buf = le.AppendUint64(w.buf, uint64(s.Base))
 	}
-	w.buf = le.AppendUint32(w.buf, uint32(len(s.User)))
+	w.buf = le.AppendUint32(w.buf, uint32(s.UserLen()))
 	w.section(s.User)
+	for _, v := range s.Views {
+		w.section(v)
+	}
 	w.buf = le.AppendUint32(w.buf, uint32(s.BatchLen()))
 	for _, b := range s.Batches {
 		w.section(b)
@@ -138,7 +156,8 @@ type recordWriter struct {
 	err error
 }
 
-// section emits p, a user or inbox section, after any staged fields.
+// section emits p, part of a user or inbox section, after any staged
+// fields.
 func (w *recordWriter) section(p []byte) {
 	if w.out == nil {
 		w.buf = append(w.buf, p...)
@@ -183,7 +202,7 @@ func streamRecord(out io.Writer, s *Snapshot) error {
 // EncodeSnapshot serializes s into a self-validating record: the bytes
 // WriteRank puts in a rank file, built in one exactly-sized buffer.
 func EncodeSnapshot(s *Snapshot) []byte {
-	n := recordOverhead + len(s.User) + s.BatchLen()
+	n := recordOverhead + s.UserLen() + s.BatchLen()
 	if s.Base > 0 {
 		n += 8
 	}
@@ -350,19 +369,18 @@ func (st *Store) WriteRank(s *Snapshot) error {
 
 // Writer stages one rank's records in cut order and writes a record
 // whose user section equals that of the last full record it staged as
-// a reference to that record. It keeps no copy of the section: the
-// length and then the crc32 reject a changed state cheaply, and
-// equality is decided byte for byte against the base record itself,
-// read back through a handle that stays valid across its rename. A
-// Writer belongs to one goroutine. Its records must be published in the
-// order they were staged, so that no reference reaches its final name
-// before its base.
+// a reference to that record. It keeps no copy of the section: a
+// different length rejects a changed state for free, and equality is
+// decided byte for byte against the base record itself, read back
+// through a handle that stays valid across its rename — a changed state
+// fails at its first differing chunk. A Writer belongs to one goroutine. Its
+// records must be published in the order they were staged, so that no
+// reference reaches its final name before its base.
 type Writer struct {
 	st       *Store
 	base     *os.File // read handle on the last full record; nil before one
 	baseStep int
 	baseLen  int
-	baseCRC  uint32
 	chunk    []byte // read-back scratch, at most readChunk bytes
 }
 
@@ -373,13 +391,13 @@ const readChunk = 32 << 10
 func (st *Store) NewWriter() *Writer { return &Writer{st: st} }
 
 // Stage stages s as Store.Stage does, or a reference in its place when
-// s.User equals the user section of the last full record w staged. s
+// s's user section equals that of the last full record w staged. s
 // itself is not modified.
 func (w *Writer) Stage(s *Snapshot) (*Staged, error) {
-	sum := crc32.ChecksumIEEE(s.User)
-	if w.base != nil && len(s.User) == w.baseLen && sum == w.baseCRC && w.sameAsBase(s.User) {
+	n := s.UserLen()
+	if w.base != nil && n == w.baseLen && w.sameAsBase(s) {
 		ref := *s
-		ref.User, ref.Base = nil, w.baseStep
+		ref.User, ref.Views, ref.Base = nil, nil, w.baseStep
 		return w.st.Stage(&ref)
 	}
 	staged, err := w.st.Stage(s)
@@ -388,25 +406,39 @@ func (w *Writer) Stage(s *Snapshot) (*Staged, error) {
 	}
 	w.Close()
 	if f, err := os.Open(staged.f.Name()); err == nil {
-		w.base, w.baseStep, w.baseLen, w.baseCRC = f, s.Step, len(s.User), sum
+		w.base, w.baseStep, w.baseLen = f, s.Step, n
 	}
 	return staged, nil
 }
 
-// sameAsBase compares user with the base record's user section on
-// disk. A read error counts as a difference.
-func (w *Writer) sameAsBase(user []byte) bool {
-	if n := min(len(user), readChunk); len(w.chunk) < n {
+// sameAsBase compares s's user section, part by part, with the base
+// record's on disk. A read error counts as a difference.
+func (w *Writer) sameAsBase(s *Snapshot) bool {
+	off := w.matchAt(headerLen, s.User)
+	for _, v := range s.Views {
+		off = w.matchAt(off, v)
+	}
+	return off >= 0
+}
+
+// matchAt compares p with the base record's bytes at off and returns
+// the offset just past them, or -1 — also when off already is — on the
+// first difference.
+func (w *Writer) matchAt(off int, p []byte) int {
+	if off < 0 {
+		return -1
+	}
+	if n := min(len(p), readChunk); len(w.chunk) < n {
 		w.chunk = make([]byte, n)
 	}
-	for off := 0; off < len(user); {
-		got := w.chunk[:min(len(user)-off, len(w.chunk))]
-		if _, err := w.base.ReadAt(got, int64(headerLen+off)); err != nil || !bytes.Equal(got, user[off:off+len(got)]) {
-			return false
+	for len(p) > 0 {
+		got := w.chunk[:min(len(p), len(w.chunk))]
+		if _, err := w.base.ReadAt(got, int64(off)); err != nil || !bytes.Equal(got, p[:len(got)]) {
+			return -1
 		}
-		off += len(got)
+		off, p = off+len(got), p[len(got):]
 	}
-	return true
+	return off
 }
 
 // Close releases w's handle on its base record. The next record w

@@ -395,7 +395,8 @@ func TestLoadCompleteReference(t *testing.T) {
 
 // TestWriterReferences: a Writer stages a reference exactly when the
 // user state equals the last full record's — same length and crc is not
-// enough — and the records it stages load back to the states saved.
+// enough, and how the section is split between User and Views does not
+// matter — and the records it stages load back to the states saved.
 func TestWriterReferences(t *testing.T) {
 	const p = 1
 	st := &Store{Dir: t.TempDir()}
@@ -415,20 +416,28 @@ func TestWriterReferences(t *testing.T) {
 		t.Fatal("crcTwin is not a crc32 collision")
 	}
 	states := []struct {
-		user []byte
-		base int // 0 = full record expected
+		user  []byte
+		split bool // staged as User and two Views
+		base  int  // 0 = full record expected
 	}{
-		{big, 0},
-		{big, 1},
-		{flipped, 0},
-		{crcTwin, 0},
-		{crcTwin, 4},
-		{nil, 0},
-		{[]byte{}, 6},
+		{big, false, 0},
+		{big, false, 1},
+		{big, true, 1},
+		{flipped, true, 0},
+		{flipped, false, 4},
+		{crcTwin, false, 0},
+		{crcTwin, true, 6},
+		{nil, false, 0},
+		{[]byte{}, true, 8},
 	}
 	for i, c := range states {
 		step := i + 1
-		rec, err := w.Stage(&Snapshot{Step: step, Rank: 0, P: p, User: c.user})
+		snap := &Snapshot{Step: step, Rank: 0, P: p, User: c.user}
+		if c.split {
+			a, b := len(c.user)/3, 2*len(c.user)/3
+			snap.User, snap.Views = c.user[:a], [][]byte{c.user[a:b], c.user[b:]}
+		}
+		rec, err := w.Stage(snap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,8 @@ const (
 	allocGateRuns = 10
 	// The capture gate: captureP processes exchanging captureMsg-byte
 	// messages; per-capture allocation may differ by less than
-	// captureSlack bytes between a 64 KiB and a 1 MiB inbox.
+	// captureSlack bytes between a 64 KiB and a 1 MiB inbox, and between
+	// a 64 KiB and a 1 MiB kept slice.
 	captureP     = 2
 	captureMsg   = 4 << 10
 	captureSlack = 32 << 10
@@ -224,31 +225,32 @@ func TestExchangeAllocGate(t *testing.T) {
 	}
 }
 
-// captureBytes runs a captureP-process shm machine under RunRecoverable
-// with a snapshot at every boundary, each process receiving inbox bytes
-// of 4 KiB messages per superstep (an equal share from every source),
-// and returns the steady-state bytes the whole program allocates per
-// capture (one rank's record at one boundary). The collector is off
+// captureBytes runs a captureP-process shm machine with a snapshot at
+// every boundary, each process receiving inbox bytes of 4 KiB messages
+// per superstep (an equal share from every source) and keeping a
+// []float64 of kept bytes that changes at every boundary (so every
+// record is a full one), and returns the steady-state bytes the whole
+// program allocates per capture (one rank's record at one boundary). The collector is off
 // while it measures, so the exchange's pooled buffers survive and only
 // fresh allocations count. It is off for a settle phase first, long
 // enough for the pool to reach its high-water mark: the flushers'
 // fsyncs move rank goroutines between Ps, and a sync.Pool cannot hand
 // out a buffer parked in another P's private slot, so the pool needs
 // some spares before a superstep never misses.
-func captureBytes(t *testing.T, inbox int) float64 {
+func captureBytes(t *testing.T, inbox, kept int) float64 {
 	t.Helper()
 	const warmup, settle, runs = 3, 10, 5
 	cfg := Config{P: captureP, Transport: transport.ShmTransport{},
 		Checkpoint: &CheckpointConfig{Dir: t.TempDir(), Every: 1}}
-	hooks := Hooks{Save: func(c *Proc, buf []byte) ([]byte, bool) {
-		return append(buf, byte(c.ID())), true
-	}}
 	var perStep float64
 	lockstep(t, captureP, warmup+settle+runs,
-		func(fn func(*Proc)) error { _, err := RunRecoverable(cfg, fn, hooks); return err },
+		func(fn func(*Proc)) error { _, err := Run(cfg, fn); return err },
 		func(c *Proc) func() {
 			msg := make([]byte, captureMsg)
+			state := make([]float64, kept/8)
+			c.Keep(&state)
 			return func() {
+				state[0]++
 				for dst := 0; dst < captureP; dst++ {
 					for n := 0; n < inbox/captureP/captureMsg; n++ {
 						c.Send(dst, msg)
@@ -281,23 +283,32 @@ func captureBytes(t *testing.T, inbox int) float64 {
 	return perStep / captureP
 }
 
-// TestCheckpointCaptureAllocGate: capturing a cut copies the app's
-// state and nothing else. The inbox's batches are streamed from the
-// transport's own buffers into the record file, so the bytes one
-// capture allocates do not depend on how much the inbox holds: a
-// 1 MiB inbox costs what a 64 KiB one does, to within a small
-// constant (file names, the os.File, the staged header). Re-framing
-// the inbox or assembling the record in memory grows with it, at
-// several times its size.
+// TestCheckpointCaptureAllocGate: capturing a cut copies nothing. The
+// kept state is streamed from the app's own memory and the inbox's
+// batches from the transport's own buffers into the record file, so
+// the bytes one capture allocates depend neither on how much the rank
+// keeps nor on how much its inbox holds: a 1 MiB kept slice or inbox
+// costs what a 64 KiB one does, to within a small constant (file
+// names, the os.File, the staged header). Encoding the state,
+// re-framing the inbox or assembling the record in memory grows with
+// them, at several times their size.
 func TestCheckpointCaptureAllocGate(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("alloc gate skipped in -short mode and under -race, where sync.Pool drops items at random")
 	}
-	small := captureBytes(t, 64<<10)
-	large := captureBytes(t, 1<<20)
-	t.Logf("bytes allocated per capture (p=%d, shm): %.0f with a 64 KiB inbox, %.0f with a 1 MiB inbox", captureP, small, large)
-	if d := large - small; d >= captureSlack || d <= -captureSlack {
-		t.Errorf("capture alloc gate: a 1 MiB inbox allocates %.0f bytes per capture, a 64 KiB one %.0f — want equal to within %d: the inbox must be streamed, not copied",
-			large, small, captureSlack)
+	small := captureBytes(t, 64<<10, 64<<10)
+	for _, axis := range []struct {
+		name        string
+		inbox, kept int
+	}{
+		{"inbox", 1 << 20, 64 << 10},
+		{"kept slice", 64 << 10, 1 << 20},
+	} {
+		large := captureBytes(t, axis.inbox, axis.kept)
+		t.Logf("bytes allocated per capture (p=%d, shm): %.0f with a 64 KiB %s, %.0f with a 1 MiB one", captureP, small, axis.name, large)
+		if d := large - small; d >= captureSlack || d <= -captureSlack {
+			t.Errorf("capture alloc gate: a 1 MiB %s allocates %.0f bytes per capture, a 64 KiB one %.0f — want equal to within %d: it must be streamed, not copied",
+				axis.name, large, small, captureSlack)
+		}
 	}
 }

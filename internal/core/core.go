@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -67,7 +68,7 @@ type Config struct {
 	// Group, when non-nil, carries the job identity (job id, gang
 	// epoch) to transports that implement transport.GroupTransport —
 	// the cluster transport fences handshakes on it. Nil runs an
-	// anonymous job. RunRecoverable bumps the epoch on every retry so
+	// anonymous job. Run bumps the epoch on every retry so
 	// a relaunched gang is fenced from stragglers of the crashed one.
 	Group *transport.GroupOptions
 	// SyncTimeout, when positive, bounds how long the machine may go
@@ -81,14 +82,13 @@ type Config struct {
 	// code must still return before Run can.
 	SyncTimeout time.Duration
 	// Checkpoint, when non-nil with a Dir, arms superstep snapshot
-	// capture and recovery for RunRecoverable (plain Run ignores it:
-	// capture needs the Save hook only RunRecoverable accepts).
+	// capture of the state ranks keep (Proc.Keep) and recovery.
 	Checkpoint *CheckpointConfig
 	// Trace, when non-nil, records per-superstep observability events:
 	// each rank's compute and barrier spans, per-(src,dst) exchange
 	// batches (on transports that implement transport.TraceSetter),
 	// checkpoint save/restore spans, chaos faults and recovery
-	// rollbacks. The recorder persists across RunRecoverable attempts,
+	// rollbacks. The recorder persists across Run's recovery attempts,
 	// so a recovered run's trace shows the crash, the rollback and the
 	// re-executed supersteps on one timeline. Nil disables tracing;
 	// the disabled path is a nil check only (see the alloc gate).
@@ -129,11 +129,15 @@ type Proc struct {
 	// step counts completed supersteps (Sync returns) over the whole
 	// logical run: a process restored from a checkpoint starts at the
 	// snapshot's superstep, not at 0. lastCap is the step of the last
-	// captured snapshot; ck, when non-nil, persists snapshots at
-	// boundaries the Save hook accepts.
+	// captured snapshot; ck, when non-nil, persists snapshots of the
+	// kept variables (Keep) at eligible boundaries. restore is the
+	// snapshot a resumed rank's first Keep fills them from; nil once it
+	// has, or when the rank started from scratch.
 	step    int
 	lastCap int
 	ck      *capturer
+	kept    []any
+	restore *ckpt.Snapshot
 
 	// tr is this rank's trace buffer; nil when tracing is disabled
 	// (every use is guarded by a nil check — the whole cost of the
@@ -166,8 +170,8 @@ func (c *Proc) ID() int { return c.id }
 func (c *Proc) P() int { return c.p }
 
 // Step returns the number of supersteps completed so far in the
-// logical run. A process restored from a checkpoint (RunRecoverable)
-// starts with Step equal to the snapshot's superstep; a fresh process
+// logical run. A process restored from a checkpoint (see Keep) starts
+// with Step equal to the snapshot's superstep; a fresh process
 // starts at 0 — which is how a recoverable program tells a scratch
 // start from a resume.
 func (c *Proc) Step() int { return c.step }
@@ -257,6 +261,7 @@ func (c *Proc) AddWork(n int) { c.units += n }
 // received from the previous superstep are discarded, as in the paper's
 // alternating-buffer implementations.
 func (c *Proc) Sync() {
+	c.checkRestored()
 	arrive := c.now()
 	if c.phase != nil {
 		c.phase.Add(1)
@@ -295,6 +300,7 @@ func (c *Proc) Sync() {
 
 // finish records the trailing computation segment after the last Sync.
 func (c *Proc) finish() {
+	c.checkRestored()
 	end := c.now()
 	c.tr.Compute(c.step, c.start, end, c.units)
 	c.steps = append(c.steps, stepRecord{start: c.start, arrive: end, release: end, units: c.units, sent: c.sentPkts})
@@ -307,26 +313,10 @@ func (c *Proc) now() int64 { return int64(time.Since(c.epoch)) }
 // infrastructure failures from program panics.
 type syncFailure struct{ err error }
 
-// Run executes fn as P BSP processes and returns the merged per-superstep
-// statistics. Run returns an error if any process panics or if the
-// transport fails; the first failure aborts the whole machine.
-//
-// Every process must execute the same number of supersteps (call Sync the
-// same number of times); diverging superstep counts are reported as
-// errors by the concurrent transports.
-//
-// Run is RunRecoverable without checkpoint hooks — the one run entry:
-// with cfg.Checkpoint armed a recoverable failure re-executes fn from
-// superstep 0, so fn must build its state from its inputs, not from
-// what an earlier attempt left behind.
-func Run(cfg Config, fn func(*Proc)) (*Stats, error) {
-	return RunRecoverable(cfg, fn, Hooks{})
-}
-
-// runMachine is one machine execution: Run with optional checkpoint
-// capture (rs.cap) and snapshot restore (rs.resume). RunRecoverable
-// wraps it in the rollback/retry loop.
-func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, error) {
+// runMachine is one machine execution with optional checkpoint capture
+// (rs.cap) and snapshot restore (rs.resume). Run wraps it in the
+// rollback/retry loop.
+func runMachine(cfg Config, fn func(*Proc), rs *runState) (*Stats, error) {
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("bsp: config.P must be >= 1, got %d", cfg.P)
 	}
@@ -398,8 +388,8 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 			defer finished[s].Store(true)
 			ep := eps[s]
 			i := ranks[s]
-			// One fixed pprof label per rank, set before any restore so
-			// its CPU is attributed too; goroutines the rank starts
+			// One fixed pprof label per rank, set before fn so a restore's
+			// CPU is attributed too; goroutines the rank starts
 			// inherit it. The phase is on the stack, the superstep in
 			// the trace.
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("bsp_rank", strconv.Itoa(i))))
@@ -451,8 +441,7 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 				c.ck = rs.cap
 				if rs.resume != nil {
 					snap := rs.resume[i]
-					restoreStart := c.now()
-					c.step, c.lastCap = snap.Step, snap.Step
+					c.step, c.lastCap, c.restore = snap.Step, snap.Step, snap
 					// The resumed attempt's fresh endpoints count
 					// supersteps from zero; realign their Pair/Exchange/
 					// Fault events with the machine's superstep axis.
@@ -462,16 +451,10 @@ func runMachine(cfg Config, fn func(*Proc), hooks Hooks, rs *runState) (*Stats, 
 						panic(syncFailure{fmt.Errorf("restored inbox: %w", err)})
 					}
 					c.inbox = inbox
-					if hooks.Restore != nil {
-						if err := hooks.Restore(c, snap.Step, snap.User); err != nil {
-							panic(syncFailure{fmt.Errorf("restore hook: %w", err)})
-						}
-					}
-					c.tr.CkptRestore(snap.Step, restoreStart, c.now())
 				}
 			}
-			// Superstep work starts after any restore: Restore's time
-			// is the CkptRestore span, not the first step's w_i.
+			// On a resumed rank, the first Keep moves the start of
+			// superstep work past the restore (the CkptRestore span).
 			c.start = c.now()
 			procs[i] = c
 			fn(c)

@@ -67,7 +67,7 @@ func checkRankLabels(t *testing.T, p int, run func(hold func()) error) {
 }
 
 // TestRankLabels: ranks and their goroutines carry bsp_rank
-// mid-superstep on a plain run, and inside Restore on the attempt that
+// mid-superstep on a plain run, and while restoring on the attempt that
 // resumes after an injected crash (a run that never resumes fails,
 // since no rank parks). No CPU sampling is involved.
 func TestRankLabels(t *testing.T) {
@@ -87,14 +87,16 @@ func TestRankLabels(t *testing.T) {
 		crash := transport.NewChaosTransport(transport.ShmTransport{}, transport.FaultPlan{Seed: 1, CrashRank: 1, CrashStep: 3})
 		cfg := Config{P: p, Transport: crash, Checkpoint: &CheckpointConfig{Dir: t.TempDir(), Every: 1, Backoff: 1}}
 		checkRankLabels(t, p, func(hold func()) error {
-			_, err := RunRecoverable(cfg, func(c *Proc) {
+			_, err := Run(cfg, func(c *Proc) {
+				if c.Step() > 0 {
+					hold() // restoring, before the first Keep
+				}
+				tok := 1
+				c.Keep(&tok)
 				for s := c.Step(); s < steps; s++ {
 					c.Send((c.ID()+1)%p, []byte{byte(s)})
 					c.Sync()
 				}
-			}, Hooks{
-				Save:    func(c *Proc, buf []byte) ([]byte, bool) { return append(buf, 1), true },
-				Restore: func(*Proc, int, []byte) error { hold(); return nil },
 			})
 			return err
 		})

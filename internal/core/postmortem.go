@@ -31,7 +31,7 @@ type PostmortemConfig struct {
 	// One dump per (rank, epoch): the same failure is observed by the
 	// local failure path and, on clusters, the coordinator's dump
 	// broadcast, from different goroutines. First writer wins. The
-	// config is shared across RunRecoverable attempts (it is a pointer
+	// config is shared across Run's recovery attempts (it is a pointer
 	// on Config), so the map also spans attempts.
 	mu   sync.Mutex
 	done map[[2]int]bool

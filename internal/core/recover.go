@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ckpt"
 	"repro/internal/transport"
@@ -21,15 +26,16 @@ type CheckpointConfig struct {
 	// Dir is the snapshot directory (a ckpt.Store). Empty disables
 	// checkpointing entirely.
 	Dir string
-	// Every captures a snapshot at every Every-th eligible superstep
-	// boundary (one where the Save hook accepts). 0 or negative means
-	// every eligible boundary.
+	// Every makes a boundary eligible for a snapshot once Every
+	// supersteps have passed since the last one; an eligible boundary at
+	// which the ranks keep state (Proc.Keep) is a cut. 0 or negative
+	// makes every boundary eligible.
 	Every int
-	// Retries bounds how many times RunRecoverable re-executes after a
-	// recoverable failure before giving up and returning the original
-	// error. 0 means 3; negative disables in-process retry entirely —
-	// a cluster rank process fails fast and lets the gang launcher
-	// relaunch the whole generation from the shared checkpoint cut.
+	// Retries bounds how many times Run re-executes after a recoverable
+	// failure before giving up and returning the original error. 0
+	// means 3; negative disables in-process retry entirely — a cluster
+	// rank process fails fast and lets the gang launcher relaunch the
+	// whole generation from the shared checkpoint cut.
 	Retries int
 	// Backoff is the sleep before the first re-execution, doubled per
 	// subsequent attempt. 0 means 50ms.
@@ -70,30 +76,124 @@ func (ck *CheckpointConfig) backoff() time.Duration {
 	return ck.Backoff
 }
 
-// Hooks are the application's checkpoint callbacks. Both run on the
-// process's own goroutine.
-type Hooks struct {
-	// Save appends the rank's serialized state at the superstep
-	// boundary being captured to buf and returns the extended slice;
-	// it is called inside Sync right after the barrier. buf is empty
-	// and is the slice this rank's Save returned at its last accepted
-	// capture, so an appending hook serializes into one buffer for the
-	// whole run (a fresh slice may be returned instead; it is the one
-	// handed back next time). Save must not retain or alias buf or its
-	// result: the next capture overwrites them. Returning ok == false
-	// declines the boundary — the state is mid-phase and not
-	// restartable — skips the snapshot on every rank (all ranks of an
-	// SPMD program must agree, which they do when the decision is a
-	// function of the superstep) and keeps buf for next time. Save must
-	// not consume the inbox (no Recv/GetPkt): the undelivered inbox is
-	// captured alongside the user state.
-	Save func(c *Proc, buf []byte) (state []byte, ok bool)
-	// Restore is called once per process before fn, when a run resumes
-	// from a snapshot: step is the superstep boundary the snapshot was
-	// captured at and state is what Save returned there. The restored
-	// inbox is already in place (Recv/GetPkt see it); fn observes
-	// c.Step() == step and must continue from that boundary.
-	Restore func(c *Proc, step int, state []byte) error
+// Keep names the variables that hold this rank's restartable state;
+// each is a *[]float64 or an *int, and any other type panics. The set
+// stands until the rank's next Keep, and Keep() keeps nothing. An
+// eligible boundary (CheckpointConfig.Every) at which the rank keeps
+// something is a cut: inside Sync, right after the barrier, the kept
+// variables are streamed into the rank's record straight from their
+// memory, beside the undelivered inbox. All ranks must agree on which
+// boundaries are cuts — they do when every rank calls Keep at the same
+// supersteps.
+//
+// On a rank resumed from a cut (Step() is the cut's superstep), the
+// first Keep fills its targets from the snapshot: a slice whose length
+// matches the saved one is overwritten in place, any other gets a new
+// array. The targets must name the cut's regions in the same order and
+// of the same kinds, or the run fails; so does a resumed rank that
+// Syncs or returns before its first Keep. The time a resumed rank
+// spends up to the end of that Keep is its restore, not superstep work.
+func (c *Proc) Keep(ptrs ...any) {
+	for _, p := range ptrs {
+		switch p.(type) {
+		case *[]float64, *int:
+		default:
+			panic(fmt.Sprintf("bsp: Keep(%T): only *[]float64 and *int can be kept", p))
+		}
+	}
+	c.kept = append(c.kept[:0], ptrs...)
+	if c.restore == nil {
+		return
+	}
+	if err := restoreKept(c.restore.User, ptrs); err != nil {
+		panic(syncFailure{fmt.Errorf("restoring superstep %d: %w", c.step, err)})
+	}
+	c.restore = nil
+	end := c.now()
+	c.tr.CkptRestore(c.step, c.start, end)
+	c.start = end
+}
+
+// checkRestored fails a resumed rank that reached a Sync, or its end,
+// before Keep restored its state.
+func (c *Proc) checkRestored() {
+	if c.restore != nil {
+		panic(syncFailure{fmt.Errorf("resumed at superstep %d, but no Keep restored the rank's state", c.step)})
+	}
+}
+
+// Region kinds in the record's region table.
+const (
+	keptFloat64s = 1
+	keptInt      = 2
+)
+
+// keptLayout reports whether a kept variable's memory is the record's
+// little-endian layout, so that it can be streamed as it is: on a
+// little-endian host with 64-bit ints. Run refuses to checkpoint on any
+// other.
+var keptLayout = binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && strconv.IntSize == 64
+
+// keptView returns the region kind of p, a *[]float64 or an *int, and
+// its memory as bytes.
+func keptView(p any) (uint32, []byte) {
+	if s, ok := p.(*[]float64); ok {
+		return keptFloat64s, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(*s))), 8*len(*s))
+	}
+	return keptInt, unsafe.Slice((*byte)(unsafe.Pointer(p.(*int))), 8)
+}
+
+// regions lays the kept variables out as a record's user section: the
+// region table — the count, then each region's kind and length in
+// 8-byte elements — in rc.table, followed by a view of each region's
+// memory in rc.views.
+func (rc *rankCapture) regions(kept []any) {
+	le := binary.LittleEndian
+	rc.table = le.AppendUint32(rc.table[:0], uint32(len(kept)))
+	rc.views = rc.views[:0]
+	for _, p := range kept {
+		kind, b := keptView(p)
+		rc.table = le.AppendUint32(rc.table, kind)
+		rc.table = le.AppendUint64(rc.table, uint64(len(b)/8))
+		rc.views = append(rc.views, b)
+	}
+}
+
+// restoreKept fills ptrs from user, a user section regions laid out.
+func restoreKept(user []byte, ptrs []any) error {
+	le := binary.LittleEndian
+	if len(user) < 4 {
+		return fmt.Errorf("a user section of %d bytes holds no region table", len(user))
+	}
+	if n := int(le.Uint32(user)); n != len(ptrs) {
+		return fmt.Errorf("the snapshot keeps %d regions, Keep names %d", n, len(ptrs))
+	}
+	if len(user) < 4+12*len(ptrs) {
+		return fmt.Errorf("region table truncated at %d bytes", len(user))
+	}
+	table, data := user[4:], user[4+12*len(ptrs):]
+	for i, p := range ptrs {
+		kind, _ := keptView(p)
+		if got := le.Uint32(table[12*i:]); got != kind {
+			return fmt.Errorf("region %d is of kind %d, Keep names a %T", i, got, p)
+		}
+		size := le.Uint64(table[12*i+4:])
+		if size > uint64(len(data)/8) {
+			return fmt.Errorf("region %d of %d elements overruns the section", i, size)
+		}
+		if s, ok := p.(*[]float64); ok && uint64(len(*s)) != size {
+			*s = make([]float64, size)
+		}
+		_, dst := keptView(p)
+		if uint64(len(dst)) != 8*size {
+			return fmt.Errorf("region %d holds %d elements, its %T target %d", i, size, p, len(dst)/8)
+		}
+		data = data[copy(dst, data):]
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d bytes after the last region", len(data))
+	}
+	return nil
 }
 
 // CkptStats reports checkpoint and recovery activity of a run.
@@ -104,11 +204,10 @@ type CkptStats struct {
 	Cuts      int
 	// Bytes totals the user and inbox bytes those records hold (a
 	// reference record holds no user bytes). Time is the on-path cost
-	// of capture inside Sync — the Save hook, the reference check,
-	// streaming the record into its temporary file and any wait for a
-	// full flush queue — and Flush the
-	// flushers' fsync → rename → directory fsync time; both are summed
-	// across ranks.
+	// of capture inside Sync — the reference check, streaming the kept
+	// state and the inbox into the record's temporary file and any wait
+	// for a full flush queue — and Flush the flushers' fsync → rename →
+	// directory fsync time; both are summed across ranks.
 	Bytes int64
 	Time  time.Duration
 	Flush time.Duration
@@ -154,8 +253,7 @@ const flushDepth = 4
 type capturer struct {
 	store *ckpt.Store
 	every int
-	save  func(c *Proc, buf []byte) ([]byte, bool)
-	ranks []rankCapture // ranks[r] is touched only by rank r's goroutine
+	ranks []rankCapture // ranks[r] is touched only by rank r's goroutine and flusher
 	// hosted is the number of ranks this process runs; runMachine sets
 	// it before any rank starts.
 	hosted  int
@@ -168,12 +266,17 @@ type capturer struct {
 
 // rankCapture is one rank's capture state.
 type rankCapture struct {
-	// buf is the slice this rank's Save returned at its last accepted
-	// capture, handed back (truncated) at the next one.
-	buf []byte
-	w   *ckpt.Writer
+	// table and views hold the user section of the capture in progress
+	// (regions); both are reused from cut to cut.
+	table []byte
+	views [][]byte
+	w     *ckpt.Writer
 	// queue feeds the rank's flusher; nil until its first capture.
 	queue chan flushJob
+	// baseLost is set by the flusher when a full record fails to
+	// publish: the references the writer would base on it could never
+	// load, so the next capture writes a full record.
+	baseLost atomic.Bool
 }
 
 // flushJob is one staged record on its way to durability.
@@ -183,11 +286,10 @@ type flushJob struct {
 	bytes int
 }
 
-func newCapturer(ck *CheckpointConfig, p int, save func(c *Proc, buf []byte) ([]byte, bool)) *capturer {
+func newCapturer(ck *CheckpointConfig, p int) *capturer {
 	return &capturer{
 		store:   &ckpt.Store{Dir: ck.Dir},
 		every:   ck.every(),
-		save:    save,
 		ranks:   make([]rankCapture, p),
 		durable: make(map[int]int),
 	}
@@ -197,35 +299,36 @@ func newCapturer(ck *CheckpointConfig, p int, save func(c *Proc, buf []byte) ([]
 // queues the record for the rank's flusher. Failures are recorded, not
 // fatal.
 func (k *capturer) capture(c *Proc) {
-	if c.step-c.lastCap < k.every {
+	if len(c.kept) == 0 || c.step-c.lastCap < k.every {
 		return
 	}
 	start := c.now()
 	rc := &k.ranks[c.id]
-	user, ok := k.save(c, rc.buf[:0])
-	if !ok {
-		return
-	}
-	rc.buf = user
 	c.lastCap = c.step
 	if rc.w == nil {
 		rc.w = k.store.NewWriter()
 		rc.queue = make(chan flushJob, flushDepth)
 		k.flushes.Add(1)
-		go k.flush(rc.queue)
+		go k.flush(rc)
 	}
+	if rc.baseLost.Swap(false) {
+		rc.w.Close()
+	}
+	rc.regions(c.kept)
 	// The undelivered inbox travels with the snapshot: none of it is
 	// consumed yet (capture runs inside Sync), and its framed batches
-	// are streamed into the record file as they are.
-	snap := ckpt.Snapshot{Step: c.step, Rank: c.id, P: c.p, User: user, Batches: c.inbox.Batches()}
+	// are streamed into the record file as they are, like the kept
+	// state.
+	snap := ckpt.Snapshot{Step: c.step, Rank: c.id, P: c.p, User: rc.table, Views: rc.views, Batches: c.inbox.Batches()}
 	rec, err := rc.w.Stage(&snap)
 	size := snap.BatchLen()
 	if err == nil {
 		if rec.Base == 0 {
-			size += len(user)
+			size += snap.UserLen()
 		}
 		rc.queue <- flushJob{rec: rec, step: c.step, bytes: size}
 	}
+	clear(rc.views) // hold no view of the app's memory past the capture
 	end := c.now()
 	c.tr.CkptSave(c.step, start, end, size)
 	k.mu.Lock()
@@ -237,10 +340,10 @@ func (k *capturer) capture(c *Proc) {
 // flush makes one rank's staged records durable in the order they were
 // staged. A reference whose base failed to publish is dropped: it could
 // never be loaded.
-func (k *capturer) flush(queue <-chan flushJob) {
+func (k *capturer) flush(rc *rankCapture) {
 	defer k.flushes.Done()
 	baseOK := false
-	for job := range queue {
+	for job := range rc.queue {
 		if job.rec.Base > 0 && !baseOK {
 			job.rec.Discard()
 			continue
@@ -249,6 +352,9 @@ func (k *capturer) flush(queue <-chan flushJob) {
 		err := job.rec.Publish()
 		if job.rec.Base == 0 {
 			baseOK = err == nil
+			if !baseOK {
+				rc.baseLost.Store(true)
+			}
 		}
 		k.mu.Lock()
 		k.stats.Flush += time.Since(start)
@@ -284,10 +390,10 @@ func (k *capturer) drain() {
 	k.flushes.Wait()
 }
 
-// Recoverable reports whether err is a failure RunRecoverable rolls
-// back from: an abort (peer-induced or injected), a superstep timeout,
-// or an injected hard crash. Program panics and infrastructure errors
-// outside these classes fail the run immediately.
+// Recoverable reports whether err is a failure Run rolls back from: an
+// abort (peer-induced or injected), a superstep timeout, or an injected
+// hard crash. Program panics and infrastructure errors outside these
+// classes fail the run immediately.
 func Recoverable(err error) bool {
 	return errors.Is(err, transport.ErrAborted) ||
 		errors.Is(err, transport.ErrInjectedAbort) ||
@@ -295,31 +401,36 @@ func Recoverable(err error) bool {
 		errors.Is(err, transport.ErrCrashed)
 }
 
-// RunRecoverable executes fn as P BSP processes and survives recoverable
-// failures when cfg.Checkpoint is armed: on ErrAborted, ErrTimeout or
-// an injected crash it rolls every rank back to the latest complete
-// snapshot in cfg.Checkpoint.Dir (or to superstep 0 if none exists)
-// and re-executes, up to Retries attempts with doubling Backoff. A
-// persistent fault therefore still fails, with the original error —
-// never a silent retry loop. With cfg.Checkpoint nil or Dir empty the
-// machine executes once and the first failure is final.
+// Run executes fn as P BSP processes and returns the merged per-
+// superstep statistics. Run returns an error if any process panics or
+// if the transport fails; the first failure aborts the whole machine.
 //
-// Snapshot capture requires hooks.Save and resuming from one requires
-// hooks.Restore; without them runs are still retried from scratch on
-// recoverable errors, and whatever snapshots cfg.Checkpoint.Dir holds
-// are ignored.
-// The returned Stats describe the final attempt only, with Stats.Ckpt
-// summarizing capture and recovery across all attempts.
-func RunRecoverable(cfg Config, fn func(*Proc), hooks Hooks) (*Stats, error) {
+// Every process must execute the same number of supersteps (call Sync
+// the same number of times); diverging superstep counts are reported as
+// errors by the concurrent transports.
+//
+// With cfg.Checkpoint armed (a Dir), Run captures a cut at every
+// eligible boundary at which the ranks keep state (Proc.Keep) and
+// survives recoverable failures: on ErrAborted, ErrTimeout or an
+// injected crash it rolls every rank back to the latest complete
+// snapshot in cfg.Checkpoint.Dir — or to superstep 0 if none exists, so
+// fn must build its state from its inputs, not from what an earlier
+// attempt left behind — and re-executes, up to Retries attempts with
+// doubling Backoff. A persistent fault therefore still fails, with the
+// original error — never a silent retry loop. Without checkpointing the
+// machine executes once and the first failure is final. The returned
+// Stats describe the final attempt only, with Stats.Ckpt summarizing
+// capture and recovery across all attempts.
+func Run(cfg Config, fn func(*Proc)) (*Stats, error) {
 	ck := cfg.Checkpoint
 	if ck == nil || ck.Dir == "" {
-		return runMachine(cfg, fn, hooks, nil)
+		return runMachine(cfg, fn, nil)
+	}
+	if !keptLayout {
+		return nil, errors.New("bsp: checkpointing needs a little-endian host with 64-bit ints")
 	}
 	store := &ckpt.Store{Dir: ck.Dir}
 	load := func() []*ckpt.Snapshot {
-		if hooks.Restore == nil {
-			return nil // nothing could rebuild the state a snapshot holds
-		}
 		if _, snaps, ok := store.LoadComplete(cfg.P); ok {
 			return snaps
 		}
@@ -342,22 +453,17 @@ func RunRecoverable(cfg Config, fn func(*Proc), hooks Hooks) (*Stats, error) {
 			g.Epoch += attempts - 1
 			cfg.Group = &g
 		}
-		rs := &runState{resume: resume}
-		if hooks.Save != nil {
-			rs.cap = newCapturer(ck, cfg.P, hooks.Save)
-		}
-		st, err := runMachine(cfg, fn, hooks, rs)
-		if rs.cap != nil {
-			// runMachine drained the flushers; the capturer is quiescent.
-			cs := rs.cap.stats
-			acc.Snapshots += cs.Snapshots
-			acc.Cuts += cs.Cuts
-			acc.Bytes += cs.Bytes
-			acc.Time += cs.Time
-			acc.Flush += cs.Flush
-			if acc.Err == nil {
-				acc.Err = cs.Err
-			}
+		rs := &runState{cap: newCapturer(ck, cfg.P), resume: resume}
+		st, err := runMachine(cfg, fn, rs)
+		// runMachine drained the flushers; the capturer is quiescent.
+		cs := rs.cap.stats
+		acc.Snapshots += cs.Snapshots
+		acc.Cuts += cs.Cuts
+		acc.Bytes += cs.Bytes
+		acc.Time += cs.Time
+		acc.Flush += cs.Flush
+		if acc.Err == nil {
+			acc.Err = cs.Err
 		}
 		if err == nil {
 			acc.Attempts = attempts

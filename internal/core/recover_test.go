@@ -4,135 +4,43 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/transport"
 )
 
-// saveState is rank's user state at boundary step of TestSaveBufferReuse:
-// shrinking from cut to cut, so an appending hook rewrites the bytes of
-// the previous cut's state in place.
-func saveState(rank, step int) []byte {
-	return bytes.Repeat([]byte{byte(16*rank + step)}, 100*(4-step))
+// keptState is rank's kept slice at boundary step of TestKeepCuts:
+// shrinking from cut to cut, so a slice rewritten in place overwrites
+// the values the previous cut streamed.
+func keptState(rank, step int) []float64 {
+	v := make([]float64, 10*(4-step))
+	for i := range v {
+		v[i] = float64(100*rank+step) + float64(i)/64
+	}
+	return v
 }
 
-// TestSaveBufferReuse pins the Hooks.Save contract over three cuts on
-// shm, p = 4: each rank is handed back, emptied, the slice its Save
-// returned at its previous accepted capture — whether that slice was
-// appended to buf or freshly made, and skipping a declined boundary —
-// and every cut's file still holds that cut's state, so reusing the
-// buffer never rewrote a record already written.
-func TestSaveBufferReuse(t *testing.T) {
-	const p, cuts = 4, 3
-	hooks := []struct {
-		name string
-		save func(c *Proc, buf []byte) ([]byte, bool)
-	}{
-		{"append", func(c *Proc, buf []byte) ([]byte, bool) {
-			return append(buf, saveState(c.ID(), c.Step())...), true
-		}},
-		{"fresh", func(c *Proc, buf []byte) ([]byte, bool) {
-			return saveState(c.ID(), c.Step()), true
-		}},
-		{"decline 2", func(c *Proc, buf []byte) ([]byte, bool) {
-			if c.Step() == 2 {
-				return nil, false
-			}
-			return append(buf, saveState(c.ID(), c.Step())...), true
-		}},
-		{"decline all", func(c *Proc, buf []byte) ([]byte, bool) {
-			return nil, false
-		}},
-	}
-	for _, h := range hooks {
-		save := h.save
-		t.Run(h.name, func(t *testing.T) {
-			// passed[r][k] / returned[r][k]: rank r's k-th Save call. Each
-			// rank's row is written only by its own goroutine.
-			var passed, returned [p][][]byte
-			accepted := map[int]bool{}
-			dir := t.TempDir()
-			cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
-			st, err := RunRecoverable(cfg, func(c *Proc) {
-				for s := 0; s < cuts; s++ {
-					c.Send((c.ID()+1)%p, []byte{byte(s)}) // a non-empty inbox at every cut
-					c.Sync()
-				}
-			}, Hooks{Save: func(c *Proc, buf []byte) ([]byte, bool) {
-				state, ok := save(c, buf)
-				passed[c.ID()] = append(passed[c.ID()], buf)
-				if ok {
-					returned[c.ID()] = append(returned[c.ID()], state)
-				} else {
-					returned[c.ID()] = append(returned[c.ID()], nil)
-				}
-				return state, ok
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < p; r++ {
-				if len(passed[r]) != cuts {
-					t.Fatalf("rank %d: Save called %d times, want %d", r, len(passed[r]), cuts)
-				}
-				var last []byte // what the rank's Save last returned on accepting
-				for k, buf := range passed[r] {
-					if len(buf) != 0 || cap(buf) != cap(last) {
-						t.Errorf("rank %d cut %d: Save got len %d cap %d, want len 0 cap %d (the previous accepted state's)",
-							r, k+1, len(buf), cap(buf), cap(last))
-					}
-					if returned[r][k] != nil {
-						last = returned[r][k]
-						accepted[k+1] = true
-					}
-				}
-			}
-			files, err := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(files) != p*len(accepted) || st.Ckpt.Snapshots != len(files) {
-				t.Fatalf("%d snapshot files, %d counted, want %d (%d accepted cuts on %d ranks)",
-					len(files), st.Ckpt.Snapshots, p*len(accepted), len(accepted), p)
-			}
-			for _, f := range files {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := ckpt.DecodeSnapshot(b)
-				if err != nil {
-					t.Fatalf("%s: %v", f, err)
-				}
-				if !accepted[s.Step] || !bytes.Equal(s.User, saveState(s.Rank, s.Step)) {
-					t.Errorf("%s: rank %d step %d holds %d state bytes, not that cut's state", f, s.Rank, s.Step, len(s.User))
-				}
-				if want := []byte{byte(s.Step - 1)}; s.BatchLen() != 5 || !bytes.Equal(s.Batches[0][4:], want) {
-					t.Errorf("%s: inbox %x, want one frame carrying %x", f, s.Batches, want)
-				}
-			}
-		})
-	}
-}
-
-// runTokenCuts runs a p = 4 shm machine for cuts supersteps under
-// RunRecoverable with a capture at every boundary and the given Save
-// hook, and returns its stats and every record it left, decoded.
-func runTokenCuts(t *testing.T, dir string, cuts int, save func(c *Proc, buf []byte) ([]byte, bool)) (*Stats, []*ckpt.Snapshot) {
+// restored decodes a record's user section into the step and slice a
+// rank kept as (&step, &vals).
+func restored(t *testing.T, s *ckpt.Snapshot) (step int, vals []float64) {
 	t.Helper()
-	const p = 4
-	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
-	st, err := RunRecoverable(cfg, func(c *Proc) {
-		for s := 0; s < cuts; s++ {
-			c.Send((c.ID()+1)%p, []byte{byte(s)})
-			c.Sync()
-		}
-	}, Hooks{Save: save})
+	if err := restoreKept(s.User, []any{&step, &vals}); err != nil {
+		t.Fatalf("rank %d step %d: %v", s.Rank, s.Step, err)
+	}
+	return step, vals
+}
+
+// decodeRecords decodes every record in dir.
+func decodeRecords(t *testing.T, dir string) []*ckpt.Snapshot {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
 	var recs []*ckpt.Snapshot
 	for _, f := range files {
 		b, err := os.ReadFile(f)
@@ -145,7 +53,156 @@ func runTokenCuts(t *testing.T, dir string, cuts int, save func(c *Proc, buf []b
 		}
 		recs = append(recs, s)
 	}
-	return st, recs
+	return recs
+}
+
+// TestKeepCuts pins the Keep contract over three boundaries on shm,
+// p = 4: a boundary at which a rank keeps nothing writes no record, and
+// every cut's file holds the kept state as of that cut's Sync — whether
+// the kept slice is rewritten in place or replaced by a fresh one, so
+// streaming from the app's memory never rewrote a record already
+// written.
+func TestKeepCuts(t *testing.T) {
+	const p, cuts = 4, 3
+	rows := []struct {
+		name string
+		// update sets vals to rank's state at step, or returns false to
+		// keep nothing at that boundary.
+		update func(vals *[]float64, rank, step int) bool
+	}{
+		{"in place", func(vals *[]float64, rank, step int) bool {
+			*vals = append((*vals)[:0], keptState(rank, step)...)
+			return true
+		}},
+		{"fresh", func(vals *[]float64, rank, step int) bool {
+			*vals = keptState(rank, step)
+			return true
+		}},
+		{"skip 2", func(vals *[]float64, rank, step int) bool {
+			*vals = append((*vals)[:0], keptState(rank, step)...)
+			return step != 2
+		}},
+		{"none", func(*[]float64, int, int) bool { return false }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			kept := map[int]bool{} // boundaries rank 0 kept state at
+			dir := t.TempDir()
+			cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
+			st, err := Run(cfg, func(c *Proc) {
+				var step int
+				var vals []float64
+				for s := 0; s < cuts; s++ {
+					step = s + 1
+					if row.update(&vals, c.ID(), step) {
+						c.Keep(&step, &vals)
+						if c.ID() == 0 {
+							kept[step] = true
+						}
+					} else {
+						c.Keep()
+					}
+					c.Send((c.ID()+1)%p, []byte{byte(s)}) // a non-empty inbox at every cut
+					c.Sync()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := decodeRecords(t, dir)
+			if len(recs) != p*len(kept) || st.Ckpt.Snapshots != len(recs) || st.Ckpt.Cuts != len(kept) {
+				t.Fatalf("%d snapshot files, stats %+v; want %d (%d cuts on %d ranks)", len(recs), st.Ckpt, p*len(kept), len(kept), p)
+			}
+			for _, s := range recs {
+				step, vals := restored(t, s)
+				if !kept[s.Step] || step != s.Step || !slices.Equal(vals, keptState(s.Rank, s.Step)) {
+					t.Errorf("rank %d step %d holds step %d and %d values, not that cut's state", s.Rank, s.Step, step, len(vals))
+				}
+				if want := []byte{byte(s.Step - 1)}; s.BatchLen() != 5 || !bytes.Equal(s.Batches[0][4:], want) {
+					t.Errorf("rank %d step %d: inbox %x, want one frame carrying %x", s.Rank, s.Step, s.Batches, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKeepRestore resumes a run from the cuts an earlier one left: the
+// first Keep fills a slice of the saved length in place and gives any
+// other a new array, and a resumed rank whose Keep does not match the
+// cut, or that syncs or returns before Keep, fails the run with an
+// error naming the superstep.
+func TestKeepRestore(t *testing.T) {
+	const p = 2
+	dir := t.TempDir()
+	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
+	if _, err := Run(cfg, func(c *Proc) {
+		n, vals := 7, []float64{float64(c.ID()), 2, 3}
+		c.Keep(&n, &vals)
+		c.Sync()
+		c.Sync()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint.Resume = true
+	for _, length := range []int{3, 0, 5} {
+		got := make([][]float64, p)
+		inPlace := make([]bool, p)
+		st, err := Run(cfg, func(c *Proc) {
+			var n int
+			vals := make([]float64, length)
+			array := vals[:cap(vals)]
+			c.Keep(&n, &vals)
+			if c.Step() != 2 || n != 7 {
+				panic("restored the wrong cut")
+			}
+			got[c.ID()] = vals
+			inPlace[c.ID()] = len(array) > 0 && &array[0] == &vals[0]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range got {
+			if !slices.Equal(got[r], []float64{float64(r), 2, 3}) || inPlace[r] != (length == 3) {
+				t.Fatalf("length %d, rank %d: restored %v (in place %v)", length, r, got[r], inPlace[r])
+			}
+		}
+		if st.Ckpt.ResumeStep != 2 {
+			t.Fatalf("resumed at %d, want 2", st.Ckpt.ResumeStep)
+		}
+	}
+	for name, fn := range map[string]func(c *Proc){
+		"fewer regions": func(c *Proc) { var n int; c.Keep(&n) },
+		"other kind":    func(c *Proc) { var n, m int; c.Keep(&n, &m) },
+		"sync first":    func(c *Proc) { c.Sync() },
+		"no keep":       func(c *Proc) {},
+	} {
+		if _, err := Run(cfg, fn); err == nil || !strings.Contains(err.Error(), "superstep 2") {
+			t.Errorf("%s: err = %v, want a failure naming superstep 2", name, err)
+		}
+	}
+}
+
+// runTokenCuts runs a p = 4 shm machine for cuts supersteps with a
+// capture at every boundary, each rank keeping 8 values that update
+// rewrites in place before every Sync, and returns its stats and every
+// record it left, decoded.
+func runTokenCuts(t *testing.T, dir string, cuts int, update func(vals []float64, rank, step int)) (*Stats, []*ckpt.Snapshot) {
+	t.Helper()
+	const p = 4
+	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
+	st, err := Run(cfg, func(c *Proc) {
+		vals := make([]float64, 8)
+		c.Keep(&vals)
+		for s := 0; s < cuts; s++ {
+			update(vals, c.ID(), s+1)
+			c.Send((c.ID()+1)%p, []byte{byte(s)})
+			c.Sync()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, decodeRecords(t, dir)
 }
 
 // TestCaptureReferences: a state that changes at every boundary never
@@ -154,14 +211,15 @@ func runTokenCuts(t *testing.T, dir string, cuts int, save func(c *Proc, buf []b
 // back with the full state.
 func TestCaptureReferences(t *testing.T) {
 	const cuts = 4
-	changing := func(c *Proc, buf []byte) ([]byte, bool) {
-		return append(buf, bytes.Repeat([]byte{byte(c.ID())}, 64)...), true
+	constant := func(vals []float64, rank, _ int) {
+		for i := range vals {
+			vals[i] = float64(rank)
+		}
 	}
 	t.Run("changing", func(t *testing.T) {
-		st, recs := runTokenCuts(t, t.TempDir(), cuts, func(c *Proc, buf []byte) ([]byte, bool) {
-			buf, _ = changing(c, buf)
-			buf[c.Step()%len(buf)] ^= 0xff
-			return buf, true
+		st, recs := runTokenCuts(t, t.TempDir(), cuts, func(vals []float64, rank, step int) {
+			constant(vals, rank, step)
+			vals[step%len(vals)] = -1
 		})
 		for _, s := range recs {
 			if s.Base != 0 {
@@ -174,13 +232,14 @@ func TestCaptureReferences(t *testing.T) {
 	})
 	t.Run("unchanged", func(t *testing.T) {
 		dir := t.TempDir()
-		st, recs := runTokenCuts(t, dir, cuts, changing)
+		st, recs := runTokenCuts(t, dir, cuts, constant)
 		for _, s := range recs {
 			if want := min(s.Step-1, 1); s.Base != want {
 				t.Fatalf("rank %d step %d: base %d, want %d", s.Rank, s.Step, s.Base, want)
 			}
 		}
-		if st.Ckpt.Cuts != cuts || st.Ckpt.Bytes != 4*(64+cuts*5) {
+		// One user section per rank: the 16-byte region table and 8 values.
+		if st.Ckpt.Cuts != cuts || st.Ckpt.Bytes != 4*(16+64+cuts*5) {
 			t.Fatalf("stats %+v: want %d cuts and one user section per rank in Bytes", st.Ckpt, cuts)
 		}
 		step, snaps, ok := (&ckpt.Store{Dir: dir}).LoadComplete(4)
@@ -188,8 +247,11 @@ func TestCaptureReferences(t *testing.T) {
 			t.Fatalf("LoadComplete = (%d, ok=%v), want (%d, true)", step, ok, cuts)
 		}
 		for r, s := range snaps {
-			if !bytes.Equal(s.User, bytes.Repeat([]byte{byte(r)}, 64)) {
-				t.Fatalf("rank %d: loaded %d user bytes, not its state", r, len(s.User))
+			var vals []float64
+			want := make([]float64, 8)
+			constant(want, r, 0)
+			if err := restoreKept(s.User, []any{&vals}); err != nil || !slices.Equal(vals, want) {
+				t.Fatalf("rank %d: loaded %v (%v), not its state", r, vals, err)
 			}
 		}
 	})
@@ -206,14 +268,16 @@ func TestCaptureErrorSurfaced(t *testing.T) {
 	const p = 4
 	sums := make([]int, p)
 	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
-	st, err := RunRecoverable(cfg, func(c *Proc) {
+	st, err := Run(cfg, func(c *Proc) {
+		tok := 1
+		c.Keep(&tok)
 		for s := 0; s < 3; s++ {
 			c.Send((c.ID()+1)%p, []byte{byte(c.ID() + s)})
 			c.Sync()
 			msg, _ := c.Recv()
 			sums[c.ID()] += int(msg[0])
 		}
-	}, Hooks{Save: func(c *Proc, buf []byte) ([]byte, bool) { return append(buf, 1), true }})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,4 +289,49 @@ func TestCaptureErrorSurfaced(t *testing.T) {
 	if st.Ckpt.Cuts != 0 || st.Ckpt.Snapshots != 0 || st.Ckpt.Err == nil {
 		t.Fatalf("stats %+v: want no cut, no snapshot and the write error", st.Ckpt)
 	}
+}
+
+// TestCaptureBaseLost: when a full record fails to publish, the next
+// capture writes a full record again instead of references to the lost
+// one, so later cuts of an unchanged state still complete. A directory
+// squats on rank 0's first record name, so its rename fails; rank 0
+// waits for the flusher to report that before its next Sync.
+func TestCaptureBaseLost(t *testing.T) {
+	const p, steps = 2, 6
+	dir := t.TempDir()
+	squat := filepath.Join(dir, "snap-000000000001-r0000.ckpt")
+	if err := os.Mkdir(squat, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
+	st, err := Run(cfg, func(c *Proc) {
+		tok := 1
+		c.Keep(&tok)
+		for s := 1; s <= steps; s++ {
+			c.Sync()
+			for deadline := time.Now().Add(10 * time.Second); s == 1 && c.ID() == 0 && captureErr(c.ck) == nil; {
+				if time.Now().After(deadline) {
+					panic("the failed publish of step 1 was never reported")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ckpt.Err == nil || !strings.Contains(st.Ckpt.Err.Error(), squat) {
+		t.Fatalf("CkptStats.Err = %v, want the failed rename onto %s", st.Ckpt.Err, squat)
+	}
+	step, _, ok := (&ckpt.Store{Dir: dir}).LoadComplete(p)
+	if !ok || step <= 1 || st.Ckpt.Cuts < 1 {
+		t.Fatalf("LoadComplete = (%d, ok=%v), stats %+v: want a complete cut after step 1", step, ok, st.Ckpt)
+	}
+}
+
+// captureErr reads k's first failure.
+func captureErr(k *capturer) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.stats.Err
 }

@@ -30,17 +30,22 @@ func stepProgram(steps int) func(*Proc) {
 
 // recoveredRun runs stepProgram(6) traced on p = 4 with a crash of
 // rank 1 in superstep 3 and a capture at every boundary, so the final
-// attempt resumes from a snapshot through a Restore hook that takes
-// restore.
+// attempt resumes from a snapshot; a resumed rank spends restore before
+// the Keep that restores its token state.
 func recoveredRun(t *testing.T, restore time.Duration) (*Stats, *trace.Recorder) {
 	t.Helper()
 	rec := trace.New(4)
 	plan := transport.FaultPlan{Seed: 1, CrashRank: 1, CrashStep: 3}
 	cfg := Config{P: 4, Transport: transport.NewChaosTransport(transport.ShmTransport{}, plan), Trace: rec,
 		Checkpoint: &CheckpointConfig{Dir: t.TempDir(), Backoff: time.Millisecond}}
-	save := func(c *Proc, buf []byte) ([]byte, bool) { return append(buf, 1), true }
-	st, err := RunRecoverable(cfg, stepProgram(6), Hooks{Save: save,
-		Restore: func(*Proc, int, []byte) error { time.Sleep(restore); return nil }})
+	st, err := Run(cfg, func(c *Proc) {
+		if c.Step() > 0 {
+			time.Sleep(restore)
+		}
+		tok := 1
+		c.Keep(&tok)
+		stepProgram(6)(c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +90,8 @@ func TestResidualsRecoveredRun(t *testing.T) {
 	}
 }
 
-// TestRestoreNotChargedAsWork: the Restore hook's time is the
-// CkptRestore span, not the resumed first superstep's w_i.
+// TestRestoreNotChargedAsWork: a resumed rank's time up to its first
+// Keep is the CkptRestore span, not the resumed first superstep's w_i.
 func TestRestoreNotChargedAsWork(t *testing.T) {
 	st, rec := recoveredRun(t, 30*time.Millisecond)
 	if w := st.Steps[0].MaxWork; w >= 15*time.Millisecond {

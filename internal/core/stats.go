@@ -44,7 +44,7 @@ type Stats struct {
 	// computation segment after the final synchronization.
 	Steps []Step
 	// Ckpt summarizes checkpoint capture and recovery; nil unless the
-	// run came from RunRecoverable with checkpointing armed.
+	// run had checkpointing armed.
 	Ckpt *CkptStats
 	// Live is the liveness view of the finished run — last completed
 	// superstep and control-plane heartbeat round-trip quantiles; nil

@@ -52,11 +52,11 @@ func runHelper(spec Spec, script string) int {
 		return Report("helper", err)
 	}
 	cfg.SyncTimeout = 30 * time.Second
-	_, err = core.RunRecoverable(cfg, func(c *core.Proc) {
+	_, err = core.Run(cfg, func(c *core.Proc) {
 		for s := 0; s < 3; s++ {
 			c.Sync()
 		}
-	}, core.Hooks{})
+	})
 	if err != nil {
 		return Report(fmt.Sprintf("helper rank %d (epoch %d)", spec.Rank, spec.Epoch), err)
 	}

@@ -82,14 +82,9 @@ type oceanSim struct {
 	// in the same timestep, see solver.Solve).
 	err error
 
-	// Checkpoint/restart state (see recover.go): start is the timestep
-	// the run (re)starts from; atBoundary is true only during the
-	// boundary barrier superstep at the top of each timestep, gating
-	// the Save hook; saveStep is the timestep a boundary snapshot
-	// resumes at.
-	start      int
-	atBoundary bool
-	saveStep   int
+	// start is the recoverable driver's next timestep, kept at each
+	// timestep boundary (see recover.go).
+	start int
 }
 
 func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
@@ -205,6 +200,11 @@ func Sequential(cfg Config) (*Fields, []int, error) {
 // function, which is bit-identical to Sequential's at every process
 // count, plus the run statistics.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
+	return parallel(ccfg, cfg, func(s *oceanSim, _ *core.Proc) { s.run() })
+}
+
+// parallel runs the BSP simulation with every rank's sim driven by run.
+func parallel(ccfg core.Config, cfg Config, run func(*oceanSim, *core.Proc)) (*Fields, *core.Stats, error) {
 	if _, err := checkGrid(cfg.Size); err != nil {
 		return nil, nil, err
 	}
@@ -215,7 +215,7 @@ func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
 			panic(err)
 		}
 		sims[c.ID()] = sim
-		sim.run()
+		run(sim, c)
 	})
 	if err != nil {
 		return nil, nil, err

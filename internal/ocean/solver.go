@@ -55,7 +55,7 @@ type machine interface {
 	maxAll(x float64) float64
 	// barrier performs one empty superstep. The recoverable driver
 	// runs one at each timestep boundary: the machine state there is
-	// just (timestep, ψ), which is what the checkpoint hooks capture.
+	// just (timestep, ψ), which is what the rank keeps.
 	barrier()
 	// work reports n abstract work units (grid-cell updates) for the
 	// current superstep.

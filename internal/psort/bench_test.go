@@ -10,11 +10,10 @@ package psort
 // (1+1/ℓ)·n/p imbalance bound, so a splitter-quality regression fails
 // the benchmark itself, not just a separate test.
 //
-// BenchmarkSortLocal, BenchmarkMergeRuns and BenchmarkStateEncode time
-// one hot path each, one rank's worth, so a change to one of them comes
-// with a number of its own: the local radix sort of 2^18 normals, the
-// k-way merge of 4 routed runs of 2^18, and the checkpoint encode of a
-// 2^18-element run.
+// BenchmarkSortLocal and BenchmarkMergeRuns time one hot path each, one
+// rank's worth, so a change to one of them comes with a number of its
+// own: the local radix sort of 2^18 normals and the k-way merge of 4
+// routed runs of 2^18.
 
 import (
 	"encoding/binary"
@@ -65,11 +64,8 @@ func BenchmarkSampleSortZipfian(b *testing.B) {
 // benchPieceN is the per-run size of the hot-path benchmarks.
 const benchPieceN = 1 << 18
 
-// Sinks for the hot-path benchmarks' results, so the calls stay.
-var (
-	benchFloats []float64
-	benchBytes  []byte
-)
+// benchFloats sinks the hot-path benchmarks' results, so the calls stay.
+var benchFloats []float64
 
 func BenchmarkSortLocal(b *testing.B) {
 	data := RandomData(benchPieceN, 1996)
@@ -97,15 +93,4 @@ func BenchmarkMergeRuns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchFloats = mergeInto(dst, runs)
 	}
-}
-
-func BenchmarkStateEncode(b *testing.B) {
-	s := &state{data: RandomData(benchPieceN, 1996)}
-	var buf []byte
-	b.SetBytes(8 * benchPieceN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.encode(buf[:0])
-	}
-	benchBytes = buf
 }

@@ -37,7 +37,6 @@ package psort
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -128,14 +127,16 @@ func appendTags(out []tagged, msg []byte) []tagged {
 // condensed runs, splitters, routed elements) arrives in the inbox of
 // the superstep that starts the stage, so a (stage, options, data)
 // triple plus the undelivered inbox restarts the sort from any
-// boundary. A checkpoint captures (options, data) and the inbox; the
-// stage is the boundary's superstep number.
+// boundary. A checkpoint keeps only the data beside the inbox: the
+// stage is the boundary's superstep number and the options are
+// resolved again from the input.
 type state struct {
-	// stage is the number of superstep boundaries crossed: 0 = nothing
-	// sent yet; 1 = sample runs sent (group leaders' inboxes hold
-	// them); 2 = merged runs forwarded (rank 0's inbox holds them); 3 =
-	// splitters broadcast (every inbox holds them); 4 = data routed
-	// (every inbox holds this rank's final run set).
+	// stage is the number of superstep boundaries crossed when run
+	// starts: 0 = nothing sent yet; 1 = sample runs sent (group
+	// leaders' inboxes hold them); 2 = merged runs forwarded (rank 0's
+	// inbox holds them); 3 = splitters broadcast (every inbox holds
+	// them); 4 = data routed (every inbox holds this rank's final run
+	// set).
 	stage int
 	opt   Options
 	data  []float64
@@ -159,10 +160,8 @@ func sampleCount(l, p int) int {
 	return 2 * l * p
 }
 
-// run executes the sort from the state's current stage. The stage
-// counter is advanced *before* each Sync so that the Save hook — which
-// fires inside Sync, after the barrier — captures the post-boundary
-// position.
+// run executes the sort from the state's current stage, which is the
+// superstep the rank is at.
 func (s *state) run(c *core.Proc) []float64 {
 	p := c.P()
 	me := int32(c.ID())
@@ -186,7 +185,6 @@ func (s *state) run(c *core.Proc) []float64 {
 			}
 			c.Send(collect.GroupLeader(c.ID(), fanout), buf)
 		}
-		s.stage = 1
 		c.Sync()
 		fallthrough
 	case 1:
@@ -204,7 +202,6 @@ func (s *state) run(c *core.Proc) []float64 {
 			}
 			c.Send(0, buf)
 		}
-		s.stage = 2
 		c.Sync()
 		fallthrough
 	case 2:
@@ -227,7 +224,6 @@ func (s *state) run(c *core.Proc) []float64 {
 				c.Send(q, buf)
 			}
 		}
-		s.stage = 3
 		c.Sync()
 		fallthrough
 	case 3:
@@ -266,7 +262,6 @@ func (s *state) run(c *core.Proc) []float64 {
 			share = s.data[:0]
 			s.data = nil
 		}
-		s.stage = 4
 		c.Sync()
 		fallthrough
 	default:
@@ -362,45 +357,6 @@ func cutRun(data []float64, rank int32, spl []tagged, p int) []int {
 	return cuts
 }
 
-// encode appends the serialized state to b for the checkpoint Save
-// hook, growing b at most once. The stage is not part of it: it is the
-// superstep the snapshot was captured at, which Restore is handed, so
-// the cuts between which only the stage moves encode identically.
-func (s *state) encode(b []byte) []byte {
-	b = slices.Grow(b, 32+elemBytes*len(s.data))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Mode))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Oversample))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.opt.Seed))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(s.data)))
-	return appendFloats(b, s.data)
-}
-
-// decodeState is the Restore-side inverse of encode: the state captured
-// once stage boundaries were crossed.
-func decodeState(stage int, b []byte) (*state, error) {
-	if len(b) < 32 {
-		return nil, fmt.Errorf("psort: snapshot state truncated: %d bytes", len(b))
-	}
-	s := &state{
-		stage: stage,
-		opt: Options{
-			Mode:       Mode(binary.LittleEndian.Uint64(b)),
-			Oversample: int(binary.LittleEndian.Uint64(b[8:])),
-			Seed:       int64(binary.LittleEndian.Uint64(b[16:])),
-		},
-	}
-	n := int(binary.LittleEndian.Uint64(b[24:]))
-	b = b[32:]
-	if n < 0 || len(b) != n*elemBytes {
-		return nil, fmt.Errorf("psort: snapshot state inconsistent: %d values, %d bytes left", n, len(b))
-	}
-	s.data = make([]float64, n)
-	for i := range s.data {
-		s.data[i] = loadFloat(b[i*elemBytes:])
-	}
-	return s, nil
-}
-
 // nLogN is the comparison-count work unit of a local sort or merge.
 func nLogN(n int) int {
 	lg := 0
@@ -437,36 +393,25 @@ func chunk(data []float64, p, q int) []float64 {
 // sortParallel splits data evenly, sorts it on the configured BSP
 // machine, and returns the per-rank shares of the global order plus run
 // statistics. The options are resolved once against the global size, so
-// every rank uses the same effective ℓ. With cfg.Checkpoint armed, each
-// rank's Save hook serializes its (options, data) state, Restore
-// rebuilds it at the stage the resumed superstep names, and the
+// every rank uses the same effective ℓ. Each rank keeps its data (Keep)
+// for the whole sort, so with cfg.Checkpoint armed every eligible
+// boundary is a cut: the data streams into the snapshot beside the
 // undelivered inbox (sample runs, condensed runs, splitters or routed
-// runs, depending on the boundary) rides in the snapshot itself.
+// runs, depending on the boundary), and a resumed rank takes its stage
+// from the superstep.
 func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, *core.Stats, error) {
 	opt = Resolve(opt, len(data), cfg.P)
-	// states[q] is owned by rank q's goroutine: written by its Restore
-	// hook or at fn entry, read by its Save hook (inside its own Sync).
-	states := make([]*state, cfg.P)
 	parts := make([][]float64, cfg.P)
-	hooks := core.Hooks{
-		Save: func(c *core.Proc, buf []byte) ([]byte, bool) {
-			return states[c.ID()].encode(buf), true
-		},
-		Restore: func(c *core.Proc, step int, snap []byte) (err error) {
-			// The machine runs only the sort, so the boundary it resumes
-			// at is the stage.
-			states[c.ID()], err = decodeState(step, snap)
-			return err
-		},
-	}
-	st, err := core.RunRecoverable(cfg, func(c *core.Proc) {
+	st, err := core.Run(cfg, func(c *core.Proc) {
+		// The machine runs only the sort, so the boundary it resumed at
+		// (0 on a scratch start) is the stage.
+		s := &state{stage: c.Step(), opt: opt}
 		if c.Step() == 0 {
-			// Scratch start (first attempt, or a retry with no usable
-			// snapshot): fresh state from the input chunk.
-			states[c.ID()] = &state{opt: opt, data: runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)}
+			s.data = runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)
 		}
-		parts[c.ID()] = states[c.ID()].run(c)
-	}, hooks)
+		c.Keep(&s.data)
+		parts[c.ID()] = s.run(c)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

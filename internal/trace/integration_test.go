@@ -1,12 +1,12 @@
 // End-to-end observability conformance: a machine that is hard-crashed
-// by the chaos fault and recovered through core.RunRecoverable must
+// by the chaos fault and recovered through core.Run must
 // leave a single coherent trace — every superstep's compute and sync
 // spans on every rank, the per-pair exchange batches, the checkpoint
 // saves, the crash fault, the rollback marker and the restore spans of
 // the re-execution — and the Chrome export of that trace must carry
 // one superstep span per rank per superstep. This lives in package
 // trace_test (external) so it can drive core, the transports and a
-// checkpoint-hooked application together without an import cycle.
+// checkpointing application together without an import cycle.
 package trace_test
 
 import (

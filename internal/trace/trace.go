@@ -72,8 +72,9 @@ const (
 	// KindCkptSave is a checkpoint capture span at a superstep
 	// boundary; B holds the snapshot bytes written.
 	KindCkptSave
-	// KindCkptRestore is a restore-hook span on a resumed rank; Step
-	// is the boundary the snapshot was captured at.
+	// KindCkptRestore is a resumed rank's restore span, up to the Keep
+	// that fills its state; Step is the boundary the snapshot was
+	// captured at.
 	KindCkptRestore
 	// KindFault is an injected chaos fault (instant); A holds the
 	// FaultCode, B a fault-specific auxiliary (duration in ns for
@@ -468,7 +469,7 @@ func (r *Recorder) emitMachine(ev Event) {
 // Events returns a copy of every recorded event — all ranks plus the
 // machine-level list — sorted by start time (ties by rank, then by
 // recording order). Call it only when the machine is quiescent (after
-// Run/RunRecoverable returns); it is the input of the exporters.
+// core.Run returns); it is the input of the exporters.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil

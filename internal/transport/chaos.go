@@ -24,7 +24,7 @@ var ErrTransient = fmt.Errorf("transport: transient fault")
 // was killed mid-superstep (aborted and closed underneath the still-
 // running process), unlike the cooperative abort, which only fails the
 // rank's Sync and lets core unwind it. Recovery machinery
-// (core.RunRecoverable) treats a crash as retryable.
+// (core.Run with checkpointing armed) treats a crash as retryable.
 var ErrCrashed = errors.New("transport: rank crashed (injected fault)")
 
 // ErrInjectedAbort marks the chaos abort fault on the faulted rank
@@ -271,7 +271,7 @@ type chaosShared struct {
 
 // NewChaosTransport returns a ChaosTransport whose armed crash fault
 // (Plan.CrashStep > 0) fires on the first Open only; subsequent Opens —
-// in particular the re-execution RunRecoverable performs after
+// in particular the re-execution core.Run performs after
 // restoring a checkpoint — run fault-free, like a machine that was
 // power-cycled after a transient hardware fault.
 func NewChaosTransport(base Transport, plan FaultPlan) ChaosTransport {

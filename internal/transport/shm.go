@@ -154,7 +154,9 @@ func (e *shmEndpoint) barrier() error {
 		return nil
 	}
 	for st.release.Load() < round {
-		if e.m.Aborted() {
+		// An abort raised after rank 0 released this round (a peer
+		// crashing in the next superstep) does not undo the barrier.
+		if e.m.Aborted() && st.release.Load() < round {
 			return ErrAborted
 		}
 		if e.m.Left(0) && st.release.Load() < round {

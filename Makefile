@@ -84,7 +84,10 @@
 #                     launcher's live-vs-post-hoc (g, L) agreement line
 #                     must read ok, the final status dump must render a
 #                     row per rank, and tracecheck -status must
-#                     reconcile the dump against the merged trace
+#                     reconcile the dump against the merged trace;
+#                     then a p=2 run with no -status-addr, -trace,
+#                     -metrics-addr or postmortem bundle must still
+#                     dump a status where every rank passed superstep 1
 #   make golden       rewrite every -update golden in one go — the
 #                     Chrome trace export, the Prometheus /metrics
 #                     exposition, ocean's (S, H, V-cycles) cost table
@@ -227,7 +230,7 @@ top-smoke:
 	$(GO) build -o $(TOP_DIR)/tracecheck ./cmd/tracecheck
 	set -e; \
 	$(TOP_DIR)/bsprun -app ocean -size 4098 -p 4 -cluster \
-		-status-addr 127.0.0.1:$(TOP_PORT) -telemetry-interval 25ms \
+		-status-addr 127.0.0.1:$(TOP_PORT) -heartbeat-interval 25ms \
 		-metrics-addr 127.0.0.1:0 -trace $(TOP_DIR)/trace.json \
 		-status-dump $(TOP_DIR)/status.json -postmortem-dir none \
 		> $(TOP_DIR)/run.log 2>&1 & \
@@ -256,6 +259,11 @@ top-smoke:
 	grep -q 'bsp_calib_g_us_per_packet' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_calib_l_us' $(TOP_DIR)/metrics.txt
 	$(TOP_DIR)/tracecheck -ranks 4 -status $(TOP_DIR)/status.json $(TOP_DIR)/trace.json
+	$(TOP_DIR)/bsprun -app ocean -size 1026 -p 2 -cluster -postmortem-dir none \
+		-status-dump $(TOP_DIR)/status_bare.json > $(TOP_DIR)/run_bare.log 2>&1 || { \
+		cat $(TOP_DIR)/run_bare.log; exit 1; }
+	$(TOP_DIR)/bsptop -status $(TOP_DIR)/status_bare.json -once -min-step 1
+	! grep -q '"last_step": -1' $(TOP_DIR)/status_bare.json
 
 soak:
 	rm -rf $(SOAK_DIR) && mkdir -p $(SOAK_DIR)

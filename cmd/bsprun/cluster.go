@@ -72,19 +72,11 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 	if o.ckptDir != "" || o.chaosSpec != "" {
 		restarts = 3
 	}
-	// The telemetry plane rides the existing control connections; arming
-	// the status server without an explicit interval picks a default
-	// that keeps each frame under ~100 bytes / 4 pushes per second.
-	telemetry := o.telemetryInterval
-	if o.statusAddr != "" && telemetry == 0 {
-		telemetry = 250 * time.Millisecond
-	}
 	job := &launch.Job{
-		P:                 o.p,
-		JobID:             fmt.Sprintf("bsprun-%s-p%d-%d", o.app, o.p, os.Getpid()),
-		MaxRestarts:       restarts,
-		StatusAddr:        o.statusAddr,
-		TelemetryInterval: telemetry,
+		P:           o.p,
+		JobID:       fmt.Sprintf("bsprun-%s-p%d-%d", o.app, o.p, os.Getpid()),
+		MaxRestarts: restarts,
+		StatusAddr:  o.statusAddr,
 		// Warm recovery needs a shared checkpoint cut for the survivors
 		// to roll back to; without one, recovery stays gang-relaunch.
 		Warm:              o.ckptDir != "",
@@ -208,7 +200,6 @@ type launcherFlags struct {
 	cpuProfile, memProfile, rtraceFile string
 	hbInterval, suspectAfter           time.Duration
 	statusAddr, statusDump             string
-	telemetryInterval                  time.Duration
 }
 
 // runClusterLauncher is bsprun's -cluster entry point: it validates

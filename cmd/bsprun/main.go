@@ -88,7 +88,7 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "fault-injection plan, e.g. \"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,connerr=0.05,abort=1@3,crash=1:3\"; empty disables")
 	syncTimeout := flag.Duration("sync-timeout", 0, "abort the run if no process completes a superstep for this long (0 disables)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms crash recovery (apps that keep state resume from superstep snapshots, the others re-execute from scratch)")
-	hbInterval := flag.Duration("heartbeat-interval", 0, "cluster liveness heartbeat period on the control plane (0 = 500ms default, negative disables)")
+	hbInterval := flag.Duration("heartbeat-interval", 0, "cluster liveness heartbeat period on the control plane; each rank's beat also carries its telemetry to the coordinator (0 = 500ms default, negative disables)")
 	suspectAfter := flag.Duration("suspect-after", 0, "declare a connected-but-silent cluster rank crashed after this long without a heartbeat (0 = 5s default, negative disables)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "snapshot every Nth eligible superstep boundary")
 	resume := flag.Bool("resume", false, "continue from the latest complete snapshot in -checkpoint-dir")
@@ -96,8 +96,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write the run's timeline as Chrome trace-event JSON to this file (open in Perfetto)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP: Prometheus text at /metrics, expvar JSON at /debug/vars, profiles at /debug/pprof/; with -cluster, rank r serves on port+r (port 0: each rank picks a free port, reported in /status)")
 	statusAddr := flag.String("status-addr", "", "with -cluster: serve the coordinator's aggregated live view over HTTP — job-level JSON at /status, rank-labeled Prometheus text at /metrics (watch with bsptop)")
-	telemetryInterval := flag.Duration("telemetry-interval", 0, "with -cluster: how often each rank pushes its metrics snapshot to the coordinator (0 = 250ms when -status-addr is set, else off)")
-	statusDump := flag.String("status-dump", "", "with -cluster -status-addr: write the final /status JSON document to this file when the job ends")
+	statusDump := flag.String("status-dump", "", "with -cluster: write the final /status JSON document to this file when the job ends")
 	costReport := flag.Bool("cost-report", false, "print per-superstep predicted-vs-recorded cost-model residuals")
 	costMachine := flag.String("cost-machine", "SGI", "machine profile for -cost-report: SGI|Cenju|PC")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (samples carry a bsp_rank label)")
@@ -140,15 +139,14 @@ func main() {
 			hbInterval: *hbInterval, suspectAfter: *suspectAfter,
 			postDir:    dir,
 			statusAddr: *statusAddr, statusDump: *statusDump,
-			telemetryInterval: *telemetryInterval,
 		})
 		return
 	}
 	// Children re-parse the launcher's argv, so the launcher-only status
 	// flags are legal for them (and ignored: the coordinator side lives
 	// in the launcher process).
-	if !isChild && (*statusAddr != "" || *statusDump != "" || *telemetryInterval != 0) {
-		fail(errors.New("-status-addr/-telemetry-interval/-status-dump aggregate a gang's telemetry; they need -cluster"))
+	if !isChild && (*statusAddr != "" || *statusDump != "") {
+		fail(errors.New("-status-addr/-status-dump serve a gang's aggregated telemetry; they need -cluster"))
 	}
 	var cfg core.Config
 	var metricsLn net.Listener

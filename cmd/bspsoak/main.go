@@ -325,10 +325,6 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 		Warm:              true,
 		HeartbeatInterval: 100 * time.Millisecond,
 		SuspectAfter:      2 * time.Second,
-		// Aggressive telemetry across the crash: the soak asserts below
-		// that the per-rank streams stay delta-consistent (zero sequence
-		// gaps) through conviction, warm rollback and relaunch.
-		TelemetryInterval: 25 * time.Millisecond,
 		Command:           s.gangCommand(outDir, ckptDir, shardDir, postDir, plan.String()),
 	}
 	if err := job.Run(); err != nil {
@@ -381,24 +377,25 @@ func (s *soak) clusterWarmCrash(rng *rand.Rand) (string, error) {
 }
 
 // checkTelemetry asserts one warm round's telemetry plane stayed
-// coherent across the crash: every rank's delta stream reassembled
-// without a single sequence gap (a gap means the coordinator rebuilt
-// counters from a torn base), every rank reported at least one frame
-// (the leave-time flush guarantees this even for short generations),
-// and the final per-rank last-superstep view is uniform — recovery
-// left no rank's public progress behind.
+// coherent across the crash: every rank reported at least one beat with
+// telemetry (the leave-time beat guarantees this even for short
+// generations), a survivor that rolled back in place and rejoined is
+// still one incarnation (its recorder did not restart, so counting it
+// twice would double its totals), and the final per-rank last-superstep
+// view is uniform — recovery left no rank's public progress behind.
 func (s *soak) checkTelemetry(job *launch.Job, plan transport.FaultPlan) error {
 	ranks := job.Status().Ranks
 	if len(ranks) != s.p {
 		return fmt.Errorf("final status covers %d ranks, want %d [plan %s]", len(ranks), s.p, plan)
 	}
+	restarts := job.RankRestarts()
 	last := int64(-2)
 	for r, rs := range ranks {
-		if rs.SeqGaps != 0 {
-			return fmt.Errorf("rank %d telemetry stream has %d sequence gap(s) — delta stream torn across recovery [plan %s]", r, rs.SeqGaps, plan)
-		}
 		if rs.Baselines < 1 {
-			return fmt.Errorf("rank %d never reported a telemetry frame [plan %s]", r, plan)
+			return fmt.Errorf("rank %d never reported telemetry [plan %s]", r, plan)
+		}
+		if restarts[r] == 0 && rs.Baselines != 1 {
+			return fmt.Errorf("rank %d was never relaunched but counts %d incarnations — a rejoin was taken for a new recorder [plan %s]", r, rs.Baselines, plan)
 		}
 		if last == -2 {
 			last = rs.LastStep

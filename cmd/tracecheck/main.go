@@ -274,7 +274,7 @@ func checkStatus(path string, ranks, rollbacks int, maxSync map[int]int, problem
 	}
 	for _, row := range doc.Ranks {
 		if row.Seq == 0 {
-			problem("status: rank %d never pushed a telemetry frame", row.Rank)
+			problem("status: rank %d never sent a beat with telemetry", row.Rank)
 		}
 	}
 	if rollbacks > 0 {

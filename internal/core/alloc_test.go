@@ -174,28 +174,31 @@ func TestExchangeAllocGate(t *testing.T) {
 		t.Errorf("alloc gate: %.1f allocs/superstep with the flight recorder armed, want <= %d — the ring and histogram path must not allocate",
 			flight, allocTraceOffMax)
 	}
-	// The telemetry push path must be equally invisible: while the
-	// machine runs, a pusher goroutine snapshots every rank's counters
-	// and delta-encodes a wire frame every millisecond, exactly as a
-	// cluster member's pushTelemetry does (Metrics.Rank by value,
-	// Row.AppendValues, Hist.AppendCounts and TelemetryEncoder.AppendEncode
-	// into reused buffers). AllocsPerRun counts the whole process, so any
-	// allocation in the pusher shows up here too — the gate holds the
-	// same tracing-off bound with live telemetry armed.
+	// The telemetry beat must be equally invisible: while the machine
+	// runs, a beater goroutine snapshots every rank's counters and
+	// encodes a beat frame with its telemetry tail every millisecond,
+	// exactly as a cluster member's beat does (Metrics.Rank by value,
+	// Row.AppendValues, Hist.AppendCounts, AppendTelemetry and the Ping's
+	// AppendCtrl into reused buffers). AllocsPerRun counts the whole
+	// process, so any allocation in the beater shows up here too — the
+	// gate holds the same tracing-off bound with live telemetry armed.
 	rec := trace.NewFlight(allocP)
 	met := rec.Metrics()
 	var snap wire.Telemetry
-	var enc wire.TelemetryEncoder
-	var frame []byte
+	var tail, frame []byte
+	var seq uint32
 	push := func(r int) {
+		seq++
+		snap.Epoch = rec.EpochWall().UnixNano()
 		snap.Counters = met.Rank(r).AppendValues(snap.Counters[:0])
 		snap.StepDur = met.StepDur.AppendCounts(snap.StepDur[:0])
 		snap.SyncWait = met.SyncWait.AppendCounts(snap.SyncWait[:0])
-		frame = enc.AppendEncode(frame[:0], &snap)
+		tail = wire.AppendTelemetry(tail[:0], &snap)
+		frame = wire.AppendCtrl(frame[:0], wire.Ping{Heartbeat: wire.Heartbeat{Rank: r, Seq: seq}, Tail: tail})
 	}
 	push(0) // the first frame sizes the buffers
 	if n := testing.AllocsPerRun(100, func() { push(1) }); n != 0 {
-		t.Errorf("alloc gate: a steady-state telemetry push allocates %.1f times, want 0", n)
+		t.Errorf("alloc gate: a steady-state telemetry beat allocates %.1f times, want 0", n)
 	}
 	stop := make(chan struct{})
 	var pushWG sync.WaitGroup
@@ -218,9 +221,9 @@ func TestExchangeAllocGate(t *testing.T) {
 	telem := measureExchangeAllocs(t, Config{P: allocP, Transport: transport.ShmTransport{}, Trace: rec})
 	close(stop)
 	pushWG.Wait()
-	t.Logf("allocs per all-to-all superstep with a 1ms telemetry pusher armed: %.1f", telem)
+	t.Logf("allocs per all-to-all superstep with a 1ms telemetry beater armed: %.1f", telem)
 	if telem > allocTraceOffMax {
-		t.Errorf("alloc gate: %.1f allocs/superstep with live telemetry armed, want <= %d — the push path (snapshot + delta encode) must not allocate",
+		t.Errorf("alloc gate: %.1f allocs/superstep with live telemetry armed, want <= %d — the beat path (snapshot + tail + frame encode) must not allocate",
 			telem, allocTraceOffMax)
 	}
 }

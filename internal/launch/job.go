@@ -50,11 +50,9 @@ type Job struct {
 	// Logf, when set, receives launcher progress lines.
 	Logf func(format string, args ...any)
 	// StatusAddr, when set, serves the coordinator's aggregated
-	// /status + /metrics plane (see CoordinatorOptions.StatusAddr).
+	// /status + /metrics plane (see CoordinatorOptions.StatusAddr). The
+	// coordinator aggregates either way; Status returns the result.
 	StatusAddr string
-	// TelemetryInterval arms the member push loops in the children
-	// (passed through Spec.Telemetry). Zero disables.
-	TelemetryInterval time.Duration
 
 	mu           sync.Mutex
 	rankRestarts []int64
@@ -85,8 +83,8 @@ func (j *Job) GangRelaunches() int64 {
 }
 
 // Status returns the coordinator's final job-level view of the last
-// Run — the document /status served live (every rank "silent" with
-// telemetry off). Zero before the first Run.
+// Run — the document /status served live (a rank whose beats never
+// carried telemetry reads "silent"). Zero before the first Run.
 func (j *Job) Status() transport.StatusDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -185,7 +183,6 @@ func (j *Job) supervise(coord *transport.Coordinator) error {
 			JobID: j.JobID, Coordinator: addr,
 			Resume: resume, Warm: j.Warm,
 			HeartbeatInterval: j.HeartbeatInterval, SuspectAfter: j.SuspectAfter,
-			Telemetry: j.TelemetryInterval,
 		}
 		cmd := j.Command(spec)
 		if err := cmd.Start(); err != nil {

@@ -197,7 +197,7 @@ func TestSpecEnvRoundTrip(t *testing.T) {
 	want := Spec{
 		Rank: 2, P: 4, Epoch: 3, JobID: "job-x", Coordinator: "127.0.0.1:4242",
 		Resume: true, Warm: true,
-		HeartbeatInterval: 100 * time.Millisecond, SuspectAfter: 2 * time.Second, Telemetry: 25 * time.Millisecond,
+		HeartbeatInterval: 100 * time.Millisecond, SuspectAfter: 2 * time.Second,
 		Chaos: "seed=9,crash=1:3", CheckpointDir: "/ckpt", ShardDir: "/shards",
 		PostmortemDir: "/post", MetricsAddr: "127.0.0.1:9100",
 	}
@@ -221,6 +221,26 @@ func TestSpecEnvRoundTrip(t *testing.T) {
 		if _, ok, err := FromEnv(); !ok || err == nil || !strings.Contains(err.Error(), EnvVar) {
 			t.Errorf("%s=%s: ok=%v err=%v, want an error naming the variable", EnvVar, bad, ok, err)
 		}
+	}
+}
+
+// TestSpecConfigRecorder: every rank process gets a recorder, so its
+// beats carry telemetry — a full one when the spec names a shard
+// directory, the flight recorder otherwise (also with no directory at
+// all, where nothing else would arm one).
+func TestSpecConfigRecorder(t *testing.T) {
+	bare := Spec{Rank: 0, P: 2, JobID: "j", Coordinator: "127.0.0.1:1"}
+	cfg, err := bare.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Trace == nil {
+		t.Fatal("a spec with no directories yields no recorder: its rank's telemetry would read all zeros")
+	}
+	sharded := bare
+	sharded.ShardDir = t.TempDir()
+	if cfg, err = sharded.Config(); err != nil || cfg.Trace == nil {
+		t.Fatalf("a spec with a shard directory: Trace=%v err=%v, want a recorder", cfg.Trace, err)
 	}
 }
 

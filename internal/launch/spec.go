@@ -39,18 +39,18 @@ type Spec struct {
 	// fail fast and leave recovery to the gang relaunch.
 	Warm bool
 	// HeartbeatInterval and SuspectAfter are the job's liveness settings
-	// (transport.ClusterConfig); Telemetry is the metrics push interval,
-	// zero for off.
+	// (transport.ClusterConfig); every beat also carries the rank's
+	// telemetry.
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
-	Telemetry         time.Duration
 
 	// Chaos is a transport.ParseFaultPlan spec; empty injects nothing.
 	Chaos string
 	// CheckpointDir arms checkpointing and the warm/cold retry policy.
 	CheckpointDir string
 	// ShardDir arms full tracing; WriteShard leaves this rank's shard
-	// there for the launcher to merge.
+	// there for the launcher to merge. Without it the rank runs the
+	// flight recorder, which is all its telemetry needs.
 	ShardDir string
 	// PostmortemDir arms crash dumps into the gang's bundle.
 	PostmortemDir string
@@ -83,17 +83,16 @@ func FromEnv() (s Spec, ok bool, err error) {
 }
 
 // Config builds the machine configuration of this rank process: a
-// one-rank cluster transport, the gang identity, and whichever of
-// tracing, postmortem dumps and checkpointing the spec's directories
-// arm. Callers add what is theirs (SyncTimeout, Checkpoint.Every, …).
+// one-rank cluster transport, the gang identity, a recorder (full with
+// a ShardDir, flight-only otherwise) and whichever of postmortem dumps
+// and checkpointing the spec's directories arm. Callers add what is
+// theirs (SyncTimeout, Checkpoint.Every, …).
 func (s Spec) Config() (core.Config, error) {
 	mcfg := transport.ClusterConfig{
 		Coordinator: s.Coordinator, JobID: s.JobID,
 		Rank: s.Rank, Epoch: s.Epoch, P: s.P,
 		HeartbeatInterval: s.HeartbeatInterval, SuspectAfter: s.SuspectAfter,
-	}
-	if s.Telemetry > 0 {
-		mcfg.Telemetry = transport.TelemetryConfig{Interval: s.Telemetry, MetricsAddr: s.MetricsAddr}
+		MetricsAddr: s.MetricsAddr,
 	}
 	if s.Chaos != "" {
 		plan, err := transport.ParseFaultPlan(s.Chaos)
@@ -117,6 +116,8 @@ func (s Spec) Config() (core.Config, error) {
 	}
 	if s.ShardDir != "" {
 		cfg.Trace = trace.New(s.P)
+	} else {
+		cfg.Trace = trace.NewFlight(s.P)
 	}
 	if s.PostmortemDir != "" {
 		cfg.Postmortem = &core.PostmortemConfig{Dir: s.PostmortemDir, Job: s.JobID}

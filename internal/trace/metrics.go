@@ -13,8 +13,9 @@ import (
 // through it once. Per rank there is one Row of atomic cells; beside
 // the rows sit the (src,dst) exchange matrix and four machine-wide
 // distributions. Updates happen at superstep granularity, so a scraper
-// (the bsprun -metrics-addr endpoint, the telemetry push loop) reads a
-// consistent-enough view while rank goroutines keep recording.
+// (the bsprun -metrics-addr endpoint, a cluster member's telemetry
+// beat) reads a consistent-enough view while rank goroutines keep
+// recording.
 type Metrics struct {
 	rows []RowOf[atomic.Int64]
 	// computeNs stages each rank's newest compute span until the sync
@@ -126,7 +127,7 @@ func (m *Metrics) observe(e Event) {
 }
 
 // Rank returns one rank's counters by value, without allocating (the
-// telemetry push loop reads its own row every interval). Nil-safe; a
+// telemetry beat reads its own row every interval). Nil-safe; a
 // rank out of range reads as a row that never ran.
 func (m *Metrics) Rank(i int) Row {
 	row := Row{LastStep: -1}
@@ -308,7 +309,7 @@ func (h *Hist) Observe(v int64) {
 
 // AppendCounts appends the raw bucket counts (one per bound plus the
 // overflow bucket) to dst. Nil-safe, and allocation-free given
-// capacity — this is the telemetry push loop's reader.
+// capacity — this is the telemetry beat's reader.
 func (h *Hist) AppendCounts(dst []int64) []int64 {
 	if h == nil {
 		return dst

@@ -35,8 +35,7 @@ type RowOf[T any] struct {
 	LastHeartbeatEpoch T `json:"last_heartbeat_epoch"`
 
 	// Written by the coordinator's telemetry aggregator about the rank's
-	// stream, never by the rank itself (its frames carry zeros here).
-	SeqGaps     T `json:"seq_gaps"`
+	// stream, never by the rank itself (its beats carry zeros here).
 	Baselines   T `json:"baselines"`
 	Rejects     T `json:"rejects"`
 	Convictions T `json:"convictions"`
@@ -55,7 +54,7 @@ func fieldsOf[T any](r *RowOf[T]) [NumFields]*T {
 		&r.CkptSaves, &r.CkptBytes, &r.Restores, &r.Rollbacks, &r.Faults, &r.Suspects,
 		&r.Heartbeats, &r.HeartbeatMisses, &r.WarmRestarts, &r.RTTNs, &r.RTTCount,
 		&r.LastHeartbeatSeq, &r.LastHeartbeatEpoch,
-		&r.SeqGaps, &r.Baselines, &r.Rejects, &r.Convictions,
+		&r.Baselines, &r.Rejects, &r.Convictions,
 	}
 }
 
@@ -92,9 +91,8 @@ var Fields = [...]Field{
 	{"rtt_count", "bsp_heartbeat_echoes_total", "counter", "echoes", "heartbeat (echo)", "Heartbeat round trips measured."},
 	{"last_heartbeat_seq", "bsp_heartbeat_last_seq", "gauge", "seq", "heartbeat", "Sequence number of the newest heartbeat sent."},
 	{"last_heartbeat_epoch", "bsp_heartbeat_last_epoch", "gauge", "epoch", "heartbeat", "Gang epoch the newest heartbeat was sent in."},
-	{"seq_gaps", "bsp_telemetry_gaps_total", "counter", "frames", "coordinator: ingest", "Telemetry frames rejected for a sequence gap."},
-	{"baselines", "bsp_telemetry_baselines_total", "counter", "frames", "coordinator: ingest", "Telemetry baseline frames accepted (one per incarnation)."},
-	{"rejects", "bsp_telemetry_rejects_total", "counter", "frames", "coordinator: ingest", "Telemetry frames rejected for any reason, gaps included."},
+	{"baselines", "bsp_telemetry_baselines_total", "counter", "frames", "coordinator: ingest", "Telemetry frames that began an incarnation (one per recorder)."},
+	{"rejects", "bsp_telemetry_rejects_total", "counter", "frames", "coordinator: ingest", "Telemetry tails rejected as malformed."},
 	{"convictions", "bsp_convictions_total", "counter", "events", "coordinator: fence", "Times the failure detector convicted the rank."},
 }
 

@@ -39,6 +39,15 @@ func (r *Recorder) EpochWall() time.Time {
 	return r.epoch
 }
 
+// EpochWall returns the wall-clock time of the epoch of the recorder
+// this buffer belongs to: what its counters count from.
+func (b *Buf) EpochWall() time.Time {
+	if b == nil {
+		return time.Time{}
+	}
+	return b.epoch
+}
+
 // Shard extracts this recorder's events as one process's shard. Call
 // it only when the machine is quiescent.
 func (r *Recorder) Shard(job string, rank int) Shard {

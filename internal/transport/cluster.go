@@ -60,13 +60,14 @@ type ClusterConfig struct {
 	// HeartbeatInterval and SuspectAfter tune this member's side of the
 	// control-plane liveness protocol (beats sent, coordinator silence
 	// tolerated); they should match the coordinator's settings. 0 means
-	// the cluster defaults; negative disables.
+	// the cluster defaults; negative disables. Once the rank has a
+	// recorder, every beat also carries its telemetry.
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
-	// Telemetry arms the live metrics push loop (see TelemetryConfig).
-	// Off by default: only launchers that serve a status plane pay for
-	// the frames.
-	Telemetry TelemetryConfig
+	// MetricsAddr is this rank's own bound /metrics address, reported
+	// in its telemetry so /status can advertise real addresses instead
+	// of a port convention. Optional.
+	MetricsAddr string
 	// StageTimeout and MaxRetries tune the staged exchange engine
 	// exactly as on TCPTransport.
 	StageTimeout time.Duration
@@ -89,7 +90,8 @@ type ClusterConfig struct {
 // coordinator; the control reader applies remote aborts, leaves and
 // crash declarations to the local core (flag first, then hooks, so an
 // exchange woken by a dying socket always sees the flag), and a
-// heartbeat loop proves this process's liveness to the coordinator.
+// heartbeat loop proves this process's liveness to the coordinator and
+// carries its telemetry.
 type clusterMember struct {
 	core     *groupCore
 	rank     int
@@ -103,7 +105,8 @@ type clusterMember struct {
 	crashCause atomic.Pointer[CrashError]
 	// buf is the rank's trace buffer once core installs it; only its
 	// atomic Metrics methods are used here (the heartbeat and control
-	// goroutines are not the rank goroutine).
+	// goroutines are not the rank goroutine). Beats carry telemetry
+	// once it is set.
 	buf atomic.Pointer[trace.Buf]
 	// coordBeat is the unix-nano time of the coordinator's last frame.
 	coordBeat atomic.Int64
@@ -118,19 +121,18 @@ type clusterMember struct {
 	dumpFn atomic.Value
 	// hbStop ends the beat loop; stopping it while staying connected is
 	// exactly what a stalled process looks like, which the suspicion
-	// tests exploit.
-	hbStop     chan struct{}
-	hbStopOnce sync.Once
-	wg         sync.WaitGroup // the control reader and the beat loop; shutdown waits for both
+	// tests exploit. hbDone is closed once the loop has returned.
+	hbStop, hbDone chan struct{}
+	hbStopOnce     sync.Once
+	wg             sync.WaitGroup // the control reader
 
-	// Telemetry push state (telemetry.go): tmMu serializes the
-	// interval pushes with the final flush in Leave; the snapshot,
-	// encoder and frame buffers are reused across pushes.
-	telemetry TelemetryConfig
-	tmMu      sync.Mutex
-	tmSnap    wire.Telemetry
-	tmEnc     wire.TelemetryEncoder
-	tmFrame   []byte
+	// Beat state (beat, telemetry.go), owned by the beat loop and, once
+	// that has returned, by Leave: the newest beat's sequence number and
+	// the telemetry snapshot and frame buffers, reused across beats.
+	metricsAddr string
+	hbSeq       uint32
+	tmSnap      wire.Telemetry
+	tmFrame     []byte
 }
 
 func (m *clusterMember) Rank() int                       { return m.rank }
@@ -156,14 +158,13 @@ func (m *clusterMember) Abort() {
 // The hosting process owns exactly one member, so Leave always reports
 // last == true (the endpoint then tears down this process's sockets).
 func (m *clusterMember) Leave() (last bool) {
-	// Flush the final telemetry state first (the ordered control
+	// One final beat once the loop has stopped (the ordered control
 	// connection delivers it before the leave), so the coordinator's
 	// job view is complete even for runs shorter than one interval.
-	if m.telemetry.Interval > 0 {
-		m.pushTelemetry()
-	}
 	m.leftSelf.Store(true)
 	m.stopHeartbeats()
+	<-m.hbDone
+	m.beat()
 	m.sendCtrl(wire.Leave{Rank: m.rank})
 	m.core.markLeft(m.rank)
 	return true
@@ -195,6 +196,7 @@ func (m *clusterMember) stopHeartbeats() {
 // Leave in its receive queue and get a clean exit convicted as a crash.
 func (m *clusterMember) shutdown() {
 	m.stopHeartbeats()
+	<-m.hbDone
 	if tc, ok := m.ctrl.nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
@@ -203,44 +205,29 @@ func (m *clusterMember) shutdown() {
 	m.ctrl.nc.Close()
 }
 
-// beatLoop is the member's one ticker loop. Every hb it proves this
-// process's liveness to the coordinator and accounts for the
-// coordinator's beats in return: a coordinator silent past suspect
-// means the membership service (and the launcher that owns it) is gone,
-// so the member aborts rather than hang in a later exchange. Every
-// telemetry interval it pushes a metrics snapshot — on the same loop so
-// that a process whose beats are stalled (hbStop) looks fully silent and
-// suspicion can convict it. A zero period disables that half.
+// beatLoop is the member's one ticker loop. Every hb it beats (see
+// beat) and accounts for the coordinator's beats in return: a
+// coordinator silent past suspect means the membership service (and
+// the launcher that owns it) is gone, so the member aborts rather than
+// hang in a later exchange. A process whose beats are stalled (hbStop)
+// thus sends nothing at all, and suspicion can convict it. hb <= 0
+// disables the loop.
 func (m *clusterMember) beatLoop(hb, suspect time.Duration) {
-	defer m.wg.Done()
-	var beat, push <-chan time.Time
-	if hb > 0 {
-		t := time.NewTicker(hb)
-		defer t.Stop()
-		beat = t.C
+	defer close(m.hbDone)
+	if hb <= 0 {
+		return
 	}
-	if m.telemetry.Interval > 0 {
-		t := time.NewTicker(m.telemetry.Interval)
-		defer t.Stop()
-		push = t.C
-	}
-	var seq uint32
+	t := time.NewTicker(hb)
+	defer t.Stop()
 	for {
 		select {
 		case <-m.hbStop:
 			return
 		case <-m.core.abortCh:
 			return
-		case <-push:
-			m.pushTelemetry()
-			continue
-		case <-beat:
+		case <-t.C:
 		}
-		seq++
-		m.hbSentSeq.Store(int64(seq))
-		m.hbSentAt.Store(time.Now().UnixNano())
-		m.sendCtrl(wire.Ping{Heartbeat: wire.Heartbeat{Rank: m.rank, Epoch: m.core.opts.Epoch, Seq: seq}})
-		m.buf.Load().Heartbeat(int(seq), m.core.opts.Epoch)
+		m.beat()
 		if last := m.coordBeat.Load(); last > 0 {
 			gap := time.Now().UnixNano() - last
 			if gap > 2*int64(hb) {
@@ -427,9 +414,10 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 	}
 
 	core := newGroupCore(cfg.P, GroupOptions{JobID: cfg.JobID, Epoch: cfg.Epoch})
-	m := &clusterMember{core: core, rank: cfg.Rank, ctrl: peer, hbStop: make(chan struct{}), telemetry: cfg.Telemetry}
+	m := &clusterMember{core: core, rank: cfg.Rank, ctrl: peer, metricsAddr: cfg.MetricsAddr,
+		hbStop: make(chan struct{}), hbDone: make(chan struct{})}
 	m.coordBeat.Store(time.Now().UnixNano())
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.readControl()
 	go m.beatLoop(orDefault(cfg.HeartbeatInterval, clusterDefaultHeartbeatInterval), orDefault(cfg.SuspectAfter, DefaultSuspectAfter))
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -10,6 +11,28 @@ import (
 
 	"repro/internal/wire"
 )
+
+// joinGang joins ranks 0..cfg.P-1 of one gang concurrently, each with
+// cfg and its own Rank, and fails the test if any join fails.
+func joinGang(t *testing.T, cfg ClusterConfig) []Endpoint {
+	t.Helper()
+	eps, errs := make([]Endpoint, cfg.P), make([]error, cfg.P)
+	var wg sync.WaitGroup
+	for r := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.Rank = r
+			eps[r], errs[r] = JoinCluster(c)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return eps
+}
 
 // rawControlJoin performs only the control-plane half of a join — the
 // Join message — and returns the open control connection. It lets
@@ -335,27 +358,7 @@ func TestClusterCrashFansOutAsAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	eps := make([]Endpoint, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := JoinCluster(ClusterConfig{
-				Coordinator: coord.Addr(), JobID: "crashy", Rank: r, P: p,
-				JoinTimeout: 10 * time.Second,
-			})
-			if err != nil {
-				t.Errorf("rank %d join: %v", r, err)
-				return
-			}
-			eps[r] = ep
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
+	eps := joinGang(t, ClusterConfig{Coordinator: coord.Addr(), JobID: "crashy", P: p, JoinTimeout: 10 * time.Second})
 	// Rank 1 "crashes": every socket dies with no abort and no leave,
 	// exactly like a killed process.
 	crashed := eps[1].(*tcpEndpoint)

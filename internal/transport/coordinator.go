@@ -70,9 +70,10 @@ type CoordinatorOptions struct {
 	// over HTTP: /status (job-level JSON: per-rank last superstep,
 	// live/suspect state, the online (g, L) fit) and /metrics (rank-
 	// labeled Prometheus families — one scrape target for the whole
-	// job). Member telemetry frames feed it; without any, the document
-	// shows every rank silent. ":0" binds an ephemeral port (see
-	// Coordinator.StatusURL).
+	// job). The coordinator aggregates the telemetry its members' beats
+	// carry whether or not it is served; a member without a recorder
+	// beats bare, and its row stays silent. ":0" binds an ephemeral
+	// port (see Coordinator.StatusURL).
 	StatusAddr string
 
 	// closeOnIdle shuts the coordinator down once a ready generation's
@@ -320,7 +321,7 @@ func (c *Coordinator) apply(ev event) {
 				delete(c.peers, act.conn)
 			}
 		case actIngest:
-			c.telem.ingest(act.rank, act.epoch, act.payload, now)
+			c.telem.ingest(act.hb, act.tail, now)
 		case Fence:
 			if act.Rank >= 0 {
 				c.telem.convict(act.Rank, act.Reason)

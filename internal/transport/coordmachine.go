@@ -52,9 +52,11 @@ type (
 		msg  wire.Ctrl
 	}
 	actCloseConn struct{ conn connID }
-	actIngest    struct {
-		rank, epoch int // the sending connection's identity
-		payload     []byte
+	// actIngest hands a valid member beat's telemetry tail to the
+	// aggregate.
+	actIngest struct {
+		hb   wire.Heartbeat
+		tail []byte
 	}
 )
 
@@ -231,14 +233,15 @@ func (m *coordMachine) frame(now time.Time, ev evFrame) {
 		return
 	}
 	switch msg := ev.msg.(type) {
-	case wire.TelemetryPush:
-		m.out = append(m.out, actIngest{mem.rank, g.epoch, msg.Payload})
 	case wire.Ping:
 		if msg.Rank != mem.rank || msg.Epoch != g.epoch {
-			return // proves nothing about this member: not liveness
+			return // proves nothing about this member: not liveness, not telemetry
+		}
+		if msg.Tail != nil {
+			m.out = append(m.out, actIngest{msg.Heartbeat, msg.Tail})
 		}
 		if !g.failed && !mem.left {
-			m.send(mem, msg)
+			m.send(mem, wire.Ping{Heartbeat: msg.Heartbeat}) // the echo is bare
 		}
 	case wire.Abort:
 		m.fail(g, -1, fmt.Sprintf("rank %d aborted: %s", mem.rank, msg.Reason))

@@ -42,13 +42,16 @@ func actString(a action) string {
 		case wire.Leave:
 			return fmt.Sprintf("c%d<Leave(%d)", a.conn, msg.Rank)
 		case wire.Ping:
+			if msg.Tail != nil {
+				return fmt.Sprintf("c%d<Ping(rank %d, epoch %d, seq %d, tail %q)", a.conn, msg.Rank, msg.Epoch, msg.Seq, msg.Tail)
+			}
 			return fmt.Sprintf("c%d<Ping(rank %d, epoch %d, seq %d)", a.conn, msg.Rank, msg.Epoch, msg.Seq)
 		}
 		return fmt.Sprintf("c%d<%T", a.conn, a.msg)
 	case actCloseConn:
 		return fmt.Sprintf("close c%d", a.conn)
 	case actIngest:
-		return fmt.Sprintf("ingest r%d %q", a.rank, a.payload)
+		return fmt.Sprintf("ingest r%d e%d seq %d %q", a.hb.Rank, a.hb.Epoch, a.hb.Seq, a.tail)
 	case Fence:
 		return fmt.Sprintf("fenced rank %d, %d->%d", a.Rank, a.FailedEpoch, a.NewEpoch)
 	}
@@ -63,8 +66,8 @@ func TestCoordinatorMachineTable(t *testing.T) {
 		after time.Duration
 		ev    event
 	}
-	ping := func(conn connID, rank, epoch int) step {
-		return step{0, evFrame{conn, wire.Ping{Heartbeat: wire.Heartbeat{Rank: rank, Epoch: epoch, Seq: 9}}}}
+	ping := func(conn connID, rank, epoch int, tail ...byte) step {
+		return step{0, evFrame{conn, wire.Ping{Heartbeat: wire.Heartbeat{Rank: rank, Epoch: epoch, Seq: 9}, Tail: tail}}}
 	}
 	join := func(conn connID, rank, epoch int) step { return step{0, evJoin{conn, testJoin("job", rank, epoch, 2)}} }
 	ready2 := []step{join(1, 0, 0), join(2, 1, 0)} // p = 2, c1 = rank 0, c2 = rank 1
@@ -119,8 +122,10 @@ func TestCoordinatorMachineTable(t *testing.T) {
 			script: with(ready2, ping(2, 1, 0)),
 			want:   []string{"c2<Ping(rank 1, epoch 0, seq 9)"}},
 		{name: "telemetry is handed to the aggregate under the sender's rank",
-			script: with(ready2, step{0, evFrame{2, wire.TelemetryPush{Payload: []byte("t")}}}),
-			want:   []string{`ingest r1 "t"`}},
+			script: with(ready2, ping(2, 1, 0, 't')),
+			want:   []string{`ingest r1 e0 seq 9 "t"`, "c2<Ping(rank 1, epoch 0, seq 9)"}},
+		{name: "a mismatched beat's telemetry is not ingested either",
+			script: with(ready2, ping(2, 0, 0, 't'), ping(2, 1, 1, 't'))},
 		{name: "a leave is relayed to the others",
 			script: with(ready2, step{0, evFrame{1, wire.Leave{Rank: 0}}}),
 			want:   []string{"c2<Leave(0)"}},
@@ -230,8 +235,16 @@ type simConn struct {
 	admitted, booked, left bool
 	closed                 bool
 	lastBeat               time.Time
-	enc                    wire.TelemetryEncoder
-	vals                   []int64 // this incarnation's cumulative counter row, in trace.Fields order
+	rec                    *simRecorder // the recorder its process counts with
+}
+
+// simRecorder is one process's recorder: what a rank's beat tails
+// count from. A survivor that rejoins at a new epoch keeps it; a
+// relaunched process starts a new one.
+type simRecorder struct {
+	epoch    int64   // the tail's recorder epoch
+	vals     []int64 // its cumulative counter row, in trace.Fields order
+	lastGang int     // the gang epoch of its newest tail; -1 before any
 }
 
 // fenceSim drives a coordMachine with random events and a fake clock,
@@ -255,10 +268,13 @@ type fenceSim struct {
 	asmSince time.Time          // its first join
 	gens     map[int][]*simConn // ready generations by epoch
 	failed   map[int]bool       // epochs whose generation got its Fence
-	newest   []*simConn         // per rank: its newest booked connection (the one that pushes telemetry)
-	want     [][]int64          // per rank: the row the aggregate must show (counters totalled, gauges newest)
-	was      [][]int64          // per rank: the aggregate's row at the last check
-	fenced   bool               // the last step emitted a Fence
+	newest   []*simConn         // per rank: its newest booked connection (the one whose beats carry telemetry)
+	recs     []*simRecorder     // per rank: the recorder of its newest admitted connection
+	curRec   []*simRecorder     // per rank: the recorder of the newest tail ingested
+	nextRec  int64
+	want     [][]int64 // per rank: the row the aggregate must show (counters totalled, gauges newest)
+	was      [][]int64 // per rank: the aggregate's row at the last check
+	fenced   bool      // the last step emitted a Fence
 }
 
 func (s *fenceSim) failf(format string, args ...any) {
@@ -316,7 +332,7 @@ func (s *fenceSim) do(ev event) map[connID][]wire.Ctrl {
 				}
 			}
 		case actIngest:
-			s.agg.ingest(a.rank, a.epoch, a.payload, s.now)
+			s.agg.ingest(a.hb, a.tail, s.now)
 		case Fence:
 			fences = append(fences, a)
 		}
@@ -392,9 +408,9 @@ func (s *fenceSim) do(ev event) map[connID][]wire.Ctrl {
 		s.asm = map[int]*simConn{}
 	}
 
-	// The telemetry aggregate: no frame refused, and every field of the
+	// The telemetry aggregate: no tail refused, and every field of the
 	// table monotone (counters) and exactly what the members reported,
-	// across incarnations.
+	// across incarnations and same-recorder rejoins.
 	for r := 0; r < s.p; r++ {
 		got := s.agg.row(r, s.now.UnixNano(), 0, false, false).Row.AppendValues(nil)
 		for i, f := range trace.Fields {
@@ -444,6 +460,13 @@ func (s *fenceSim) join(rank, epoch int, job string) {
 			s.asmSince = s.now
 		}
 		c.admitted, s.asm[rank] = true, c
+		// Half the time the rank's process survived and rejoins with its
+		// recorder; otherwise it is a relaunch with a fresh one.
+		if s.recs[rank] == nil || s.rng.Intn(2) == 0 {
+			s.nextRec++
+			s.recs[rank] = &simRecorder{epoch: 1_700_000_000_000_000_000 + s.nextRec, vals: make([]int64, trace.NumFields), lastGang: -1}
+		}
+		c.rec = s.recs[rank]
 		s.open = append(s.open, c)
 	}
 	complete := len(s.asm) == s.p
@@ -583,35 +606,40 @@ func (s *fenceSim) run(events int) {
 			case len(sent) != 0:
 				s.failf("a mismatched beat drew %v", sent)
 			}
-		case k < 80: // telemetry: a few more supersteps, delta-encoded
+		case k < 80: // a beat with telemetry: a few more supersteps
 			if s.newest[c.rank] != c {
 				continue
 			}
 			// Every field a member owns moves: counters by a little,
 			// gauges to anything. The coordinator's own stay zero in the
-			// frame; of them only the baseline count moves, once per
-			// incarnation.
-			want, first := s.want[c.rank], c.vals == nil
-			if first {
-				c.vals = make([]int64, trace.NumFields)
+			// tail; of them only the baseline count moves, once per
+			// recorder.
+			rec, want := c.rec, s.want[c.rank]
+			newRec := s.curRec[c.rank] != rec
+			if !newRec && rec.lastGang != c.epoch {
+				s.log = append(s.log, fmt.Sprintf("same-recorder rejoin: rank %d, epoch %d -> %d", c.rank, rec.lastGang, c.epoch))
 			}
+			s.curRec[c.rank], rec.lastGang = rec, c.epoch
 			for i, f := range trace.Fields {
 				switch {
-				case f.Name == "baselines" && first:
+				case f.Name == "baselines" && newRec:
 					want[i]++
 				case strings.HasPrefix(f.Feed, "coordinator"):
 				case f.Type == "gauge":
-					c.vals[i] = int64(s.rng.Intn(1000)) - 1
-					want[i] = c.vals[i]
+					rec.vals[i] = int64(s.rng.Intn(1000)) - 1
+					want[i] = rec.vals[i]
 				default:
 					n := int64(s.rng.Intn(3))
-					c.vals[i] += n
+					rec.vals[i] += n
 					want[i] += n
 				}
 			}
-			snap := wire.Telemetry{Counters: c.vals}
-			s.do(evFrame{c.id, wire.TelemetryPush{Payload: c.enc.AppendEncode(nil, &snap)}})
+			tail := wire.AppendTelemetry(nil, &wire.Telemetry{Epoch: rec.epoch, Counters: rec.vals})
+			sent := s.do(evFrame{c.id, wire.Ping{Heartbeat: wire.Heartbeat{Rank: c.rank, Epoch: c.epoch, Seq: uint32(i + 1)}, Tail: tail}})
 			c.lastBeat = s.now
+			if echo, ok := firstMsg(sent[c.id]).(wire.Ping); ok && echo.Tail != nil {
+				s.failf("the echo of c%d's beat carries a tail", c.id)
+			}
 		case k < 84: // leave
 			if !c.booked || c.left {
 				continue
@@ -668,15 +696,16 @@ func (s *fenceSim) run(events int) {
 // Fence is emitted for it; survivors hear Dump then Crash/Abort in the
 // step that fences them (so before any later Book); no action addresses
 // a closed connection; duplicates are rejected without touching the
-// assembling gang; and the telemetry aggregate stays gap-free, monotone
-// and exact across re-admitted incarnations.
+// assembling gang; and the telemetry aggregate stays monotone and
+// exact across re-admitted incarnations, counting a survivor that
+// rejoins with its recorder as the same incarnation.
 func TestCoordinatorMachineFenceProperties(t *testing.T) {
 	schedules, events := 5000, 70 // × 3 widths: 1.05M events
 	if testing.Short() {
 		schedules = 500
 	}
 	total := 0
-	covered := []string{"<Book", " fenced rank", "join timed out", "sent no heartbeat", "duplicate rank", "stale epoch", "<Leave", "ingest r", "broke the control protocol", "abandoned before"}
+	covered := []string{"<Book", " fenced rank", "join timed out", "sent no heartbeat", "duplicate rank", "stale epoch", "<Leave", "ingest r", "broke the control protocol", "abandoned before", "same-recorder rejoin"}
 	hits := make([]int, len(covered))
 	for _, p := range []int{1, 2, 4} {
 		for seed := 0; seed < schedules; seed++ {
@@ -685,7 +714,8 @@ func TestCoordinatorMachineFenceProperties(t *testing.T) {
 			s := &fenceSim{t: t, rng: rand.New(rand.NewSource(int64(seed)*8 + int64(p))), p: p, opts: opts,
 				m: newCoordMachine(p, opts), agg: newTelemetryAgg(p), now: machineT0, epoch: opts.Epoch,
 				conns: map[connID]*simConn{}, asm: map[int]*simConn{}, gens: map[int][]*simConn{}, failed: map[int]bool{},
-				newest: make([]*simConn, p), want: make([][]int64, p), was: make([][]int64, p)}
+				newest: make([]*simConn, p), recs: make([]*simRecorder, p), curRec: make([]*simRecorder, p),
+				want: make([][]int64, p), was: make([][]int64, p)}
 			for r := range s.want {
 				s.want[r] = trace.Row{LastStep: -1}.AppendValues(nil) // a silent rank's row
 				s.was[r] = make([]int64, trace.NumFields)

@@ -76,28 +76,10 @@ func TestClusterLivenessConvictsStalledRank(t *testing.T) {
 	}
 	defer coord.Close()
 
-	eps := make([]Endpoint, p)
-	var joinWG sync.WaitGroup
-	for r := 0; r < p; r++ {
-		joinWG.Add(1)
-		go func() {
-			defer joinWG.Done()
-			ep, err := JoinCluster(ClusterConfig{
-				Coordinator: coord.Addr(), JobID: "hung", Rank: r, P: p,
-				JoinTimeout:       10 * time.Second,
-				HeartbeatInterval: 50 * time.Millisecond, SuspectAfter: suspectAfter,
-			})
-			if err != nil {
-				t.Errorf("rank %d join: %v", r, err)
-				return
-			}
-			eps[r] = ep
-		}()
-	}
-	joinWG.Wait()
-	if t.Failed() {
-		return
-	}
+	eps := joinGang(t, ClusterConfig{
+		Coordinator: coord.Addr(), JobID: "hung", P: p, JoinTimeout: 10 * time.Second,
+		HeartbeatInterval: 50 * time.Millisecond, SuspectAfter: suspectAfter,
+	})
 
 	// Rank 1 hangs: sockets stay open, heartbeats stop.
 	eps[1].(*tcpEndpoint).m.(*clusterMember).stopHeartbeats()
@@ -394,7 +376,7 @@ func TestClusterPartitionedJoinFailsCleanly(t *testing.T) {
 }
 
 // TestClusterHeartbeatRTTEcho: the coordinator echoes each member
-// beat back verbatim, and the member turns the echo of its newest
+// beat back (bare: without its telemetry tail), and the member turns the echo of its newest
 // beat into a round-trip observation — the bsp_heartbeat_rtt_seconds
 // histogram and a flight-ring heartbeat event carrying the RTT.
 func TestClusterHeartbeatRTTEcho(t *testing.T) {
@@ -404,15 +386,14 @@ func TestClusterHeartbeatRTTEcho(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	defer coord.Close()
-	// Telemetry is armed only so the test can block on the coordinator's
-	// event stream: the member's RTT accumulator rides every push, so the
-	// first ingested frame that carries an observation proves the member
-	// has recorded it.
+	// Once the recorder is installed every beat carries telemetry, which
+	// lets the test block on the coordinator's event stream: the
+	// member's RTT accumulator rides every tail, so the first ingested
+	// tail that carries an observation proves the member has recorded it.
 	ep, err := JoinCluster(ClusterConfig{
 		Coordinator: coord.Addr(), JobID: "rtt", Rank: 0, P: 1,
 		JoinTimeout:       10 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond,
-		Telemetry:         TelemetryConfig{Interval: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +402,7 @@ func TestClusterHeartbeatRTTEcho(t *testing.T) {
 	ep.(TraceSetter).SetTrace(rec.Rank(0))
 
 	for coord.StatusDoc().Ranks[0].RTTAvgNs == 0 {
-		watch.await(t, "a telemetry frame carrying a heartbeat RTT", isIngest)
+		watch.await(t, "a telemetry tail carrying a heartbeat RTT", isIngest)
 	}
 	snap := rec.Metrics().Snapshot()
 	if r0 := snap.Ranks[0]; r0.Heartbeats < 1 || r0.LastHeartbeatSeq < 1 || r0.RTTCount < 1 {

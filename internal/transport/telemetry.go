@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -11,52 +10,43 @@ import (
 	"repro/internal/wire"
 )
 
-// TelemetryConfig arms a cluster member's live telemetry push loop:
-// every Interval the member reads its rank's metrics atomics and sends
-// a delta-encoded wire.Telemetry frame (a wire.TelemetryPush) to the
-// coordinator, entirely off the superstep hot path — the push runs on
-// the member's beat goroutine and touches only atomic counters the
-// recorder already maintains. Interval <= 0 disables it.
-type TelemetryConfig struct {
-	Interval time.Duration
-	// MetricsAddr is this rank's own bound /metrics address, reported
-	// to the coordinator so /status can advertise real addresses
-	// instead of a port convention. Optional.
-	MetricsAddr string
-}
+// --- member side: the beat (beatLoop in cluster.go paces it) ---
 
-// --- member side: the push (beatLoop in cluster.go paces it) ---
-
-// pushTelemetry copies the rank's counter row and the two shipped
-// histograms into the frame and sends it. All buffers (the vectors,
-// the encoder's state, the frame) are owned by the member and reused,
-// so a steady-state push performs no allocations — the loop can run at
-// aggressive intervals without disturbing the allocation-gated
-// exchange path.
-func (m *clusterMember) pushTelemetry() {
-	m.tmMu.Lock()
-	defer m.tmMu.Unlock()
-	t := &m.tmSnap
-	t.MetricsAddr = m.telemetry.MetricsAddr
-	met := m.buf.Load().Metrics()
-	t.Counters = met.Rank(m.rank).AppendValues(t.Counters[:0])
-	if met != nil { // until core installs the recorder there are no histograms
+// beat sends one Ping. Once core has installed the rank's recorder, the
+// Ping carries the rank's counter row and the two shipped histograms as
+// its tail, absolute since the recorder's epoch. The snapshot and frame
+// buffers are reused, so a steady-state tail costs no allocations — the
+// beat can run at aggressive intervals without disturbing the
+// allocation-gated exchange path. The beat is counted before the
+// snapshot, so the tail includes it.
+func (m *clusterMember) beat() {
+	m.hbSeq++
+	epoch := m.core.opts.Epoch
+	ping := wire.Ping{Heartbeat: wire.Heartbeat{Rank: m.rank, Epoch: epoch, Seq: m.hbSeq}}
+	if b := m.buf.Load(); b != nil {
+		b.Heartbeat(int(m.hbSeq), epoch)
+		t, met := &m.tmSnap, b.Metrics()
+		t.Epoch, t.MetricsAddr = b.EpochWall().UnixNano(), m.metricsAddr
+		t.Counters = met.Rank(m.rank).AppendValues(t.Counters[:0])
 		t.StepDur = met.StepDur.AppendCounts(t.StepDur[:0])
 		t.SyncWait = met.SyncWait.AppendCounts(t.SyncWait[:0])
+		m.tmFrame = wire.AppendTelemetry(m.tmFrame[:0], t)
+		ping.Tail = m.tmFrame
 	}
-	m.tmFrame = m.tmEnc.AppendEncode(m.tmFrame[:0], t)
-	m.sendCtrl(wire.TelemetryPush{Payload: m.tmFrame})
+	m.hbSentSeq.Store(int64(m.hbSeq))
+	m.hbSentAt.Store(time.Now().UnixNano())
+	m.sendCtrl(ping)
 }
 
 // --- coordinator side: the aggregator ---
 
-// telemetryAgg is the coordinator's job-level view: one decoder and
-// one reconstructed cumulative snapshot per rank, plus the online
-// (g, L) estimator fed with per-interval (h, wait) observations. It
-// outlives generations — a warm-restarted rank re-synchronises with a
-// baseline frame, and the dead incarnation's totals are folded into a
-// per-rank base so counters stay monotone for Prometheus. The
-// coordinator's loop goroutine owns it, as it owns the machine.
+// telemetryAgg is the coordinator's job-level view: the newest
+// telemetry tail per rank, plus the online (g, L) estimator fed with
+// per-interval (h, wait) observations. It outlives generations: a tail
+// from a new recorder (a relaunched process) starts a new incarnation,
+// and the dead incarnation's totals are folded into a per-rank base so
+// counters stay monotone for Prometheus. The coordinator's loop
+// goroutine owns it, as it owns the machine.
 type telemetryAgg struct {
 	ranks []aggRank
 	est   *cost.OnlineEstimator
@@ -68,22 +58,23 @@ type telemetryAgg struct {
 }
 
 type aggRank struct {
-	dec wire.TelemetryDecoder
-	// cur is the newest accepted frame's row (this incarnation); base is
+	// cur is the newest accepted tail's row (this incarnation); base is
 	// everything a /status row adds to it: the folded totals of dead
 	// incarnations and what the coordinator itself counts about the
-	// rank's stream (fields a member's frames leave zero).
+	// rank's stream (fields a member's tails leave zero).
 	cur, base trace.Row
 	curHist   [2][]int64 // StepDur, SyncWait buckets of cur
 	baseHist  [2][]int64
 
-	// Of the newest accepted frame: its sequence number (0 = none yet),
-	// the epoch of the connection that carried it, the sender's /metrics
-	// address, and its arrival time in unix nanoseconds.
-	seq    uint32
-	epoch  int
-	addr   string
-	lastAt int64
+	// Of the newest accepted tail: the recorder epoch it counts from,
+	// the sequence number and gang epoch of the beat that carried it
+	// (seq 0 = none yet), the sender's /metrics address, and its arrival
+	// time in unix nanoseconds.
+	recEpoch int64
+	seq      uint32
+	epoch    int
+	addr     string
+	lastAt   int64
 
 	reason    string // newest conviction reason
 	convicted bool   // convicted and not seen since
@@ -93,26 +84,25 @@ func newTelemetryAgg(p int) *telemetryAgg {
 	return &telemetryAgg{ranks: make([]aggRank, p), est: cost.NewOnlineEstimator()}
 }
 
-// ingest decodes one frame from the connection the membership machine
-// knows as (rank, epoch) and feeds the estimator with the interval it
-// spans. A baseline frame is an interval from incarnation start, so
-// even a job short enough to produce a single final flush still
-// contributes observations. A frame the decoder refuses, or whose
-// counter vector is not one row wide, is counted against the rank and
-// otherwise ignored.
-func (a *telemetryAgg) ingest(rank, epoch int, payload []byte, now time.Time) {
-	r := &a.ranks[rank]
-	t, err := r.dec.Decode(payload)
+// ingest decodes the tail of a valid beat (the membership machine has
+// checked its rank and epoch) and feeds the estimator with the interval
+// since the rank's previous tail. A tail from a recorder other than the
+// current one starts an incarnation, whose first interval runs from the
+// recorder's start, so even a job short enough to produce a single
+// final beat still contributes observations; the same recorder
+// continues its incarnation, also when it rejoins at a new gang epoch.
+// A tail that does not decode, or whose counter vector is not one row
+// wide, is counted against the rank and otherwise ignored.
+func (a *telemetryAgg) ingest(hb wire.Heartbeat, tail []byte, now time.Time) {
+	r := &a.ranks[hb.Rank]
+	t, err := wire.DecodeTelemetry(tail)
 	cur, ok := trace.RowFromValues(t.Counters)
 	if err != nil || !ok {
 		r.base.Rejects++
-		if errors.Is(err, wire.ErrTelemetryGap) {
-			r.base.SeqGaps++
-		}
 		return
 	}
 	prev := r.cur
-	if t.Seq == 1 {
+	if r.seq == 0 || t.Epoch != r.recEpoch {
 		r.base.Baselines++
 		// A new incarnation: fold the finished one into the base so job
 		// totals stay monotone.
@@ -124,7 +114,7 @@ func (a *telemetryAgg) ingest(rank, epoch int, payload []byte, now time.Time) {
 	}
 	a.observeInterval(&prev, &cur)
 	r.cur, r.curHist = cur, [2][]int64{t.StepDur, t.SyncWait}
-	r.seq, r.epoch, r.addr, r.lastAt = t.Seq, epoch, t.MetricsAddr, now.UnixNano()
+	r.recEpoch, r.seq, r.epoch, r.addr, r.lastAt = t.Epoch, hb.Seq, hb.Epoch, t.MetricsAddr, now.UnixNano()
 	r.convicted = false
 }
 
@@ -229,7 +219,7 @@ func (a *telemetryAgg) row(i int, now int64, suspectAfter time.Duration, left, d
 	}
 	switch {
 	// Conviction is authoritative even for a rank that never got a
-	// telemetry frame out — the liveness plane saw it die.
+	// telemetry tail out — the liveness plane saw it die.
 	case r.convicted || down:
 		row.State = "down"
 	case r.seq == 0:
@@ -291,7 +281,7 @@ func (doc StatusDoc) writeMetrics(w io.Writer) {
 	for i, r := range doc.Ranks {
 		fmt.Fprintf(w, "bsp_rank_up{rank=\"%d\"} %g\n", i, b2f[r.State == "live" || r.State == "suspect"])
 	}
-	gauge("bsp_rank_telemetry_seq", "Newest telemetry frame sequence, per rank.")
+	gauge("bsp_rank_telemetry_seq", "Sequence number of the newest beat that carried telemetry, per rank.")
 	for i, r := range doc.Ranks {
 		fmt.Fprintf(w, "bsp_rank_telemetry_seq{rank=\"%d\"} %d\n", i, r.Seq)
 	}

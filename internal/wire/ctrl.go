@@ -8,20 +8,20 @@ import (
 )
 
 // Ctrl is one message of the cluster control protocol, the sum of the
-// nine variants below. On the wire every message is a
+// eight variants below. On the wire every message is a
 // [u32 length][tag][body] frame; AppendCtrl and ParseCtrl are the only
 // encoder and decoder of the [tag][body] payload.
 //
-//	tag variant       direction  body                                 meaning
-//	'J' Join          m → c      u32 n, Handshake payload (n), addr   opens a connection: identity + data-plane address
-//	'B' Book          c → m      u32 p, then p × (u32 n, address)     readiness barrier: every rank's data address
-//	'R' Reject        c → m      reason                               the Join is refused
-//	'X' Abort         either     reason                               cooperative gang abort
-//	'L' Leave         either     u32 rank                             Rank detached cleanly; the coordinator relays it
-//	'H' Ping          either     i32 rank, u32 epoch, u32 seq         liveness beat; a member's own is echoed back (RTT)
-//	'C' Crash         c → m      u32 rank, u32 new epoch, reason      Rank is convicted; survivors rejoin at NewEpoch
-//	'D' Dump          c → m      reason                               persist the flight ring; a Crash or Abort follows
-//	'T' TelemetryPush m → c      one TelemetryEncoder frame           metrics snapshot for the aggregate
+//	tag variant  direction  body                                     meaning
+//	'J' Join     m → c      u32 n, Handshake payload (n), addr       opens a connection: identity + data-plane address
+//	'B' Book     c → m      u32 p, then p × (u32 n, address)         readiness barrier: every rank's data address
+//	'R' Reject   c → m      reason                                   the Join is refused
+//	'X' Abort    either     reason                                   cooperative gang abort
+//	'L' Leave    either     u32 rank                                 Rank detached cleanly; the coordinator relays it
+//	'H' Ping     either     i32 rank, u32 epoch, u32 seq, tail       liveness beat; a member's own is echoed back bare (RTT);
+//	                                                                 a member's tail, when present, is its Telemetry
+//	'C' Crash    c → m      u32 rank, u32 new epoch, reason          Rank is convicted; survivors rejoin at NewEpoch
+//	'D' Dump     c → m      reason                                   persist the flight ring; a Crash or Abort follows
 type Ctrl interface{ tag() byte }
 
 type (
@@ -33,24 +33,27 @@ type (
 	Reject struct{ Reason string }
 	Abort  struct{ Reason string }
 	Leave  struct{ Rank int }
-	Ping   struct{ Heartbeat }
-	Crash  struct {
+	// Ping is a Heartbeat, plus on a member's beat the rank's encoded
+	// Telemetry (AppendTelemetry) once it has a recorder; nil otherwise.
+	Ping struct {
+		Heartbeat
+		Tail []byte
+	}
+	Crash struct {
 		Rank, NewEpoch int
 		Reason         string
 	}
-	Dump          struct{ Reason string }
-	TelemetryPush struct{ Payload []byte }
+	Dump struct{ Reason string }
 )
 
-func (Join) tag() byte          { return 'J' }
-func (Book) tag() byte          { return 'B' }
-func (Reject) tag() byte        { return 'R' }
-func (Abort) tag() byte         { return 'X' }
-func (Leave) tag() byte         { return 'L' }
-func (Ping) tag() byte          { return 'H' }
-func (Crash) tag() byte         { return 'C' }
-func (Dump) tag() byte          { return 'D' }
-func (TelemetryPush) tag() byte { return 'T' }
+func (Join) tag() byte   { return 'J' }
+func (Book) tag() byte   { return 'B' }
+func (Reject) tag() byte { return 'R' }
+func (Abort) tag() byte  { return 'X' }
+func (Leave) tag() byte  { return 'L' }
+func (Ping) tag() byte   { return 'H' }
+func (Crash) tag() byte  { return 'C' }
+func (Dump) tag() byte   { return 'D' }
 
 // Heartbeat is the body of a Ping. Members beat to the coordinator on a
 // fixed interval and the coordinator beats back, so a hung-but-connected
@@ -81,47 +84,47 @@ var ErrCtrl = errors.New("wire: malformed frame")
 // ~32 bytes per rank).
 const ctrlFrameLimit = 1 << 20
 
-// AppendCtrl appends c's [tag][body] payload to dst.
+// AppendCtrl appends c's [tag][body] payload to dst. Each case takes
+// its tag from the concrete type rather than through the interface, so
+// c does not escape and a beat is framed without allocating.
 func AppendCtrl(dst []byte, c Ctrl) []byte {
 	le := binary.LittleEndian
-	dst = append(dst, c.tag())
 	switch c := c.(type) {
 	case Join:
 		hs := c.Handshake.EncodePayload()
-		dst = le.AppendUint32(dst, uint32(len(hs)))
+		dst = le.AppendUint32(append(dst, c.tag()), uint32(len(hs)))
 		dst = append(dst, hs...)
 		dst = append(dst, c.DataAddr...)
 	case Book:
-		dst = le.AppendUint32(dst, uint32(len(c.Addrs)))
+		dst = le.AppendUint32(append(dst, c.tag()), uint32(len(c.Addrs)))
 		for _, a := range c.Addrs {
 			dst = le.AppendUint32(dst, uint32(len(a)))
 			dst = append(dst, a...)
 		}
 	case Reject:
-		dst = append(dst, c.Reason...)
+		dst = append(append(dst, c.tag()), c.Reason...)
 	case Abort:
-		dst = append(dst, c.Reason...)
+		dst = append(append(dst, c.tag()), c.Reason...)
 	case Dump:
-		dst = append(dst, c.Reason...)
+		dst = append(append(dst, c.tag()), c.Reason...)
 	case Leave:
-		dst = le.AppendUint32(dst, uint32(c.Rank))
+		dst = le.AppendUint32(append(dst, c.tag()), uint32(c.Rank))
 	case Ping:
-		dst = le.AppendUint32(dst, uint32(int32(c.Rank)))
+		dst = le.AppendUint32(append(dst, c.tag()), uint32(int32(c.Rank)))
 		dst = le.AppendUint32(dst, uint32(c.Epoch))
 		dst = le.AppendUint32(dst, c.Seq)
+		dst = append(dst, c.Tail...)
 	case Crash:
-		dst = le.AppendUint32(dst, uint32(c.Rank))
+		dst = le.AppendUint32(append(dst, c.tag()), uint32(c.Rank))
 		dst = le.AppendUint32(dst, uint32(c.NewEpoch))
 		dst = append(dst, c.Reason...)
-	case TelemetryPush:
-		dst = append(dst, c.Payload...)
 	}
 	return dst
 }
 
 // ctrlWords is how many u32 words lead each tag's body; the variant's
 // tail (a reason, an address, the entries of a Book) follows them.
-var ctrlWords = map[byte]int{'J': 1, 'B': 1, 'R': 0, 'X': 0, 'L': 1, 'H': 3, 'C': 2, 'D': 0, 'T': 0}
+var ctrlWords = map[byte]int{'J': 1, 'B': 1, 'R': 0, 'X': 0, 'L': 1, 'H': 3, 'C': 2, 'D': 0}
 
 // ParseCtrl decodes one [tag][body] payload. The result does not alias
 // b. Every failure wraps ErrCtrl.
@@ -168,16 +171,16 @@ func ParseCtrl(b []byte) (Ctrl, error) {
 		c = Dump{Reason: string(tail)}
 	case 'C':
 		c = Crash{Rank: word(0), NewEpoch: word(1), Reason: string(tail)}
-	case 'T':
-		c = TelemetryPush{Payload: append([]byte(nil), tail...)}
 	case 'L':
 		if len(tail) == 0 {
 			c = Leave{Rank: word(0)}
 		}
 	case 'H':
-		if len(tail) == 0 {
-			c = Ping{Heartbeat{Rank: int(int32(word(0))), Epoch: word(1), Seq: uint32(word(2))}}
+		p := Ping{Heartbeat: Heartbeat{Rank: int(int32(word(0))), Epoch: word(1), Seq: uint32(word(2))}}
+		if len(tail) > 0 {
+			p.Tail = append([]byte(nil), tail...)
 		}
+		c = p
 	}
 	if c == nil {
 		return nil, fmt.Errorf("%w: malformed %q body", ErrCtrl, tag)

@@ -20,11 +20,11 @@ var ctrlSamples = []Ctrl{
 	Abort{Reason: "local abort"},
 	Abort{},
 	Leave{Rank: 2},
-	Ping{Heartbeat{Rank: 3, Epoch: 2, Seq: 41}},
-	Ping{Heartbeat{Rank: CoordinatorRank, Epoch: 7, Seq: 1 << 30}},
+	Ping{Heartbeat: Heartbeat{Rank: 3, Epoch: 2, Seq: 41}},
+	Ping{Heartbeat: Heartbeat{Rank: CoordinatorRank, Epoch: 7, Seq: 1 << 30}},
 	Crash{Rank: 1, NewEpoch: 5, Reason: "rank 1 disconnected"},
 	Dump{Reason: "why"},
-	TelemetryPush{Payload: []byte{1, 2, 3}},
+	Ping{Heartbeat: Heartbeat{Rank: 1, Epoch: 3, Seq: 9}, Tail: AppendTelemetry(nil, &Telemetry{Epoch: 1e18, Counters: []int64{-1, 4}, MetricsAddr: "127.0.0.1:9"})},
 }
 
 func TestCtrlRoundTrip(t *testing.T) {

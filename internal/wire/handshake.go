@@ -34,10 +34,11 @@ const HandshakeMagic = 0x42535047 // "GPSB" little-endian on the wire
 
 // HandshakeVersion is the protocol revision this build speaks, bumped
 // with any frame layout (2: the typed control protocol of ctrl.go; 3:
-// telemetry payloads are bare vectors, identified by their connection).
+// telemetry payloads are bare vectors, identified by their connection;
+// 4: telemetry is a member Ping's stateless tail).
 // A gang is one self-exec'd binary, so a stale child is owed a
 // rejection by version, not compatibility.
-const HandshakeVersion = 3
+const HandshakeVersion = 4
 
 // handshakeFixed is the fixed-width prefix of the payload: magic,
 // version, rank, epoch, p — five little-endian uint32s. The job id

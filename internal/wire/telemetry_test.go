@@ -2,17 +2,17 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// sampleTelemetry is a frame whose every value grows with scale, as a
+// sampleTelemetry is a tail whose every value grows with scale, as a
 // member's cumulative counters do; the first counter plays the gauge
 // that starts at -1.
 func sampleTelemetry(scale int64) Telemetry {
 	t := Telemetry{
+		Epoch:       1_760_000_000_000_000_000,
 		Counters:    []int64{scale - 1, scale, scale * 1_000_003, scale * 400_007, scale * 129, scale * 131, scale * 2048, scale * 310_000, scale / 2, scale / 3, scale / 7, scale / 9},
 		StepDur:     []int64{scale, scale * 2, 0, scale / 2},
 		SyncWait:    []int64{0, scale, scale * 3},
@@ -39,181 +39,92 @@ func equalTelemetry(a, b Telemetry) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestTelemetryRoundTrip: a monotone stream of snapshots must
-// reconstruct exactly through the stateful delta codec, and the
-// steady-state frames must be far smaller than the fixed-width
-// equivalent.
+// TestTelemetryRoundTrip: every tail reconstructs exactly on its own,
+// in any order — the codec has no state — and re-encodes to the same
+// bytes.
 func TestTelemetryRoundTrip(t *testing.T) {
-	var enc TelemetryEncoder
-	var dec TelemetryDecoder
-	var buf []byte
+	var frames [][]byte
+	var in []Telemetry
 	for i := int64(1); i <= 20; i++ {
-		in := sampleTelemetry(i * 7)
-		buf = enc.AppendEncode(buf[:0], &in)
-		if in.Seq != uint32(i) {
-			t.Fatalf("frame %d assigned seq %d", i, in.Seq)
-		}
-		out, err := dec.Decode(buf)
+		tm := sampleTelemetry(i * 7)
+		in = append(in, tm)
+		frames = append(frames, AppendTelemetry(nil, &tm))
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(frames)) {
+		out, err := DecodeTelemetry(frames[i])
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
-		if !equalTelemetry(in, out) {
-			t.Fatalf("frame %d round-trip mismatch:\n in %+v\nout %+v", i, in, out)
+		if !equalTelemetry(in[i], out) {
+			t.Fatalf("frame %d round-trip mismatch:\n in %+v\nout %+v", i, in[i], out)
 		}
-		// Fixed-width encoding of the same frame would be 31 8-byte
-		// values + the addr: > 260 bytes.
-		if i > 1 && len(buf) > 100 {
-			t.Errorf("steady-state delta frame is %d bytes, want compact (<100)", len(buf))
+		if again := AppendTelemetry(nil, &out); !bytes.Equal(again, frames[i]) {
+			t.Fatalf("frame %d re-encodes to %x, want %x", i, again, frames[i])
 		}
 	}
 }
 
-// TestTelemetryBaselineReset: a fresh encoder (warm-restarted member)
-// emits Seq 1, which must reset the decoder's accumulated state even
-// though the old incarnation's counters were much larger.
-func TestTelemetryBaselineReset(t *testing.T) {
-	var enc1 TelemetryEncoder
-	var dec TelemetryDecoder
-	for i := int64(1); i <= 5; i++ {
-		in := sampleTelemetry(i * 100)
-		if _, err := dec.Decode(enc1.AppendEncode(nil, &in)); err != nil {
-			t.Fatalf("epoch-0 frame %d: %v", i, err)
-		}
-	}
-	var enc2 TelemetryEncoder // fresh incarnation, small counters again
-	in := sampleTelemetry(3)
-	out, err := dec.Decode(enc2.AppendEncode(nil, &in))
-	if err != nil {
-		t.Fatalf("baseline after restart: %v", err)
-	}
-	if out.Seq != 1 || !equalTelemetry(in, out) {
-		t.Fatalf("baseline reset mismatch:\n in %+v\nout %+v", in, out)
-	}
-	// And the restarted stream keeps decoding.
-	in2 := sampleTelemetry(9)
-	out2, err := dec.Decode(enc2.AppendEncode(nil, &in2))
-	if err != nil || !equalTelemetry(in2, out2) {
-		t.Fatalf("post-reset delta frame: err=%v\n in %+v\nout %+v", err, in2, out2)
-	}
-}
-
-// TestTelemetryGapDetection: dropping a delta frame must surface as
-// ErrTelemetryGap, and the stream must recover at the next baseline.
-func TestTelemetryGapDetection(t *testing.T) {
-	var enc TelemetryEncoder
-	var dec TelemetryDecoder
-	t1 := sampleTelemetry(1)
-	t2 := sampleTelemetry(2)
-	t3 := sampleTelemetry(3)
-	f1 := enc.AppendEncode(nil, &t1)
-	_ = enc.AppendEncode(nil, &t2) // lost in transit
-	f3 := enc.AppendEncode(nil, &t3)
-	if _, err := dec.Decode(f1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Decode(f3); !errors.Is(err, ErrTelemetryGap) {
-		t.Fatalf("decode after gap: err=%v, want ErrTelemetryGap", err)
-	}
-	var enc2 TelemetryEncoder
-	t4 := sampleTelemetry(4)
-	if out, err := dec.Decode(enc2.AppendEncode(nil, &t4)); err != nil || !equalTelemetry(t4, out) {
-		t.Fatalf("baseline after gap: err=%v out=%+v", err, out)
-	}
-}
-
-// TestTelemetryDeltaBeforeBaseline: a decoder that joins mid-stream
-// (coordinator restart would need this) refuses delta frames until it
-// sees a baseline.
-func TestTelemetryDeltaBeforeBaseline(t *testing.T) {
-	var enc TelemetryEncoder
-	t1 := sampleTelemetry(1)
-	t2 := sampleTelemetry(2)
-	_ = enc.AppendEncode(nil, &t1)
-	f2 := enc.AppendEncode(nil, &t2)
-	var dec TelemetryDecoder
-	if _, err := dec.Decode(f2); !errors.Is(err, ErrTelemetryBaseline) {
-		t.Fatalf("err=%v, want ErrTelemetryBaseline", err)
-	}
-}
-
-// TestTelemetryDecodeRejects: malformed frames must error, never
+// TestTelemetryDecodeRejects: malformed tails must error, never
 // panic or over-allocate — and so must every non-canonical spelling of
 // a well-formed one, or "accepted bytes re-encode identically" fails.
 func TestTelemetryDecodeRejects(t *testing.T) {
-	var enc TelemetryEncoder
 	tm := sampleTelemetry(5)
-	good := enc.AppendEncode(nil, &tm)
+	good := AppendTelemetry(nil, &tm)
 	cases := map[string][]byte{
 		"empty":         {},
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte{}, good...), 0xff),
-		"padded varint": append([]byte{0x81, 0x00}, good[1:]...), // seq 1 spelled in two bytes
-		"wide vector":   {1, 65},
-		"seq overflow":  {0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0, 0},
+		"padded varint": {0x82, 0x00, 0, 0, 0, 0}, // epoch 1 spelled in two bytes
+		"wide vector":   {2, 65},
+		"long varint":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0},
 	}
 	for name, b := range cases {
-		var dec TelemetryDecoder
-		if _, err := dec.Decode(b); err == nil {
-			t.Errorf("%s: decode accepted malformed frame", name)
+		if _, err := DecodeTelemetry(b); err == nil {
+			t.Errorf("%s: decode accepted malformed tail", name)
 		}
 	}
 }
 
-// TestTelemetryEncodeNoAlloc: the push loop runs concurrently with the
-// superstep hot path, so steady-state encoding must not allocate.
+// TestTelemetryEncodeNoAlloc: every member beat encodes a tail while
+// the superstep hot path runs, so encoding into a reused buffer must
+// not allocate.
 func TestTelemetryEncodeNoAlloc(t *testing.T) {
-	var enc TelemetryEncoder
 	tm := sampleTelemetry(1)
-	buf := enc.AppendEncode(make([]byte, 0, 512), &tm)
-	n := int64(2)
+	buf := AppendTelemetry(make([]byte, 0, 512), &tm)
 	allocs := testing.AllocsPerRun(100, func() {
-		tm = sampleTelemetry(n)
-		n++
-		buf = enc.AppendEncode(buf[:0], &tm)
+		tm.Counters[1]++
+		buf = AppendTelemetry(buf[:0], &tm)
 	})
-	// sampleTelemetry itself allocates its three vectors (the counter
-	// row grows twice on the way to full width); allow those but nothing
-	// from the encoder.
-	if allocs > 5 {
-		t.Errorf("steady-state encode: %.1f allocs/op, want <= 5", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state encode: %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// FuzzTelemetryFrame: the decoder never panics on arbitrary payloads,
-// and — FuzzCtrl's property, for a stateful codec — whatever a decoder
-// accepts, an encoder that has seen the same stream re-encodes to the
-// very bytes given. Two payloads per input, so delta frames (accepted
-// only after a baseline) are reached too.
+// FuzzTelemetryFrame: the decoder never panics on arbitrary tails,
+// and — FuzzCtrl's property — whatever it accepts re-encodes to the
+// very bytes given. Two tails per input, decoded independently: the
+// order of arrival cannot matter to a stateless codec.
 func FuzzTelemetryFrame(f *testing.F) {
-	var enc TelemetryEncoder
 	t1, t2 := sampleTelemetry(1), sampleTelemetry(4)
-	f1 := enc.AppendEncode(nil, &t1)
-	f2 := enc.AppendEncode(nil, &t2)
+	f1, f2 := AppendTelemetry(nil, &t1), AppendTelemetry(nil, &t2)
 	f.Add(f1, f2)
 	f.Add(f2, f1)
 	f.Add(f1[:len(f1)/2], f1)
-	var encNeg TelemetryEncoder
-	neg := Telemetry{Counters: []int64{-1, 0, -5}, StepDur: []int64{3}}
-	f.Add(encNeg.AppendEncode(nil, &neg), []byte{2, 1, 1, 0, 0, 0})
+	neg := Telemetry{Epoch: -3, Counters: []int64{-1, 0, -5}, StepDur: []int64{3}}
+	f.Add(AppendTelemetry(nil, &neg), []byte{2, 1, 1, 0, 0, 0})
 	rng := rand.New(rand.NewSource(42))
 	junk := make([]byte, 64)
 	rng.Read(junk)
 	f.Add(junk, []byte{})
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		var dec TelemetryDecoder
-		var re TelemetryEncoder
 		for _, data := range [][]byte{a, b} {
-			got, err := dec.Decode(data)
+			got, err := DecodeTelemetry(data)
 			if err != nil {
 				continue
 			}
-			if got.Seq == 1 {
-				re = TelemetryEncoder{} // a baseline restarts the stream
-			}
-			again := got
-			if reframed := re.AppendEncode(nil, &again); !bytes.Equal(reframed, data) || again.Seq != got.Seq {
-				t.Fatalf("Decode(%x) = %+v re-encodes to %x (seq %d)", data, got, reframed, again.Seq)
+			if again := AppendTelemetry(nil, &got); !bytes.Equal(again, data) {
+				t.Fatalf("DecodeTelemetry(%x) = %+v re-encodes to %x", data, got, again)
 			}
 		}
 	})

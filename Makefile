@@ -12,7 +12,9 @@
 #                     BENCH_exchange.json), every transport's exchange
 #                     engine (shm, xchg, tcp, sim, cluster) must recycle
 #                     batches at exactly 0 allocs per superstep
-#                     (internal/transport), a
+#                     and the tcp and cluster links must stand up,
+#                     run three supersteps and close within 8 KiB per
+#                     ordered pair at p = 4, 8, 16 (internal/transport), a
 #                     checkpoint capture must allocate the same bytes
 #                     for a 1 MiB inbox or kept slice as for a 64 KiB
 #                     one (both are streamed into the record,
@@ -141,7 +143,7 @@ verify-race: vet race
 
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
-	$(GO) test -count=1 ./internal/transport/ -run TestEngineAllocGate -v
+	$(GO) test -count=1 ./internal/transport/ -run 'TestEngineAllocGate|TestLinkOpenBytes' -v
 	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement' -v
 
 flake-check:

@@ -92,7 +92,7 @@ func BenchmarkClusterExchange(b *testing.B) {
 
 func BenchmarkEmptySuperstep(b *testing.B) {
 	for _, tr := range allTransports() {
-		for _, p := range []int{2, 4, 8} {
+		for _, p := range []int{2, 4, 8, 16} {
 			b.Run(fmt.Sprintf("%s/p=%d", tr.Name(), p), func(b *testing.B) {
 				benchSupersteps(b, tr, p)
 			})

@@ -136,14 +136,17 @@ func (x *exchange) handoff(dst int) {
 	}
 }
 
-// accept takes ownership of src's inbound batch and delivers it; the
-// buffer returns to the pool at the next Sync or Close.
+// accept takes ownership of src's inbound batch, laid out as Send
+// builds one — the link's reserved bytes in front of the frames — and
+// delivers the frames; the whole buffer returns to the pool at the next
+// Sync or Close.
 func (x *exchange) accept(src int, b []byte) error {
-	if len(b) == 0 {
-		return nil // a silent peer: the link sent no buffer
+	if len(b) <= x.reserve {
+		putBatch(b) // a silent peer: no frames, perhaps a bare header
+		return nil
 	}
 	x.recycle = append(x.recycle, b)
-	return x.deliver(src, b)
+	return x.deliver(src, b[x.reserve:])
 }
 
 // deliver slots src's nonempty batch into the inbox, validating its

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,6 +42,13 @@ import (
 // whatever size arrives, so mixed and asymmetric pairs need no
 // negotiation (DESIGN.md §5).
 //
+// No stream buffer sits between socket and Inbox: the receiver reads
+// header and body straight into one pooled buffer shaped like the
+// sender's, which the Inbox serves in place — a first read of at most
+// firstReadLimit bytes, then one exact read of the rest. Bytes read past
+// a batch start the peer's next one (a peer runs at most one superstep
+// ahead) and are carried to the next read from that peer.
+//
 // The transport is hardened against transient failure: every connect,
 // read and write carries a per-stage deadline, and operations that fail
 // with a retryable error (a net.Error timeout or an injected
@@ -63,8 +69,8 @@ type TCPTransport struct {
 	MaxRetries int
 
 	// wrapConn, when set (by ChaosTransport), decorates each
-	// connection for fault injection before the buffered framing is
-	// layered on top.
+	// connection for fault injection, beneath the deadline-and-retry
+	// policy every batch read and write goes through.
 	wrapConn func(local, peer int, c net.Conn) net.Conn
 }
 
@@ -82,6 +88,11 @@ const batchHdrLen = 8
 // eagerLimit is the largest batch body posted eagerly at Sync entry;
 // larger batches wait for their stage of the pairing schedule.
 const eagerLimit = batchCap
+
+// firstReadLimit bounds a batch's first read, which takes the header
+// and whatever has already arrived; it also bounds the bytes carried
+// past a batch.
+const firstReadLimit = 64 << 10
 
 // Defaults for the hardening knobs: the stage deadline is generous (it
 // only has to beat "forever"), the retry budget small (transient faults
@@ -295,19 +306,21 @@ type tcpEndpoint struct {
 	exchange
 	st     *tcpState
 	conns  []net.Conn
-	rd     []*bufio.Reader
-	wr     []*stageConn // unbuffered: one Write per batch
+	sc     []*stageConn // unbuffered: one Write per batch, reads straight into batches
 	posted []uint32     // per peer: the round whose batch was last written
-	hdr    [batchHdrLen]byte
+	// carry holds, per peer, the bytes a first read took past its batch:
+	// the front of that peer's next batch, in a pooled buffer.
+	carry [][]byte
+	hdr   [batchHdrLen]byte
 }
 
 func newTCPEndpoint(st *tcpState, m GroupMember, id int) *tcpEndpoint {
 	e := &tcpEndpoint{
 		st:     st,
 		conns:  make([]net.Conn, st.p),
-		rd:     make([]*bufio.Reader, st.p),
-		wr:     make([]*stageConn, st.p),
+		sc:     make([]*stageConn, st.p),
 		posted: make([]uint32, st.p),
+		carry:  make([][]byte, st.p),
 	}
 	e.init(e, "tcp", m, id, st.p)
 	e.reserve = batchHdrLen
@@ -333,18 +346,16 @@ func (e *tcpEndpoint) SetDump(fn func(reason string)) {
 }
 
 // setConn installs the connection to peer. The raw conn is kept for
-// Close/CloseWrite/teardown; the buffered reader and the direct batch
-// writes run over the retry-and-deadline stageConn (optionally over a
-// fault-injecting wrapper), so every read and write inherits the policy.
+// Close/CloseWrite/teardown; batch reads and writes run over the
+// retry-and-deadline stageConn (optionally over a fault-injecting
+// wrapper), so every read and write inherits the policy.
 func (e *tcpEndpoint) setConn(peer int, c net.Conn) {
 	e.conns[peer] = c
 	inner := c
 	if e.st.wrapConn != nil {
 		inner = e.st.wrapConn(e.id, peer, inner)
 	}
-	sc := &stageConn{Conn: inner, timeout: e.st.timeout, retries: e.st.retries}
-	e.rd[peer] = bufio.NewReaderSize(sc, 64<<10)
-	e.wr[peer] = sc
+	e.sc[peer] = &stageConn{Conn: inner, timeout: e.st.timeout, retries: e.st.retries}
 }
 
 // closeConns closes this endpoint's raw sockets.
@@ -359,8 +370,9 @@ func (e *tcpEndpoint) closeConns() {
 // leave implements link. Our write directions are shut down so that a
 // peer still expecting traffic observes EOF (a superstep-count
 // mismatch) instead of hanging; the last local member to leave tears
-// down this process's sockets.
+// down this process's sockets. Carried bytes go back to the pool.
 func (e *tcpEndpoint) leave() {
+	putBatches(e.carry)
 	for _, c := range e.conns {
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.CloseWrite()
@@ -463,7 +475,7 @@ func (e *tcpEndpoint) writeBatch(peer int) error {
 	}
 	binary.LittleEndian.PutUint32(batch[0:4], round)
 	binary.LittleEndian.PutUint32(batch[4:8], uint32(len(batch)-batchHdrLen))
-	if _, err := e.wr[peer].Write(batch); err != nil {
+	if _, err := e.sc[peer].Write(batch); err != nil {
 		return err
 	}
 	e.posted[peer] = round
@@ -474,37 +486,55 @@ func (e *tcpEndpoint) writeBatch(peer int) error {
 	return nil
 }
 
-// readBatch receives peer's whole per-pair buffer into one pooled
-// contiguous buffer; the engine validates its framing in the one pass
-// the inbox relies on.
+// readBatch receives peer's whole per-pair batch into one pooled
+// buffer laid out as writeBatch sent it, header in front, starting from
+// the bytes carried past peer's previous batch. The engine validates
+// the framing in the one pass the inbox relies on.
 func (e *tcpEndpoint) readBatch(peer int) error {
-	r := e.rd[peer]
-	if _, err := io.ReadFull(r, e.hdr[:]); err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("peer exited (superstep counts diverged): %w", err)
-		}
-		return err
+	r := e.sc[peer]
+	b := e.carry[peer]
+	e.carry[peer] = nil
+	if b == nil {
+		b = getBatch()
 	}
-	if round := binary.LittleEndian.Uint32(e.hdr[0:4]); round != uint32(e.round)+1 {
+	if len(b) < batchHdrLen {
+		n, err := io.ReadAtLeast(r, b[len(b):min(cap(b), firstReadLimit)], batchHdrLen-len(b))
+		b = b[:len(b)+n]
+		if err != nil {
+			putBatch(b)
+			if err == io.EOF && len(b) == 0 {
+				return fmt.Errorf("peer exited (superstep counts diverged): %w", err)
+			}
+			return err
+		}
+	}
+	if round := binary.LittleEndian.Uint32(b[0:4]); round != uint32(e.round)+1 {
+		putBatch(b)
 		return fmt.Errorf("superstep mismatch: peer at %d, local at %d", round, e.round+1)
 	}
-	n := binary.LittleEndian.Uint32(e.hdr[4:8])
+	n := binary.LittleEndian.Uint32(b[4:8])
 	if n > tcpFrameLimit {
+		putBatch(b)
 		return fmt.Errorf("corrupt batch header: %d bytes", n)
 	}
-	if n == 0 {
-		return nil
+	total := batchHdrLen + int(n)
+	switch {
+	case len(b) > total: // read past the batch: the front of peer's next one
+		e.carry[peer] = append(getBatch(), b[total:]...)
+		b = b[:total]
+	case len(b) < total: // the rest of the body, in one exact read
+		if cap(b) < total {
+			grown := make([]byte, len(b), total)
+			copy(grown, b)
+			putBatch(b)
+			b = grown
+		}
+		have := len(b)
+		b = b[:total]
+		if _, err := io.ReadFull(r, b[have:]); err != nil {
+			putBatch(b)
+			return err
+		}
 	}
-	batch := getBatch()
-	if cap(batch) < int(n) {
-		putBatch(batch)
-		batch = make([]byte, n)
-	} else {
-		batch = batch[:n]
-	}
-	if _, err := io.ReadFull(r, batch); err != nil {
-		putBatch(batch)
-		return err
-	}
-	return e.accept(peer, batch)
+	return e.accept(peer, b)
 }

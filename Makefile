@@ -168,7 +168,7 @@ trace-smoke:
 	$(GO) build -o $(TRACE_DIR)/bsprun ./cmd/bsprun
 	$(GO) build -o $(TRACE_DIR)/tracecheck ./cmd/tracecheck
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport tcp \
-		-chaos "seed=1,delay=0,stall=0,connerr=0,crash=1:3" \
+		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-checkpoint-dir $(TRACE_DIR)/ckpt -trace $(TRACE_DIR)/trace.json -cost-report
 	$(TRACE_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(TRACE_DIR)/trace.json
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport shm \
@@ -188,7 +188,7 @@ cluster-smoke:
 		-trace $(CLUSTER_DIR)/ocean.json
 	$(CLUSTER_DIR)/tracecheck -ranks 4 $(CLUSTER_DIR)/ocean.json
 	$(CLUSTER_DIR)/bsprun -app psort -size 4000 -p 4 -cluster \
-		-chaos "seed=1,delay=0,stall=0,connerr=0,crash=1:3" \
+		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-checkpoint-dir $(CLUSTER_DIR)/ckpt -trace $(CLUSTER_DIR)/crash.json \
 		-sync-timeout 30s
 	$(CLUSTER_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(CLUSTER_DIR)/crash.json
@@ -207,7 +207,7 @@ postmortem-smoke:
 	$(GO) build -o $(POST_DIR)/bsppost ./cmd/bsppost
 	$(GO) build -o $(POST_DIR)/tracecheck ./cmd/tracecheck
 	$(POST_DIR)/bsprun -app psort -size 4000 -p 4 -cluster \
-		-chaos "seed=1,delay=0,stall=0,connerr=0,crash=1:3" \
+		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-postmortem-dir $(POST_DIR)/bundle -sync-timeout 30s
 	$(POST_DIR)/tracecheck -postmortem -ranks 4 $(POST_DIR)/bundle
 	$(POST_DIR)/bsppost $(POST_DIR)/bundle | tee $(POST_DIR)/report.txt

@@ -13,7 +13,7 @@
 // hang:
 //
 //	bsprun -app mm -size 128 -p 4 -transport tcp \
-//	    -chaos "seed=42,delay=0.1,maxdelay=2ms,connerr=0.05" \
+//	    -chaos "seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms" \
 //	    -sync-timeout 10s
 //
 // With -checkpoint-dir the run recovers from crash faults, aborts and
@@ -85,7 +85,7 @@ func main() {
 	p := flag.Int("p", 4, "number of BSP processes")
 	trName := flag.String("transport", "shm", "transport: shm|xchg|tcp|sim|cluster|chaos:<base>")
 	cluster := flag.Bool("cluster", false, "run each rank as its own OS process over loopback TCP (self-exec fan-out; supersedes -transport); combines with -chaos and -checkpoint-dir for gang-level crash recovery")
-	chaosSpec := flag.String("chaos", "", "fault-injection plan, e.g. \"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,connerr=0.05,abort=1@3,crash=1:3\"; empty disables")
+	chaosSpec := flag.String("chaos", "", "fault-injection plan, e.g. \"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,abort=1@3,crash=1:3\"; empty disables")
 	syncTimeout := flag.Duration("sync-timeout", 0, "abort the run if no process completes a superstep for this long (0 disables)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory; arms crash recovery (apps that keep state resume from superstep snapshots, the others re-execute from scratch)")
 	hbInterval := flag.Duration("heartbeat-interval", 0, "cluster liveness heartbeat period on the control plane; each rank's beat also carries its telemetry to the coordinator (0 = 500ms default, negative disables)")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -12,13 +11,6 @@ import (
 
 	"repro/internal/trace"
 )
-
-// ErrTransient marks an injected (or environmental) fault that a
-// transport is allowed to absorb by retrying. The TCP transport retries
-// reads, writes and connects whose errors match errors.Is(err,
-// ErrTransient) or are net.Error timeouts; every other error is treated
-// as fatal for the superstep.
-var ErrTransient = fmt.Errorf("transport: transient fault")
 
 // ErrCrashed marks an injected hard crash: the faulted rank's endpoint
 // was killed mid-superstep (aborted and closed underneath the still-
@@ -38,14 +30,13 @@ var ErrInjectedAbort = errors.New("transport: injected abort")
 // FaultPlan describes the deterministic fault schedule of a
 // ChaosTransport. The zero value injects nothing.
 //
-// All fault decisions are drawn from rand streams seeded with
-// Seed⊕rank (endpoint faults) or Seed⊕(rank,peer) (connection faults),
-// so a plan replays the same decision sequence on every run with the
-// same seed: fault k of rank r is identical across runs, independent of
-// goroutine scheduling. Only the wall-clock interleaving with other
-// ranks varies.
+// All fault decisions are drawn from per-rank rand streams seeded with
+// Seed⊕rank, so a plan replays the same decision sequence on every run
+// with the same seed: fault k of rank r is identical across runs,
+// independent of goroutine scheduling. Only the wall-clock interleaving
+// with other ranks varies.
 type FaultPlan struct {
-	// Seed roots every per-rank and per-connection random stream.
+	// Seed roots every per-rank random stream.
 	Seed int64
 
 	// DelayRate is the per-Send probability of sleeping before the
@@ -61,12 +52,6 @@ type FaultPlan struct {
 	// into a clean ErrTimeout naming the stalled rank.
 	StallRate float64
 	Stall     time.Duration
-
-	// ConnErrRate is the per-Read/Write-call probability that a TCP
-	// connection returns a transient error instead of performing I/O.
-	// Only effective when the wrapped transport is TCPTransport; the
-	// TCP retry/backoff path must absorb these.
-	ConnErrRate float64
 
 	// AbortRank/AbortStep force rank AbortRank to abort the machine in
 	// superstep AbortStep (1-based). AbortStep == 0 disables.
@@ -96,15 +81,14 @@ type FaultPlan struct {
 
 // DefaultFaultPlan returns a mild always-on plan used by
 // transport.New("chaos:<base>"): occasional sub-millisecond delays and
-// stalls plus sparse transient connection faults on the TCP path.
+// stalls.
 func DefaultFaultPlan() FaultPlan {
 	return FaultPlan{
-		Seed:        1,
-		DelayRate:   0.05,
-		MaxDelay:    time.Millisecond,
-		StallRate:   0.02,
-		Stall:       2 * time.Millisecond,
-		ConnErrRate: 0.05,
+		Seed:      1,
+		DelayRate: 0.05,
+		MaxDelay:  time.Millisecond,
+		StallRate: 0.02,
+		Stall:     2 * time.Millisecond,
 	}
 }
 
@@ -135,7 +119,7 @@ func (pl FaultPlan) inWindow(step int) bool {
 
 // ParseFaultPlan parses a comma-separated key=value fault-plan spec,
 // e.g. "seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,
-// connerr=0.02,abort=1@3,ranks=0+2,steps=2-5". Unknown keys are
+// abort=1@3,ranks=0+2,steps=2-5". Unknown keys are
 // errors. An empty spec returns DefaultFaultPlan.
 func ParseFaultPlan(spec string) (FaultPlan, error) {
 	pl := DefaultFaultPlan()
@@ -159,8 +143,6 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 			pl.StallRate, err = strconv.ParseFloat(v, 64)
 		case "stallfor":
 			pl.Stall, err = time.ParseDuration(v)
-		case "connerr":
-			pl.ConnErrRate, err = strconv.ParseFloat(v, 64)
 		case "abort":
 			r, s, ok := strings.Cut(v, "@")
 			if !ok {
@@ -217,7 +199,6 @@ func (pl FaultPlan) String() string {
 	fmt.Fprintf(&b, ",maxdelay=%s", pl.MaxDelay)
 	fmt.Fprintf(&b, ",stall=%s", strconv.FormatFloat(pl.StallRate, 'g', -1, 64))
 	fmt.Fprintf(&b, ",stallfor=%s", pl.Stall)
-	fmt.Fprintf(&b, ",connerr=%s", strconv.FormatFloat(pl.ConnErrRate, 'g', -1, 64))
 	if pl.AbortStep != 0 || pl.AbortRank != 0 {
 		fmt.Fprintf(&b, ",abort=%d@%d", pl.AbortRank, pl.AbortStep)
 	}
@@ -241,8 +222,8 @@ func (pl FaultPlan) String() string {
 
 // ChaosTransport decorates any Transport with seeded, deterministic
 // fault injection driven by a FaultPlan: per-message delivery delays,
-// Sync stalls (slow peers), transient connection errors on the TCP
-// path, forced mid-superstep aborts, and hard endpoint crashes
+// Sync stalls (slow peers), forced mid-superstep aborts, and hard
+// endpoint crashes
 // (CrashRank/CrashStep; see NewChaosTransport for the one-shot
 // semantics recovery relies on). It exists so the delivery
 // contract and the timeout/abort machinery can be exercised under
@@ -307,24 +288,12 @@ func (t ChaosTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) 
 }
 
 func (t ChaosTransport) open(p int, openBase func(Transport) ([]Endpoint, error)) ([]Endpoint, error) {
-	base := t.Base
-	if t.Plan.ConnErrRate > 0 {
-		// Socket-backed bases get the connection fault decorator too.
-		switch bt := base.(type) {
-		case TCPTransport:
-			bt.wrapConn = chaosWrapConn(t.Plan)
-			base = bt
-		case ClusterTransport:
-			bt.wrapConn = chaosWrapConn(t.Plan)
-			base = bt
-		}
-	}
 	var eps []Endpoint
 	var err error
 	if openBase != nil {
-		eps, err = openBase(base)
+		eps, err = openBase(t.Base)
 	} else {
-		eps, err = base.Open(p)
+		eps, err = t.Base.Open(p)
 	}
 	if err != nil {
 		return nil, err
@@ -476,29 +445,4 @@ func (e *chaosEndpoint) handedBatches() int {
 		return h.handedBatches()
 	}
 	return 0
-}
-
-// chaosConn injects transient faults into a TCP connection: with
-// probability rate a Read/Write call fails with an ErrTransient-wrapped
-// error before touching the socket (so no bytes are lost and the
-// caller's retry is safe). Each conn belongs to one endpoint goroutine;
-// the rng is unshared.
-type chaosConn struct {
-	net.Conn
-	rng  *rand.Rand
-	rate float64
-}
-
-func (c *chaosConn) Read(p []byte) (int, error) {
-	if c.rng.Float64() < c.rate {
-		return 0, fmt.Errorf("chaos: injected read fault: %w", ErrTransient)
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *chaosConn) Write(p []byte) (int, error) {
-	if c.rng.Float64() < c.rate {
-		return 0, fmt.Errorf("chaos: injected write fault: %w", ErrTransient)
-	}
-	return c.Conn.Write(p)
 }

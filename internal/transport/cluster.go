@@ -68,21 +68,17 @@ type ClusterConfig struct {
 	// in its telemetry so /status can advertise real addresses instead
 	// of a port convention. Optional.
 	MetricsAddr string
-	// StageTimeout and MaxRetries tune the staged exchange engine
-	// exactly as on TCPTransport.
-	StageTimeout time.Duration
-	MaxRetries   int
-	// Chaos, when non-nil, wraps this rank's endpoint (and, when the
-	// plan injects connection faults, its data connections) in the
-	// fault plan; ChaosCrash additionally arms the plan's one-shot
-	// crash fault in this process. A child process uses this instead of
+	// Chaos, when non-nil, wraps this rank's endpoint in the fault
+	// plan; ChaosCrash additionally arms the plan's one-shot crash
+	// fault in this process. A child process uses this instead of
 	// ChaosTransport, which wraps whole in-process machines.
 	Chaos      *FaultPlan
 	ChaosCrash bool
 
-	// wrapConn lets the in-process ClusterTransport thread the chaos
-	// connection decorator through JoinCluster.
-	wrapConn func(local, peer int, c net.Conn) net.Conn
+	// stageTimeout and wrapConn let the in-process ClusterTransport
+	// thread its test seams (see TCPTransport) through JoinCluster.
+	stageTimeout time.Duration
+	wrapConn     func(local, peer int, c net.Conn) net.Conn
 }
 
 // clusterMember is the out-of-process GroupMember: the shared groupCore
@@ -421,10 +417,6 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 	go m.readControl()
 	go m.beatLoop(orDefault(cfg.HeartbeatInterval, clusterDefaultHeartbeatInterval), orDefault(cfg.SuspectAfter, DefaultSuspectAfter))
 
-	wrap := cfg.wrapConn
-	if wrap == nil && cfg.Chaos != nil && cfg.Chaos.ConnErrRate > 0 {
-		wrap = chaosWrapConn(*cfg.Chaos)
-	}
 	conns, err := dataPlane(cfg, hs, ln, book, deadline)
 	ln.Close()
 	if err != nil {
@@ -440,13 +432,11 @@ func joinCluster(cfg ClusterConfig) (Endpoint, error) {
 		return nil, err
 	}
 
-	tt := TCPTransport{StageTimeout: cfg.StageTimeout, MaxRetries: cfg.MaxRetries}
 	st := &tcpState{
 		p:        cfg.P,
 		sched:    NewPairSchedule(cfg.P),
-		timeout:  tt.stageTimeout(),
-		retries:  tt.maxRetries(),
-		wrapConn: wrap,
+		timeout:  orDefault(cfg.stageTimeout, tcpDefaultStageTimeout),
+		wrapConn: cfg.wrapConn,
 	}
 	e := newTCPEndpoint(st, m, cfg.Rank)
 	for peer, c := range conns {
@@ -559,15 +549,12 @@ func dataPlane(cfg ClusterConfig, hs wire.Handshake, ln net.Listener, book []str
 // pieces directly: a Coordinator (owned by the launcher, see
 // internal/launch) and one JoinCluster (via ClusterMember) per child.
 type ClusterTransport struct {
-	// StageTimeout and MaxRetries tune the staged exchange engine, as
-	// on TCPTransport.
-	StageTimeout time.Duration
-	MaxRetries   int
 	// JoinTimeout bounds gang assembly (see CoordinatorOptions).
 	JoinTimeout time.Duration
 
-	// wrapConn is ChaosTransport's connection decorator.
-	wrapConn func(local, peer int, c net.Conn) net.Conn
+	// stageTimeout and wrapConn are the test seams of TCPTransport.
+	stageTimeout time.Duration
+	wrapConn     func(local, peer int, c net.Conn) net.Conn
 }
 
 // Name implements Transport.
@@ -606,8 +593,7 @@ func (t ClusterTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error
 				Epoch:        opts.Epoch,
 				P:            p,
 				JoinTimeout:  t.JoinTimeout,
-				StageTimeout: t.StageTimeout,
-				MaxRetries:   t.MaxRetries,
+				stageTimeout: t.stageTimeout,
 				wrapConn:     t.wrapConn,
 			})
 		}()
@@ -689,13 +675,4 @@ func (m *ClusterMember) open(p int, job string, epoch int) ([]Endpoint, error) {
 		return nil, err
 	}
 	return []Endpoint{ep}, nil
-}
-
-// chaosWrapConn builds the ChaosTransport connection decorator for a
-// fault plan (shared by the tcp and cluster wrapping paths).
-func chaosWrapConn(plan FaultPlan) func(local, peer int, c net.Conn) net.Conn {
-	return func(local, peer int, c net.Conn) net.Conn {
-		seed := plan.Seed ^ int64(local*1_000_003+peer+1)
-		return &chaosConn{Conn: c, rng: rand.New(rand.NewSource(seed)), rate: plan.ConnErrRate}
-	}
 }

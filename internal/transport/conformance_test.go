@@ -7,8 +7,8 @@ package transport
 // non-aliasing, mutable within their window, and valid until the
 // receiver's next Sync recycles the batch buffers). It runs one shared
 // table against all four base transports AND chaos-wrapped variants,
-// whose injected delays, stalls and transient TCP faults must never
-// change any observable outcome.
+// whose injected delays and stalls must never change any observable
+// outcome.
 //
 // Delivery order is part of the contract: ascending source rank, then
 // send order within a source, with self-sends in the sender's own slot
@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -52,9 +53,9 @@ func conformanceFaultPlan() FaultPlan {
 // registered transport runs the suite clean AND chaos-wrapped, so a
 // newly registered transport — the cluster, with its out-of-process
 // membership — inherits the whole contract the day it is registered.
-// Socket-backed transports get transient connection faults on top of
-// the delay/stall plan; sim is the only transport that tolerates early
-// finishers (its barrier is a scheduler, not a peer exchange).
+// The chaos-wrapped rows run the delay/stall plan; sim is the only
+// transport that tolerates early finishers (its barrier is a scheduler,
+// not a peer exchange).
 func conformanceCases() []conformanceCase {
 	var cases []conformanceCase
 	for _, name := range Names() {
@@ -69,11 +70,7 @@ func conformanceCases() []conformanceCase {
 		if err != nil {
 			panic(fmt.Sprintf("conformanceCases: New(%q): %v", name, err))
 		}
-		plan := conformanceFaultPlan()
-		if name == "tcp" || name == "cluster" {
-			plan.ConnErrRate = 0.05
-		}
-		cases = append(cases, conformanceCase{"chaos-" + name, ChaosTransport{Base: base, Plan: plan}, name != "sim"})
+		cases = append(cases, conformanceCase{"chaos-" + name, ChaosTransport{Base: base, Plan: conformanceFaultPlan()}, name != "sim"})
 	}
 	return cases
 }
@@ -440,30 +437,42 @@ func TestConformanceBufferReuseAfterSync(t *testing.T) {
 	}
 }
 
-// TestConformanceChaosTransientTCP cranks the injected connection fault
-// rate far above the conformance plan's and checks the TCP retry +
-// backoff path absorbs every fault: the exchange still delivers
-// exactly the contract multiset.
-func TestConformanceChaosTransientTCP(t *testing.T) {
-	plan := FaultPlan{Seed: 11, ConnErrRate: 0.3}
-	tr := ChaosTransport{Base: TCPTransport{}, Plan: plan}
-	const p, steps = 3, 4
-	runProcs(t, tr, p, func(ep Endpoint) {
-		id := ep.ID()
-		for s := 0; s < steps; s++ {
-			for dst := 0; dst < p; dst++ {
-				ep.Send(dst, msgFor(id, dst, s, 0))
-			}
-			in, err := ep.Sync()
-			if err != nil {
-				t.Errorf("rank %d step %d: Sync under 30%% transient faults: %v", id, s, err)
-				return
-			}
-			if in.Pending() != p {
-				t.Errorf("rank %d step %d: %d messages, want %d", id, s, in.Pending(), p)
-			}
-		}
-	})
+// TestConformanceStageDeadline pins the socket links' silent-peer
+// bound: a peer that never reaches its exchange fails the waiting
+// rank's Sync after one stage deadline d — not a multiple of it — with
+// a timeout error naming the pair and superstep, and the silent peer
+// can still close cleanly afterwards.
+func TestConformanceStageDeadline(t *testing.T) {
+	const d = 300 * time.Millisecond
+	for _, tr := range []Transport{
+		TCPTransport{stageTimeout: d},
+		ClusterTransport{stageTimeout: d},
+	} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			failed := make(chan struct{})
+			runProcs(t, tr, 2, func(ep Endpoint) {
+				if ep.ID() == 1 {
+					<-failed // silent: never Syncs superstep 1
+					return
+				}
+				defer close(failed)
+				ep.Send(1, []byte("x"))
+				start := time.Now()
+				_, err := ep.Sync()
+				took := time.Since(start)
+				if err == nil {
+					t.Error("Sync with a silent peer succeeded")
+					return
+				}
+				if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "exchanging with 1 in superstep 1") {
+					t.Errorf("Sync error = %v, want a deadline error naming the pair and superstep", err)
+				}
+				if took < d || took >= 2*d {
+					t.Errorf("Sync failed after %v, want within [%v, %v)", took, d, 2*d)
+				}
+			})
+		})
+	}
 }
 
 // TestConformanceChaosNameAndRegistry covers the decorator's
@@ -480,13 +489,13 @@ func TestConformanceChaosNameAndRegistry(t *testing.T) {
 	if _, err := New("chaos:bogus"); err == nil {
 		t.Error("New(chaos:bogus) should fail")
 	}
-	pl, err := ParseFaultPlan("seed=42,delay=0.5,maxdelay=3ms,stall=0.25,stallfor=7ms,connerr=0.1,abort=2@4,ranks=0+2,steps=2-5")
+	pl, err := ParseFaultPlan("seed=42,delay=0.5,maxdelay=3ms,stall=0.25,stallfor=7ms,abort=2@4,ranks=0+2,steps=2-5")
 	if err != nil {
 		t.Fatalf("ParseFaultPlan: %v", err)
 	}
 	want := FaultPlan{
 		Seed: 42, DelayRate: 0.5, MaxDelay: 3 * time.Millisecond,
-		StallRate: 0.25, Stall: 7 * time.Millisecond, ConnErrRate: 0.1,
+		StallRate: 0.25, Stall: 7 * time.Millisecond,
 		AbortRank: 2, AbortStep: 4, Ranks: []int{0, 2}, FromStep: 2, ToStep: 5,
 	}
 	if fmt.Sprint(pl) != fmt.Sprint(want) {
@@ -498,7 +507,7 @@ func TestConformanceChaosNameAndRegistry(t *testing.T) {
 	if pl.inWindow(1) || !pl.inWindow(2) || !pl.inWindow(5) || pl.inWindow(6) {
 		t.Error("inWindow: step filter broken")
 	}
-	for _, bad := range []string{"delay", "wat=1", "abort=1", "ranks=x", "steps=3", "delay=zz"} {
+	for _, bad := range []string{"delay", "wat=1", "abort=1", "ranks=x", "steps=3", "delay=zz", "connerr=0.1"} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) should fail", bad)
 		}

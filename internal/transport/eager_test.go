@@ -136,7 +136,7 @@ func runMix(t *testing.T, tr Transport, p, rounds int, seed int64) {
 // each ordered pair independently sends nothing, a batch of exactly
 // eagerLimit, one byte more, or 256 KiB, so eager and staged batches
 // share connections and supersteps in every combination. A stall fails
-// within the 2 s stage deadline (retries off) instead of hanging.
+// within the 2 s stage deadline instead of hanging.
 func TestConformanceEagerStagedMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")
@@ -144,8 +144,8 @@ func TestConformanceEagerStagedMix(t *testing.T) {
 	const rounds = 200
 	const stage = 2 * time.Second
 	for _, tr := range []Transport{
-		TCPTransport{StageTimeout: stage, MaxRetries: -1},
-		ClusterTransport{StageTimeout: stage, MaxRetries: -1},
+		TCPTransport{stageTimeout: stage},
+		ClusterTransport{stageTimeout: stage},
 	} {
 		for _, p := range []int{2, 3, 4, 5, 8} {
 			t.Run(fmt.Sprintf("%s/p=%d", tr.Name(), p), func(t *testing.T) {
@@ -153,15 +153,6 @@ func TestConformanceEagerStagedMix(t *testing.T) {
 			})
 		}
 	}
-	// Transient faults on the data connections: a failed eager write
-	// must be retried whole, never duplicated or split.
-	t.Run("chaos:tcp/p=4", func(t *testing.T) {
-		tr := ChaosTransport{
-			Base: TCPTransport{StageTimeout: stage, MaxRetries: 6},
-			Plan: FaultPlan{Seed: 5, ConnErrRate: 0.05},
-		}
-		runMix(t, tr, 4, rounds, 4)
-	})
 }
 
 // connEvent is one Read or Write call on a data connection, or (op 0)

@@ -15,7 +15,7 @@ func TestFaultPlanStringRoundTrip(t *testing.T) {
 	specs := []string{
 		"",
 		"seed=42",
-		"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms,connerr=0.05",
+		"seed=42,delay=0.1,maxdelay=2ms,stall=0.05,stallfor=20ms",
 		"abort=1@3",
 		"crash=1:3",
 		"seed=7,crash=0:1,ranks=0+2,steps=2-5",
@@ -46,12 +46,11 @@ func TestFaultPlanStringRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1996))
 	for i := 0; i < 2000; i++ {
 		pl := FaultPlan{
-			Seed:        rng.Int63() - rng.Int63(),
-			DelayRate:   randRate(rng),
-			MaxDelay:    randDuration(rng),
-			StallRate:   randRate(rng),
-			Stall:       randDuration(rng),
-			ConnErrRate: randRate(rng),
+			Seed:      rng.Int63() - rng.Int63(),
+			DelayRate: randRate(rng),
+			MaxDelay:  randDuration(rng),
+			StallRate: randRate(rng),
+			Stall:     randDuration(rng),
 		}
 		if rng.Intn(2) == 0 {
 			pl.AbortRank, pl.AbortStep = rng.Intn(16), rng.Intn(10)

@@ -81,8 +81,8 @@ func TestConformanceFragmentedReads(t *testing.T) {
 	for _, p := range []int{2, 4, 5} {
 		seed := int64(100 + p)
 		for _, tr := range []Transport{
-			TCPTransport{StageTimeout: stage, MaxRetries: -1, wrapConn: fragmenting(seed)},
-			ClusterTransport{StageTimeout: stage, MaxRetries: -1, wrapConn: fragmenting(seed)},
+			TCPTransport{stageTimeout: stage, wrapConn: fragmenting(seed)},
+			ClusterTransport{stageTimeout: stage, wrapConn: fragmenting(seed)},
 		} {
 			t.Run(fmt.Sprintf("%s/p=%d", tr.Name(), p), func(t *testing.T) {
 				runMix(t, tr, p, rounds, seed)
@@ -153,9 +153,9 @@ func testCarriedBatch(t *testing.T) {
 				}
 				return c
 			}
-			var tr Transport = TCPTransport{StageTimeout: stage, MaxRetries: -1, wrapConn: wrap}
+			var tr Transport = TCPTransport{stageTimeout: stage, wrapConn: wrap}
 			if name == "cluster" {
-				tr = ClusterTransport{StageTimeout: stage, MaxRetries: -1, wrapConn: wrap}
+				tr = ClusterTransport{stageTimeout: stage, wrapConn: wrap}
 			}
 			var got [2][]string
 			runProcs(t, tr, 2, func(ep Endpoint) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -49,28 +50,21 @@ import (
 // a batch start the peer's next one (a peer runs at most one superstep
 // ahead) and are carried to the next read from that peer.
 //
-// The transport is hardened against transient failure: every connect,
-// read and write carries a per-stage deadline, and operations that fail
-// with a retryable error (a net.Error timeout or an injected
-// ErrTransient fault, see ChaosTransport) are retried a bounded number
-// of times with exponential backoff before the superstep is failed. A
-// peer that stays silent past the deadline therefore surfaces as an
-// error naming the pair and superstep instead of a hang.
+// Every connect, read and write carries a per-operation deadline, and
+// a failed one fails the superstep — as in the paper's library, there
+// is no retry. A peer that stays silent past the deadline therefore
+// surfaces as an error naming the pair and superstep instead of a hang.
 type TCPTransport struct {
-	// StageTimeout bounds each individual connect, read and write; a
-	// peer silent for longer fails the operation with a timeout error
-	// (after retries). 0 means tcpDefaultStageTimeout. This is a
-	// per-operation liveness bound, not a superstep budget — use
-	// core Config.SyncTimeout to bound whole supersteps.
-	StageTimeout time.Duration
-	// MaxRetries is how many times a transiently-failed operation is
-	// retried (with backoff doubling from tcpRetryBackoff). 0 means
-	// tcpDefaultRetries; negative disables retry.
-	MaxRetries int
+	// stageTimeout bounds each individual connect, read and write; a
+	// peer silent for longer fails the operation with a timeout error.
+	// 0 means tcpDefaultStageTimeout. This is a per-operation liveness
+	// bound, not a superstep budget — core Config.SyncTimeout bounds
+	// whole supersteps. Tests shorten it.
+	stageTimeout time.Duration
 
-	// wrapConn, when set (by ChaosTransport), decorates each
-	// connection for fault injection, beneath the deadline-and-retry
-	// policy every batch read and write goes through.
+	// wrapConn, when set, decorates each connection beneath the
+	// deadline every batch read and write goes through; tests use it to
+	// substitute fragmenting, gated or logging conns.
 	wrapConn func(local, peer int, c net.Conn) net.Conn
 }
 
@@ -94,42 +88,11 @@ const eagerLimit = batchCap
 // past a batch.
 const firstReadLimit = 64 << 10
 
-// Defaults for the hardening knobs: the stage deadline is generous (it
-// only has to beat "forever"), the retry budget small (transient faults
-// are rare or the link is genuinely down).
-const (
-	tcpDefaultStageTimeout = 2 * time.Minute
-	tcpDefaultRetries      = 3
-	tcpRetryBackoff        = 500 * time.Microsecond
-)
-
-func (t TCPTransport) stageTimeout() time.Duration {
-	if t.StageTimeout > 0 {
-		return t.StageTimeout
-	}
-	return tcpDefaultStageTimeout
-}
-
-func (t TCPTransport) maxRetries() int {
-	if t.MaxRetries > 0 {
-		return t.MaxRetries
-	}
-	if t.MaxRetries < 0 {
-		return 0
-	}
-	return tcpDefaultRetries
-}
-
-// isTransientNetErr reports whether an I/O error may be retried:
-// injected transient faults and deadline-style timeouts qualify;
-// closed connections, EOFs and framing errors do not.
-func isTransientNetErr(err error) bool {
-	if errors.Is(err, ErrTransient) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
+// tcpDefaultStageTimeout is the per-operation deadline. It only has to
+// beat "forever", and must outlast any silence a healthy run shows: a
+// peer in a long compute phase, or behind a network partition that
+// heals (DESIGN.md §5).
+const tcpDefaultStageTimeout = 8 * time.Minute
 
 // Open implements Transport.
 func (t TCPTransport) Open(p int) ([]Endpoint, error) {
@@ -151,8 +114,7 @@ func (t TCPTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 	st := &tcpState{
 		p:        p,
 		sched:    NewPairSchedule(p),
-		timeout:  t.stageTimeout(),
-		retries:  t.maxRetries(),
+		timeout:  orDefault(t.stageTimeout, tcpDefaultStageTimeout),
 		wrapConn: t.wrapConn,
 	}
 	eps := make([]Endpoint, p)
@@ -198,7 +160,7 @@ func (t TCPTransport) OpenGroup(p int, opts GroupOptions) ([]Endpoint, error) {
 				c, err := ln.Accept()
 				accCh <- acc{c, err}
 			}()
-			cj, err := st.dial(ln.Addr().String())
+			cj, err := net.DialTimeout("tcp", ln.Addr().String(), st.timeout)
 			if err != nil {
 				st.runTeardown()
 				return nil, fmt.Errorf("tcp: dial for pair (%d,%d): %w", i, j, err)
@@ -225,7 +187,6 @@ type tcpState struct {
 	p        int
 	sched    *PairSchedule
 	timeout  time.Duration
-	retries  int
 	wrapConn func(local, peer int, c net.Conn) net.Conn
 
 	teardown     func()
@@ -243,54 +204,21 @@ func (st *tcpState) runTeardown() {
 	st.teardownOnce.Do(st.teardown)
 }
 
-// dial connects with the per-stage deadline and bounded retry +
-// exponential backoff on transient failures.
-func (st *tcpState) dial(addr string) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt <= st.retries; attempt++ {
-		c, err := net.DialTimeout("tcp", addr, st.timeout)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-		if !isTransientNetErr(err) || attempt == st.retries {
-			break
-		}
-		time.Sleep(tcpRetryBackoff << attempt)
-	}
-	return nil, lastErr
-}
-
-// stageConn wraps a (possibly chaos-decorated) connection with the
-// per-operation deadline + bounded-retry policy. Retries fire only when
-// no bytes were transferred, so a retried call never splits or repeats
-// stream data; a partial transfer with an error is surfaced as-is.
+// stageConn arms the per-operation deadline before every read and
+// write on a (possibly test-decorated) connection.
 type stageConn struct {
 	net.Conn
 	timeout time.Duration
-	retries int
 }
 
-func (c *stageConn) Read(p []byte) (n int, err error) {
-	for attempt := 0; ; attempt++ {
-		c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
-		n, err = c.Conn.Read(p)
-		if err == nil || n > 0 || attempt >= c.retries || !isTransientNetErr(err) {
-			return n, err
-		}
-		time.Sleep(tcpRetryBackoff << attempt)
-	}
+func (c *stageConn) Read(p []byte) (int, error) {
+	c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Read(p)
 }
 
-func (c *stageConn) Write(p []byte) (n int, err error) {
-	for attempt := 0; ; attempt++ {
-		c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		n, err = c.Conn.Write(p)
-		if err == nil || n > 0 || attempt >= c.retries || !isTransientNetErr(err) {
-			return n, err
-		}
-		time.Sleep(tcpRetryBackoff << attempt)
-	}
+func (c *stageConn) Write(p []byte) (int, error) {
+	c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Write(p)
 }
 
 // failureSettler is implemented by group members whose abort and leave
@@ -306,7 +234,7 @@ type tcpEndpoint struct {
 	exchange
 	st     *tcpState
 	conns  []net.Conn
-	sc     []*stageConn // unbuffered: one Write per batch, reads straight into batches
+	sc     []*stageConn // deadline-armed conns: one Write per batch, reads straight into batches
 	posted []uint32     // per peer: the round whose batch was last written
 	// carry holds, per peer, the bytes a first read took past its batch:
 	// the front of that peer's next batch, in a pooled buffer.
@@ -347,15 +275,15 @@ func (e *tcpEndpoint) SetDump(fn func(reason string)) {
 
 // setConn installs the connection to peer. The raw conn is kept for
 // Close/CloseWrite/teardown; batch reads and writes run over the
-// retry-and-deadline stageConn (optionally over a fault-injecting
-// wrapper), so every read and write inherits the policy.
+// deadline-arming stageConn (optionally over a test wrapper), so every
+// read and write carries the deadline.
 func (e *tcpEndpoint) setConn(peer int, c net.Conn) {
 	e.conns[peer] = c
 	inner := c
 	if e.st.wrapConn != nil {
 		inner = e.st.wrapConn(e.id, peer, inner)
 	}
-	e.sc[peer] = &stageConn{Conn: inner, timeout: e.st.timeout, retries: e.st.retries}
+	e.sc[peer] = &stageConn{Conn: inner, timeout: e.st.timeout}
 }
 
 // closeConns closes this endpoint's raw sockets.
@@ -429,9 +357,11 @@ func (e *tcpEndpoint) transfer() error {
 // caused, a peer that left cleanly is a superstep-count mismatch, and
 // anything else surfaces as the raw error naming the pair and
 // superstep. Cluster members first wait briefly for an in-flight
-// abort/leave notification from the coordinator.
+// abort/leave notification from the coordinator — except after a
+// deadline: a peer silent for a whole stage deadline gave any such
+// notification all that time to land.
 func (e *tcpEndpoint) stageError(peer int, err error) error {
-	if fs, ok := e.m.(failureSettler); ok {
+	if fs, ok := e.m.(failureSettler); ok && !errors.Is(err, os.ErrDeadlineExceeded) {
 		fs.settleFailure(peer)
 	}
 	round := e.round + 1 // 1-based, as on the wire
@@ -444,9 +374,7 @@ func (e *tcpEndpoint) stageError(peer int, err error) error {
 		// legal writer of this rank's event buffer.
 		if ac, ok := e.m.(abortCauser); ok {
 			if cause := ac.abortCause(); cause != nil {
-				if e.buf != nil {
-					e.buf.Fault(round, trace.FaultSuspect, time.Now().UnixNano(), int64(cause.Rank))
-				}
+				e.buf.Fault(round, trace.FaultSuspect, time.Now().UnixNano(), int64(cause.Rank))
 				return cause
 			}
 		}

@@ -35,7 +35,7 @@
 // shared sync.Pool; see Inbox.
 //
 // ChaosTransport decorates any of the above with seeded, deterministic
-// fault injection (delays, stalls, transient TCP faults, forced aborts;
+// fault injection (delays, stalls, forced aborts, hard crashes;
 // see FaultPlan), and a shared conformance suite checks the delivery
 // contract on every transport, clean and chaos-wrapped alike.
 package transport

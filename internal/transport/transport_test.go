@@ -370,8 +370,6 @@ func TestNewByName(t *testing.T) {
 // span, which the test stands in for around each Sync.
 func TestPerPairBatchHandoff(t *testing.T) {
 	const p, steps, burst = 4, 3, 20
-	tcpPlan := conformanceFaultPlan()
-	tcpPlan.ConnErrRate = 0.05
 	transports := []Transport{
 		ShmTransport{},
 		XchgTransport{},
@@ -380,8 +378,8 @@ func TestPerPairBatchHandoff(t *testing.T) {
 		ClusterTransport{},
 		ChaosTransport{Base: XchgTransport{}, Plan: conformanceFaultPlan()},
 		ChaosTransport{Base: SimTransport{}, Plan: conformanceFaultPlan()},
-		ChaosTransport{Base: TCPTransport{}, Plan: tcpPlan},
-		ChaosTransport{Base: ClusterTransport{}, Plan: tcpPlan},
+		ChaosTransport{Base: TCPTransport{}, Plan: conformanceFaultPlan()},
+		ChaosTransport{Base: ClusterTransport{}, Plan: conformanceFaultPlan()},
 	}
 	for _, tr := range transports {
 		t.Run(tr.Name(), func(t *testing.T) {

@@ -19,9 +19,10 @@
 #                     for a 1 MiB inbox or kept slice as for a 64 KiB
 #                     one (both are streamed into the record,
 #                     internal/core), and
-#                     the sample sort's alloc count must stay flat in n
-#                     and its bytes stay at <= 40 per element
-#                     (internal/psort)
+#                     the sample sort's alloc count must stay flat in n,
+#                     its bytes stay at <= 40 per element and its merge
+#                     tree allocate nothing when the destination and
+#                     the scratch have room (internal/psort)
 #   make flake-check  the tests of two fixed flakes, repeated: the
 #                     host (g, L) sweep-and-fit tests (internal/harness)
 #                     and the flight ring's lapped-writer property
@@ -144,7 +145,7 @@ verify-race: vet race
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
 	$(GO) test -count=1 ./internal/transport/ -run 'TestEngineAllocGate|TestLinkOpenBytes' -v
-	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement' -v
+	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement|TestMergeAllocFree' -v
 
 flake-check:
 	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/

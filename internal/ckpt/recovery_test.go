@@ -10,8 +10,10 @@ package ckpt_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +40,34 @@ func baseTransports() map[string]transport.Transport {
 // splitter-broadcast superstep, after two complete snapshot cuts exist.
 func crashPlan() transport.FaultPlan {
 	return transport.FaultPlan{Seed: 1, CrashRank: 1, CrashStep: 3}
+}
+
+// boundaryCrashes kills a rank in each of psort's four supersteps in
+// turn, at p = 3 (whose merge carries an odd run past a level) and at
+// p = 4: rank 1, and the last rank. On sim the ranks run one at a time
+// in rank order and capture a boundary's cut after the barrier, when
+// the token reaches them, so a crash of rank r in superstep s comes
+// before the ranks above r have captured cut s−1: the run resumes at
+// boundary s−2 after rank 1's crash and at s−1 after the last rank's
+// (never below 0). From boundary 2 on, the resumed ranks
+// reach the merge without the scratch run their radix sort would have
+// left behind.
+func boundaryCrashes() (crashes []boundaryCrash) {
+	for _, p := range []int{3, 4} {
+		for _, rank := range []int{1, p - 1} {
+			for step := 1; step <= 4; step++ {
+				crashes = append(crashes, boundaryCrash{p, transport.FaultPlan{Seed: 1, CrashRank: rank, CrashStep: step}})
+			}
+		}
+	}
+	return crashes
+}
+
+// boundaryCrash is one row of boundaryCrashes: a machine size and the
+// crash it suffers.
+type boundaryCrash struct {
+	p    int
+	plan transport.FaultPlan
 }
 
 func ckptConfig(t *testing.T, tr transport.Transport) core.Config {
@@ -340,6 +370,44 @@ func TestRecoveryEveryStageBoundary(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecoveryMergeBoundaries: on sim, a crash at every psort boundary
+// resumes from the cut boundaryCrashes predicts, and the recovered
+// shares are bit for bit the fault-free ones — the merge's nil-scratch
+// path included.
+func TestRecoveryMergeBoundaries(t *testing.T) {
+	data := psort.RandomData(3000, 1996)
+	data[7], data[11] = math.Copysign(0, -1), math.NaN()
+	want := map[int][]float64{}
+	for _, c := range boundaryCrashes() {
+		p, plan := c.p, c.plan
+		if want[p] == nil {
+			out, _, err := psort.Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[p] = out
+		}
+		t.Run(fmt.Sprintf("p=%d/crash=%d:%d", p, plan.CrashRank, plan.CrashStep), func(t *testing.T) {
+			cfg := ckptConfig(t, transport.NewChaosTransport(transport.SimTransport{}, plan))
+			cfg.P = p
+			got, st, err := psort.Parallel(cfg, data)
+			if err != nil {
+				t.Fatalf("recoverable run failed: %v", err)
+			}
+			if !slices.EqualFunc(got, want[p], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatal("recovered output differs from the fault-free output")
+			}
+			resume := plan.CrashStep - 2
+			if plan.CrashRank == p-1 {
+				resume++
+			}
+			if resume = max(resume, 0); st.Ckpt == nil || st.Ckpt.Attempts != 2 || st.Ckpt.ResumeStep != resume {
+				t.Fatalf("want 2 attempts resumed at %d, got %+v", resume, st.Ckpt)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,10 @@ package psort
 // which is where a reintroduced n-sized buffer shows.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -62,10 +65,11 @@ func TestSortAllocBound(t *testing.T) {
 }
 
 // sortBytesMax bounds the bytes one Parallel call allocates per element.
-// Four 8-byte-per-element buffers remain — the ranks' run buffers, the
-// radix sort's scratch runs, the shm batches and Parallel's
-// concatenation — plus a few per cent of overhead; one more n-sized
-// buffer, such as a separate merge output (44.6 measured), exceeds it.
+// Four 8-byte-per-element buffers remain — the ranks' run buffers, their
+// scratch runs (the radix sort's ping-pong buffer, kept for the merge
+// tree's levels), the shm batches and Parallel's concatenation — plus a
+// few per cent of overhead; one more n-sized buffer, such as a separate
+// merge output or merge scratch (44.6 measured), exceeds it.
 const sortBytesMax = 40
 
 func TestSortBytesPerElement(t *testing.T) {
@@ -89,5 +93,31 @@ func TestSortBytesPerElement(t *testing.T) {
 	t.Logf("bytes allocated per element by one Parallel call (n=%d, p=%d, shm): %.1f", n, sortAllocP, perElem)
 	if perElem > sortBytesMax {
 		t.Errorf("sort bytes gate: %.1f B per element, want <= %d — an n-sized buffer crept into the sort path", perElem, sortBytesMax)
+	}
+}
+
+// TestMergeAllocFree: with room in the destination and the scratch, the
+// merge tree allocates nothing at any run count — one run, one level,
+// an odd run carried, and four levels — and returns the destination's
+// array.
+func TestMergeAllocFree(t *testing.T) {
+	const perRun = 4096
+	for _, k := range []int{1, 2, 3, 4, 5, 16} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			runs := make([][]byte, k)
+			for s := range runs {
+				vs := RandomData(perRun, int64(s))
+				sort.Float64s(vs)
+				runs[s] = appendFloats(binary.LittleEndian.AppendUint32(nil, uint32(s)), vs)
+			}
+			dst, scratch := make([]float64, 0, k*perRun), make([]float64, 0, k*perRun)
+			var got []float64
+			if a := testing.AllocsPerRun(10, func() { got = mergeInto(dst, scratch, runs) }); a != 0 {
+				t.Errorf("merge of %d runs: %.1f allocs, want 0", k, a)
+			}
+			if len(got) != k*perRun || &got[0] != &dst[:1][0] {
+				t.Errorf("merge of %d runs did not land in the destination's array", k)
+			}
+		})
 	}
 }

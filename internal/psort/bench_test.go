@@ -12,11 +12,12 @@ package psort
 //
 // BenchmarkSortLocal and BenchmarkMergeRuns time one hot path each, one
 // rank's worth, so a change to one of them comes with a number of its
-// own: the local radix sort of 2^18 normals and the k-way merge of 4
-// routed runs of 2^18.
+// own: the local radix sort of 2^18 normals and the merge tree over 2^20
+// elements in 4 and in 16 routed runs.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -69,28 +70,34 @@ var benchFloats []float64
 
 func BenchmarkSortLocal(b *testing.B) {
 	data := RandomData(benchPieceN, 1996)
-	work := make([]float64, len(data))
+	work, scratch := make([]float64, len(data)), make([]float64, len(data))
 	b.SetBytes(8 * benchPieceN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, data)
-		sortLocal(work)
+		sortLocal(work, scratch)
 	}
 	benchFloats = work
 }
 
+// BenchmarkMergeRuns merges 4·2^18 elements split into k routed runs: k = 4
+// is two levels of the merge tree, k = 16 four.
 func BenchmarkMergeRuns(b *testing.B) {
-	const k = 4
-	runs := make([][]byte, k)
-	for s := range runs {
-		vs := RandomData(benchPieceN, int64(s))
-		sort.Float64s(vs)
-		runs[s] = appendFloats(binary.LittleEndian.AppendUint32(nil, uint32(s)), vs)
-	}
-	dst := make([]float64, 0, k*benchPieceN)
-	b.SetBytes(8 * k * benchPieceN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchFloats = mergeInto(dst, runs)
+	for _, k := range []int{4, 16} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			const total = 4 * benchPieceN
+			runs := make([][]byte, k)
+			for s := range runs {
+				vs := RandomData(total/k, int64(s))
+				sort.Float64s(vs)
+				runs[s] = appendFloats(binary.LittleEndian.AppendUint32(nil, uint32(s)), vs)
+			}
+			dst, scratch := make([]float64, 0, total), make([]float64, 0, total)
+			b.SetBytes(8 * total)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchFloats = mergeInto(dst, scratch, runs)
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func FuzzSampleSort(f *testing.F) {
 		for q := range perSrc {
 			perSrc[q] = chunk(data, p, q)
 		}
-		checkMerge(t, routedRuns(perSrc, rand.New(rand.NewSource(seed))))
+		checkMerge(t, routedRuns(perSrc, rand.New(rand.NewSource(seed))), false)
 
 		// Routing totality against an adversarial splitter set: build
 		// p−1 splitters straight from fuzz-chosen positions (duplicates
@@ -128,7 +128,7 @@ func FuzzSampleSort(f *testing.F) {
 		// the (rank, idx) tag fall on both sides of it.
 		if n > 0 {
 			sorted := append([]float64(nil), data...)
-			sortLocal(sorted)
+			sortLocal(sorted, nil)
 			spl := make([]tagged, 0, p-1)
 			for j := 1; j < p; j++ {
 				pos := (int(pb)*j + int(overb) + len(raw)*j) % n

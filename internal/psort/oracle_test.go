@@ -2,7 +2,7 @@ package psort
 
 // Oracles for the fast paths: the stable comparison sort, the linear
 // routing walk and the heap of run structs that sortLocal's radix sort,
-// cutRun's binary search and mergeInto's keyed heap replaced. The oracles
+// cutRun's binary search and mergeInto's merge tree replaced. The oracles
 // compare float64 values, never floatKey's keys, so a key that folds or
 // splits the wrong values shows. Every fast path must reproduce its
 // oracle exactly — the sort and the merge bit for bit (a −0/+0 swap or
@@ -147,15 +147,20 @@ func routedRuns(perSrc [][]float64, rng *rand.Rand) [][]byte {
 	return runs
 }
 
-// checkMerge asserts mergeInto equals mergeOracle on runs bit for bit,
-// both into a destination with room — whose array it must reuse — and
-// into none.
-func checkMerge(t *testing.T, runs [][]byte) {
+// checkMerge asserts mergeInto equals mergeOracle on runs bit for bit:
+// with room in both the destination and the scratch — whose arrays it
+// must reuse, allocating nothing — with a nil scratch, as on a rank
+// resumed past the radix sort, and with neither. countAllocs adds
+// testing.AllocsPerRun to the reuse check; the fuzz target leaves it
+// out, because each count stops the world and cuts its exec rate
+// twentyfold.
+func checkMerge(t *testing.T, runs [][]byte, countAllocs bool) {
 	t.Helper()
 	want := mergeOracle(runs)
 	dst := make([]float64, 0, len(want)+1)
-	for _, d := range [][]float64{dst, nil} {
-		got := mergeInto(d, runs)
+	scratch := make([]float64, 0, len(want)+1)
+	for _, c := range []struct{ dst, scratch []float64 }{{dst, scratch}, {dst, nil}, {nil, nil}} {
+		got := mergeInto(c.dst, c.scratch, runs)
 		if len(got) != len(want) {
 			t.Fatalf("merged %d elements, oracle has %d", len(got), len(want))
 		}
@@ -165,8 +170,14 @@ func checkMerge(t *testing.T, runs [][]byte) {
 			}
 		}
 	}
-	if got := mergeInto(dst, runs); len(got) > 0 && &got[0] != &dst[:1][0] {
+	if got := mergeInto(dst, scratch, runs); len(got) > 0 && &got[0] != &dst[:1][0] {
 		t.Fatal("merge allocated although the destination had room")
+	}
+	if !countAllocs {
+		return
+	}
+	if a := testing.AllocsPerRun(2, func() { mergeInto(dst, scratch, runs) }); a != 0 {
+		t.Fatalf("merge of %d runs allocated %.0f times with room in the destination and the scratch", len(runs), a)
 	}
 }
 
@@ -176,7 +187,7 @@ func nan(bits uint64) float64 { return math.Float64frombits(bits) }
 // negZero is −0; the constant -0.0 is +0.
 var negZero = math.Copysign(0, -1)
 
-// TestMergeRunsMatchesHeapOracle: the keyed merge equals the heap of run
+// TestMergeRunsMatchesHeapOracle: the merge tree equals the heap of run
 // structs bit for bit on the values whose ties only the source rank can
 // break: ±0, NaNs with distinct payloads, ±Inf and subnormals.
 func TestMergeRunsMatchesHeapOracle(t *testing.T) {
@@ -246,7 +257,7 @@ func TestMergeRunsMatchesHeapOracle(t *testing.T) {
 		}{fmt.Sprintf("record/k=%d", k), perSrc})
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { checkMerge(t, routedRuns(tc.perSrc, rng)) })
+		t.Run(tc.name, func(t *testing.T) { checkMerge(t, routedRuns(tc.perSrc, rng), true) })
 	}
 }
 
@@ -256,7 +267,7 @@ func checkSortLocal(t *testing.T, data []float64) {
 	t.Helper()
 	got := append([]float64(nil), data...)
 	want := append([]float64(nil), data...)
-	sortLocal(got)
+	sortLocal(got, nil)
 	sortOracle(want)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

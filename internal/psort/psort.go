@@ -22,16 +22,18 @@
 // splitters carry (rank, index) origin tags that make every key
 // distinct in the tagged order.
 //
-// The order is floatKey's: an unsigned key per value (NaNs first, −0
-// equal to +0), so the local sort is an LSD radix sort on keys and the
-// merge compares keys, never floats. The receive path never re-sorts:
-// each routed run arrives sorted, and a k-way merge over the inbox's
-// zero-copy frame views writes the final share into the rank's own run
-// buffer, which is allocated with room for ImbalanceBound elements (never
-// more than n) and is dead once superstep 4's Send has copied its pieces
-// out. Ties between runs are broken by the source rank in each run's
-// header, so the share does not depend on the order in which the
-// transport delivered the runs.
+// The order is floatKey's: an unsigned key of a value's IEEE bits (NaNs
+// first, −0 equal to +0), so the local sort is an LSD radix sort on keys
+// and the merge compares keys, never floats. The receive path never
+// re-sorts: each routed run arrives sorted, and a merge tree — runs
+// ordered by source rank, merged in adjacent pairs over ⌈log₂ k⌉ levels,
+// the first reading the inbox's zero-copy frame views — writes the final
+// share into the rank's own run buffer, ping-ponging with the radix
+// sort's scratch run. Both are allocated with room for ImbalanceBound
+// elements (never more than n); the run buffer is dead once superstep
+// 4's Send has copied its pieces out. Ties between runs go to the lower
+// source rank read from each run's header, so the share does not depend
+// on the order in which the transport delivered the runs.
 package psort
 
 import (
@@ -101,7 +103,7 @@ type tagged struct {
 
 // cmpTag compares in the tagged total order.
 func cmpTag(a, b tagged) int {
-	return cmp.Or(cmp.Compare(floatKey(a.v), floatKey(b.v)), cmp.Compare(a.rank, b.rank), cmp.Compare(a.idx, b.idx))
+	return cmp.Or(cmp.Compare(floatKey(math.Float64bits(a.v)), floatKey(math.Float64bits(b.v))), cmp.Compare(a.rank, b.rank), cmp.Compare(a.idx, b.idx))
 }
 
 // appendTo appends t's (element, rank, idx) encoding to b.
@@ -129,7 +131,10 @@ func appendTags(out []tagged, msg []byte) []tagged {
 // triple plus the undelivered inbox restarts the sort from any
 // boundary. A checkpoint keeps only the data beside the inbox: the
 // stage is the boundary's superstep number and the options are
-// resolved again from the input.
+// resolved again from the input. The scratch run is working memory,
+// not state: the radix sort's ping-pong buffer in superstep 1 and the
+// merge tree's in the final stage, sized like data's array so both fit.
+// A rank resumed past superstep 1 has none, and its merge allocates one.
 type state struct {
 	// stage is the number of superstep boundaries crossed when run
 	// starts: 0 = nothing sent yet; 1 = sample runs sent (group
@@ -137,9 +142,10 @@ type state struct {
 	// inbox holds them); 3 = splitters broadcast (every inbox holds
 	// them); 4 = data routed (every inbox holds this rank's final run
 	// set).
-	stage int
-	opt   Options
-	data  []float64
+	stage   int
+	opt     Options
+	data    []float64
+	scratch []float64
 }
 
 const (
@@ -170,11 +176,13 @@ func (s *state) run(c *core.Proc) []float64 {
 	var share []float64 // the merge's destination, set when superstep 4 routes
 	switch s.stage {
 	case 0:
-		// Superstep 1: local sort; ship the tagged sample run to this
+		// Superstep 1: local sort, whose scratch run stays with the
+		// rank for the final merge; ship the tagged sample run to this
 		// rank's group leader (leaders ship to themselves — samples
 		// must ride the transport, not rank-local memory, so that the
 		// (stage, data, inbox) snapshot stays the complete state).
-		sortLocal(s.data)
+		s.scratch = make([]float64, cap(s.data))
+		sortLocal(s.data, s.scratch)
 		c.AddWork(nLogN(len(s.data)))
 		if p > 1 {
 			pos := samplePositions(len(s.data), m, s.opt, c.ID())
@@ -265,10 +273,11 @@ func (s *state) run(c *core.Proc) []float64 {
 		c.Sync()
 		fallthrough
 	default:
-		// Final (non-communicating) stage: one k-way merge pass over
-		// the routed runs, read in place from the inbox's frame views,
-		// into share's array; it allocates only after a restore, whose
-		// decoded run has no room to spare.
+		// Final (non-communicating) stage: the merge tree over the
+		// routed runs, read in place from the inbox's frame views,
+		// into share's array with the scratch run between levels; it
+		// allocates only after a restore, whose decoded run has no room
+		// to spare and which has no scratch run.
 		if p == 1 {
 			return s.data
 		}
@@ -276,7 +285,7 @@ func (s *state) run(c *core.Proc) []float64 {
 		for msg, ok := c.Recv(); ok; msg, ok = c.Recv() {
 			runs = append(runs, msg)
 		}
-		out := mergeInto(share, runs)
+		out := mergeInto(share, s.scratch, runs)
 		c.AddWork(nLogN(len(out)))
 		return out
 	}

@@ -31,6 +31,9 @@
 #                     under -race (internal/ckpt, internal/core; the
 #                     capture alloc gate is left to verify-alloc, as
 #                     sync.Pool drops items under -race)
+#   make examples-smoke  run both examples (quickstart; ocean at 18²,
+#                     p = 2, one step); each exits non-zero when its
+#                     own sum, broadcast or bit-identity check fails
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the cluster control plane twice over (the
@@ -124,7 +127,7 @@ BENCH_N ?= 3
 BENCH_TOL ?= 2.0
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 
-.PHONY: build test vet race verify verify-race verify-alloc flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate
+.PHONY: build test vet race verify verify-race verify-alloc examples-smoke flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate
 
 build:
 	$(GO) build ./...
@@ -146,6 +149,10 @@ verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
 	$(GO) test -count=1 ./internal/transport/ -run 'TestEngineAllocGate|TestLinkOpenBytes' -v
 	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement|TestMergeAllocFree' -v
+
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/ocean -size 18 -p 2 -steps 1
 
 flake-check:
 	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/

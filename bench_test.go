@@ -18,7 +18,6 @@ import (
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/drma"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/matmult"
@@ -338,9 +337,9 @@ func BenchmarkExtensionPlasma(b *testing.B) { benchExtension(b, "plasma", 20000,
 // (DESIGN.md E7 / §5 future work).
 func BenchmarkExtensionRadiosity(b *testing.B) { benchExtension(b, "radiosity", 32, 1, 4) }
 
-// BenchmarkExtensionLU measures the DRMA dense LU (DESIGN.md E8): one
-// DRMA superstep per column, the static-communication profile §1.3
-// attributes to the Oxford interface.
+// BenchmarkExtensionLU measures the dense LU (DESIGN.md E8): one
+// broadcast superstep per column, the static-communication profile of
+// §1.3's scientific computations.
 func BenchmarkExtensionLU(b *testing.B) { benchExtension(b, "lu", 96, 1, 4) }
 
 // BenchmarkExtensionCG measures the sparse Laplacian CG (DESIGN.md E9):
@@ -404,49 +403,6 @@ func BenchmarkTransportExchange(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExtensionDRMA compares a message-passing total exchange with
-// the equivalent DRMA puts (DESIGN.md E5): the layered interface costs
-// one extra superstep per sync plus header overhead.
-func BenchmarkExtensionDRMA(b *testing.B) {
-	const p, words = 4, 256
-	b.Run("puts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := core.Run(core.Config{P: p, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
-				x := drma.New(c)
-				buf := make([]byte, 8*words*p)
-				area := x.Register(buf)
-				data := make([]byte, 8*words)
-				for dst := 0; dst < p; dst++ {
-					x.Put(dst, area, 8*words*c.ID(), data)
-				}
-				x.Sync()
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("messages", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := core.Run(core.Config{P: p, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
-				data := make([]byte, 8*words)
-				for dst := 0; dst < p; dst++ {
-					c.Send(dst, data)
-				}
-				c.Sync()
-				for {
-					if _, ok := c.Recv(); !ok {
-						break
-					}
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkScalability projects the study to "several larger machines"

@@ -37,15 +37,24 @@ func main() {
 			}
 			sum += int(got[0])
 		}
+		if sum != p*(p-1)/2 {
+			log.Fatalf("process %d received rank-sum %d, want %d", c.ID(), sum, p*(p-1)/2)
+		}
 		if c.ID() == 0 {
 			fmt.Printf("process 0 received rank-sum %d (want %d)\n", sum, p*(p-1)/2)
 		}
 		// Collectives are built from the same three primitives.
 		total := collect.AllReduce(c, float64(c.ID()+1), collect.SumFloat)
+		if total != p*(p+1)/2 {
+			log.Fatalf("process %d: AllReduce sum %.0f, want %d", c.ID(), total, p*(p+1)/2)
+		}
 		if c.ID() == 0 {
 			fmt.Printf("AllReduce sum over ranks+1: %.0f (want %d)\n", total, p*(p+1)/2)
 		}
 		msg := collect.Broadcast(c, 0, []byte("hello, BSP"))
+		if string(msg) != "hello, BSP" {
+			log.Fatalf("process %d received broadcast %q", c.ID(), msg)
+		}
 		if c.ID() == p-1 {
 			fmt.Printf("process %d received broadcast: %s\n", c.ID(), msg)
 		}

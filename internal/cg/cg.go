@@ -96,17 +96,6 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// Residual returns ||(L+I)x − b||₂.
-func Residual(g *graph.Graph, x, b []float64) float64 {
-	ax := Apply(g, x)
-	var s float64
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // procState is one process's CG state over its graph part.
 type procState struct {
 	c    *core.Proc

@@ -94,11 +94,8 @@ const (
 	refVersion  = 2          // a reference record: base step, empty user section
 	// headerLen is a full record's fixed fields before the user bytes
 	// (magic through userLen), so the user section starts at offset
-	// headerLen; recordOverhead adds batchLen and the trailing crc32 — a
-	// full record's size beyond its user and batch sections. A reference
-	// adds the 8-byte base step after p.
-	headerLen      = 28
-	recordOverhead = headerLen + 8
+	// headerLen. A reference adds the 8-byte base step after p.
+	headerLen = 28
 	// maxSectionLen bounds the user/batch sections so a corrupt length
 	// field cannot drive a huge allocation during decode.
 	maxSectionLen = 1 << 30
@@ -144,11 +141,10 @@ func writeRecord(w *recordWriter, s *Snapshot) error {
 	return w.err
 }
 
-// recordWriter carries a record's bytes, in order, to out — or, when
-// out is nil, into buf. The fixed-width fields are appended to buf; when
-// streaming, buf only stages them until the next section, which goes to
-// out straight from the caller's memory, and crc accumulates over
-// everything written.
+// recordWriter carries a record's bytes, in order, to out. The
+// fixed-width fields are appended to buf, which only stages them until
+// the next section; a section goes to out straight from the caller's
+// memory, and crc accumulates over everything written.
 type recordWriter struct {
 	out io.Writer
 	buf []byte
@@ -159,19 +155,12 @@ type recordWriter struct {
 // section emits p, part of a user or inbox section, after any staged
 // fields.
 func (w *recordWriter) section(p []byte) {
-	if w.out == nil {
-		w.buf = append(w.buf, p...)
-		return
-	}
 	w.flush()
 	w.put(p)
 }
 
-// flush writes the staged fields to out (a no-op in memory).
+// flush writes the staged fields to out.
 func (w *recordWriter) flush() {
-	if w.out == nil {
-		return
-	}
 	w.put(w.buf)
 	w.buf = w.buf[:0]
 }
@@ -186,9 +175,6 @@ func (w *recordWriter) put(p []byte) {
 
 // sum returns the crc32 of every byte emitted so far.
 func (w *recordWriter) sum() uint32 {
-	if w.out == nil {
-		return crc32.ChecksumIEEE(w.buf)
-	}
 	w.flush()
 	return w.crc
 }
@@ -199,20 +185,8 @@ func streamRecord(out io.Writer, s *Snapshot) error {
 	return writeRecord(&recordWriter{out: out, buf: make([]byte, 0, headerLen+8)}, s)
 }
 
-// EncodeSnapshot serializes s into a self-validating record: the bytes
-// WriteRank puts in a rank file, built in one exactly-sized buffer.
-func EncodeSnapshot(s *Snapshot) []byte {
-	n := recordOverhead + s.UserLen() + s.BatchLen()
-	if s.Base > 0 {
-		n += 8
-	}
-	w := recordWriter{buf: make([]byte, 0, n)}
-	writeRecord(&w, s)
-	return w.buf
-}
-
-// DecodeSnapshot parses and validates a record produced by
-// EncodeSnapshot: magic, version, section lengths, the trailing crc32
+// DecodeSnapshot parses and validates a record written by
+// streamRecord: magic, version, section lengths, the trailing crc32
 // and the wire-framing of the inbox batch are all checked, so a
 // truncated or bit-flipped record returns an error rather than a
 // partial snapshot.

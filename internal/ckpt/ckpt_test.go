@@ -25,6 +25,15 @@ func sampleBatch(payloads ...string) []byte {
 // inboxOf is the batch section s encodes: its batches back to back.
 func inboxOf(s *Snapshot) []byte { return bytes.Join(s.Batches, nil) }
 
+// encode returns s's record as WriteRank streams it to a file.
+func encode(s *Snapshot) []byte {
+	var b bytes.Buffer
+	if err := streamRecord(&b, s); err != nil {
+		panic(err) // a bytes.Buffer write cannot fail
+	}
+	return b.Bytes()
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	cases := []Snapshot{
 		{Step: 0, Rank: 0, P: 1},
@@ -34,7 +43,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Step: 6, Rank: 0, P: 3, Batches: [][]byte{sampleBatch("a"), nil, sampleBatch("", "bc")}},
 	}
 	for _, want := range cases {
-		rec := EncodeSnapshot(&want)
+		rec := encode(&want)
 		got, err := DecodeSnapshot(rec)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", want, err)
@@ -50,7 +59,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // corrupted record must come back as an error, never as a partial
 // snapshot, and never as a panic.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	valid := EncodeSnapshot(&Snapshot{Step: 9, Rank: 2, P: 4, User: []byte("u"), Batches: [][]byte{sampleBatch("m")}})
+	valid := encode(&Snapshot{Step: 9, Rank: 2, P: 4, User: []byte("u"), Batches: [][]byte{sampleBatch("m")}})
 
 	t.Run("truncated", func(t *testing.T) {
 		for n := 0; n < len(valid); n++ {
@@ -79,7 +88,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		reencode := func(mut func(*Snapshot)) []byte {
 			s := Snapshot{Step: 1, Rank: 0, P: 2, Batches: [][]byte{sampleBatch("x")}}
 			mut(&s)
-			return EncodeSnapshot(&s)
+			return encode(&s)
 		}
 		bad := [][]byte{
 			reencode(func(s *Snapshot) { s.Rank = 2 }),                      // rank >= p
@@ -97,11 +106,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		// Records that say they are references but cannot be one: no
 		// base, a base not before the step, user bytes of their own.
 		bad := [][]byte{
-			EncodeSnapshot(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 4}),
-			EncodeSnapshot(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 9}),
-			EncodeSnapshot(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 2, User: []byte("u")}),
+			encode(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 4}),
+			encode(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 9}),
+			encode(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 2, User: []byte("u")}),
 		}
-		zero := EncodeSnapshot(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 2})
+		zero := encode(&Snapshot{Step: 4, Rank: 0, P: 1, Base: 2})
 		binary.LittleEndian.PutUint64(zero[24:], 0)
 		binary.LittleEndian.PutUint32(zero[len(zero)-4:], crcOf(zero[:len(zero)-4]))
 		for i, rec := range append(bad, zero) {
@@ -330,7 +339,7 @@ func TestLoadCompleteReference(t *testing.T) {
 		return st
 	}
 	overwrite := func(t *testing.T, st *Store, step, r int, s *Snapshot) {
-		if err := os.WriteFile(st.rankFile(step, r), EncodeSnapshot(s), 0o666); err != nil {
+		if err := os.WriteFile(st.rankFile(step, r), encode(s), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,9 +478,9 @@ func goldenSnapshot() *Snapshot {
 	}}
 }
 
-// TestRecordGolden: version-1 records are byte-identical whether
-// streamed to a file by WriteRank or built by EncodeSnapshot, and a
-// record written before streaming existed still decodes.
+// TestRecordGolden: WriteRank streams a version-1 record byte-identical
+// to one written before streaming existed, and that record still
+// decodes.
 func TestRecordGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "record_v1.golden"))
 	if err != nil {
@@ -489,9 +498,6 @@ func TestRecordGolden(t *testing.T) {
 	if !bytes.Equal(file, golden) {
 		t.Errorf("WriteRank wrote\n%x\ngolden is\n%x", file, golden)
 	}
-	if rec := EncodeSnapshot(want); !bytes.Equal(rec, golden) {
-		t.Errorf("EncodeSnapshot made\n%x\ngolden is\n%x", rec, golden)
-	}
 	got, err := DecodeSnapshot(golden)
 	if err != nil {
 		t.Fatalf("golden record rejected: %v", err)
@@ -504,8 +510,8 @@ func TestRecordGolden(t *testing.T) {
 
 // TestRecordRefGolden pins the version-2 reference layout:
 // testdata/record_ref.golden was built from the layout documented at
-// writeRecord, not by this encoder, with goldenSnapshot's inbox. Both
-// writers must produce it and it must decode to the reference.
+// writeRecord, not by this encoder, with goldenSnapshot's inbox. WriteRank
+// must produce it and it must decode to the reference.
 func TestRecordRefGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "record_ref.golden"))
 	if err != nil {
@@ -523,9 +529,6 @@ func TestRecordRefGolden(t *testing.T) {
 	if !bytes.Equal(file, golden) {
 		t.Errorf("WriteRank wrote\n%x\ngolden is\n%x", file, golden)
 	}
-	if rec := EncodeSnapshot(want); !bytes.Equal(rec, golden) {
-		t.Errorf("EncodeSnapshot made\n%x\ngolden is\n%x", rec, golden)
-	}
 	got, err := DecodeSnapshot(golden)
 	if err != nil {
 		t.Fatalf("golden record rejected: %v", err)
@@ -533,14 +536,5 @@ func TestRecordRefGolden(t *testing.T) {
 	if got.Step != want.Step || got.Rank != want.Rank || got.P != want.P || got.Base != want.Base ||
 		len(got.User) != 0 || !bytes.Equal(inboxOf(got), inboxOf(want)) {
 		t.Fatalf("golden decoded to %+v, want %+v", got, want)
-	}
-}
-
-// TestEncodeSnapshotAllocs: EncodeSnapshot sizes its buffer to the
-// whole record, crc included, so encoding is exactly one allocation.
-func TestEncodeSnapshotAllocs(t *testing.T) {
-	s := &Snapshot{Step: 4, Rank: 0, P: 2, User: make([]byte, 1<<20), Batches: goldenSnapshot().Batches}
-	if n := testing.AllocsPerRun(10, func() { EncodeSnapshot(s) }); n != 1 {
-		t.Fatalf("EncodeSnapshot of a 1 MiB user section allocates %.1f times, want 1", n)
 	}
 }

@@ -16,8 +16,8 @@ import (
 //
 // The same input also pins streaming: with rec as the user section and
 // a framed batch split into parts at the positions split picks, the
-// bytes streamRecord writes equal EncodeSnapshot of the unsplit batch,
-// and that record decodes back to its sections.
+// bytes streamRecord writes equal the record of the unsplit batch, and
+// that record decodes back to its sections.
 func FuzzSnapshotRecord(f *testing.F) {
 	seeds := []*Snapshot{
 		{Step: 0, Rank: 0, P: 1},
@@ -31,7 +31,7 @@ func FuzzSnapshotRecord(f *testing.F) {
 		split = split*0x9E3779B97F4A7C15 + 7
 	}
 	for _, s := range seeds {
-		rec := EncodeSnapshot(s)
+		rec := encode(s)
 		add(rec)
 		// Mutations targeting each validation path.
 		add(rec[:len(rec)-1])                          // truncated crc
@@ -45,7 +45,7 @@ func FuzzSnapshotRecord(f *testing.F) {
 	add([]byte("BSPC"))
 	add(bytes.Repeat([]byte{0xFF}, 64)) // huge section lengths
 	// A reference record, and one whose base is not before its step.
-	ref := EncodeSnapshot(&Snapshot{Step: 9, Rank: 1, P: 2, Base: 4, Batches: [][]byte{sampleBatch("inbox")}})
+	ref := encode(&Snapshot{Step: 9, Rank: 1, P: 2, Base: 4, Batches: [][]byte{sampleBatch("inbox")}})
 	add(ref)
 	add(ref[:30]) // truncated inside the base field
 	badBase := append([]byte(nil), ref...)
@@ -60,7 +60,7 @@ func FuzzSnapshotRecord(f *testing.F) {
 			return
 		}
 		// Accepted records must round-trip stably.
-		again, err := DecodeSnapshot(EncodeSnapshot(s))
+		again, err := DecodeSnapshot(encode(s))
 		if err != nil {
 			t.Fatalf("re-encoded accepted record rejected: %v", err)
 		}
@@ -81,7 +81,7 @@ func FuzzSnapshotRecord(f *testing.F) {
 // checkStreamedSplit frames user's two halves and an empty message into
 // one batch, cuts that batch into up to 8 parts (empty and nil parts
 // included) at positions drawn from split, and checks that streaming
-// the parts writes the record EncodeSnapshot makes of the whole batch.
+// the parts writes the record of the whole batch.
 func checkStreamedSplit(t *testing.T, user []byte, split uint64) {
 	t.Helper()
 	h := len(user) / 2
@@ -105,9 +105,9 @@ func checkStreamedSplit(t *testing.T, user []byte, split uint64) {
 	if err := streamRecord(&streamed, &Snapshot{Step: want.Step, Rank: want.Rank, P: p, User: user, Batches: parts}); err != nil {
 		t.Fatal(err)
 	}
-	rec := EncodeSnapshot(want)
+	rec := encode(want)
 	if !bytes.Equal(streamed.Bytes(), rec) {
-		t.Fatalf("streaming %d parts wrote\n%x\nEncodeSnapshot of their concatenation is\n%x", len(parts), streamed.Bytes(), rec)
+		t.Fatalf("streaming %d parts wrote\n%x\nthe record of their concatenation is\n%x", len(parts), streamed.Bytes(), rec)
 	}
 	got, err := DecodeSnapshot(rec)
 	if err != nil {

@@ -125,29 +125,6 @@ func BroadcastTwoPhase(c *core.Proc, root int, data []byte) []byte {
 	return out
 }
 
-// Reduce combines one float64 per process at root with op and returns
-// the result at root (other processes receive 0). Cost: h = p-1 at the
-// root, s = 1.
-func Reduce(c *core.Proc, root int, x float64, op func(a, b float64) float64) float64 {
-	w := wire.NewWriter(8)
-	w.Float64(x)
-	if c.ID() != root {
-		c.Send(root, w.Bytes())
-	}
-	c.Sync()
-	if c.ID() != root {
-		return 0
-	}
-	acc := x
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			return acc
-		}
-		acc = op(acc, wire.NewReader(msg).Float64())
-	}
-}
-
 // AllReduce combines one float64 per process with op and returns the
 // result on every process. op must be commutative and associative.
 // Cost: h = p-1, s = 1.
@@ -190,17 +167,6 @@ func AllReduceInt(c *core.Proc, x int, op func(a, b int) int) int {
 	}
 }
 
-// AllAnd returns the conjunction of every process's flag — the global
-// termination-detection idiom used by the shortest-paths applications.
-// Cost: h = p-1, s = 1.
-func AllAnd(c *core.Proc, flag bool) bool {
-	x := 0
-	if flag {
-		x = 1
-	}
-	return AllReduceInt(c, x, func(a, b int) int { return a * b }) != 0
-}
-
 // AllOr returns the disjunction of every process's flag.
 func AllOr(c *core.Proc, flag bool) bool {
 	x := 0
@@ -229,88 +195,6 @@ func GroupFanout(p int) int {
 // the given fanout: the lowest rank of id's contiguous group.
 func GroupLeader(id, fanout int) int {
 	return id - id%fanout
-}
-
-// GatherTwoPhase collects each process's data at root across two
-// supersteps through the ⌈√p⌉-ary group tree of GroupFanout: members
-// send to their group leader, leaders forward their group's
-// concatenation to root. No rank receives more than ⌈√p⌉ messages in
-// any superstep (Gather's root absorbs p at once); the byte volume at
-// the root is conserved — a reduction that also wants the root's
-// *byte* fan-in bounded must condense at the leaders, which is
-// exactly what psort's staged splitter reduction layers on top of
-// this tree. The result at root is indexed by source rank; other
-// processes return nil. Cost: h = Σ|data| at root as in Gather but
-// spread over two supersteps with ⌈√p⌉-bounded message fan-in, s = 2.
-func GatherTwoPhase(c *core.Proc, root int, data []byte) [][]byte {
-	p, id := c.P(), c.ID()
-	b := GroupFanout(p)
-	// Groups are laid out in root-relative rank space so the root is
-	// always the leader of group 0, whatever rank it holds.
-	rid := ((id-root)%p + p) % p
-	leader := (GroupLeader(rid, b) + root) % p
-	w := wire.NewWriter(8 + len(data))
-	w.Int(id)
-	w.Raw(data)
-	c.Send(leader, w.Bytes())
-	c.Sync()
-	if rid%b == 0 {
-		// Leader: forward the group's length-prefixed payloads. The
-		// leader's own phase-1 message is in its inbox too, so the
-		// forward is never empty.
-		fw := wire.NewWriter(0)
-		for {
-			msg, ok := c.Recv()
-			if !ok {
-				break
-			}
-			fw.Int(len(msg))
-			fw.Raw(msg)
-		}
-		c.Send(root, fw.Bytes())
-	}
-	c.Sync()
-	if id != root {
-		return nil
-	}
-	out := make([][]byte, p)
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			break
-		}
-		r := wire.NewReader(msg)
-		for r.Remaining() > 0 {
-			inner := wire.NewReader(r.Raw(r.Int()))
-			src := inner.Int()
-			out[src] = clone(inner.Raw(inner.Remaining()))
-		}
-	}
-	return out
-}
-
-// Gather collects each process's data at root; the result at root is
-// indexed by rank. Other processes return nil. Cost: h = Σ|data| at the
-// root, s = 1.
-func Gather(c *core.Proc, root int, data []byte) [][]byte {
-	w := wire.NewWriter(8 + len(data))
-	w.Int(c.ID())
-	w.Raw(data)
-	c.Send(root, w.Bytes())
-	c.Sync()
-	if c.ID() != root {
-		return nil
-	}
-	out := make([][]byte, c.P())
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			return out
-		}
-		r := wire.NewReader(msg)
-		src := r.Int()
-		out[src] = clone(r.Raw(r.Remaining()))
-	}
 }
 
 // Scatter distributes pieces[i] from root to process i and returns this
@@ -364,30 +248,8 @@ func AllToAll(c *core.Proc, out [][]byte) [][]byte {
 	}
 }
 
-// ExclusiveScan returns the exclusive prefix sum of x by rank: process i
-// receives x_0 + ... + x_{i-1} (0 for rank 0). Cost: h = p-1, s = 1.
-func ExclusiveScan(c *core.Proc, x int) int {
-	w := wire.NewWriter(8)
-	w.Int(x)
-	for i := c.ID() + 1; i < c.P(); i++ {
-		c.Send(i, w.Bytes())
-	}
-	c.Sync()
-	sum := 0
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			return sum
-		}
-		sum += wire.NewReader(msg).Int()
-	}
-}
-
-// MaxFloat is a Reduce/AllReduce operator.
+// MaxFloat is an AllReduce operator.
 func MaxFloat(a, b float64) float64 { return math.Max(a, b) }
 
-// SumFloat is a Reduce/AllReduce operator.
+// SumFloat is an AllReduce operator.
 func SumFloat(a, b float64) float64 { return a + b }
-
-// MinFloat is a Reduce/AllReduce operator.
-func MinFloat(a, b float64) float64 { return math.Min(a, b) }

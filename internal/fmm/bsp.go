@@ -173,13 +173,6 @@ func (t *Tree) crossInteract(dst int32, src *Tree, sid int32, acc []complex128) 
 	}
 }
 
-// Run evaluates forces for this process's bodies within a BSP machine:
-// three supersteps (tagged bounding-box exchange, essential exchange,
-// diagnostics reduce).
-func Run(c *core.Proc, mine []Body, cfg Config) []complex128 {
-	return runTagged(c, mine, cfg)
-}
-
 func boundsOf(bodies []Body) box2 {
 	if len(bodies) == 0 {
 		return box2{lo: complex(math.Inf(1), math.Inf(1)), hi: complex(math.Inf(-1), math.Inf(-1))}
@@ -227,7 +220,9 @@ func Parallel(cfg core.Config, bodies []Body, fcfg Config) ([]complex128, *core.
 	return out, st, nil
 }
 
-// runTagged is the working per-process evaluation (Run's doc applies).
+// runTagged evaluates forces for this process's bodies within a BSP
+// machine: three supersteps (tagged bounding-box exchange, essential
+// exchange, diagnostics reduce).
 func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
 	p := c.P()
 	myBox := boundsOf(mine)

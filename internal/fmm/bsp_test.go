@@ -10,7 +10,7 @@ import (
 
 func TestParallelMatchesDirect(t *testing.T) {
 	bodies := RandomBodies(1200, 7)
-	want := DirectForces(bodies)
+	want := directForces(bodies)
 	for _, p := range []int{1, 2, 4, 8} {
 		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, bodies, Config{})
 		if err != nil {
@@ -71,7 +71,7 @@ func TestParallelEmptyStrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := DirectForces(bodies)
+	want := directForces(bodies)
 	for i := range got {
 		if relErr(got[i], want[i]) > 1e-5 && cmplx.Abs(want[i]) > 1e-12 {
 			t.Errorf("body %d: %v vs %v", i, got[i], want[i])

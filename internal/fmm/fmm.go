@@ -376,27 +376,6 @@ func evalMultipoleField(z0 complex128, q float64, mult []complex128, z complex12
 	return -cmplx.Conj(dphi)
 }
 
-// DirectForces is the O(N²) oracle.
-func DirectForces(bodies []Body) []complex128 {
-	acc := make([]complex128, len(bodies))
-	for i := range bodies {
-		var f complex128
-		for j := range bodies {
-			if i == j {
-				continue
-			}
-			dz := bodies[j].Z - bodies[i].Z
-			r2 := real(dz)*real(dz) + imag(dz)*imag(dz)
-			if r2 == 0 {
-				continue
-			}
-			f += complex(bodies[j].M/r2, 0) * dz
-		}
-		acc[i] = f
-	}
-	return acc
-}
-
 // Forces runs the full sequential FMM on bodies.
 func Forces(bodies []Body, cfg Config) ([]complex128, *Tree) {
 	t := NewTree(bodies, cfg)

@@ -22,6 +22,15 @@ func directFieldAt(bodies []Body, z complex128) complex128 {
 	return f
 }
 
+// directForces is the O(N²) oracle: every body's exact force.
+func directForces(bodies []Body) []complex128 {
+	acc := make([]complex128, len(bodies))
+	for i, b := range bodies {
+		acc[i] = directFieldAt(bodies, b.Z)
+	}
+	return acc
+}
+
 func relErr(got, want complex128) float64 {
 	if cmplx.Abs(want) == 0 {
 		return cmplx.Abs(got)
@@ -75,7 +84,7 @@ func TestM2MInvariance(t *testing.T) {
 func TestFMMMatchesDirect(t *testing.T) {
 	bodies := RandomBodies(1500, 3)
 	acc, tree := Forces(bodies, Config{})
-	want := DirectForces(bodies)
+	want := directForces(bodies)
 	var worst, sum float64
 	for i := range acc {
 		e := relErr(acc[i], want[i])
@@ -97,7 +106,7 @@ func TestFMMMatchesDirect(t *testing.T) {
 // TestFMMOrderControlsAccuracy: higher P gives smaller error.
 func TestFMMOrderControlsAccuracy(t *testing.T) {
 	bodies := RandomBodies(800, 4)
-	want := DirectForces(bodies)
+	want := directForces(bodies)
 	meanErr := func(p int) float64 {
 		acc, _ := Forces(bodies, Config{P: p})
 		var sum float64
@@ -188,7 +197,7 @@ func TestQuickFMMAccuracy(t *testing.T) {
 	f := func(seed int64) bool {
 		bodies := RandomBodies(300, seed)
 		acc, _ := Forces(bodies, Config{})
-		want := DirectForces(bodies)
+		want := directForces(bodies)
 		var sum float64
 		for i := range acc {
 			sum += relErr(acc[i], want[i])

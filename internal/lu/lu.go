@@ -1,17 +1,16 @@
 // Package lu implements dense LU factorization with partial pivoting on
-// the BSP machine, using the DRMA layer for its communication — the
-// "static computations that arise in scientific computing" the paper
-// says the Oxford-style direct-remote-access interface is "well suited
-// for" (§1.3), and the canonical BSP scientific kernel of the
-// Bisseling-McColl line of work the paper cites ([5, 6]).
+// the BSP machine — one of the "static computations that arise in
+// scientific computing" (§1.3), and the canonical BSP scientific kernel
+// of the Bisseling-McColl line of work the paper cites ([5, 6]).
 //
 // Columns are distributed cyclically (column j on process j mod p). Each
-// elimination step k is one DRMA superstep: the owner of column k
-// selects the pivot, scales the multipliers, and Puts the (pivot index,
-// multiplier column) into every process's registered exchange area; all
+// elimination step k is one collect.Broadcast superstep: the owner of
+// column k selects the pivot, scales the multipliers, and broadcasts the
+// pivot index and the h = n−k−1 multipliers below the diagonal; all
 // processes then apply the row swap and the rank-1 update to their own
-// columns. S = n supersteps, h = n−k−1 values per step — the perfectly
-// predictable cost profile of a static computation.
+// columns. S = n supersteps, and the owner sends one 8(n−k)-byte message
+// to each of the p−1 others at step k — the perfectly predictable cost
+// profile of a static computation.
 //
 // The parallel factorization performs the same floating-point operations
 // in the same order per element as the sequential code, so L and U are
@@ -19,13 +18,13 @@
 package lu
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/drma"
+	"repro/internal/wire"
 )
 
 // Factorization holds PA = LU in packed form: L (unit diagonal, below)
@@ -152,12 +151,9 @@ func RandomMatrix(n int, seed int64) []float64 {
 	return a
 }
 
-// colBytes is the exchange-area slot size per row: one float64.
-const colBytes = 8
-
 // Parallel factors the matrix on a BSP machine with column-cyclic
-// distribution over the DRMA layer and returns the assembled
-// factorization (identical to Sequential's bit-for-bit).
+// distribution and returns the assembled factorization (identical to
+// Sequential's bit-for-bit).
 func Parallel(ccfg core.Config, a []float64, n int) (*Factorization, *core.Stats, error) {
 	p := ccfg.P
 	cols := make([][]float64, p) // cols[q]: owned columns, packed
@@ -210,10 +206,6 @@ func Parallel(ccfg core.Config, a []float64, n int) (*Factorization, *core.Stats
 // factorProc is the per-process elimination loop.
 func factorProc(c *core.Proc, myCols []float64, myIdx []int, n int) ([]int, error) {
 	p := c.P()
-	x := drma.New(c)
-	// Exchange area: [0:8) pivot row index (uint64), [8:8+8n) multipliers.
-	area := x.Register(make([]byte, 8+colBytes*n))
-	buf := x.AreaBytes(area)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
@@ -226,9 +218,13 @@ func factorProc(c *core.Proc, myCols []float64, myIdx []int, n int) ([]int, erro
 	for cj, j := range myIdx {
 		localCol[j] = cj
 	}
-	scratch := make([]byte, 8+colBytes*n)
+	// The step-k message: the pivot row index, then the multipliers
+	// l_ik for i = k+1..n-1.
+	w := wire.NewWriter(8 * n)
+	mult := make([]float64, 0, n)
 	for k := 0; k < n; k++ {
 		owner := k % p
+		w.Reset()
 		if owner == c.ID() {
 			col := myCols[localCol[k]*n:]
 			piv, pmax := k, math.Abs(col[k])
@@ -249,22 +245,23 @@ func factorProc(c *core.Proc, myCols []float64, myIdx []int, n int) ([]int, erro
 					col[i] /= d
 				}
 			}
-			binary.LittleEndian.PutUint64(scratch[0:8], uint64(int64(piv)))
-			for i := k; i < n; i++ {
-				binary.LittleEndian.PutUint64(scratch[8+8*i:], math.Float64bits(col[i]))
-			}
-			for q := 0; q < p; q++ {
-				x.Put(q, area, 0, scratch[:8+colBytes*n])
+			w.Int(piv)
+			for _, l := range col[k+1 : n] {
+				w.Float64(l)
 			}
 			c.AddWork(n - k)
 		}
-		x.Sync()
-		piv := int(int64(binary.LittleEndian.Uint64(buf[0:8])))
+		r := wire.NewReader(collect.Broadcast(c, owner, w.Bytes()))
+		piv := r.Int()
 		if piv < 0 {
 			return nil, fmt.Errorf("lu: singular at column %d", k)
 		}
 		if piv != k {
 			perm[k], perm[piv] = perm[piv], perm[k]
+		}
+		mult = mult[:0]
+		for r.Remaining() > 0 {
+			mult = append(mult, r.Float64())
 		}
 		// Apply the row swap to every owned column except the owner's
 		// column k (already swapped before scaling) — partial pivoting
@@ -283,8 +280,7 @@ func factorProc(c *core.Proc, myCols []float64, myIdx []int, n int) ([]int, erro
 				continue
 			}
 			for i := k + 1; i < n; i++ {
-				l := math.Float64frombits(binary.LittleEndian.Uint64(buf[8+8*i:]))
-				col[i] -= l * akj
+				col[i] -= mult[i-k-1] * akj
 			}
 			c.AddWork(n - k)
 		}

@@ -100,11 +100,25 @@ func TestParallelBitIdentical(t *testing.T) {
 				t.Fatalf("p=%d: Perm[%d] differs", p, i)
 			}
 		}
-		// One DRMA sync (= 2 core supersteps) per column.
-		if st.S() != 2*n {
-			t.Errorf("p=%d: S = %d, want %d (one DRMA sync per column)", p, st.S(), 2*n)
+		// One broadcast superstep per column.
+		if st.S() != n {
+			t.Errorf("p=%d: S = %d, want %d (one broadcast per column)", p, st.S(), n)
+		}
+		if h := wantH(n, p); st.H() != h {
+			t.Errorf("p=%d: H = %d, want %d", p, st.H(), h)
 		}
 	}
+}
+
+// wantH is lu's H in closed form. At step k the owner sends the pivot
+// index and n−k−1 multipliers, one 8(n−k)-byte message, to each of the
+// p−1 other ranks; a message of b bytes counts ⌈b/PktSize⌉ packets.
+func wantH(n, p int) int {
+	h := 0
+	for k := 0; k < n; k++ {
+		h += (p - 1) * ((8*(n-k) + core.PktSize - 1) / core.PktSize)
+	}
+	return h
 }
 
 func TestParallelSingular(t *testing.T) {

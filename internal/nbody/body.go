@@ -92,22 +92,6 @@ func accumulate(acc *Vec3, pos, q Vec3, m, eps2 float64) {
 	acc[2] += m * d[2] * inv
 }
 
-// DirectForces computes exact pairwise softened accelerations in O(N²);
-// it is the oracle the Barnes-Hut codes are verified against.
-func DirectForces(bodies []Body, cfg SimConfig) []Vec3 {
-	eps2 := cfg.eps() * cfg.eps()
-	acc := make([]Vec3, len(bodies))
-	for i := range bodies {
-		for j := range bodies {
-			if i == j {
-				continue
-			}
-			accumulate(&acc[i], bodies[i].Pos, bodies[j].Pos, bodies[j].Mass, eps2)
-		}
-	}
-	return acc
-}
-
 // Step advances bodies one leapfrog (kick-drift) step with the given
 // accelerations.
 func Step(bodies []Body, acc []Vec3, dt float64) {

@@ -384,16 +384,6 @@ func runBuffer(local []float64, n, p, l int) []float64 {
 	return buf
 }
 
-// Run sorts this process's share inside an already-running BSP machine
-// with default options and returns its slice of the global order
-// (process i's slice precedes process i+1's). It costs exactly 4
-// supersteps on every rank.
-func Run(c *core.Proc, local []float64) []float64 {
-	n := len(local) * c.P()
-	opt := Resolve(Options{}, n, c.P())
-	return (&state{opt: opt, data: runBuffer(local, n, c.P(), opt.Oversample)}).run(c)
-}
-
 // chunk returns rank q's even share of data (a view, not a copy).
 func chunk(data []float64, p, q int) []float64 {
 	return data[q*len(data)/p : (q+1)*len(data)/p]

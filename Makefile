@@ -11,7 +11,8 @@
 #                     free (see internal/core/alloc_test.go and
 #                     BENCH_exchange.json), every transport's exchange
 #                     engine (shm, xchg, tcp, sim, cluster) must recycle
-#                     batches at exactly 0 allocs per superstep
+#                     batches at exactly 0 allocs per superstep (shm
+#                     also when its barrier waiters park),
 #                     and the tcp and cluster links must stand up,
 #                     run three supersteps and close within 8 KiB per
 #                     ordered pair at p = 4, 8, 16 (internal/transport), a
@@ -26,7 +27,9 @@
 #   make flake-check  the tests of two fixed flakes, repeated: the
 #                     host (g, L) sweep-and-fit tests (internal/harness)
 #                     and the flight ring's lapped-writer property
-#                     test under -race (internal/trace); plus the
+#                     test under -race (internal/trace); the shm
+#                     barrier's parked-wake and parked-alloc tests
+#                     under -race (internal/transport); plus the
 #                     checkpoint capture, flusher and recovery tests
 #                     under -race (internal/ckpt, internal/core; the
 #                     capture alloc gate is left to verify-alloc, as
@@ -147,7 +150,7 @@ verify-race: vet race
 
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run 'TestExchangeAllocGate|TestCheckpointCaptureAllocGate' -v
-	$(GO) test -count=1 ./internal/transport/ -run 'TestEngineAllocGate|TestLinkOpenBytes' -v
+	$(GO) test -count=1 ./internal/transport/ -run 'TestEngineAllocGate|TestShmParkAllocFree|TestLinkOpenBytes' -v
 	$(GO) test -count=1 ./internal/psort/ -run 'TestSortAllocBound|TestSortBytesPerElement|TestMergeAllocFree' -v
 
 examples-smoke:
@@ -157,6 +160,7 @@ examples-smoke:
 flake-check:
 	$(GO) test -count=20 -run 'TestMeasureParams|TestFit' ./internal/harness/
 	$(GO) test -race -count=20 -run TestTraceFlightRing ./internal/trace/
+	$(GO) test -race -count=20 -run 'ShmPark' ./internal/transport/
 	$(GO) test -race -count=20 -run 'Recovery|Crash|Recoverable|LoadComplete|^TestCapture|^TestKeep' ./internal/ckpt/ ./internal/core/
 
 golden:

@@ -304,8 +304,10 @@ func (st *Store) Stage(s *Snapshot) (*Staged, error) {
 }
 
 // Publish makes the staged record durable under its final name: fsync,
-// rename, then a best-effort fsync of the directory so the rename
-// itself is durable. On failure the temporary file is removed.
+// rename, then an fsync of the directory so the rename itself is
+// durable. A failure before the rename removes the temporary file; a
+// failed directory fsync leaves the record under its final name, where
+// it may not survive a crash, and is returned like any other failure.
 func (w *Staged) Publish() error {
 	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {
@@ -318,11 +320,21 @@ func (w *Staged) Publish() error {
 		os.Remove(w.f.Name())
 		return err
 	}
-	if d, err := os.Open(filepath.Dir(w.path)); err == nil {
-		d.Sync()
-		d.Close()
+	return syncDir(filepath.Dir(w.path))
+}
+
+// syncDir fsyncs a directory so the renames in it are durable. It is a
+// variable so a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Discard drops the staged record without publishing it.

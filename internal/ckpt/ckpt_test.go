@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -311,6 +312,32 @@ func TestAtomicWriteLeftovers(t *testing.T) {
 	}
 	if step, _, ok := st.LoadComplete(p); !ok || step != 2 {
 		t.Fatalf("LoadComplete = (%d, ok=%v) once the record is published, want (2, true)", step, ok)
+	}
+}
+
+// TestPublishDirSyncError: Publish fsyncs the directory once after the
+// rename, and a failed directory fsync fails the publish, so the
+// flusher records the error and does not count the record as durable.
+func TestPublishDirSyncError(t *testing.T) {
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	injected := errors.New("injected directory fsync failure")
+	var syncs int
+	var fail bool
+	syncDir = func(dir string) error {
+		syncs++
+		if fail {
+			return injected
+		}
+		return orig(dir)
+	}
+	st := &Store{Dir: t.TempDir()}
+	if err := st.WriteRank(&Snapshot{Step: 1, Rank: 0, P: 1}); err != nil || syncs != 1 {
+		t.Fatalf("WriteRank = %v after %d directory fsyncs, want nil after 1", err, syncs)
+	}
+	fail = true
+	if err := st.WriteRank(&Snapshot{Step: 2, Rank: 0, P: 1}); !errors.Is(err, injected) || syncs != 2 {
+		t.Fatalf("WriteRank = %v after %d directory fsyncs, want the injected failure after 2", err, syncs)
 	}
 }
 

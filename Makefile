@@ -21,7 +21,7 @@
 #                     one (both are streamed into the record,
 #                     internal/core), and
 #                     the sample sort's alloc count must stay flat in n,
-#                     its bytes stay at <= 40 per element and its merge
+#                     its bytes stay at <= 32 per element and its merge
 #                     tree allocate nothing when the destination and
 #                     the scratch have room (internal/psort)
 #   make flake-check  the tests of two fixed flakes, repeated: the

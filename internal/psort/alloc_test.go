@@ -1,10 +1,11 @@
 package psort
 
 // Sort-specific allocation gates. The routed runs are appended straight
-// into the transport's pooled per-pair batches and the final k-way merge
+// into the transport's pooled per-pair batches, the final k-way merge
 // reads the inbox's frame views in place and writes into the rank's own
-// run buffer, so the sort's allocation count must be (near-)independent
-// of n: a handful of buffers per rank per stage, never one allocation
+// run buffer, and the run buffers are windows of one slab whose prefix
+// becomes Parallel's result, so the sort's allocation count must be
+// (near-)independent of n: a handful of buffers per rank per stage, never one allocation
 // per element or per message. TestSortAllocBound pins an absolute count
 // at a fixed size and — the stronger property — requires the count to
 // stay flat as n quadruples; TestSortBytesPerElement bounds the bytes,
@@ -40,7 +41,7 @@ func measureSortAllocs(t *testing.T, n int) float64 {
 	opt := Resolve(Options{}, n, sortAllocP)
 	cfg := core.Config{P: sortAllocP, Transport: transport.ShmTransport{}}
 	run := func() {
-		if _, _, err := sortParallel(cfg, data, opt); err != nil {
+		if _, _, _, err := sortParallel(cfg, data, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,12 +66,13 @@ func TestSortAllocBound(t *testing.T) {
 }
 
 // sortBytesMax bounds the bytes one Parallel call allocates per element.
-// Four 8-byte-per-element buffers remain — the ranks' run buffers, their
-// scratch runs (the radix sort's ping-pong buffer, kept for the merge
-// tree's levels), the shm batches and Parallel's concatenation — plus a
-// few per cent of overhead; one more n-sized buffer, such as a separate
-// merge output or merge scratch (44.6 measured), exceeds it.
-const sortBytesMax = 40
+// Three 8-byte-per-element buffers remain — the slab (the ranks' run
+// buffers, whose prefix Parallel returns), the ranks' scratch runs (the
+// radix sort's ping-pong buffer, kept for the merge tree's levels) and
+// the shm batches — plus a few per cent of overhead (27.7 measured); one
+// more n-sized buffer, such as Parallel concatenating the shares into a
+// fresh array (35.3 measured), exceeds it.
+const sortBytesMax = 32
 
 func TestSortBytesPerElement(t *testing.T) {
 	if testing.Short() {

@@ -39,7 +39,7 @@ func benchSort(b *testing.B, data []float64, gateBound bool) {
 	b.SetBytes(int64(8 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, _, err := sortParallel(cfg, data, opt)
+		parts, _, _, err := sortParallel(cfg, data, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func FuzzSampleSort(f *testing.F) {
 			Seed:       seed,
 		}, n, p)
 
-		parts, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+		parts, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

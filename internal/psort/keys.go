@@ -182,29 +182,33 @@ func span(runs [][]byte) int {
 // it compiles to conditional moves, not to a branch that mispredicts
 // on every other element of interleaved runs. Both picks come from the
 // same remaining elements, and they differ while both runs have one:
-// the front keeps x on a tie, the back y.
+// the front keeps x on a tie, the back y. The indices count elements
+// and every load is an 8-byte window of the unmoved run, so the loop
+// runs close to mergeFloats's speed; re-slicing the runs at every step
+// (x[i:]) took about twice as long.
 func mergeWire(out []float64, x, y []byte) {
-	i, j, ex, ey := 0, 0, len(x), len(y)
+	le := binary.LittleEndian
+	i, j, ex, ey := 0, 0, len(x)/elemBytes, len(y)/elemBytes
 	for i < ex && j < ey {
-		a, b := binary.LittleEndian.Uint64(x[i:]), binary.LittleEndian.Uint64(y[j:])
+		a, b := le.Uint64(x[8*i:8*i+8]), le.Uint64(y[8*j:8*j+8])
 		v, t := a, 0
 		if floatKey(b) < floatKey(a) {
-			v, t = b, elemBytes
+			v, t = b, 1
 		}
-		out[(i+j)/elemBytes] = math.Float64frombits(v)
-		i += elemBytes - t
+		out[i+j] = math.Float64frombits(v)
+		i += 1 - t
 		j += t
-		a, b = binary.LittleEndian.Uint64(x[ex-elemBytes:]), binary.LittleEndian.Uint64(y[ey-elemBytes:])
-		v, t = b, elemBytes
+		a, b = le.Uint64(x[8*ex-8:8*ex]), le.Uint64(y[8*ey-8:8*ey])
+		v, t = b, 1
 		if floatKey(a) > floatKey(b) {
 			v, t = a, 0
 		}
-		out[(ex+ey)/elemBytes-1] = math.Float64frombits(v)
-		ex -= elemBytes - t
+		out[ex+ey-1] = math.Float64frombits(v)
+		ex -= 1 - t
 		ey -= t
 	}
-	decodeFloats(out[(i+j)/elemBytes:], x[i:ex])
-	decodeFloats(out[(ex+j)/elemBytes:], y[j:ey])
+	decodeFloats(out[i+j:], x[8*i:8*ex])
+	decodeFloats(out[ex+j:], y[8*j:8*ey])
 }
 
 // mergeFloats merges the runs x and y into out, which holds exactly their

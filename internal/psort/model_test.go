@@ -79,7 +79,7 @@ func TestMeasuredHWithinPredictedShape(t *testing.T) {
 	const n, p = 16000, 4
 	data := RandomData(n, 1996)
 	opt := Resolve(Options{}, n, p)
-	_, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMeasuredHWithinPredictedShape(t *testing.T) {
 func TestWriteCostReport(t *testing.T) {
 	const n, p = 8000, 4
 	data := ZipfData(n, 7)
-	_, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, Options{})
+	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/collect"
 )
 
 // lessOracle is the order floatKey encodes, on the values themselves:
@@ -342,5 +345,87 @@ func TestSortLocalMatchesComparisonSort(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) { checkSortLocal(t, data) })
+	}
+}
+
+// sampleRuns builds each rank's tagged sample run as superstep 1 does:
+// the rank's sorted even share, read at samplePositions.
+func sampleRuns(data []float64, p int, opt Options) [][]tagged {
+	m := sampleCount(opt.Oversample, p)
+	runs := make([][]tagged, p)
+	for q := range runs {
+		local := append([]float64(nil), chunk(data, p, q)...)
+		sortLocal(local, nil)
+		for _, i := range samplePositions(len(local), m, opt, q) {
+			runs[q] = append(runs[q], tagged{v: local[i], rank: int32(q), idx: int32(i)})
+		}
+	}
+	return runs
+}
+
+// checkSampleMerge asserts mergeTagged on runs, handed over in a
+// shuffled order, equals the sort it replaced on the same samples bit
+// for bit, and returns the merge.
+func checkSampleMerge(t *testing.T, runs [][]tagged, rng *rand.Rand) []tagged {
+	t.Helper()
+	runs = slices.Clone(runs)
+	rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	var ts []tagged
+	var ends []int
+	for _, r := range runs {
+		ts = append(ts, r...)
+		ends = append(ends, len(ts))
+	}
+	want := slices.Clone(ts)
+	slices.SortFunc(want, cmpTag)
+	got := mergeTagged(ts, ends)
+	if !slices.EqualFunc(got, want, func(a, b tagged) bool {
+		return math.Float64bits(a.v) == math.Float64bits(b.v) && a.rank == b.rank && a.idx == b.idx
+	}) {
+		t.Fatalf("merge of %d sample runs differs from the sort", len(runs))
+	}
+	return got
+}
+
+// TestSampleMergeMatchesSort: the leaders' and the root's merges of
+// sample runs equal slices.SortFunc(cmpTag) over the same samples, in
+// both sampling modes, on the inputs whose keys collide — Zipf, all
+// equal, ±0 and NaN payloads — so only the (rank, idx) tags decide, and
+// with an empty run and a single run.
+func TestSampleMergeMatchesSort(t *testing.T) {
+	const n = 3000
+	mixed := make([]float64, n)
+	specials := []float64{negZero, 0, nan(0x7FF8000000000001), nan(0xFFF8000000000002), -1, 1, nan(0x7FF0000000000003)}
+	for i := range mixed {
+		mixed[i] = specials[(i*7+i/5)%len(specials)]
+	}
+	equal := make([]float64, n)
+	for i := range equal {
+		equal[i] = 5
+	}
+	inputs := []struct {
+		name string
+		data []float64
+	}{
+		{"random", RandomData(n, 3)}, {"zipf", ZipfData(n, 3)}, {"all-equal", equal}, {"zero-nan", mixed},
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, in := range inputs {
+		for _, mode := range []Mode{ModeRegular, ModeRandom} {
+			for _, p := range []int{2, 3, 4, 5, 9, 16} {
+				t.Run(fmt.Sprintf("%s/mode=%d/p=%d", in.name, mode, p), func(t *testing.T) {
+					opt := Resolve(Options{Mode: mode, Seed: int64(p)}, n, p)
+					runs := sampleRuns(in.data, p, opt)
+					fanout := collect.GroupFanout(p)
+					var forwarded [][]tagged
+					for leader := 0; leader < p; leader += fanout {
+						forwarded = append(forwarded, checkSampleMerge(t, runs[leader:min(leader+fanout, p)], rng))
+					}
+					checkSampleMerge(t, forwarded, rng)
+					checkSampleMerge(t, append(forwarded, nil), rng)
+					checkSampleMerge(t, runs[:1], rng)
+				})
+			}
+		}
 	}
 }

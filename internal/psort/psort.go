@@ -24,16 +24,20 @@
 //
 // The order is floatKey's: an unsigned key of a value's IEEE bits (NaNs
 // first, −0 equal to +0), so the local sort is an LSD radix sort on keys
-// and the merge compares keys, never floats. The receive path never
-// re-sorts: each routed run arrives sorted, and a merge tree — runs
-// ordered by source rank, merged in adjacent pairs over ⌈log₂ k⌉ levels,
-// the first reading the inbox's zero-copy frame views — writes the final
-// share into the rank's own run buffer, ping-ponging with the radix
-// sort's scratch run. Both are allocated with room for ImbalanceBound
-// elements (never more than n); the run buffer is dead once superstep
-// 4's Send has copied its pieces out. Ties between runs go to the lower
-// source rank read from each run's header, so the share does not depend
-// on the order in which the transport delivered the runs.
+// and the merge compares keys, never floats. No receive path re-sorts:
+// sample runs arrive sorted in the tagged order and are merged, and each
+// routed run arrives sorted, so a merge tree — runs ordered by source
+// rank, merged in adjacent pairs over ⌈log₂ k⌉ levels, the first reading
+// the inbox's zero-copy frame views element by element — writes the
+// final share into the rank's own run buffer, ping-ponging with the
+// radix sort's scratch run. Both have room for ImbalanceBound elements
+// (never more than n); the run buffer is dead once superstep 4's Send
+// has copied its pieces out. The run buffers are the windows of one
+// slab, so Parallel concatenates the shares by moving each down to the
+// end of the one before, and the slab's prefix is the result. Ties
+// between runs go to the lower source rank read from each run's header,
+// so the share does not depend on the order in which the transport
+// delivered the runs.
 package psort
 
 import (
@@ -41,7 +45,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/collect"
@@ -320,26 +323,73 @@ func samplePositions(n, m int, opt Options, rank int) []int {
 	return pos
 }
 
-// recvTagged drains the inbox into tagged samples and sorts them in the
-// tagged order. Sample runs (withHdr) carry one origin-rank header and
-// per-sample indices; leader-forwarded runs carry full (rank, idx) tags
-// per sample.
+// recvTagged drains the inbox into tagged samples in the tagged order.
+// Sample runs (withHdr) carry one origin-rank header and per-sample
+// indices; leader-forwarded runs carry full (rank, idx) tags per sample.
+// Every run arrives sorted in the tagged order — a sample run is its
+// source's sorted local run read at rising positions, a forwarded run a
+// leader's merge — so the runs are merged, not re-sorted; the tagged
+// order is strict, so the merge yields the sort's sequence exactly.
 func recvTagged(c *core.Proc, withHdr bool) []tagged {
 	var out []tagged
+	ends := make([]int, 0, c.Pending())
 	for msg, ok := c.Recv(); ok; msg, ok = c.Recv() {
 		if !withHdr {
 			out = appendTags(out, msg)
-			continue
+		} else {
+			src := int32(binary.LittleEndian.Uint32(msg))
+			for body := msg[sampleHdrLen:]; len(body) >= elemBytes+4; body = body[elemBytes+4:] {
+				idx := int32(binary.LittleEndian.Uint32(body[elemBytes:]))
+				out = append(out, tagged{v: loadFloat(body), rank: src, idx: idx})
+			}
 		}
-		src := int32(binary.LittleEndian.Uint32(msg))
-		for body := msg[sampleHdrLen:]; len(body) >= elemBytes+4; body = body[elemBytes+4:] {
-			idx := int32(binary.LittleEndian.Uint32(body[elemBytes:]))
-			out = append(out, tagged{v: loadFloat(body), rank: src, idx: idx})
-		}
+		ends = append(ends, len(out))
 	}
-	slices.SortFunc(out, cmpTag)
+	out = mergeTagged(out, ends)
 	c.AddWork(nLogN(len(out)))
 	return out
+}
+
+// mergeTagged merges the runs laid end to end in ts, each sorted in the
+// tagged order — run r ends at ends[r] and starts where run r−1 ends —
+// in adjacent pairs over ⌈log₂ k⌉ levels, ping-ponging with one scratch
+// array, and returns the merged sequence from whichever array the last
+// level wrote. It reuses ends for each level's run ends.
+func mergeTagged(ts []tagged, ends []int) []tagged {
+	if len(ends) <= 1 {
+		return ts
+	}
+	a, b := ts, make([]tagged, len(ts))
+	for len(ends) > 1 {
+		lo, k := 0, 0
+		for r := 0; r < len(ends); r += 2 {
+			mid, hi := ends[r], ends[min(r+1, len(ends)-1)]
+			mergeTags(b[lo:hi], a[lo:mid], a[mid:hi])
+			ends[k] = hi
+			k++
+			lo = hi
+		}
+		ends = ends[:k]
+		a, b = b, a
+	}
+	return a
+}
+
+// mergeTags merges the runs x and y, sorted in the tagged order, into
+// out, which holds exactly their elements.
+func mergeTags(out, x, y []tagged) {
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		if cmpTag(y[j], x[i]) < 0 {
+			out[i+j] = y[j]
+			j++
+		} else {
+			out[i+j] = x[i]
+			i++
+		}
+	}
+	copy(out[i+j:], x[i:])
+	copy(out[i+j:], y[j:])
 }
 
 // cutRun returns the p+1 cut positions of the sorted local run against
@@ -375,13 +425,58 @@ func nLogN(n int) int {
 	return n * max(lg, 1)
 }
 
-// runBuffer copies a rank's input into an array with room for its final
-// share of n elements — ImbalanceBound(n, p, l), and never more than n —
-// so the merge can write the share into it.
-func runBuffer(local []float64, n, p, l int) []float64 {
-	buf := make([]float64, len(local), max(len(local), min(n, ImbalanceBound(n, p, l))))
+// runWindow is the capacity of a rank's run buffer in a sort of n
+// elements over p ranks: room for its final share, ImbalanceBound(n, p,
+// l), but never for more than the n elements that exist. Either term is
+// at least ⌈n/p⌉, so the rank's even input share fits too.
+func runWindow(n, p, l int) int {
+	return min(n, ImbalanceBound(n, p, l))
+}
+
+// runBuffer copies rank q's input into window q of slab, which is cut
+// into equal windows of w elements, and returns it with the window's
+// room, so the merge can write the share there and gather can move it
+// to its place in the result.
+func runBuffer(slab []float64, w, q int, local []float64) []float64 {
+	buf := slab[q*w : q*w+len(local) : (q+1)*w]
 	copy(buf, local)
 	return buf
+}
+
+// gather returns the shares concatenated in rank order. A fault-free
+// merge leaves share q at the start of window q of slab (len(parts)
+// equal windows), so moving each share down to the running total with
+// copy concatenates them in place and the slab's prefix is the result.
+// A share found elsewhere — a restored rank merges into a new array —
+// or one that would overwrite the next window before its share has
+// moved sends every share to a new array instead.
+func gather(slab []float64, parts [][]float64) []float64 {
+	w, total := 0, 0
+	if len(parts) > 0 {
+		w = len(slab) / len(parts)
+	}
+	inPlace := true
+	for q, part := range parts {
+		total += len(part)
+		if len(part) > 0 && (&part[0] != &slab[q*w] || total > (q+1)*w) {
+			inPlace = false
+		}
+	}
+	if !inPlace {
+		out := make([]float64, 0, total)
+		for _, part := range parts {
+			out = append(out, part...)
+		}
+		return out
+	}
+	off := 0
+	for q, part := range parts {
+		if off != q*w {
+			copy(slab[off:], part)
+		}
+		off += len(part)
+	}
+	return slab[:off]
 }
 
 // chunk returns rank q's even share of data (a view, not a copy).
@@ -390,46 +485,46 @@ func chunk(data []float64, p, q int) []float64 {
 }
 
 // sortParallel splits data evenly, sorts it on the configured BSP
-// machine, and returns the per-rank shares of the global order plus run
-// statistics. The options are resolved once against the global size, so
-// every rank uses the same effective ℓ. Each rank keeps its data (Keep)
+// machine, and returns the per-rank shares of the global order, the
+// slab whose windows are the ranks' run buffers, and run statistics.
+// The options are resolved once against the global size, so every rank
+// uses the same effective ℓ. Each rank keeps its data (Keep)
 // for the whole sort, so with cfg.Checkpoint armed every eligible
 // boundary is a cut: the data streams into the snapshot beside the
 // undelivered inbox (sample runs, condensed runs, splitters or routed
 // runs, depending on the boundary), and a resumed rank takes its stage
 // from the superstep.
-func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, *core.Stats, error) {
+func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, []float64, *core.Stats, error) {
 	opt = Resolve(opt, len(data), cfg.P)
+	w := runWindow(len(data), cfg.P, opt.Oversample)
+	slab := make([]float64, cfg.P*w)
 	parts := make([][]float64, cfg.P)
 	st, err := core.Run(cfg, func(c *core.Proc) {
 		// The machine runs only the sort, so the boundary it resumed at
 		// (0 on a scratch start) is the stage.
 		s := &state{stage: c.Step(), opt: opt}
 		if c.Step() == 0 {
-			s.data = runBuffer(chunk(data, cfg.P, c.ID()), len(data), cfg.P, opt.Oversample)
+			s.data = runBuffer(slab, w, c.ID(), chunk(data, cfg.P, c.ID()))
 		}
 		c.Keep(&s.data)
 		parts[c.ID()] = s.run(c)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return parts, st, nil
+	return parts, slab, st, nil
 }
 
 // Parallel splits data evenly, sorts it on the configured BSP machine,
 // and returns the concatenated global order plus run statistics. Every
-// run is recoverable once cfg.Checkpoint is armed.
+// run is recoverable once cfg.Checkpoint is armed. The result is
+// normally the prefix of the slab the ranks sorted in.
 func Parallel(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
-	parts, st, err := sortParallel(cfg, data, Options{})
+	parts, slab, st, err := sortParallel(cfg, data, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]float64, 0, len(data))
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out, st, nil
+	return gather(slab, parts), st, nil
 }
 
 // ParallelRecoverable is Parallel. Only the benchmark harness in bench/

@@ -128,7 +128,7 @@ func TestSkewSuite(t *testing.T) {
 					t.Run(tname+"/"+dname+"/p="+string(rune('0'+p))+"/"+mname, func(t *testing.T) {
 						data := gen(n)
 						opt := Resolve(Options{Mode: mode, Seed: 42}, n, p)
-						parts, st, err := sortParallel(core.Config{P: p, Transport: tr}, data, opt)
+						parts, _, st, err := sortParallel(core.Config{P: p, Transport: tr}, data, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -153,7 +153,7 @@ func TestSkewSuitePrime7(t *testing.T) {
 		t.Run(dname, func(t *testing.T) {
 			data := gen(n)
 			opt := Options{Oversample: 2}
-			parts, _, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+			parts, _, _, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestSkewEdgePartitions(t *testing.T) {
 				{5, 4, 3, 2, 1}, // n barely above p, reversed
 			} {
 				for _, p := range []int{4, 5} {
-					parts, _, err := sortParallel(core.Config{P: p, Transport: tr}, data, Options{})
+					parts, _, _, err := sortParallel(core.Config{P: p, Transport: tr}, data, Options{})
 					if err != nil {
 						t.Fatalf("p=%d %v: %v", p, data, err)
 					}

@@ -302,7 +302,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzCtrl -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzTelemetryFrame -fuzztime 10s
 	$(GO) test ./internal/ckpt/ -fuzz FuzzSnapshotRecord -fuzztime 10s
-	$(GO) test ./internal/psort/ -fuzz FuzzSampleSort -fuzztime 10s
+	$(GO) test ./internal/psort/ -fuzz FuzzSampleSort -fuzztime 10s -fuzzminimizetime 3s
 
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench . -benchtime 100x

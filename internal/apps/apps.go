@@ -95,11 +95,6 @@ var All = []App{
 					}
 				},
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					if c.Checkpoint != nil {
-						// Only a checkpointed run pays the per-timestep
-						// boundary superstep its snapshots are cut at.
-						return result(ocean.ParallelRecoverable(c, cfg))
-					}
 					return result(ocean.Parallel(c, cfg))
 				},
 			}
@@ -182,9 +177,9 @@ var All = []App{
 				rhs[i] = float64(i%13) - 6
 			}
 			return Instance{
-				Sequential: func() { cg.Sequential(g, rhs, cg.Config{}) },
+				Sequential: func() { cg.Sequential(g, rhs) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					x, _, st, err := cg.Parallel(c, g, rhs, cg.Config{})
+					x, _, st, err := cg.Parallel(c, g, rhs)
 					return x, st, err
 				},
 			}
@@ -273,7 +268,7 @@ func sortApp(name string, keys func(n int, seed int64) []float64) App {
 			}
 		},
 		CostReport: func(w io.Writer, machine string, pm cost.Params, size, p int, st *core.Stats) {
-			psort.WriteCostReport(w, machine, pm, size, p, psort.Options{}, st)
+			psort.WriteCostReport(w, machine, pm, size, p, st)
 		},
 	}
 }

@@ -23,26 +23,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Config holds the solver parameters.
-type Config struct {
-	// Tol is the absolute residual-norm target. 0 means 1e-8.
-	Tol float64
-	// MaxIter bounds the iteration count. 0 means 10·√n + 100.
-	MaxIter int
-}
+// tol is the absolute residual-norm target. It is typed, so tol*tol
+// rounds like the float64 product the loops compare against.
+const tol float64 = 1e-8
 
-func (c Config) tol() float64 {
-	if c.Tol == 0 {
-		return 1e-8
-	}
-	return c.Tol
-}
-
-func (c Config) maxIter(n int) int {
-	if c.MaxIter == 0 {
-		return 10*int(math.Sqrt(float64(n))) + 100
-	}
-	return c.MaxIter
+// maxIter bounds the iteration count for n unknowns.
+func maxIter(n int) int {
+	return 10*int(math.Sqrt(float64(n))) + 100
 }
 
 // Apply computes y = (L + I)x for the graph's weighted Laplacian.
@@ -63,15 +50,14 @@ func Apply(g *graph.Graph, x []float64) []float64 {
 
 // Sequential solves (L+I)x = b by conjugate gradients and returns the
 // solution and the iteration count.
-func Sequential(g *graph.Graph, b []float64, cfg Config) ([]float64, int) {
+func Sequential(g *graph.Graph, b []float64) ([]float64, int) {
 	n := g.N
 	x := make([]float64, n)
 	r := append([]float64(nil), b...)
 	p := append([]float64(nil), b...)
 	rs := dot(r, r)
-	tol2 := cfg.tol() * cfg.tol()
 	iters := 0
-	for ; iters < cfg.maxIter(n) && rs > tol2; iters++ {
+	for ; iters < maxIter(n) && rs > tol*tol; iters++ {
 		ap := Apply(g, p)
 		alpha := rs / dot(p, ap)
 		for i := range x {
@@ -168,7 +154,7 @@ func (s *procState) applyLocal() {
 // id (every process receives the full right-hand side and uses its home
 // entries). It returns this process's home solution values and the
 // iteration count.
-func Run(c *core.Proc, part *graph.Part, b []float64, cfg Config) ([]float64, int) {
+func Run(c *core.Proc, part *graph.Part, b []float64) ([]float64, int) {
 	nl := part.NLocal()
 	s := &procState{c: c, part: part,
 		x: make([]float64, part.NHome), r: make([]float64, part.NHome),
@@ -183,10 +169,9 @@ func Run(c *core.Proc, part *graph.Part, b []float64, cfg Config) ([]float64, in
 		s.p[h] = s.r[h]
 	}
 	rs := collect.AllReduce(c, dot(s.r, s.r), collect.SumFloat)
-	tol2 := cfg.tol() * cfg.tol()
 	nGlobal := collect.AllReduceInt(c, part.NHome, func(a, b int) int { return a + b })
 	iters := 0
-	for ; iters < cfg.maxIter(nGlobal) && rs > tol2; iters++ {
+	for ; iters < maxIter(nGlobal) && rs > tol*tol; iters++ {
 		s.exchangeP()
 		s.applyLocal()
 		var pap float64
@@ -213,13 +198,13 @@ func Run(c *core.Proc, part *graph.Part, b []float64, cfg Config) ([]float64, in
 
 // Parallel partitions the graph, solves on the BSP machine, and returns
 // the assembled solution with the iteration count and run statistics.
-func Parallel(ccfg core.Config, g *graph.Graph, b []float64, cfg Config) ([]float64, int, *core.Stats, error) {
+func Parallel(ccfg core.Config, g *graph.Graph, b []float64) ([]float64, int, *core.Stats, error) {
 	pt := graph.PartitionStrips(g, ccfg.P)
 	out := make([]float64, g.N)
 	iters := make([]int, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
 		part := pt.Parts[c.ID()]
-		x, it := Run(c, part, b, cfg)
+		x, it := Run(c, part, b)
 		for h := 0; h < part.NHome; h++ {
 			out[part.Global[h]] = x[h]
 		}

@@ -54,7 +54,7 @@ func TestApplySPD(t *testing.T) {
 func TestSequentialConverges(t *testing.T) {
 	g := graph.Geometric(800, 5)
 	b := rhs(g.N, 6)
-	x, iters := Sequential(g, b, Config{})
+	x, iters := Sequential(g, b)
 	if res := residual(g, x, b); res > 1e-7 {
 		t.Errorf("residual %g after %d iterations", res, iters)
 	}
@@ -66,9 +66,9 @@ func TestSequentialConverges(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	g := graph.Geometric(700, 7)
 	b := rhs(g.N, 8)
-	want, wantIters := Sequential(g, b, Config{})
+	want, wantIters := Sequential(g, b)
 	for _, p := range []int{1, 2, 4, 8} {
-		got, iters, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, b, Config{})
+		got, iters, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, b)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -103,7 +103,7 @@ func TestConservativeExchange(t *testing.T) {
 			maxBorder = bcount
 		}
 	}
-	_, _, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, b, Config{})
+	_, _, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestQuickSolves(t *testing.T) {
 		p := int(pPick)%4 + 1
 		g := graph.Geometric(150, seed)
 		b := rhs(g.N, seed+1)
-		x, _, _, err := Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, g, b, Config{})
+		x, _, _, err := Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, g, b)
 		if err != nil {
 			return false
 		}

@@ -251,12 +251,12 @@ func TestRecoveryOcean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rank 1 dies in superstep 6 — inside the first timestep's multigrid
-	// work, after the boundary snapshot at the top of the timestep.
+	// work, after the cut at the ψ exchange that opens the timestep.
 	plan := transport.FaultPlan{Seed: 1, CrashRank: 1, CrashStep: 6}
 	cfg := ckptConfig(t, transport.NewChaosTransport(transport.ShmTransport{}, plan))
-	got, st, err := ocean.ParallelRecoverable(cfg, ocfg)
+	got, st, err := ocean.Parallel(cfg, ocfg)
 	if err != nil {
-		t.Fatalf("recoverable ocean run failed: %v", err)
+		t.Fatalf("checkpointed ocean run failed: %v", err)
 	}
 	if len(got.Psi) != len(want.Psi) {
 		t.Fatalf("grid size mismatch: %d vs %d", len(got.Psi), len(want.Psi))
@@ -266,8 +266,8 @@ func TestRecoveryOcean(t *testing.T) {
 			t.Fatalf("ψ differs at %d: %v != %v", i, got.Psi[i], want.Psi[i])
 		}
 	}
-	// The flusher drain makes the timestep-0 boundary cut durable before
-	// the retry, so the final attempt resumes from it, not from scratch.
+	// The flusher drain makes timestep 0's cut durable before the retry,
+	// so the final attempt resumes from it, not from scratch.
 	if st.Ckpt == nil || st.Ckpt.Attempts < 2 || st.Ckpt.ResumeStep <= 0 {
 		t.Fatalf("expected a run recovered from a cut, got %+v", st.Ckpt)
 	}

@@ -14,7 +14,6 @@
 package collect
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -195,57 +194,6 @@ func GroupFanout(p int) int {
 // the given fanout: the lowest rank of id's contiguous group.
 func GroupLeader(id, fanout int) int {
 	return id - id%fanout
-}
-
-// Scatter distributes pieces[i] from root to process i and returns this
-// process's piece. pieces is only read at root and must have length p.
-// Cost: h = Σ|pieces| at the root, s = 1.
-func Scatter(c *core.Proc, root int, pieces [][]byte) []byte {
-	if c.ID() == root {
-		if len(pieces) != c.P() {
-			panic(fmt.Sprintf("collect: Scatter with %d pieces for %d processes", len(pieces), c.P()))
-		}
-		for i, piece := range pieces {
-			if i != root {
-				c.Send(i, piece)
-			}
-		}
-	}
-	c.Sync()
-	if c.ID() == root {
-		return pieces[root]
-	}
-	msg, ok := c.Recv()
-	if !ok {
-		panic("collect: Scatter received nothing")
-	}
-	return clone(msg)
-}
-
-// AllToAll delivers out[i] to process i and returns the received pieces
-// indexed by source rank. out must have length p. Cost: h = max(Σ|out|,
-// Σ|in|), s = 1.
-func AllToAll(c *core.Proc, out [][]byte) [][]byte {
-	if len(out) != c.P() {
-		panic(fmt.Sprintf("collect: AllToAll with %d pieces for %d processes", len(out), c.P()))
-	}
-	for i, piece := range out {
-		w := wire.NewWriter(8 + len(piece))
-		w.Int(c.ID())
-		w.Raw(piece)
-		c.Send(i, w.Bytes())
-	}
-	c.Sync()
-	in := make([][]byte, c.P())
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			return in
-		}
-		r := wire.NewReader(msg)
-		src := r.Int()
-		in[src] = clone(r.Raw(r.Remaining()))
-	}
 }
 
 // MaxFloat is an AllReduce operator.

@@ -88,59 +88,16 @@ func TestAllOr(t *testing.T) {
 	})
 }
 
-func TestScatter(t *testing.T) {
-	const p = 5
-	run(t, p, func(c *core.Proc) {
-		var pieces [][]byte
-		if c.ID() == 1 {
-			pieces = make([][]byte, p)
-			for i := range pieces {
-				pieces[i] = []byte(fmt.Sprintf("scat-%d", i))
-			}
-		}
-		piece := Scatter(c, 1, pieces)
-		if want := fmt.Sprintf("scat-%d", c.ID()); string(piece) != want {
-			t.Errorf("proc %d: Scatter = %q, want %q", c.ID(), piece, want)
-		}
-	})
-}
-
-func TestAllToAll(t *testing.T) {
-	const p = 4
-	run(t, p, func(c *core.Proc) {
-		out := make([][]byte, p)
-		for i := range out {
-			out[i] = []byte(fmt.Sprintf("%d->%d", c.ID(), i))
-		}
-		in := AllToAll(c, out)
-		for src := 0; src < p; src++ {
-			if want := fmt.Sprintf("%d->%d", src, c.ID()); string(in[src]) != want {
-				t.Errorf("proc %d: in[%d] = %q, want %q", c.ID(), src, in[src], want)
-			}
-		}
-	})
-}
-
 func TestCollectiveCosts(t *testing.T) {
 	// Broadcast is one superstep; AllReduce is one superstep; the cost
 	// documentation in this package should match the measured S.
 	st := run(t, 4, func(c *core.Proc) {
 		Broadcast(c, 0, []byte("x"))
 		AllReduce(c, 1, SumFloat)
-		AllToAll(c, make([][]byte, 4))
+		AllOr(c, true)
 	})
 	if st.S() != 3 {
 		t.Errorf("S = %d, want 3 (one per collective)", st.S())
-	}
-}
-
-func TestScatterPanicsOnBadPieces(t *testing.T) {
-	_, err := core.Run(core.Config{P: 2, Transport: transport.SimTransport{}}, func(c *core.Proc) {
-		pieces := make([][]byte, 3) // wrong length
-		Scatter(c, 0, pieces)
-	})
-	if err == nil {
-		t.Fatal("Scatter with wrong piece count should fail the run")
 	}
 }
 

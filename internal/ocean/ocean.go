@@ -82,8 +82,8 @@ type oceanSim struct {
 	// in the same timestep, see solver.Solve).
 	err error
 
-	// start is the recoverable driver's next timestep, kept at each
-	// timestep boundary (see recover.go).
+	// start is the next timestep, kept across the ψ exchange that
+	// opens it (see run).
 	start int
 }
 
@@ -108,9 +108,10 @@ func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
 func (s *oceanSim) fidPsi() int  { return 3 * len(s.sol.levels) }
 func (s *oceanSim) fidVort() int { return 3*len(s.sol.levels) + 1 }
 
-// step advances the simulation through timestep i:
+// step advances the simulation through timestep i, whose ψ ghost
+// rows run has just refreshed:
 //
-//	vort = ∇²ψ                                  (ghost exchange for ψ)
+//	vort = ∇²ψ
 //	rhs  = vort + dt·(wind − J(ψ, vort) − μ·vort)  (exchange for vort)
 //	solve ∇²ψ' = rhs by multigrid, warm-started from ψ
 //
@@ -122,7 +123,6 @@ func (s *oceanSim) step(i int) error {
 	h := 1 / float64(m)
 	h2 := h * h
 	lv0 := s.sol.levels[0]
-	s.mc.exchange([]exch{{s.fidPsi(), s.psi, -1}})
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		up, me, dn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
 		vr := s.vort.row(r)
@@ -176,11 +176,28 @@ func (s *oceanSim) step(i int) error {
 	return nil
 }
 
-// run advances the simulation to its last timestep, or to the first
-// solve that does not converge.
+// run advances the simulation from timestep s.start to its last
+// timestep, or to the first solve that does not converge. Between
+// timesteps the whole state of the simulation is (timestep, owned ψ
+// rows): vorticity, right-hand sides and every coarse level are
+// recomputed from ψ deterministically. The rank keeps exactly those two
+// across the ψ ghost exchange that opens each timestep and nothing
+// after it, so with checkpointing armed that exchange's boundary is the
+// timestep's cut and no superstep is added. A resumed rank's first keep
+// restores both in place; the rank then sends the exchange again from
+// the restored ψ, which refreshes every halo before it is read, so the
+// recovered stream function is bit-identical to a fault-free run's.
 func (s *oceanSim) run() {
-	for i := 0; i < s.cfg.steps() && s.err == nil; i++ {
-		s.err = s.step(i)
+	w, rows := s.m+2, s.psi.hi-s.psi.lo
+	owned := s.psi.vals[slabHalo*w : (slabHalo+rows)*w]
+	for ; s.start < s.cfg.steps() && s.err == nil; s.start++ {
+		s.mc.keep(&s.start, &owned)
+		if len(owned) != rows*w {
+			panic(fmt.Errorf("ocean: the snapshot holds %d ψ values, this rank owns %d", len(owned), rows*w))
+		}
+		s.mc.exchange([]exch{{s.fidPsi(), s.psi, -1}})
+		s.mc.keep()
+		s.err = s.step(s.start)
 	}
 }
 
@@ -198,13 +215,10 @@ func Sequential(cfg Config) (*Fields, []int, error) {
 
 // Parallel runs the BSP simulation and returns the assembled stream
 // function, which is bit-identical to Sequential's at every process
-// count, plus the run statistics.
+// count, plus the run statistics. With ccfg.Checkpoint armed every
+// timestep boundary is a cut (see run), and a crashed-and-recovered run
+// returns the fault-free result with the same S.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
-	return parallel(ccfg, cfg, func(s *oceanSim, _ *core.Proc) { s.run() })
-}
-
-// parallel runs the BSP simulation with every rank's sim driven by run.
-func parallel(ccfg core.Config, cfg Config, run func(*oceanSim, *core.Proc)) (*Fields, *core.Stats, error) {
 	if _, err := checkGrid(cfg.Size); err != nil {
 		return nil, nil, err
 	}
@@ -215,7 +229,7 @@ func parallel(ccfg core.Config, cfg Config, run func(*oceanSim, *core.Proc)) (*F
 			panic(err)
 		}
 		sims[c.ID()] = sim
-		run(sim, c)
+		sim.run()
 	})
 	if err != nil {
 		return nil, nil, err

@@ -150,8 +150,7 @@ func TestRunFailsWhenSolveDoesNotConverge(t *testing.T) {
 	ccfg := core.Config{P: 3, Transport: transport.ShmTransport{}}
 	_, _, seqErr := Sequential(cfg)
 	_, _, parErr := Parallel(ccfg, cfg)
-	_, _, recErr := ParallelRecoverable(ccfg, cfg)
-	for name, err := range map[string]error{"Sequential": seqErr, "Parallel": parErr, "ParallelRecoverable": recErr} {
+	for name, err := range map[string]error{"Sequential": seqErr, "Parallel": parErr} {
 		if err == nil {
 			t.Errorf("%s reported success", name)
 			continue

@@ -53,10 +53,9 @@ type machine interface {
 	gather(fid int, s *slab)
 	// maxAll returns the global maximum of x (one superstep).
 	maxAll(x float64) float64
-	// barrier performs one empty superstep. The recoverable driver
-	// runs one at each timestep boundary: the machine state there is
-	// just (timestep, ψ), which is what the rank keeps.
-	barrier()
+	// keep names the variables that hold the rank's restartable state,
+	// as core.Proc.Keep does; the sequential machines keep nothing.
+	keep(ptrs ...any)
 	// work reports n abstract work units (grid-cell updates) for the
 	// current superstep.
 	work(n int)
@@ -82,7 +81,7 @@ func (seqMachine) exchange([]exch)           {}
 func (seqMachine) exchangeToFine(int, *slab) {}
 func (seqMachine) gather(int, *slab)         {}
 func (seqMachine) maxAll(x float64) float64  { return x }
-func (seqMachine) barrier()                  {}
+func (seqMachine) keep(...any)               {}
 func (seqMachine) work(int)                  {}
 
 // rootMachine is the seqMachine of rank 0's agglomerated levels: no
@@ -213,7 +212,7 @@ func (m *bspMachine) maxAll(x float64) float64 {
 	return collect.AllReduce(m.c, x, collect.MaxFloat)
 }
 
-func (m *bspMachine) barrier() { m.c.Sync() }
+func (m *bspMachine) keep(ptrs ...any) { m.c.Keep(ptrs...) }
 
 func (m *bspMachine) work(n int) { m.c.AddWork(n) }
 

@@ -38,10 +38,10 @@ const (
 func measureSortAllocs(t *testing.T, n int) float64 {
 	t.Helper()
 	data := RandomData(n, 7)
-	opt := Resolve(Options{}, n, sortAllocP)
+	l := oversample(n, sortAllocP)
 	cfg := core.Config{P: sortAllocP, Transport: transport.ShmTransport{}}
 	run := func() {
-		if _, _, _, err := sortParallel(cfg, data, opt); err != nil {
+		if _, _, _, err := sortParallel(cfg, data, l); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,14 +32,14 @@ const (
 
 func benchSort(b *testing.B, data []float64, gateBound bool) {
 	b.Helper()
-	opt := Resolve(Options{}, len(data), benchSortP)
+	l := oversample(len(data), benchSortP)
 	cfg := core.Config{P: benchSortP, Transport: transport.ShmTransport{}}
-	bound := ImbalanceBound(len(data), benchSortP, opt.Oversample)
+	bound := ImbalanceBound(len(data), benchSortP, l)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, _, _, err := sortParallel(cfg, data, opt)
+		parts, _, _, err := sortParallel(cfg, data, l)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func benchSort(b *testing.B, data []float64, gateBound bool) {
 			for q, part := range parts {
 				if len(part) > bound {
 					b.Fatalf("rank %d holds %d elements, imbalance bound (n=%d p=%d l=%d) is %d",
-						q, len(part), len(data), benchSortP, opt.Oversample, bound)
+						q, len(part), len(data), benchSortP, l, bound)
 				}
 			}
 		}

@@ -4,7 +4,7 @@ package psort
 // and, separately, the routing walk against adversarial splitter sets.
 // The invariants are exactly the skew suite's, but over arbitrary bit
 // patterns (including NaNs, infinities, denormals and duplicate runs)
-// and arbitrary (p, mode, ℓ, seed) combinations:
+// and arbitrary (p, ℓ) combinations:
 //
 //   - the output is globally sorted in the float order,
 //   - the output is a bitwise permutation of the input,
@@ -53,29 +53,28 @@ func FuzzSampleSort(f *testing.F) {
 		return b
 	}
 	// Seed corpus: the shapes that historically break sample sorts.
-	f.Add(uint8(3), uint8(0), uint8(2), int64(1), []byte{})
-	f.Add(uint8(4), uint8(1), uint8(0), int64(42), le(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5))
-	f.Add(uint8(5), uint8(0), uint8(1), int64(7), le(9, 8, 7, 6, 5, 4, 3, 2, 1, 0))
-	f.Add(uint8(2), uint8(1), uint8(3), int64(0), le(math.NaN(), 0, math.NaN(), math.Inf(1), math.Inf(-1), 0))
-	f.Add(uint8(6), uint8(0), uint8(0), int64(-1), le(0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2))
-	f.Add(uint8(3), uint8(1), uint8(2), int64(99), le(math.SmallestNonzeroFloat64, -0.0, 0.0, math.MaxFloat64))
+	f.Add(uint8(3), uint8(2), []byte{})
+	f.Add(uint8(4), uint8(0), le(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5))
+	f.Add(uint8(5), uint8(1), le(9, 8, 7, 6, 5, 4, 3, 2, 1, 0))
+	f.Add(uint8(2), uint8(3), le(math.NaN(), 0, math.NaN(), math.Inf(1), math.Inf(-1), 0))
+	f.Add(uint8(6), uint8(0), le(0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2))
+	f.Add(uint8(3), uint8(2), le(math.SmallestNonzeroFloat64, -0.0, 0.0, math.MaxFloat64))
 	// Shapes only a bitwise comparison against the oracle can see: signed
 	// zeros (note -0.0 above is a constant +0) and NaN payloads.
-	f.Add(uint8(1), uint8(0), uint8(1), int64(5), le(negZero, 0, negZero, 1, negZero, 0))
-	f.Add(uint8(2), uint8(1), uint8(2), int64(6), le(math.Float64frombits(0x7FF8000000000001), 2,
+	f.Add(uint8(1), uint8(1), le(negZero, 0, negZero, 1, negZero, 0))
+	f.Add(uint8(2), uint8(2), le(math.Float64frombits(0x7FF8000000000001), 2,
 		math.Float64frombits(0xFFF8000000000002), negZero, math.Float64frombits(0x7FF8000000000001), 0))
 
-	f.Fuzz(func(t *testing.T, pb, modeb, overb uint8, seed int64, raw []byte) {
+	f.Fuzz(func(t *testing.T, pb, overb uint8, raw []byte) {
 		p := 2 + int(pb%5)
 		data := fuzzData(raw)
 		n := len(data)
-		opt := Resolve(Options{
-			Mode:       Mode(modeb % 2),
-			Oversample: int(overb % 5), // 0 exercises DefaultRatio
-			Seed:       seed,
-		}, n, p)
+		l := int(overb % 5) // 0 exercises DefaultRatio
+		if l == 0 {
+			l = oversample(n, p)
+		}
 
-		parts, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+		parts, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,13 +83,13 @@ func FuzzSampleSort(f *testing.F) {
 		}
 
 		// Sortedness in the float order and the imbalance bound.
-		bound := ImbalanceBound(n, p, opt.Oversample)
+		bound := ImbalanceBound(n, p, l)
 		var prev float64
 		first := true
 		for q, part := range parts {
 			if len(part) > bound {
 				t.Fatalf("rank %d holds %d elements, bound (n=%d p=%d l=%d) is %d",
-					q, len(part), n, p, opt.Oversample, bound)
+					q, len(part), n, p, l, bound)
 			}
 			for i, v := range part {
 				if !first && lessOracle(v, prev) {
@@ -105,7 +104,7 @@ func FuzzSampleSort(f *testing.F) {
 		// the merge in (rank, index) tag order, so the shares are the
 		// stable sort of the whole input; the local sort and the final
 		// merge must equal the code they replaced (the merge on p source
-		// runs handed over in a seed-shuffled order).
+		// runs handed over in an order shuffled by the fuzz bytes).
 		stable := append([]float64(nil), data...)
 		sortOracle(stable)
 		if !slices.EqualFunc(slices.Concat(parts...), stable, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
@@ -116,7 +115,7 @@ func FuzzSampleSort(f *testing.F) {
 		for q := range perSrc {
 			perSrc[q] = chunk(data, p, q)
 		}
-		checkMerge(t, routedRuns(perSrc, rand.New(rand.NewSource(seed))), false)
+		checkMerge(t, routedRuns(perSrc, rand.New(rand.NewSource(int64(pb)<<8|int64(overb)))), false)
 
 		// Routing totality against an adversarial splitter set: build
 		// p−1 splitters straight from fuzz-chosen positions (duplicates

@@ -48,12 +48,9 @@ func DefaultRatio(pm cost.Params, n, p, elemBytes int) int {
 // bucket's two edges (one per rank) add up to p·n/(p·m) = n/(2ℓp) ≤
 // (1/ℓ)·n/p more, which is what the factor 2 in m = 2ℓp pays for; the
 // additive term is the per-gap discretization slack (one element per
-// gap, at most 2ℓp + 2p gaps touch a bucket). ModeRandom samples one
-// position per stratum at twice the density, so its worst-case gap of
-// two stratum widths matches the regular spacing and the same bound
-// holds deterministically. Origin tags make every key distinct in the
-// tagged order, so the bound also holds for all-equal and
-// adversarially duplicated inputs.
+// gap, at most 2ℓp + 2p gaps touch a bucket). Origin tags make every
+// key distinct in the tagged order, so the bound also holds for
+// all-equal and adversarially duplicated inputs.
 func ImbalanceBound(n, p, l int) int {
 	if p <= 1 {
 		return n
@@ -126,17 +123,13 @@ func PredictShape(n, p, l int) Shape {
 // WriteCostReport prints the sort's predicted cost shape next to a
 // run's measured Stats: predicted W/H/S, the per-rank imbalance bound
 // (1+1/ℓ)·n/p, and the Bilardi et al. H lower bound with the measured
-// H's distance from it. st may be nil (prediction only).
-func WriteCostReport(w io.Writer, name string, pm cost.Params, n, p int, opt Options, st *core.Stats) {
-	opt = Resolve(opt, n, p)
-	l := opt.Oversample
+// H's distance from it, at the ratio ℓ Parallel sorts n elements over
+// p ranks with. st may be nil (prediction only).
+func WriteCostReport(w io.Writer, name string, pm cost.Params, n, p int, st *core.Stats) {
+	l := oversample(n, p)
 	sh := PredictShape(n, p, l)
-	mode := "regular"
-	if opt.Mode == ModeRandom {
-		mode = "random"
-	}
-	fmt.Fprintf(w, "sample sort cost shape (n=%d p=%d elem=%dB, %s sampling, l=%d, m=2lp=%d samples/rank):\n",
-		n, p, elemBytes, mode, l, sampleCount(l, p))
+	fmt.Fprintf(w, "sample sort cost shape (n=%d p=%d elem=%dB, regular sampling, l=%d, m=2lp=%d samples/rank):\n",
+		n, p, elemBytes, l, sampleCount(l, p))
 	fmt.Fprintf(w, "  predicted S=%d  W=%d units  H=%d pkts (samples %d + forward %d + splitters %d + route %d)\n",
 		sh.S, sh.W, sh.H(), sh.SampleH, sh.ForwardH, sh.SplitterH, sh.RouteH)
 	fmt.Fprintf(w, "  per-rank imbalance bound (1+1/l)*n/p = %d elements (n/p = %d, +%d discretization)\n",

@@ -78,12 +78,12 @@ func TestPredictShape(t *testing.T) {
 func TestMeasuredHWithinPredictedShape(t *testing.T) {
 	const n, p = 16000, 4
 	data := RandomData(n, 1996)
-	opt := Resolve(Options{}, n, p)
-	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+	l := oversample(n, p)
+	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := PredictShape(n, p, opt.Oversample)
+	sh := PredictShape(n, p, l)
 	pred := []int{sh.SampleH, sh.ForwardH, sh.SplitterH, sh.RouteH}
 	for i, want := range pred {
 		if got := st.Steps[i].MaxH; got > want {
@@ -98,12 +98,12 @@ func TestMeasuredHWithinPredictedShape(t *testing.T) {
 func TestWriteCostReport(t *testing.T) {
 	const n, p = 8000, 4
 	data := ZipfData(n, 7)
-	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, Options{})
+	_, _, st, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, oversample(n, p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	WriteCostReport(&b, "SGI", cost.SGI.Params(p), n, p, Options{}, st)
+	WriteCostReport(&b, "SGI", cost.SGI.Params(p), n, p, st)
 	out := b.String()
 	for _, want := range []string{
 		"sample sort cost shape",

@@ -349,14 +349,16 @@ func TestSortLocalMatchesComparisonSort(t *testing.T) {
 }
 
 // sampleRuns builds each rank's tagged sample run as superstep 1 does:
-// the rank's sorted even share, read at samplePositions.
-func sampleRuns(data []float64, p int, opt Options) [][]tagged {
-	m := sampleCount(opt.Oversample, p)
+// the rank's sorted even share, read at the k = min(2ℓp, n) positions
+// j·n/k.
+func sampleRuns(data []float64, p, l int) [][]tagged {
 	runs := make([][]tagged, p)
 	for q := range runs {
 		local := append([]float64(nil), chunk(data, p, q)...)
 		sortLocal(local, nil)
-		for _, i := range samplePositions(len(local), m, opt, q) {
+		k := min(sampleCount(l, p), len(local))
+		for j := range k {
+			i := j * len(local) / k
 			runs[q] = append(runs[q], tagged{v: local[i], rank: int32(q), idx: int32(i)})
 		}
 	}
@@ -388,8 +390,8 @@ func checkSampleMerge(t *testing.T, runs [][]tagged, rng *rand.Rand) []tagged {
 }
 
 // TestSampleMergeMatchesSort: the leaders' and the root's merges of
-// sample runs equal slices.SortFunc(cmpTag) over the same samples, in
-// both sampling modes, on the inputs whose keys collide — Zipf, all
+// sample runs equal slices.SortFunc(cmpTag) over the same samples, on
+// the inputs whose keys collide — Zipf, all
 // equal, ±0 and NaN payloads — so only the (rank, idx) tags decide, and
 // with an empty run and a single run.
 func TestSampleMergeMatchesSort(t *testing.T) {
@@ -411,21 +413,18 @@ func TestSampleMergeMatchesSort(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(40))
 	for _, in := range inputs {
-		for _, mode := range []Mode{ModeRegular, ModeRandom} {
-			for _, p := range []int{2, 3, 4, 5, 9, 16} {
-				t.Run(fmt.Sprintf("%s/mode=%d/p=%d", in.name, mode, p), func(t *testing.T) {
-					opt := Resolve(Options{Mode: mode, Seed: int64(p)}, n, p)
-					runs := sampleRuns(in.data, p, opt)
-					fanout := collect.GroupFanout(p)
-					var forwarded [][]tagged
-					for leader := 0; leader < p; leader += fanout {
-						forwarded = append(forwarded, checkSampleMerge(t, runs[leader:min(leader+fanout, p)], rng))
-					}
-					checkSampleMerge(t, forwarded, rng)
-					checkSampleMerge(t, append(forwarded, nil), rng)
-					checkSampleMerge(t, runs[:1], rng)
-				})
-			}
+		for _, p := range []int{2, 3, 4, 5, 9, 16} {
+			t.Run(fmt.Sprintf("%s/p=%d", in.name, p), func(t *testing.T) {
+				runs := sampleRuns(in.data, p, oversample(n, p))
+				fanout := collect.GroupFanout(p)
+				var forwarded [][]tagged
+				for leader := 0; leader < p; leader += fanout {
+					forwarded = append(forwarded, checkSampleMerge(t, runs[leader:min(leader+fanout, p)], rng))
+				}
+				checkSampleMerge(t, forwarded, rng)
+				checkSampleMerge(t, append(forwarded, nil), rng)
+				checkSampleMerge(t, runs[:1], rng)
+			})
 		}
 	}
 }

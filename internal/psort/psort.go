@@ -3,10 +3,10 @@
 // (i.e., broadcast or sorting)" for which §4 of the paper says the BSP
 // cost model's curve-fitting works best. It is an extension experiment
 // (DESIGN.md E1) with a fully predictable cost shape, following the
-// oversampling design of Gerbessiotis & Siniolakis (PAPERS.md):
+// regular-oversampling design of Gerbessiotis & Siniolakis (PAPERS.md):
 //
-//	superstep 1: local sort, m = 2ℓp tagged samples to group leader
-//	             (h ≤ ⌈√p⌉·m sample tuples at any leader)
+//	superstep 1: local sort, m = 2ℓp evenly spaced tagged samples to
+//	             the group leader (h ≤ ⌈√p⌉·m sample tuples at any leader)
 //	superstep 2: ⌈p/⌈√p⌉⌉ leaders merge their group's runs and forward
 //	             them to rank 0 (⌈√p⌉-bounded message fan-in at every
 //	             rank — not the old p-message funnel)
@@ -16,11 +16,11 @@
 //	             (h ≤ (1+1/ℓ)·n/p elements per process)
 //
 // so S = 4, H is dominated by the n/p-element data exchange, and the
-// oversampling ratio ℓ bounds any rank's final share at
-// (1+1/ℓ)·n/p plus a small discretization term (ImbalanceBound) — even
-// on all-equal or adversarially duplicated inputs, because samples and
-// splitters carry (rank, index) origin tags that make every key
-// distinct in the tagged order.
+// oversampling ratio ℓ (DefaultRatio on the SGI profile) bounds any
+// rank's final share at (1+1/ℓ)·n/p plus a small discretization term
+// (ImbalanceBound) — even on all-equal or adversarially duplicated
+// inputs, because samples and splitters carry (rank, index) origin
+// tags that make every key distinct in the tagged order.
 //
 // The order is floatKey's: an unsigned key of a value's IEEE bits (NaNs
 // first, −0 equal to +0), so the local sort is an LSD radix sort on keys
@@ -44,7 +44,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/collect"
@@ -52,46 +51,11 @@ import (
 	"repro/internal/cost"
 )
 
-// Mode selects the sampling strategy.
-type Mode int
-
-const (
-	// ModeRegular takes m evenly spaced samples from each sorted local
-	// run — fully deterministic, the PSRS/regular-sampling choice.
-	ModeRegular Mode = iota
-	// ModeRandom draws m positions uniformly at random (seeded per
-	// rank, so recovery replays identically) — the randomized
-	// oversampling variant of Gerbessiotis & Siniolakis.
-	ModeRandom
-)
-
-// Options tune one sort run.
-type Options struct {
-	// Mode selects regular or randomized sampling.
-	Mode Mode
-	// Oversample is the oversampling ratio ℓ; each rank ships m = 2ℓp
-	// samples. 0 selects DefaultRatio from Params.
-	Oversample int
-	// Params is the machine profile used to choose ℓ when Oversample
-	// is 0; nil uses the SGI profile at the run's p.
-	Params *cost.Params
-	// Seed drives ModeRandom's per-rank sample positions.
-	Seed int64
-}
-
-// Resolve fills in the derived fields of opt for a sort of n elements
-// over p ranks: the effective oversampling ratio ℓ. Parallel applies it
-// once globally so every rank samples at the same density; callers that
-// need the effective ℓ (to evaluate ImbalanceBound) apply it themselves.
-func Resolve(opt Options, n, p int) Options {
-	if opt.Oversample <= 0 {
-		pm := cost.SGI.Params(p)
-		if opt.Params != nil {
-			pm = *opt.Params
-		}
-		opt.Oversample = DefaultRatio(pm, n, p, elemBytes)
-	}
-	return opt
+// oversample is the oversampling ratio ℓ of a sort of n elements over
+// p ranks: DefaultRatio on the SGI profile at p. Every rank of a run
+// samples at this one density.
+func oversample(n, p int) int {
+	return DefaultRatio(cost.SGI.Params(p), n, p, elemBytes)
 }
 
 // tagged is an element with its origin coordinates. The lexicographic
@@ -127,14 +91,14 @@ func appendTags(out []tagged, msg []byte) []tagged {
 }
 
 // state is the whole per-rank state of the sample sort between any two
-// supersteps: which boundary the rank has crossed, the resolved
-// options, and its data. Everything else a stage needs (sample runs,
+// supersteps: which boundary the rank has crossed, the oversampling
+// ratio, and its data. Everything else a stage needs (sample runs,
 // condensed runs, splitters, routed elements) arrives in the inbox of
-// the superstep that starts the stage, so a (stage, options, data)
+// the superstep that starts the stage, so a (stage, ratio, data)
 // triple plus the undelivered inbox restarts the sort from any
 // boundary. A checkpoint keeps only the data beside the inbox: the
-// stage is the boundary's superstep number and the options are
-// resolved again from the input. The scratch run is working memory,
+// stage is the boundary's superstep number and the ratio is computed
+// again from the input. The scratch run is working memory,
 // not state: the radix sort's ping-pong buffer in superstep 1 and the
 // merge tree's in the final stage, sized like data's array so both fit.
 // A rank resumed past superstep 1 has none, and its merge allocates one.
@@ -146,7 +110,7 @@ type state struct {
 	// them); 4 = data routed (every inbox holds this rank's final run
 	// set).
 	stage   int
-	opt     Options
+	l       int // oversampling ratio ℓ
 	data    []float64
 	scratch []float64
 }
@@ -162,9 +126,8 @@ const (
 // sampleCount is m, the per-rank sample count for ratio l on p ranks.
 // The factor 2 over the nominal ℓ·p pays for the boundary slack of the
 // partition bound — the p sample gaps straddling a bucket's edges add
-// n/m elements on top of the n/p interior term — and absorbs
-// ModeRandom's worst-case gap of two stratum widths, keeping the
-// end-to-end bound at (1+1/ℓ)·n/p in both modes (see ImbalanceBound).
+// n/m elements on top of the n/p interior term — keeping the
+// end-to-end bound at (1+1/ℓ)·n/p (see ImbalanceBound).
 func sampleCount(l, p int) int {
 	return 2 * l * p
 }
@@ -175,7 +138,6 @@ func (s *state) run(c *core.Proc) []float64 {
 	p := c.P()
 	me := int32(c.ID())
 	fanout := collect.GroupFanout(p)
-	m := sampleCount(s.opt.Oversample, p)
 	var share []float64 // the merge's destination, set when superstep 4 routes
 	switch s.stage {
 	case 0:
@@ -188,9 +150,13 @@ func (s *state) run(c *core.Proc) []float64 {
 		sortLocal(s.data, s.scratch)
 		c.AddWork(nLogN(len(s.data)))
 		if p > 1 {
-			pos := samplePositions(len(s.data), m, s.opt, c.ID())
-			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, sampleHdrLen+len(pos)*(elemBytes+4)), uint32(me))
-			for _, i := range pos {
+			// Regular sampling: k = min(m, n) positions j·n/k, evenly
+			// spaced over the sorted run.
+			n := len(s.data)
+			k := min(sampleCount(s.l, p), n)
+			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, sampleHdrLen+k*(elemBytes+4)), uint32(me))
+			for j := range k {
+				i := j * n / k
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.data[i]))
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
 			}
@@ -292,35 +258,6 @@ func (s *state) run(c *core.Proc) []float64 {
 		c.AddWork(nLogN(len(out)))
 		return out
 	}
-}
-
-// samplePositions returns the sorted local indices to sample: evenly
-// spaced (ModeRegular), or one uniform draw per stratum at twice the
-// density (ModeRandom, seeded by (Seed, rank) so a recovery
-// re-execution draws the same positions). Stratified jittering rather
-// than sampling with replacement keeps the maximum gap between
-// consecutive samples within twice the regular spacing, and the
-// doubled density cancels that factor — so the deterministic
-// ImbalanceBound survives the randomized mode (draws with replacement
-// would only give it in expectation, and duplicate positions would
-// collapse tagged splitters).
-func samplePositions(n, m int, opt Options, rank int) []int {
-	if opt.Mode == ModeRandom {
-		k := min(2*m, n)
-		pos := make([]int, k)
-		rng := rand.New(rand.NewSource(opt.Seed*0x9E3779B9 + int64(rank) + 1))
-		for i := range pos {
-			lo, hi := i*n/k, (i+1)*n/k
-			pos[i] = lo + rng.Intn(hi-lo)
-		}
-		return pos
-	}
-	k := min(m, n)
-	pos := make([]int, k)
-	for i := range pos {
-		pos[i] = i * n / k
-	}
-	return pos
 }
 
 // recvTagged drains the inbox into tagged samples in the tagged order.
@@ -485,24 +422,22 @@ func chunk(data []float64, p, q int) []float64 {
 }
 
 // sortParallel splits data evenly, sorts it on the configured BSP
-// machine, and returns the per-rank shares of the global order, the
-// slab whose windows are the ranks' run buffers, and run statistics.
-// The options are resolved once against the global size, so every rank
-// uses the same effective ℓ. Each rank keeps its data (Keep)
+// machine at oversampling ratio l, and returns the per-rank shares of
+// the global order, the slab whose windows are the ranks' run buffers,
+// and run statistics. Each rank keeps its data (Keep)
 // for the whole sort, so with cfg.Checkpoint armed every eligible
 // boundary is a cut: the data streams into the snapshot beside the
 // undelivered inbox (sample runs, condensed runs, splitters or routed
 // runs, depending on the boundary), and a resumed rank takes its stage
 // from the superstep.
-func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, []float64, *core.Stats, error) {
-	opt = Resolve(opt, len(data), cfg.P)
-	w := runWindow(len(data), cfg.P, opt.Oversample)
+func sortParallel(cfg core.Config, data []float64, l int) ([][]float64, []float64, *core.Stats, error) {
+	w := runWindow(len(data), cfg.P, l)
 	slab := make([]float64, cfg.P*w)
 	parts := make([][]float64, cfg.P)
 	st, err := core.Run(cfg, func(c *core.Proc) {
 		// The machine runs only the sort, so the boundary it resumed at
 		// (0 on a scratch start) is the stage.
-		s := &state{stage: c.Step(), opt: opt}
+		s := &state{stage: c.Step(), l: l}
 		if c.Step() == 0 {
 			s.data = runBuffer(slab, w, c.ID(), chunk(data, cfg.P, c.ID()))
 		}
@@ -515,12 +450,13 @@ func sortParallel(cfg core.Config, data []float64, opt Options) ([][]float64, []
 	return parts, slab, st, nil
 }
 
-// Parallel splits data evenly, sorts it on the configured BSP machine,
-// and returns the concatenated global order plus run statistics. Every
+// Parallel splits data evenly, sorts it on the configured BSP machine
+// at the oversampling ratio DefaultRatio picks for the SGI profile, and
+// returns the concatenated global order plus run statistics. Every
 // run is recoverable once cfg.Checkpoint is armed. The result is
 // normally the prefix of the slab the ranks sorted in.
 func Parallel(cfg core.Config, data []float64) ([]float64, *core.Stats, error) {
-	parts, slab, st, err := sortParallel(cfg, data, Options{})
+	parts, slab, st, err := sortParallel(cfg, data, oversample(len(data), cfg.P))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -118,7 +118,7 @@ func TestGatherInPlace(t *testing.T) {
 	sortOracle(want)
 	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-	parts, slab, _, err := sortParallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, data, Options{})
+	parts, slab, _, err := sortParallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, data, oversample(len(data), 4))
 	if err != nil {
 		t.Fatal(err)
 	}

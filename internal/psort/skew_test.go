@@ -113,33 +113,27 @@ func checkImbalance(t *testing.T, n, p, l int, parts [][]float64) {
 	}
 }
 
-// TestSkewSuite: distributions × transports × odd/prime p × both
-// sampling modes.
+// TestSkewSuite: distributions × transports × odd/prime p, with the
+// regular sampler at the default ratio.
 func TestSkewSuite(t *testing.T) {
 	const n = 1500
 	for tname, tr := range skewTransports() {
 		for dname, gen := range distributions {
 			for _, p := range []int{3, 5} {
-				for _, mode := range []Mode{ModeRegular, ModeRandom} {
-					mname := "regular"
-					if mode == ModeRandom {
-						mname = "random"
+				t.Run(tname+"/"+dname+"/p="+string(rune('0'+p))+"/regular", func(t *testing.T) {
+					data := gen(n)
+					l := oversample(n, p)
+					parts, _, st, err := sortParallel(core.Config{P: p, Transport: tr}, data, l)
+					if err != nil {
+						t.Fatal(err)
 					}
-					t.Run(tname+"/"+dname+"/p="+string(rune('0'+p))+"/"+mname, func(t *testing.T) {
-						data := gen(n)
-						opt := Resolve(Options{Mode: mode, Seed: 42}, n, p)
-						parts, _, st, err := sortParallel(core.Config{P: p, Transport: tr}, data, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if st.S() != 4 {
-							t.Fatalf("S = %d, want 4", st.S())
-						}
-						checkSorted(t, parts)
-						checkPermutation(t, data, parts)
-						checkImbalance(t, n, p, opt.Oversample, parts)
-					})
-				}
+					if st.S() != 4 {
+						t.Fatalf("S = %d, want 4", st.S())
+					}
+					checkSorted(t, parts)
+					checkPermutation(t, data, parts)
+					checkImbalance(t, n, p, l, parts)
+				})
 			}
 		}
 	}
@@ -152,8 +146,7 @@ func TestSkewSuitePrime7(t *testing.T) {
 	for dname, gen := range distributions {
 		t.Run(dname, func(t *testing.T) {
 			data := gen(n)
-			opt := Options{Oversample: 2}
-			parts, _, _, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, opt)
+			parts, _, _, err := sortParallel(core.Config{P: p, Transport: transport.ShmTransport{}}, data, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +172,7 @@ func TestSkewEdgePartitions(t *testing.T) {
 				{5, 4, 3, 2, 1}, // n barely above p, reversed
 			} {
 				for _, p := range []int{4, 5} {
-					parts, _, _, err := sortParallel(core.Config{P: p, Transport: tr}, data, Options{})
+					parts, _, _, err := sortParallel(core.Config{P: p, Transport: tr}, data, oversample(len(data), p))
 					if err != nil {
 						t.Fatalf("p=%d %v: %v", p, data, err)
 					}

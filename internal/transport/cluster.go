@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// This file implements the first out-of-process ProcessGroup: the
+// This file implements the out-of-process process group: the
 // "cluster" transport, where each rank is its own OS process — the
 // deployment shape of the paper's Appendix B.3 PC LAN machine. The
 // pieces:

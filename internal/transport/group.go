@@ -58,20 +58,6 @@ type GroupMember interface {
 	LeftCh(rank int) <-chan struct{}
 }
 
-// ProcessGroup owns rank membership and lifecycle for one gang: who has
-// joined, the readiness barrier, abort fan-out and detach-on-close.
-// In-process transports use LocalGroup; the cluster transport implements
-// the same contract over a coordinator process (see Coordinator).
-type ProcessGroup interface {
-	// P is the machine width.
-	P() int
-	// Options returns the job identity this group was created with.
-	Options() GroupOptions
-	// Join admits rank into the group and returns its membership
-	// handle. Each rank joins exactly once per group.
-	Join(rank int) (GroupMember, error)
-}
-
 // GroupTransport is implemented by transports whose machines can carry
 // a job identity: OpenGroup is Open with explicit GroupOptions. Plain
 // Open uses the zero options.
@@ -170,10 +156,12 @@ func (c *groupCore) markLeft(rank int) (last bool) {
 func (c *groupCore) isLeft(rank int) bool            { return c.left[rank*groupPad].Load() }
 func (c *groupCore) leftChan(rank int) chan struct{} { return c.leftCh[rank] }
 
-// LocalGroup is the in-process ProcessGroup: all p ranks are goroutines
-// in this process, so joining is a bounds check, the readiness barrier
-// is implicit (Open returns only after every endpoint exists), and
-// abort/leave fan-out is shared memory.
+// LocalGroup owns rank membership and lifecycle for an in-process gang:
+// all p ranks are goroutines in this process, so joining is a bounds
+// check, the readiness barrier is implicit (Open returns only after
+// every endpoint exists), and abort/leave fan-out is shared memory. The
+// cluster transport keeps the same membership over a coordinator
+// process (see Coordinator).
 type LocalGroup struct {
 	core   *groupCore
 	joined []atomic.Bool
@@ -195,13 +183,8 @@ func NewLocalGroup(p int, opts GroupOptions) (*LocalGroup, error) {
 	return g, nil
 }
 
-// P implements ProcessGroup.
-func (g *LocalGroup) P() int { return g.core.p }
-
-// Options implements ProcessGroup.
-func (g *LocalGroup) Options() GroupOptions { return g.core.opts }
-
-// Join implements ProcessGroup.
+// Join admits rank into the group and returns its membership handle.
+// Each rank joins exactly once per group.
 func (g *LocalGroup) Join(rank int) (GroupMember, error) {
 	if rank < 0 || rank >= g.core.p {
 		return nil, fmt.Errorf("group: rank %d out of range [0,%d)", rank, g.core.p)

@@ -11,14 +11,11 @@ func TestLocalGroupJoinValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.P() != 3 || g.Options().JobID != "j" || g.Options().Epoch != 2 {
-		t.Errorf("group identity: P=%d opts=%+v", g.P(), g.Options())
-	}
 	m, err := g.Join(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rank() != 1 || m.P() != 3 || m.Options().Epoch != 2 {
+	if m.Rank() != 1 || m.P() != 3 || m.Options().JobID != "j" || m.Options().Epoch != 2 {
 		t.Errorf("member identity: rank=%d p=%d opts=%+v", m.Rank(), m.P(), m.Options())
 	}
 	if _, err := g.Join(1); err == nil {

@@ -24,7 +24,7 @@
 // Every endpoint embeds one exchange engine (exchange.go) and adds only
 // its link: how a batch crosses from writer to reader. Rank membership
 // and lifecycle — who joined, abort fan-out, who has detached — live in
-// a ProcessGroup (group.go); every Endpoint holds a GroupMember.
+// a process group (group.go); every Endpoint holds a GroupMember.
 // In-process transports compose with a LocalGroup; the cluster
 // transport implements the same membership contract over a coordinator
 // and TCP handshake frames (cluster.go).

@@ -121,12 +121,19 @@ var keepsState = map[string]bool{"ocean": true, "psort": true, "psortz": true}
 // TestConformanceRecovery crashes one seeded rank in one seeded
 // superstep of every application with Checkpoint armed and requires the
 // recovered run to return the fault-free result: from a snapshot where
-// the application has checkpoint hooks, from superstep 0 where not.
+// the application has checkpoint hooks, from superstep 0 where not. An
+// application that keeps state crashes in a superstep drawn from
+// [3, S], after its first cut is committed, so its resume step is
+// checked too.
 func TestConformanceRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(inputSeed))
 	for _, a := range All {
 		inst, want, wantSt := simRun(t, a)
-		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(conformanceP), CrashStep: 1 + rng.Intn(wantSt.S())}
+		first := 1
+		if keepsState[a.Name] {
+			first = 3
+		}
+		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(conformanceP), CrashStep: first + rng.Intn(wantSt.S()-first+1)}
 		t.Run(a.Name, func(t *testing.T) {
 			got, st, err := inst.Run(core.Config{
 				P:           conformanceP,
@@ -143,7 +150,7 @@ func TestConformanceRecovery(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("recovered result differs from the fault-free one [plan %s]", plan)
 			}
-			if keepsState[a.Name] && plan.CrashStep > 2 && st.Ckpt != nil && st.Ckpt.ResumeStep <= 0 {
+			if keepsState[a.Name] && st.Ckpt != nil && st.Ckpt.ResumeStep <= 0 {
 				t.Errorf("crashed past the first cut but resumed at superstep %d [plan %s]", st.Ckpt.ResumeStep, plan)
 			}
 		})

@@ -150,11 +150,11 @@ func (s *procState) applyLocal() {
 	}
 }
 
-// Run solves the system on one BSP process; b is indexed by global node
+// run solves the system on one BSP process; b is indexed by global node
 // id (every process receives the full right-hand side and uses its home
 // entries). It returns this process's home solution values and the
 // iteration count.
-func Run(c *core.Proc, part *graph.Part, b []float64) ([]float64, int) {
+func run(c *core.Proc, part *graph.Part, b []float64) ([]float64, int) {
 	nl := part.NLocal()
 	s := &procState{c: c, part: part,
 		x: make([]float64, part.NHome), r: make([]float64, part.NHome),
@@ -204,7 +204,7 @@ func Parallel(ccfg core.Config, g *graph.Graph, b []float64) ([]float64, int, *c
 	iters := make([]int, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
 		part := pt.Parts[c.ID()]
-		x, it := Run(c, part, b)
+		x, it := run(c, part, b)
 		for h := 0; h < part.NHome; h++ {
 			out[part.Global[h]] = x[h]
 		}

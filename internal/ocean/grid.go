@@ -16,34 +16,37 @@
 // hierarchy consistent (see solver.go).
 //
 // Parallelization is by horizontal strips at every multigrid level wider
-// than 16 cells; each relaxation color sweep, restriction and
-// prolongation is preceded by a ghost-row exchange superstep, and the
-// convergence check is a max-norm all-reduce. Coarser levels are solved
-// whole on rank 0 (solver.go says why the threshold depends on the grid
-// and never on p). Ghost values travel as 16-byte (row|field, col,
-// value) records — one Green BSP packet per element.
+// than 16 cells. Each red-black Gauss-Seidel iteration, residual,
+// restriction and prolongation is preceded by one ghost-row exchange
+// superstep, and the convergence check is a max-norm all-reduce. An
+// iteration needs only one exchange because its halo is two rows deep:
+// a process relaxes the red cells of its first ghost row on each side
+// itself, as that row's owner does. Coarser levels are solved whole on
+// rank 0 (solver.go says why the threshold depends on the grid and never
+// on p). Ghost values travel as 16-byte (row|field, col, value) records
+// — one Green BSP packet per element.
 //
-// Because red-black relaxation is order-independent within a color and
-// the convergence reduction is an exact max, the parallel solver computes
-// bit-identical fields to the sequential one at every process count —
-// the property the correctness tests assert.
+// Because red-black relaxation is order-independent within a color, a
+// ghost row is relaxed by the same expression on the same inputs as its
+// owner's, and the convergence reduction is an exact max, the parallel
+// solver computes bit-identical fields to the sequential one at every
+// process count — the property the correctness tests assert.
 package ocean
 
 import "fmt"
 
 // slab holds one process's rows of one (m+2)×(m+2) grid level: owned
-// interior rows [lo, hi) plus a two-row halo below and a one-row halo
-// above (bilinear prolongation reads one coarse row beyond the ghost).
-// Global rows are 1-based for the interior; rows 0 and m+1 are the
-// ghost cells beyond the wall, always zero.
+// interior rows [lo, hi) plus a two-row halo on each side (the smoother
+// reads two ghost rows deep, and bilinear prolongation reads one coarse
+// row beyond the ghost). Global rows are 1-based for the interior; rows
+// 0 and m+1 are the ghost cells beyond the wall, always zero.
 type slab struct {
 	m      int // interior dimension
 	lo, hi int // owned global interior rows, lo <= r < hi
 	vals   []float64
 }
 
-// slabHalo is the number of halo rows stored below lo (and one fewer
-// above hi-1).
+// slabHalo is the number of halo rows stored on each side.
 const slabHalo = 2
 
 func newSlab(m, lo, hi int) *slab {

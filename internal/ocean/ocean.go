@@ -132,7 +132,7 @@ func (s *oceanSim) step(i int) error {
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m)
-	s.mc.exchange([]exch{{s.fidVort(), s.vort, -1}})
+	exchange(s.mc, s.fidVort(), s.vort)
 	dt, a, mu := s.cfg.dt(), s.cfg.wind(), s.cfg.friction()
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		pMe, vMe := s.psi.row(r), s.vort.row(r)
@@ -195,7 +195,7 @@ func (s *oceanSim) run() {
 		if len(owned) != rows*w {
 			panic(fmt.Errorf("ocean: the snapshot holds %d ψ values, this rank owns %d", len(owned), rows*w))
 		}
-		s.mc.exchange([]exch{{s.fidPsi(), s.psi, -1}})
+		exchange(s.mc, s.fidPsi(), s.psi)
 		s.mc.keep()
 		s.err = s.step(s.start)
 	}
@@ -219,12 +219,13 @@ func Sequential(cfg Config) (*Fields, []int, error) {
 // timestep boundary is a cut (see run), and a crashed-and-recovered run
 // returns the fault-free result with the same S.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
-	if _, err := checkGrid(cfg.Size); err != nil {
+	m, err := checkGrid(cfg.Size)
+	if err != nil {
 		return nil, nil, err
 	}
 	sims := make([]*oceanSim, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		sim, err := newOceanSim(newBSPMachine(c), cfg, c.P(), c.ID())
+		sim, err := newOceanSim(newBSPMachine(c, m), cfg, c.P(), c.ID())
 		if err != nil {
 			panic(err)
 		}

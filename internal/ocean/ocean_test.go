@@ -187,24 +187,30 @@ func TestSequentialProducesEddies(t *testing.T) {
 	}
 }
 
+// TestParallelBitIdenticalToSequential runs down to strips thinner
+// than the smoother's two-row halo: at size 18 and p = 16 every strip
+// is one row, so a row's readers span two processes on each side and a
+// process relaxes red cells of rows two different neighbors own.
 func TestParallelBitIdenticalToSequential(t *testing.T) {
-	cfg := Config{Size: 34, Steps: 2}
-	want, _, err := Sequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 3, 4, 8} {
-		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, cfg)
+	for _, size := range []int{18, 34, 66} {
+		cfg := Config{Size: size, Steps: 2}
+		want, _, err := Sequential(cfg)
 		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
+			t.Fatal(err)
 		}
-		for i := range want.Psi {
-			if got.Psi[i] != want.Psi[i] {
-				t.Fatalf("p=%d: Psi[%d] = %g, want %g (must be bit-identical)", p, i, got.Psi[i], want.Psi[i])
+		for _, p := range []int{1, 2, 3, 4, 5, 8, 16} {
+			got, st, err := Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, cfg)
+			if err != nil {
+				t.Fatalf("size %d p=%d: %v", size, p, err)
 			}
-		}
-		if st.S() < 10 {
-			t.Errorf("p=%d: implausibly few supersteps: %d", p, st.S())
+			for i := range want.Psi {
+				if got.Psi[i] != want.Psi[i] {
+					t.Fatalf("size %d p=%d: Psi[%d] = %g, want %g (must be bit-identical)", size, p, i, got.Psi[i], want.Psi[i])
+				}
+			}
+			if st.S() < 10 {
+				t.Errorf("size %d p=%d: implausibly few supersteps: %d", size, p, st.S())
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //
 // Levels below the finest with m_l ≤ aggM are agglomerated: a whole
 // level is then at most aggM² cells — one small message — while
-// relaxing it in strips costs nine or more supersteps of a few cells
+// relaxing it in strips costs six or more supersteps of a few cells
 // each, so Equation 1 says to pay the W and save the L·S. Rank 0 solves
 // those levels on full slabs with this same solver bound to a machine
 // that never communicates; one gather superstep carries the restricted
@@ -28,6 +28,14 @@ import (
 // carries the correction back. The threshold is a property of the grid
 // alone, so the superstep schedule — and with it S and every computed
 // bit — is the same at every process count.
+//
+// A V-cycle thus spends 6 supersteps on each of its L strip levels —
+// one per smoothing iteration (two before the coarse correction, one
+// after) and the residual's, the restriction's and the prolongation's
+// exchanges — and one on the gather. With a residual check (exchange
+// and all-reduce) before each of c cycles and after the last, and the
+// timestep's ψ and vorticity exchanges and |f|∞ all-reduce, a timestep
+// costs S = 5 + c·(3 + 6L) (TestSuperstepsClosedForm).
 const (
 	minM = 4  // coarsest level
 	aggM = 16 // levels this small (below the finest) live on rank 0
@@ -35,12 +43,16 @@ const (
 
 // machine abstracts the BSP operations the solver needs, so the
 // identical numerical code runs sequentially (no-op communication: the
-// single slab holds every row) and in parallel (ghost-row exchange
-// supersteps and a max all-reduce).
+// single slab holds every row) and in parallel (halo supersteps and a
+// max all-reduce).
 type machine interface {
-	// exchange performs one superstep in which the ghost rows of every
-	// listed field are refreshed from their owners.
-	exchange(items []exch)
+	// post queues, for the superstep the next sync ends, the cells of
+	// colour cells (allCells: every column) of each owned row of s that
+	// lies within depth rows of another process's strip, addressed to
+	// that process, whose halo of field fid stores them.
+	post(fid int, s *slab, depth, cells int)
+	// sync ends a superstep: every posted row reaches its readers.
+	sync()
 	// exchangeToFine performs one superstep in which every row R of
 	// owned is sent to the owners of fine rows 2R-2 .. 2R+1 (fine
 	// interior is 2×coarse), the rows whose prolongation stencils read
@@ -61,15 +73,19 @@ type machine interface {
 	work(n int)
 }
 
-// exch names one field taking part in a ghost exchange. color selects
-// which columns of the ghost rows travel: -1 means all; otherwise only
-// the columns a red-black half-sweep of that color will actually read —
-// the traffic optimization the SPLASH-derived code relies on (ghost h
-// per sweep is half a row).
-type exch struct {
-	fid   int
-	s     *slab
-	color int
+// The colours of the red-black ordering: a half-sweep of colour k
+// updates the cells (r, c) with r+c+k odd, so row r's cells of colour k
+// start at column 1+(r+k)%2 and every second column follows.
+const (
+	red, black = 0, 1
+	allCells   = -1
+)
+
+// exchange is one superstep that refreshes the one-row halo of field
+// fid, every column, from the rows' owners.
+func exchange(mc machine, fid int, s *slab) {
+	mc.post(fid, s, 1, allCells)
+	mc.sync()
 }
 
 // seqMachine runs the solver on a single process: slabs span all rows,
@@ -77,7 +93,8 @@ type exch struct {
 // no-ops.
 type seqMachine struct{}
 
-func (seqMachine) exchange([]exch)           {}
+func (seqMachine) post(int, *slab, int, int) {}
+func (seqMachine) sync()                     {}
 func (seqMachine) exchangeToFine(int, *slab) {}
 func (seqMachine) gather(int, *slab)         {}
 func (seqMachine) maxAll(x float64) float64  { return x }
@@ -98,15 +115,18 @@ type bspMachine struct {
 	c       *core.Proc
 	p       int
 	fieldOf []*slab // by fid
-	out     []*wire.Writer
+	// out holds the records queued for each destination, in a writer
+	// made on first use with room for outCap bytes.
+	out    []*wire.Writer
+	outCap int
 }
 
-func newBSPMachine(c *core.Proc) *bspMachine {
-	m := &bspMachine{c: c, p: c.P(), out: make([]*wire.Writer, c.P())}
-	for i := range m.out {
-		m.out[i] = wire.NewWriter(0)
-	}
-	return m
+// newBSPMachine binds a process whose finest level is m cells wide.
+// Writers start with room for the largest message the smoothing
+// exchange sends one neighbor there — two black half-rows of u and a red
+// half-row of f, 3·m/2 records — so halo traffic never grows them.
+func newBSPMachine(c *core.Proc, m int) *bspMachine {
+	return &bspMachine{c: c, p: c.P(), out: make([]*wire.Writer, c.P()), outCap: 3 * m / 2 * 16}
 }
 
 func (m *bspMachine) register(fid int, s *slab) {
@@ -116,13 +136,13 @@ func (m *bspMachine) register(fid int, s *slab) {
 	m.fieldOf[fid] = s
 }
 
-// absorb ends a superstep: it posts the records queued for each
+// sync implements machine: it posts the records queued for each
 // destination, synchronizes, and stores every 16-byte (row|fid, col,
 // value) record received into the field and row it names. Senders
 // address only rows the receiver stores.
-func (m *bspMachine) absorb() {
+func (m *bspMachine) sync() {
 	for q, w := range m.out {
-		if w.Len() > 0 {
+		if w != nil && w.Len() > 0 {
 			m.c.Send(q, w.Bytes())
 			w.Reset()
 		}
@@ -142,39 +162,40 @@ func (m *bspMachine) absorb() {
 	}
 }
 
-// exchange implements machine: each process sends its first owned row to
-// the owner above and its last owned row to the owner below.
-func (m *bspMachine) exchange(items []exch) {
-	for _, it := range items {
-		s := it.s
-		if s.lo >= s.hi {
-			continue // this process owns no rows at this level
+// post implements machine. Strips are contiguous, so the processes
+// whose depth-row halo holds row r are exactly the other owners of rows
+// r-depth .. r+depth, met in non-decreasing order.
+func (m *bspMachine) post(fid int, s *slab, depth, cells int) {
+	for r := s.lo; r < s.hi; r++ {
+		if r == s.lo+depth && r < s.hi-depth {
+			r = s.hi - depth // rows this deep inside the strip have no reader
 		}
-		if s.lo > 1 {
-			m.sendRow(it.fid, s, s.lo, ownerOfRow(s.m, m.p, s.lo-1), it.color)
-		}
-		if s.hi-1 < s.m {
-			m.sendRow(it.fid, s, s.hi-1, ownerOfRow(s.m, m.p, s.hi), it.color)
+		last := -1
+		for n := max(r-depth, 1); n <= min(r+depth, s.m); n++ {
+			if q := ownerOfRow(s.m, m.p, n); q != last {
+				last = q
+				m.sendRow(fid, s, r, q, cells)
+			}
 		}
 	}
-	m.absorb()
 }
 
-// sendRow queues one row for dst; with color >= 0 only the columns a
-// half-sweep of that color reads from row's neighbors travel: the
-// updated cells of the neighbor rows r = row±1 have parity
-// (r+color)%2 in (r+c), i.e. columns c ≡ row+color+1 (mod 2).
-func (m *bspMachine) sendRow(fid int, s *slab, row, dst, color int) {
+// sendRow queues row's cells of colour cells (allCells: every column)
+// for dst; a row addressed to this process stays put.
+func (m *bspMachine) sendRow(fid int, s *slab, row, dst, cells int) {
 	if dst == m.c.ID() {
 		return
 	}
 	w := m.out[dst]
+	if w == nil {
+		w = wire.NewWriter(m.outCap)
+		m.out[dst] = w
+	}
 	vals := s.row(row)
 	tag := uint32(row) | uint32(fid)<<20
 	c0, step := 1, 1
-	if color >= 0 {
-		step = 2
-		c0 = 1 + (row+color+1)%2
+	if cells != allCells {
+		c0, step = 1+(row+cells)%2, 2
 	}
 	for c := c0; c <= s.m; c += step {
 		w.Uint32(tag)
@@ -193,19 +214,19 @@ func (m *bspMachine) exchangeToFine(fid int, owned *slab) {
 			for fr := max(2*r-2, 1); fr <= min(2*r+1, fineM); fr++ {
 				if q := ownerOfRow(fineM, m.p, fr); q != last {
 					last = q
-					m.sendRow(fid, owned, r, q, -1)
+					m.sendRow(fid, owned, r, q, allCells)
 				}
 			}
 		}
 	}
-	m.absorb()
+	m.sync()
 }
 
 func (m *bspMachine) gather(fid int, s *slab) {
 	for r := s.lo; r < s.hi; r++ {
-		m.sendRow(fid, s, r, 0, -1)
+		m.sendRow(fid, s, r, 0, allCells)
 	}
-	m.absorb()
+	m.sync()
 }
 
 func (m *bspMachine) maxAll(x float64) float64 {
@@ -221,6 +242,10 @@ type level struct {
 	m       int
 	h2      float64 // grid spacing squared
 	u, f, r *slab
+	// fNew reports that f changed since its halo last travelled, and
+	// uZero that u is zero everywhere, halo included; smooth's exchange
+	// reads both to send only what its neighbors lack.
+	fNew, uZero bool
 }
 
 // walls returns how many of index i's two neighbors along one axis lie
@@ -293,30 +318,60 @@ func newSolver(mc machine, m, p, q int) *solver {
 	return s
 }
 
-// smoothColor performs one half-sweep of red-black Gauss-Seidel on level
-// l, preceded by a u-ghost exchange (one superstep).
-func (s *solver) smoothColor(l, color int) {
+// smooth runs iters red-black Gauss-Seidel iterations on level l, one
+// superstep each. The exchange that opens an iteration brings the black
+// cells of u's two-row halo (and, the first time after f changed, the
+// red cells of f's one-row halo). The process then relaxes the red cells
+// of its owned rows and of the first halo row on each side — the same
+// expression on the same inputs as that row's owner, so the same bits —
+// and then the black cells of its owned rows, whose every red neighbor
+// it now holds. The halo rows' relaxations are the W traded for half
+// the exchanges, and they count as work.
+func (s *solver) smooth(l, iters int) {
 	lv := s.levels[l]
-	s.mc.exchange([]exch{{fidU(l), lv.u, color}})
-	for r := lv.u.lo; r < lv.u.hi; r++ {
-		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
-		fr := lv.f.row(r)
-		// The first and last columns have one more wall side than the
-		// rest of the row; peeling them keeps the inner loop branch-free.
-		inv, invWall := invDiag[lv.walls(r)], invDiag[lv.walls(r)+1]
-		c := 1 + (r+color)%2
-		if c == 1 {
-			me[1] = relaxed(up, me, dn, fr, 1, lv.h2, invWall)
-			c = 3
-		}
-		for ; c < lv.m; c += 2 {
-			me[c] = relaxed(up, me, dn, fr, c, lv.h2, inv)
-		}
-		if c == lv.m {
-			me[c] = relaxed(up, me, dn, fr, c, lv.h2, invWall)
-		}
+	u := lv.u
+	lo, hi := u.lo, u.hi
+	if lo < hi {
+		lo, hi = max(lo-1, 1), min(hi+1, lv.m+1)
 	}
-	s.mc.work((lv.u.hi - lv.u.lo) * lv.m / 2)
+	for i := 0; i < iters; i++ {
+		if lv.fNew {
+			s.mc.post(fidF(l), lv.f, 1, red)
+			lv.fNew = false
+		}
+		if !lv.uZero {
+			s.mc.post(fidU(l), u, 2, black)
+		}
+		lv.uZero = false
+		s.mc.sync()
+		for r := lo; r < hi; r++ {
+			lv.relaxRow(r, red)
+		}
+		for r := u.lo; r < u.hi; r++ {
+			lv.relaxRow(r, black)
+		}
+		s.mc.work((hi - lo + u.hi - u.lo) * lv.m / 2)
+	}
+}
+
+// relaxRow updates the cells of colour k in row r of u.
+func (lv *level) relaxRow(r, k int) {
+	up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
+	fr := lv.f.row(r)
+	// The first and last columns have one more wall side than the rest
+	// of the row; peeling them keeps the inner loop branch-free.
+	inv, invWall := invDiag[lv.walls(r)], invDiag[lv.walls(r)+1]
+	c := 1 + (r+k)%2
+	if c == 1 {
+		me[1] = relaxed(up, me, dn, fr, 1, lv.h2, invWall)
+		c = 3
+	}
+	for ; c < lv.m; c += 2 {
+		me[c] = relaxed(up, me, dn, fr, c, lv.h2, inv)
+	}
+	if c == lv.m {
+		me[c] = relaxed(up, me, dn, fr, c, lv.h2, invWall)
+	}
 }
 
 // relaxed returns the Gauss-Seidel value of cell c of row me, given the
@@ -325,18 +380,11 @@ func relaxed(up, me, dn, fr []float64, c int, h2, inv float64) float64 {
 	return (up[c] + dn[c] + me[c-1] + me[c+1] - h2*fr[c]) * inv
 }
 
-func (s *solver) smooth(l, iters int) {
-	for i := 0; i < iters; i++ {
-		s.smoothColor(l, 0)
-		s.smoothColor(l, 1)
-	}
-}
-
 // computeResidual fills r = f - A·u on level l (one exchange superstep
 // for u).
 func (s *solver) computeResidual(l int) {
 	lv := s.levels[l]
-	s.mc.exchange([]exch{{fidU(l), lv.u, -1}})
+	exchange(s.mc, fidU(l), lv.u)
 	inv := 1 / lv.h2
 	for r := lv.u.lo; r < lv.u.hi; r++ {
 		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
@@ -356,8 +404,9 @@ func (s *solver) computeResidual(l int) {
 // completes.
 func (s *solver) restrictTo(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	s.mc.exchange([]exch{{fidR(l), fine.r, -1}})
+	exchange(s.mc, fidR(l), fine.r)
 	coarse.u.zero()
+	coarse.fNew, coarse.uZero = true, true
 	lo, hi := rowRange(coarse.m, s.p, s.q)
 	for R := lo; R < hi; R++ {
 		r0, r1 := fine.r.row(2*R-1), fine.r.row(2*R)
@@ -460,6 +509,7 @@ func (s *solver) Solve() (cycles int, converged bool) {
 		}
 	}
 	fmax = s.mc.maxAll(fmax)
+	lv.fNew = true // the caller loaded f
 	s.target = s.tol * math.Max(fmax, 1e-300)
 	for ; ; cycles++ {
 		if s.res = s.residualNorm(); s.res <= s.target {

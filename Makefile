@@ -38,7 +38,7 @@
 #                     p = 2, one step); each exits non-zero when its
 #                     own sum, broadcast or bit-identity check fails
 #   make conformance  cross-transport contract suite under -race
-#                     (shortened fault plans; stays well under 60s),
+#                     (shortened fault plans),
 #                     plus the cluster control plane twice over (the
 #                     coordinator's state-machine table and seeded
 #                     fence-property schedules, its socket shell, the
@@ -53,7 +53,9 @@
 #                     equal (H, S), and recovering from one seeded
 #                     crash to the same result, and all of
 #                     internal/trace (metrics = fold(events), the row
-#                     field table)
+#                     field table). With an empty test cache the
+#                     target took 2 min 0 s on a 2-vCPU Xeon (the
+#                     transport suite 9 s, the control plane 88 s)
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the

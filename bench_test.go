@@ -182,7 +182,7 @@ func BenchmarkAblationWorkFactor(b *testing.B) {
 			var st *core.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, st, err = sp.ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, sp.Config{WorkFactor: wf})
+				_, st, err = sp.ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, wf)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +275,7 @@ func BenchmarkAblationRepartition(b *testing.B) {
 					if c.ID() == 0 {
 						mine = bodies
 					}
-					_, rb := nbody.Run(c, mine, orb, nbody.SimConfig{RebalanceThreshold: thr}, steps)
+					_, rb := nbody.Run(c, mine, orb, thr, steps)
 					if c.ID() == 0 {
 						rebalances = rb
 					}
@@ -420,7 +420,7 @@ func BenchmarkScalability(b *testing.B) {
 				var st *core.Stats
 				for i := 0; i < b.N; i++ {
 					var err error
-					_, st, err = nbody.Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, bodies, nbody.SimConfig{}, 1)
+					_, st, err = nbody.Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, bodies, 1)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -449,7 +449,7 @@ func BenchmarkScalability(b *testing.B) {
 			})
 			continue
 		}
-		_, stats, err := nbody.Parallel(core.Config{P: 1, Transport: transport.SimTransport{}}, bodies, nbody.SimConfig{}, 1)
+		_, stats, err := nbody.Parallel(core.Config{P: 1, Transport: transport.SimTransport{}}, bodies, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -107,9 +107,9 @@ var All = []App{
 		New: func(size int) Instance {
 			bodies := nbody.Plummer(size, inputSeed)
 			return Instance{
-				Sequential: func() { nbody.Sequential(append([]nbody.Body(nil), bodies...), nbody.SimConfig{}, 1) },
+				Sequential: func() { nbody.Sequential(append([]nbody.Body(nil), bodies...), 1) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(nbody.Parallel(c, bodies, nbody.SimConfig{}, 1))
+					return result(nbody.Parallel(c, bodies, 1))
 				},
 			}
 		},
@@ -121,7 +121,7 @@ var All = []App{
 			return Instance{
 				Sequential: func() { mst.Sequential(g) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(mst.Parallel(c, g, mst.Config{}))
+					return result(mst.Parallel(c, g))
 				},
 			}
 		},
@@ -133,7 +133,7 @@ var All = []App{
 			return Instance{
 				Sequential: func() { graph.Dijkstra(g, 0) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(sp.ParallelSingle(c, g, 0, sp.Config{}))
+					return result(sp.ParallelSingle(c, g, 0, sp.DefaultWorkFactor))
 				},
 			}
 		},
@@ -144,9 +144,9 @@ var All = []App{
 			g := graph.Geometric(size, inputSeed)
 			srcs := msp.Sources(g, msp.DefaultSources, inputSeed)
 			return Instance{
-				Sequential: func() { msp.Sequential(g, srcs) },
+				Sequential: func() { graph.MultiDijkstra(g, srcs) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(msp.Parallel(c, g, srcs, sp.Config{}))
+					return result(sp.Parallel(c, g, srcs, sp.DefaultWorkFactor))
 				},
 			}
 		},
@@ -190,9 +190,9 @@ var All = []App{
 		New: func(size int) Instance {
 			bodies := fmm.RandomBodies(size, inputSeed)
 			return Instance{
-				Sequential: func() { fmm.Forces(bodies, fmm.Config{}) },
+				Sequential: func() { fmm.Forces(bodies) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(fmm.Parallel(c, bodies, fmm.Config{}))
+					return result(fmm.Parallel(c, bodies))
 				},
 			}
 		},
@@ -217,11 +217,11 @@ var All = []App{
 		Name: "plasma", Sizes: []int{400, 4000, 20000},
 		New: func(size int) Instance {
 			ps := plasma.TwoStream(size, 0.2, 1e-4, inputSeed)
-			cfg := plasma.Config{Steps: 5}
+			const steps = 5
 			return Instance{
-				Sequential: func() { plasma.Sequential(append([]plasma.Particle(nil), ps...), cfg) },
+				Sequential: func() { plasma.Sequential(append([]plasma.Particle(nil), ps...), steps) },
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					final, energy, st, err := plasma.Parallel(c, ps, cfg)
+					final, energy, st, err := plasma.Parallel(c, ps, steps)
 					return plasmaResult{final, energy}, st, err
 				},
 			}
@@ -233,14 +233,14 @@ var All = []App{
 			patches := radiosity.Room(size, 1, 1, 0.6)
 			return Instance{
 				Sequential: func() {
-					h, err := radiosity.Build(patches, radiosity.Config{})
+					h, err := radiosity.Build(patches)
 					if err != nil {
 						panic(err)
 					}
 					h.Solve()
 				},
 				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(radiosity.Parallel(c, patches, radiosity.Config{}))
+					return result(radiosity.Parallel(c, patches))
 				},
 			}
 		},

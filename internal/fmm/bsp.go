@@ -52,7 +52,7 @@ type remoteCell struct {
 // essentialFor walks the local tree and splits its content for a remote
 // domain: cells separated from the whole domain ship as multipoles,
 // near leaves ship raw bodies.
-func (t *Tree) essentialFor(domain box2, sep float64) ([]remoteCell, []Body) {
+func (t *Tree) essentialFor(domain box2) ([]remoteCell, []Body) {
 	var cells []remoteCell
 	var bodies []Body
 	var walk func(id int32)
@@ -88,7 +88,7 @@ func (t *Tree) essentialFor(domain box2, sep float64) ([]remoteCell, []Body) {
 func (t *Tree) applyRemoteCell(id int32, rc remoteCell, acc []complex128) {
 	c := &t.cells[id]
 	dist := cmplx.Abs(c.center - rc.center)
-	if dist >= t.cfg.sep()*(c.radius()+rc.radius) {
+	if dist >= sep*(c.radius()+rc.radius) {
 		t.m2lFrom(rc.center, rc.q, rc.mult, id)
 		return
 	}
@@ -108,7 +108,7 @@ func (t *Tree) applyRemoteCell(id int32, rc remoteCell, acc []complex128) {
 
 // m2lFrom is m2l with an explicit source expansion (remote cell).
 func (t *Tree) m2lFrom(srcCenter complex128, q float64, mult []complex128, dst int32) {
-	p := t.cfg.p()
+	p := t.p
 	d := &t.cells[dst]
 	if d.loc == nil {
 		d.loc = make([]complex128, p+1)
@@ -137,7 +137,7 @@ func (t *Tree) crossInteract(dst int32, src *Tree, sid int32, acc []complex128) 
 	d := &t.cells[dst]
 	s := &src.cells[sid]
 	dist := cmplx.Abs(d.center - s.center)
-	if dist >= t.cfg.sep()*(d.radius()+s.radius()) {
+	if dist >= sep*(d.radius()+s.radius()) {
 		t.m2lFrom(s.center, s.q, s.mult, dst)
 		return
 	}
@@ -187,7 +187,7 @@ func boundsOf(bodies []Body) box2 {
 
 // Parallel partitions bodies into strips by real coordinate, evaluates
 // all forces on the BSP machine, and returns them in the input order.
-func Parallel(cfg core.Config, bodies []Body, fcfg Config) ([]complex128, *core.Stats, error) {
+func Parallel(cfg core.Config, bodies []Body) ([]complex128, *core.Stats, error) {
 	order := make([]int, len(bodies))
 	for i := range order {
 		order[i] = i
@@ -209,7 +209,7 @@ func Parallel(cfg core.Config, bodies []Body, fcfg Config) ([]complex128, *core.
 	}
 	out := make([]complex128, n)
 	st, err := core.Run(cfg, func(c *core.Proc) {
-		acc := runTagged(c, mine[c.ID()], fcfg)
+		acc := runTagged(c, mine[c.ID()])
 		for i, f := range acc {
 			out[mineIdx[c.ID()][i]] = f
 		}
@@ -223,7 +223,7 @@ func Parallel(cfg core.Config, bodies []Body, fcfg Config) ([]complex128, *core.
 // runTagged evaluates forces for this process's bodies within a BSP
 // machine: three supersteps (tagged bounding-box exchange, essential
 // exchange, diagnostics reduce).
-func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
+func runTagged(c *core.Proc, mine []Body) []complex128 {
 	p := c.P()
 	myBox := boundsOf(mine)
 	w := wire.NewWriter(40)
@@ -254,12 +254,12 @@ func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
 		boxes[from] = box2{lo: lo, hi: hi}
 	}
 	// Superstep 2: essential exchange.
-	tree := NewTree(mine, cfg)
+	tree := newTree(mine, order, leafCap)
 	for q := 0; q < p; q++ {
 		if q == c.ID() || len(mine) == 0 {
 			continue
 		}
-		cells, raw := tree.essentialFor(boxes[q], cfg.sep())
+		cells, raw := tree.essentialFor(boxes[q])
 		out := wire.NewWriter(0)
 		out.Uint32(uint32(len(cells)))
 		out.Uint32(uint32(len(raw)))
@@ -283,7 +283,6 @@ func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
 	c.Sync()
 	var remoteCells []remoteCell
 	var remoteBodies []Body
-	pOrder := cfg.p()
 	for {
 		msg, ok := c.Recv()
 		if !ok {
@@ -297,7 +296,7 @@ func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
 				center: complex(r.Float64(), r.Float64()),
 				radius: r.Float64(),
 				q:      r.Float64(),
-				mult:   make([]complex128, pOrder),
+				mult:   make([]complex128, order),
 			}
 			for k := range rc.mult {
 				rc.mult[k] = complex(r.Float64(), r.Float64())
@@ -316,7 +315,7 @@ func runTagged(c *core.Proc, mine []Body, cfg Config) []complex128 {
 			tree.applyRemoteCell(tree.root, rc, acc)
 		}
 		if len(remoteBodies) > 0 {
-			rt := NewTree(remoteBodies, cfg)
+			rt := newTree(remoteBodies, order, leafCap)
 			tree.crossInteract(tree.root, rt, rt.root, acc)
 		}
 		tree.downward(tree.root, acc)

@@ -12,7 +12,7 @@ func TestParallelMatchesDirect(t *testing.T) {
 	bodies := RandomBodies(1200, 7)
 	want := directForces(bodies)
 	for _, p := range []int{1, 2, 4, 8} {
-		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, bodies, Config{})
+		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, bodies)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -34,8 +34,8 @@ func TestParallelMatchesSequentialClosely(t *testing.T) {
 	// expansions, but both sides are within FMM tolerance of direct, so
 	// they agree with each other to the same order.
 	bodies := RandomBodies(600, 9)
-	seq, _ := Forces(bodies, Config{})
-	par, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, bodies, Config{})
+	seq, _ := Forces(bodies)
+	par, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestParallelEssentialVolume(t *testing.T) {
 	// replication: H well below p × N × (bytes per body)/16.
 	bodies := RandomBodies(2000, 11)
 	const p = 4
-	_, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, bodies, Config{})
+	_, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestParallelEmptyStrip(t *testing.T) {
 	// More processes than bodies: some strips are empty; the run must
 	// still complete with correct forces.
 	bodies := RandomBodies(5, 15)
-	got, _, err := Parallel(core.Config{P: 8, Transport: transport.ShmTransport{}}, bodies, Config{})
+	got, _, err := Parallel(core.Config{P: 8, Transport: transport.ShmTransport{}}, bodies)
 	if err != nil {
 		t.Fatal(err)
 	}

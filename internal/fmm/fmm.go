@@ -7,7 +7,8 @@
 // complex-variable form. Sources of mass m at complex position z
 // generate the analytic potential Φ(z) = Σ m_j log(z - z_j); the force
 // field is F(z) = -conj(Φ'(z)). An adaptive quadtree (cells split only
-// while they hold more than LeafCap bodies) carries multipole expansions
+// while they hold more than leafCap = 16 bodies) carries multipole
+// expansions of order P = 12
 //
 //	Φ(z) ≈ Q log(z-z0) + Σ_{k=1..P} a_k/(z-z0)^k
 //
@@ -32,38 +33,16 @@ type Body struct {
 	M float64
 }
 
-// Config holds the FMM accuracy parameters.
-type Config struct {
-	// P is the expansion order. 0 means 12.
-	P int
-	// LeafCap is the adaptive split threshold. 0 means 16.
-	LeafCap int
-	// Sep is the well-separation multiplier: cells interact through
-	// expansions when the center distance is at least Sep·(r1+r2).
-	// 0 means 1.6.
-	Sep float64
-}
-
-func (c Config) p() int {
-	if c.P == 0 {
-		return 12
-	}
-	return c.P
-}
-
-func (c Config) leafCap() int {
-	if c.LeafCap == 0 {
-		return 16
-	}
-	return c.LeafCap
-}
-
-func (c Config) sep() float64 {
-	if c.Sep == 0 {
-		return 1.6
-	}
-	return c.Sep
-}
+// The FMM accuracy parameters.
+const (
+	// order is the expansion order P.
+	order = 12
+	// leafCap is the adaptive split threshold.
+	leafCap = 16
+	// sep is the well-separation multiplier: cells interact through
+	// expansions when the center distance is at least sep·(r1+r2).
+	sep float64 = 1.6
+)
 
 const noCell = int32(-1)
 
@@ -84,10 +63,12 @@ func (c *cell) radius() float64 { return c.half * math.Sqrt2 }
 
 // Tree is an adaptive FMM quadtree with expansions.
 type Tree struct {
-	cfg    Config
-	cells  []cell
-	bodies []Body
-	root   int32
+	// p is the expansion order and split the adaptive split threshold:
+	// order and leafCap, except in tests that vary them.
+	p, split int
+	cells    []cell
+	bodies   []Body
+	root     int32
 	// Interactions counts expansion and direct operations, the FMM
 	// analogue of the Barnes-Hut interaction count.
 	Interactions int
@@ -96,9 +77,10 @@ type Tree struct {
 // maxDepth bounds splitting for pathological (coincident) inputs.
 const maxDepth = 48
 
-// NewTree builds the adaptive quadtree and computes the upward pass.
-func NewTree(bodies []Body, cfg Config) *Tree {
-	t := &Tree{cfg: cfg, bodies: bodies}
+// newTree builds the adaptive quadtree, splitting cells that hold more
+// than split bodies, and computes the order-p upward pass.
+func newTree(bodies []Body, p, split int) *Tree {
+	t := &Tree{p: p, split: split, bodies: bodies}
 	var lo, hi complex128
 	if len(bodies) > 0 {
 		lo, hi = bodies[0].Z, bodies[0].Z
@@ -124,7 +106,7 @@ func (t *Tree) build(center complex128, half float64, idx []int32, depth int) in
 		center: center, half: half, leaf: true,
 		children: [4]int32{noCell, noCell, noCell, noCell},
 	})
-	if len(idx) <= t.cfg.leafCap() || depth >= maxDepth {
+	if len(idx) <= t.split || depth >= maxDepth {
 		t.cells[id].bodies = idx
 		return id
 	}
@@ -161,7 +143,7 @@ func (t *Tree) build(center complex128, half float64, idx []int32, depth int) in
 // upward computes multipole expansions bottom-up: P2M at leaves, M2M at
 // internal cells.
 func (t *Tree) upward(id int32) {
-	p := t.cfg.p()
+	p := t.p
 	c := &t.cells[id]
 	c.mult = make([]complex128, p)
 	if c.leaf {
@@ -190,7 +172,7 @@ func (t *Tree) upward(id int32) {
 // m2m translates the child's multipole expansion to the parent center:
 // b_l = -Q d^l/l + Σ_{k=1..l} a_k C(l-1, k-1) d^{l-k}, d = z_child - z_parent.
 func (t *Tree) m2m(child, parent int32) {
-	p := t.cfg.p()
+	p := t.p
 	ch := &t.cells[child]
 	pa := &t.cells[parent]
 	d := ch.center - pa.center
@@ -216,7 +198,7 @@ func (t *Tree) m2m(child, parent int32) {
 // with t = z_source - z_target. The constant term c_0 only shifts the
 // potential and is not needed for forces, so it is skipped.
 func (t *Tree) m2l(src, dst int32) {
-	p := t.cfg.p()
+	p := t.p
 	s := &t.cells[src]
 	d := &t.cells[dst]
 	if d.loc == nil {
@@ -243,7 +225,7 @@ func (t *Tree) m2l(src, dst int32) {
 // l2l translates the parent's local expansion to the child center:
 // c'_l = Σ_{k>=l} c_k C(k, l) d^{k-l}, d = z_child - z_parent.
 func (t *Tree) l2l(parent, child int32) {
-	p := t.cfg.p()
+	p := t.p
 	pa := &t.cells[parent]
 	ch := &t.cells[child]
 	if pa.loc == nil {
@@ -277,7 +259,7 @@ func (t *Tree) interact(dst, src int32, acc []complex128) {
 	d := &t.cells[dst]
 	s := &t.cells[src]
 	dist := cmplx.Abs(d.center - s.center)
-	if dist >= t.cfg.sep()*(d.radius()+s.radius()) {
+	if dist >= sep*(d.radius()+s.radius()) {
 		t.m2l(src, dst)
 		return
 	}
@@ -332,7 +314,7 @@ func (t *Tree) downward(id int32, acc []complex128) {
 		if c.loc == nil {
 			return
 		}
-		p := t.cfg.p()
+		p := t.p
 		for _, bi := range c.bodies {
 			u := t.bodies[bi].Z - c.center
 			// Φ'(z) = Σ l c_l u^{l-1}; F = -conj(Φ').
@@ -354,14 +336,6 @@ func (t *Tree) downward(id int32, acc []complex128) {
 	}
 }
 
-// EvalMultipoleField evaluates the force at z from the tree's root
-// multipole expansion (valid only far from the tree); used by tests and
-// by the parallel code for remote essential cells.
-func (t *Tree) EvalMultipoleField(id int32, z complex128) complex128 {
-	c := &t.cells[id]
-	return evalMultipoleField(c.center, c.q, c.mult, z)
-}
-
 // evalMultipoleField computes F = -conj(Φ') for a multipole expansion:
 // Φ'(z) = Q/(z-z0) - Σ k a_k/(z-z0)^{k+1}.
 func evalMultipoleField(z0 complex128, q float64, mult []complex128, z complex128) complex128 {
@@ -377,8 +351,8 @@ func evalMultipoleField(z0 complex128, q float64, mult []complex128, z complex12
 }
 
 // Forces runs the full sequential FMM on bodies.
-func Forces(bodies []Body, cfg Config) ([]complex128, *Tree) {
-	t := NewTree(bodies, cfg)
+func Forces(bodies []Body) ([]complex128, *Tree) {
+	t := newTree(bodies, order, leafCap)
 	return t.Forces(), t
 }
 

@@ -31,6 +31,13 @@ func directForces(bodies []Body) []complex128 {
 	return acc
 }
 
+// rootField evaluates the force at z from the tree's root multipole
+// expansion (valid only far from the tree).
+func rootField(t *Tree, z complex128) complex128 {
+	c := &t.cells[t.root]
+	return evalMultipoleField(c.center, c.q, c.mult, z)
+}
+
 func relErr(got, want complex128) float64 {
 	if cmplx.Abs(want) == 0 {
 		return cmplx.Abs(got)
@@ -54,9 +61,9 @@ func clusterBodies(n int, center complex128, spread float64, seed int64) []Body 
 // field far away.
 func TestP2MFieldAccuracy(t *testing.T) {
 	bodies := clusterBodies(30, complex(0.5, 0.5), 0.05, 1)
-	tree := NewTree(bodies, Config{LeafCap: 64}) // single leaf
+	tree := newTree(bodies, order, 64) // single leaf
 	for _, z := range []complex128{complex(2, 1), complex(-1, -1), complex(0.5, 3)} {
-		got := tree.EvalMultipoleField(tree.root, z)
+		got := rootField(tree, z)
 		want := directFieldAt(bodies, z)
 		if e := relErr(got, want); e > 1e-9 {
 			t.Errorf("field at %v: rel err %.2e", z, e)
@@ -68,11 +75,11 @@ func TestP2MFieldAccuracy(t *testing.T) {
 // matches a direct P2M of all bodies.
 func TestM2MInvariance(t *testing.T) {
 	bodies := clusterBodies(200, complex(0.5, 0.5), 0.3, 2)
-	deep := NewTree(bodies, Config{LeafCap: 8})       // several levels of M2M
-	shallow := NewTree(bodies, Config{LeafCap: 1000}) // pure P2M
+	deep := newTree(bodies, order, 8)       // several levels of M2M
+	shallow := newTree(bodies, order, 1000) // pure P2M
 	for _, z := range []complex128{complex(3, 2), complex(-2, 4)} {
-		a := deep.EvalMultipoleField(deep.root, z)
-		b := shallow.EvalMultipoleField(shallow.root, z)
+		a := rootField(deep, z)
+		b := rootField(shallow, z)
 		if e := relErr(a, b); e > 1e-9 {
 			t.Errorf("M2M vs P2M at %v: rel err %.2e", z, e)
 		}
@@ -83,7 +90,7 @@ func TestM2MInvariance(t *testing.T) {
 // reproduces the direct O(N²) forces.
 func TestFMMMatchesDirect(t *testing.T) {
 	bodies := RandomBodies(1500, 3)
-	acc, tree := Forces(bodies, Config{})
+	acc, tree := Forces(bodies)
 	want := directForces(bodies)
 	var worst, sum float64
 	for i := range acc {
@@ -108,7 +115,7 @@ func TestFMMOrderControlsAccuracy(t *testing.T) {
 	bodies := RandomBodies(800, 4)
 	want := directForces(bodies)
 	meanErr := func(p int) float64 {
-		acc, _ := Forces(bodies, Config{P: p})
+		acc := newTree(bodies, p, leafCap).Forces()
 		var sum float64
 		for i := range acc {
 			sum += relErr(acc[i], want[i])
@@ -130,7 +137,7 @@ func TestFMMOrderControlsAccuracy(t *testing.T) {
 func TestAdaptivity(t *testing.T) {
 	n := 3000
 	bodies := RandomBodies(n, 5)
-	_, tree := Forces(bodies, Config{})
+	_, tree := Forces(bodies)
 	if tree.Interactions >= n*n/4 {
 		t.Errorf("adaptive FMM interactions %d vs direct %d", tree.Interactions, n*n)
 	}
@@ -154,7 +161,7 @@ func TestCoincidentBodies(t *testing.T) {
 		bodies[i] = Body{Z: complex(0.5, 0.5), M: 1}
 	}
 	bodies = append(bodies, Body{Z: complex(0.9, 0.9), M: 2})
-	acc, _ := Forces(bodies, Config{})
+	acc, _ := Forces(bodies)
 	for i, f := range acc {
 		if cmplx.IsNaN(f) || cmplx.IsInf(f) {
 			t.Fatalf("body %d: force %v", i, f)
@@ -163,15 +170,15 @@ func TestCoincidentBodies(t *testing.T) {
 }
 
 func TestEmptyAndTiny(t *testing.T) {
-	if acc, _ := Forces(nil, Config{}); len(acc) != 0 {
+	if acc, _ := Forces(nil); len(acc) != 0 {
 		t.Fatal("empty input")
 	}
-	acc, _ := Forces([]Body{{Z: 0, M: 1}}, Config{})
+	acc, _ := Forces([]Body{{Z: 0, M: 1}})
 	if cmplx.Abs(acc[0]) != 0 {
 		t.Fatalf("single body force %v", acc[0])
 	}
 	two := []Body{{Z: 0, M: 1}, {Z: complex(1, 0), M: 1}}
-	acc, _ = Forces(two, Config{})
+	acc, _ = Forces(two)
 	if e := relErr(acc[0], complex(1, 0)); e > 1e-12 {
 		t.Fatalf("two-body force %v, want (1+0i)", acc[0])
 	}
@@ -196,7 +203,7 @@ func TestQuickFMMAccuracy(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		bodies := RandomBodies(300, seed)
-		acc, _ := Forces(bodies, Config{})
+		acc, _ := Forces(bodies)
 		want := directForces(bodies)
 		var sum float64
 		for i := range acc {

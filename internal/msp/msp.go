@@ -13,15 +13,15 @@
 //
 // "In our experiments, we performed 25 shortest path computations
 // simultaneously. We used the same work factor as in the shortest path
-// experiments."
+// experiments." The K computations run on package sp's engine
+// (sp.Parallel with sp.DefaultWorkFactor); the sequential baseline is K
+// independent Dijkstra runs (graph.MultiDijkstra).
 package msp
 
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sp"
 )
 
 // DefaultSources is the paper's K = 25.
@@ -39,15 +39,4 @@ func Sources(g *graph.Graph, k int, seed int64) []int32 {
 		srcs[i] = int32(perm[i])
 	}
 	return srcs
-}
-
-// Parallel runs the K simultaneous computations on the configured BSP
-// machine and returns one global label array per source.
-func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, scfg sp.Config) ([][]float64, *core.Stats, error) {
-	return sp.Parallel(cfg, g, srcs, scfg)
-}
-
-// Sequential is the baseline: K independent Dijkstra runs.
-func Sequential(g *graph.Graph, srcs []int32) [][]float64 {
-	return graph.MultiDijkstra(g, srcs)
 }

@@ -37,8 +37,8 @@ func TestSources(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	g := graph.Geometric(400, 2)
 	srcs := Sources(g, 10, 3)
-	want := Sequential(g, srcs)
-	got, st, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, sp.Config{})
+	want := graph.MultiDijkstra(g, srcs)
+	got, st, err := sp.Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, sp.DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestPaperK25(t *testing.T) {
 	if len(srcs) != 25 {
 		t.Fatalf("paper uses K = 25, got %d", len(srcs))
 	}
-	got, _, err := Parallel(core.Config{P: 2, Transport: transport.ShmTransport{}}, g, srcs, sp.Config{})
+	got, _, err := sp.Parallel(core.Config{P: 2, Transport: transport.ShmTransport{}}, g, srcs, sp.DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Sequential(g, srcs)
+	want := graph.MultiDijkstra(g, srcs)
 	for i := range srcs {
 		for v := range want[i] {
 			if math.Abs(got[i][v]-want[i][v]) > 1e-9 {

@@ -26,8 +26,6 @@
 package mst
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/collect"
@@ -44,20 +42,9 @@ type Result struct {
 	Edges []graph.Edge
 }
 
-// Config holds the tunables of the parallel MST code.
-type Config struct {
-	// EndgameThreshold is the component count at which the program
-	// switches to the mixed parallel/sequential phase. 0 means
-	// max(2·p, 32).
-	EndgameThreshold int
-}
-
-func (c Config) threshold(p int) int {
-	if c.EndgameThreshold > 0 {
-		return c.EndgameThreshold
-	}
-	return max(2*p, 32)
-}
+// threshold is the component count at which p processes switch to the
+// mixed parallel/sequential phase.
+func threshold(p int) int { return max(2*p, 32) }
 
 // edgeLess is the global total order on edges.
 func edgeLess(w1 float64, u1, v1 int32, w2 float64, u2, v2 int32) bool {
@@ -650,13 +637,13 @@ func (s *procState) endgame(comps int) Result {
 	return res
 }
 
-// Run executes the three-phase MST algorithm on one BSP process. All
-// processes return the tree weight; process 0 additionally returns the
-// tree edges, in Sequential's edge order.
-func Run(c *core.Proc, part *graph.Part, owner []int32, cfg Config) Result {
+// run executes the three-phase MST algorithm on one BSP process,
+// switching to the endgame at thresh components. All processes return
+// the tree weight; process 0 additionally returns the tree edges, in
+// Sequential's edge order.
+func run(c *core.Proc, part *graph.Part, owner []int32, thresh int) Result {
 	s := newProcState(c, part, owner)
 	s.localPhase()
-	thresh := cfg.threshold(c.P())
 	comps := collect.AllReduceInt(c, s.countOwnedRoots(), func(a, b int) int { return a + b })
 	for comps > thresh {
 		comps = s.boruvkaRound()
@@ -679,11 +666,17 @@ func (s *procState) countOwnedRoots() int {
 
 // Parallel partitions g, runs the BSP algorithm and returns the MST
 // (weight and edges) along with the run statistics.
-func Parallel(cfg core.Config, g *graph.Graph, mcfg Config) (Result, *core.Stats, error) {
+func Parallel(cfg core.Config, g *graph.Graph) (Result, *core.Stats, error) {
+	return parallel(cfg, g, threshold(cfg.P))
+}
+
+// parallel is Parallel with the endgame switch point given; tests move
+// it to reach the pure-Borůvka and pure-endgame paths.
+func parallel(cfg core.Config, g *graph.Graph, thresh int) (Result, *core.Stats, error) {
 	pt := graph.PartitionStrips(g, cfg.P)
 	results := make([]Result, cfg.P)
 	st, err := core.Run(cfg, func(c *core.Proc) {
-		results[c.ID()] = Run(c, pt.Parts[c.ID()], pt.Owner, mcfg)
+		results[c.ID()] = run(c, pt.Parts[c.ID()], pt.Owner, thresh)
 	})
 	if err != nil {
 		return Result{}, nil, err
@@ -711,24 +704,4 @@ func Sequential(g *graph.Graph) Result {
 		}
 	}
 	return res
-}
-
-// Check verifies that a Result is a spanning tree of g with the claimed
-// weight; tests use it as an oracle-independent validity check.
-func Check(g *graph.Graph, res Result) error {
-	if len(res.Edges) != g.N-1 {
-		return fmt.Errorf("mst: %d edges, want %d", len(res.Edges), g.N-1)
-	}
-	uf := graph.NewUnionFind(g.N)
-	var w float64
-	for _, e := range res.Edges {
-		if !uf.Union(int(e.U), int(e.V)) {
-			return fmt.Errorf("mst: edge (%d,%d) closes a cycle", e.U, e.V)
-		}
-		w += e.W
-	}
-	if math.Abs(w-res.Weight) > 1e-6 {
-		return fmt.Errorf("mst: edge weights sum to %g, result claims %g", w, res.Weight)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	g := graph.Geometric(1000, 5)
 	want := Sequential(g)
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, Config{})
+		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -49,7 +50,7 @@ func TestParallelEdgeSetIdentical(t *testing.T) {
 	// edge list must match the sequential one exactly.
 	g := graph.Geometric(600, 6)
 	want := Sequential(g)
-	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, Config{})
+	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEndgameThresholdVariants(t *testing.T) {
 	g := graph.Geometric(500, 7)
 	want := Sequential(g)
 	for _, thresh := range []int{2, 8, 100000} {
-		got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, Config{EndgameThreshold: thresh})
+		got, _, err := parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, thresh)
 		if err != nil {
 			t.Fatalf("threshold %d: %v", thresh, err)
 		}
@@ -90,7 +91,7 @@ func TestConservativeLabelTraffic(t *testing.T) {
 	for _, part := range pt.Parts {
 		totalBorder += part.NLocal() - part.NHome
 	}
-	_, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, Config{EndgameThreshold: 8})
+	_, st, err := parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestSuperstepsGrowSlowly(t *testing.T) {
 	// "the number of supersteps required for this computation grows
 	// quite slowly with the problem size" (§3.3.1).
 	cfg := core.Config{P: 4, Transport: transport.ShmTransport{}}
-	_, stSmall, err := Parallel(cfg, graph.Geometric(200, 10), Config{})
+	_, stSmall, err := Parallel(cfg, graph.Geometric(200, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBig, err := Parallel(cfg, graph.Geometric(3200, 10), Config{})
+	_, stBig, err := Parallel(cfg, graph.Geometric(3200, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestQuickParallelWeight(t *testing.T) {
 		p := int(pPick)%4 + 1
 		g := graph.Geometric(120, seed)
 		want := Sequential(g)
-		got, _, err := Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, g, Config{EndgameThreshold: 6})
+		got, _, err := parallel(core.Config{P: p, Transport: transport.SimTransport{}}, g, 6)
 		if err != nil {
 			return false
 		}
@@ -156,13 +157,30 @@ func TestCheckRejectsBadResults(t *testing.T) {
 }
 
 func TestConfigThreshold(t *testing.T) {
-	if (Config{}).threshold(16) != 32 {
-		t.Error("default threshold for p=16 should be 32")
+	if threshold(16) != 32 {
+		t.Error("threshold for p=16 should be 32")
 	}
-	if (Config{}).threshold(32) != 64 {
-		t.Error("default threshold should scale with p")
+	if threshold(32) != 64 {
+		t.Error("threshold should scale with p")
 	}
-	if (Config{EndgameThreshold: 5}).threshold(16) != 5 {
-		t.Error("explicit threshold ignored")
+}
+
+// Check verifies that a Result is a spanning tree of g with the claimed
+// weight: an oracle-independent validity check.
+func Check(g *graph.Graph, res Result) error {
+	if len(res.Edges) != g.N-1 {
+		return fmt.Errorf("mst: %d edges, want %d", len(res.Edges), g.N-1)
 	}
+	uf := graph.NewUnionFind(g.N)
+	var w float64
+	for _, e := range res.Edges {
+		if !uf.Union(int(e.U), int(e.V)) {
+			return fmt.Errorf("mst: edge (%d,%d) closes a cycle", e.U, e.V)
+		}
+		w += e.W
+	}
+	if math.Abs(w-res.Weight) > 1e-6 {
+		return fmt.Errorf("mst: edge weights sum to %g, result claims %g", w, res.Weight)
+	}
+	return nil
 }

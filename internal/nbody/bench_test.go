@@ -87,7 +87,7 @@ func BenchmarkParallelStep(b *testing.B) {
 	bodies := Plummer(2000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, bodies, SimConfig{}, 1); err != nil {
+		if _, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, bodies, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

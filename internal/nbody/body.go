@@ -36,50 +36,18 @@ type Body struct {
 	Mass float64
 }
 
-// SimConfig holds the physics parameters shared by the sequential and
-// parallel codes.
-type SimConfig struct {
-	// Theta is the Barnes-Hut opening angle; a cell of side s at
-	// distance d is accepted when s/d < Theta. 0 means 0.5.
-	Theta float64
-	// Eps is the Plummer softening length. 0 means 0.05.
-	Eps float64
-	// DT is the leapfrog time step. 0 means 0.025.
-	DT float64
-	// RebalanceThreshold triggers ORB repartitioning when the maximum
-	// per-processor load exceeds this multiple of the mean, following
-	// Liu-Bhatt: "we only do so if the load imbalance reaches a certain
-	// threshold". 0 means 1.25.
-	RebalanceThreshold float64
-}
-
-func (c SimConfig) theta() float64 {
-	if c.Theta == 0 {
-		return 0.5
-	}
-	return c.Theta
-}
-
-func (c SimConfig) eps() float64 {
-	if c.Eps == 0 {
-		return 0.05
-	}
-	return c.Eps
-}
-
-func (c SimConfig) dt() float64 {
-	if c.DT == 0 {
-		return 0.025
-	}
-	return c.DT
-}
-
-func (c SimConfig) rebalance() float64 {
-	if c.RebalanceThreshold == 0 {
-		return 1.25
-	}
-	return c.RebalanceThreshold
-}
+// The physics parameters shared by the sequential and parallel codes.
+const (
+	// theta is the Barnes-Hut opening angle; a cell of side s at
+	// distance d is accepted when s/d < theta.
+	theta float64 = 0.5
+	// eps is the Plummer softening length.
+	eps float64 = 0.05
+	// dt is the leapfrog time step.
+	dt float64 = 0.025
+	// rebalanceThreshold is Parallel's repartition trigger (see Run).
+	rebalanceThreshold float64 = 1.25
+)
 
 // accumulate adds the softened gravitational acceleration exerted on a
 // body at pos by a point mass m at q.
@@ -99,21 +67,6 @@ func Step(bodies []Body, acc []Vec3, dt float64) {
 		bodies[i].Vel = bodies[i].Vel.Add(acc[i].Scale(dt))
 		bodies[i].Pos = bodies[i].Pos.Add(bodies[i].Vel.Scale(dt))
 	}
-}
-
-// Energy returns the total energy (kinetic + softened potential) of the
-// system; tests use it to check conservation.
-func Energy(bodies []Body, cfg SimConfig) float64 {
-	eps2 := cfg.eps() * cfg.eps()
-	var e float64
-	for i := range bodies {
-		e += 0.5 * bodies[i].Mass * bodies[i].Vel.Norm2()
-		for j := i + 1; j < len(bodies); j++ {
-			d := bodies[i].Pos.Sub(bodies[j].Pos)
-			e -= bodies[i].Mass * bodies[j].Mass / math.Sqrt(d.Norm2()+eps2)
-		}
-	}
-	return e
 }
 
 // Bounds returns the axis-aligned bounding box of the bodies.

@@ -45,11 +45,12 @@ func readBody(r *wire.Reader) Body {
 // procSim is one processor's state for the parallel simulation.
 type procSim struct {
 	c      *core.Proc
-	cfg    SimConfig
 	orb    *ORB
 	bodies []Body
-	load   int // interactions evaluated in the previous iteration
-	out    []*wire.Writer
+	// threshold triggers ORB repartitioning (see Run).
+	threshold float64
+	load      int // interactions evaluated in the previous iteration
+	out       []*wire.Writer
 	// Rebalances counts ORB rebuilds, exposed for the ablation bench.
 	rebalances int
 }
@@ -149,7 +150,7 @@ func (s *procSim) maybeRebalance(universe Box) {
 			}
 		}
 		avg := float64(sumLoad) / float64(c.P())
-		rebuild := avg == 0 || float64(maxLoad) > s.cfg.rebalance()*avg
+		rebuild := avg == 0 || float64(maxLoad) > s.threshold*avg
 		var reply []byte
 		if rebuild {
 			orb, err := BuildORB(samples, c.P(), universe)
@@ -215,7 +216,6 @@ func (s *procSim) migrate() {
 // global mass distribution.
 func (s *procSim) exchangeEssential(universe Box, tree *Tree) []EssentialPoint {
 	c := s.c
-	theta := s.cfg.theta()
 	for q := 0; q < c.P(); q++ {
 		if q == c.ID() {
 			continue
@@ -283,7 +283,7 @@ func (s *procSim) iterate() {
 	acc := make([]Vec3, len(s.bodies))
 	s.load = 0
 	for i := range s.bodies {
-		a, k := letTree.Force(s.bodies[i].Pos, s.cfg.theta(), s.cfg.eps())
+		a, k := letTree.Force(s.bodies[i].Pos, theta, eps)
 		acc[i] = a
 		s.load += k
 	}
@@ -291,7 +291,7 @@ func (s *procSim) iterate() {
 	// 97% of the total sequential running time" (§3.2.1) — plus a small
 	// per-body term for the tree build and integration.
 	c.AddWork(s.load + 4*len(s.bodies))
-	Step(s.bodies, acc, s.cfg.dt())
+	Step(s.bodies, acc, dt)
 	// Diagnostics all-reduce closes the iteration (one superstep): the
 	// global interaction count feeds the next rebalancing decision and
 	// doubles as the iteration barrier.
@@ -300,9 +300,12 @@ func (s *procSim) iterate() {
 
 // Run executes steps iterations on one BSP process, starting from this
 // process's bodies under the given initial ORB, and returns its final
-// bodies and the number of ORB rebuilds.
-func Run(c *core.Proc, myBodies []Body, orb *ORB, cfg SimConfig, steps int) ([]Body, int) {
-	s := &procSim{c: c, cfg: cfg, orb: orb, bodies: append([]Body(nil), myBodies...)}
+// bodies and the number of ORB rebuilds. The ORB is rebuilt when the
+// maximum per-processor load exceeds threshold times the mean,
+// following Liu-Bhatt: "we only do so if the load imbalance reaches a
+// certain threshold".
+func Run(c *core.Proc, myBodies []Body, orb *ORB, threshold float64, steps int) ([]Body, int) {
+	s := &procSim{c: c, orb: orb, bodies: append([]Body(nil), myBodies...), threshold: threshold}
 	s.out = make([]*wire.Writer, c.P())
 	for i := range s.out {
 		s.out[i] = wire.NewWriter(0)
@@ -317,7 +320,7 @@ func Run(c *core.Proc, myBodies []Body, orb *ORB, cfg SimConfig, steps int) ([]B
 // Parallel distributes bodies by an initial ORB, runs the BSP
 // simulation, and returns the final bodies (in arbitrary order) with
 // the run statistics.
-func Parallel(cfg core.Config, bodies []Body, scfg SimConfig, steps int) ([]Body, *core.Stats, error) {
+func Parallel(cfg core.Config, bodies []Body, steps int) ([]Body, *core.Stats, error) {
 	if _, err := BuildORB(nil, cfg.P, Box{}); err != nil {
 		return nil, nil, err
 	}
@@ -344,7 +347,7 @@ func Parallel(cfg core.Config, bodies []Body, scfg SimConfig, steps int) ([]Body
 	}
 	final := make([][]Body, cfg.P)
 	st, err := core.Run(cfg, func(c *core.Proc) {
-		out, _ := Run(c, mine[c.ID()], orb, scfg, steps)
+		out, _ := Run(c, mine[c.ID()], orb, rebalanceThreshold, steps)
 		final[c.ID()] = out
 	})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 
 // directForces computes exact pairwise softened accelerations in O(N²);
 // it is the oracle the Barnes-Hut codes are verified against.
-func directForces(bodies []Body, cfg SimConfig) []Vec3 {
-	eps2 := cfg.eps() * cfg.eps()
+func directForces(bodies []Body) []Vec3 {
+	const eps2 = eps * eps
 	acc := make([]Vec3, len(bodies))
 	for i := range bodies {
 		for j := range bodies {
@@ -24,6 +24,21 @@ func directForces(bodies []Body, cfg SimConfig) []Vec3 {
 		}
 	}
 	return acc
+}
+
+// energy returns the total energy (kinetic + potential softened by
+// eps) of the system, to check conservation.
+func energy(bodies []Body, eps float64) float64 {
+	eps2 := eps * eps
+	var e float64
+	for i := range bodies {
+		e += 0.5 * bodies[i].Mass * bodies[i].Vel.Norm2()
+		for j := i + 1; j < len(bodies); j++ {
+			d := bodies[i].Pos.Sub(bodies[j].Pos)
+			e -= bodies[i].Mass * bodies[j].Mass / math.Sqrt(d.Norm2()+eps2)
+		}
+	}
+	return e
 }
 
 func TestPlummerBasics(t *testing.T) {
@@ -47,7 +62,7 @@ func TestPlummerBasics(t *testing.T) {
 	}
 	// Plummer standard units: total energy ≈ -1/4 (finite-N and cutoff
 	// effects allow a generous tolerance; softening shifts it slightly).
-	e := Energy(bodies, SimConfig{Eps: 1e-4})
+	e := energy(bodies, 1e-4)
 	if e > -0.15 || e < -0.40 {
 		t.Errorf("energy = %g, want ≈ -0.25", e)
 	}
@@ -106,8 +121,8 @@ func TestTreeCoincidentBodies(t *testing.T) {
 
 // forceError returns the mean relative error of BH accelerations vs the
 // direct oracle.
-func forceError(bodies []Body, acc []Vec3, cfg SimConfig) float64 {
-	exact := directForces(bodies, cfg)
+func forceError(bodies []Body, acc []Vec3) float64 {
+	exact := directForces(bodies)
 	var sum float64
 	for i := range bodies {
 		diff := acc[i].Sub(exact[i])
@@ -122,9 +137,8 @@ func forceError(bodies []Body, acc []Vec3, cfg SimConfig) float64 {
 
 func TestBarnesHutAccuracy(t *testing.T) {
 	bodies := Plummer(800, 3)
-	cfg := SimConfig{}
-	acc, interactions := SequentialForces(bodies, cfg)
-	if err := forceError(bodies, acc, cfg); err > 0.02 {
+	acc, interactions := SequentialForces(bodies)
+	if err := forceError(bodies, acc); err > 0.02 {
 		t.Errorf("mean relative force error %.4f > 2%% at theta=0.5", err)
 	}
 	if interactions >= len(bodies)*len(bodies) {
@@ -137,7 +151,7 @@ func TestBarnesHutAccuracy(t *testing.T) {
 		out := make([]Vec3, len(bodies))
 		total := 0
 		for i := range bodies {
-			a, k := tr.Force(bodies[i].Pos, 0.1, cfg.eps())
+			a, k := tr.Force(bodies[i].Pos, 0.1, eps)
 			out[i] = a
 			total += k
 		}
@@ -146,17 +160,16 @@ func TestBarnesHutAccuracy(t *testing.T) {
 	if kSmall <= interactions {
 		t.Errorf("theta=0.1 interactions %d should exceed theta=0.5's %d", kSmall, interactions)
 	}
-	if eSmall, e := forceError(bodies, accSmall, cfg), forceError(bodies, acc, cfg); eSmall > e {
+	if eSmall, e := forceError(bodies, accSmall), forceError(bodies, acc); eSmall > e {
 		t.Errorf("theta=0.1 error %.5f should be below theta=0.5 error %.5f", eSmall, e)
 	}
 }
 
 func TestEnergyConservation(t *testing.T) {
 	bodies := Plummer(300, 4)
-	cfg := SimConfig{}
-	e0 := Energy(bodies, cfg)
-	Sequential(bodies, cfg, 5)
-	e1 := Energy(bodies, cfg)
+	e0 := energy(bodies, eps)
+	Sequential(bodies, 5)
+	e1 := energy(bodies, eps)
 	if drift := math.Abs((e1 - e0) / e0); drift > 0.05 {
 		t.Errorf("energy drift %.3f over 5 steps", drift)
 	}
@@ -231,7 +244,6 @@ func TestEssentialTreeAccuracy(t *testing.T) {
 	// Force computed from (local tree + essential points of the rest)
 	// must be as accurate as full BH.
 	bodies := Plummer(600, 7)
-	cfg := SimConfig{}
 	positions := make([]Vec3, len(bodies))
 	for i, b := range bodies {
 		positions[i] = b.Pos
@@ -254,18 +266,18 @@ func TestEssentialTreeAccuracy(t *testing.T) {
 	for q := range parts {
 		trees[q] = NewTree(parts[q], universe.Lo, universe.Hi)
 	}
-	eps2 := cfg.eps() * cfg.eps()
+	const eps2 = eps * eps
 	var acc []Vec3
 	var accBodies []Body
 	for q := range parts {
 		var ext []EssentialPoint
 		for r := range parts {
 			if r != q {
-				ext = append(ext, trees[r].Essential(orb.Domain(q, universe), cfg.theta())...)
+				ext = append(ext, trees[r].Essential(orb.Domain(q, universe), theta)...)
 			}
 		}
 		for _, b := range parts[q] {
-			a, _ := trees[q].Force(b.Pos, cfg.theta(), cfg.eps())
+			a, _ := trees[q].Force(b.Pos, theta, eps)
 			for _, p := range ext {
 				accumulate(&a, b.Pos, p.Pos, p.Mass, eps2)
 			}
@@ -273,22 +285,21 @@ func TestEssentialTreeAccuracy(t *testing.T) {
 			accBodies = append(accBodies, b)
 		}
 	}
-	if err := forceError(accBodies, acc, cfg); err > 0.02 {
+	if err := forceError(accBodies, acc); err > 0.02 {
 		t.Errorf("essential-tree mean force error %.4f > 2%%", err)
 	}
 }
 
 func TestParallelMatchesDirect(t *testing.T) {
 	orig := Plummer(400, 8)
-	cfg := SimConfig{}
 	const steps = 2
 	// Direct integration oracle.
 	exact := append([]Body(nil), orig...)
 	for s := 0; s < steps; s++ {
-		Step(exact, directForces(exact, cfg), cfg.dt())
+		Step(exact, directForces(exact), dt)
 	}
 	for _, p := range []int{1, 2, 4} {
-		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, orig, cfg, steps)
+		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, orig, steps)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -318,10 +329,9 @@ func TestParallelMatchesDirect(t *testing.T) {
 
 func TestParallelMatchesSequentialPositions(t *testing.T) {
 	orig := Plummer(300, 9)
-	cfg := SimConfig{}
 	seqBodies := append([]Body(nil), orig...)
-	Sequential(seqBodies, cfg, 1)
-	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, orig, cfg, 1)
+	Sequential(seqBodies, 1)
+	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, orig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +376,7 @@ func TestRebalanceTriggers(t *testing.T) {
 	mine[0] = bodies
 	rebalances := make([]int, orbP)
 	_, err = core.Run(core.Config{P: orbP, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
-		_, rb := Run(c, mine[c.ID()], orb, SimConfig{RebalanceThreshold: 1.1}, 2)
+		_, rb := Run(c, mine[c.ID()], orb, 1.1, 2)
 		rebalances[c.ID()] = rb
 	})
 	if err != nil {
@@ -404,16 +414,5 @@ func TestQuickORBCoversAllPoints(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSimConfigDefaults(t *testing.T) {
-	c := SimConfig{}
-	if c.theta() != 0.5 || c.eps() != 0.05 || c.dt() != 0.025 || c.rebalance() != 1.25 {
-		t.Error("defaults wrong")
-	}
-	c = SimConfig{Theta: 1, Eps: 0.1, DT: 0.01, RebalanceThreshold: 2}
-	if c.theta() != 1 || c.eps() != 0.1 || c.dt() != 0.01 || c.rebalance() != 2 {
-		t.Error("explicit values ignored")
 	}
 }

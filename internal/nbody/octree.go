@@ -267,13 +267,13 @@ func (t *Tree) Essential(domain Box, theta float64) []EssentialPoint {
 // SequentialForces computes Barnes-Hut accelerations for all bodies with
 // a single global tree — the sequential baseline. It also returns the
 // total interaction count.
-func SequentialForces(bodies []Body, cfg SimConfig) ([]Vec3, int) {
+func SequentialForces(bodies []Body) ([]Vec3, int) {
 	lo, hi := Bounds(bodies)
 	t := NewTree(bodies, lo, hi)
 	acc := make([]Vec3, len(bodies))
 	total := 0
 	for i := range bodies {
-		a, k := t.Force(bodies[i].Pos, cfg.theta(), cfg.eps())
+		a, k := t.Force(bodies[i].Pos, theta, eps)
 		acc[i] = a
 		total += k
 	}
@@ -282,9 +282,9 @@ func SequentialForces(bodies []Body, cfg SimConfig) ([]Vec3, int) {
 
 // Sequential advances the system steps iterations with the sequential
 // Barnes-Hut algorithm.
-func Sequential(bodies []Body, cfg SimConfig, steps int) {
+func Sequential(bodies []Body, steps int) {
 	for s := 0; s < steps; s++ {
-		acc, _ := SequentialForces(bodies, cfg)
-		Step(bodies, acc, cfg.dt())
+		acc, _ := SequentialForces(bodies)
+		Step(bodies, acc, dt)
 	}
 }

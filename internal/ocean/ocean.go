@@ -14,14 +14,6 @@ type Config struct {
 	Size int
 	// Steps is the number of timesteps. 0 means 2.
 	Steps int
-	// DT is the timestep. 0 means 0.05.
-	DT float64
-	// Wind is the wind-stress curl amplitude. 0 means 1.
-	Wind float64
-	// Friction is the bottom-friction coefficient. 0 means 0.02.
-	Friction float64
-	// Tol is the solver's relative residual tolerance. 0 means 5e-3.
-	Tol float64
 }
 
 func (c Config) steps() int {
@@ -31,33 +23,17 @@ func (c Config) steps() int {
 	return c.Steps
 }
 
-func (c Config) dt() float64 {
-	if c.DT == 0 {
-		return 0.05
-	}
-	return c.DT
-}
-
-func (c Config) wind() float64 {
-	if c.Wind == 0 {
-		return 1
-	}
-	return c.Wind
-}
-
-func (c Config) friction() float64 {
-	if c.Friction == 0 {
-		return 0.02
-	}
-	return c.Friction
-}
-
-func (c Config) tol() float64 {
-	if c.Tol == 0 {
-		return 5e-3
-	}
-	return c.Tol
-}
+// The physical parameters.
+const (
+	// dt is the timestep.
+	dt float64 = 0.05
+	// windAmp is the wind-stress curl amplitude.
+	windAmp float64 = 1
+	// friction is the bottom-friction coefficient.
+	friction float64 = 0.02
+	// tol is the solver's relative residual tolerance.
+	tol float64 = 5e-3
+)
 
 // Fields is the assembled result: the stream function on the full
 // (m+2)×(m+2) grid, row-major.
@@ -87,14 +63,14 @@ type oceanSim struct {
 	start int
 }
 
-func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
+func newOceanSim(mc machine, cfg Config, p, q int, tol float64) (*oceanSim, error) {
 	m, err := checkGrid(cfg.Size)
 	if err != nil {
 		return nil, err
 	}
 	s := &oceanSim{mc: mc, cfg: cfg, m: m}
 	s.sol = newSolver(mc, m, p, q)
-	s.sol.tol = cfg.tol()
+	s.sol.tol = tol
 	lo, hi := rowRange(m, p, q)
 	s.psi = newSlab(m, lo, hi)
 	s.vort = newSlab(m, lo, hi)
@@ -133,7 +109,6 @@ func (s *oceanSim) step(i int) error {
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m)
 	exchange(s.mc, s.fidVort(), s.vort)
-	dt, a, mu := s.cfg.dt(), s.cfg.wind(), s.cfg.friction()
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		pMe, vMe := s.psi.row(r), s.vort.row(r)
 		pUp, su := s.psi.mirror(r, -1)
@@ -158,8 +133,8 @@ func (s *oceanSim) step(i int) error {
 			vy := (sd*vDn[c] - su*vUp[c]) / (2 * h)
 			jac := px*vy - py*vx
 			x := (float64(c) - 0.5) * h
-			wind := a * sinPi(x) * sinPi(y)
-			fr[c] = vMe[c] + dt*(wind-jac-mu*vMe[c])
+			wind := windAmp * sinPi(x) * sinPi(y)
+			fr[c] = vMe[c] + dt*(wind-jac-friction*vMe[c])
 			ur[c] = pMe[c] // warm start from the current stream function
 		}
 	}
@@ -203,8 +178,12 @@ func (s *oceanSim) run() {
 
 // Sequential runs the simulation on one processor (no BSP machinery) and
 // returns the final stream function and the V-cycle count per step.
-func Sequential(cfg Config) (*Fields, []int, error) {
-	sim, err := newOceanSim(seqMachine{}, cfg, 1, 0)
+func Sequential(cfg Config) (*Fields, []int, error) { return sequential(cfg, tol) }
+
+// sequential is Sequential with the solver tolerance given; tests make
+// it unreachable.
+func sequential(cfg Config, tol float64) (*Fields, []int, error) {
+	sim, err := newOceanSim(seqMachine{}, cfg, 1, 0, tol)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,13 +198,18 @@ func Sequential(cfg Config) (*Fields, []int, error) {
 // timestep boundary is a cut (see run), and a crashed-and-recovered run
 // returns the fault-free result with the same S.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
+	return parallel(ccfg, cfg, tol)
+}
+
+// parallel is Parallel with the solver tolerance given.
+func parallel(ccfg core.Config, cfg Config, tol float64) (*Fields, *core.Stats, error) {
 	m, err := checkGrid(cfg.Size)
 	if err != nil {
 		return nil, nil, err
 	}
 	sims := make([]*oceanSim, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		sim, err := newOceanSim(newBSPMachine(c, m), cfg, c.P(), c.ID())
+		sim, err := newOceanSim(newBSPMachine(c, m), cfg, c.P(), c.ID(), tol)
 		if err != nil {
 			panic(err)
 		}

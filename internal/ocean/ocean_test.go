@@ -146,10 +146,10 @@ func TestSolveReportsNonConvergence(t *testing.T) {
 // names size, timestep, residual and target — on every rank, with no
 // hang — rather than report success.
 func TestRunFailsWhenSolveDoesNotConverge(t *testing.T) {
-	cfg := Config{Size: 18, Steps: 2, Tol: 1e-30}
+	cfg := Config{Size: 18, Steps: 2}
 	ccfg := core.Config{P: 3, Transport: transport.ShmTransport{}}
-	_, _, seqErr := Sequential(cfg)
-	_, _, parErr := Parallel(ccfg, cfg)
+	_, _, seqErr := sequential(cfg, 1e-30)
+	_, _, parErr := parallel(ccfg, cfg, 1e-30)
 	for name, err := range map[string]error{"Sequential": seqErr, "Parallel": parErr} {
 		if err == nil {
 			t.Errorf("%s reported success", name)
@@ -266,8 +266,7 @@ func TestParallelRejectsBadSize(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.steps() != 2 || c.dt() != 0.05 || c.wind() != 1 || c.friction() != 0.02 || c.tol() != 5e-3 {
-		t.Error("defaults wrong")
+	if (Config{}).steps() != 2 {
+		t.Error("zero Steps should mean 2")
 	}
 }

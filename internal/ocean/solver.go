@@ -294,7 +294,7 @@ type solver struct {
 // superstep structure — and hence S and the computed fields — is
 // identical at every process count.
 func newSolver(mc machine, m, p, q int) *solver {
-	s := &solver{mc: mc, p: p, q: q, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: 5e-3, maxCycles: 25}
+	s := &solver{mc: mc, p: p, q: q, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: tol, maxCycles: 25}
 	bm, _ := mc.(*bspMachine)
 	for lm := m; lm >= minM && !s.agglom; lm /= 2 {
 		l := len(s.levels)

@@ -33,45 +33,15 @@ type Particle struct {
 	X, V float64
 }
 
-// Config holds the simulation parameters.
-type Config struct {
-	// Cells is the grid size. 0 means 128.
-	Cells int
-	// DT is the timestep. 0 means 0.1.
-	DT float64
-	// QM is the charge-to-mass ratio (negative for electrons). 0 means -1.
-	QM float64
-	// Steps is the number of timesteps (used by drivers). 0 means 20.
-	Steps int
-}
-
-func (c Config) cells() int {
-	if c.Cells == 0 {
-		return 128
-	}
-	return c.Cells
-}
-
-func (c Config) dt() float64 {
-	if c.DT == 0 {
-		return 0.1
-	}
-	return c.DT
-}
-
-func (c Config) qm() float64 {
-	if c.QM == 0 {
-		return -1
-	}
-	return c.QM
-}
-
-func (c Config) steps() int {
-	if c.Steps == 0 {
-		return 20
-	}
-	return c.Steps
-}
+// The simulation parameters.
+const (
+	// cells is the grid size.
+	cells = 128
+	// dt is the timestep.
+	dt float64 = 0.1
+	// qm is the charge-to-mass ratio (negative for electrons).
+	qm float64 = -1
+)
 
 // TwoStream initializes the classic two-stream instability: two
 // counter-propagating beams with a small sinusoidal position
@@ -155,13 +125,17 @@ func gather(e []float64, ng int, x float64) float64 {
 	return ej*(1-frac) + ej1*frac
 }
 
-// Sequential advances the particles for cfg.Steps steps and returns the
-// field-energy history (the diagnostic the two-stream test watches).
-func Sequential(ps []Particle, cfg Config) []float64 {
-	ng := cfg.cells()
+// Sequential advances the particles for the given number of steps and
+// returns the field-energy history (the diagnostic the two-stream test
+// watches).
+func Sequential(ps []Particle, steps int) []float64 { return sequential(ps, cells, steps) }
+
+// sequential is Sequential on a grid of ng cells; tests shrink the grid
+// below the process count.
+func sequential(ps []Particle, ng, steps int) []float64 {
 	charge := 1 / float64(len(ps))
 	var energy []float64
-	for s := 0; s < cfg.steps(); s++ {
+	for s := 0; s < steps; s++ {
 		rho := make([]float64, ng)
 		for _, p := range ps {
 			deposit(rho, ng, p.X, charge)
@@ -172,7 +146,6 @@ func Sequential(ps []Particle, cfg Config) []float64 {
 			fe += v * v
 		}
 		energy = append(energy, fe/float64(ng))
-		dt, qm := cfg.dt(), cfg.qm()
 		for i := range ps {
 			ps[i].V += qm * gather(e, ng, ps[i].X) * dt
 			ps[i].X = wrap(ps[i].X + ps[i].V*dt)
@@ -202,16 +175,15 @@ func ownerOfCell(ng, p, cell int) int {
 // cellRange returns process q's cell strip [lo, hi).
 func cellRange(ng, p, q int) (int, int) { return ng * q / p, ng * (q + 1) / p }
 
-// Run advances this process's particles on the BSP machine and returns
-// them along with the field-energy history. Each step costs five
-// supersteps (charge spill, strip sums, field gauge + edge face, energy
-// reduce, particle migration) plus one setup superstep for the global
-// particle count.
-func Run(c *core.Proc, mine []Particle, cfg Config) ([]Particle, []float64) {
+// run advances this process's particles on the BSP machine over a grid
+// of ng cells and returns them along with the field-energy history. Each
+// step costs five supersteps (charge spill, strip sums, field gauge +
+// edge face, energy reduce, particle migration) plus one setup superstep
+// for the global particle count.
+func run(c *core.Proc, mine []Particle, ng, steps int) ([]Particle, []float64) {
 	// The push updates particles in place; a re-execution after a
 	// recovered fault must start from the caller's untouched input.
 	mine = append([]Particle(nil), mine...)
-	ng := cfg.cells()
 	p := c.P()
 	lo, hi := cellRange(ng, p, c.ID())
 	totalN := collect.AllReduceInt(c, len(mine), func(a, b int) int { return a + b })
@@ -222,7 +194,7 @@ func Run(c *core.Proc, mine []Particle, cfg Config) ([]Particle, []float64) {
 	for i := range out {
 		out[i] = wire.NewWriter(0)
 	}
-	for s := 0; s < cfg.steps(); s++ {
+	for s := 0; s < steps; s++ {
 		// Superstep A: deposit locally; weights spilled into cells of
 		// other strips are routed to their owners.
 		rho := make([]float64, ng)
@@ -329,7 +301,6 @@ func Run(c *core.Proc, mine []Particle, cfg Config) ([]Particle, []float64) {
 		// (The energy all-reduce is the fourth superstep\u2019s first hop;
 		// see below: migration shares the same superstep count.)
 		// Superstep D: accelerate, move, migrate.
-		dt, qm := cfg.dt(), cfg.qm()
 		faceAt := func(j int) float64 {
 			j = ((j % ng) + ng) % ng
 			if j >= lo && j < hi {
@@ -464,9 +435,13 @@ func sendAll(c *core.Proc, out []*wire.Writer) {
 
 // Parallel distributes particles to their cell owners, runs the BSP
 // simulation, and returns the final particles (arbitrary order) and the
-// field-energy history.
-func Parallel(ccfg core.Config, ps []Particle, cfg Config) ([]Particle, []float64, *core.Stats, error) {
-	ng := cfg.cells()
+// field-energy history of the given number of steps.
+func Parallel(ccfg core.Config, ps []Particle, steps int) ([]Particle, []float64, *core.Stats, error) {
+	return parallel(ccfg, ps, cells, steps)
+}
+
+// parallel is Parallel on a grid of ng cells.
+func parallel(ccfg core.Config, ps []Particle, ng, steps int) ([]Particle, []float64, *core.Stats, error) {
 	mine := make([][]Particle, ccfg.P)
 	for _, pt := range ps {
 		cell := int(pt.X * float64(ng))
@@ -479,7 +454,7 @@ func Parallel(ccfg core.Config, ps []Particle, cfg Config) ([]Particle, []float6
 	final := make([][]Particle, ccfg.P)
 	energies := make([][]float64, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		out, en := Run(c, mine[c.ID()], cfg)
+		out, en := run(c, mine[c.ID()], ng, steps)
 		final[c.ID()] = out
 		energies[c.ID()] = en
 	})

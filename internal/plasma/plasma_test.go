@@ -71,7 +71,7 @@ func TestSequentialMomentumConservation(t *testing.T) {
 		return m
 	}
 	m0 := mom()
-	Sequential(ps, Config{Steps: 30})
+	Sequential(ps, 30)
 	if drift := math.Abs(mom() - m0); drift > 1e-9*float64(len(ps)) {
 		t.Errorf("momentum drift %g over 30 steps", drift)
 	}
@@ -81,7 +81,7 @@ func TestTwoStreamInstabilityGrows(t *testing.T) {
 	// The two-stream configuration is linearly unstable: field energy
 	// must grow by orders of magnitude from the seed perturbation.
 	ps := TwoStream(4000, 0.2, 1e-4, 4)
-	energy := Sequential(ps, Config{Steps: 60, DT: 0.2})
+	energy := Sequential(ps, 120)
 	if energy[len(energy)-1] < 100*energy[0] {
 		t.Errorf("field energy grew only %g -> %g; two-stream instability missing",
 			energy[0], energy[len(energy)-1])
@@ -90,11 +90,11 @@ func TestTwoStreamInstabilityGrows(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	orig := TwoStream(1500, 0.2, 0.001, 5)
-	cfg := Config{Steps: 10}
+	const steps = 10
 	seqPs := append([]Particle(nil), orig...)
-	seqEnergy := Sequential(seqPs, cfg)
+	seqEnergy := Sequential(seqPs, steps)
 	for _, p := range []int{1, 2, 4, 8} {
-		gotPs, gotEnergy, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, orig, cfg)
+		gotPs, gotEnergy, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, orig, steps)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -116,8 +116,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("p=%d: particle %d diverged: %+v vs %+v", p, i, a[i], b[i])
 			}
 		}
-		if st.S() < cfg.Steps*5 {
-			t.Errorf("p=%d: S = %d, want >= %d (5 per step)", p, st.S(), cfg.Steps*5)
+		if st.S() < steps*5 {
+			t.Errorf("p=%d: S = %d, want >= %d (5 per step)", p, st.S(), steps*5)
 		}
 	}
 }
@@ -125,10 +125,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestMoreProcsThanCells(t *testing.T) {
 	// ng=8 cells across 16 processes: half the strips are empty.
 	orig := TwoStream(200, 0.2, 0.001, 7)
-	cfg := Config{Steps: 3, Cells: 8}
 	seqPs := append([]Particle(nil), orig...)
-	want := Sequential(seqPs, cfg)
-	_, energy, _, err := Parallel(core.Config{P: 16, Transport: transport.ShmTransport{}}, orig, cfg)
+	want := sequential(seqPs, 8, 3)
+	_, energy, _, err := parallel(core.Config{P: 16, Transport: transport.ShmTransport{}}, orig, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

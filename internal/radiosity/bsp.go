@@ -21,10 +21,10 @@ import (
 //
 // followed by one final all-reduce that returns the global radiosity
 // change of the last sweep (the convergence diagnostic).
-func Parallel(ccfg core.Config, patches []Patch, cfg Config) ([]float64, *core.Stats, error) {
+func Parallel(ccfg core.Config, patches []Patch) ([]float64, *core.Stats, error) {
 	results := make([][]float64, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		results[c.ID()] = Run(c, patches, cfg)
+		results[c.ID()] = Run(c, patches)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -34,8 +34,8 @@ func Parallel(ccfg core.Config, patches []Patch, cfg Config) ([]float64, *core.S
 
 // Run executes the parallel solver on one BSP process and returns the
 // root radiosities (identical on every process).
-func Run(c *core.Proc, patches []Patch, cfg Config) []float64 {
-	h, err := Build(patches, cfg)
+func Run(c *core.Proc, patches []Patch) []float64 {
+	h, err := Build(patches)
 	if err != nil {
 		panic(err)
 	}
@@ -73,7 +73,7 @@ func Run(c *core.Proc, patches []Patch, cfg Config) []float64 {
 	for i := range out {
 		out[i] = wire.NewWriter(0)
 	}
-	for it := 0; it < cfg.iterations(); it++ {
+	for it := 0; it < iterations; it++ {
 		h.gatherLinks(mine)
 		var delta float64
 		for _, r := range h.roots {

@@ -48,30 +48,16 @@ type Patch struct {
 	Reflectance float64
 }
 
-// Config holds the refinement and solver parameters.
-type Config struct {
-	// FFEps is the form-factor refinement threshold. 0 means 0.05.
-	FFEps float64
-	// MinLength stops refinement below this segment length. 0 means
-	// 1/64 of the longest input patch.
-	MinLength float64
-	// Iterations is the number of gather/push-pull sweeps. 0 means 16.
-	Iterations int
-}
-
-func (c Config) ffEps() float64 {
-	if c.FFEps == 0 {
-		return 0.05
-	}
-	return c.FFEps
-}
-
-func (c Config) iterations() int {
-	if c.Iterations == 0 {
-		return 16
-	}
-	return c.Iterations
-}
+// The refinement and solver parameters.
+const (
+	// ffEps is the form-factor refinement threshold.
+	ffEps float64 = 0.05
+	// minLengthDiv stops refinement below 1/minLengthDiv of the longest
+	// input patch.
+	minLengthDiv = 64
+	// iterations is the number of gather/push-pull sweeps.
+	iterations = 16
+)
 
 const noNode = int32(-1)
 
@@ -101,7 +87,6 @@ type Hierarchy struct {
 	nodes []node
 	roots []int32
 	links []link
-	cfg   Config
 }
 
 // ffBetween returns the crossed-strings form factor F(dst→src): the
@@ -125,19 +110,20 @@ func ffBetween(dstA, dstB, srcA, srcB Point, dstLen float64) float64 {
 }
 
 // Build refines the scene into a hierarchy with interaction links.
-func Build(patches []Patch, cfg Config) (*Hierarchy, error) {
+func Build(patches []Patch) (*Hierarchy, error) { return build(patches, ffEps) }
+
+// build is Build with the form-factor threshold eps; tests vary it to
+// compare coarse and fine hierarchies.
+func build(patches []Patch, eps float64) (*Hierarchy, error) {
 	if len(patches) < 2 {
 		return nil, fmt.Errorf("radiosity: need at least 2 patches, got %d", len(patches))
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{}
 	maxLen := 0.0
 	for _, p := range patches {
 		maxLen = math.Max(maxLen, dist(p.A, p.B))
 	}
-	minLen := cfg.MinLength
-	if minLen == 0 {
-		minLen = maxLen / 64
-	}
+	minLen := maxLen / minLengthDiv
 	for i, p := range patches {
 		n := node{a: p.A, b: p.B, emission: p.Emission, rho: p.Reflectance,
 			root: int32(i), children: [2]int32{noNode, noNode}, length: dist(p.A, p.B),
@@ -150,7 +136,7 @@ func Build(patches []Patch, cfg Config) (*Hierarchy, error) {
 	for _, i := range h.roots {
 		for _, j := range h.roots {
 			if i != j {
-				h.refine(j, i, minLen) // gather into i from j
+				h.refine(j, i, eps, minLen) // gather into i from j
 			}
 		}
 	}
@@ -173,37 +159,31 @@ func (h *Hierarchy) split(ni int32) {
 	}
 }
 
-// refine creates a link src→dst when the form factor is small enough,
+// refine creates a link src→dst when the form factor is below eps,
 // otherwise subdivides the longer endpoint and recurses (Hanrahan's
 // refinement rule).
-func (h *Hierarchy) refine(src, dst int32, minLen float64) {
+func (h *Hierarchy) refine(src, dst int32, eps, minLen float64) {
 	s, d := &h.nodes[src], &h.nodes[dst]
 	ff := ffBetween(d.a, d.b, s.a, s.b, d.length)
 	if ff <= 0 {
 		return // facing away or degenerate: no transport
 	}
-	if ff < h.cfg.ffEps() || (s.length <= minLen && d.length <= minLen) {
+	if ff < eps || (s.length <= minLen && d.length <= minLen) {
 		h.links = append(h.links, link{src: src, dst: dst, ff: ff})
 		return
 	}
 	if s.length >= d.length && s.length > minLen {
 		h.split(src)
 		sc := h.nodes[src].children
-		h.refine(sc[0], dst, minLen)
-		h.refine(sc[1], dst, minLen)
+		h.refine(sc[0], dst, eps, minLen)
+		h.refine(sc[1], dst, eps, minLen)
 		return
 	}
 	h.split(dst)
 	dc := h.nodes[dst].children
-	h.refine(src, dc[0], minLen)
-	h.refine(src, dc[1], minLen)
+	h.refine(src, dc[0], eps, minLen)
+	h.refine(src, dc[1], eps, minLen)
 }
-
-// Links returns the number of interaction links.
-func (h *Hierarchy) Links() int { return len(h.links) }
-
-// Nodes returns the number of hierarchy nodes.
-func (h *Hierarchy) Nodes() int { return len(h.nodes) }
 
 // gatherLinks collects irradiance across the given links using the
 // current radiosities.
@@ -239,9 +219,9 @@ func (h *Hierarchy) Iterate() {
 	}
 }
 
-// Solve runs cfg.Iterations sweeps and returns the root radiosities.
+// Solve runs the 16 sweeps and returns the root radiosities.
 func (h *Hierarchy) Solve() []float64 {
-	for i := 0; i < h.cfg.iterations(); i++ {
+	for i := 0; i < iterations; i++ {
 		h.Iterate()
 	}
 	return h.RootRadiosities()

@@ -30,9 +30,18 @@ func TestFormFactorRowsSumToOne(t *testing.T) {
 	}
 }
 
+// sweep runs n gather/push-pull sweeps, past Solve's fixed count, and
+// returns the root radiosities.
+func sweep(h *Hierarchy, n int) []float64 {
+	for i := 0; i < n; i++ {
+		h.Iterate()
+	}
+	return h.RootRadiosities()
+}
+
 func TestNoReflection(t *testing.T) {
 	// ρ = 0 everywhere: radiosity equals emission.
-	h, err := Build(Room(8, 1, 2.5, 0), Config{})
+	h, err := Build(Room(8, 1, 2.5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +56,11 @@ func TestWhiteFurnace(t *testing.T) {
 	// Closed environment, uniform E and ρ: B = E/(1-ρ) exactly.
 	const e, rho = 1.0, 0.6
 	want := e / (1 - rho)
-	h, err := Build(Room(16, 1, e, rho), Config{Iterations: 200, FFEps: 0.02})
+	h, err := build(Room(16, 1, e, rho), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range h.Solve() {
+	for i, b := range sweep(h, 200) {
 		if math.Abs(b-want)/want > 0.02 {
 			t.Errorf("wall %d: B = %g, want %g (white furnace)", i, b, want)
 		}
@@ -62,11 +71,11 @@ func TestHierarchicalRefinementHappens(t *testing.T) {
 	// Adjacent walls in a polygon have large mutual form factors and
 	// must be refined; the hierarchy must hold more nodes than roots
 	// and the link count must be far below (leaf count)².
-	h, err := Build(Room(8, 1, 1, 0.5), Config{})
+	h, err := Build(Room(8, 1, 1, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Nodes() <= len(h.roots) {
+	if len(h.nodes) <= len(h.roots) {
 		t.Fatal("no refinement happened")
 	}
 	leaves := 0
@@ -75,8 +84,8 @@ func TestHierarchicalRefinementHappens(t *testing.T) {
 			leaves++
 		}
 	}
-	if h.Links() >= leaves*leaves/4 {
-		t.Errorf("links %d not hierarchical (leaves %d)", h.Links(), leaves)
+	if len(h.links) >= leaves*leaves/4 {
+		t.Errorf("links %d not hierarchical (leaves %d)", len(h.links), leaves)
 	}
 }
 
@@ -88,15 +97,15 @@ func TestRefinementAccuracy(t *testing.T) {
 	const e, rho = 1.0, 0.5
 	want := e / (1 - rho)
 	solveAt := func(eps float64) (float64, int) {
-		h, err := Build(Room(12, 1, e, rho), Config{FFEps: eps, Iterations: 100})
+		h, err := build(Room(12, 1, e, rho), eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		worst := 0.0
-		for _, b := range h.Solve() {
+		for _, b := range sweep(h, 100) {
 			worst = math.Max(worst, math.Abs(b-want)/want)
 		}
-		return worst, h.Links()
+		return worst, len(h.links)
 	}
 	coarseErr, coarseLinks := solveAt(0.25)
 	fineErr, fineLinks := solveAt(0.02)
@@ -115,11 +124,11 @@ func TestAsymmetricScene(t *testing.T) {
 	// that non-emitting walls light up only via reflection.
 	patches := Room(8, 1, 0, 0.5)
 	patches[0].Emission = 4
-	h, err := Build(patches, Config{Iterations: 60})
+	h, err := Build(patches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := h.Solve()
+	b := sweep(h, 60)
 	if b[0] < 4 {
 		t.Errorf("emitter B = %g, must exceed its own emission via reflections", b[0])
 	}
@@ -133,13 +142,13 @@ func TestAsymmetricScene(t *testing.T) {
 func TestParallelBitIdentical(t *testing.T) {
 	patches := Room(12, 1, 1, 0.55)
 	patches[3].Emission = 3
-	h, err := Build(patches, Config{})
+	h, err := Build(patches)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := h.Solve()
 	for _, p := range []int{1, 2, 4, 8} {
-		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, patches, Config{})
+		got, st, err := Parallel(core.Config{P: p, Transport: transport.ShmTransport{}}, patches)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -155,10 +164,10 @@ func TestParallelBitIdentical(t *testing.T) {
 }
 
 func TestBuildRejectsTinyScenes(t *testing.T) {
-	if _, err := Build(nil, Config{}); err == nil {
+	if _, err := Build(nil); err == nil {
 		t.Fatal("empty scene accepted")
 	}
-	if _, err := Build(Room(8, 1, 1, 0.5)[:1], Config{}); err == nil {
+	if _, err := Build(Room(8, 1, 1, 0.5)[:1]); err == nil {
 		t.Fatal("single patch accepted")
 	}
 }
@@ -173,11 +182,11 @@ func TestQuickFurnace(t *testing.T) {
 		n := int(nSeed)%10 + 4
 		rho := 0.1 + 0.8*float64(rhoSeed)/255
 		want := 1 / (1 - rho)
-		h, err := Build(Room(n, 1, 1, rho), Config{Iterations: 300, FFEps: 0.05})
+		h, err := Build(Room(n, 1, 1, rho))
 		if err != nil {
 			return false
 		}
-		for _, b := range h.Solve() {
+		for _, b := range sweep(h, 300) {
 			if math.Abs(b-want)/want > 0.05 {
 				return false
 			}

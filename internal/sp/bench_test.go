@@ -14,7 +14,7 @@ func BenchmarkParallelSP(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, Config{}); err != nil {
+				if _, _, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, DefaultWorkFactor); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -33,7 +33,7 @@ func BenchmarkMultiSourceScaling(b *testing.B) {
 			var st *core.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, st, err = Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, Config{})
+				_, st, err = Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, DefaultWorkFactor)
 				if err != nil {
 					b.Fatal(err)
 				}

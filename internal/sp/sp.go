@@ -21,6 +21,7 @@
 package sp
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -28,32 +29,19 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultWorkFactor is the per-superstep budget of priority-queue pops.
-// The paper chose "one work factor to optimize performance across our
-// platforms"; this is the analogous one-size-fits-all default, selected
-// by the same procedure (the DESIGN.md A1 sweep at the largest paper
-// size: 1000 jointly optimizes SP and MSP model speed-ups on the SGI
-// and Cenju profiles — MSP reaches 9.3 at 16 processors vs the paper's
-// 9.4; SP saturates near 3.5-4.0 regardless of the factor because the
-// Dijkstra frontier sweeps the strip partition nearly sequentially).
+// DefaultWorkFactor is the work factor the applications pass: the
+// number of priority-queue pops a processor performs before it
+// communicates and ends its superstep. The paper notes "the appropriate
+// way to use this algorithm is to adjust the work factor according to
+// the architecture (i.e., the work factor should grow with L)", but
+// chose "one work factor to optimize performance across our platforms";
+// this is the analogous one-size-fits-all value, selected by the same
+// procedure (the DESIGN.md A1 sweep at the largest paper size: 1000
+// jointly optimizes SP and MSP model speed-ups on the SGI and Cenju
+// profiles — MSP reaches 9.3 at 16 processors vs the paper's 9.4; SP
+// saturates near 3.5-4.0 regardless of the factor because the Dijkstra
+// frontier sweeps the strip partition nearly sequentially).
 const DefaultWorkFactor = 1000
-
-// Config holds the tunables of the parallel shortest paths code.
-type Config struct {
-	// WorkFactor is the number of priority-queue pops a processor
-	// performs before it communicates and ends its superstep. The
-	// paper notes "the appropriate way to use this algorithm is to
-	// adjust the work factor according to the architecture (i.e., the
-	// work factor should grow with L)". 0 means DefaultWorkFactor.
-	WorkFactor int
-}
-
-func (c Config) workFactor() int {
-	if c.WorkFactor <= 0 {
-		return DefaultWorkFactor
-	}
-	return c.WorkFactor
-}
 
 // state is the per-processor engine state for K simultaneous sources.
 type state struct {
@@ -238,11 +226,12 @@ func (s *state) queuesEmpty() bool {
 	return true
 }
 
-// Run executes the engine for the given sources on one BSP process and
+// Run executes the engine for the given sources on one BSP process,
+// ending a superstep after every workFactor (>= 1) queue pops, and
 // returns this process's label arrays (indexed by source, then by local
 // node).
-func Run(c *core.Proc, part *graph.Part, srcs []int32, cfg Config) [][]float64 {
-	s := newState(c, part, len(srcs), cfg.workFactor())
+func Run(c *core.Proc, part *graph.Part, srcs []int32, workFactor int) [][]float64 {
+	s := newState(c, part, len(srcs), workFactor)
 	for i, src := range srcs {
 		if l, ok := part.LocalOf(src); ok && part.IsHome(l) {
 			s.improveHome(i, l, 0)
@@ -293,7 +282,10 @@ func Run(c *core.Proc, part *graph.Part, srcs []int32, cfg Config) [][]float64 {
 
 // Parallel partitions g, runs the BSP engine and assembles global label
 // arrays (one per source). It also returns the run statistics.
-func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, scfg Config) ([][]float64, *core.Stats, error) {
+func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, workFactor int) ([][]float64, *core.Stats, error) {
+	if workFactor < 1 {
+		return nil, nil, fmt.Errorf("sp: work factor must be >= 1, got %d", workFactor)
+	}
 	pt := graph.PartitionStrips(g, cfg.P)
 	out := make([][]float64, len(srcs))
 	for i := range out {
@@ -304,7 +296,7 @@ func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, scfg Config) ([][]f
 	}
 	st, err := core.Run(cfg, func(c *core.Proc) {
 		part := pt.Parts[c.ID()]
-		dist := Run(c, part, srcs, scfg)
+		dist := Run(c, part, srcs, workFactor)
 		// Each process owns a disjoint set of home nodes, so these
 		// writes never overlap across goroutines.
 		for s := range srcs {
@@ -320,8 +312,8 @@ func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, scfg Config) ([][]f
 }
 
 // ParallelSingle is the single-source application entry point (§3.4).
-func ParallelSingle(cfg core.Config, g *graph.Graph, src int32, scfg Config) ([]float64, *core.Stats, error) {
-	dists, st, err := Parallel(cfg, g, []int32{src}, scfg)
+func ParallelSingle(cfg core.Config, g *graph.Graph, src int32, workFactor int) ([]float64, *core.Stats, error) {
+	dists, st, err := Parallel(cfg, g, []int32{src}, workFactor)
 	if err != nil {
 		return nil, nil, err
 	}

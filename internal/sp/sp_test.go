@@ -23,7 +23,7 @@ func TestParallelMatchesDijkstra(t *testing.T) {
 	g := graph.Geometric(800, 5)
 	want := graph.Dijkstra(g, 0)
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		got, st, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, Config{})
+		got, st, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, DefaultWorkFactor)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -42,16 +42,20 @@ func TestWorkFactorAffectsSupersteps(t *testing.T) {
 	// A smaller work factor forces more supersteps (the paper's
 	// trade-off: lower work factor = better balance but more latency).
 	g := graph.Geometric(1200, 6)
-	_, stSmall, err := ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, Config{WorkFactor: 20})
+	_, stSmall, err := ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stLarge, err := ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, Config{WorkFactor: 100000})
+	_, stLarge, err := ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stSmall.S() <= stLarge.S() {
 		t.Errorf("S(wf=20) = %d should exceed S(wf=100000) = %d", stSmall.S(), stLarge.S())
+	}
+	// A zero budget would never pop a node, so it is refused up front.
+	if _, _, err := ParallelSingle(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, 0, 0); err == nil {
+		t.Error("work factor 0 accepted")
 	}
 }
 
@@ -59,7 +63,7 @@ func TestDifferentSources(t *testing.T) {
 	g := graph.Geometric(400, 7)
 	for _, src := range []int32{0, 100, int32(g.N - 1)} {
 		want := graph.Dijkstra(g, src)
-		got, _, err := ParallelSingle(core.Config{P: 3, Transport: transport.ShmTransport{}}, g, src, Config{})
+		got, _, err := ParallelSingle(core.Config{P: 3, Transport: transport.ShmTransport{}}, g, src, DefaultWorkFactor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +75,7 @@ func TestMultiSource(t *testing.T) {
 	g := graph.Geometric(500, 8)
 	srcs := []int32{0, 7, 99, 250}
 	want := graph.MultiDijkstra(g, srcs)
-	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, Config{})
+	got, _, err := Parallel(core.Config{P: 4, Transport: transport.ShmTransport{}}, g, srcs, DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +90,13 @@ func TestMultiSourceSharesSupersteps(t *testing.T) {
 	g := graph.Geometric(600, 9)
 	srcs := []int32{0, 50, 100, 150, 200}
 	cfg := core.Config{P: 4, Transport: transport.ShmTransport{}}
-	_, stTogether, err := Parallel(cfg, g, srcs, Config{})
+	_, stTogether, err := Parallel(cfg, g, srcs, DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sumSeparate := 0
 	for _, s := range srcs {
-		_, st, err := ParallelSingle(cfg, g, s, Config{})
+		_, st, err := ParallelSingle(cfg, g, s, DefaultWorkFactor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +111,11 @@ func TestSimDeterministicStats(t *testing.T) {
 	// Two sim runs of the same program must produce identical (H, S).
 	g := graph.Geometric(400, 11)
 	cfg := core.Config{P: 4, Transport: transport.SimTransport{}}
-	_, st1, err := ParallelSingle(cfg, g, 0, Config{})
+	_, st1, err := ParallelSingle(cfg, g, 0, DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := ParallelSingle(cfg, g, 0, Config{})
+	_, st2, err := ParallelSingle(cfg, g, 0, DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,7 @@ func TestConservativeCommunication(t *testing.T) {
 			maxBorder = b
 		}
 	}
-	_, st, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, Config{})
+	_, st, err := ParallelSingle(core.Config{P: p, Transport: transport.ShmTransport{}}, g, 0, DefaultWorkFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 		g := graph.Geometric(150, seed)
 		src := int32(int(srcPick) % g.N)
 		want := graph.Dijkstra(g, src)
-		got, _, err := ParallelSingle(core.Config{P: p, Transport: transport.SimTransport{}}, g, src, Config{WorkFactor: 50})
+		got, _, err := ParallelSingle(core.Config{P: p, Transport: transport.SimTransport{}}, g, src, 50)
 		if err != nil {
 			return false
 		}
@@ -169,14 +173,5 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	if (Config{}).workFactor() != DefaultWorkFactor {
-		t.Error("zero work factor should default")
-	}
-	if (Config{WorkFactor: 7}).workFactor() != 7 {
-		t.Error("explicit work factor ignored")
 	}
 }

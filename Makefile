@@ -227,7 +227,7 @@ postmortem-smoke:
 	$(POST_DIR)/bsppost $(POST_DIR)/bundle | tee $(POST_DIR)/report.txt
 	grep -q "injected crash: rank 1 at superstep 2" $(POST_DIR)/report.txt
 
-# The live window is long by construction: ocean at 4098 spreads 158
+# The live window is long by construction: ocean at 4098 spreads 105
 # supersteps evenly over the whole run (about two seconds of it at p=4).
 # A psort of similar length would not do: it does all its work in
 # superstep 0 and leaves ~0.1 s between "every rank is past superstep 1"

@@ -135,9 +135,25 @@ func forceError(bodies []Body, acc []Vec3) float64 {
 	return sum / float64(len(bodies))
 }
 
+// sequentialForces computes Barnes-Hut accelerations for all bodies with
+// a single global tree, as Sequential does, and the total interaction
+// count.
+func sequentialForces(bodies []Body) ([]Vec3, int) {
+	lo, hi := Bounds(bodies)
+	t := NewTree(bodies, lo, hi)
+	acc := make([]Vec3, len(bodies))
+	total := 0
+	for i := range bodies {
+		a, k := t.Force(bodies[i].Pos, theta, eps)
+		acc[i] = a
+		total += k
+	}
+	return acc, total
+}
+
 func TestBarnesHutAccuracy(t *testing.T) {
 	bodies := Plummer(800, 3)
-	acc, interactions := SequentialForces(bodies)
+	acc, interactions := sequentialForces(bodies)
 	if err := forceError(bodies, acc); err > 0.02 {
 		t.Errorf("mean relative force error %.4f > 2%% at theta=0.5", err)
 	}

@@ -264,27 +264,16 @@ func (t *Tree) Essential(domain Box, theta float64) []EssentialPoint {
 	return out
 }
 
-// SequentialForces computes Barnes-Hut accelerations for all bodies with
-// a single global tree — the sequential baseline. It also returns the
-// total interaction count.
-func SequentialForces(bodies []Body) ([]Vec3, int) {
-	lo, hi := Bounds(bodies)
-	t := NewTree(bodies, lo, hi)
-	acc := make([]Vec3, len(bodies))
-	total := 0
-	for i := range bodies {
-		a, k := t.Force(bodies[i].Pos, theta, eps)
-		acc[i] = a
-		total += k
-	}
-	return acc, total
-}
-
 // Sequential advances the system steps iterations with the sequential
 // Barnes-Hut algorithm.
 func Sequential(bodies []Body, steps int) {
+	acc := make([]Vec3, len(bodies))
 	for s := 0; s < steps; s++ {
-		acc, _ := SequentialForces(bodies)
+		lo, hi := Bounds(bodies)
+		t := NewTree(bodies, lo, hi)
+		for i := range bodies {
+			acc[i], _ = t.Force(bodies[i].Pos, theta, eps)
+		}
 		Step(bodies, acc, dt)
 	}
 }

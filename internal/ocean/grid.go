@@ -16,29 +16,39 @@
 // hierarchy consistent (see solver.go).
 //
 // Parallelization is by horizontal strips at every multigrid level wider
-// than 16 cells. Each red-black Gauss-Seidel iteration, residual,
-// restriction and prolongation is preceded by one ghost-row exchange
-// superstep, and the convergence check is a max-norm all-reduce. An
-// iteration needs only one exchange because its halo is two rows deep:
-// a process relaxes the red cells of its first ghost row on each side
-// itself, as that row's owner does. Coarser levels are solved whole on
-// rank 0 (solver.go says why the threshold depends on the grid and never
-// on p). Ghost values travel as 16-byte (row|field, col, value) records
-// — one Green BSP packet per element.
+// than 16 cells, nested so that a coarse row's two fine rows have its
+// owner (see strips). A V-cycle spends four supersteps on each strip
+// level: two smoothing iterations, the residual's exchange, and the
+// prolongation's coarse-to-fine exchange — or, below the last strip
+// level, the all-gather that hands every rank the agglomerated level.
+// Restriction and the post-smoothing iteration read only what the rank
+// holds. A smoothing iteration needs one exchange because its halo is
+// two rows deep: a process relaxes the red cells of its first ghost row
+// on each side itself, as that row's owner does; likewise it prolongs
+// its two ghost rows itself, so the one post-smoothing iteration reads
+// the halo the residual's exchange delivered. A per-level record of the
+// halo cells that are current (solver.go) lets each exchange send only
+// what the next local step reads, and skip its superstep when that is
+// nothing: level 0's first smoothing iteration syncs only in a solve's
+// first cycle, to carry f's new halo. The convergence check is a
+// max-norm all-reduce. Ghost values travel as 16-byte (row|field, col,
+// value) records — one Green BSP packet per element.
 //
 // Because red-black relaxation is order-independent within a color, a
-// ghost row is relaxed by the same expression on the same inputs as its
-// owner's, and the convergence reduction is an exact max, the parallel
-// solver computes bit-identical fields to the sequential one at every
-// process count — the property the correctness tests assert.
+// ghost row is relaxed and prolonged by the same expression on the same
+// inputs as its owner's, every rank's agglomerated solve is the same
+// sequential code on the same data, and the convergence reduction is an
+// exact max, the parallel solver computes bit-identical fields to the
+// sequential one at every process count — the property the correctness
+// tests assert.
 package ocean
 
 import "fmt"
 
 // slab holds one process's rows of one (m+2)×(m+2) grid level: owned
 // interior rows [lo, hi) plus a two-row halo on each side (the smoother
-// reads two ghost rows deep, and bilinear prolongation reads one coarse
-// row beyond the ghost). Global rows are 1-based for the interior; rows
+// reads two ghost rows deep, and prolonging the two ghost rows reads
+// two coarse rows beyond the strip). Global rows are 1-based for the interior; rows
 // 0 and m+1 are the ghost cells beyond the wall, always zero.
 type slab struct {
 	m      int // interior dimension
@@ -100,6 +110,45 @@ func ownerOfRow(m, p, r int) int {
 			return q
 		}
 	}
+}
+
+// strips is the row partition of a BSP solver's strip levels. The base
+// level — the agglomerated one, or the finest if it has no coarser
+// level — is split by rowRange, and each finer level's strips are the
+// base strips scaled by its power of two. The partitions nest: a coarse
+// row's two fine rows have its owner, so restriction reads no halo.
+// Where p divides the base (from size 34 up the base is 16 rows, so
+// p ∈ {1, 2, 4, 8, 16}) every level's strips are rowRange's own.
+// Elsewhere that is the load-balance cost of nesting: strips differ by
+// up to one base row scaled up, at every level (at size 130 and p = 3
+// they are 40, 40 and 48 rows, not 42, 43 and 43; at p = 7, 16 to 24
+// rows, not 18 or 19), and when p exceeds the base some ranks own no
+// rows at all (at size 18 and p = 16, half of them).
+type strips struct{ base, p int }
+
+// newStrips returns the partition across p processes of the hierarchy
+// whose finest level is m cells wide (see newSolver).
+func newStrips(m, p int) strips {
+	base := m / 2
+	for base > aggM {
+		base /= 2
+	}
+	if base < minM {
+		base = m
+	}
+	return strips{base, p}
+}
+
+// rows returns the owned rows [lo, hi) of process q on the m-row level.
+func (s strips) rows(m, q int) (lo, hi int) {
+	lo, hi = rowRange(s.base, s.p, q)
+	k := m / s.base
+	return (lo-1)*k + 1, (hi-1)*k + 1
+}
+
+// owner returns the process owning row r (1-based) of the m-row level.
+func (s strips) owner(m, r int) int {
+	return ownerOfRow(s.base, s.p, (r-1)/(m/s.base)+1)
 }
 
 // checkGrid validates the paper's size convention: size = n+2 where the

@@ -63,17 +63,19 @@ type oceanSim struct {
 	start int
 }
 
-func newOceanSim(mc machine, cfg Config, p, q int, tol float64) (*oceanSim, error) {
+func newOceanSim(mc machine, cfg Config, tol float64) (*oceanSim, error) {
 	m, err := checkGrid(cfg.Size)
 	if err != nil {
 		return nil, err
 	}
 	s := &oceanSim{mc: mc, cfg: cfg, m: m}
-	s.sol = newSolver(mc, m, p, q)
+	s.sol = newSolver(mc, m)
 	s.sol.tol = tol
-	lo, hi := rowRange(m, p, q)
-	s.psi = newSlab(m, lo, hi)
-	s.vort = newSlab(m, lo, hi)
+	lv0 := s.sol.levels[0] // ψ and vorticity live on level 0's strips
+	s.psi = newSlab(m, lv0.u.lo, lv0.u.hi)
+	// Vorticity is read only before the solve and the residual only
+	// inside it, so they share a slab.
+	s.vort = lv0.r
 	if bm, ok := mc.(*bspMachine); ok {
 		bm.register(s.fidPsi(), s.psi)
 		bm.register(s.fidVort(), s.vort)
@@ -81,15 +83,15 @@ func newOceanSim(mc machine, cfg Config, p, q int, tol float64) (*oceanSim, erro
 	return s, nil
 }
 
-func (s *oceanSim) fidPsi() int  { return 3 * len(s.sol.levels) }
-func (s *oceanSim) fidVort() int { return 3*len(s.sol.levels) + 1 }
+func (s *oceanSim) fidPsi() int  { return 2 * len(s.sol.levels) }
+func (s *oceanSim) fidVort() int { return 2*len(s.sol.levels) + 1 }
 
 // step advances the simulation through timestep i, whose ψ ghost
 // rows run has just refreshed:
 //
 //	vort = ∇²ψ
 //	rhs  = vort + dt·(wind − J(ψ, vort) − μ·vort)  (exchange for vort)
-//	solve ∇²ψ' = rhs by multigrid, warm-started from ψ
+//	solve ∇²ψ' = rhs by multigrid, warm-started from ψ and its ghost rows
 //
 // ψ and vort vanish on the wall, so a neighbor across it is the
 // reflected ghost (see grid.go). The error reports a solve that did not
@@ -108,7 +110,7 @@ func (s *oceanSim) step(i int) error {
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m)
-	exchange(s.mc, s.fidVort(), s.vort)
+	exchange(s.mc, s.fidVort(), s.vort, 1)
 	for r := s.psi.lo; r < s.psi.hi; r++ {
 		pMe, vMe := s.psi.row(r), s.vort.row(r)
 		pUp, su := s.psi.mirror(r, -1)
@@ -116,7 +118,6 @@ func (s *oceanSim) step(i int) error {
 		vUp, _ := s.vort.mirror(r, -1)
 		vDn, _ := s.vort.mirror(r, +1)
 		fr := lv0.f.row(r)
-		ur := lv0.u.row(r)
 		y := (float64(r) - 0.5) * h
 		for c := 1; c <= m; c++ {
 			pl, pr, vl, vr := pMe[c-1], pMe[c+1], vMe[c-1], vMe[c+1]
@@ -135,10 +136,16 @@ func (s *oceanSim) step(i int) error {
 			x := (float64(c) - 0.5) * h
 			wind := windAmp * sinPi(x) * sinPi(y)
 			fr[c] = vMe[c] + dt*(wind-jac-friction*vMe[c])
-			ur[c] = pMe[c] // warm start from the current stream function
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m * 2) // Jacobian + forcing pass
+	// Warm start from the current stream function, whose first ghost
+	// rows the exchange that opened the timestep has just delivered.
+	if lo, hi := s.psi.lo, s.psi.hi; lo < hi {
+		for r := max(lo-1, 1); r <= min(hi, m); r++ {
+			copy(lv0.u.row(r), s.psi.row(r))
+		}
+	}
 	cycles, converged := s.sol.Solve()
 	s.Cycles = append(s.Cycles, cycles)
 	if !converged {
@@ -170,7 +177,7 @@ func (s *oceanSim) run() {
 		if len(owned) != rows*w {
 			panic(fmt.Errorf("ocean: the snapshot holds %d ψ values, this rank owns %d", len(owned), rows*w))
 		}
-		exchange(s.mc, s.fidPsi(), s.psi)
+		exchange(s.mc, s.fidPsi(), s.psi, 1)
 		s.mc.keep()
 		s.err = s.step(s.start)
 	}
@@ -183,7 +190,7 @@ func Sequential(cfg Config) (*Fields, []int, error) { return sequential(cfg, tol
 // sequential is Sequential with the solver tolerance given; tests make
 // it unreachable.
 func sequential(cfg Config, tol float64) (*Fields, []int, error) {
-	sim, err := newOceanSim(seqMachine{}, cfg, 1, 0, tol)
+	sim, err := newOceanSim(seqMachine{}, cfg, tol)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,7 +216,7 @@ func parallel(ccfg core.Config, cfg Config, tol float64) (*Fields, *core.Stats, 
 	}
 	sims := make([]*oceanSim, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		sim, err := newOceanSim(newBSPMachine(c, m), cfg, c.P(), c.ID(), tol)
+		sim, err := newOceanSim(newBSPMachine(c, m), cfg, tol)
 		if err != nil {
 			panic(err)
 		}

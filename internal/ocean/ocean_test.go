@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -42,6 +43,41 @@ func TestRowRangePartition(t *testing.T) {
 	}
 }
 
+// TestStripsNest: at every level of every hierarchy the strips cover
+// the rows once, owner agrees with rows, and both fine rows of a coarse
+// row belong to that row's owner — what lets restriction read no halo.
+func TestStripsNest(t *testing.T) {
+	for _, m := range []int{4, 8, 16, 32, 64, 128, 256} {
+		for p := 1; p <= 17; p++ {
+			st := newStrips(m, p)
+			for lm := m; lm >= st.base; lm /= 2 {
+				covered := 0
+				for q := 0; q < p; q++ {
+					lo, hi := st.rows(lm, q)
+					covered += hi - lo
+					for r := lo; r < hi; r++ {
+						if got := st.owner(lm, r); got != q {
+							t.Fatalf("m=%d p=%d level %d: owner(%d) = %d, want %d", m, p, lm, r, got, q)
+						}
+					}
+				}
+				if covered != lm {
+					t.Fatalf("m=%d p=%d level %d: rows covered %d", m, p, lm, covered)
+				}
+				if lm == m {
+					continue
+				}
+				for R := 1; R <= lm; R++ {
+					q := st.owner(lm, R)
+					if st.owner(2*lm, 2*R-1) != q || st.owner(2*lm, 2*R) != q {
+						t.Fatalf("m=%d p=%d: coarse row %d of level %d is rank %d's, its fine rows are not", m, p, R, lm, q)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSolverSolvesPoisson(t *testing.T) {
 	// Manufactured solution: u = sin(πx)sin(πy) has ∇²u = -2π²u.
 	// Sampling f at the cell centres, the 5-point operator's
@@ -50,7 +86,7 @@ func TestSolverSolvesPoisson(t *testing.T) {
 	// 1 + 0.82·h²; the reflected-ghost wall is second-order too and adds
 	// nothing of lower order. 1·h² leaves room for the 1e-8 residual.
 	for _, m := range []int{32, 64, 128} {
-		sol := newSolver(seqMachine{}, m, 1, 0)
+		sol := newSolver(seqMachine{}, m)
 		sol.tol = 1e-8
 		h := 1 / float64(m)
 		at := func(i int) float64 { return sinPi((float64(i) - 0.5) * h) }
@@ -98,7 +134,7 @@ func roughRHS(lv *level) {
 // the residual 5-37× in the first cycle.
 func TestVCycleConvergenceFactor(t *testing.T) {
 	for _, m := range []int{64, 128, 256} {
-		sol := newSolver(seqMachine{}, m, 1, 0)
+		sol := newSolver(seqMachine{}, m)
 		roughRHS(sol.levels[0])
 		prev := sol.residualNorm()
 		for cycle := 1; cycle <= 6; cycle++ {
@@ -129,7 +165,7 @@ func TestFewCyclesPerSolve(t *testing.T) {
 }
 
 func TestSolveReportsNonConvergence(t *testing.T) {
-	sol := newSolver(seqMachine{}, 64, 1, 0)
+	sol := newSolver(seqMachine{}, 64)
 	sol.tol = 1e-8
 	sol.maxCycles = 1
 	roughRHS(sol.levels[0])
@@ -187,30 +223,58 @@ func TestSequentialProducesEddies(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalToSequential runs down to strips thinner
-// than the smoother's two-row halo: at size 18 and p = 16 every strip
-// is one row, so a row's readers span two processes on each side and a
-// process relaxes red cells of rows two different neighbors own.
+// TestParallelBitIdenticalToSequential runs down to strips as thin as
+// the smoother's two-row halo, and to ranks with no rows: at size 18 and
+// p = 16 every other rank owns two rows and the rest own none, so a
+// rank's halo rows are its neighbor's every row. At p = 3, 5, 6 and 7
+// the nesting makes the strips uneven at every level.
 func TestParallelBitIdenticalToSequential(t *testing.T) {
-	for _, size := range []int{18, 34, 66} {
+	for _, size := range []int{18, 34, 66, 130} {
 		cfg := Config{Size: size, Steps: 2}
 		want, _, err := Sequential(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{1, 2, 3, 4, 5, 8, 16} {
+		for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16} {
 			got, st, err := Parallel(core.Config{P: p, Transport: transport.SimTransport{}}, cfg)
 			if err != nil {
 				t.Fatalf("size %d p=%d: %v", size, p, err)
 			}
-			for i := range want.Psi {
-				if got.Psi[i] != want.Psi[i] {
-					t.Fatalf("size %d p=%d: Psi[%d] = %g, want %g (must be bit-identical)", size, p, i, got.Psi[i], want.Psi[i])
-				}
-			}
+			checkBitIdentical(t, fmt.Sprintf("size %d p=%d", size, p), got, want)
 			if st.S() < 10 {
 				t.Errorf("size %d p=%d: implausibly few supersteps: %d", size, p, st.S())
 			}
+		}
+	}
+}
+
+// TestParallelBitIdenticalOnSockets runs three timesteps over real
+// transports. From the second on ψ ≠ 0, so the Jacobian and friction
+// terms, not only the wind, carry values across the ghost exchanges.
+func TestParallelBitIdenticalOnSockets(t *testing.T) {
+	for _, size := range []int{66, 130} {
+		cfg := Config{Size: size, Steps: 3}
+		want, _, err := Sequential(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range []transport.Transport{transport.TCPTransport{}, transport.XchgTransport{}} {
+			for _, p := range []int{3, 4} {
+				got, _, err := Parallel(core.Config{P: p, Transport: tr}, cfg)
+				if err != nil {
+					t.Fatalf("size %d p=%d %s: %v", size, p, tr.Name(), err)
+				}
+				checkBitIdentical(t, fmt.Sprintf("size %d p=%d %s", size, p, tr.Name()), got, want)
+			}
+		}
+	}
+}
+
+func checkBitIdentical(t *testing.T, run string, got, want *Fields) {
+	t.Helper()
+	for i := range want.Psi {
+		if got.Psi[i] != want.Psi[i] {
+			t.Fatalf("%s: Psi[%d] = %g, want %g (must be bit-identical)", run, i, got.Psi[i], want.Psi[i])
 		}
 	}
 }

@@ -20,25 +20,35 @@ import (
 //
 // Levels below the finest with m_l ≤ aggM are agglomerated: a whole
 // level is then at most aggM² cells — one small message — while
-// relaxing it in strips costs six or more supersteps of a few cells
-// each, so Equation 1 says to pay the W and save the L·S. Rank 0 solves
-// those levels on full slabs with this same solver bound to a machine
-// that never communicates; one gather superstep carries the restricted
-// right-hand side there and the prolongation's coarse-to-fine superstep
-// carries the correction back. The threshold is a property of the grid
-// alone, so the superstep schedule — and with it S and every computed
-// bit — is the same at every process count.
+// relaxing it in strips costs four or more supersteps of a few cells
+// each, so Equation 1 says to pay the W and save the L·S. One
+// all-gather superstep hands every rank the whole restricted right-hand
+// side, and each rank solves those levels on full slabs with this same
+// solver bound to a machine that never communicates. Every rank then
+// holds the whole correction, so the last strip level prolongs it with
+// no superstep. (A correction scattered from one rank instead would cost
+// a superstep, and rank 0 would send each coarse row to the owners of
+// up to eight fine rows, the prolonged ghost rows included: 1 136
+// packets at p = 16, above the 4·16² of the whole level.) The threshold
+// is a property of the grid alone, so the superstep schedule — and with
+// it S and every computed bit — is the same at every process count.
 //
-// A V-cycle thus spends 6 supersteps on each of its L strip levels —
-// one per smoothing iteration (two before the coarse correction, one
-// after) and the residual's, the restriction's and the prolongation's
-// exchanges — and one on the gather. With a residual check (exchange
-// and all-reduce) before each of c cycles and after the last, and the
-// timestep's ψ and vorticity exchanges and |f|∞ all-reduce, a timestep
-// costs S = 5 + c·(3 + 6L) (TestSuperstepsClosedForm).
+// A V-cycle thus spends 4 supersteps on each of its L strip levels: two
+// smoothing iterations before the coarse correction, the residual's
+// exchange — which also carries the black cells of u's second ghost row,
+// so that the one post-smoothing iteration, after a prolongation that
+// updates the ghost rows too, needs no exchange — and the prolongation's
+// coarse-to-fine exchange, or on the last strip level the all-gather.
+// Restriction is local because the strips nest (see strips). A residual
+// check (exchange and all-reduce) runs before each of c cycles and after
+// the last; its exchange is the one level 0's first smoothing iteration
+// reads, so that iteration syncs only in the first cycle, to carry f's
+// new halo. With the timestep's ψ and vorticity exchanges and |f|∞
+// all-reduce, a timestep costs S = 5 + [c>0] + c·(1 + 4L)
+// (TestSuperstepsClosedForm).
 const (
 	minM = 4  // coarsest level
-	aggM = 16 // levels this small (below the finest) live on rank 0
+	aggM = 16 // levels this small (below the finest) are solved whole on every rank
 )
 
 // machine abstracts the BSP operations the solver needs, so the
@@ -53,16 +63,10 @@ type machine interface {
 	post(fid int, s *slab, depth, cells int)
 	// sync ends a superstep: every posted row reaches its readers.
 	sync()
-	// exchangeToFine performs one superstep in which every row R of
-	// owned is sent to the owners of fine rows 2R-2 .. 2R+1 (fine
-	// interior is 2×coarse), the rows whose prolongation stencils read
-	// R. The neighbor ghost exchange cannot satisfy this dependency
-	// when the coarse level is partitioned differently from the fine
-	// one. owned is nil on a process that owns no rows of the level.
-	exchangeToFine(fid int, owned *slab)
-	// gather performs one superstep in which every owned row of s is
-	// sent to rank 0, whose full slab registered under fid absorbs it.
-	gather(fid int, s *slab)
+	// allGather performs one superstep in which this process's strip of
+	// the whole slab s, registered under fid, is sent to every other
+	// process, whose copy of s absorbs it.
+	allGather(fid int, s *slab)
 	// maxAll returns the global maximum of x (one superstep).
 	maxAll(x float64) float64
 	// keep names the variables that hold the rank's restartable state,
@@ -81,10 +85,10 @@ const (
 	allCells   = -1
 )
 
-// exchange is one superstep that refreshes the one-row halo of field
+// exchange is one superstep that refreshes the depth-row halo of field
 // fid, every column, from the rows' owners.
-func exchange(mc machine, fid int, s *slab) {
-	mc.post(fid, s, 1, allCells)
+func exchange(mc machine, fid int, s *slab, depth int) {
+	mc.post(fid, s, depth, allCells)
 	mc.sync()
 }
 
@@ -95,25 +99,25 @@ type seqMachine struct{}
 
 func (seqMachine) post(int, *slab, int, int) {}
 func (seqMachine) sync()                     {}
-func (seqMachine) exchangeToFine(int, *slab) {}
-func (seqMachine) gather(int, *slab)         {}
+func (seqMachine) allGather(int, *slab)      {}
 func (seqMachine) maxAll(x float64) float64  { return x }
 func (seqMachine) keep(...any)               {}
 func (seqMachine) work(int)                  {}
 
-// rootMachine is the seqMachine of rank 0's agglomerated levels: no
-// communication, but the cell updates still count as rank 0's work.
-type rootMachine struct {
+// localMachine is the seqMachine of a rank's agglomerated levels: no
+// communication, but the cell updates still count as the rank's work.
+type localMachine struct {
 	seqMachine
 	c *core.Proc
 }
 
-func (m rootMachine) work(n int) { m.c.AddWork(n) }
+func (m localMachine) work(n int) { m.c.AddWork(n) }
 
 // bspMachine binds the solver to a BSP process.
 type bspMachine struct {
 	c       *core.Proc
 	p       int
+	strips  strips
 	fieldOf []*slab // by fid
 	// out holds the records queued for each destination, in a writer
 	// made on first use with room for outCap bytes.
@@ -122,11 +126,12 @@ type bspMachine struct {
 }
 
 // newBSPMachine binds a process whose finest level is m cells wide.
-// Writers start with room for the largest message the smoothing
-// exchange sends one neighbor there — two black half-rows of u and a red
-// half-row of f, 3·m/2 records — so halo traffic never grows them.
+// Writers start with room for the largest message a halo exchange sends
+// one neighbor there — the two whole rows of the prolongation's coarse
+// halo, or of u's black half-rows plus a red one, at most 3·m/2
+// records — so halo traffic never grows them.
 func newBSPMachine(c *core.Proc, m int) *bspMachine {
-	return &bspMachine{c: c, p: c.P(), out: make([]*wire.Writer, c.P()), outCap: 3 * m / 2 * 16}
+	return &bspMachine{c: c, p: c.P(), strips: newStrips(m, c.P()), out: make([]*wire.Writer, c.P()), outCap: 3 * m / 2 * 16}
 }
 
 func (m *bspMachine) register(fid int, s *slab) {
@@ -172,7 +177,7 @@ func (m *bspMachine) post(fid int, s *slab, depth, cells int) {
 		}
 		last := -1
 		for n := max(r-depth, 1); n <= min(r+depth, s.m); n++ {
-			if q := ownerOfRow(s.m, m.p, n); q != last {
+			if q := m.strips.owner(s.m, n); q != last {
 				last = q
 				m.sendRow(fid, s, r, q, cells)
 			}
@@ -204,27 +209,12 @@ func (m *bspMachine) sendRow(fid int, s *slab, row, dst, cells int) {
 	}
 }
 
-func (m *bspMachine) exchangeToFine(fid int, owned *slab) {
-	if owned != nil {
-		fineM := 2 * owned.m
-		for r := owned.lo; r < owned.hi; r++ {
-			// Owners are non-decreasing in the fine row, so comparing
-			// with the previous one is enough to send each once.
-			last := -1
-			for fr := max(2*r-2, 1); fr <= min(2*r+1, fineM); fr++ {
-				if q := ownerOfRow(fineM, m.p, fr); q != last {
-					last = q
-					m.sendRow(fid, owned, r, q, allCells)
-				}
-			}
+func (m *bspMachine) allGather(fid int, s *slab) {
+	lo, hi := m.strips.rows(s.m, m.c.ID())
+	for q := 0; q < m.p; q++ {
+		for r := lo; r < hi; r++ {
+			m.sendRow(fid, s, r, q, allCells)
 		}
-	}
-	m.sync()
-}
-
-func (m *bspMachine) gather(fid int, s *slab) {
-	for r := s.lo; r < s.hi; r++ {
-		m.sendRow(fid, s, r, 0, allCells)
 	}
 	m.sync()
 }
@@ -242,11 +232,22 @@ type level struct {
 	m       int
 	h2      float64 // grid spacing squared
 	u, f, r *slab
-	// fNew reports that f changed since its halo last travelled, and
-	// uZero that u is zero everywhere, halo included; smooth's exchange
-	// reads both to send only what its neighbors lack.
-	fNew, uZero bool
+	// halo records which of the halo cells the smoother and the residual
+	// read hold their owners' current values.
+	halo halo
 }
+
+// halo is a set of halo cells of a level, which every rank tracks
+// identically, so that each exchange sends only the cells the next
+// local step reads and lacks, and a step that lacks none skips its
+// superstep on every rank alike.
+type halo uint8
+
+const (
+	uRed   halo = 1 << iota // u's first ghost row, red cells
+	uBlack                  // u's two ghost rows, black cells
+	fRed                    // f's first ghost row, red cells
+)
 
 // walls returns how many of index i's two neighbors along one axis lie
 // across the wall (m ≥ minM, so at most one).
@@ -261,21 +262,18 @@ func (lv *level) walls(i int) int {
 // k wall sides.
 var invDiag = [3]float64{1.0 / 4, 1.0 / 5, 1.0 / 6}
 
-// fids for a level's three fields.
-func fidU(l int) int { return 3 * l }
-func fidF(l int) int { return 3*l + 1 }
-func fidR(l int) int { return 3*l + 2 }
+// fids for a level's two exchanged fields; the residual never travels.
+func fidU(l int) int { return 2 * l }
+func fidF(l int) int { return 2*l + 1 }
 
 // solver carries the multigrid hierarchy for one process.
 type solver struct {
 	mc     machine
-	p, q   int
 	levels []*level
 	// agglom reports that the last entry of levels is agglomerated: it
-	// is this process's strip of the restricted right-hand side and of
-	// the correction coming back, and whole, on rank 0 only, is the
-	// solver for that level and everything coarser. There, the last
-	// entry of levels is whole's finest level itself.
+	// is whole's finest level, where whole is this process's solver for
+	// that level and everything coarser. The process restricts into its
+	// own strip of it, and the all-gather fills in the rest.
 	agglom bool
 	whole  *solver
 	// preSmooth/postSmooth are red-black Gauss-Seidel iteration counts.
@@ -287,24 +285,27 @@ type solver struct {
 	res, target float64
 }
 
-// newSolver builds the hierarchy for interior size m split across p
-// processes, with this process at rank q. Coarsening always stops at a
-// minM×minM interior and, on a BSP machine, always agglomerates from
-// the first level below the finest that is no wider than aggM, so the
-// superstep structure — and hence S and the computed fields — is
-// identical at every process count.
-func newSolver(mc machine, m, p, q int) *solver {
-	s := &solver{mc: mc, p: p, q: q, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: tol, maxCycles: 25}
+// newSolver builds the hierarchy for interior size m; a BSP machine
+// splits it into its strips. Coarsening always stops at a minM×minM
+// interior and, on a BSP machine, always agglomerates from the first
+// level below the finest that is no wider than aggM, so the superstep
+// structure — and hence S and the computed fields — is identical at
+// every process count.
+func newSolver(mc machine, m int) *solver {
+	s := &solver{mc: mc, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: tol, maxCycles: 25}
 	bm, _ := mc.(*bspMachine)
 	for lm := m; lm >= minM && !s.agglom; lm /= 2 {
 		l := len(s.levels)
 		s.agglom = bm != nil && l > 0 && lm <= aggM
 		var lv *level
-		if s.agglom && q == 0 {
-			s.whole = newSolver(rootMachine{c: bm.c}, lm, 1, 0)
+		if s.agglom {
+			s.whole = newSolver(localMachine{c: bm.c}, lm)
 			lv = s.whole.levels[0]
 		} else {
-			lo, hi := rowRange(lm, p, q)
+			lo, hi := 1, lm+1
+			if bm != nil {
+				lo, hi = bm.strips.rows(lm, bm.c.ID())
+			}
 			lv = &level{m: lm, h2: 1 / float64(lm*lm),
 				u: newSlab(lm, lo, hi), f: newSlab(lm, lo, hi), r: newSlab(lm, lo, hi)}
 		}
@@ -312,21 +313,42 @@ func newSolver(mc machine, m, p, q int) *solver {
 		if bm != nil {
 			bm.register(fidU(l), lv.u)
 			bm.register(fidF(l), lv.f)
-			bm.register(fidR(l), lv.r)
 		}
 	}
 	return s
 }
 
-// smooth runs iters red-black Gauss-Seidel iterations on level l, one
-// superstep each. The exchange that opens an iteration brings the black
-// cells of u's two-row halo (and, the first time after f changed, the
-// red cells of f's one-row halo). The process then relaxes the red cells
-// of its owned rows and of the first halo row on each side — the same
-// expression on the same inputs as that row's owner, so the same bits —
-// and then the black cells of its owned rows, whose every red neighbor
-// it now holds. The halo rows' relaxations are the W traded for half
-// the exchanges, and they count as work.
+// refresh makes the halo cells want of level l current, in one
+// superstep that posts those that are not, or in none if all are.
+func (s *solver) refresh(l int, want halo) {
+	lv := s.levels[l]
+	miss := want &^ lv.halo
+	if miss == 0 {
+		return
+	}
+	if miss&uRed != 0 {
+		s.mc.post(fidU(l), lv.u, 1, red)
+	}
+	if miss&uBlack != 0 {
+		s.mc.post(fidU(l), lv.u, 2, black)
+	}
+	if miss&fRed != 0 {
+		s.mc.post(fidF(l), lv.f, 1, red)
+	}
+	s.mc.sync()
+	lv.halo |= miss
+}
+
+// smooth runs iters red-black Gauss-Seidel iterations on level l. An
+// iteration reads the black cells of u's two-row halo and the red cells
+// of f's one-row halo, and opens with the superstep that brings those
+// that are not current (see refresh). The process then relaxes the red
+// cells of its owned rows and of the first halo row on each side — the
+// same expression on the same inputs as that row's owner, so the same
+// bits — and then the black cells of its owned rows, whose every red
+// neighbor it now holds. The halo rows' relaxations are the W traded
+// for half the exchanges, and they count as work. Afterwards the red
+// cells of the first halo row are current and the black cells are not.
 func (s *solver) smooth(l, iters int) {
 	lv := s.levels[l]
 	u := lv.u
@@ -335,15 +357,7 @@ func (s *solver) smooth(l, iters int) {
 		lo, hi = max(lo-1, 1), min(hi+1, lv.m+1)
 	}
 	for i := 0; i < iters; i++ {
-		if lv.fNew {
-			s.mc.post(fidF(l), lv.f, 1, red)
-			lv.fNew = false
-		}
-		if !lv.uZero {
-			s.mc.post(fidU(l), u, 2, black)
-		}
-		lv.uZero = false
-		s.mc.sync()
+		s.refresh(l, uBlack|fRed)
 		for r := lo; r < hi; r++ {
 			lv.relaxRow(r, red)
 		}
@@ -351,6 +365,7 @@ func (s *solver) smooth(l, iters int) {
 			lv.relaxRow(r, black)
 		}
 		s.mc.work((hi - lo + u.hi - u.lo) * lv.m / 2)
+		lv.halo = lv.halo&fRed | uRed
 	}
 }
 
@@ -380,11 +395,13 @@ func relaxed(up, me, dn, fr []float64, c int, h2, inv float64) float64 {
 	return (up[c] + dn[c] + me[c-1] + me[c+1] - h2*fr[c]) * inv
 }
 
-// computeResidual fills r = f - A·u on level l (one exchange superstep
-// for u).
+// computeResidual fills r = f - A·u on level l. It reads u's whole
+// first ghost rows, and its exchange also brings the black cells of the
+// second ones, which the smoothing iteration after it reads — after the
+// coarse correction, or in the next cycle.
 func (s *solver) computeResidual(l int) {
 	lv := s.levels[l]
-	exchange(s.mc, fidU(l), lv.u)
+	s.refresh(l, uRed|uBlack)
 	inv := 1 / lv.h2
 	for r := lv.u.lo; r < lv.u.hi; r++ {
 		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
@@ -398,16 +415,15 @@ func (s *solver) computeResidual(l int) {
 }
 
 // restrictTo transfers the fine residual on level l to the rhs of level
-// l+1 by full weighting over 2×2 blocks (one exchange superstep for r).
-// Each process fills its strip of the coarse rows; on rank 0 of an
-// agglomerated level that strip is part of the full slab the gather
-// completes.
+// l+1 by full weighting over 2×2 blocks. The strips nest, so each
+// process owns both fine rows of each coarse row in its strip and reads
+// no halo; on an agglomerated level that strip is part of the whole slab
+// the all-gather completes.
 func (s *solver) restrictTo(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	exchange(s.mc, fidR(l), fine.r)
 	coarse.u.zero()
-	coarse.fNew, coarse.uZero = true, true
-	lo, hi := rowRange(coarse.m, s.p, s.q)
+	coarse.halo = uRed | uBlack // zero, as the owners' rows are
+	lo, hi := (fine.r.lo+1)/2, (fine.r.hi+1)/2
 	for R := lo; R < hi; R++ {
 		r0, r1 := fine.r.row(2*R-1), fine.r.row(2*R)
 		fr := coarse.f.row(R)
@@ -427,17 +443,23 @@ func interpolated(cu, cn []float64, C, Cn int, sr, sc float64) float64 {
 
 // prolongFrom adds the coarse correction on level l+1 into level l's
 // solution by bilinear interpolation between cell centres (weights
-// 9/16, 3/16, 3/16, 1/16), preceded by one coarse-to-fine exchange
-// superstep. A neighbor across the wall is the reflected ghost: the
-// cell itself, negated.
+// 9/16, 3/16, 3/16, 1/16). A neighbor across the wall is the reflected
+// ghost: the cell itself, negated. The process prolongs its two ghost
+// rows on each side too, by the owner's expression on the owner's
+// inputs, so the halo cells that were current stay current; for that it
+// reads the coarse rows two deep around its strip, which one exchange
+// superstep brings — unless the coarse level is agglomerated, and whole
+// here already.
 func (s *solver) prolongFrom(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	owned := coarse.u
-	if s.agglom && l+2 == len(s.levels) && s.whole == nil {
-		owned = nil // an agglomerated level lives on rank 0 alone
+	if !s.agglom || l+2 < len(s.levels) {
+		exchange(s.mc, fidU(l+1), coarse.u, 2)
 	}
-	s.mc.exchangeToFine(fidU(l+1), owned)
-	for r := fine.u.lo; r < fine.u.hi; r++ {
+	lo, hi := fine.u.lo, fine.u.hi
+	if lo < hi {
+		lo, hi = max(lo-2, 1), min(hi+2, fine.m+1)
+	}
+	for r := lo; r < hi; r++ {
 		R := (r + 1) / 2
 		// The vertical neighbor is the coarse row on the same side of
 		// R's center as the fine row: below for odd r, above for even.
@@ -453,7 +475,7 @@ func (s *solver) prolongFrom(l int) {
 		}
 		fu[fine.m] += interpolated(cu, cn, coarse.m, coarse.m, sr, -1)
 	}
-	s.mc.work((fine.u.hi - fine.u.lo) * fine.m)
+	s.mc.work((hi - lo) * fine.m)
 }
 
 // vcycle runs one V-cycle from level l.
@@ -463,10 +485,8 @@ func (s *solver) vcycle(l int) {
 			s.smooth(l, s.coarseSweeps)
 			return
 		}
-		s.mc.gather(fidF(l), s.levels[l].f)
-		if s.whole != nil {
-			s.whole.vcycle(0)
-		}
+		s.mc.allGather(fidF(l), s.levels[l].f)
+		s.whole.vcycle(0)
 		return
 	}
 	s.smooth(l, s.preSmooth)
@@ -478,7 +498,7 @@ func (s *solver) vcycle(l int) {
 }
 
 // residualNorm returns the global max-norm of the fine-level residual
-// (two supersteps: exchange + all-reduce).
+// (two supersteps: computeResidual's exchange + all-reduce).
 func (s *solver) residualNorm() float64 {
 	s.computeResidual(0)
 	lv := s.levels[0]
@@ -497,8 +517,8 @@ func (s *solver) residualNorm() float64 {
 // tol·max(|f|∞, 1e-300) or below; it returns the cycle count and
 // whether that happened within maxCycles. The verdict rests on
 // all-reduced norms alone, so every process reaches the same one. The
-// rhs must already be loaded into level 0's f and an initial guess into
-// level 0's u.
+// rhs must already be loaded into level 0's f, and an initial guess
+// into level 0's u: its owned rows and its first ghost row on each side.
 func (s *solver) Solve() (cycles int, converged bool) {
 	lv := s.levels[0]
 	fmax := 0.0
@@ -509,7 +529,7 @@ func (s *solver) Solve() (cycles int, converged bool) {
 		}
 	}
 	fmax = s.mc.maxAll(fmax)
-	lv.fNew = true // the caller loaded f
+	lv.halo = uRed // the caller loaded f, and u's first ghost rows
 	s.target = s.tol * math.Max(fmax, 1e-300)
 	for ; ; cycles++ {
 		if s.res = s.residualNorm(); s.res <= s.target {

@@ -24,7 +24,7 @@ import (
 func Parallel(ccfg core.Config, patches []Patch) ([]float64, *core.Stats, error) {
 	results := make([][]float64, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
-		results[c.ID()] = Run(c, patches)
+		results[c.ID()] = run(c, patches)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -32,9 +32,9 @@ func Parallel(ccfg core.Config, patches []Patch) ([]float64, *core.Stats, error)
 	return results[0], st, nil
 }
 
-// Run executes the parallel solver on one BSP process and returns the
+// run executes the parallel solver on one BSP process and returns the
 // root radiosities (identical on every process).
-func Run(c *core.Proc, patches []Patch) []float64 {
+func run(c *core.Proc, patches []Patch) []float64 {
 	h, err := Build(patches)
 	if err != nil {
 		panic(err)

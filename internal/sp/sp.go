@@ -226,11 +226,11 @@ func (s *state) queuesEmpty() bool {
 	return true
 }
 
-// Run executes the engine for the given sources on one BSP process,
+// run executes the engine for the given sources on one BSP process,
 // ending a superstep after every workFactor (>= 1) queue pops, and
 // returns this process's label arrays (indexed by source, then by local
 // node).
-func Run(c *core.Proc, part *graph.Part, srcs []int32, workFactor int) [][]float64 {
+func run(c *core.Proc, part *graph.Part, srcs []int32, workFactor int) [][]float64 {
 	s := newState(c, part, len(srcs), workFactor)
 	for i, src := range srcs {
 		if l, ok := part.LocalOf(src); ok && part.IsHome(l) {
@@ -296,7 +296,7 @@ func Parallel(cfg core.Config, g *graph.Graph, srcs []int32, workFactor int) ([]
 	}
 	st, err := core.Run(cfg, func(c *core.Proc) {
 		part := pt.Parts[c.ID()]
-		dist := Run(c, part, srcs, workFactor)
+		dist := run(c, part, srcs, workFactor)
 		// Each process owns a disjoint set of home nodes, so these
 		// writes never overlap across goroutines.
 		for s := range srcs {

@@ -34,6 +34,9 @@
 #                     under -race (internal/ckpt, internal/core; the
 #                     capture alloc gate is left to verify-alloc, as
 #                     sync.Pool drops items under -race)
+#   make cross        cross-build: go build ./... for windows/amd64,
+#                     darwin/arm64 and linux/arm64, so that an
+#                     OS-specific file cannot break another host's build
 #   make examples-smoke  run both examples (quickstart; ocean at 18²,
 #                     p = 2, one step); each exits non-zero when its
 #                     own sum, broadcast or bit-identity check fails
@@ -132,10 +135,15 @@ BENCH_N ?= 3
 BENCH_TOL ?= 2.0
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 
-.PHONY: build test vet race verify verify-race verify-alloc examples-smoke flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate
+.PHONY: build test vet race verify verify-race verify-alloc cross examples-smoke flake-check golden conformance trace-smoke cluster-smoke postmortem-smoke top-smoke soak soak-smoke fuzz bench bench-alloc bench-gate
 
 build:
 	$(GO) build ./...
+
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

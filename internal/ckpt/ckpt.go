@@ -15,8 +15,10 @@
 // written as a reference to it instead (version 2: the base step and no
 // user bytes). Records are
 // crc32-validated and reach their final names atomically: streamed into
-// a temporary file, then fsync → rename → directory fsync, which a
-// caller may run later and on another goroutine (Stage, Publish).
+// a temporary file, whose writeback the kernel is asked to start at
+// once, then fsync → rename, and one directory fsync for a whole batch
+// of records (a group commit), which a caller may run later and on
+// another goroutine (Stage, Publish).
 // There is no manifest: a cut is complete when every rank's record,
 // and the base a reference names, validates. Loading tolerates
 // arbitrary corruption — truncated files, bad checksums, records that
@@ -274,41 +276,66 @@ func (st *Store) rankFile(step, rank int) string {
 }
 
 // Staged is one record streamed into a temporary file beside its final
-// name and not yet durable. Exactly one of Publish or Discard must be
-// called on it; that may happen on another goroutine than Stage's.
+// name and not yet durable. It must be published (in a Publish batch)
+// or discarded exactly once, which may happen on another goroutine than
+// Stage's.
 type Staged struct {
-	// Base is the staged snapshot's Base: positive for a reference.
-	Base int
-	f    *os.File
-	path string
+	// Step, Rank and Base are the staged snapshot's: Base is positive
+	// for a reference.
+	Step, Rank, Base int
+	f                *os.File
+	path             string
 }
 
 // Stage streams s's record into a temporary file in the store's
-// directory, straight from s's own sections: the record is never
-// assembled in memory.
+// directory, which must exist, straight from s's own sections: the
+// record is never assembled in memory. Once it is streamed, the kernel
+// is asked to start writing it back, so that the fsync that publishes
+// it finds less to wait for.
 func (st *Store) Stage(s *Snapshot) (*Staged, error) {
-	if err := os.MkdirAll(st.Dir, 0o777); err != nil {
-		return nil, err
-	}
 	path := st.rankFile(s.Step, s.Rank)
 	f, err := os.CreateTemp(st.Dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return nil, err
 	}
-	w := &Staged{Base: s.Base, f: f, path: path}
+	w := &Staged{Step: s.Step, Rank: s.Rank, Base: s.Base, f: f, path: path}
 	if err := streamRecord(f, s); err != nil {
 		w.Discard()
 		return nil, err
 	}
+	startWriteback(f)
 	return w, nil
 }
 
-// Publish makes the staged record durable under its final name: fsync,
-// rename, then an fsync of the directory so the rename itself is
-// durable. A failure before the rename removes the temporary file; a
-// failed directory fsync leaves the record under its final name, where
-// it may not survive a crash, and is returned like any other failure.
-func (w *Staged) Publish() error {
+// Publish makes staged records durable under their final names in one
+// group commit: each record, in order, is fsynced, closed and renamed,
+// then the directory is fsynced once, so that every rename is durable.
+// errs, as long as recs, receives each record's outcome. A failure
+// before a record's rename removes its temporary file; a failed
+// directory fsync is the error of every record renamed, which may not
+// survive a crash. All of recs must be staged in one directory; a
+// record whose base is among them must not be.
+func Publish(recs []*Staged, errs []error) {
+	renamed := false
+	for i, w := range recs {
+		errs[i] = w.rename()
+		renamed = renamed || errs[i] == nil
+	}
+	if !renamed {
+		return
+	}
+	if err := syncDir(filepath.Dir(recs[0].path)); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
+}
+
+// rename moves the staged record to its final name after an fsync; on
+// failure the temporary file is removed.
+func (w *Staged) rename() error {
 	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
@@ -318,9 +345,8 @@ func (w *Staged) Publish() error {
 	}
 	if err != nil {
 		os.Remove(w.f.Name())
-		return err
 	}
-	return syncDir(filepath.Dir(w.path))
+	return err
 }
 
 // syncDir fsyncs a directory so the renames in it are durable. It is a
@@ -344,13 +370,15 @@ func (w *Staged) Discard() {
 }
 
 // WriteRank durably persists one rank's snapshot record: Stage, then
-// Publish.
+// Publish as a batch of one.
 func (st *Store) WriteRank(s *Snapshot) error {
 	w, err := st.Stage(s)
 	if err != nil {
 		return err
 	}
-	return w.Publish()
+	var errs [1]error
+	Publish([]*Staged{w}, errs[:])
+	return errs[0]
 }
 
 // Writer stages one rank's records in cut order and writes a record
@@ -364,6 +392,7 @@ func (st *Store) WriteRank(s *Snapshot) error {
 // reference reaches its final name before its base.
 type Writer struct {
 	st       *Store
+	dirMade  bool     // the store's directory exists
 	base     *os.File // read handle on the last full record; nil before one
 	baseStep int
 	baseLen  int
@@ -378,8 +407,15 @@ func (st *Store) NewWriter() *Writer { return &Writer{st: st} }
 
 // Stage stages s as Store.Stage does, or a reference in its place when
 // s's user section equals that of the last full record w staged. s
-// itself is not modified.
+// itself is not modified. w makes the store's directory, if it is
+// missing, before its first record.
 func (w *Writer) Stage(s *Snapshot) (*Staged, error) {
+	if !w.dirMade {
+		if err := os.MkdirAll(w.st.Dir, 0o777); err != nil {
+			return nil, err
+		}
+		w.dirMade = true
+	}
 	n := s.UserLen()
 	if w.base != nil && n == w.baseLen && w.sameAsBase(s) {
 		ref := *s

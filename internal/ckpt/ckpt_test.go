@@ -307,12 +307,19 @@ func TestAtomicWriteLeftovers(t *testing.T) {
 	if !ok || step != 1 {
 		t.Fatalf("LoadComplete = (%d, ok=%v) with an unrenamed record in cut 2, want (1, true)", step, ok)
 	}
-	if err := unflushed.Publish(); err != nil {
+	if err := publishOne(unflushed); err != nil {
 		t.Fatal(err)
 	}
 	if step, _, ok := st.LoadComplete(p); !ok || step != 2 {
 		t.Fatalf("LoadComplete = (%d, ok=%v) once the record is published, want (2, true)", step, ok)
 	}
+}
+
+// publishOne publishes rec as a batch of one, as WriteRank does.
+func publishOne(rec *Staged) error {
+	var errs [1]error
+	Publish([]*Staged{rec}, errs[:])
+	return errs[0]
 }
 
 // TestPublishDirSyncError: Publish fsyncs the directory once after the
@@ -338,6 +345,63 @@ func TestPublishDirSyncError(t *testing.T) {
 	fail = true
 	if err := st.WriteRank(&Snapshot{Step: 2, Rank: 0, P: 1}); !errors.Is(err, injected) || syncs != 2 {
 		t.Fatalf("WriteRank = %v after %d directory fsyncs, want the injected failure after 2", err, syncs)
+	}
+}
+
+// TestPublishBatch: Publish renames every record it can and fsyncs the
+// directory once for the batch. A record whose rename fails carries its
+// own error and does not stop the others; a failed directory fsync is
+// the error of every record renamed.
+func TestPublishBatch(t *testing.T) {
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	injected := errors.New("injected directory fsync failure")
+	var syncs int
+	var fail bool
+	syncDir = func(dir string) error {
+		syncs++
+		if fail {
+			return injected
+		}
+		return orig(dir)
+	}
+	st := &Store{Dir: t.TempDir()}
+	for step := 1; step <= 2; step++ {
+		fail = step == 2
+		// A directory squats on rank 1's final name, so its rename fails.
+		if err := os.Mkdir(st.rankFile(step, 1), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		var recs []*Staged
+		for r := 0; r < 3; r++ {
+			rec, err := st.Stage(&Snapshot{Step: step, Rank: r, P: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		syncs = 0
+		errs := make([]error, len(recs))
+		Publish(recs, errs)
+		if syncs != 1 {
+			t.Fatalf("step %d: %d directory fsyncs for a batch of %d, want 1", step, syncs, len(recs))
+		}
+		for r, err := range errs {
+			switch {
+			case r == 1 && (err == nil || errors.Is(err, injected)):
+				t.Errorf("step %d rank 1: error %v, want its failed rename", step, err)
+			case r != 1 && fail && !errors.Is(err, injected):
+				t.Errorf("step %d rank %d: error %v, want the failed directory fsync", step, r, err)
+			case r != 1 && !fail && err != nil:
+				t.Errorf("step %d rank %d: error %v, want none", step, r, err)
+			}
+			if _, err := os.Stat(st.rankFile(step, r)); r != 1 && err != nil {
+				t.Errorf("step %d rank %d: not renamed: %v", step, r, err)
+			}
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(st.Dir, "*.tmp*")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
 	}
 }
 
@@ -480,7 +544,7 @@ func TestWriterReferences(t *testing.T) {
 		if rec.Base != c.base {
 			t.Fatalf("step %d: staged base %d, want %d", step, rec.Base, c.base)
 		}
-		if err := rec.Publish(); err != nil {
+		if err := publishOne(rec); err != nil {
 			t.Fatal(err)
 		}
 		got, snaps, ok := st.LoadComplete(p)

@@ -236,7 +236,7 @@ func TestExchangeAllocGate(t *testing.T) {
 // program allocates per capture (one rank's record at one boundary). The collector is off
 // while it measures, so the exchange's pooled buffers survive and only
 // fresh allocations count. It is off for a settle phase first, long
-// enough for the pool to reach its high-water mark: the flushers'
+// enough for the pool to reach its high-water mark: the flusher's
 // fsyncs move rank goroutines between Ps, and a sync.Pool cannot hand
 // out a buffer parked in another P's private slot, so the pool needs
 // some spares before a superstep never misses.

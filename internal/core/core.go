@@ -359,7 +359,7 @@ func runMachine(cfg Config, fn func(*Proc), rs *runState) (*Stats, error) {
 		ranks[s] = ep.ID()
 	}
 	if rs != nil && rs.cap != nil {
-		rs.cap.hosted = len(eps)
+		rs.cap.start(len(eps))
 	}
 	procs := make([]*Proc, cfg.P)
 	errs := make([]error, len(eps))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,10 @@ import (
 // in a BSP program where the machine state is a globally consistent
 // cut: every message of the finished superstep is delivered, none of
 // the next superstep's exist yet. Sync returns once the rank's record
-// is streamed into a temporary file; a per-rank flusher makes it
-// durable (fsync → rename → directory fsync) while the next superstep
-// runs, and the run does not return before every flush has finished.
+// is streamed into a temporary file; one flusher for all the ranks the
+// process hosts makes it durable (fsync → rename, then one directory
+// fsync per batch of records) while the next superstep runs, and the
+// run does not return before every flush has finished.
 type CheckpointConfig struct {
 	// Dir is the snapshot directory (a ckpt.Store). Empty disables
 	// checkpointing entirely.
@@ -206,8 +208,9 @@ type CkptStats struct {
 	// reference record holds no user bytes). Time is the on-path cost
 	// of capture inside Sync — the reference check, streaming the kept
 	// state and the inbox into the record's temporary file and any wait
-	// for a full flush queue — and Flush the flushers' fsync → rename →
-	// directory fsync time; both are summed across ranks.
+	// for a full flush queue — summed across ranks. Flush is the
+	// flusher's time: its fsync → rename of each record and one
+	// directory fsync per batch.
 	Bytes int64
 	Time  time.Duration
 	Flush time.Duration
@@ -238,26 +241,38 @@ func (rs *runState) resumeStep() int {
 	return rs.resume[0].Step
 }
 
-// flushDepth is how many staged records a rank may have waiting for its
-// flusher; capture blocks only when that many are outstanding. Four
-// holds a whole psort run (S = 4), and bounds how far durability can
-// fall behind the cut a longer run has reached.
+// flushDepth is how many staged records per hosted rank may wait for
+// the flusher; capture blocks only when flushDepth × hosted are
+// outstanding. Four holds a whole psort run (S = 4), and bounds how far
+// durability can fall behind the cut a longer run has reached.
 const flushDepth = 4
+
+// publish group-commits one batch of staged records. It is a variable
+// only so that a test can watch the flusher.
+var publish = ckpt.Publish
 
 // capturer persists snapshots for the ranks of one machine execution
 // that this process hosts. Each rank captures on its own goroutine from
-// inside Sync and hands the staged record to its own FIFO flusher, so
-// a rank's records become durable in cut order — a reference never
-// before its base. The mutex guards the stats and the durability
-// accounting the flushers share.
+// inside Sync and queues the staged record for the capturer's one
+// flusher. One flusher, not one per rank: a goroutine blocked in fsync
+// keeps its P until the runtime takes it back, so a flusher per rank
+// could hold every P while the ranks wait to run. The mutex guards the
+// stats and the durability accounting.
 type capturer struct {
 	store *ckpt.Store
 	every int
-	ranks []rankCapture // ranks[r] is touched only by rank r's goroutine and flusher
-	// hosted is the number of ranks this process runs; runMachine sets
-	// it before any rank starts.
-	hosted  int
-	flushes sync.WaitGroup
+	ranks []rankCapture // ranks[r] is touched only by rank r's goroutine and the flusher
+	// queue feeds the flusher, each rank's records in cut order; start
+	// makes it, before any rank runs, and starts the flusher, which
+	// closes flushed when it returns.
+	queue   chan flushJob
+	flushed chan struct{}
+	hosted  int // the number of ranks this process runs
+	// batch, recs and errs are the flusher's scratch, reused from batch
+	// to batch.
+	batch []flushJob
+	recs  []*ckpt.Staged
+	errs  []error
 
 	mu      sync.Mutex
 	durable map[int]int // step -> hosted ranks with a durable record
@@ -271,18 +286,18 @@ type rankCapture struct {
 	table []byte
 	views [][]byte
 	w     *ckpt.Writer
-	// queue feeds the rank's flusher; nil until its first capture.
-	queue chan flushJob
 	// baseLost is set by the flusher when a full record fails to
 	// publish: the references the writer would base on it could never
 	// load, so the next capture writes a full record.
 	baseLost atomic.Bool
+	// baseOK, the flusher's own, reports that the rank's last full
+	// record is durable; a reference to it is published only then.
+	baseOK bool
 }
 
 // flushJob is one staged record on its way to durability.
 type flushJob struct {
 	rec   *ckpt.Staged
-	step  int
 	bytes int
 }
 
@@ -295,9 +310,17 @@ func newCapturer(ck *CheckpointConfig, p int) *capturer {
 	}
 }
 
+// start sizes the flush queue for the hosted ranks and starts the
+// flusher.
+func (k *capturer) start(hosted int) {
+	k.hosted = hosted
+	k.queue = make(chan flushJob, flushDepth*hosted)
+	k.flushed = make(chan struct{})
+	go k.flush()
+}
+
 // capture snapshots one rank at the boundary Sync just completed and
-// queues the record for the rank's flusher. Failures are recorded, not
-// fatal.
+// queues the record for the flusher. Failures are recorded, not fatal.
 func (k *capturer) capture(c *Proc) {
 	if len(c.kept) == 0 || c.step-c.lastCap < k.every {
 		return
@@ -307,9 +330,6 @@ func (k *capturer) capture(c *Proc) {
 	c.lastCap = c.step
 	if rc.w == nil {
 		rc.w = k.store.NewWriter()
-		rc.queue = make(chan flushJob, flushDepth)
-		k.flushes.Add(1)
-		go k.flush(rc)
 	}
 	if rc.baseLost.Swap(false) {
 		rc.w.Close()
@@ -326,7 +346,7 @@ func (k *capturer) capture(c *Proc) {
 		if rec.Base == 0 {
 			size += snap.UserLen()
 		}
-		rc.queue <- flushJob{rec: rec, step: c.step, bytes: size}
+		k.queue <- flushJob{rec: rec, bytes: size}
 	}
 	clear(rc.views) // hold no view of the app's memory past the capture
 	end := c.now()
@@ -337,37 +357,90 @@ func (k *capturer) capture(c *Proc) {
 	k.mu.Unlock()
 }
 
-// flush makes one rank's staged records durable in the order they were
-// staged. A reference whose base failed to publish is dropped: it could
-// never be loaded.
-func (k *capturer) flush(rc *rankCapture) {
-	defer k.flushes.Done()
-	baseOK := false
-	for job := range rc.queue {
-		if job.rec.Base > 0 && !baseOK {
-			job.rec.Discard()
+// flush makes the queued records durable, in queue order, one batch at
+// a time: each batch is what is queued once the last one is done, up to
+// a reference whose base it holds, since a base's rename must be
+// durable before its reference is renamed.
+func (k *capturer) flush() {
+	defer close(k.flushed)
+	job, ok := <-k.queue
+	for ok {
+		k.batch = append(k.batch[:0], job)
+		held := false // job, received, opens the next batch
+	gather:
+		for {
+			select {
+			case job, ok = <-k.queue:
+				if !ok {
+					break gather
+				}
+				if held = baseIn(k.batch, job.rec); held {
+					break gather
+				}
+				k.batch = append(k.batch, job)
+			default:
+				break gather
+			}
+		}
+		k.commit()
+		if ok && !held {
+			job, ok = <-k.queue
+		}
+	}
+}
+
+// baseIn reports whether rec is a reference whose base is in batch.
+func baseIn(batch []flushJob, rec *ckpt.Staged) bool {
+	if rec.Base == 0 {
+		return false
+	}
+	for _, j := range batch {
+		if j.rec.Rank == rec.Rank && j.rec.Step == rec.Base {
+			return true
+		}
+	}
+	return false
+}
+
+// commit publishes k.batch in one group commit and then counts the
+// records it made durable. A reference whose base failed to publish is
+// dropped: it could never be loaded.
+func (k *capturer) commit() {
+	start := time.Now()
+	batch := k.batch[:0]
+	k.recs = k.recs[:0]
+	for _, j := range k.batch {
+		if j.rec.Base > 0 && !k.ranks[j.rec.Rank].baseOK {
+			j.rec.Discard()
 			continue
 		}
-		start := time.Now()
-		err := job.rec.Publish()
-		if job.rec.Base == 0 {
-			baseOK = err == nil
-			if !baseOK {
+		batch = append(batch, j)
+		k.recs = append(k.recs, j.rec)
+	}
+	k.errs = slices.Grow(k.errs[:0], len(batch))[:len(batch)]
+	publish(k.recs, k.errs)
+	for i, j := range batch {
+		if rc := &k.ranks[j.rec.Rank]; j.rec.Base == 0 {
+			rc.baseOK = k.errs[i] == nil
+			if !rc.baseOK {
 				rc.baseLost.Store(true)
 			}
 		}
-		k.mu.Lock()
-		k.stats.Flush += time.Since(start)
-		k.fail(err)
-		if err == nil {
-			k.stats.Snapshots++
-			k.stats.Bytes += int64(job.bytes)
-			if k.durable[job.step]++; k.durable[job.step] == k.hosted {
-				delete(k.durable, job.step)
-				k.stats.Cuts++
-			}
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.stats.Flush += time.Since(start)
+	for i, j := range batch {
+		k.fail(k.errs[i])
+		if k.errs[i] != nil {
+			continue
 		}
-		k.mu.Unlock()
+		k.stats.Snapshots++
+		k.stats.Bytes += int64(j.bytes)
+		if k.durable[j.rec.Step]++; k.durable[j.rec.Step] == k.hosted {
+			delete(k.durable, j.rec.Step)
+			k.stats.Cuts++
+		}
 	}
 }
 
@@ -381,13 +454,13 @@ func (k *capturer) fail(err error) {
 // drain waits until every queued record is flushed and releases the
 // writers. It runs once the ranks' goroutines have exited.
 func (k *capturer) drain() {
+	close(k.queue)
 	for i := range k.ranks {
 		if rc := &k.ranks[i]; rc.w != nil {
-			close(rc.queue)
 			rc.w.Close()
 		}
 	}
-	k.flushes.Wait()
+	<-k.flushed
 }
 
 // Recoverable reports whether err is a failure Run rolls back from: an
@@ -455,7 +528,7 @@ func Run(cfg Config, fn func(*Proc)) (*Stats, error) {
 		}
 		rs := &runState{cap: newCapturer(ck, cfg.P), resume: resume}
 		st, err := runMachine(cfg, fn, rs)
-		// runMachine drained the flushers; the capturer is quiescent.
+		// runMachine drained the flusher; the capturer is quiescent.
 		cs := rs.cap.stats
 		acc.Snapshots += cs.Snapshots
 		acc.Cuts += cs.Cuts

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -334,4 +336,84 @@ func captureErr(k *capturer) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.stats.Err
+}
+
+// TestFlushOneBatchInFlight pins the flusher's contract on a p = 8,
+// Every: 1 run whose kept state changes at every third boundary, so the
+// records mix full ones with references to them. Watched through the
+// publish seam: at most one batch is being published at a time, each
+// rank's records reach their names in cut order, a reference is renamed
+// only after its base's directory fsync has returned, and every staged
+// record is counted exactly once.
+func TestFlushOneBatchInFlight(t *testing.T) {
+	const p, steps = 8, 12
+	var (
+		mu       sync.Mutex
+		inFlight int
+		bad      []string
+		last     = make([]int, p)        // each rank's last step handed to publish
+		durable  = make(map[[2]int]bool) // (rank, step) whose batch has returned
+		full     int
+		refs     int
+	)
+	orig := publish
+	defer func() { publish = orig }()
+	publish = func(recs []*ckpt.Staged, errs []error) {
+		mu.Lock()
+		if inFlight++; inFlight > 1 {
+			bad = append(bad, fmt.Sprintf("%d batches published at once", inFlight))
+		}
+		for _, r := range recs {
+			if r.Step != last[r.Rank]+1 {
+				bad = append(bad, fmt.Sprintf("rank %d published step %d after step %d", r.Rank, r.Step, last[r.Rank]))
+			}
+			last[r.Rank] = r.Step
+			if r.Base > 0 && !durable[[2]int{r.Rank, r.Base}] {
+				bad = append(bad, fmt.Sprintf("rank %d step %d renamed before its base %d was durable", r.Rank, r.Step, r.Base))
+			}
+		}
+		mu.Unlock()
+		// Widen the window in which a second publish would overlap.
+		time.Sleep(time.Millisecond)
+		orig(recs, errs)
+		mu.Lock()
+		defer mu.Unlock()
+		inFlight--
+		for i, r := range recs {
+			if errs[i] != nil {
+				bad = append(bad, errs[i].Error())
+				continue
+			}
+			durable[[2]int{r.Rank, r.Step}] = true
+			if r.Base > 0 {
+				refs++
+			} else {
+				full++
+			}
+		}
+	}
+	dir := t.TempDir()
+	cfg := Config{P: p, Transport: transport.ShmTransport{}, Checkpoint: &CheckpointConfig{Dir: dir, Every: 1}}
+	st, err := Run(cfg, func(c *Proc) {
+		var tok int
+		c.Keep(&tok)
+		for s := 1; s <= steps; s++ {
+			tok = s / 3
+			c.Sync()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
+	}
+	recs := decodeRecords(t, dir)
+	if refs == 0 || full+refs != p*steps || len(recs) != p*steps {
+		t.Fatalf("published %d full records and %d references, %d on disk; want %d in all, some of them references", full, refs, len(recs), p*steps)
+	}
+	// A full record's user section is the 16-byte region table and one int.
+	if st.Ckpt.Snapshots != p*steps || st.Ckpt.Cuts != steps || st.Ckpt.Bytes != int64(24*full) || st.Ckpt.Err != nil {
+		t.Fatalf("stats %+v: want %d snapshots, %d cuts and %d bytes", st.Ckpt, p*steps, steps, 24*full)
+	}
 }

@@ -123,7 +123,8 @@ func ownerOfRow(m, p, r int) int {
 // up to one base row scaled up, at every level (at size 130 and p = 3
 // they are 40, 40 and 48 rows, not 42, 43 and 43; at p = 7, 16 to 24
 // rows, not 18 or 19), and when p exceeds the base some ranks own no
-// rows at all (at size 18 and p = 16, half of them).
+// rows at all (at size 18 and p = 16, half of them): the all-gather
+// sends those nothing, and they skip the agglomerated solve.
 type strips struct{ base, p int }
 
 // newStrips returns the partition across p processes of the hierarchy

@@ -22,14 +22,15 @@ import (
 // level is then at most aggM² cells — one small message — while
 // relaxing it in strips costs four or more supersteps of a few cells
 // each, so Equation 1 says to pay the W and save the L·S. One
-// all-gather superstep hands every rank the whole restricted right-hand
-// side, and each rank solves those levels on full slabs with this same
-// solver bound to a machine that never communicates. Every rank then
-// holds the whole correction, so the last strip level prolongs it with
-// no superstep. (A correction scattered from one rank instead would cost
-// a superstep, and rank 0 would send each coarse row to the owners of
-// up to eight fine rows, the prolonged ghost rows included: 1 136
-// packets at p = 16, above the 4·16² of the whole level.) The threshold
+// all-gather superstep hands every rank that owns rows the whole
+// restricted right-hand side, and each such rank solves those levels on
+// full slabs with this same solver bound to a machine that never
+// communicates. Every such rank then holds the whole correction, so the
+// last strip level prolongs it with no superstep. (A correction
+// scattered from one rank instead would cost a superstep, and rank 0
+// would send each coarse row to the owners of up to eight fine rows,
+// the prolonged ghost rows included: 1 136 packets at p = 16, above the
+// 4·16² of the whole level.) The threshold
 // is a property of the grid alone, so the superstep schedule — and with
 // it S and every computed bit — is the same at every process count.
 //
@@ -65,7 +66,7 @@ type machine interface {
 	sync()
 	// allGather performs one superstep in which this process's strip of
 	// the whole slab s, registered under fid, is sent to every other
-	// process, whose copy of s absorbs it.
+	// process that owns rows, whose copy of s absorbs it.
 	allGather(fid int, s *slab)
 	// maxAll returns the global maximum of x (one superstep).
 	maxAll(x float64) float64
@@ -209,9 +210,14 @@ func (m *bspMachine) sendRow(fid int, s *slab, row, dst, cells int) {
 	}
 }
 
+// allGather implements machine. A rank that owns no rows has nothing to
+// prolong the agglomerated solve into, so it is sent nothing.
 func (m *bspMachine) allGather(fid int, s *slab) {
 	lo, hi := m.strips.rows(s.m, m.c.ID())
 	for q := 0; q < m.p; q++ {
+		if qlo, qhi := m.strips.rows(s.m, q); qlo == qhi {
+			continue
+		}
 		for r := lo; r < hi; r++ {
 			m.sendRow(fid, s, r, q, allCells)
 		}
@@ -486,7 +492,9 @@ func (s *solver) vcycle(l int) {
 			return
 		}
 		s.mc.allGather(fidF(l), s.levels[l].f)
-		s.whole.vcycle(0)
+		if fine := s.levels[l-1].u; fine.lo < fine.hi {
+			s.whole.vcycle(0) // a rank that owns no rows has no use for it
+		}
 		return
 	}
 	s.smooth(l, s.preSmooth)

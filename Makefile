@@ -56,9 +56,10 @@
 #                     equal (H, S), and recovering from one seeded
 #                     crash to the same result, and all of
 #                     internal/trace (metrics = fold(events), the row
-#                     field table). With an empty test cache the
-#                     target took 2 min 0 s on a 2-vCPU Xeon (the
-#                     transport suite 9 s, the control plane 88 s)
+#                     field table). With an empty test cache and a
+#                     warm build cache the target took 1 min 35 s on
+#                     a 2-vCPU Xeon (the transport suite 7 s, the
+#                     control plane 68 s, the registry suite 2.3 s)
 #   make trace-smoke  end-to-end observability smoke: a chaos-crashed,
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the

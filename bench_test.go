@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -290,21 +289,23 @@ func BenchmarkAblationRepartition(b *testing.B) {
 	}
 }
 
-// benchExtension measures one registered application at the given size
-// on the shared-memory transport — the sequential baseline, then each
-// process count — reporting the deterministic cost shape (S, Hpkts).
-func benchExtension(b *testing.B, name string, size int, procs ...int) {
-	app, err := apps.Lookup(name)
+// BenchmarkExtensionSampleSort measures the oversampling sample sort
+// (DESIGN.md E1) on the shared-memory transport — the sequential
+// baseline, then each process count — reporting S and Hpkts: S = 4 at
+// every size, the fully predictable cost shape of §4 with a
+// deterministic (1+1/ℓ)·n/p imbalance bound.
+func BenchmarkExtensionSampleSort(b *testing.B) {
+	app, err := apps.Lookup("psort")
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst := app.New(size)
+	inst := app.New(100000)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			inst.Sequential()
 		}
 	})
-	for _, p := range procs {
+	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var st *core.Stats
 			for i := 0; i < b.N; i++ {
@@ -316,62 +317,6 @@ func benchExtension(b *testing.B, name string, size int, procs ...int) {
 			}
 			b.ReportMetric(float64(st.S()), "S")
 			b.ReportMetric(float64(st.H()), "Hpkts")
-		})
-	}
-}
-
-// BenchmarkExtensionSampleSort measures the oversampling sample sort
-// (DESIGN.md E1): S = 4 at every size, the fully predictable cost
-// shape of §4 with a deterministic (1+1/ℓ)·n/p imbalance bound.
-func BenchmarkExtensionSampleSort(b *testing.B) { benchExtension(b, "psort", 100000, 1, 2, 4, 8) }
-
-// BenchmarkExtensionFMM measures the adaptive FMM (DESIGN.md E3 / §5
-// future work).
-func BenchmarkExtensionFMM(b *testing.B) { benchExtension(b, "fmm", 4000, 1, 4) }
-
-// BenchmarkExtensionPlasma measures the PIC step cost (DESIGN.md E4),
-// five timesteps per run.
-func BenchmarkExtensionPlasma(b *testing.B) { benchExtension(b, "plasma", 20000, 1, 4) }
-
-// BenchmarkExtensionRadiosity measures the hierarchical radiosity solver
-// (DESIGN.md E7 / §5 future work).
-func BenchmarkExtensionRadiosity(b *testing.B) { benchExtension(b, "radiosity", 32, 1, 4) }
-
-// BenchmarkExtensionLU measures the dense LU (DESIGN.md E8): one
-// broadcast superstep per column, the static-communication profile of
-// §1.3's scientific computations.
-func BenchmarkExtensionLU(b *testing.B) { benchExtension(b, "lu", 96, 1, 4) }
-
-// BenchmarkExtensionCG measures the sparse Laplacian CG (DESIGN.md E9):
-// three supersteps per iteration with border-bounded h.
-func BenchmarkExtensionCG(b *testing.B) { benchExtension(b, "cg", 3000, 1, 4) }
-
-// BenchmarkExtensionCollectives compares the naive one-superstep
-// broadcast against the two-phase broadcast (DESIGN.md E2 / §4
-// "broadcast" as a predictable subroutine).
-func BenchmarkExtensionCollectives(b *testing.B) {
-	const p = 8
-	for _, size := range []int{64, 4096, 65536} {
-		payload := make([]byte, size)
-		b.Run(fmt.Sprintf("naive/%dB", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.Run(core.Config{P: p, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
-					collect.Broadcast(c, 0, payload)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("twophase/%dB", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.Run(core.Config{P: p, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
-					collect.BroadcastTwoPhase(c, 0, payload)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

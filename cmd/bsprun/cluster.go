@@ -128,6 +128,10 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 			fmt.Fprintln(os.Stderr, "bsprun: gather postmortem bundle:", gerr)
 		} else if len(man.Dumps) > 0 {
 			fmt.Printf("postmortem bundle: %d dump(s) in %s (analyze with bsppost)\n", len(man.Dumps), o.postDir)
+		} else {
+			// Nothing to keep: drop the directory made above. os.Remove
+			// leaves a non-empty one alone.
+			os.Remove(o.postDir)
 		}
 	}
 	var rec *trace.Recorder

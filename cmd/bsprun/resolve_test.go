@@ -75,3 +75,26 @@ func TestBadProgramFailsBeforeAnyProcess(t *testing.T) {
 		})
 	}
 }
+
+// TestCleanClusterRunLeavesNoPostmortemDir: a -cluster run arms a
+// per-PID postmortem directory under $TMPDIR by default; a run that
+// leaves no dumps must not leave the empty directory behind either.
+func TestCleanClusterRunLeavesNoPostmortemDir(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	cmd := exec.Command(exe, "-cluster", "-app", "psort", "-size", "1000", "-p", "2")
+	cmd.Env = append(os.Environ(), procLogEnv+"="+filepath.Join(t.TempDir(), "procs"), "TMPDIR="+tmp)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("clean cluster run: %v\n%s", err, out)
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "bsprun-postmortem-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("a clean run left %v behind", left)
+	}
+}

@@ -1,9 +1,11 @@
 // Package apps is the application registry: one App value per program
 // written against the three BSP operations, collected in the one
-// ordered slice All. The evaluation harness, bsprun, bsptables, bspsoak,
-// the root benchmarks and the cross-transport conformance suite all
-// iterate it, so none of them knows an application by name — adding an
-// application is one entry in All and nothing else.
+// ordered slice All — the paper's six applications (ocean, nbody, mst,
+// sp, msp, mm) and the sample sort psort with its Zipf-keyed psortz.
+// The evaluation harness, bsprun, bsptables, bspsoak, the root
+// benchmarks and the cross-transport conformance suite all iterate it,
+// so none of them knows an application by name — adding an application
+// is one entry in All and nothing else.
 package apps
 
 import (
@@ -12,20 +14,15 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cg"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/fmm"
 	"repro/internal/graph"
-	"repro/internal/lu"
 	"repro/internal/matmult"
 	"repro/internal/msp"
 	"repro/internal/mst"
 	"repro/internal/nbody"
 	"repro/internal/ocean"
-	"repro/internal/plasma"
 	"repro/internal/psort"
-	"repro/internal/radiosity"
 	"repro/internal/sp"
 )
 
@@ -80,7 +77,7 @@ func (a App) CheckP(p int) error {
 const inputSeed = 1996
 
 // All is the registry, in presentation order: the paper's six
-// applications, then the extensions.
+// applications, then the sample sort of §4 over two key distributions.
 var All = []App{
 	{
 		// One timestep, like the paper's per-run measurement (their S
@@ -168,90 +165,6 @@ var All = []App{
 	// Zipf-skewed keys: the duplicate-heavy distribution that the tagged
 	// splitters keep within the (1+1/ℓ)·n/p imbalance bound.
 	sortApp("psortz", psort.ZipfData),
-	{
-		Name: "cg", Sizes: []int{300, 1000, 3000},
-		New: func(size int) Instance {
-			g := graph.Geometric(size, inputSeed)
-			rhs := make([]float64, g.N)
-			for i := range rhs {
-				rhs[i] = float64(i%13) - 6
-			}
-			return Instance{
-				Sequential: func() { cg.Sequential(g, rhs) },
-				Run: func(c core.Config) (any, *core.Stats, error) {
-					x, _, st, err := cg.Parallel(c, g, rhs)
-					return x, st, err
-				},
-			}
-		},
-	},
-	{
-		Name: "fmm", Sizes: []int{400, 1000, 4000},
-		New: func(size int) Instance {
-			bodies := fmm.RandomBodies(size, inputSeed)
-			return Instance{
-				Sequential: func() { fmm.Forces(bodies) },
-				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(fmm.Parallel(c, bodies))
-				},
-			}
-		},
-	},
-	{
-		Name: "lu", Sizes: []int{16, 48, 96},
-		New: func(size int) Instance {
-			a := lu.RandomMatrix(size, inputSeed)
-			return Instance{
-				Sequential: func() {
-					if _, err := lu.Sequential(a, size); err != nil {
-						panic(err)
-					}
-				},
-				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(lu.Parallel(c, a, size))
-				},
-			}
-		},
-	},
-	{
-		Name: "plasma", Sizes: []int{400, 4000, 20000},
-		New: func(size int) Instance {
-			ps := plasma.TwoStream(size, 0.2, 1e-4, inputSeed)
-			const steps = 5
-			return Instance{
-				Sequential: func() { plasma.Sequential(append([]plasma.Particle(nil), ps...), steps) },
-				Run: func(c core.Config) (any, *core.Stats, error) {
-					final, energy, st, err := plasma.Parallel(c, ps, steps)
-					return plasmaResult{final, energy}, st, err
-				},
-			}
-		},
-	},
-	{
-		Name: "radiosity", Sizes: []int{8, 16, 32},
-		New: func(size int) Instance {
-			patches := radiosity.Room(size, 1, 1, 0.6)
-			return Instance{
-				Sequential: func() {
-					h, err := radiosity.Build(patches)
-					if err != nil {
-						panic(err)
-					}
-					h.Solve()
-				},
-				Run: func(c core.Config) (any, *core.Stats, error) {
-					return result(radiosity.Parallel(c, patches))
-				},
-			}
-		},
-	},
-}
-
-// plasmaResult is the plasma registration's result: the final particles
-// and the field-energy history.
-type plasmaResult struct {
-	particles []plasma.Particle
-	energy    []float64
 }
 
 // sortApp registers the sample sort over one key distribution.

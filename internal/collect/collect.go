@@ -5,8 +5,9 @@
 // very small set of basic functions and (at least in theory) requires any
 // other operations to be implemented on top of these functions"; this
 // package is that layer. Section 4 names broadcast as the kind of simple
-// subroutine whose cost the model predicts well, and the collectives
-// benchmark (DESIGN.md E2) exercises exactly that claim.
+// subroutine whose cost the model predicts well; the broadcast
+// benchmarks (DESIGN.md E2) set Broadcast against a two-phase broadcast
+// kept beside them in the tests.
 //
 // Every collective documents its BSP cost as (h, s): the h-relation units
 // and supersteps it consumes. All collectives must be called collectively
@@ -47,81 +48,6 @@ func Broadcast(c *core.Proc, root int, data []byte) []byte {
 		panic("collect: Broadcast received nothing")
 	}
 	return clone(msg)
-}
-
-// BroadcastTwoPhase distributes data from root in two supersteps:
-// scatter p equal pieces, then all-gather them. Cost: h ≈ 2·|data| per
-// process, s = 2 — the classic BSP optimization of the naive broadcast
-// for large payloads.
-func BroadcastTwoPhase(c *core.Proc, root int, data []byte) []byte {
-	p := c.P()
-	if p == 1 {
-		c.Sync()
-		c.Sync()
-		return data
-	}
-	var size int
-	// Phase 1: root scatters pieces; the total length travels with each
-	// piece so receivers can size their reassembly buffers.
-	if c.ID() == root {
-		size = len(data)
-		chunk := (size + p - 1) / p
-		for i := 0; i < p; i++ {
-			if i == root {
-				continue
-			}
-			lo := min(i*chunk, size)
-			hi := min(lo+chunk, size)
-			w := wire.NewWriter(16 + hi - lo)
-			w.Int(size)
-			w.Int(lo)
-			w.Raw(data[lo:hi])
-			c.Send(i, w.Bytes())
-		}
-	}
-	c.Sync()
-	// Phase 2: every process forwards its piece to everyone else.
-	var myPiece []byte
-	var myLo int
-	if c.ID() == root {
-		chunk := (len(data) + p - 1) / p
-		myLo = min(root*chunk, len(data))
-		myPiece = data[myLo:min(myLo+chunk, len(data))]
-		size = len(data)
-	} else {
-		msg, ok := c.Recv()
-		if !ok {
-			panic("collect: BroadcastTwoPhase received no piece")
-		}
-		r := wire.NewReader(msg)
-		size = r.Int()
-		myLo = r.Int()
-		// myPiece is reused after the phase-2 Sync, past the view's
-		// validity window, so it must be copied out here.
-		myPiece = clone(r.Raw(r.Remaining()))
-	}
-	w := wire.NewWriter(16 + len(myPiece))
-	w.Int(myLo)
-	w.Raw(myPiece)
-	for i := 0; i < p; i++ {
-		if i != c.ID() {
-			c.Send(i, w.Bytes())
-		}
-	}
-	c.Sync()
-	out := make([]byte, size)
-	copy(out[myLo:], myPiece)
-	for {
-		msg, ok := c.Recv()
-		if !ok {
-			break
-		}
-		r := wire.NewReader(msg)
-		lo := r.Int()
-		piece := r.Raw(r.Remaining())
-		copy(out[lo:], piece)
-	}
-	return out
 }
 
 // AllReduce combines one float64 per process with op and returns the

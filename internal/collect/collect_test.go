@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func run(t *testing.T, p int, fn func(c *core.Proc)) *core.Stats {
@@ -32,6 +33,106 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// broadcastTwoPhase distributes data from root in two supersteps:
+// scatter p equal pieces, then all-gather them. Cost: h ≈ 2·|data| per
+// process, s = 2 — the classic BSP optimization of the naive broadcast
+// for large payloads. It lives here, beside its test and benchmark,
+// because no program needs more than Broadcast.
+func broadcastTwoPhase(c *core.Proc, root int, data []byte) []byte {
+	p := c.P()
+	if p == 1 {
+		c.Sync()
+		c.Sync()
+		return data
+	}
+	var size int
+	// Phase 1: root scatters pieces; the total length travels with each
+	// piece so receivers can size their reassembly buffers.
+	if c.ID() == root {
+		size = len(data)
+		chunk := (size + p - 1) / p
+		for i := 0; i < p; i++ {
+			if i == root {
+				continue
+			}
+			lo := min(i*chunk, size)
+			hi := min(lo+chunk, size)
+			w := wire.NewWriter(16 + hi - lo)
+			w.Int(size)
+			w.Int(lo)
+			w.Raw(data[lo:hi])
+			c.Send(i, w.Bytes())
+		}
+	}
+	c.Sync()
+	// Phase 2: every process forwards its piece to everyone else.
+	var myPiece []byte
+	var myLo int
+	if c.ID() == root {
+		chunk := (len(data) + p - 1) / p
+		myLo = min(root*chunk, len(data))
+		myPiece = data[myLo:min(myLo+chunk, len(data))]
+		size = len(data)
+	} else {
+		msg, ok := c.Recv()
+		if !ok {
+			panic("collect: broadcastTwoPhase received no piece")
+		}
+		r := wire.NewReader(msg)
+		size = r.Int()
+		myLo = r.Int()
+		// myPiece is reused after the phase-2 Sync, past the view's
+		// validity window, so it must be copied out here.
+		myPiece = clone(r.Raw(r.Remaining()))
+	}
+	w := wire.NewWriter(16 + len(myPiece))
+	w.Int(myLo)
+	w.Raw(myPiece)
+	for i := 0; i < p; i++ {
+		if i != c.ID() {
+			c.Send(i, w.Bytes())
+		}
+	}
+	c.Sync()
+	out := make([]byte, size)
+	copy(out[myLo:], myPiece)
+	for {
+		msg, ok := c.Recv()
+		if !ok {
+			break
+		}
+		r := wire.NewReader(msg)
+		lo := r.Int()
+		piece := r.Raw(r.Remaining())
+		copy(out[lo:], piece)
+	}
+	return out
+}
+
+// BenchmarkBroadcastNaive and BenchmarkBroadcastTwoPhase compare the
+// one-superstep broadcast with the two-phase one (DESIGN.md E2, §4
+// "broadcast" as a predictable subroutine) at p = 8.
+func BenchmarkBroadcastNaive(b *testing.B) { benchBroadcast(b, Broadcast) }
+
+func BenchmarkBroadcastTwoPhase(b *testing.B) { benchBroadcast(b, broadcastTwoPhase) }
+
+func benchBroadcast(b *testing.B, bcast func(c *core.Proc, root int, data []byte) []byte) {
+	const p = 8
+	for _, size := range []int{64, 4096, 65536} {
+		payload := make([]byte, size)
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := core.Run(core.Config{P: p, Transport: transport.ShmTransport{}}, func(c *core.Proc) {
+					bcast(c, 0, payload)
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestBroadcastTwoPhase(t *testing.T) {
 	payloads := [][]byte{
 		{},
@@ -42,7 +143,7 @@ func TestBroadcastTwoPhase(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		for _, payload := range payloads {
 			run(t, p, func(c *core.Proc) {
-				got := BroadcastTwoPhase(c, 0, payload)
+				got := broadcastTwoPhase(c, 0, payload)
 				if !bytes.Equal(got, payload) {
 					t.Errorf("p=%d proc %d: got %d bytes, want %d", p, c.ID(), len(got), len(payload))
 				}
@@ -53,7 +154,7 @@ func TestBroadcastTwoPhase(t *testing.T) {
 
 func TestBroadcastTwoPhaseUsesTwoSupersteps(t *testing.T) {
 	st := run(t, 4, func(c *core.Proc) {
-		BroadcastTwoPhase(c, 0, bytes.Repeat([]byte{1}, 256))
+		broadcastTwoPhase(c, 0, bytes.Repeat([]byte{1}, 256))
 	})
 	if st.S() != 2 {
 		t.Errorf("S = %d, want 2", st.S())

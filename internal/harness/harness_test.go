@@ -55,7 +55,7 @@ func TestSizesAndProcs(t *testing.T) {
 		{"Procs(nbody)", Procs("nbody"), []int{1, 2, 4, 8, 16}},
 		{"Procs(ocean)", Procs("ocean"), []int{1, 2, 4, 8, 16}},
 		{"Sizes(nbody, full)", Sizes("nbody", true), []int{1000, 4000, 16000, 64000}},
-		{"Sizes(cg, full)", Sizes("cg", true), Sizes("cg", false)},
+		{"Sizes(psort, full)", Sizes("psort", true), Sizes("psort", false)},
 	} {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s = %v, want %v", tc.what, tc.got, tc.want)

@@ -75,16 +75,20 @@
 #                     loop (internal/launch: the crashed rank is
 #                     replaced, the survivors roll back in place) with
 #                     the crash and rollback markers in the merged trace
-#   make soak         chaos soak: cmd/bspsoak cycles seeded fault
-#                     scenarios (in-process chaos crashes, warm
-#                     single-rank cluster recovery, control-plane
-#                     partitions through the TCP chaos proxy) for
-#                     SOAK_DURATION, asserting byte-identical results
-#                     vs fault-free runs, surgical recovery counts and
-#                     zero goroutine leaks; the merged trace of the
-#                     last warm round is validated by tracecheck
-#   make soak-smoke   the same, bounded for CI: a short seeded soak
-#                     with the soak binary built under -race
+#   make soak         chaos soak: TestSoak (internal/ckpt) cycles
+#                     seeded fault rounds (in-process chaos crashes of
+#                     psort and ocean, warm single-rank cluster
+#                     recovery, control-plane partitions through the
+#                     TCP chaos proxy) for SOAK_DURATION, asserting
+#                     byte-identical results vs fault-free runs,
+#                     surgical recovery counts, telemetry, postmortem
+#                     and merged-trace consistency and zero goroutine
+#                     leaks; round N draws its faults from seed N, and a
+#                     failed round prints the go test line that replays
+#                     it alone. -timeout is 1h: a longer SOAK_DURATION
+#                     needs a longer one
+#   make soak-smoke   the same under -race, bounded for CI by
+#                     SOAK_SMOKE_DURATION
 #   make postmortem-smoke  end-to-end crash-forensics smoke: a chaos-
 #                     crashed p=4 cluster psort WITHOUT -trace must
 #                     leave a complete postmortem bundle (the always-on
@@ -125,10 +129,8 @@ CLUSTER_DIR ?= /tmp/bsp-cluster-smoke
 POST_DIR ?= /tmp/bsp-postmortem-smoke
 TOP_DIR ?= /tmp/bsp-top-smoke
 TOP_PORT ?= 8338
-SOAK_DIR ?= /tmp/bsp-soak
 SOAK_DURATION ?= 60s
 SOAK_SMOKE_DURATION ?= 15s
-SOAK_SEED ?= 1
 # ns/op is host-dependent (the checkpoint benchmark is disk-bound); the
 # band is wide on purpose — the gate catches order-of-magnitude
 # regressions and alloc creep, not scheduler noise.
@@ -291,20 +293,10 @@ top-smoke:
 	! grep -q '"last_step": -1' $(TOP_DIR)/status_bare.json
 
 soak:
-	rm -rf $(SOAK_DIR) && mkdir -p $(SOAK_DIR)
-	$(GO) build -o $(SOAK_DIR)/bspsoak ./cmd/bspsoak
-	$(GO) build -o $(SOAK_DIR)/tracecheck ./cmd/tracecheck
-	$(SOAK_DIR)/bspsoak -duration $(SOAK_DURATION) -seed $(SOAK_SEED) \
-		-dir $(SOAK_DIR)/work -trace $(SOAK_DIR)/soak-trace.json
-	$(SOAK_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(SOAK_DIR)/soak-trace.json
+	$(GO) test -count=1 -timeout 1h -run 'TestSoak$$' ./internal/ckpt/ -v -soak $(SOAK_DURATION)
 
 soak-smoke:
-	rm -rf $(SOAK_DIR) && mkdir -p $(SOAK_DIR)
-	$(GO) build -race -o $(SOAK_DIR)/bspsoak ./cmd/bspsoak
-	$(GO) build -o $(SOAK_DIR)/tracecheck ./cmd/tracecheck
-	$(SOAK_DIR)/bspsoak -duration $(SOAK_SMOKE_DURATION) -seed $(SOAK_SEED) \
-		-dir $(SOAK_DIR)/work -trace $(SOAK_DIR)/soak-trace.json
-	$(SOAK_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(SOAK_DIR)/soak-trace.json
+	$(GO) test -race -count=1 -timeout 10m -run 'TestSoak$$' ./internal/ckpt/ -v -soak $(SOAK_SMOKE_DURATION)
 
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzRoundTrip -fuzztime 10s

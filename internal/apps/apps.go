@@ -2,10 +2,10 @@
 // written against the three BSP operations, collected in the one
 // ordered slice All — the paper's six applications (ocean, nbody, mst,
 // sp, msp, mm) and the sample sort psort with its Zipf-keyed psortz.
-// The evaluation harness, bsprun, bsptables, bspsoak, the root
-// benchmarks and the cross-transport conformance suite all iterate it,
-// so none of them knows an application by name — adding an application
-// is one entry in All and nothing else.
+// The evaluation harness, bsprun, bsptables, the root benchmarks and
+// the cross-transport conformance suite all iterate it, so none of them
+// knows an application by name — adding an application is one entry in
+// All and nothing else.
 package apps
 
 import (

@@ -124,17 +124,19 @@ var keepsState = map[string]bool{"ocean": true, "psort": true, "psortz": true}
 // the application has checkpoint hooks, from superstep 0 where not. An
 // application that keeps state crashes in a superstep drawn from
 // [3, S], after its first cut is committed, so its resume step is
-// checked too.
+// checked too. S comes from the cost golden, so every plan is drawn
+// before any application runs and a -run filter runs one application.
 func TestConformanceRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(inputSeed))
 	for _, a := range All {
-		inst, want, wantSt := simRun(t, a)
 		first := 1
 		if keepsState[a.Name] {
 			first = 3
 		}
-		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(conformanceP), CrashStep: first + rng.Intn(wantSt.S()-first+1)}
+		steps := goldenS(t, a.Name, a.Sizes[0], conformanceP)
+		plan := transport.FaultPlan{Seed: rng.Int63(), CrashRank: rng.Intn(conformanceP), CrashStep: first + rng.Intn(steps-first+1)}
 		t.Run(a.Name, func(t *testing.T) {
+			inst, want, _ := simRun(t, a)
 			got, st, err := inst.Run(core.Config{
 				P:           conformanceP,
 				Transport:   transport.NewChaosTransport(transport.TCPTransport{}, plan),
@@ -155,6 +157,25 @@ func TestConformanceRecovery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenS returns the superstep count testdata/cost_golden.txt pins for
+// one application, size and p.
+func goldenS(t *testing.T, name string, size, p int) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "cost_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		var app string
+		var sz, pp, s, h int
+		if n, _ := fmt.Sscan(line, &app, &sz, &pp, &s, &h); n == 5 && app == name && sz == size && pp == p {
+			return s
+		}
+	}
+	t.Fatalf("cost golden has no row for %s at size %d, p=%d", name, size, p)
+	return 0
 }
 
 // TestCostGolden pins every application's communication cost — S and H

@@ -27,7 +27,7 @@ func BenchmarkPrim(b *testing.B) {
 	g := Geometric(5000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PrimMST(g)
+		primMST(g)
 	}
 }
 

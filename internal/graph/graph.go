@@ -214,24 +214,6 @@ func buildRadius(x, y []float64, r float64) *Graph {
 	return g
 }
 
-// Connected reports whether g is a single connected component.
-func Connected(g *Graph) bool {
-	if g.N == 0 {
-		return true
-	}
-	uf := NewUnionFind(g.N)
-	comps := g.N
-	for u := int32(0); u < int32(g.N); u++ {
-		adj, _ := g.Neighbors(u)
-		for _, v := range adj {
-			if uf.Union(int(u), int(v)) {
-				comps--
-			}
-		}
-	}
-	return comps == 1
-}
-
 // Validate checks CSR structural invariants; it is used by the property
 // tests.
 func (g *Graph) Validate() error {

@@ -16,7 +16,7 @@ func TestGeometricBasics(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if n > 1 && !Connected(g) {
+		if n > 1 && !connected(g) {
 			t.Errorf("n=%d: graph at the connectivity threshold must be connected", n)
 		}
 	}
@@ -153,7 +153,7 @@ func TestKruskalAgainstPrim(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := Geometric(400, seed)
 		kw, ke := KruskalMST(g)
-		pw, pe := PrimMST(g)
+		pw, pe := primMST(g)
 		if ke != g.N-1 || pe != g.N-1 {
 			t.Fatalf("seed %d: MST edge counts %d/%d, want %d", seed, ke, pe, g.N-1)
 		}
@@ -168,7 +168,7 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 		g := Geometric(250, seed)
 		for _, src := range []int32{0, int32(g.N / 2)} {
 			d1 := Dijkstra(g, src)
-			d2 := BellmanFord(g, src)
+			d2 := bellmanFord(g, src)
 			for v := range d1 {
 				if math.Abs(d1[v]-d2[v]) > 1e-9 {
 					t.Fatalf("seed %d src %d: dist[%d] = %g vs %g", seed, src, v, d1[v], d2[v])
@@ -298,4 +298,85 @@ func TestEdgeListHalves(t *testing.T) {
 			t.Fatalf("edge (%d,%d) not normalized", e.U, e.V)
 		}
 	}
+}
+
+// connected reports whether g is a single connected component.
+func connected(g *Graph) bool {
+	if g.N == 0 {
+		return true
+	}
+	uf := NewUnionFind(g.N)
+	comps := g.N
+	for u := int32(0); u < int32(g.N); u++ {
+		adj, _ := g.Neighbors(u)
+		for _, v := range adj {
+			if uf.Union(int(u), int(v)) {
+				comps--
+			}
+		}
+	}
+	return comps == 1
+}
+
+// bellmanFord is an independent O(N·E) shortest-path oracle that
+// cross-checks Dijkstra.
+func bellmanFord(g *Graph, src int32) []float64 {
+	dist := make([]float64, g.N)
+	for i := range dist {
+		dist[i] = Inf
+	}
+	dist[src] = 0
+	for iter := 0; iter < g.N; iter++ {
+		changed := false
+		for u := int32(0); u < int32(g.N); u++ {
+			if math.IsInf(dist[u], 1) {
+				continue
+			}
+			adj, w := g.Neighbors(u)
+			for k, v := range adj {
+				if nd := dist[u] + w[k]; nd < dist[v] {
+					dist[v] = nd
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return dist
+}
+
+// primMST is an independent MST oracle that cross-checks Kruskal.
+func primMST(g *Graph) (weight float64, edges int) {
+	if g.N == 0 {
+		return 0, 0
+	}
+	inTree := make([]bool, g.N)
+	best := make([]float64, g.N)
+	for i := range best {
+		best[i] = Inf
+	}
+	var h DistHeap
+	best[0] = 0
+	h.Push(0, 0)
+	for h.Len() > 0 {
+		d, u := h.Pop()
+		if inTree[u] || d > best[u] {
+			continue
+		}
+		inTree[u] = true
+		if u != 0 {
+			weight += d
+			edges++
+		}
+		adj, w := g.Neighbors(u)
+		for k, v := range adj {
+			if !inTree[v] && w[k] < best[v] {
+				best[v] = w[k]
+				h.Push(w[k], v)
+			}
+		}
+	}
+	return weight, edges
 }

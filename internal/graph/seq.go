@@ -64,67 +64,3 @@ func MultiDijkstra(g *Graph, srcs []int32) [][]float64 {
 	}
 	return out
 }
-
-// BellmanFord is an independent O(N·E) shortest-path oracle used only by
-// tests to cross-check Dijkstra.
-func BellmanFord(g *Graph, src int32) []float64 {
-	dist := make([]float64, g.N)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[src] = 0
-	for iter := 0; iter < g.N; iter++ {
-		changed := false
-		for u := int32(0); u < int32(g.N); u++ {
-			if math.IsInf(dist[u], 1) {
-				continue
-			}
-			adj, w := g.Neighbors(u)
-			for k, v := range adj {
-				if nd := dist[u] + w[k]; nd < dist[v] {
-					dist[v] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist
-}
-
-// PrimMST is an independent MST oracle used only by tests to cross-check
-// Kruskal and the parallel MST.
-func PrimMST(g *Graph) (weight float64, edges int) {
-	if g.N == 0 {
-		return 0, 0
-	}
-	inTree := make([]bool, g.N)
-	best := make([]float64, g.N)
-	for i := range best {
-		best[i] = Inf
-	}
-	var h DistHeap
-	best[0] = 0
-	h.Push(0, 0)
-	for h.Len() > 0 {
-		d, u := h.Pop()
-		if inTree[u] || d > best[u] {
-			continue
-		}
-		inTree[u] = true
-		if u != 0 {
-			weight += d
-			edges++
-		}
-		adj, w := g.Neighbors(u)
-		for k, v := range adj {
-			if !inTree[v] && w[k] < best[v] {
-				best[v] = w[k]
-				h.Push(w[k], v)
-			}
-		}
-	}
-	return weight, edges
-}

@@ -29,7 +29,7 @@ func BenchmarkKernelNaive(b *testing.B) {
 	bm := RandomMatrix(n, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Naive(a, bm, n)
+		naive(a, bm, n)
 	}
 }
 

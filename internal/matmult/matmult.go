@@ -65,21 +65,6 @@ func MultiplyAdd(c, a, b []float64, n int) {
 	}
 }
 
-// Naive is the O(n³) triple loop without blocking; it is the test oracle.
-func Naive(a, b []float64, n int) []float64 {
-	c := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += a[i*n+k] * b[k*n+j]
-			}
-			c[i*n+j] = s
-		}
-	}
-	return c
-}
-
 // RandomMatrix returns a deterministic pseudo-random n×n matrix.
 func RandomMatrix(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))

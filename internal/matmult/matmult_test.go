@@ -22,7 +22,7 @@ func TestSequentialMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 5, 16, 33, 64} {
 		a := RandomMatrix(n, 1)
 		b := RandomMatrix(n, 2)
-		matricesClose(t, Sequential(a, b, n), Naive(a, b, n), n, "blocked kernel")
+		matricesClose(t, Sequential(a, b, n), naive(a, b, n), n, "blocked kernel")
 	}
 }
 
@@ -105,7 +105,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d p=%d: %v", tc.n, tc.p, err)
 		}
-		matricesClose(t, got, Naive(a, b, tc.n), tc.n, "cannon")
+		matricesClose(t, got, naive(a, b, tc.n), tc.n, "cannon")
 		sq, _ := GridSide(tc.p)
 		if wantS := 2*(sq-1) + 1; st.S() != wantS {
 			t.Errorf("n=%d p=%d: S = %d, want %d (paper Table C.3 pattern)", tc.n, tc.p, st.S(), wantS)
@@ -169,7 +169,7 @@ func TestQuickCannonMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := Naive(a, b, n)
+		want := naive(a, b, n)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9*float64(n) {
 				return false
@@ -180,4 +180,20 @@ func TestQuickCannonMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// naive is the O(n³) triple loop without blocking: the oracle the
+// blocked kernel and Cannon's algorithm are checked against.
+func naive(a, b []float64, n int) []float64 {
+	c := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += a[i*n+k] * b[k*n+j]
+			}
+			c[i*n+j] = s
+		}
+	}
+	return c
 }

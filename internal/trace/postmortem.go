@@ -16,8 +16,8 @@ import (
 // gathers the per-rank dumps into one bundle with a MANIFEST.json.
 // cmd/bsppost merges a bundle onto a single timeline (each dump embeds
 // a Shard, so MergeShards does the heavy lifting) and prints the
-// root-cause report; cmd/tracecheck validates a bundle's internal
-// consistency.
+// root-cause report; CheckBundle validates a bundle's internal
+// consistency, for cmd/tracecheck -postmortem and the recovery tests.
 
 // Dump is one rank's postmortem: the retained flight-ring events plus
 // the forensic context that explains them. It embeds the Shard it is

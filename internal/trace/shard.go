@@ -13,8 +13,9 @@ import (
 // events its Recorder collected for the rank(s) it hosted, stamped
 // with the job identity and the recorder's wall-clock epoch. Each
 // bsprun -cluster worker writes one shard; the launcher merges them
-// (MergeShards) into a single Recorder whose exporters — Chrome JSON,
-// reports, tracecheck — then work exactly as for an in-process run.
+// (MergeShards) into a single Recorder whose exporters and audits —
+// Chrome JSON, reports, Check — then work exactly as for an in-process
+// run.
 type Shard struct {
 	// Job is the cluster job id; shards of different jobs never merge.
 	Job string `json:"job"`

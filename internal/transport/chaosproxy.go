@@ -26,8 +26,8 @@ import (
 //   - Reset: every active connection is torn down mid-stream with an
 //     RST (SO_LINGER 0), not a graceful FIN.
 //
-// Faults engage and heal at method-call granularity; a soak harness
-// drives them from a seeded schedule. The zero fault state relays
+// Faults engage and heal at method-call granularity; the soak test in
+// internal/ckpt drives them from a seeded schedule. The zero fault state relays
 // transparently.
 type ChaosProxy struct {
 	target string

@@ -191,7 +191,8 @@ type StatusCalib struct {
 
 // StatusDoc is the one job-level view: the coordinator serves it at
 // /status, renders /metrics from it, and the launcher keeps the final
-// one (bsprun -status-dump, bsptop, tracecheck -status, bspsoak).
+// one (bsprun -status-dump, bsptop, tracecheck -status, and the
+// warm-recovery test in internal/ckpt).
 type StatusDoc struct {
 	Job   string       `json:"job"`
 	P     int          `json:"p"`

@@ -16,9 +16,8 @@ import (
 //
 //	[u32 payload length][payload bytes] ...
 //
-// AppendFrame combines a message into a growing batch; EncodeBatch
-// frames a whole message list in one call; DecodeBatch and FrameIter
-// recover zero-copy payload views; FrameCount validates a received
+// AppendFrame combines a message into a growing batch; FrameIter
+// recovers zero-copy payload views; FrameCount validates a received
 // batch in a single pass before any view is handed out.
 
 // frameHdrLen is the length prefix size of one frame.
@@ -34,24 +33,6 @@ const MaxFramePayload = 1 << 30
 func AppendFrame(batch, msg []byte) []byte {
 	batch = binary.LittleEndian.AppendUint32(batch, uint32(len(msg)))
 	return append(batch, msg...)
-}
-
-// EncodeBatch frames every message of msgs into dst in one call and
-// returns the extended buffer (the whole per-pair buffer encode).
-func EncodeBatch(dst []byte, msgs [][]byte) []byte {
-	n := 0
-	for _, m := range msgs {
-		n += frameHdrLen + len(m)
-	}
-	if cap(dst)-len(dst) < n {
-		grown := make([]byte, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for _, m := range msgs {
-		dst = AppendFrame(dst, m)
-	}
-	return dst
 }
 
 // FrameCount validates batch in one pass and returns the number of
@@ -109,23 +90,6 @@ func BatchStats(batch []byte) (frames, pkts int, err error) {
 		}
 	}
 	return frames, pkts, nil
-}
-
-// DecodeBatch appends a zero-copy view of every frame payload in batch
-// to views and returns the extended slice (the whole per-pair buffer
-// decode). The views alias batch and share its lifetime. batch must
-// have been validated (FrameCount) or locally produced; a malformed
-// batch returns an error with the views decoded so far.
-func DecodeBatch(views [][]byte, batch []byte) ([][]byte, error) {
-	for off := 0; off < len(batch); {
-		view, next, err := frameAt(batch, off)
-		if err != nil {
-			return views, err
-		}
-		views = append(views, view)
-		off = next
-	}
-	return views, nil
 }
 
 // frameAt returns the payload view of the frame starting at off and the

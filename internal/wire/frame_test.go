@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestFrameRoundTrip: AppendFrame/EncodeBatch followed by
-// FrameCount/DecodeBatch/FrameIter recovers exactly the encoded message
+// TestFrameRoundTrip: AppendFrame/encodeBatch followed by
+// FrameCount/decodeBatch/FrameIter recovers exactly the encoded message
 // sequence, including empty messages and an empty batch.
 func TestFrameRoundTrip(t *testing.T) {
 	cases := [][][]byte{
@@ -21,17 +21,17 @@ func TestFrameRoundTrip(t *testing.T) {
 		for _, m := range msgs {
 			batch = AppendFrame(batch, m)
 		}
-		enc := EncodeBatch(nil, msgs)
+		enc := encodeBatch(nil, msgs)
 		if !bytes.Equal(batch, enc) {
-			t.Errorf("case %d: AppendFrame and EncodeBatch disagree", ci)
+			t.Errorf("case %d: AppendFrame and encodeBatch disagree", ci)
 		}
 		n, err := FrameCount(batch)
 		if err != nil || n != len(msgs) {
 			t.Errorf("case %d: FrameCount = %d, %v; want %d, nil", ci, n, err, len(msgs))
 		}
-		views, err := DecodeBatch(nil, batch)
+		views, err := decodeBatch(nil, batch)
 		if err != nil || len(views) != len(msgs) {
-			t.Fatalf("case %d: DecodeBatch = %d views, %v", ci, len(views), err)
+			t.Fatalf("case %d: decodeBatch = %d views, %v", ci, len(views), err)
 		}
 		var it FrameIter
 		it.Reset(batch)
@@ -53,8 +53,8 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFrameViewsCapped: decoded views must be three-index slices, so an
 // append through a view cannot overwrite the next frame in the batch.
 func TestFrameViewsCapped(t *testing.T) {
-	batch := EncodeBatch(nil, [][]byte{[]byte("aa"), []byte("bb")})
-	views, err := DecodeBatch(nil, batch)
+	batch := encodeBatch(nil, [][]byte{[]byte("aa"), []byte("bb")})
+	views, err := decodeBatch(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFrameViewsCapped(t *testing.T) {
 // TestFrameCorruptBatch: truncated headers, truncated payloads and
 // absurd lengths are reported, never sliced out of range.
 func TestFrameCorruptBatch(t *testing.T) {
-	good := EncodeBatch(nil, [][]byte{[]byte("payload")})
+	good := encodeBatch(nil, [][]byte{[]byte("payload")})
 	for _, tc := range []struct {
 		name  string
 		batch []byte
@@ -82,8 +82,8 @@ func TestFrameCorruptBatch(t *testing.T) {
 		if _, err := FrameCount(tc.batch); err == nil {
 			t.Errorf("%s: FrameCount accepted a corrupt batch", tc.name)
 		}
-		if _, err := DecodeBatch(nil, tc.batch); err == nil {
-			t.Errorf("%s: DecodeBatch accepted a corrupt batch", tc.name)
+		if _, err := decodeBatch(nil, tc.batch); err == nil {
+			t.Errorf("%s: decodeBatch accepted a corrupt batch", tc.name)
 		}
 	}
 }
@@ -94,22 +94,57 @@ func TestFrameCorruptBatch(t *testing.T) {
 // re-encode to the identical bytes.
 func FuzzFrameBatch(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeBatch(nil, [][]byte{[]byte("seed"), {}, []byte("x")}))
+	f.Add(encodeBatch(nil, [][]byte{[]byte("seed"), {}, []byte("x")}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, batch []byte) {
 		n, cntErr := FrameCount(batch)
-		views, decErr := DecodeBatch(nil, batch)
+		views, decErr := decodeBatch(nil, batch)
 		if (cntErr == nil) != (decErr == nil) {
-			t.Fatalf("FrameCount err=%v but DecodeBatch err=%v", cntErr, decErr)
+			t.Fatalf("FrameCount err=%v but decodeBatch err=%v", cntErr, decErr)
 		}
 		if cntErr != nil {
 			return
 		}
 		if len(views) != n {
-			t.Fatalf("FrameCount = %d but DecodeBatch yielded %d views", n, len(views))
+			t.Fatalf("FrameCount = %d but decodeBatch yielded %d views", n, len(views))
 		}
-		if re := EncodeBatch(nil, views); !bytes.Equal(re, batch) {
+		if re := encodeBatch(nil, views); !bytes.Equal(re, batch) {
 			t.Fatalf("re-encoding %d decoded frames does not reproduce the batch", n)
 		}
 	})
+}
+
+// encodeBatch frames every message of msgs into dst in one call and
+// returns the extended buffer (the whole per-pair buffer encode).
+func encodeBatch(dst []byte, msgs [][]byte) []byte {
+	n := 0
+	for _, m := range msgs {
+		n += frameHdrLen + len(m)
+	}
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	for _, m := range msgs {
+		dst = AppendFrame(dst, m)
+	}
+	return dst
+}
+
+// decodeBatch appends a zero-copy view of every frame payload in batch
+// to views and returns the extended slice (the whole per-pair buffer
+// decode). The views alias batch and share its lifetime. batch must
+// have been validated (FrameCount) or locally produced; a malformed
+// batch returns an error with the views decoded so far.
+func decodeBatch(views [][]byte, batch []byte) ([][]byte, error) {
+	for off := 0; off < len(batch); {
+		view, next, err := frameAt(batch, off)
+		if err != nil {
+			return views, err
+		}
+		views = append(views, view)
+		off = next
+	}
+	return views, nil
 }

@@ -74,7 +74,8 @@
 #                     must recover through the launcher's supervision
 #                     loop (internal/launch: the crashed rank is
 #                     replaced, the survivors roll back in place) with
-#                     the crash and rollback markers in the merged trace
+#                     the crash marker and exactly one rollback marker
+#                     in the merged trace
 #   make soak         chaos soak: TestSoak (internal/ckpt) cycles
 #                     seeded fault rounds (in-process chaos crashes of
 #                     psort and ocean, warm single-rank cluster
@@ -110,7 +111,8 @@
 #   make golden       rewrite every -update golden in one go — the
 #                     Chrome trace export, the Prometheus /metrics
 #                     exposition, ocean's (S, H, V-cycles) cost table
-#                     and the registry's per-application (S, H) table
+#                     and field hashes, and the registry's
+#                     per-application (S, H) table
 #                     — so a deliberate schema or schedule change is
 #                     refreshed and reviewed as one diff; the tests that
 #                     hold the goldens run in plain `go test ./...`
@@ -216,7 +218,10 @@ cluster-smoke:
 		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-checkpoint-dir $(CLUSTER_DIR)/ckpt -trace $(CLUSTER_DIR)/crash.json \
 		-sync-timeout 30s
-	$(CLUSTER_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(CLUSTER_DIR)/crash.json
+	$(CLUSTER_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(CLUSTER_DIR)/crash.json \
+		> $(CLUSTER_DIR)/crash-check.txt || { cat $(CLUSTER_DIR)/crash-check.txt; false; }
+	cat $(CLUSTER_DIR)/crash-check.txt
+	grep -q " 1 crash(es), 1 rollback(s)" $(CLUSTER_DIR)/crash-check.txt
 
 # The crash forensics must work with tracing OFF — that is the whole
 # point of the always-on flight recorder — so the run deliberately has

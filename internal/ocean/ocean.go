@@ -52,6 +52,9 @@ type oceanSim struct {
 	psi, vort *slab
 	cfg       Config
 	m         int
+	// windX[c-1] is windAmp·sin(πx) at column c's centre x: the wind
+	// forcing's column factor, which no timestep changes.
+	windX []float64
 	// Cycles records the V-cycle count of each solve.
 	Cycles []int
 	// err is the first solve failure; it ends the run (on every process
@@ -68,7 +71,11 @@ func newOceanSim(mc machine, cfg Config, tol float64) (*oceanSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &oceanSim{mc: mc, cfg: cfg, m: m}
+	s := &oceanSim{mc: mc, cfg: cfg, m: m, windX: make([]float64, m)}
+	h := 1 / float64(m)
+	for c := 1; c <= m; c++ {
+		s.windX[c-1] = windAmp * sinPi((float64(c)-0.5)*h)
+	}
 	s.sol = newSolver(mc, m)
 	s.sol.tol = tol
 	lv0 := s.sol.levels[0] // ψ and vorticity live on level 0's strips
@@ -101,24 +108,33 @@ func (s *oceanSim) step(i int) error {
 	h := 1 / float64(m)
 	h2 := h * h
 	lv0 := s.sol.levels[0]
+	w := m + 2
 	for r := s.psi.lo; r < s.psi.hi; r++ {
-		up, me, dn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
-		vr := s.vort.row(r)
+		up, me, dn := s.psi.row(r - 1)[:w], s.psi.row(r)[:w], s.psi.row(r + 1)[:w]
+		vr := s.vort.row(r)[:w]
 		wr := lv0.walls(r)
-		for c := 1; c <= m; c++ {
-			vr[c] = (up[c] + dn[c] + me[c-1] + me[c+1] - float64(4+wr+lv0.walls(c))*me[c]) / h2
+		// Columns 1 and m have one more wall side than the rest.
+		vr[1] = stencil(up, me, dn, 1, float64(4+wr+lv0.walls(1))) / h2
+		d := float64(4 + wr)
+		for c := 2; c < m; c++ {
+			vr[c] = stencil(up, me, dn, c, d) / h2
+		}
+		if m > 1 {
+			vr[m] = stencil(up, me, dn, m, float64(4+wr+lv0.walls(m))) / h2
 		}
 	}
 	s.mc.work((s.psi.hi - s.psi.lo) * m)
 	exchange(s.mc, s.fidVort(), s.vort, 1)
+	windX := s.windX[:m]
 	for r := s.psi.lo; r < s.psi.hi; r++ {
-		pMe, vMe := s.psi.row(r), s.vort.row(r)
+		pMe, vMe := s.psi.row(r)[:w], s.vort.row(r)[:w]
 		pUp, su := s.psi.mirror(r, -1)
 		pDn, sd := s.psi.mirror(r, +1)
 		vUp, _ := s.vort.mirror(r, -1)
 		vDn, _ := s.vort.mirror(r, +1)
-		fr := lv0.f.row(r)
-		y := (float64(r) - 0.5) * h
+		pUp, pDn, vUp, vDn = pUp[:w], pDn[:w], vUp[:w], vDn[:w]
+		fr := lv0.f.row(r)[:w]
+		sy := sinPi((float64(r) - 0.5) * h)
 		for c := 1; c <= m; c++ {
 			pl, pr, vl, vr := pMe[c-1], pMe[c+1], vMe[c-1], vMe[c+1]
 			if c == 1 {
@@ -133,8 +149,7 @@ func (s *oceanSim) step(i int) error {
 			vx := (vr - vl) / (2 * h)
 			vy := (sd*vDn[c] - su*vUp[c]) / (2 * h)
 			jac := px*vy - py*vx
-			x := (float64(c) - 0.5) * h
-			wind := windAmp * sinPi(x) * sinPi(y)
+			wind := windX[c-1] * sy // windAmp·sinPi(x)·sinPi(y), evaluated left to right
 			fr[c] = vMe[c] + dt*(wind-jac-friction*vMe[c])
 		}
 	}
@@ -205,14 +220,16 @@ func sequential(cfg Config, tol float64) (*Fields, []int, error) {
 // timestep boundary is a cut (see run), and a crashed-and-recovered run
 // returns the fault-free result with the same S.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
-	return parallel(ccfg, cfg, tol)
+	f, _, st, err := parallel(ccfg, cfg, tol)
+	return f, st, err
 }
 
-// parallel is Parallel with the solver tolerance given.
-func parallel(ccfg core.Config, cfg Config, tol float64) (*Fields, *core.Stats, error) {
+// parallel is Parallel with the solver tolerance given; it also returns
+// the V-cycle count per step, which every process shares.
+func parallel(ccfg core.Config, cfg Config, tol float64) (*Fields, []int, *core.Stats, error) {
 	m, err := checkGrid(cfg.Size)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sims := make([]*oceanSim, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
@@ -224,13 +241,20 @@ func parallel(ccfg core.Config, cfg Config, tol float64) (*Fields, *core.Stats, 
 		sim.run()
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	f, err := assemble(sims)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return f, st, nil
+	var cycles []int
+	for _, s := range sims {
+		if s != nil {
+			cycles = s.Cycles
+			break
+		}
+	}
+	return f, cycles, st, nil
 }
 
 // assemble stitches the owned rows of every process into a full grid.

@@ -177,6 +177,22 @@ func TestSolveReportsNonConvergence(t *testing.T) {
 	}
 }
 
+// TestSolveReportsNaN: a NaN in the right-hand side must fail the solve
+// and show in the reported residual. A max-norm that dropped NaNs would
+// see a finite |f|∞ and, once the NaN had spread through u, a zero
+// residual, and report convergence.
+func TestSolveReportsNaN(t *testing.T) {
+	sol := newSolver(seqMachine{}, 64)
+	roughRHS(sol.levels[0])
+	sol.levels[0].f.row(20)[33] = math.NaN()
+	if _, ok := sol.Solve(); ok {
+		t.Fatal("Solve converged on a right-hand side holding a NaN")
+	}
+	if !math.IsNaN(sol.res) {
+		t.Fatalf("residual %g, want NaN", sol.res)
+	}
+}
+
 // TestRunFailsWhenSolveDoesNotConverge: an unreachable tolerance makes
 // the first solve hit maxCycles; every driver must return an error that
 // names size, timestep, residual and target — on every rank, with no
@@ -185,7 +201,7 @@ func TestRunFailsWhenSolveDoesNotConverge(t *testing.T) {
 	cfg := Config{Size: 18, Steps: 2}
 	ccfg := core.Config{P: 3, Transport: transport.ShmTransport{}}
 	_, _, seqErr := sequential(cfg, 1e-30)
-	_, _, parErr := parallel(ccfg, cfg, 1e-30)
+	_, _, _, parErr := parallel(ccfg, cfg, 1e-30)
 	for name, err := range map[string]error{"Sequential": seqErr, "Parallel": parErr} {
 		if err == nil {
 			t.Errorf("%s reported success", name)

@@ -1,11 +1,12 @@
 package ocean
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 // The multigrid hierarchy is cell-centred at every level: level l has
@@ -120,20 +121,25 @@ type bspMachine struct {
 	p       int
 	strips  strips
 	fieldOf []*slab // by fid
-	// out holds the records queued for each destination, in a writer
+	// out holds the records queued for each destination, in a buffer
 	// made on first use with room for outCap bytes.
-	out    []*wire.Writer
+	out    [][]byte
 	outCap int
 }
 
 // newBSPMachine binds a process whose finest level is m cells wide.
-// Writers start with room for the largest message a halo exchange sends
-// one neighbor there — the two whole rows of the prolongation's coarse
-// halo, or of u's black half-rows plus a red one, at most 3·m/2
+// Outboxes start with room for the largest message a halo exchange
+// sends one neighbor there — the two whole rows of the prolongation's
+// coarse halo, or of u's black half-rows plus a red one, at most 3·m/2
 // records — so halo traffic never grows them.
 func newBSPMachine(c *core.Proc, m int) *bspMachine {
-	return &bspMachine{c: c, p: c.P(), strips: newStrips(m, c.P()), out: make([]*wire.Writer, c.P()), outCap: 3 * m / 2 * 16}
+	return &bspMachine{c: c, p: c.P(), strips: newStrips(m, c.P()), out: make([][]byte, c.P()), outCap: 3 * m / 2 * recSize}
 }
+
+// recSize is the size of a halo record on the wire: the row|fid tag and
+// the column as little-endian uint32s, then the value's IEEE bits as a
+// little-endian uint64.
+const recSize = 16
 
 func (m *bspMachine) register(fid int, s *slab) {
 	for len(m.fieldOf) <= fid {
@@ -143,14 +149,15 @@ func (m *bspMachine) register(fid int, s *slab) {
 }
 
 // sync implements machine: it posts the records queued for each
-// destination, synchronizes, and stores every 16-byte (row|fid, col,
-// value) record received into the field and row it names. Senders
-// address only rows the receiver stores.
+// destination, synchronizes, and stores every (row|fid, col, value)
+// record received into the field and row it names. Senders address only
+// rows the receiver stores, a row's records at a time, so the row is
+// looked up once per run of equal tags.
 func (m *bspMachine) sync() {
-	for q, w := range m.out {
-		if w != nil && w.Len() > 0 {
-			m.c.Send(q, w.Bytes())
-			w.Reset()
+	for q, b := range m.out {
+		if len(b) > 0 {
+			m.c.Send(q, b)
+			m.out[q] = b[:0]
 		}
 	}
 	m.c.Sync()
@@ -159,11 +166,13 @@ func (m *bspMachine) sync() {
 		if !ok {
 			return
 		}
-		r := wire.NewReader(msg)
-		for r.Remaining() >= 16 {
-			tag := r.Uint32()
-			col := r.Uint32()
-			m.fieldOf[tag>>20].row(int(tag & 0xFFFFF))[col] = r.Float64()
+		var row []float64
+		var tag uint32
+		for ; len(msg) >= recSize; msg = msg[recSize:] {
+			if t := binary.LittleEndian.Uint32(msg); row == nil || t != tag {
+				tag, row = t, m.fieldOf[t>>20].row(int(t&0xFFFFF))
+			}
+			row[binary.LittleEndian.Uint32(msg[4:])] = math.Float64frombits(binary.LittleEndian.Uint64(msg[8:recSize]))
 		}
 	}
 }
@@ -192,22 +201,26 @@ func (m *bspMachine) sendRow(fid int, s *slab, row, dst, cells int) {
 	if dst == m.c.ID() {
 		return
 	}
-	w := m.out[dst]
-	if w == nil {
-		w = wire.NewWriter(m.outCap)
-		m.out[dst] = w
-	}
 	vals := s.row(row)
 	tag := uint32(row) | uint32(fid)<<20
 	c0, step := 1, 1
 	if cells != allCells {
 		c0, step = 1+(row+cells)%2, 2
 	}
-	for c := c0; c <= s.m; c += step {
-		w.Uint32(tag)
-		w.Uint32(uint32(c))
-		w.Float64(vals[c])
+	b := m.out[dst]
+	if b == nil {
+		b = make([]byte, 0, m.outCap)
 	}
+	at, n := len(b), ((s.m-c0)/step+1)*recSize
+	b = slices.Grow(b, n)[:at+n]
+	for c := c0; c <= s.m; c += step {
+		rec := b[at : at+recSize]
+		binary.LittleEndian.PutUint32(rec, tag)
+		binary.LittleEndian.PutUint32(rec[4:], uint32(c))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(vals[c]))
+		at += recSize
+	}
+	m.out[dst] = b
 }
 
 // allGather implements machine. A rank that owns no rows has nothing to
@@ -377,21 +390,23 @@ func (s *solver) smooth(l, iters int) {
 
 // relaxRow updates the cells of colour k in row r of u.
 func (lv *level) relaxRow(r, k int) {
-	up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
-	fr := lv.f.row(r)
+	m, h2 := lv.m, lv.h2
+	w := m + 2
+	up, me, dn := lv.u.row(r - 1)[:w], lv.u.row(r)[:w], lv.u.row(r + 1)[:w]
+	fr := lv.f.row(r)[:w]
 	// The first and last columns have one more wall side than the rest
 	// of the row; peeling them keeps the inner loop branch-free.
 	inv, invWall := invDiag[lv.walls(r)], invDiag[lv.walls(r)+1]
 	c := 1 + (r+k)%2
 	if c == 1 {
-		me[1] = relaxed(up, me, dn, fr, 1, lv.h2, invWall)
+		me[1] = relaxed(up, me, dn, fr, 1, h2, invWall)
 		c = 3
 	}
-	for ; c < lv.m; c += 2 {
-		me[c] = relaxed(up, me, dn, fr, c, lv.h2, inv)
+	for ; c < m; c += 2 {
+		me[c] = relaxed(up, me, dn, fr, c, h2, inv)
 	}
-	if c == lv.m {
-		me[c] = relaxed(up, me, dn, fr, c, lv.h2, invWall)
+	if c == m {
+		me[c] = relaxed(up, me, dn, fr, c, h2, invWall)
 	}
 }
 
@@ -399,6 +414,12 @@ func (lv *level) relaxRow(r, k int) {
 // reciprocal of the operator's diagonal there.
 func relaxed(up, me, dn, fr []float64, c int, h2, inv float64) float64 {
 	return (up[c] + dn[c] + me[c-1] + me[c+1] - h2*fr[c]) * inv
+}
+
+// stencil returns the 5-point Laplacian of row me at column c times
+// h², given the operator's diagonal there.
+func stencil(up, me, dn []float64, c int, diag float64) float64 {
+	return up[c] + dn[c] + me[c-1] + me[c+1] - diag*me[c]
 }
 
 // computeResidual fills r = f - A·u on level l. It reads u's whole
@@ -409,12 +430,20 @@ func (s *solver) computeResidual(l int) {
 	lv := s.levels[l]
 	s.refresh(l, uRed|uBlack)
 	inv := 1 / lv.h2
+	m := lv.m
+	w := m + 2
 	for r := lv.u.lo; r < lv.u.hi; r++ {
-		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
-		fr, rr := lv.f.row(r), lv.r.row(r)
+		up, me, dn := lv.u.row(r - 1)[:w], lv.u.row(r)[:w], lv.u.row(r + 1)[:w]
+		fr, rr := lv.f.row(r)[:w], lv.r.row(r)[:w]
 		wr := lv.walls(r)
-		for c := 1; c <= lv.m; c++ {
-			rr[c] = fr[c] - (up[c]+dn[c]+me[c-1]+me[c+1]-float64(4+wr+lv.walls(c))*me[c])*inv
+		// Columns 1 and m have one more wall side than the rest.
+		rr[1] = fr[1] - stencil(up, me, dn, 1, float64(4+wr+lv.walls(1)))*inv
+		d := float64(4 + wr)
+		for c := 2; c < m; c++ {
+			rr[c] = fr[c] - stencil(up, me, dn, c, d)*inv
+		}
+		if m > 1 {
+			rr[m] = fr[m] - stencil(up, me, dn, m, float64(4+wr+lv.walls(m)))*inv
 		}
 	}
 	s.mc.work((lv.u.hi - lv.u.lo) * lv.m)
@@ -465,21 +494,25 @@ func (s *solver) prolongFrom(l int) {
 	if lo < hi {
 		lo, hi = max(lo-2, 1), min(hi+2, fine.m+1)
 	}
+	cm := coarse.m
 	for r := lo; r < hi; r++ {
 		R := (r + 1) / 2
 		// The vertical neighbor is the coarse row on the same side of
 		// R's center as the fine row: below for odd r, above for even.
-		cu := coarse.u.row(R)
+		cu := coarse.u.row(R)[:cm+2]
 		cn, sr := coarse.u.mirror(R, 1-2*(r%2))
-		fu := fine.u.row(r)
-		// Horizontally likewise: coarse column C and its neighbor on
-		// c's side, which for the first and last fine column is the wall.
+		cn = cn[:cm+2]
+		fu := fine.u.row(r)[:2*cm+2]
+		// Horizontally likewise: fine column c lies in coarse column
+		// (c+1)/2 and blends the neighbor on its side, which for the
+		// first and last fine column is the wall. Fine columns 2C and
+		// 2C+1 blend coarse columns C and C+1.
 		fu[1] += interpolated(cu, cn, 1, 1, sr, -1)
-		for c := 2; c < fine.m; c++ {
-			C := (c + 1) / 2
-			fu[c] += interpolated(cu, cn, C, C+1-2*(c%2), sr, 1)
+		for C := 1; C < cm; C++ {
+			fu[2*C] += interpolated(cu, cn, C, C+1, sr, 1)
+			fu[2*C+1] += interpolated(cu, cn, C+1, C, sr, 1)
 		}
-		fu[fine.m] += interpolated(cu, cn, coarse.m, coarse.m, sr, -1)
+		fu[2*cm] += interpolated(cu, cn, cm, cm, sr, -1)
 	}
 	s.mc.work((hi - lo) * fine.m)
 }
@@ -514,11 +547,21 @@ func (s *solver) residualNorm() float64 {
 	for r := lv.r.lo; r < lv.r.hi; r++ {
 		rr := lv.r.row(r)
 		for c := 1; c <= lv.m; c++ {
-			local = math.Max(local, math.Abs(rr[c]))
+			local = maxAbs(local, rr[c])
 		}
 	}
 	s.mc.work((lv.r.hi - lv.r.lo) * lv.m)
 	return s.mc.maxAll(local)
+}
+
+// maxAbs returns max(acc, |v|) for acc ≥ +0, as math.Max would, and
+// keeps a NaN once one is seen, so a NaN anywhere in a field fails the
+// convergence check instead of vanishing from the norm.
+func maxAbs(acc, v float64) float64 {
+	if a := math.Abs(v); a > acc || a != a {
+		return a
+	}
+	return acc
 }
 
 // Solve runs V-cycles until the residual max-norm falls to
@@ -533,7 +576,7 @@ func (s *solver) Solve() (cycles int, converged bool) {
 	for r := lv.f.lo; r < lv.f.hi; r++ {
 		fr := lv.f.row(r)
 		for c := 1; c <= lv.m; c++ {
-			fmax = math.Max(fmax, math.Abs(fr[c]))
+			fmax = maxAbs(fmax, fr[c])
 		}
 	}
 	fmax = s.mc.maxAll(fmax)

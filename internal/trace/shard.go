@@ -115,8 +115,11 @@ func MergeShardDir(dir string) (*Recorder, error) {
 // wall-clock delta between epochs. Shards must agree on the job id and
 // the machine width; a rank may appear in several shards (successive
 // gang generations of a recovered run), whose events interleave by
-// time. The merged recorder is quiescent: use its exporters
-// (WriteChromeFile, reports), not its buffers.
+// time. Every surviving process of a recovered run records the same
+// rollback in its own shard, so the machine track keeps the earliest
+// rollback of each (attempt, resume step): one marker per recovery. The
+// merged recorder is quiescent: use its exporters (WriteChromeFile,
+// reports), not its buffers.
 func MergeShards(shards []Shard) (*Recorder, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("trace: no shards to merge")
@@ -158,5 +161,19 @@ func MergeShards(shards []Shard) (*Recorder, error) {
 		sort.SliceStable(b.events, func(i, j int) bool { return b.events[i].Start < b.events[j].Start })
 	}
 	sort.SliceStable(r.machine, func(i, j int) bool { return r.machine[i].Start < r.machine[j].Start })
+	type recovery struct{ attempt, resume int64 }
+	seen := map[recovery]bool{}
+	kept := r.machine[:0]
+	for _, e := range r.machine {
+		if e.Kind == KindRollback {
+			k := recovery{e.A, e.B}
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		kept = append(kept, e)
+	}
+	r.machine = kept
 	return r, nil
 }

@@ -111,6 +111,38 @@ func TestMergeShards(t *testing.T) {
 	}
 }
 
+// TestMergeShardsOneRollbackPerRecovery: each survivor of a recovered
+// run records the recovery's rollback in its own shard; the merged
+// machine track carries it once, at the earliest instant, and keeps a
+// later recovery (another attempt) as a marker of its own.
+func TestMergeShardsOneRollbackPerRecovery(t *testing.T) {
+	rollback := func(at, attempt, resume int64) Event {
+		return Event{Kind: KindRollback, Rank: MachineRank, Step: int32(resume), Start: at, End: at, A: attempt, B: resume}
+	}
+	var shards []Shard
+	for rank := 0; rank < 3; rank++ {
+		s := Shard{Job: "j", Rank: rank, P: 3, EpochUnixNano: 1000,
+			Events: []Event{rollback(int64(500-100*rank), 1, 2)}} // rank 2's is the earliest
+		if rank == 0 {
+			s.Events = append(s.Events, rollback(900, 2, 4))
+		}
+		shards = append(shards, s)
+	}
+	m, err := MergeShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range m.Events() {
+		if e.Kind == KindRollback {
+			got = append(got, fmt.Sprintf("attempt %d to %d at %d", e.A, e.B, e.Start))
+		}
+	}
+	if want := "[attempt 1 to 2 at 300 attempt 2 to 4 at 900]"; fmt.Sprint(got) != want {
+		t.Fatalf("merged rollbacks %v, want %s", got, want)
+	}
+}
+
 func TestMergeShardsValidates(t *testing.T) {
 	r := New(2)
 	fillRank(r, 0, 0, 10)

@@ -54,6 +54,9 @@ import (
 // a failed one fails the superstep — as in the paper's library, there
 // is no retry. A peer that stays silent past the deadline therefore
 // surfaces as an error naming the pair and superstep instead of a hang.
+// Reads and writes re-arm their deadline lazily (see stageConn): each
+// starts with between one and one and a half deadlines left, so a
+// silent peer fails it within [deadline, 2·deadline).
 type TCPTransport struct {
 	// stageTimeout bounds each individual connect, read and write; a
 	// peer silent for longer fails the operation with a timeout error.
@@ -204,20 +207,49 @@ func (st *tcpState) runTeardown() {
 	st.teardownOnce.Do(st.teardown)
 }
 
-// stageConn arms the per-operation deadline before every read and
-// write on a (possibly test-decorated) connection.
+// stageConn keeps the per-operation deadline armed on a (possibly
+// test-decorated) connection. Arming a socket deadline costs more than
+// a superstep's empty exchange, so a read or write re-arms its
+// direction only when less than timeout remains, to 1.5·timeout from
+// now: an operation always starts with between timeout and 1.5·timeout
+// left, so a silent peer fails it within [timeout, 2·timeout).
 type stageConn struct {
 	net.Conn
 	timeout time.Duration
+	// epoch is the monotonic origin of readBy and writeBy, the instants
+	// (ns since epoch) each direction's deadline is armed to; 0 is
+	// unarmed.
+	epoch           time.Time
+	readBy, writeBy int64
+}
+
+func newStageConn(c net.Conn, timeout time.Duration) *stageConn {
+	return &stageConn{Conn: c, timeout: timeout, epoch: time.Now()}
+}
+
+// rearm reports whether the deadline armed to *by leaves less than
+// timeout; if so it moves *by to 1.5·timeout from now and returns that
+// instant.
+func (c *stageConn) rearm(by *int64) (time.Time, bool) {
+	now := int64(time.Since(c.epoch))
+	if *by-now >= int64(c.timeout) {
+		return time.Time{}, false
+	}
+	*by = now + int64(c.timeout)*3/2
+	return c.epoch.Add(time.Duration(*by)), true
 }
 
 func (c *stageConn) Read(p []byte) (int, error) {
-	c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
+	if t, ok := c.rearm(&c.readBy); ok {
+		c.Conn.SetReadDeadline(t)
+	}
 	return c.Conn.Read(p)
 }
 
 func (c *stageConn) Write(p []byte) (int, error) {
-	c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	if t, ok := c.rearm(&c.writeBy); ok {
+		c.Conn.SetWriteDeadline(t)
+	}
 	return c.Conn.Write(p)
 }
 
@@ -283,7 +315,7 @@ func (e *tcpEndpoint) setConn(peer int, c net.Conn) {
 	if e.st.wrapConn != nil {
 		inner = e.st.wrapConn(e.id, peer, inner)
 	}
-	e.sc[peer] = &stageConn{Conn: inner, timeout: e.st.timeout}
+	e.sc[peer] = newStageConn(inner, e.st.timeout)
 }
 
 // closeConns closes this endpoint's raw sockets.

@@ -64,7 +64,7 @@
 #                     checkpointed bsprun must leave a Chrome trace with
 #                     a superstep span per rank per superstep plus the
 #                     crash and rollback markers (validated by
-#                     cmd/tracecheck), and an untraced run's
+#                     bspobs check), and an untraced run's
 #                     -cost-report must print the residual table
 #   make cluster-smoke  end-to-end multi-process smoke: psort and ocean
 #                     run as real OS processes (one per rank, loopback
@@ -93,17 +93,17 @@
 #   make postmortem-smoke  end-to-end crash-forensics smoke: a chaos-
 #                     crashed p=4 cluster psort WITHOUT -trace must
 #                     leave a complete postmortem bundle (the always-on
-#                     flight recorder), validated by tracecheck
-#                     -postmortem, and bsppost's report must name the
-#                     injected crash rank and superstep
+#                     flight recorder): bspobs post must validate it
+#                     and its report must name the injected crash rank
+#                     and superstep
 #   make top-smoke    end-to-end live-telemetry smoke: a p=4 cluster
 #                     ocean runs with -status-addr; while it runs,
-#                     bsptop must see every rank advance past its first
-#                     superstep and the aggregated /metrics must carry
+#                     bspobs top must see every rank advance past its
+#                     first superstep and the aggregated /metrics must carry
 #                     the rank-labeled families; after it finishes, the
 #                     launcher's live-vs-post-hoc (g, L) agreement line
 #                     must read ok, the final status dump must render a
-#                     row per rank, and tracecheck -status must
+#                     row per rank, and bspobs check -status must
 #                     reconcile the dump against the merged trace;
 #                     then a p=2 run with no -status-addr, -trace,
 #                     -metrics-addr or postmortem bundle must still
@@ -193,32 +193,32 @@ conformance:
 trace-smoke:
 	rm -rf $(TRACE_DIR) && mkdir -p $(TRACE_DIR)
 	$(GO) build -o $(TRACE_DIR)/bsprun ./cmd/bsprun
-	$(GO) build -o $(TRACE_DIR)/tracecheck ./cmd/tracecheck
+	$(GO) build -o $(TRACE_DIR)/bspobs ./cmd/bspobs
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport tcp \
 		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-checkpoint-dir $(TRACE_DIR)/ckpt -trace $(TRACE_DIR)/trace.json -cost-report
-	$(TRACE_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(TRACE_DIR)/trace.json
+	$(TRACE_DIR)/bspobs check -ranks 4 -require-crash -require-rollback $(TRACE_DIR)/trace.json
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport shm \
 		-trace $(TRACE_DIR)/clean.json
-	$(TRACE_DIR)/tracecheck -ranks 4 -check-pairs $(TRACE_DIR)/clean.json
+	$(TRACE_DIR)/bspobs check -ranks 4 -check-pairs $(TRACE_DIR)/clean.json
 	$(TRACE_DIR)/bsprun -app psort -size 4000 -p 4 -transport shm \
 		-cost-report | grep -q "cost-model residuals"
 
 cluster-smoke:
 	rm -rf $(CLUSTER_DIR) && mkdir -p $(CLUSTER_DIR)
 	$(GO) build -o $(CLUSTER_DIR)/bsprun ./cmd/bsprun
-	$(GO) build -o $(CLUSTER_DIR)/tracecheck ./cmd/tracecheck
+	$(GO) build -o $(CLUSTER_DIR)/bspobs ./cmd/bspobs
 	$(CLUSTER_DIR)/bsprun -app psort -size 4000 -p 4 -cluster \
 		-trace $(CLUSTER_DIR)/clean.json
-	$(CLUSTER_DIR)/tracecheck -ranks 4 -check-pairs $(CLUSTER_DIR)/clean.json
+	$(CLUSTER_DIR)/bspobs check -ranks 4 -check-pairs $(CLUSTER_DIR)/clean.json
 	$(CLUSTER_DIR)/bsprun -app ocean -size 34 -p 4 -cluster \
 		-trace $(CLUSTER_DIR)/ocean.json
-	$(CLUSTER_DIR)/tracecheck -ranks 4 $(CLUSTER_DIR)/ocean.json
+	$(CLUSTER_DIR)/bspobs check -ranks 4 $(CLUSTER_DIR)/ocean.json
 	$(CLUSTER_DIR)/bsprun -app psort -size 4000 -p 4 -cluster \
 		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-checkpoint-dir $(CLUSTER_DIR)/ckpt -trace $(CLUSTER_DIR)/crash.json \
 		-sync-timeout 30s
-	$(CLUSTER_DIR)/tracecheck -ranks 4 -require-crash -require-rollback $(CLUSTER_DIR)/crash.json \
+	$(CLUSTER_DIR)/bspobs check -ranks 4 -require-crash -require-rollback $(CLUSTER_DIR)/crash.json \
 		> $(CLUSTER_DIR)/crash-check.txt || { cat $(CLUSTER_DIR)/crash-check.txt; false; }
 	cat $(CLUSTER_DIR)/crash-check.txt
 	grep -q " 1 crash(es), 1 rollback(s)" $(CLUSTER_DIR)/crash-check.txt
@@ -230,17 +230,20 @@ cluster-smoke:
 # dump), then the gang relaunches fault-free (exit 0) — and the dead
 # epoch-0 generation's bundle is what we audit.
 # The chaos plan crashes rank 1 in its 3rd superstep, which the trace
-# axis records as 0-based superstep 2 — the line bsppost must print.
+# axis records as 0-based superstep 2 — the line bspobs post must
+# print. bspobs post exits 1 on any bundle problem (a rank that left no
+# dump, a missing manifest); the report is written to a file first so
+# that exit status fails the target.
 postmortem-smoke:
 	rm -rf $(POST_DIR) && mkdir -p $(POST_DIR)
 	$(GO) build -o $(POST_DIR)/bsprun ./cmd/bsprun
-	$(GO) build -o $(POST_DIR)/bsppost ./cmd/bsppost
-	$(GO) build -o $(POST_DIR)/tracecheck ./cmd/tracecheck
+	$(GO) build -o $(POST_DIR)/bspobs ./cmd/bspobs
 	$(POST_DIR)/bsprun -app psort -size 4000 -p 4 -cluster \
 		-chaos "seed=1,delay=0,stall=0,crash=1:3" \
 		-postmortem-dir $(POST_DIR)/bundle -sync-timeout 30s
-	$(POST_DIR)/tracecheck -postmortem -ranks 4 $(POST_DIR)/bundle
-	$(POST_DIR)/bsppost $(POST_DIR)/bundle | tee $(POST_DIR)/report.txt
+	$(POST_DIR)/bspobs post $(POST_DIR)/bundle > $(POST_DIR)/report.txt || { \
+		cat $(POST_DIR)/report.txt; false; }
+	cat $(POST_DIR)/report.txt
 	grep -q "injected crash: rank 1 at superstep 2" $(POST_DIR)/report.txt
 
 # The live window is long by construction: ocean at 4098 spreads 105
@@ -248,18 +251,17 @@ postmortem-smoke:
 # A psort of similar length would not do: it does all its work in
 # superstep 0 and leaves ~0.1 s between "every rank is past superstep 1"
 # and the status server going away. The probes poll in a tight 0.1s
-# loop from t=0 instead of sleeping first: bsptop
+# loop from t=0 instead of sleeping first: bspobs top
 # -min-step 1 succeeds only once every rank has advanced past its first
 # superstep, and the aggregated /metrics scrape is taken in that same
 # live window. The post-run checks then validate the launcher's
 # live-vs-post-hoc (g, L) agreement line, the final status dump (one
-# bsptop row per rank), the golden metric families, and the
+# bspobs top row per rank), the golden metric families, and the
 # status-vs-trace reconciliation.
 top-smoke:
 	rm -rf $(TOP_DIR) && mkdir -p $(TOP_DIR)
 	$(GO) build -o $(TOP_DIR)/bsprun ./cmd/bsprun
-	$(GO) build -o $(TOP_DIR)/bsptop ./cmd/bsptop
-	$(GO) build -o $(TOP_DIR)/tracecheck ./cmd/tracecheck
+	$(GO) build -o $(TOP_DIR)/bspobs ./cmd/bspobs
 	set -e; \
 	$(TOP_DIR)/bsprun -app ocean -size 4098 -p 4 -cluster \
 		-status-addr 127.0.0.1:$(TOP_PORT) -heartbeat-interval 25ms \
@@ -268,8 +270,8 @@ top-smoke:
 		> $(TOP_DIR)/run.log 2>&1 & \
 	run=$$!; ok=0; \
 	for i in $$(seq 1 100); do \
-		if $(TOP_DIR)/bsptop -status http://127.0.0.1:$(TOP_PORT) \
-			-once -min-step 1 > $(TOP_DIR)/top.txt 2>/dev/null; then \
+		if $(TOP_DIR)/bspobs top -once -min-step 1 \
+			http://127.0.0.1:$(TOP_PORT) > $(TOP_DIR)/top.txt 2>/dev/null; then \
 			curl -s http://127.0.0.1:$(TOP_PORT)/metrics > $(TOP_DIR)/metrics.txt; \
 			ok=1; break; \
 		fi; \
@@ -281,7 +283,7 @@ top-smoke:
 		cat $(TOP_DIR)/run.log; exit 1; }
 	cat $(TOP_DIR)/top.txt
 	grep -q "agreement ok" $(TOP_DIR)/run.log
-	$(TOP_DIR)/bsptop -status $(TOP_DIR)/status.json -once | tee $(TOP_DIR)/top_final.txt
+	$(TOP_DIR)/bspobs top -once $(TOP_DIR)/status.json | tee $(TOP_DIR)/top_final.txt
 	test "$$(grep -c '^r[0-3] ' $(TOP_DIR)/top_final.txt)" = 4
 	grep -q 'bsp_supersteps_total{rank="3"}' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_last_superstep{rank="0"}' $(TOP_DIR)/metrics.txt
@@ -290,11 +292,11 @@ top-smoke:
 	grep -q 'bsp_sync_wait_seconds_bucket' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_calib_g_us_per_packet' $(TOP_DIR)/metrics.txt
 	grep -q 'bsp_calib_l_us' $(TOP_DIR)/metrics.txt
-	$(TOP_DIR)/tracecheck -ranks 4 -status $(TOP_DIR)/status.json $(TOP_DIR)/trace.json
+	$(TOP_DIR)/bspobs check -ranks 4 -status $(TOP_DIR)/status.json $(TOP_DIR)/trace.json
 	$(TOP_DIR)/bsprun -app ocean -size 1026 -p 2 -cluster -postmortem-dir none \
 		-status-dump $(TOP_DIR)/status_bare.json > $(TOP_DIR)/run_bare.log 2>&1 || { \
 		cat $(TOP_DIR)/run_bare.log; exit 1; }
-	$(TOP_DIR)/bsptop -status $(TOP_DIR)/status_bare.json -once -min-step 1
+	$(TOP_DIR)/bspobs top -once -min-step 1 $(TOP_DIR)/status_bare.json
 	! grep -q '"last_step": -1' $(TOP_DIR)/status_bare.json
 
 soak:

@@ -109,7 +109,7 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 	wall := time.Since(t0)
 	if o.statusDump != "" {
 		// The final /status document, captured at job end — the same
-		// shape bsptop and tracecheck consume from a live coordinator.
+		// shape bspobs top and bspobs check read from a live coordinator.
 		b, werr := json.MarshalIndent(job.Status(), "", "  ")
 		if werr == nil {
 			werr = os.WriteFile(o.statusDump, b, 0o644)
@@ -117,7 +117,7 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, "bsprun: write status dump:", werr)
 		} else {
-			fmt.Printf("final status written to %s (render with bsptop -status %s -once)\n", o.statusDump, o.statusDump)
+			fmt.Printf("final status written to %s (render with bspobs top -once %s)\n", o.statusDump, o.statusDump)
 		}
 	}
 	if o.postDir != "" {
@@ -127,7 +127,7 @@ func launchCluster(o launcherFlags) (time.Duration, *trace.Recorder, *launch.Job
 		if man, gerr := trace.GatherBundle(o.postDir); gerr != nil {
 			fmt.Fprintln(os.Stderr, "bsprun: gather postmortem bundle:", gerr)
 		} else if len(man.Dumps) > 0 {
-			fmt.Printf("postmortem bundle: %d dump(s) in %s (analyze with bsppost)\n", len(man.Dumps), o.postDir)
+			fmt.Printf("postmortem bundle: %d dump(s) in %s (analyze with bspobs post)\n", len(man.Dumps), o.postDir)
 		} else {
 			// Nothing to keep: drop the directory made above. os.Remove
 			// leaves a non-empty one alone.

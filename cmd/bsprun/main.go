@@ -92,10 +92,10 @@ func main() {
 	suspectAfter := flag.Duration("suspect-after", 0, "declare a connected-but-silent cluster rank crashed after this long without a heartbeat (0 = 5s default, negative disables)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "snapshot every Nth eligible superstep boundary")
 	resume := flag.Bool("resume", false, "continue from the latest complete snapshot in -checkpoint-dir")
-	postDir := flag.String("postmortem-dir", "", "crash-forensics bundle directory: on a failed run every rank dumps its always-on flight ring, metrics and goroutine stacks here (analyze with bsppost); empty arms a per-PID default under $TMPDIR for -cluster runs and stays off otherwise; \"none\" disables")
+	postDir := flag.String("postmortem-dir", "", "crash-forensics bundle directory: on a failed run every rank dumps its always-on flight ring, metrics and goroutine stacks here (analyze with bspobs post); empty arms a per-PID default under $TMPDIR for -cluster runs and stays off otherwise; \"none\" disables")
 	traceFile := flag.String("trace", "", "write the run's timeline as Chrome trace-event JSON to this file (open in Perfetto)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP: Prometheus text at /metrics, expvar JSON at /debug/vars, profiles at /debug/pprof/; with -cluster, rank r serves on port+r (port 0: each rank picks a free port, reported in /status)")
-	statusAddr := flag.String("status-addr", "", "with -cluster: serve the coordinator's aggregated live view over HTTP — job-level JSON at /status, rank-labeled Prometheus text at /metrics (watch with bsptop)")
+	statusAddr := flag.String("status-addr", "", "with -cluster: serve the coordinator's aggregated live view over HTTP — job-level JSON at /status, rank-labeled Prometheus text at /metrics (watch with bspobs top)")
 	statusDump := flag.String("status-dump", "", "with -cluster: write the final /status JSON document to this file when the job ends")
 	costReport := flag.Bool("cost-report", false, "print per-superstep predicted-vs-recorded cost-model residuals")
 	costMachine := flag.String("cost-machine", "SGI", "machine profile for -cost-report: SGI|Cenju|PC")
@@ -225,7 +225,7 @@ func main() {
 			return
 		}
 		if len(man.Dumps) > 0 {
-			fmt.Printf("postmortem bundle: %d dump(s) in %s (analyze with bsppost)\n", len(man.Dumps), pmDir)
+			fmt.Printf("postmortem bundle: %d dump(s) in %s (analyze with bspobs post)\n", len(man.Dumps), pmDir)
 		}
 	}
 	machine := cost.SGI

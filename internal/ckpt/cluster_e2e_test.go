@@ -303,7 +303,7 @@ func checkPostmortem(t *testing.T, postDir string, plan transport.FaultPlan) {
 	if _, err := trace.GatherBundle(postDir); err != nil {
 		t.Fatalf("gather postmortem bundle: %v", err)
 	}
-	dumps, err := trace.CheckBundle(postDir, recoveryP)
+	dumps, err := trace.CheckBundle(postDir)
 	if err != nil {
 		t.Fatalf("postmortem bundle: %v", err)
 	}

@@ -43,9 +43,12 @@ func TestPostmortemDumpOnCrash(t *testing.T) {
 	if err == nil {
 		t.Fatal("crashed run returned nil error")
 	}
-	man, dumps, rerr := trace.ReadBundle(dir)
-	if rerr != nil {
-		t.Fatal(rerr)
+	if _, gerr := trace.GatherBundle(dir); gerr != nil {
+		t.Fatal(gerr)
+	}
+	dumps, cerr := trace.CheckBundle(dir)
+	if cerr != nil {
+		t.Fatal(cerr)
 	}
 	if len(dumps) != 4 {
 		t.Fatalf("bundle has %d dumps, want one per rank (4)", len(dumps))
@@ -80,7 +83,6 @@ func TestPostmortemDumpOnCrash(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "rank1", "stacks-e0.txt")); err != nil {
 		t.Errorf("stacks file missing: %v", err)
 	}
-	_ = man
 }
 
 // TestPostmortemDumpDuringSync is the reentrancy test: on the
@@ -107,9 +109,12 @@ func TestPostmortemDumpDuringSync(t *testing.T) {
 	if err == nil {
 		t.Fatal("crashed run returned nil error")
 	}
-	_, dumps, rerr := trace.ReadBundle(dir)
-	if rerr != nil {
-		t.Fatal(rerr)
+	if _, gerr := trace.GatherBundle(dir); gerr != nil {
+		t.Fatal(gerr)
+	}
+	dumps, cerr := trace.CheckBundle(dir)
+	if cerr != nil {
+		t.Fatal(cerr)
 	}
 	if len(dumps) != 4 {
 		t.Fatalf("bundle has %d dumps, want exactly one per rank (4) — the dedup must absorb the dump broadcast overlapping the local failure path", len(dumps))

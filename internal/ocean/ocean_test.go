@@ -178,15 +178,19 @@ func TestSolveReportsNonConvergence(t *testing.T) {
 }
 
 // TestSolveReportsNaN: a NaN in the right-hand side must fail the solve
-// and show in the reported residual. A max-norm that dropped NaNs would
-// see a finite |f|∞ and, once the NaN had spread through u, a zero
-// residual, and report convergence.
+// at once and show in the reported residual. A max-norm that dropped
+// NaNs would see a finite |f|∞ and, once the NaN had spread through u,
+// a zero residual, and report convergence.
 func TestSolveReportsNaN(t *testing.T) {
 	sol := newSolver(seqMachine{}, 64)
 	roughRHS(sol.levels[0])
 	sol.levels[0].f.row(20)[33] = math.NaN()
-	if _, ok := sol.Solve(); ok {
+	cycles, ok := sol.Solve()
+	if ok {
 		t.Fatal("Solve converged on a right-hand side holding a NaN")
+	}
+	if cycles != 0 {
+		t.Fatalf("Solve ran %d V-cycles on a NaN residual, want 0", cycles)
 	}
 	if !math.IsNaN(sol.res) {
 		t.Fatalf("residual %g, want NaN", sol.res)

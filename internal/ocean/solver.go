@@ -566,7 +566,8 @@ func maxAbs(acc, v float64) float64 {
 
 // Solve runs V-cycles until the residual max-norm falls to
 // tol·max(|f|∞, 1e-300) or below; it returns the cycle count and
-// whether that happened within maxCycles. The verdict rests on
+// whether that happened within maxCycles. A NaN norm ends the solve at
+// once, unconverged: no V-cycle can bring it back. The verdict rests on
 // all-reduced norms alone, so every process reaches the same one. The
 // rhs must already be loaded into level 0's f, and an initial guess
 // into level 0's u: its owned rows and its first ghost row on each side.
@@ -586,7 +587,7 @@ func (s *solver) Solve() (cycles int, converged bool) {
 		if s.res = s.residualNorm(); s.res <= s.target {
 			return cycles, true
 		}
-		if cycles == s.maxCycles {
+		if cycles == s.maxCycles || s.res != s.res {
 			return cycles, false
 		}
 		s.vcycle(0)

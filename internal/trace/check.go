@@ -11,10 +11,11 @@ import (
 	"strings"
 )
 
-// Trace and bundle audits: the invariants cmd/tracecheck enforces on
-// the files bsprun writes, and that the recovery tests enforce on the
-// files their gangs write. Both return every violation found, one per
-// line of the error (errors.Join), so a report names all of them.
+// Trace and bundle audits: the invariants bspobs check and bspobs post
+// enforce on the files bsprun writes, and that the recovery tests
+// enforce on the files their gangs write. Both return every violation
+// found, one per line of the error (errors.Join), so a report names
+// all of them.
 
 // CheckOptions selects the audits Check runs beyond span coverage.
 type CheckOptions struct {
@@ -171,24 +172,28 @@ func argInt(args map[string]any, key string) (int64, bool) {
 	return int64(f), ok
 }
 
-// CheckBundle audits a postmortem bundle directory as WriteDump and
-// GatherBundle leave it: every rank<r>/dump-e<epoch>.json parses, lives
-// in its own rank's directory under its epoch's name, holds time-sorted
-// events of its own rank (or the machine track) and reconciles its ring
-// truncation marker (dropped + retained == total ever recorded); every
-// dump shares one job identity and has a reason; MANIFEST.json indexes
-// exactly the dumps on disk; and every rank 0..ranks-1 dumped at least
-// once. It returns the dumps, sorted by (rank, epoch).
-func CheckBundle(dir string, ranks int) ([]Dump, error) {
-	dumps, files, err := scanBundle(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(dumps) == 0 {
-		return nil, fmt.Errorf("no postmortem dumps under %s", dir)
-	}
+// CheckBundle reads and audits a postmortem bundle directory as
+// WriteDump and GatherBundle leave it: every rank<r>/dump-e<epoch>.json
+// parses, lives in its own rank's directory under its epoch's name,
+// holds time-sorted events of its own rank (or the machine track) and
+// reconciles its ring truncation marker (dropped + retained == total
+// ever recorded); every dump shares one job identity and has a reason;
+// MANIFEST.json indexes exactly the dumps on disk; and every rank
+// 0..P-1 of the job dumped at least once. It returns the dumps it
+// read, sorted by (rank, epoch), also alongside problems, so a report
+// can still be made from an incomplete bundle; it returns none only
+// when none could be read.
+func CheckBundle(dir string) ([]Dump, error) {
 	var problems []error
 	problem := func(format string, args ...any) { problems = append(problems, fmt.Errorf(format, args...)) }
+	dumps, files, err := scanBundle(dir)
+	if err != nil {
+		problems = append(problems, err)
+	}
+	if len(dumps) == 0 {
+		problem("no postmortem dumps under %s", dir)
+		return nil, errors.Join(problems...)
+	}
 
 	type key struct{ rank, epoch int }
 	onDisk := map[key]string{} // -> path relative to dir
@@ -219,6 +224,9 @@ func CheckBundle(dir string, ranks int) ([]Dump, error) {
 		}
 		if d.Reason == "" {
 			problem("%s: dump has no reason", rel)
+		}
+		if d.Rank < 0 || d.Rank >= p {
+			problem("%s: dump claims rank %d outside p=%d", rel, d.Rank, p)
 		}
 		if d.Job != job || d.P != p {
 			problem("%s: job identity (%q, p=%d) differs from the bundle's (%q, p=%d)", rel, d.Job, d.P, job, p)
@@ -260,7 +268,7 @@ func CheckBundle(dir string, ranks int) ([]Dump, error) {
 		}
 	}
 
-	for r := 0; r < ranks; r++ {
+	for r := 0; r < p; r++ {
 		if !dumped[r] {
 			problem("rank %d left no dump (bundle incomplete)", r)
 		}

@@ -146,24 +146,30 @@ func bundleDir(t *testing.T, edit func(*Dump)) string {
 	return dir
 }
 
-// TestCheckBundle: a gathered bundle passes; a manifest that lost an
-// entry, a dump in another rank's directory and a ring whose accounting
-// is off by one are each caught.
+// TestCheckBundle: a gathered bundle passes; a job short of a rank's
+// dump, a dump of a rank outside the job, a manifest that lost an
+// entry, a dump in another rank's directory and a ring whose
+// accounting is off by one are each caught.
 func TestCheckBundle(t *testing.T) {
-	dumps, err := CheckBundle(bundleDir(t, func(*Dump) {}), 2)
+	dumps, err := CheckBundle(bundleDir(t, func(*Dump) {}))
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
 	if len(dumps) != 2 || dumps[0].Rank != 0 || dumps[1].Rank != 1 {
 		t.Fatalf("CheckBundle returned %d dumps, want ranks 0 and 1", len(dumps))
 	}
-	if _, err := CheckBundle(bundleDir(t, func(*Dump) {}), 3); err == nil || !strings.Contains(err.Error(), "rank 2 left no dump") {
+	// A p=3 job that left two dumps.
+	if _, err := CheckBundle(bundleDir(t, func(d *Dump) { d.P = 3 })); err == nil || !strings.Contains(err.Error(), "rank 2 left no dump") {
 		t.Errorf("bundle short of a rank: %v", err)
+	}
+	// A p=1 job whose second dump claims rank 1.
+	if _, err := CheckBundle(bundleDir(t, func(d *Dump) { d.P = 1 })); err == nil || !strings.Contains(err.Error(), "dump claims rank 1 outside p=1") {
+		t.Errorf("dump of a rank outside the job: %v", err)
 	}
 
 	// A manifest entry dropped.
 	dir := bundleDir(t, func(*Dump) {})
-	man, _, err := ReadBundle(dir)
+	man, err := GatherBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +181,7 @@ func TestCheckBundle(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckBundle(dir, 2); err == nil || !strings.Contains(err.Error(), "on disk but not in the manifest") {
+	if _, err := CheckBundle(dir); err == nil || !strings.Contains(err.Error(), "on disk but not in the manifest") {
 		t.Errorf("manifest missing an entry: %v", err)
 	}
 
@@ -184,13 +190,13 @@ func TestCheckBundle(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, "rank1"), filepath.Join(dir, "rank3")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckBundle(dir, 2); err == nil || !strings.Contains(err.Error(), "dump claims rank 1 but lives in rank3/") {
+	if _, err := CheckBundle(dir); err == nil || !strings.Contains(err.Error(), "dump claims rank 1 but lives in rank3/") {
 		t.Errorf("dump in another rank's directory: %v", err)
 	}
 
 	// Ring accounting off by one.
 	dir = bundleDir(t, func(d *Dump) { d.RingTotal++ })
-	if _, err := CheckBundle(dir, 2); err == nil || !strings.Contains(err.Error(), "ring accounting broken") {
+	if _, err := CheckBundle(dir); err == nil || !strings.Contains(err.Error(), "ring accounting broken") {
 		t.Errorf("ring accounting off by one: %v", err)
 	}
 }

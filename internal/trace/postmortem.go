@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,10 +15,11 @@ import (
 // conviction — every rank dumps its flight ring, a metrics snapshot
 // and its goroutine stacks into <dir>/rank<r>/, and the launcher
 // gathers the per-rank dumps into one bundle with a MANIFEST.json.
-// cmd/bsppost merges a bundle onto a single timeline (each dump embeds
-// a Shard, so MergeShards does the heavy lifting) and prints the
-// root-cause report; CheckBundle validates a bundle's internal
-// consistency, for cmd/tracecheck -postmortem and the recovery tests.
+// CheckBundle reads a bundle back and validates its internal
+// consistency, for bspobs post and the recovery tests; bspobs post
+// then merges the dumps onto a single timeline (each dump embeds a
+// Shard, so MergeShards does the heavy lifting) and prints the
+// root-cause report.
 
 // Dump is one rank's postmortem: the retained flight-ring events plus
 // the forensic context that explains them. It embeds the Shard it is
@@ -164,9 +166,9 @@ type BundleManifest struct {
 // ManifestName is the bundle index filename GatherBundle writes.
 const ManifestName = "MANIFEST.json"
 
-// scanBundle walks dir for rank*/dump-*.json and loads every dump,
-// sorted by (rank, epoch); files[i] is dumps[i]'s path relative to
-// the bundle dir.
+// scanBundle walks dir for rank*/dump-*.json and loads every dump it
+// can read, sorted by (rank, epoch); files[i] is dumps[i]'s path
+// relative to the bundle dir. The error names every dump it could not.
 func scanBundle(dir string) ([]Dump, []string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "rank*", "dump-*.json"))
 	if err != nil {
@@ -178,10 +180,12 @@ func scanBundle(dir string) ([]Dump, []string, error) {
 		file string
 	}
 	var all []loaded
+	var unreadable []error
 	for _, p := range paths {
 		d, err := ReadDump(p)
 		if err != nil {
-			return nil, nil, err
+			unreadable = append(unreadable, err)
+			continue
 		}
 		rel, err := filepath.Rel(dir, p)
 		if err != nil {
@@ -201,27 +205,7 @@ func scanBundle(dir string) ([]Dump, []string, error) {
 		dumps[i] = l.d
 		files[i] = l.file
 	}
-	return dumps, files, nil
-}
-
-func buildManifest(dumps []Dump, files []string) *BundleManifest {
-	man := &BundleManifest{}
-	for i, d := range dumps {
-		if i == 0 {
-			man.Job, man.P = d.Job, d.P
-		}
-		man.Dumps = append(man.Dumps, BundleEntry{
-			Rank:              d.Rank,
-			Epoch:             d.Epoch,
-			Reason:            d.Reason,
-			File:              files[i],
-			Events:            len(d.Events),
-			RingTotal:         d.RingTotal,
-			RingDropped:       d.RingDropped,
-			LastCompletedStep: d.LastCompletedStep(),
-		})
-	}
-	return man
+	return dumps, files, errors.Join(unreadable...)
 }
 
 // GatherBundle scans dir for per-rank dumps and writes MANIFEST.json
@@ -234,9 +218,22 @@ func GatherBundle(dir string) (*BundleManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	man := buildManifest(dumps, files)
-	if len(man.Dumps) == 0 {
+	man := &BundleManifest{}
+	if len(dumps) == 0 {
 		return man, nil
+	}
+	man.Job, man.P = dumps[0].Job, dumps[0].P
+	for i, d := range dumps {
+		man.Dumps = append(man.Dumps, BundleEntry{
+			Rank:              d.Rank,
+			Epoch:             d.Epoch,
+			Reason:            d.Reason,
+			File:              files[i],
+			Events:            len(d.Events),
+			RingTotal:         d.RingTotal,
+			RingDropped:       d.RingDropped,
+			LastCompletedStep: d.LastCompletedStep(),
+		})
 	}
 	b, err := json.MarshalIndent(man, "", " ")
 	if err != nil {
@@ -251,27 +248,4 @@ func GatherBundle(dir string) (*BundleManifest, error) {
 		return nil, err
 	}
 	return man, nil
-}
-
-// ReadBundle loads every dump in a bundle dir plus its manifest. A
-// missing MANIFEST.json is tolerated (the launcher may have died
-// before gathering): the manifest is rebuilt in memory from the dumps
-// found on disk.
-func ReadBundle(dir string) (*BundleManifest, []Dump, error) {
-	dumps, files, err := scanBundle(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(dumps) == 0 {
-		return nil, nil, fmt.Errorf("trace: no postmortem dumps under %s", dir)
-	}
-	man := buildManifest(dumps, files)
-	if b, err := os.ReadFile(filepath.Join(dir, ManifestName)); err == nil {
-		var onDisk BundleManifest
-		if err := json.Unmarshal(b, &onDisk); err != nil {
-			return nil, nil, fmt.Errorf("trace: bundle manifest: %w", err)
-		}
-		man = &onDisk
-	}
-	return man, dumps, nil
 }

@@ -71,7 +71,8 @@ func TestTracePostmortemDumpRoundTrip(t *testing.T) {
 }
 
 // TestTracePostmortemBundle: gathering writes a manifest that indexes
-// every dump, a bundle reads back with or without it, and the dumps
+// every dump, a bundle reads back and passes CheckBundle, without the
+// manifest it still reads back (with the gap named), and the dumps
 // merge onto one timeline via the shard machinery.
 func TestTracePostmortemBundle(t *testing.T) {
 	r := postmortemRecorder()
@@ -97,12 +98,12 @@ func TestTracePostmortemBundle(t *testing.T) {
 		t.Fatalf("manifest not written: %v", err)
 	}
 
-	man2, dumps, err := ReadBundle(dir)
+	dumps, err := CheckBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man2.Dumps) != 2 || len(dumps) != 2 {
-		t.Fatalf("bundle read back %d manifest entries, %d dumps", len(man2.Dumps), len(dumps))
+	if len(dumps) != 2 {
+		t.Fatalf("bundle read back %d dumps, want 2", len(dumps))
 	}
 	shards := make([]Shard, len(dumps))
 	for i, d := range dumps {
@@ -126,18 +127,18 @@ func TestTracePostmortemBundle(t *testing.T) {
 	}
 
 	// Without a manifest the bundle still reads (the launcher may have
-	// died before gathering).
+	// died before gathering), and the missing manifest is named.
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, dumps, err = ReadBundle(dir); err != nil || len(dumps) != 2 {
+	if dumps, err = CheckBundle(dir); len(dumps) != 2 || err == nil || !strings.Contains(err.Error(), "never gathered") {
 		t.Fatalf("manifest-less bundle: %d dumps, err %v", len(dumps), err)
 	}
 }
 
 // TestTracePostmortemEmptyBundle: a clean run's directory yields an
-// empty manifest from GatherBundle (nothing written) and an error
-// from ReadBundle.
+// empty manifest from GatherBundle (nothing written), and CheckBundle
+// reads no dumps from it and says so.
 func TestTracePostmortemEmptyBundle(t *testing.T) {
 	dir := t.TempDir()
 	man, err := GatherBundle(dir)
@@ -147,8 +148,8 @@ func TestTracePostmortemEmptyBundle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
 		t.Fatal("empty gather must not write a manifest")
 	}
-	if _, _, err := ReadBundle(dir); err == nil || !strings.Contains(err.Error(), "no postmortem dumps") {
-		t.Fatalf("empty ReadBundle error = %v", err)
+	if dumps, err := CheckBundle(dir); len(dumps) != 0 || err == nil || !strings.Contains(err.Error(), "no postmortem dumps") {
+		t.Fatalf("empty CheckBundle = %d dumps, error %v", len(dumps), err)
 	}
 }
 

@@ -191,7 +191,7 @@ type StatusCalib struct {
 
 // StatusDoc is the one job-level view: the coordinator serves it at
 // /status, renders /metrics from it, and the launcher keeps the final
-// one (bsprun -status-dump, bsptop, tracecheck -status, and the
+// one (bsprun -status-dump, bspobs top, bspobs check -status, and the
 // warm-recovery test in internal/ckpt).
 type StatusDoc struct {
 	Job   string       `json:"job"`
